@@ -1,7 +1,15 @@
 //! Machine-readable kernel benchmark for the perf trajectory: times
 //! the scalar / dispatched-SIMD / parallel / batched variants of the
-//! LHE hot-path kernels (`matvec` online, `preproc` offline) and
-//! writes `BENCH_kernels.json` at the repository root.
+//! LHE hot-path kernels (`matvec` online, `preproc` offline, and the
+//! client's `expand_row`/`lwe_encrypt`) and writes
+//! `BENCH_kernels.json` at the repository root.
+//!
+//! The client rows run at the two shipped upload shapes (m×n of the
+//! seeded public matrix `A`): 17088×2048, the deployed text preset,
+//! where a row is 32 keystream batches, and 41664×64, where a row is
+//! exactly one batch under its own key. `expand_row` carries one row
+//! per keystream tier the host supports, so the artifact shows each
+//! tier beating the one below it.
 //!
 //! `matvec` is measured at two shapes because they answer different
 //! questions: the cache-resident **hot** shape (256×1024, ~1 MiB)
@@ -37,11 +45,14 @@
 
 use std::fmt::Write as _;
 
+use rand::rngs::StdRng;
 use rand::Rng;
-use tiptoe_lwe::{scheme, MatrixA};
+use tiptoe_lwe::{scheme, LweParams, LweSecretKey, MatrixA};
 use tiptoe_math::matrix::{self, Mat};
 use tiptoe_math::par::max_threads;
-use tiptoe_math::rng::seeded_rng;
+use tiptoe_math::rng::{derive_seed, seeded_rng};
+use tiptoe_math::sample::gaussian_i64;
+use tiptoe_math::simd::{self, KernelTier};
 
 const MATVEC_ROWS: usize = 1 << 15;
 const MATVEC_COLS: usize = 1 << 10;
@@ -56,6 +67,10 @@ const BATCH: usize = 4;
 const PREPROC_ROWS: usize = 1 << 15;
 const PREPROC_COLS: usize = 64;
 const PREPROC_N: usize = 256;
+/// The two shipped upload shapes of the public matrix `A` (rows ×
+/// secret dimension): `TiptoeConfig::text` and `test_small` as the
+/// end-to-end benchmark deploys them.
+const EXPAND_SHAPES: [(usize, usize); 2] = [(17_088, 2_048), (41_664, 64)];
 
 fn reps() -> usize {
     std::env::var("TIPTOE_BENCH_KERNEL_REPS")
@@ -88,11 +103,20 @@ fn time<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// [`time`] for a `threads`-thread variant, or `None` when the host
+/// has fewer cores: such a run measures scheduling, not scaling, and
+/// the row is recorded as skipped.
+fn time_threads<T>(threads: usize, cores: usize, reps: usize, f: impl FnMut() -> T) -> Option<f64> {
+    (threads <= cores).then(|| time(reps, f))
+}
+
 struct Entry {
     kernel: &'static str,
     variant: String,
     shape: String,
-    seconds: f64,
+    /// `None`: the host cannot measure this row (a thread count above
+    /// its cores); it is recorded as `"skipped": "cores"`.
+    seconds: Option<f64>,
     /// Per-query speedup over the scalar variant of the same kernel.
     speedup: f64,
     /// Set on entries that are not an apples-to-apples speedup claim
@@ -109,6 +133,34 @@ fn thread_sweep(top: usize) -> Vec<usize> {
         ts.push(top);
     }
     ts
+}
+
+/// Row `k` of `a` expanded at a pinned keystream tier: the body of
+/// `MatrixA::expand_row` with the tier named instead of detected.
+fn expand_row_at(tier: KernelTier, a: &MatrixA, k: usize, row: &mut [u64]) {
+    simd::keystream(tier, &StdRng::key_from_u64(derive_seed(a.seed(), k as u64)), 0, row);
+}
+
+/// `scheme::encrypt` on the scalar tier end to end (one-block
+/// keystream, scalar `row·s`): the baseline of the `lwe_encrypt` row.
+fn encrypt_scalar(
+    params: &LweParams,
+    sk: &LweSecretKey<u64>,
+    a: &MatrixA,
+    v: &[u64],
+    rng: &mut StdRng,
+) -> Vec<u64> {
+    let mut row = vec![0u64; a.cols()];
+    v.iter()
+        .enumerate()
+        .map(|(k, &vk)| {
+            expand_row_at(KernelTier::Scalar, a, k, &mut row);
+            let e = gaussian_i64(rng, params.sigma) as u64;
+            simd::dot_wide_scalar(&row, sk.words())
+                .wrapping_add(e)
+                .wrapping_add(params.delta().wrapping_mul(vk))
+        })
+        .collect()
 }
 
 fn main() {
@@ -128,13 +180,13 @@ fn main() {
             (0..MATVEC_COLS).map(|_| r.gen()).collect()
         })
         .collect();
-    let mut push = |kernel, variant: String, shape: &str, seconds, scalar: f64, note| {
+    let mut push = |kernel, variant: String, shape: &str, seconds: Option<f64>, scalar: f64, note| {
         entries.push(Entry {
             kernel,
             variant,
             shape: shape.to_string(),
             seconds,
-            speedup: scalar / seconds,
+            speedup: seconds.map_or(0.0, |s| scalar / s),
             note,
         });
     };
@@ -154,8 +206,8 @@ fn main() {
             std::hint::black_box(matrix::matvec(&hot, &v));
         }
     }));
-    push("matvec", "scalar".into(), &shape, scalar, scalar, None);
-    push("matvec", format!("dispatched_{tier}"), &shape, dispatched, scalar, None);
+    push("matvec", "scalar".into(), &shape, Some(scalar), scalar, None);
+    push("matvec", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
 
     // --- Online kernel, paper-scale streaming shape (128 MiB): every
     // single-query variant is memory-bound here; batched amortizes the
@@ -169,11 +221,11 @@ fn main() {
     let dispatched = time(reps, || matrix::matvec(&db, &v));
     // Batched answers BATCH queries per pass; report per-query time.
     let batched = time(reps, || matrix::matvec_batch(&db, &vs, 1)) / BATCH as f64;
-    push("matvec_stream", "scalar".into(), &shape, scalar, scalar, None);
-    push("matvec_stream", format!("dispatched_{tier}"), &shape, dispatched, scalar, Some(STREAM_NOTE));
-    push("matvec_stream", format!("batched_b{BATCH}_per_query"), &shape, batched, scalar, None);
+    push("matvec_stream", "scalar".into(), &shape, Some(scalar), scalar, None);
+    push("matvec_stream", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, Some(STREAM_NOTE));
+    push("matvec_stream", format!("batched_b{BATCH}_per_query"), &shape, Some(batched), scalar, None);
     for t in thread_sweep(threads) {
-        let seconds = time(reps, || matrix::matvec_par(&db, &v, t));
+        let seconds = time_threads(t, cores, reps, || matrix::matvec_par(&db, &v, t));
         let note = (t == 1)
             .then_some("threading overhead baseline: dispatched kernel plus spawn/partition cost at zero parallelism; compare t>=2 against this, not against scalar");
         push("matvec_stream", format!("parallel_t{t}"), &shape, seconds, scalar, note);
@@ -186,14 +238,63 @@ fn main() {
     let shape = format!("{PREPROC_ROWS}x{PREPROC_COLS}xn{PREPROC_N}");
     let scalar = time(reps, || scheme::preproc_scalar::<u64>(&db, &range));
     let dispatched = time(reps, || scheme::preproc::<u64>(&db, &range));
-    push("preproc", "scalar".into(), &shape, scalar, scalar, None);
-    push("preproc", format!("dispatched_{tier}"), &shape, dispatched, scalar, None);
+    push("preproc", "scalar".into(), &shape, Some(scalar), scalar, None);
+    push("preproc", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
     for t in thread_sweep(threads) {
-        let seconds = time(reps, || scheme::preproc_par::<u64>(&db, &range, t));
+        let seconds = time_threads(t, cores, reps, || scheme::preproc_par::<u64>(&db, &range, t));
         let note = (t == 1)
             .then_some("threading overhead baseline: dispatched kernel plus spawn/partition cost at zero parallelism; compare t>=2 against this, not against scalar");
         push("preproc", format!("parallel_t{t}"), &shape, seconds, scalar, note);
     }
+
+    // --- Client kernel: streaming the rows of the seeded public matrix
+    // A (every online `Enc(q̃)` and every hint build walks all m of
+    // them), one row per supported keystream tier. ---
+    for (m, n) in EXPAND_SHAPES {
+        let a = MatrixA::new(29, m, n);
+        let shape = format!("{m}x{n}");
+        let mut row = vec![0u64; n];
+        let mut at = |tier: Option<KernelTier>| {
+            time(reps, || {
+                for k in 0..m {
+                    match tier {
+                        Some(t) => expand_row_at(t, &a, k, &mut row),
+                        None => a.expand_row(k, &mut row),
+                    }
+                    std::hint::black_box(&mut row);
+                }
+            })
+        };
+        let scalar = at(Some(KernelTier::Scalar));
+        push("expand_row", "scalar".into(), &shape, Some(scalar), scalar, None);
+        for below in [KernelTier::Avx2, KernelTier::Avx512] {
+            if below < simd::tier() {
+                let seconds = at(Some(below));
+                push("expand_row", format!("tier_{}", below.name()), &shape, Some(seconds), scalar, None);
+            }
+        }
+        let dispatched = at(None);
+        push("expand_row", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
+    }
+
+    // --- Client kernel: one online `Enc(q̃)` at the deployed shape
+    // (row expansion + row·s + noise per upload coordinate). ---
+    let (m, n) = EXPAND_SHAPES[0];
+    let params = LweParams::ranking_text();
+    assert_eq!(params.n, n, "deployed ranking parameters changed shape");
+    let a = MatrixA::new(31, m, n);
+    let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
+    let q: Vec<u64> = (0..m).map(|_| rng.gen_range(0..params.p)).collect();
+    assert_eq!(
+        scheme::encrypt(&params, &sk, &a, &q, &mut seeded_rng(33)).c,
+        encrypt_scalar(&params, &sk, &a, &q, &mut seeded_rng(33)),
+        "dispatched ciphertext must equal the scalar-tier one"
+    );
+    let shape = format!("{m}x{n}");
+    let scalar = time(reps, || encrypt_scalar(&params, &sk, &a, &q, &mut seeded_rng(33)));
+    let dispatched = time(reps, || scheme::encrypt(&params, &sk, &a, &q, &mut seeded_rng(33)));
+    push("lwe_encrypt", "scalar".into(), &shape, Some(scalar), scalar, None);
+    push("lwe_encrypt", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
 
     // --- Emit BENCH_kernels.json at the workspace root. The rep
     // accounting comes from a metrics-snapshot delta over the run, so
@@ -215,11 +316,14 @@ fn main() {
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         let note = e.note.map_or(String::new(), |n| format!(", \"note\": \"{n}\""));
+        let measured = e.seconds.map_or("\"skipped\": \"cores\"".to_string(), |s| {
+            format!("\"seconds\": {s:.6}, \"speedup_vs_scalar\": {:.3}", e.speedup)
+        });
         let _ = writeln!(
             json,
             "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"shape\": \"{}\", \
-             \"seconds\": {:.6}, \"speedup_vs_scalar\": {:.3}{note}}}{comma}",
-            e.kernel, e.variant, e.shape, e.seconds, e.speedup
+             {measured}{note}}}{comma}",
+            e.kernel, e.variant, e.shape
         );
     }
     json.push_str("  ]\n}\n");
@@ -232,12 +336,16 @@ fn main() {
     println!("{json}");
     println!("wrote {root}");
     for e in &entries {
+        let Some(seconds) = e.seconds else {
+            println!("{:<13} {:<24} {:<20} skipped (cores)", e.kernel, e.variant, e.shape);
+            continue;
+        };
         println!(
-            "{:<8} {:<24} {:<20} {:>10.3} ms   {:>6.2}x{}",
+            "{:<13} {:<24} {:<20} {:>10.3} ms   {:>6.2}x{}",
             e.kernel,
             e.variant,
             e.shape,
-            e.seconds * 1e3,
+            seconds * 1e3,
             e.speedup,
             e.note.map_or("", |n| {
                 if n.starts_with("threading overhead") {

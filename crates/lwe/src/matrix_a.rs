@@ -5,8 +5,7 @@
 //! and the server (during hint preprocessing) stream its rows from a
 //! shared seed, exactly as SimplePIR transmits `A` as a PRG seed.
 
-use rand::Rng;
-use tiptoe_math::rng::{derive_seed, seeded_rng};
+use tiptoe_math::rng::{derive_seed, expand_seed};
 use tiptoe_math::zq::Word;
 
 /// A seed-defined public matrix `A` with `m` rows and `n` columns over
@@ -51,10 +50,7 @@ impl MatrixA {
     pub fn expand_row<W: Word>(&self, k: usize, buf: &mut [W]) {
         assert!(k < self.m, "row index out of bounds");
         assert_eq!(buf.len(), self.n, "buffer length mismatch");
-        let mut rng = seeded_rng(derive_seed(self.seed, k as u64));
-        for slot in buf.iter_mut() {
-            *slot = W::from_u64(rng.gen::<u64>());
-        }
+        expand_seed(derive_seed(self.seed, k as u64), buf);
     }
 
     /// A sub-matrix view covering rows `[start, start+len)`, reusing

@@ -150,10 +150,7 @@ pub fn encrypt<W: Word, R: Rng + ?Sized>(
     let mut c = Vec::with_capacity(v.len());
     for (k, &vk) in v.iter().enumerate() {
         a.expand_row(k, &mut row);
-        let mut acc = W::ZERO;
-        for (&a_kj, &s_j) in row.iter().zip(sk.words().iter()) {
-            acc = acc.wadd(a_kj.wmul(s_j));
-        }
+        let acc = W::dot_wide(&row, sk.words());
         let e = W::from_i64(gaussian_i64(rng, params.sigma));
         c.push(acc.wadd(e).wadd(delta.wmul(W::from_u64(vk))));
     }
@@ -504,6 +501,53 @@ mod tests {
         let got = decrypt(params, &sk, &hint, &applied);
         let want = matvec_mod_p(&db, &v, params.p);
         assert_eq!(got, want);
+    }
+
+    /// The ciphertext as it was defined before rows were expanded in
+    /// bulk: each row of `A` drawn word by word from its own `StdRng`,
+    /// `row·s` as a left fold.
+    fn encrypt_reference<W: Word>(
+        params: &LweParams,
+        sk: &LweSecretKey<W>,
+        a: &MatrixA,
+        v: &[u64],
+        rng: &mut impl Rng,
+    ) -> Vec<W> {
+        let delta = W::from_u64(params.delta());
+        v.iter()
+            .enumerate()
+            .map(|(k, &vk)| {
+                let mut row_rng = seeded_rng(tiptoe_math::rng::derive_seed(a.seed(), k as u64));
+                let acc = sk.words().iter().fold(W::ZERO, |acc, &s_j| {
+                    acc.wadd(W::from_u64(row_rng.gen::<u64>()).wmul(s_j))
+                });
+                let e = W::from_i64(gaussian_i64(rng, params.sigma));
+                acc.wadd(e).wadd(delta.wmul(W::from_u64(vk)))
+            })
+            .collect()
+    }
+
+    fn encrypt_matches_reference<W: Word>(log_q: u32, n: usize) {
+        let params = LweParams { n, ..LweParams::insecure_test(log_q, 991, 6.4) };
+        let mut rng = seeded_rng(n as u64);
+        let sk = LweSecretKey::<W>::generate(&params, &mut rng);
+        let a = MatrixA::new(77, 9, n);
+        let v: Vec<u64> = (0..9).map(|_| rng.gen_range(0..params.p)).collect();
+        let mut reference_rng = rng.clone();
+        let ct = encrypt(&params, &sk, &a, &v, &mut rng);
+        assert_eq!(ct.c, encrypt_reference(&params, &sk, &a, &v, &mut reference_rng), "n={n}");
+    }
+
+    /// Whatever tier expands `A` and folds `row·s`, the ciphertext is
+    /// the one the word-at-a-time definition gives: at one 8-block
+    /// batch per row (n = 64), at ragged tails, and at the deployed
+    /// n = 2048.
+    #[test]
+    fn encrypt_is_bit_identical_to_stdrng_rows() {
+        for n in [1, 64, 65, 129, 2048] {
+            encrypt_matches_reference::<u64>(64, n);
+            encrypt_matches_reference::<u32>(32, n);
+        }
     }
 
     #[test]

@@ -9,9 +9,22 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::simd;
+use crate::zq::Word;
+
 /// Creates a deterministic RNG from a 64-bit seed.
 pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
+}
+
+/// Expands a seed into words in bulk: `out[i]` is `W::from_u64` of the
+/// `i`-th `u64` that `seeded_rng(seed)` yields (a `u32` word is the
+/// truncation of one `u64`), produced by the dispatched multi-block
+/// keystream kernel without constructing the generator. This is how
+/// the public matrices (`MatrixA` rows, the RLWE `a` polynomials) are
+/// streamed from their seeds.
+pub fn expand_seed<W: Word>(seed: u64, out: &mut [W]) {
+    simd::keystream(simd::tier(), &StdRng::key_from_u64(seed), 0, out);
 }
 
 /// Derives an independent sub-seed from a parent seed and a domain tag.
@@ -38,6 +51,18 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
+    }
+
+    #[test]
+    fn expand_seed_is_the_seeded_stream() {
+        let mut rng = seeded_rng(42);
+        let want: Vec<u64> = (0..100).map(|_| rng.gen()).collect();
+        let mut wide = vec![0u64; 100];
+        let mut narrow = vec![0u32; 100];
+        expand_seed(42, &mut wide);
+        expand_seed(42, &mut narrow);
+        assert_eq!(wide, want);
+        assert_eq!(narrow, want.iter().map(|&w| w as u32).collect::<Vec<_>>());
     }
 
     #[test]

@@ -229,17 +229,22 @@ pub trait SeedableRng: Sized {
     /// same construction upstream `rand` uses for this method).
     fn seed_from_u64(state: u64) -> Self {
         let mut seed = Self::Seed::default();
-        let mut sm = state;
-        for chunk in seed.as_mut().chunks_mut(8) {
-            sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            let bytes = z.to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
+        splitmix_fill(state, seed.as_mut());
         Self::from_seed(seed)
+    }
+}
+
+/// The SplitMix64 stream of `state`, as little-endian bytes.
+fn splitmix_fill(state: u64, seed: &mut [u8]) {
+    let mut sm = state;
+    for chunk in seed.chunks_mut(8) {
+        sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = sm;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let bytes = z.to_le_bytes();
+        chunk.copy_from_slice(&bytes[..chunk.len()]);
     }
 }
 
@@ -259,7 +264,17 @@ pub mod rngs {
         pos: usize,
     }
 
-    const CHACHA_CONST: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+    /// ChaCha's "expand 32-byte k" constant: words 0..4 of every block's
+    /// initial state.
+    pub const CHACHA_CONST: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+    fn key_words(seed: &[u8; 32]) -> [u32; 8] {
+        let mut key = [0u32; 8];
+        for (k, chunk) in key.iter_mut().zip(seed.chunks_exact(4)) {
+            *k = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+        key
+    }
 
     #[inline(always)]
     fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -274,6 +289,17 @@ pub mod rngs {
     }
 
     impl StdRng {
+        /// The ChaCha key `seed_from_u64(state)` runs under. Its stream
+        /// is the ChaCha12 blocks of that key at counters 0, 1, 2, …
+        /// with a zero nonce, each block's 16 words in little-endian
+        /// order; a bulk expander that starts from this key reproduces
+        /// the generator's output without constructing it.
+        pub fn key_from_u64(state: u64) -> [u32; 8] {
+            let mut seed = [0u8; 32];
+            super::splitmix_fill(state, &mut seed);
+            key_words(&seed)
+        }
+
         fn refill(&mut self) {
             let mut state = [0u32; 16];
             state[..4].copy_from_slice(&CHACHA_CONST);
@@ -317,11 +343,7 @@ pub mod rngs {
         type Seed = [u8; 32];
 
         fn from_seed(seed: Self::Seed) -> Self {
-            let mut key = [0u32; 8];
-            for (k, chunk) in key.iter_mut().zip(seed.chunks_exact(4)) {
-                *k = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-            }
-            let mut rng = Self { key, counter: 0, buf: [0u8; 64], pos: 64 };
+            let mut rng = Self { key: key_words(&seed), counter: 0, buf: [0u8; 64], pos: 64 };
             rng.refill();
             rng
         }

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use rand::Rng;
 use tiptoe_math::ntt::NttTable;
 use tiptoe_math::poly::{Domain, Poly};
-use tiptoe_math::rng::{derive_seed, seeded_rng};
+use tiptoe_math::rng::{derive_seed, expand_seed};
 use tiptoe_math::sample::{gaussian_i64, ternary_vec};
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 
@@ -256,8 +256,12 @@ impl RlweCiphertext {
 /// Expands the uniform `a` polynomial from a seed (coefficient domain).
 fn expand_a(ctx: &RlweContext, seed: u64) -> Poly {
     let q = ctx.q();
-    let mut rng = seeded_rng(derive_seed(seed, 0x524c_5745));
-    let coeffs: Vec<u64> = (0..ctx.params.degree).map(|_| rng.gen_range(0..q)).collect();
+    let mut coeffs = vec![0u64; ctx.params.degree];
+    expand_seed(derive_seed(seed, 0x524c_5745), &mut coeffs);
+    // The widening-multiply map of `gen_range(0..q)`, word by word.
+    for c in &mut coeffs {
+        *c = ((*c as u128 * q as u128) >> 64) as u64;
+    }
     Poly::from_coeffs(Arc::clone(&ctx.table), coeffs)
 }
 

@@ -73,10 +73,15 @@ def compare_kernels(base, cur):
         (r["kernel"], r["variant"], r["shape"]): r for r in base["results"]
     }
     for r in cur["results"]:
+        if "skipped" in r:
+            # A row the host could not measure (a thread count above
+            # its cores) carries no timing and gates nothing.
+            note(f"kernels {r['kernel']}/{r['variant']}: skipped ({r['skipped']})")
+            continue
         if r["seconds"] <= 0:
             fail(f"kernels {r['kernel']}/{r['variant']}: non-positive time")
         b = by_key.get((r["kernel"], r["variant"], r["shape"]))
-        if b is None:
+        if b is None or "skipped" in b:
             # Variant names embed the SIMD tier; a different runner
             # produces different names, which is not a regression.
             note(f"kernels {r['kernel']}/{r['variant']}: no baseline row")

@@ -9,8 +9,69 @@ use tiptoe_math::fixed::FixedEncoder;
 use tiptoe_math::matrix::Mat;
 use tiptoe_math::ntt::NttTable;
 use tiptoe_math::rng::seeded_rng;
+use tiptoe_math::simd::{self, KernelTier};
+use tiptoe_math::zq::Word;
 use tiptoe_pir::BitPacker;
 use tiptoe_rlwe::{decrypt, encrypt, expand, RlweContext, RlweParams, RlweSecretKey};
+
+/// Every keystream tier this host can run (one under
+/// `TIPTOE_FORCE_SCALAR=1`).
+fn supported_tiers() -> impl Iterator<Item = KernelTier> {
+    [KernelTier::Scalar, KernelTier::Avx2, KernelTier::Avx512]
+        .into_iter()
+        .filter(|&t| t <= simd::tier())
+}
+
+/// Lengths on both sides of the scalar tier's 8-word block and the
+/// vector tiers' 64-word batch, plus the deployed n = 2048 and a
+/// ragged tail past it.
+const KEYSTREAM_LENS: [usize; 13] = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 2048, 2051];
+
+fn keystream_matches_stdrng<W: Word>(tier: KernelTier) {
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    let seed = 0x7157_0e5e_ed00 + W::BITS as u64;
+    let key = StdRng::key_from_u64(seed);
+    let mut oracle = seeded_rng(seed);
+    let stream: Vec<W> = (0..8 * 5 + 2051).map(|_| W::from_u64(oracle.gen())).collect();
+    // Block 0 is a whole row from its start; block 5 puts every
+    // 8-block batch across two of the aligned batches of the stream.
+    for start in [0usize, 5] {
+        for len in KEYSTREAM_LENS {
+            let mut got = vec![W::ZERO; len];
+            simd::keystream(tier, &key, start as u64, &mut got);
+            assert_eq!(got, stream[8 * start..8 * start + len], "{tier:?} start={start} len={len}");
+        }
+    }
+}
+
+#[test]
+fn every_supported_keystream_tier_matches_stdrng() {
+    for tier in supported_tiers() {
+        keystream_matches_stdrng::<u64>(tier);
+        keystream_matches_stdrng::<u32>(tier);
+    }
+}
+
+/// The block counter is 64 bits over two state words; a batch whose
+/// lanes straddle `2^32` must carry into the high word per lane.
+#[test]
+fn keystream_counter_carries_inside_a_batch() {
+    let key = rand::rngs::StdRng::key_from_u64(3);
+    let start = u64::from(u32::MAX) - 2;
+    let mut want = vec![0u64; 129];
+    simd::keystream(KernelTier::Scalar, &key, start, &mut want);
+    for tier in supported_tiers() {
+        let mut got = vec![0u64; 129];
+        simd::keystream(tier, &key, start, &mut got);
+        assert_eq!(got, want, "{tier:?}");
+    }
+    // Blocks on the two sides of the carry differ (the high word is
+    // not dropped): block 2^32 is not block 0.
+    let mut wrapped = vec![0u64; 8];
+    simd::keystream(KernelTier::Scalar, &key, 0, &mut wrapped);
+    assert_ne!(want[24..32], wrapped[..]);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
