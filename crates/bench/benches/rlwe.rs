@@ -1,15 +1,13 @@
-//! Microbenches for the outer RLWE scheme: NTTs at the production ring
-//! degree and the plaintext-multiply-accumulate kernel that dominates
-//! token generation.
+//! Microbenches for the outer RLWE scheme at the production ring: the
+//! calls the token path makes (the `ntt_*`, `rlwe_*` and `hint_mac`
+//! rows of `bench_kernels`, here one call at a time) and the modulus
+//! switch that ends token generation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::Rng;
 use tiptoe_math::ntt::NttTable;
 use tiptoe_math::rng::seeded_rng;
-use tiptoe_rlwe::{
-    encrypt_scalar, expand, mod_switch, mul_plain_acc, RlweCiphertext, RlweContext, RlweParams,
-    RlweSecretKey,
-};
+use tiptoe_rlwe::{encrypt_scalar, expand, mod_switch, RlweContext, RlweParams, RlweSecretKey};
 
 fn bench_ntt(c: &mut Criterion) {
     let table = NttTable::new(2048, 62);
@@ -34,19 +32,21 @@ fn bench_ntt(c: &mut Criterion) {
     });
 }
 
-fn bench_mul_plain_acc(c: &mut Criterion) {
+fn bench_token_path(c: &mut Criterion) {
     let ctx = RlweContext::new(RlweParams::production());
     let mut rng = seeded_rng(2);
     let sk = RlweSecretKey::generate(&ctx, &mut rng);
-    let z = expand(&ctx, &encrypt_scalar(&ctx, &sk, 1, 3, &mut rng));
+    c.bench_function("rlwe_encrypt_scalar_2048", |b| {
+        b.iter(|| encrypt_scalar(&ctx, &sk, 1, 3, &mut rng))
+    });
+    let seeded = encrypt_scalar(&ctx, &sk, 1, 3, &mut rng);
+    c.bench_function("rlwe_expand_2048", |b| b.iter(|| expand(&ctx, &seeded)));
+    let z = expand(&ctx, &seeded);
     let h_coeffs: Vec<u64> = (0..2048).map(|_| rng.gen_range(0..1u64 << 16)).collect();
-    let h = ctx.plaintext_ntt(&h_coeffs);
-    c.bench_function("rlwe_mul_plain_acc_2048", |b| {
-        b.iter(|| {
-            let mut acc = RlweCiphertext::zero(&ctx);
-            mul_plain_acc(&mut acc, &h, &z);
-            acc
-        })
+    let h = ctx.plaintext_shoup(&h_coeffs);
+    let mut acc = vec![0u64; 2048];
+    c.bench_function("hint_mac_2048", |b| {
+        b.iter(|| ctx.table().mul_acc_shoup(&h, z.b.data(), &mut acc))
     });
 }
 
@@ -62,6 +62,6 @@ fn bench_mod_switch(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_ntt, bench_mul_plain_acc, bench_mod_switch
+    targets = bench_ntt, bench_token_path, bench_mod_switch
 }
 criterion_main!(benches);

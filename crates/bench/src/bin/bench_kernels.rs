@@ -1,8 +1,19 @@
 //! Machine-readable kernel benchmark for the perf trajectory: times
 //! the scalar / dispatched-SIMD / parallel / batched variants of the
 //! LHE hot-path kernels (`matvec` online, `preproc` offline, and the
-//! client's `expand_row`/`lwe_encrypt`) and writes
-//! `BENCH_kernels.json` at the repository root.
+//! client's `expand_row`/`lwe_encrypt`), then the token path's
+//! single-body kernels, and writes `BENCH_kernels.json` at the
+//! repository root.
+//!
+//! The token rows (`ntt_forward`, `ntt_inverse`, `rlwe_encrypt_scalar`,
+//! `rlwe_expand`, `hint_mac`) run at the production outer ring
+//! (N = 2048, 62-bit Q) over one token's worth of work: 2,048
+//! ciphertexts, and for `hint_mac` one `(chunk, limb)` unit of token
+//! generation (2,048 hint polynomials against both components of the
+//! expanded secret; a token is one such unit per shard, chunk and
+//! limb). These kernels have one scalar body and no tier to compare
+//! against, so their `speedup_vs_scalar` is 1 by construction and only
+//! their time is of interest.
 //!
 //! The client rows run at the two shipped upload shapes (m×n of the
 //! seeded public matrix `A`): 17088×2048, the deployed text preset,
@@ -49,10 +60,12 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use tiptoe_lwe::{scheme, LweParams, LweSecretKey, MatrixA};
 use tiptoe_math::matrix::{self, Mat};
+use tiptoe_math::ntt::ShoupPoly;
 use tiptoe_math::par::max_threads;
 use tiptoe_math::rng::{derive_seed, seeded_rng};
 use tiptoe_math::sample::gaussian_i64;
 use tiptoe_math::simd::{self, KernelTier};
+use tiptoe_rlwe::{RlweCiphertext, RlweContext, RlweParams, RlweSecretKey};
 
 const MATVEC_ROWS: usize = 1 << 15;
 const MATVEC_COLS: usize = 1 << 10;
@@ -295,6 +308,49 @@ fn main() {
     let dispatched = time(reps, || scheme::encrypt(&params, &sk, &a, &q, &mut seeded_rng(33)));
     push("lwe_encrypt", "scalar".into(), &shape, Some(scalar), scalar, None);
     push("lwe_encrypt", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
+
+    // --- Token path at the production outer ring: what the client
+    // pays to upload `Enc2(s)` and the server to expand it and run one
+    // unit of `hint·s` under it. One scalar body each. ---
+    let ctx = RlweContext::new(RlweParams::production());
+    let ring = ctx.params().degree;
+    let table = ctx.table();
+    let rlwe_sk = RlweSecretKey::generate(&ctx, &mut rng);
+    let shape = format!("{ring}x{ring}");
+    let mut poly: Vec<u64> = (0..ring).map(|_| rng.gen_range(0..ctx.q())).collect();
+    let forward = time(reps, || (0..ring).for_each(|_| table.forward(&mut poly)));
+    push("ntt_forward", "scalar".into(), &shape, Some(forward), forward, None);
+    let inverse = time(reps, || (0..ring).for_each(|_| table.inverse(&mut poly)));
+    push("ntt_inverse", "scalar".into(), &shape, Some(inverse), inverse, None);
+
+    let secret = tiptoe_math::sample::ternary_vec(&mut rng, ring);
+    let encrypt_all = |rng: &mut StdRng| -> Vec<_> {
+        let cts = secret.iter().zip(0u64..);
+        cts.map(|(&s_i, seed)| tiptoe_rlwe::encrypt_scalar(&ctx, &rlwe_sk, s_i, seed, rng)).collect()
+    };
+    let encrypt = time(reps, || encrypt_all(&mut seeded_rng(35)));
+    push("rlwe_encrypt_scalar", "scalar".into(), &shape, Some(encrypt), encrypt, None);
+    let uploaded = encrypt_all(&mut seeded_rng(35));
+    let expand_all =
+        || -> Vec<RlweCiphertext> { uploaded.iter().map(|z| tiptoe_rlwe::expand(&ctx, z)).collect() };
+    let expand = time(reps, expand_all);
+    push("rlwe_expand", "scalar".into(), &shape, Some(expand), expand, None);
+
+    let expanded = expand_all();
+    let hints: Vec<ShoupPoly> = (0..ring)
+        .map(|_| {
+            let limbs: Vec<u64> = (0..ring).map(|_| rng.gen_range(0..1u64 << 16)).collect();
+            ctx.plaintext_shoup(&limbs)
+        })
+        .collect();
+    let (mut acc_a, mut acc_b) = (vec![0u64; ring], vec![0u64; ring]);
+    let mac = time(reps, || {
+        for (h, z) in hints.iter().zip(&expanded) {
+            table.mul_acc_shoup(h, z.a.data(), &mut acc_a);
+            table.mul_acc_shoup(h, z.b.data(), &mut acc_b);
+        }
+    });
+    push("hint_mac", "scalar".into(), &format!("{}x{ring}", 2 * ring), Some(mac), mac, None);
 
     // --- Emit BENCH_kernels.json at the workspace root. The rep
     // accounting comes from a metrics-snapshot delta over the run, so

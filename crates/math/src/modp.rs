@@ -2,9 +2,13 @@
 //!
 //! The ring-LWE outer encryption scheme (paper §6.2, Appendix A) works
 //! over an NTT-friendly prime `Q`. We keep `Q < 2^63` so products fit
-//! in `u128` without overflow; all reductions here are plain `%`-based
-//! (the NTT hot loop in [`crate::ntt`] uses precomputed Shoup constants
-//! instead, so this module only needs to be correct, not fast).
+//! in `u128` without overflow ([`crate::ntt`] narrows that to
+//! `Q < 2^62` for its lazy butterflies); all reductions here are plain
+//! `%`-based (the NTT hot loop uses precomputed Shoup constants
+//! instead, so this module only needs to be correct, not fast). The
+//! one exception is [`PrimeModulus::reduce_signed`], which ring
+//! encryption calls once per noise coefficient: values of magnitude
+//! below `Q` are folded by sign, without a division.
 
 /// An odd prime modulus `Q < 2^63` with the basic field operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +91,14 @@ impl PrimeModulus {
     /// Reduces a signed value into `Z_Q`.
     #[inline(always)]
     pub fn reduce_signed(&self, a: i64) -> u64 {
-        (a as i128).rem_euclid(self.q as i128) as u64
+        if a.unsigned_abs() < self.q {
+            // Noise and key coefficients always land here; `Q` is
+            // added to negatives through the sign mask, so which of
+            // them are negative does not show in the timing.
+            (a + ((a >> 63) & self.q as i64)) as u64
+        } else {
+            (a as i128).rem_euclid(self.q as i128) as u64
+        }
     }
 
     /// Centers `a` into the signed range `(-Q/2, Q/2]`.
@@ -244,6 +255,14 @@ mod tests {
         let q = PrimeModulus::new(65537);
         for x in [0u64, 1, 2, 32768, 32769, 65536] {
             assert_eq!(q.reduce_signed(q.center(x)), x);
+        }
+    }
+
+    #[test]
+    fn reduce_signed_agrees_with_euclidean_remainder() {
+        let q = PrimeModulus::new(65537);
+        for a in [0i64, 1, -1, 37, -37, 65536, -65536, 65537, -65537, 65538, i64::MAX, i64::MIN] {
+            assert_eq!(q.reduce_signed(a) as i128, (a as i128).rem_euclid(65537), "a = {a}");
         }
     }
 

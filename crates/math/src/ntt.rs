@@ -7,6 +7,16 @@
 //! merged-twist butterflies (Cooley-Tukey forward / Gentleman-Sande
 //! inverse with ψ-powers stored in bit-reversed order) and Shoup
 //! precomputed-quotient modular multiplication in the hot loop.
+//!
+//! The butterflies use Harvey's lazy reduction: between stages the
+//! forward pass keeps values in `[0, 4Q)` and the inverse pass in
+//! `[0, 2Q)`, and one sweep at the end brings them back to `[0, Q)`,
+//! so every public function still returns fully reduced words. This is
+//! why [`NttTable::with_modulus`] requires `Q < 2^62` (`4Q` must fit a
+//! word). The transforms and [`NttTable::mul_acc_shoup`] are
+//! **branch-free**: every conditional subtraction is a `min`, so their
+//! running time does not depend on the data (the client runs them on
+//! `a·s + e`), and there is nothing for a branch predictor to miss.
 
 use crate::modp::{find_ntt_prime, PrimeModulus};
 
@@ -28,17 +38,20 @@ pub struct NttTable {
     n_inv_shoup: u64,
 }
 
-/// Multiplies `a * b mod q` using Shoup's trick, where
-/// `b_shoup = floor(b * 2^64 / q)` was precomputed.
+/// Multiplies `a * b mod q` using Shoup's trick, where `b < q` and
+/// `b_shoup = floor(b * 2^64 / q)` was precomputed. Lazy: `a` may be
+/// any word, and the result is in `[0, 2q)`.
 #[inline(always)]
 fn mul_shoup(a: u64, b: u64, b_shoup: u64, q: u64) -> u64 {
     let hi = ((a as u128 * b_shoup as u128) >> 64) as u64;
-    let r = a.wrapping_mul(b).wrapping_sub(hi.wrapping_mul(q));
-    if r >= q {
-        r - q
-    } else {
-        r
-    }
+    a.wrapping_mul(b).wrapping_sub(hi.wrapping_mul(q))
+}
+
+/// `x - m` if `x >= m`, else `x`, without a branch (when `x < m` the
+/// wrapped difference exceeds `x`).
+#[inline(always)]
+fn cond_sub(x: u64, m: u64) -> u64 {
+    x.min(x.wrapping_sub(m))
 }
 
 #[inline(always)]
@@ -64,10 +77,12 @@ impl NttTable {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two at least 4, or if
-    /// `q mod 2n != 1`.
+    /// Panics if `n` is not a power of two at least 4, if
+    /// `q mod 2n != 1`, or if `q >= 2^62` (the lazy butterflies hold
+    /// values up to `4q` in a word).
     pub fn with_modulus(n: usize, q: u64) -> Self {
         assert!(n >= 4 && n.is_power_of_two(), "ring degree must be a power of two >= 4");
+        assert!(q < 1 << 62, "q must be below 2^62");
         assert!(q % (2 * n as u64) == 1, "q must be 1 mod 2n");
         let modulus = PrimeModulus::new(q);
         let psi = primitive_2n_root(&modulus, n);
@@ -129,29 +144,32 @@ impl NttTable {
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let q = self.modulus.value();
-        let n = self.n;
-        let mut t = n;
+        let two_q = 2 * q;
+        let mut t = self.n;
         let mut m = 1usize;
-        while m < n {
+        while m < self.n {
             t /= 2;
-            for i in 0..m {
-                let w = self.psi_rev[m + i];
-                let w_sh = self.psi_rev_shoup[m + i];
-                let j1 = 2 * i * t;
-                for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = mul_shoup(a[j + t], w, w_sh, q);
-                    let s = u + v;
-                    a[j] = if s >= q { s - q } else { s };
-                    a[j + t] = if u >= v { u - v } else { u + q - v };
+            let twiddles = self.psi_rev[m..2 * m].iter().zip(&self.psi_rev_shoup[m..2 * m]);
+            for (block, (&w, &w_sh)) in a.chunks_exact_mut(2 * t).zip(twiddles) {
+                let (lo, hi) = block.split_at_mut(t);
+                // Harvey butterfly: inputs and outputs in [0, 4q).
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    let u = cond_sub(*x, two_q);
+                    let v = mul_shoup(*y, w, w_sh, q);
+                    *x = u + v;
+                    *y = u + two_q - v;
                 }
             }
             m *= 2;
         }
+        for x in a.iter_mut() {
+            *x = cond_sub(cond_sub(*x, two_q), q);
+        }
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient
-    /// domain), including the `N^{-1}` scaling.
+    /// domain), including the `N^{-1}` scaling. Input values must be
+    /// reduced modulo `Q`.
     ///
     /// # Panics
     ///
@@ -159,30 +177,26 @@ impl NttTable {
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let q = self.modulus.value();
-        let n = self.n;
+        let two_q = 2 * q;
         let mut t = 1usize;
-        let mut m = n;
+        let mut m = self.n;
         while m > 1 {
             let h = m / 2;
-            let mut j1 = 0usize;
-            for i in 0..h {
-                let w = self.inv_psi_rev[h + i];
-                let w_sh = self.inv_psi_rev_shoup[h + i];
-                for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = a[j + t];
-                    let s = u + v;
-                    a[j] = if s >= q { s - q } else { s };
-                    let d = if u >= v { u - v } else { u + q - v };
-                    a[j + t] = mul_shoup(d, w, w_sh, q);
+            let twiddles = self.inv_psi_rev[h..m].iter().zip(&self.inv_psi_rev_shoup[h..m]);
+            for (block, (&w, &w_sh)) in a.chunks_exact_mut(2 * t).zip(twiddles) {
+                let (lo, hi) = block.split_at_mut(t);
+                // Harvey butterfly: inputs and outputs in [0, 2q).
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    let (u, v) = (*x, *y);
+                    *x = cond_sub(u + v, two_q);
+                    *y = mul_shoup(u + two_q - v, w, w_sh, q);
                 }
-                j1 += 2 * t;
             }
             t *= 2;
             m = h;
         }
         for x in a.iter_mut() {
-            *x = mul_shoup(*x, self.n_inv, self.n_inv_shoup, q);
+            *x = cond_sub(mul_shoup(*x, self.n_inv, self.n_inv_shoup, q), q);
         }
     }
 
@@ -200,7 +214,8 @@ impl NttTable {
     }
 
     /// Pointwise multiply-accumulate `out[i] += h[i] * z[i] mod Q`
-    /// with a Shoup-precomputed fixed operand `h`.
+    /// with a Shoup-precomputed fixed operand `h`. `out` must be
+    /// reduced modulo `Q`; `z` may hold any words.
     ///
     /// # Panics
     ///
@@ -210,10 +225,10 @@ impl NttTable {
         assert_eq!(z.len(), self.n);
         assert_eq!(out.len(), self.n);
         let q = self.modulus.value();
-        for i in 0..self.n {
-            let p = mul_shoup(z[i], h.values[i], h.quotients[i], q);
-            let s = out[i] + p;
-            out[i] = if s >= q { s - q } else { s };
+        let h = h.values.iter().zip(&h.quotients);
+        for ((o, &z), (&h, &h_sh)) in out.iter_mut().zip(z).zip(h) {
+            // o < q plus a lazy product < 2q: two subtractions reduce.
+            *o = cond_sub(cond_sub(*o + mul_shoup(z, h, h_sh, q), 2 * q), q);
         }
     }
 
@@ -310,6 +325,128 @@ mod tests {
             }
         }
         out.into_iter().map(|x| x.rem_euclid(q as i128) as u64).collect()
+    }
+
+    /// The fully reduced butterflies the lazy ones replaced, over
+    /// `%`-based field operations: the word-for-word reference.
+    fn forward_ref(table: &NttTable, a: &mut [u64]) {
+        let f = table.modulus;
+        let (mut t, mut m) = (table.n, 1);
+        while m < table.n {
+            t /= 2;
+            for i in 0..m {
+                for j in 2 * i * t..2 * i * t + t {
+                    let (u, v) = (a[j], f.mul(a[j + t], table.psi_rev[m + i]));
+                    a[j] = f.add(u, v);
+                    a[j + t] = f.sub(u, v);
+                }
+            }
+            m *= 2;
+        }
+    }
+
+    fn inverse_ref(table: &NttTable, a: &mut [u64]) {
+        let f = table.modulus;
+        let (mut t, mut m) = (1, table.n);
+        while m > 1 {
+            let h = m / 2;
+            for i in 0..h {
+                for j in 2 * i * t..2 * i * t + t {
+                    let (u, v) = (a[j], a[j + t]);
+                    a[j] = f.add(u, v);
+                    a[j + t] = f.mul(f.sub(u, v), table.inv_psi_rev[h + i]);
+                }
+            }
+            t *= 2;
+            m = h;
+        }
+        for x in a.iter_mut() {
+            *x = f.mul(*x, table.n_inv);
+        }
+    }
+
+    /// Random, all-zero and all-`Q-1` vectors: the last drives every
+    /// lazy intermediate to the top of its range.
+    fn extreme_inputs(n: usize, q: u64, seed: u64) -> Vec<Vec<u64>> {
+        let mut rng = seeded_rng(seed);
+        let mut inputs = vec![vec![0u64; n], vec![q - 1; n]];
+        for _ in 0..3 {
+            inputs.push((0..n).map(|_| rng.gen_range(0..q)).collect());
+        }
+        inputs
+    }
+
+    #[test]
+    fn lazy_transforms_match_the_reduced_reference_word_for_word() {
+        for n in [4usize, 8, 64, 2048, 4096] {
+            for q_bits in [30u32, 50, 58, 62] {
+                let table = NttTable::new(n, q_bits);
+                let q = table.modulus().value();
+                for input in extreme_inputs(n, q, n as u64 ^ q_bits as u64) {
+                    let (mut got, mut want) = (input.clone(), input.clone());
+                    table.forward(&mut got);
+                    forward_ref(&table, &mut want);
+                    assert!(got.iter().all(|&x| x < q), "forward n={n} q_bits={q_bits}");
+                    assert_eq!(got, want, "forward n={n} q_bits={q_bits}");
+
+                    let (mut got, mut want) = (input.clone(), input.clone());
+                    table.inverse(&mut got);
+                    inverse_ref(&table, &mut want);
+                    assert!(got.iter().all(|&x| x < q), "inverse n={n} q_bits={q_bits}");
+                    assert_eq!(got, want, "inverse n={n} q_bits={q_bits}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_evaluates_at_odd_powers_of_psi() {
+        // Output i is the polynomial's value at ψ^(2·brv(i)+1), which
+        // pins the reference itself to the transform's definition.
+        for n in [4usize, 8, 64] {
+            let table = NttTable::new(n, 58);
+            let f = table.modulus;
+            let psi = table.psi_rev[n / 2]; // brv(1) = n/2 holds ψ^1
+            for input in extreme_inputs(n, f.value(), 3) {
+                let mut got = input.clone();
+                table.forward(&mut got);
+                for (i, &g) in got.iter().enumerate() {
+                    let x = f.pow(psi, 2 * bit_reverse(i as u64, n.trailing_zeros()) + 1);
+                    let want = input.iter().rev().fold(0, |acc, &c| f.add(f.mul(acc, x), c));
+                    assert_eq!(g, want, "n={n} output {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mul_acc_shoup_matches_wide_arithmetic_at_the_extremes() {
+        for q_bits in [30u32, 50, 58, 62] {
+            let table = NttTable::new(2048, q_bits);
+            let q = table.modulus().value();
+            let inputs = extreme_inputs(2048, q, 17);
+            for h in &inputs {
+                let h_shoup = table.prepare_shoup(h);
+                for z in &inputs {
+                    for acc in &inputs {
+                        let mut out = acc.clone();
+                        table.mul_acc_shoup(&h_shoup, z, &mut out);
+                        for i in 0..2048 {
+                            let want = (acc[i] as u128 + h[i] as u128 * z[i] as u128) % q as u128;
+                            assert_eq!(out[i] as u128, want, "q_bits={q_bits} i={i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^62")]
+    fn modulus_of_62_bits_or_more_is_rejected() {
+        // The largest NTT prime below 2^63 is above 2^62: 4q would not
+        // fit a word.
+        NttTable::new(64, 63);
     }
 
     #[test]

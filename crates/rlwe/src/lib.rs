@@ -19,6 +19,15 @@
 //! ciphertexts are *seeded* (the uniform `a` component travels as a PRG
 //! seed), halving upload size exactly as in the paper's deployments.
 //!
+//! A seeded ciphertext lives in the NTT domain end to end: the seed
+//! expands directly to `â` (the transform is a bijection of `Z_Q^N`,
+//! so a uniform `â` is a uniform `a`), and the client ships
+//! `b̂ = â∘ŝ + NTT(e + Δ·m)`, which is `NTT(a·s + e + Δ·m)` by
+//! linearity. Encryption therefore costs one forward transform and
+//! [`expand`] none; noise, scaling, key and security are those of the
+//! coefficient-domain scheme. Both run branch-free on secret data (see
+//! [`tiptoe_math::ntt`]).
+//!
 //! Parameter deviation from the paper's SEAL instantiation
 //! (`t = 65537`, 38-bit `Q`) is documented in `DESIGN.md` §2: our
 //! power-of-two `t` makes the limb recombination in `tiptoe-underhood`
@@ -31,10 +40,10 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use tiptoe_math::ntt::NttTable;
+use tiptoe_math::ntt::{NttTable, ShoupPoly};
 use tiptoe_math::poly::{Domain, Poly};
 use tiptoe_math::rng::{derive_seed, expand_seed};
-use tiptoe_math::sample::{gaussian_i64, ternary_vec};
+use tiptoe_math::sample::{fill_gaussian, ternary_vec};
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 
 /// Parameters of the outer RLWE scheme.
@@ -157,7 +166,7 @@ impl RlweContext {
     /// # Panics
     ///
     /// Panics if `coeffs.len() != N`.
-    pub fn plaintext_shoup(&self, coeffs: &[u64]) -> tiptoe_math::ntt::ShoupPoly {
+    pub fn plaintext_shoup(&self, coeffs: &[u64]) -> ShoupPoly {
         let p = self.plaintext_ntt(coeffs);
         self.table.prepare_shoup(p.data())
     }
@@ -168,16 +177,18 @@ impl RlweContext {
 pub struct RlweSecretKey {
     /// Ternary coefficients (kept for modulus-switched decryption).
     ternary: Vec<i64>,
-    /// NTT-domain form (for fast standard decryption).
-    s_ntt: Poly,
+    /// NTT-domain form with Shoup quotients: `â∘ŝ` is one
+    /// multiply-accumulate in encryption and standard decryption.
+    s_ntt: ShoupPoly,
 }
 
 impl RlweSecretKey {
     /// Samples a fresh ternary key.
     pub fn generate<R: Rng + ?Sized>(ctx: &RlweContext, rng: &mut R) -> Self {
         let ternary = ternary_vec(rng, ctx.params.degree);
-        let mut s_ntt = Poly::from_signed(Arc::clone(&ctx.table), &ternary);
-        s_ntt.to_ntt();
+        let mut s = Poly::from_signed(Arc::clone(&ctx.table), &ternary);
+        s.to_ntt();
+        let s_ntt = ctx.table.prepare_shoup(s.data());
         Self { ternary, s_ntt }
     }
 
@@ -193,21 +204,20 @@ impl RlweSecretKey {
 pub struct SeededRlweCiphertext {
     /// Seed from which the `a` polynomial expands.
     pub a_seed: u64,
-    /// The `b = a·s + e + Δ·m` polynomial, in coefficient domain.
-    pub b_coeffs: Vec<u64>,
+    /// The `b = a·s + e + Δ·m` polynomial, in NTT domain.
+    pub b_ntt: Vec<u64>,
 }
 
 impl SeededRlweCiphertext {
-    /// Wire size in bytes: seed + count prefix + `N` 8-byte
-    /// coefficients.
+    /// Wire size in bytes: seed + count prefix + `N` 8-byte words.
     pub fn byte_len(&self) -> u64 {
-        12 + 8 * self.b_coeffs.len() as u64
+        12 + 8 * self.b_ntt.len() as u64
     }
 
     /// Serializes to the wire format.
     pub fn encode_into(&self, w: &mut WireWriter) {
         w.put_u64(self.a_seed);
-        w.put_u64_slice(&self.b_coeffs);
+        w.put_u64_slice(&self.b_ntt);
     }
 
     /// Serializes to a standalone message.
@@ -217,13 +227,22 @@ impl SeededRlweCiphertext {
         w.finish()
     }
 
-    /// Parses one ciphertext from a reader.
+    /// Parses one ciphertext of `ctx`'s ring from a reader, so that
+    /// whatever decodes can be [`expand`]ed.
     ///
     /// # Errors
     ///
-    /// Fails on truncation.
-    pub fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self { a_seed: r.get_u64()?, b_coeffs: r.get_u64_slice()? })
+    /// Fails on truncation, a polynomial whose length is not `N`, or a
+    /// word that is not reduced modulo `Q`.
+    pub fn decode_from(r: &mut WireReader<'_>, ctx: &RlweContext) -> Result<Self, WireError> {
+        let (a_seed, b_ntt) = (r.get_u64()?, r.get_u64_slice()?);
+        if b_ntt.len() != ctx.params.degree {
+            return Err(WireError::Invalid("seeded ciphertext degree"));
+        }
+        if b_ntt.iter().any(|&w| w >= ctx.q()) {
+            return Err(WireError::Invalid("seeded ciphertext word not reduced"));
+        }
+        Ok(Self { a_seed, b_ntt })
     }
 }
 
@@ -253,16 +272,38 @@ impl RlweCiphertext {
     }
 }
 
-/// Expands the uniform `a` polynomial from a seed (coefficient domain).
-fn expand_a(ctx: &RlweContext, seed: u64) -> Poly {
+/// Expands the uniform `a` polynomial from a seed, directly as its
+/// NTT-domain words.
+fn expand_a(ctx: &RlweContext, seed: u64) -> Vec<u64> {
     let q = ctx.q();
-    let mut coeffs = vec![0u64; ctx.params.degree];
-    expand_seed(derive_seed(seed, 0x524c_5745), &mut coeffs);
+    let mut a_ntt = vec![0u64; ctx.params.degree];
+    expand_seed(derive_seed(seed, 0x524c_5745), &mut a_ntt);
     // The widening-multiply map of `gen_range(0..q)`, word by word.
-    for c in &mut coeffs {
+    for c in &mut a_ntt {
         *c = ((*c as u128 * q as u128) >> 64) as u64;
     }
-    Poly::from_coeffs(Arc::clone(&ctx.table), coeffs)
+    a_ntt
+}
+
+/// Fresh noise `e`, reduced modulo `Q` (coefficient domain).
+fn sample_noise<R: Rng + ?Sized>(ctx: &RlweContext, rng: &mut R) -> Vec<u64> {
+    let mut e = vec![0i64; ctx.params.degree];
+    fill_gaussian(rng, ctx.params.sigma, &mut e);
+    let modulus = ctx.table.modulus();
+    e.into_iter().map(|e| modulus.reduce_signed(e)).collect()
+}
+
+/// Completes an encryption from `e + Δ·m` in coefficient domain:
+/// `b̂ = NTT(e + Δ·m) + â∘ŝ`.
+fn seal(
+    ctx: &RlweContext,
+    sk: &RlweSecretKey,
+    mut b_ntt: Vec<u64>,
+    a_seed: u64,
+) -> SeededRlweCiphertext {
+    ctx.table.forward(&mut b_ntt);
+    ctx.table.mul_acc_shoup(&sk.s_ntt, &expand_a(ctx, a_seed), &mut b_ntt);
+    SeededRlweCiphertext { a_seed, b_ntt }
 }
 
 /// Encrypts a plaintext polynomial given by signed coefficients
@@ -279,26 +320,17 @@ pub fn encrypt<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> SeededRlweCiphertext {
     assert_eq!(m_signed.len(), ctx.params.degree, "degree mismatch");
-    let modulus = *ctx.table.modulus();
-    let mut a = expand_a(ctx, a_seed);
-    a.to_ntt();
-    let mut b = a.mul_ntt(&sk.s_ntt);
-    b.to_coeff();
-    let b_coeffs: Vec<u64> = b
-        .coeffs()
-        .iter()
-        .zip(m_signed.iter())
-        .map(|(&as_c, &m)| {
-            let e = gaussian_i64(rng, ctx.params.sigma);
-            let noise_and_msg = modulus.add(modulus.reduce_signed(e), ctx.encode_plain(m));
-            modulus.add(as_c, noise_and_msg)
-        })
-        .collect();
-    SeededRlweCiphertext { a_seed, b_coeffs }
+    let modulus = ctx.table.modulus();
+    let mut b = sample_noise(ctx, rng);
+    for (b, &m) in b.iter_mut().zip(m_signed) {
+        *b = modulus.add(*b, ctx.encode_plain(m));
+    }
+    seal(ctx, sk, b, a_seed)
 }
 
 /// Encrypts the constant polynomial `c` (the shape used for the inner
-/// secret-key entries `z_i = Enc2(s_i)`).
+/// secret-key entries `z_i = Enc2(s_i)`). Only coefficient 0 carries a
+/// message, so only it is encoded, whatever the value of `c`.
 pub fn encrypt_scalar<R: Rng + ?Sized>(
     ctx: &RlweContext,
     sk: &RlweSecretKey,
@@ -306,17 +338,21 @@ pub fn encrypt_scalar<R: Rng + ?Sized>(
     a_seed: u64,
     rng: &mut R,
 ) -> SeededRlweCiphertext {
-    let mut m = vec![0i64; ctx.params.degree];
-    m[0] = c;
-    encrypt(ctx, sk, &m, a_seed, rng)
+    let mut b = sample_noise(ctx, rng);
+    b[0] = ctx.table.modulus().add(b[0], ctx.encode_plain(c));
+    seal(ctx, sk, b, a_seed)
 }
 
-/// Expands a seeded ciphertext into NTT form for evaluation.
+/// Expands a seeded ciphertext for evaluation. Both components are
+/// already NTT-domain words, so this is a PRG expansion and a copy.
+///
+/// # Panics
+///
+/// Panics if `ct` is not of `ctx`'s ring (wrong degree or unreduced
+/// words); [`SeededRlweCiphertext::decode_from`] admits no such value.
 pub fn expand(ctx: &RlweContext, ct: &SeededRlweCiphertext) -> RlweCiphertext {
-    let mut a = expand_a(ctx, ct.a_seed);
-    a.to_ntt();
-    let mut b = Poly::from_coeffs(Arc::clone(&ctx.table), ct.b_coeffs.clone());
-    b.to_ntt();
+    let a = Poly::from_ntt_data(Arc::clone(&ctx.table), expand_a(ctx, ct.a_seed));
+    let b = Poly::from_ntt_data(Arc::clone(&ctx.table), ct.b_ntt.clone());
     RlweCiphertext { a, b }
 }
 
@@ -338,15 +374,23 @@ pub fn add_assign(acc: &mut RlweCiphertext, z: &RlweCiphertext) {
     acc.b.add_assign(&z.b);
 }
 
+/// The decryption phase `b − a·s = Δ·m + e`, in coefficient domain.
+fn phase(ctx: &RlweContext, sk: &RlweSecretKey, ct: &RlweCiphertext) -> Poly {
+    assert_eq!(ct.a.domain(), Domain::Ntt, "ciphertext must be in NTT domain");
+    let mut a_s = vec![0u64; ctx.params.degree];
+    ctx.table.mul_acc_shoup(&sk.s_ntt, ct.a.data(), &mut a_s);
+    let mut y = ct.b.clone();
+    y.sub_assign(&Poly::from_ntt_data(Arc::clone(&ctx.table), a_s));
+    y.to_coeff();
+    y
+}
+
 /// Decrypts to centered (signed) plaintext coefficients modulo `t`.
 pub fn decrypt(ctx: &RlweContext, sk: &RlweSecretKey, ct: &RlweCiphertext) -> Vec<i64> {
-    let mut y = ct.b.clone();
-    let a_s = ct.a.mul_ntt(&sk.s_ntt);
-    y.sub_assign(&a_s);
-    y.to_coeff();
     let q = ctx.q() as u128;
     let t = ctx.params.t as u128;
-    y.coeffs()
+    phase(ctx, sk, ct)
+        .coeffs()
         .iter()
         .map(|&c| {
             let v = ((c as u128 * t + q / 2) / q) as u64 % ctx.params.t;
@@ -365,12 +409,8 @@ pub fn noise_budget_bits(
     expected_signed: &[i64],
 ) -> f64 {
     let modulus = *ctx.table.modulus();
-    let mut y = ct.b.clone();
-    let a_s = ct.a.mul_ntt(&sk.s_ntt);
-    y.sub_assign(&a_s);
-    y.to_coeff();
     let mut max_noise = 0u64;
-    for (&c, &m) in y.coeffs().iter().zip(expected_signed.iter()) {
+    for (&c, &m) in phase(ctx, sk, ct).coeffs().iter().zip(expected_signed.iter()) {
         let expected = ctx.encode_plain(m);
         let noise = modulus.center(modulus.sub(c, expected)).unsigned_abs();
         max_noise = max_noise.max(noise);
@@ -656,11 +696,81 @@ mod tests {
         let ct = encrypt_scalar(&ctx, &sk, -1, 5, &mut rng);
         let bytes = ct.encode();
         assert_eq!(bytes.len() as u64, ct.byte_len());
+        // The layout the size model (DESIGN.md §6) counts: an 8-byte
+        // seed, a 4-byte count, N 8-byte words.
+        assert_eq!(ct.byte_len(), 12 + 8 * ctx.params().degree as u64);
         let mut r = tiptoe_math::wire::WireReader::new(&bytes);
-        let back = SeededRlweCiphertext::decode_from(&mut r).expect("decodes");
+        let back = SeededRlweCiphertext::decode_from(&mut r, &ctx).expect("decodes");
         r.finish().expect("consumed");
         assert_eq!(back.a_seed, ct.a_seed);
-        assert_eq!(back.b_coeffs, ct.b_coeffs);
+        assert_eq!(back.b_ntt, ct.b_ntt);
+    }
+
+    #[test]
+    fn decode_rejects_what_expand_could_not_take() {
+        let ctx = ctx();
+        let mut rng = seeded_rng(22);
+        let sk = RlweSecretKey::generate(&ctx, &mut rng);
+        let ct = encrypt_scalar(&ctx, &sk, 1, 5, &mut rng);
+        let decode = |ct: &SeededRlweCiphertext| {
+            let bytes = ct.encode();
+            SeededRlweCiphertext::decode_from(&mut WireReader::new(&bytes), &ctx)
+        };
+        assert!(decode(&ct).is_ok());
+        let mut unreduced = ct.clone();
+        unreduced.b_ntt[0] |= 1 << 63;
+        assert!(matches!(decode(&unreduced), Err(WireError::Invalid(_))));
+        let mut at_q = ct.clone();
+        at_q.b_ntt[7] = ctx.q();
+        assert!(matches!(decode(&at_q), Err(WireError::Invalid(_))));
+        for len in [0, 63, 65] {
+            let mut resized = ct.clone();
+            resized.b_ntt.resize(len, 0);
+            assert!(matches!(decode(&resized), Err(WireError::Invalid(_))), "len {len}");
+        }
+    }
+
+    #[test]
+    fn production_scalars_roundtrip_through_the_wire() {
+        // One token's worth: 2,048 ternary scalars at production
+        // parameters, each through encode -> decode -> expand -> decrypt.
+        let ctx = RlweContext::new(RlweParams::production());
+        let mut rng = seeded_rng(23);
+        let sk = RlweSecretKey::generate(&ctx, &mut rng);
+        for i in 0..2048u64 {
+            let c = tiptoe_math::sample::ternary_i64(&mut rng);
+            let bytes = encrypt_scalar(&ctx, &sk, c, i, &mut rng).encode();
+            let mut r = WireReader::new(&bytes);
+            let back = SeededRlweCiphertext::decode_from(&mut r, &ctx).expect("decodes");
+            r.finish().expect("consumed");
+            let got = decrypt(&ctx, &sk, &expand(&ctx, &back));
+            assert_eq!(got[0], c, "ciphertext {i}");
+            assert!(got[1..].iter().all(|&x| x == 0), "ciphertext {i}");
+        }
+    }
+
+    #[test]
+    fn fresh_noise_has_the_configured_width() {
+        // The phase of a fresh ciphertext minus its encoded message is
+        // exactly `e`: were the NTT-domain path to add it twice, scale
+        // it, or transform it once too often, the deviation would show.
+        let ctx = RlweContext::new(RlweParams::production());
+        let mut rng = seeded_rng(24);
+        let sk = RlweSecretKey::generate(&ctx, &mut rng);
+        let modulus = *ctx.table().modulus();
+        let mut noise = Vec::new();
+        for i in 0..32u64 {
+            let c = tiptoe_math::sample::ternary_i64(&mut rng);
+            let y = phase(&ctx, &sk, &expand(&ctx, &encrypt_scalar(&ctx, &sk, c, i, &mut rng)));
+            let mut e = y.coeffs().to_vec();
+            e[0] = modulus.sub(e[0], ctx.encode_plain(c));
+            noise.extend(e.into_iter().map(|w| modulus.center(w) as f64));
+        }
+        let n = noise.len() as f64;
+        let mean = noise.iter().sum::<f64>() / n;
+        let std = (noise.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / n).sqrt();
+        assert!(mean.abs() < 0.1, "noise mean {mean}");
+        assert!((std - 3.2).abs() / 3.2 < 0.05, "noise std {std}, want 3.2 within 5 %");
     }
 
     #[test]

@@ -223,19 +223,23 @@ impl EncryptedSecret {
         w.finish()
     }
 
-    /// Parses from the wire format.
+    /// Parses an upload for the scheme `uh` from the wire format.
+    /// Whatever decodes can be [`EncryptedSecret::expand`]ed under
+    /// `uh`: the server never meets a malformed ciphertext past here.
     ///
     /// # Errors
     ///
-    /// Fails on truncation, oversize counts, or trailing bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+    /// Fails on truncation, oversize counts, a ciphertext that is not
+    /// of `uh`'s outer ring (polynomial length other than `N`, a word
+    /// not reduced modulo `Q`), or trailing bytes.
+    pub fn decode(bytes: &[u8], uh: &Underhood) -> Result<Self, WireError> {
         let mut r = WireReader::new(bytes);
         let n = r.get_u32()? as usize;
         if n > (1 << 20) {
             return Err(WireError::Invalid("too many secret-key ciphertexts"));
         }
         let z = (0..n)
-            .map(|_| SeededRlweCiphertext::decode_from(&mut r))
+            .map(|_| SeededRlweCiphertext::decode_from(&mut r, uh.outer()))
             .collect::<Result<Vec<_>, _>>()?;
         r.finish()?;
         Ok(Self { z })
@@ -247,9 +251,10 @@ fn derive_ct_seed<R: Rng + ?Sized>(rng: &mut R, i: usize) -> u64 {
 }
 
 /// A server-side expanded form of an [`EncryptedSecret`]: every `z_i`
-/// in NTT domain, ready for token generation. Expansion costs ~3·n
-/// NTTs; expanding once and reusing it across services and shards is
-/// the difference between one and five expansions per token.
+/// in NTT domain, ready for token generation. The upload already
+/// carries `b` in that domain, so expansion is `n` PRG expansions of
+/// `a` and no transform; it is still done once and shared across
+/// services and shards rather than once per token.
 pub struct ExpandedSecret {
     z: Vec<RlweCiphertext>,
 }

@@ -11,6 +11,7 @@ use tiptoe_corpus::tzip;
 use tiptoe_dpf::DpfKey;
 use tiptoe_lwe::{LweCiphertext, LweParams};
 use tiptoe_math::rng::seeded_rng;
+use tiptoe_math::wire::WireError;
 use tiptoe_net::{open, seal};
 use tiptoe_rlwe::RlweParams;
 use tiptoe_underhood::{ClientKey, EncryptedSecret, QueryToken, Underhood};
@@ -19,6 +20,13 @@ fn test_underhood() -> Underhood {
     let lwe = LweParams::insecure_test(32, 991, 6.4);
     let rlwe = RlweParams { degree: 64, q_bits: 58, t: 1 << 24, sigma: 3.2 };
     Underhood::with_outer(lwe, rlwe, 44)
+}
+
+/// What a server does with an upload: decode it, then expand whatever
+/// decoded. Neither step may panic, whatever the bytes.
+fn decode_and_expand(bytes: &[u8]) -> Result<usize, WireError> {
+    let uh = test_underhood();
+    EncryptedSecret::decode(bytes, &uh).map(|es| es.expand(&uh).len())
 }
 
 /// A valid encoded secret + token pair to mutate from.
@@ -41,7 +49,7 @@ proptest! {
     fn arbitrary_bytes_never_panic_any_decoder(
         data in proptest::collection::vec(any::<u8>(), 0..2048),
     ) {
-        let _ = EncryptedSecret::decode(&data);
+        let _ = decode_and_expand(&data);
         let _ = QueryToken::decode(&data);
         let _ = DpfKey::decode(&data);
         let _ = LweCiphertext::<u32>::decode(&data);
@@ -60,7 +68,7 @@ proptest! {
         let mut mutated = es_bytes;
         let i = idx % mutated.len();
         mutated[i] ^= xor;
-        let _ = EncryptedSecret::decode(&mutated);
+        let _ = decode_and_expand(&mutated);
     }
 
     #[test]
@@ -81,7 +89,7 @@ proptest! {
         let t = cut % (token_bytes.len() + 1);
         let _ = QueryToken::decode(&token_bytes[..t]);
         let e = cut % (es_bytes.len() + 1);
-        let _ = EncryptedSecret::decode(&es_bytes[..e]);
+        let _ = decode_and_expand(&es_bytes[..e]);
     }
 
     #[test]
@@ -135,6 +143,32 @@ fn hostile_length_headers_fail_fast_without_huge_allocation() {
     // The originals still parse after all this.
     assert!(QueryToken::decode(&token_bytes).is_ok());
     assert_eq!(open(&valid).expect("valid"), b"ok");
+}
+
+#[test]
+fn hostile_secret_uploads_are_rejected_at_decode_not_at_expand() {
+    // Each of these decoded fine before decoding knew the ring, and
+    // then tripped an assertion inside `expand`.
+    let (es_bytes, _) = valid_messages();
+    assert_eq!(decode_and_expand(&es_bytes), Ok(test_underhood().lwe().n));
+
+    // Layout: count u32 | per ciphertext: seed u64, length u32, words.
+    let first_word = 4 + 8 + 4;
+    let mut unreduced = es_bytes.clone();
+    unreduced[first_word + 7] ^= 0x80; // top bit of the first b word
+    assert!(matches!(decode_and_expand(&unreduced), Err(WireError::Invalid(_))));
+
+    // A first polynomial one word short, the message otherwise well
+    // framed (the count field and the bytes agree).
+    let mut short = es_bytes.clone();
+    short[12..16].copy_from_slice(&63u32.to_le_bytes());
+    short.drain(first_word..first_word + 8);
+    assert!(matches!(decode_and_expand(&short), Err(WireError::Invalid(_))));
+
+    // One ciphertext whose polynomial is empty.
+    let mut empty = 1u32.to_le_bytes().to_vec();
+    empty.extend_from_slice(&[0u8; 12]);
+    assert!(matches!(decode_and_expand(&empty), Err(WireError::Invalid(_))));
 }
 
 #[test]

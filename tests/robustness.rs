@@ -84,6 +84,7 @@ fn garbage_pir_record_fails_to_decode_gracefully() {
 
 #[test]
 fn fuzzed_token_bytes_never_panic_the_decoder() {
+    let uh = test_underhood();
     let mut rng = seeded_rng(3);
     for round in 0..300 {
         let len = rng.gen_range(0..400usize);
@@ -91,7 +92,9 @@ fn fuzzed_token_bytes_never_panic_the_decoder() {
         // Either parses (structurally valid by luck) or errors — both
         // fine; panics and hangs are not.
         let _ = QueryToken::decode(&bytes);
-        let _ = EncryptedSecret::decode(&bytes);
+        if let Ok(es) = EncryptedSecret::decode(&bytes, &uh) {
+            es.expand(&uh);
+        }
         let _ = DpfKey::decode(&bytes);
         let _ = LweCiphertext::<u64>::decode(&bytes);
         let _ = LweCiphertext::<u32>::decode(&bytes);
@@ -109,12 +112,22 @@ fn bitflipped_valid_messages_never_panic_decoders() {
     let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
     let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
     let base = es.encode();
+    // A server expands what it decodes; a flipped bit that survives
+    // decoding (a seed bit, a low word bit) must survive that too, and
+    // so must every truncation.
+    let mut survivors = 0;
     for _ in 0..100 {
         let mut mutated = base.clone();
         let bit = rng.gen_range(0..mutated.len() * 8);
         mutated[bit / 8] ^= 1 << (bit % 8);
-        let _ = EncryptedSecret::decode(&mutated);
+        if let Ok(decoded) = EncryptedSecret::decode(&mutated, &uh) {
+            assert_eq!(decoded.expand(&uh).len(), es.len());
+            survivors += 1;
+        }
+        let cut = rng.gen_range(0..base.len());
+        assert!(EncryptedSecret::decode(&base[..cut], &uh).is_err(), "cut at {cut}");
     }
+    assert!(survivors > 0, "some single-bit flips must still decode");
 
     let compressed = tzip::compress(b"the quick brown fox jumps over the lazy dog repeatedly");
     for _ in 0..200 {

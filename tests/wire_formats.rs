@@ -30,7 +30,7 @@ fn live_protocol_messages_roundtrip() {
     let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
     let es_bytes = es.encode();
     assert_eq!(es_bytes.len() as u64, es.byte_len(), "EncryptedSecret accounting");
-    let es_back = EncryptedSecret::decode(&es_bytes).expect("decodes");
+    let es_back = EncryptedSecret::decode(&es_bytes, &uh).expect("decodes");
     assert_eq!(es_back.len(), es.len());
 
     // 2. The query token (token-phase download) — and the decoded copy
@@ -70,16 +70,16 @@ fn corrupted_messages_are_rejected_not_panicked() {
 
     // Truncations at every interesting boundary.
     for cut in [0usize, 3, 4, 12, bytes.len() / 2, bytes.len() - 1] {
-        assert!(EncryptedSecret::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        assert!(EncryptedSecret::decode(&bytes[..cut], &uh).is_err(), "cut at {cut}");
     }
     // Trailing garbage.
     let mut extended = bytes.clone();
     extended.push(0xff);
-    assert!(EncryptedSecret::decode(&extended).is_err());
+    assert!(EncryptedSecret::decode(&extended, &uh).is_err());
     // A hostile count prefix must not cause a giant allocation.
     let mut hostile = bytes.clone();
     hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(EncryptedSecret::decode(&hostile).is_err());
+    assert!(EncryptedSecret::decode(&hostile, &uh).is_err());
 }
 
 #[test]
