@@ -24,7 +24,7 @@ fn bench_apply(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{rows}x{cols}")),
             &(db, ct),
-            |b, (db, ct)| b.iter(|| scheme::apply(db, ct)),
+            |b, (db, ct)| b.iter(|| scheme::apply(db, &[&ct.c], 1)),
         );
     }
     group.finish();
@@ -39,7 +39,7 @@ fn bench_apply_packed(c: &mut Criterion) {
     let packed = tiptoe_math::nibble::NibbleMat::from_signed(rows, cols, &signed);
     let v: Vec<u64> = (0..cols).map(|_| rng.gen()).collect();
     group.throughput(Throughput::Bytes(packed.storage_bytes() as u64));
-    group.bench_function("512x8192_nibbles", |b| b.iter(|| packed.matvec(&v)));
+    group.bench_function("512x8192_nibbles", |b| b.iter(|| scheme::apply(&packed, &[&v], 1)));
     group.finish();
 }
 
@@ -62,7 +62,7 @@ fn bench_preproc(c: &mut Criterion) {
     let db = Mat::from_fn(rows, cols, |_, _| rng.gen_range(0..16u32));
     let a = MatrixA::new(11, cols, params.n);
     c.bench_function("lwe_preproc_64x1024", |b| {
-        b.iter(|| scheme::preproc::<u64>(&db, &a.row_range(0, cols)))
+        b.iter(|| scheme::preproc::<u64>(&db, &a.row_range(0, cols), 1))
     });
 }
 

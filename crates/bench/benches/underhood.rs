@@ -21,7 +21,7 @@ fn setup() -> (Underhood, tiptoe_underhood::ServerHint, EncryptedSecret, ClientK
     let cols = 512;
     let db = Mat::from_fn(128, cols, |_, _| rng.gen_range(0..16u32));
     let a = MatrixA::new(3, cols, uh.lwe().n);
-    let hint = scheme::preproc::<u64>(&db, &a.row_range(0, cols));
+    let hint = scheme::preproc::<u64>(&db, &a.row_range(0, cols), 1);
     let sh = uh.preprocess_hint(&hint);
     let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
     let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);

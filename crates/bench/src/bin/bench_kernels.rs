@@ -1,6 +1,7 @@
 //! Machine-readable kernel benchmark for the perf trajectory: times
-//! the scalar / dispatched-SIMD / parallel / batched variants of the
-//! LHE hot-path kernels (`matvec` online, `preproc` offline, and the
+//! the LHE hot-path kernels against pinned-scalar baselines (`scan`
+//! online at B = 1, B = 4 and a thread sweep — the `matvec*` rows —
+//! `preproc` offline, and the
 //! client's `expand_row`/`lwe_encrypt`), then the token path's
 //! single-body kernels, and writes `BENCH_kernels.json` at the
 //! repository root.
@@ -40,14 +41,14 @@
 //! and reports the **minimum** — on a shared/virtualized host the min
 //! is the only estimator that converges on the true cost of the code
 //! rather than the noise of the neighbourhood. `scalar` is the pinned
-//! portable baseline (`matvec_scalar`/`preproc_scalar`, never
-//! auto-vectorized away by dispatch); `dispatched` is the production
-//! entry point, which routes through the runtime CPU-feature dispatch
+//! portable baseline (a local loop over `simd::dot_narrow_scalar` /
+//! `simd::axpy_scalar`, never routed through dispatch); `dispatched`
+//! is the production entry point (`scan`/`preproc` at one thread),
+//! which routes through the runtime CPU-feature dispatch
 //! (`TIPTOE_FORCE_SCALAR=1` pins it back to the scalar tier). The
-//! parallel variants are swept over thread counts, and `parallel_t1`
-//! is explicitly labeled as the spawn/partition overhead baseline —
-//! it is the dispatched kernel plus threading costs with zero
-//! parallelism, so compare t≥2 against it, not against `scalar`.
+//! same entry point is then swept over thread counts; `parallel_t1`
+//! is the same call as `dispatched` (one thread runs inline) and is
+//! the baseline to compare t≥2 against, not `scalar`.
 //!
 //! Knobs: `TIPTOE_THREADS` pins the sweep's top thread count
 //! (default: one per core); `TIPTOE_BENCH_KERNEL_REPS` overrides the
@@ -58,8 +59,9 @@ use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use tiptoe_lwe::matrix_a::MatrixARange;
 use tiptoe_lwe::{scheme, LweParams, LweSecretKey, MatrixA};
-use tiptoe_math::matrix::{self, Mat};
+use tiptoe_math::matrix::{scan, Mat};
 use tiptoe_math::ntt::ShoupPoly;
 use tiptoe_math::par::max_threads;
 use tiptoe_math::rng::{derive_seed, seeded_rng};
@@ -84,6 +86,10 @@ const PREPROC_N: usize = 256;
 /// secret dimension): `TiptoeConfig::text` and `test_small` as the
 /// end-to-end benchmark deploys them.
 const EXPAND_SHAPES: [(usize, usize); 2] = [(17_088, 2_048), (41_664, 64)];
+
+/// JSON note on every `parallel_t1` row.
+const T1_NOTE: &str = "same call as the dispatched row: one thread runs inline on the caller's \
+                       stack; compare t>=2 against this, not against scalar";
 
 fn reps() -> usize {
     std::env::var("TIPTOE_BENCH_KERNEL_REPS")
@@ -133,11 +139,11 @@ struct Entry {
     /// Per-query speedup over the scalar variant of the same kernel.
     speedup: f64,
     /// Set on entries that are not an apples-to-apples speedup claim
-    /// (e.g. `parallel_t1`, which measures threading overhead).
+    /// (e.g. `parallel_t1`, the thread sweep's own baseline).
     note: Option<&'static str>,
 }
 
-/// Thread counts for the parallel sweep: always 1 (the overhead
+/// Thread counts for the parallel sweep: always 1 (the sweep's
 /// baseline) and 2 (the smallest real parallelism), then the detected
 /// core count when it adds a new point.
 fn thread_sweep(top: usize) -> Vec<usize> {
@@ -146,6 +152,29 @@ fn thread_sweep(top: usize) -> Vec<usize> {
         ts.push(top);
     }
     ts
+}
+
+/// Pinned-scalar `M·v`: the portable four-way-unrolled dot per row,
+/// never the SIMD tiers — the baseline of the `matvec*` rows.
+fn matvec_scalar(db: &Mat<u32>, v: &[u64]) -> Vec<u64> {
+    (0..db.rows()).map(|i| simd::dot_narrow_scalar(db.row(i), v)).collect()
+}
+
+/// Pinned-scalar `H = M·A`: `scheme::preproc`'s loop on the portable
+/// axpy — the baseline of the `preproc` rows.
+fn preproc_scalar(db: &Mat<u32>, a: &MatrixARange) -> Mat<u64> {
+    let mut hint = Mat::zeros(db.rows(), a.cols());
+    let mut a_row = vec![0u64; a.cols()];
+    for k in 0..db.cols() {
+        a.expand_row(k, &mut a_row);
+        for i in 0..db.rows() {
+            let m_ik = db.get(i, k);
+            if m_ik != 0 {
+                simd::axpy_scalar(hint.row_mut(i), m_ik as u64, &a_row);
+            }
+        }
+    }
+    hint
 }
 
 /// Row `k` of `a` expanded at a pinned keystream tier: the body of
@@ -193,6 +222,7 @@ fn main() {
             (0..MATVEC_COLS).map(|_| r.gen()).collect()
         })
         .collect();
+    let vs: Vec<&[u64]> = vs.iter().map(Vec::as_slice).collect();
     let mut push = |kernel, variant: String, shape: &str, seconds: Option<f64>, scalar: f64, note| {
         entries.push(Entry {
             kernel,
@@ -211,12 +241,12 @@ fn main() {
     let per_call = |total: f64| total / HOT_INNER as f64;
     let scalar = per_call(time(reps, || {
         for _ in 0..HOT_INNER {
-            std::hint::black_box(matrix::matvec_scalar(&hot, &v));
+            std::hint::black_box(matvec_scalar(&hot, &v));
         }
     }));
     let dispatched = per_call(time(reps, || {
         for _ in 0..HOT_INNER {
-            std::hint::black_box(matrix::matvec(&hot, &v));
+            std::hint::black_box(scan(&hot, &[&v], 1));
         }
     }));
     push("matvec", "scalar".into(), &shape, Some(scalar), scalar, None);
@@ -230,17 +260,16 @@ fn main() {
     const STREAM_NOTE: &str = "DRAM-bandwidth-bound at this shape: the scalar loop already \
                                saturates the host's single-core stream; see the cache-resident \
                                matvec entries for the kernel's arithmetic speedup";
-    let scalar = time(reps, || matrix::matvec_scalar(&db, &v));
-    let dispatched = time(reps, || matrix::matvec(&db, &v));
+    let scalar = time(reps, || matvec_scalar(&db, &v));
+    let dispatched = time(reps, || scan(&db, &[&v], 1));
     // Batched answers BATCH queries per pass; report per-query time.
-    let batched = time(reps, || matrix::matvec_batch(&db, &vs, 1)) / BATCH as f64;
+    let batched = time(reps, || scan(&db, &vs, 1)) / BATCH as f64;
     push("matvec_stream", "scalar".into(), &shape, Some(scalar), scalar, None);
     push("matvec_stream", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, Some(STREAM_NOTE));
     push("matvec_stream", format!("batched_b{BATCH}_per_query"), &shape, Some(batched), scalar, None);
     for t in thread_sweep(threads) {
-        let seconds = time_threads(t, cores, reps, || matrix::matvec_par(&db, &v, t));
-        let note = (t == 1)
-            .then_some("threading overhead baseline: dispatched kernel plus spawn/partition cost at zero parallelism; compare t>=2 against this, not against scalar");
+        let seconds = time_threads(t, cores, reps, || scan(&db, &[&v], t));
+        let note = (t == 1).then_some(T1_NOTE);
         push("matvec_stream", format!("parallel_t{t}"), &shape, seconds, scalar, note);
     }
 
@@ -249,14 +278,13 @@ fn main() {
     let a = MatrixA::new(23, PREPROC_COLS, PREPROC_N);
     let range = a.row_range(0, PREPROC_COLS);
     let shape = format!("{PREPROC_ROWS}x{PREPROC_COLS}xn{PREPROC_N}");
-    let scalar = time(reps, || scheme::preproc_scalar::<u64>(&db, &range));
-    let dispatched = time(reps, || scheme::preproc::<u64>(&db, &range));
+    let scalar = time(reps, || preproc_scalar(&db, &range));
+    let dispatched = time(reps, || scheme::preproc::<u64>(&db, &range, 1));
     push("preproc", "scalar".into(), &shape, Some(scalar), scalar, None);
     push("preproc", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
     for t in thread_sweep(threads) {
-        let seconds = time_threads(t, cores, reps, || scheme::preproc_par::<u64>(&db, &range, t));
-        let note = (t == 1)
-            .then_some("threading overhead baseline: dispatched kernel plus spawn/partition cost at zero parallelism; compare t>=2 against this, not against scalar");
+        let seconds = time_threads(t, cores, reps, || scheme::preproc::<u64>(&db, &range, t));
+        let note = (t == 1).then_some(T1_NOTE);
         push("preproc", format!("parallel_t{t}"), &shape, seconds, scalar, note);
     }
 
@@ -404,8 +432,8 @@ fn main() {
             seconds * 1e3,
             e.speedup,
             e.note.map_or("", |n| {
-                if n.starts_with("threading overhead") {
-                    "   (overhead baseline)"
+                if n == T1_NOTE {
+                    "   (thread-sweep baseline)"
                 } else {
                     "   (memory-bound; see JSON note)"
                 }

@@ -6,27 +6,21 @@ use tiptoe_lwe::LweParams;
 use tiptoe_net::{AdmissionPolicy, BreakerPolicy, CoalescePolicy, ConfigError, FaultPolicy};
 use tiptoe_rlwe::RlweParams;
 
-/// Server-side parallelism and batching knobs.
+/// Server-side parallelism knob.
 ///
 /// `num_threads == 0` means "one thread per available core" (the
-/// `TIPTOE_THREADS` environment variable caps the auto-detected
-/// count); any other value pins the thread count exactly. All
-/// parallel kernels are bit-identical to their scalar counterparts,
-/// so this knob trades wall-clock time only — never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `TIPTOE_THREADS` environment variable overrides the auto-detected
+/// count); any other value pins the thread count exactly. Every
+/// kernel (`scan`, `preproc`, token generation) is bit-identical at
+/// any thread count, so this knob trades wall-clock time only — never
+/// results. How many ciphertexts share one database pass is not set
+/// here: a lane flush answers whatever batch
+/// `CoalescePolicy::max_batch` let it collect.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Parallelism {
-    /// Threads per parallel kernel (`0` = one per core).
+    /// Threads per kernel call on the build and lane-flush paths
+    /// (`0` = one per core).
     pub num_threads: usize,
-    /// Ciphertexts answered per database pass by the batched server
-    /// kernels (`apply_many`); amortizes the DB scan across
-    /// concurrent queries.
-    pub batch_size: usize,
-}
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Self { num_threads: 0, batch_size: 4 }
-    }
 }
 
 /// All parameters of a Tiptoe deployment.
@@ -234,7 +228,6 @@ impl TiptoeConfig {
         if self.fault_policy.enabled {
             self.fault_policy.validate()?;
         }
-        assert!(self.parallelism.batch_size >= 1, "need a positive query batch size");
         self.coalesce.validate()?;
         self.admission.validate()?;
         self.breaker.validate()?;

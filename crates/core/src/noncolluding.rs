@@ -21,7 +21,7 @@ use rand::Rng;
 use tiptoe_dpf::{eval as dpf_eval, full_eval, generate as dpf_generate, DpfKey};
 use tiptoe_embed::quantize::Quantizer;
 use tiptoe_embed::vector::normalize;
-use tiptoe_math::matrix::{matvec, Mat};
+use tiptoe_math::matrix::{scan, Mat};
 use tiptoe_math::zq::center;
 use tiptoe_pir::BitPacker;
 
@@ -122,7 +122,7 @@ impl TwoServerReplica {
             "key domain must cover the padded cluster space"
         );
         let share = full_eval(key);
-        matvec(&self.rank, &share)
+        scan(&self.rank, &[&share], 1).pop().expect("one answer per share")
     }
 
     /// Answers a URL query share (two-server PIR over `Z_{2^32}`).
@@ -134,7 +134,7 @@ impl TwoServerReplica {
         assert_eq!(key.block_len(), 1, "URL selection uses 1-value blocks");
         assert_eq!(key.domain_size(), self.urls.cols(), "key domain must cover records");
         let share = full_eval(key);
-        matvec(&self.urls, &share)
+        scan(&self.urls, &[&share], 1).pop().expect("one answer per share")
     }
 }
 

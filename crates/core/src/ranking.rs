@@ -46,19 +46,11 @@ impl ShardDb {
         }
     }
 
-    fn apply(&self, ct: &LweCiphertext<u64>) -> Vec<u64> {
+    /// `M_w · ct` for every chunk in one pass over the shard.
+    fn apply(&self, chunks: &[&[u64]], threads: usize) -> Vec<Vec<u64>> {
         match self {
-            ShardDb::Plain(m) => scheme::apply(m, ct),
-            ShardDb::Packed(m) => scheme::apply_packed(m, ct),
-        }
-    }
-
-    /// Answers a batch of ciphertexts in one pass over the shard
-    /// (bit-identical to per-ciphertext [`ShardDb::apply`]).
-    fn apply_many(&self, cts: &[LweCiphertext<u64>], num_threads: usize) -> Vec<Vec<u64>> {
-        match self {
-            ShardDb::Plain(m) => scheme::apply_many(m, cts, num_threads),
-            ShardDb::Packed(m) => scheme::apply_packed_many(m, cts, num_threads),
+            ShardDb::Plain(m) => scheme::apply(m, chunks, threads),
+            ShardDb::Packed(m) => scheme::apply(m, chunks, threads),
         }
     }
 
@@ -129,11 +121,11 @@ impl Service for RankAnswer<'_> {
 
     fn serve(&self, idx: usize, ct: &LweCiphertext<u64>) -> Result<Vec<u8>, ServeError> {
         let shard = &self.svc.shards[idx];
-        let chunk = ct.c[shard.col_start..shard.col_start + shard.db.cols()].to_vec();
+        let chunk = &ct.c[shard.col_start..shard.col_start + shard.db.cols()];
         let part = match (self.via, self.budget) {
-            (Some(plane), Some(b)) => plane.rank_chunk_within(idx, chunk, b.check()?)?,
-            (Some(plane), None) => plane.rank_chunk(idx, chunk),
-            (None, _) => shard.db.apply(&LweCiphertext { c: chunk }),
+            (Some(plane), Some(b)) => plane.rank_chunk_within(idx, chunk.to_vec(), b.check()?)?,
+            (Some(plane), None) => plane.rank_chunk(idx, chunk.to_vec()),
+            (None, _) => self.svc.shard_answer(idx, chunk),
         };
         let mut w = WireWriter::new();
         w.put_u64_slice(&part);
@@ -194,8 +186,9 @@ impl Service for RankToken<'_> {
         // units fan out across threads; the token is bit-identical to
         // the sequential evaluation.
         let threads = self.svc.parallelism.num_threads;
-        let shard = &self.svc.shards[idx];
-        Ok(self.svc.uh.generate_token_expanded_par(&shard.server_hint, es, threads).encode())
+        let hint = &self.svc.shards[idx].server_hint;
+        let mut tokens = self.svc.uh.generate_token_expanded_many(hint, &[es], threads);
+        Ok(tokens.pop().expect("one token per secret").encode())
     }
 
     fn parse(&self, _idx: usize, payload: &[u8]) -> Result<QueryToken, WireError> {
@@ -242,16 +235,15 @@ impl RankingService {
             let col_end = hi * d;
             let plain = matrix.column_slice(col_start, col_end);
             let range = a.row_range(col_start, col_end - col_start);
-            // Parallel hint computation is bit-identical to the
-            // scalar kernel, so the build is deterministic regardless
-            // of the thread count.
+            // The hint is bit-identical at any thread count, so the
+            // build is deterministic.
             let threads = config.parallelism.num_threads;
             let (db, hint) = if config.pack_ranking_db {
                 let packed = NibbleMat::from_residues_mod_p(&plain, config.rank_lwe.p);
-                let hint = scheme::preproc_packed_par::<u64>(&packed, &range, threads);
+                let hint = scheme::preproc::<u64>(&packed, &range, threads);
                 (ShardDb::Packed(packed), hint)
             } else {
-                let hint = scheme::preproc_par::<u64>(&plain, &range, threads);
+                let hint = scheme::preproc::<u64>(&plain, &range, threads);
                 (ShardDb::Plain(plain), hint)
             };
             let server_hint = uh.preprocess_hint(&hint);
@@ -471,8 +463,7 @@ impl RankingService {
     pub fn shard_answer(&self, idx: usize, chunk: &[u64]) -> Vec<u64> {
         let shard = &self.shards[idx];
         assert_eq!(chunk.len(), shard.db.cols(), "chunk width mismatch");
-        let ct = LweCiphertext { c: chunk.to_vec() };
-        shard.db.apply(&ct)
+        shard.db.apply(&[chunk], 1).pop().expect("one answer per chunk")
     }
 
     /// Batched form of [`RankingService::shard_answer`]: answers `B`
@@ -486,14 +477,14 @@ impl RankingService {
     /// the shard's column count.
     pub fn shard_answer_many(&self, idx: usize, chunks: &[Vec<u64>]) -> Vec<Vec<u64>> {
         let shard = &self.shards[idx];
-        let cts: Vec<LweCiphertext<u64>> = chunks
+        let chunks: Vec<&[u64]> = chunks
             .iter()
             .map(|chunk| {
                 assert_eq!(chunk.len(), shard.db.cols(), "chunk width mismatch");
-                LweCiphertext { c: chunk.clone() }
+                chunk.as_slice()
             })
             .collect();
-        shard.db.apply_many(&cts, self.parallelism.num_threads)
+        shard.db.apply(&chunks, self.parallelism.num_threads)
     }
 
     /// Answers an online ranking query: workers compute their partial

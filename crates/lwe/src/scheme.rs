@@ -13,10 +13,14 @@
 //! Correctness: `c' - H·s = M·e + Δ·(M·v)`, and the rounding removes
 //! `M·e` as long as it stays below `Δ/2` (enforced by the parameter
 //! selection in [`crate::params`]).
+//!
+//! The server's two jobs are one function each, generic over the
+//! database's storage format ([`DbLayout`]): [`preproc`] and [`apply`].
+//! Both take a thread count (`0` = one per core, `1` = inline) that
+//! changes wall-clock time only, never an output word.
 
 use rand::Rng;
-use tiptoe_math::matrix::{matvec, matvec_wide, Mat};
-use tiptoe_math::nibble::NibbleMat;
+use tiptoe_math::matrix::{matvec_wide, scan, DbLayout, Mat};
 use tiptoe_math::sample::{gaussian_i64, ternary_vec};
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
@@ -159,234 +163,59 @@ pub fn encrypt<W: Word, R: Rng + ?Sized>(
 
 /// Preprocesses the linear function `M` into the hint `H = M·A`
 /// (paper: "the server executes λ·√N 64-bit operations for the
-/// one-time preprocessing of the matrix M").
+/// one-time preprocessing of the matrix M") — the only hint kernel,
+/// over any [`DbLayout`] storage format.
 ///
-/// Streams rows of `A` once (k-outer loop), so `A` never materializes.
-///
-/// # Panics
-///
-/// Panics if `db.cols() != a.rows()`.
-pub fn preproc<W: Word>(db: &Mat<u32>, a: &MatrixARange) -> Mat<W> {
-    assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
-    let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
-    let ell = db.rows();
-    let n = a.cols();
-    let mut hint: Mat<W> = Mat::zeros(ell, n);
-    let mut a_row = vec![W::ZERO; n];
-    for k in 0..db.cols() {
-        a.expand_row(k, &mut a_row);
-        for i in 0..ell {
-            let m_ik = db.get(i, k);
-            if m_ik == 0 {
-                continue;
-            }
-            W::axpy(hint.row_mut(i), W::from_u64(m_ik as u64), &a_row);
-        }
-    }
-    hint
-}
-
-/// Pinned-scalar [`preproc`]: identical math always on the portable
-/// kernel, never the SIMD tiers. This is the benchmark baseline and
-/// the oracle the dispatch property tests compare against; serving
-/// and build paths use [`preproc`]/[`preproc_par`].
-pub fn preproc_scalar<W: Word>(db: &Mat<u32>, a: &MatrixARange) -> Mat<W> {
-    assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
-    let ell = db.rows();
-    let n = a.cols();
-    let mut hint: Mat<W> = Mat::zeros(ell, n);
-    let mut a_row = vec![W::ZERO; n];
-    for k in 0..db.cols() {
-        a.expand_row(k, &mut a_row);
-        for i in 0..ell {
-            let m_ik = db.get(i, k);
-            if m_ik == 0 {
-                continue;
-            }
-            tiptoe_math::simd::axpy_scalar(hint.row_mut(i), W::from_u64(m_ik as u64), &a_row);
-        }
-    }
-    hint
-}
-
-/// The homomorphic matrix-vector product `c' = M·c`
-/// ("2·N 64-bit additions and multiplications").
-///
-/// # Panics
-///
-/// Panics if `ct.c.len() != db.cols()`.
-pub fn apply<W: Word>(db: &Mat<u32>, ct: &LweCiphertext<W>) -> Vec<W> {
-    let _span = kernel_span("lwe.matvec", db.rows(), db.cols());
-    matvec(db, &ct.c)
-}
-
-/// Row-parallel, cache-blocked `Apply` (`num_threads == 0` = one per
-/// core); bit-identical to [`apply`].
-///
-/// # Panics
-///
-/// Panics if `ct.c.len() != db.cols()`.
-pub fn apply_par<W: Word>(db: &Mat<u32>, ct: &LweCiphertext<W>, num_threads: usize) -> Vec<W> {
-    let _span = kernel_span("lwe.matvec", db.rows(), db.cols());
-    tiptoe_math::matrix::matvec_par(db, &ct.c, num_threads)
-}
-
-/// Batched `Apply`: answers `B` ciphertexts in one pass over the
-/// database (the matrix-matrix amortization — `M` is read from DRAM
-/// once instead of `B` times). Each answer is bit-identical to
-/// `apply(db, &cts[b])`.
-///
-/// # Panics
-///
-/// Panics if any ciphertext's dimension differs from `db.cols()`.
-pub fn apply_many<W: Word>(
-    db: &Mat<u32>,
-    cts: &[LweCiphertext<W>],
-    num_threads: usize,
-) -> Vec<Vec<W>> {
-    let mut span = kernel_span("lwe.matvec_batch", db.rows(), db.cols());
-    span.attr_u64("batch", cts.len() as u64);
-    let vs: Vec<Vec<W>> = cts.iter().map(|ct| ct.c.clone()).collect();
-    tiptoe_math::matrix::matvec_batch(db, &vs, num_threads)
-}
-
-/// Row-parallel hint preprocessing: splits the hint's ℓ rows into one
-/// contiguous block per thread; **each thread re-expands the seeded
-/// rows of `A` independently** (row expansion is seed-derived per row,
-/// so chunks never share state and `A` still never materializes). Each
-/// hint row accumulates over `k` in the same order as [`preproc`], so
-/// the result is bit-identical.
-///
-/// The extra work is one `A`-expansion per thread (`T·m·n` PRG words
-/// against `ℓ·m·n` MACs) — negligible for `ℓ ≫ T`.
+/// Splits the hint's ℓ rows into one contiguous block per thread
+/// (`threads == 0` = one per core, `1` = inline on the caller's
+/// stack); **each thread streams the seeded rows of `A` once,
+/// independently** (row expansion is seed-derived per row, so blocks
+/// never share state and `A` never materializes). The extra work is
+/// one `A`-expansion per thread (`T·m·n` PRG words against `ℓ·m·n`
+/// MACs) — negligible for `ℓ ≫ T`. Every hint row accumulates over
+/// `k` in the same order at any thread count, so the result is
+/// bit-identical.
 ///
 /// # Panics
 ///
 /// Panics if `db.cols() != a.rows()`.
-pub fn preproc_par<W: Word>(db: &Mat<u32>, a: &MatrixARange, num_threads: usize) -> Mat<W> {
+pub fn preproc<W: Word>(db: &impl DbLayout, a: &MatrixARange, threads: usize) -> Mat<W> {
     assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
     let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
-    let ell = db.rows();
     let n = a.cols();
-    let mut hint: Mat<W> = Mat::zeros(ell, n);
+    let mut hint: Mat<W> = Mat::zeros(db.rows(), n);
     if n == 0 {
         return hint;
     }
-    tiptoe_math::par::par_spans_mut(hint.data_mut(), n, num_threads, |start, span| {
+    tiptoe_math::par::par_spans_mut(hint.data_mut(), n, threads, |start, span| {
         let row0 = start / n;
-        let rows = span.len() / n;
         let mut a_row = vec![W::ZERO; n];
         for k in 0..db.cols() {
             a.expand_row(k, &mut a_row);
-            for local in 0..rows {
-                let m_ik = db.get(row0 + local, k);
-                if m_ik == 0 {
-                    continue;
+            for (local, h_row) in span.chunks_exact_mut(n).enumerate() {
+                // A sign-extended packed entry is a full-width
+                // multiplier; the axpy kernels take any `w`.
+                let m_ik: W = db.entry(row0 + local, k);
+                if m_ik != W::ZERO {
+                    W::axpy(h_row, m_ik, &a_row);
                 }
-                let h_row = &mut span[local * n..(local + 1) * n];
-                W::axpy(h_row, W::from_u64(m_ik as u64), &a_row);
             }
         }
     });
     hint
 }
 
-/// Hint preprocessing over a packed signed-4-bit database (see
-/// [`tiptoe_math::nibble::NibbleMat`]): identical to [`preproc`] but
-/// with entries sign-extended into `Z_q`. Requires a power-of-two
-/// plaintext modulus so the signed embedding is congruent mod `p`.
-///
-/// # Panics
-///
-/// Panics if `db.cols() != a.rows()`.
-pub fn preproc_packed<W: Word>(db: &NibbleMat, a: &MatrixARange) -> Mat<W> {
-    assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
-    let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
-    let ell = db.rows();
-    let n = a.cols();
-    let mut hint: Mat<W> = Mat::zeros(ell, n);
-    let mut a_row = vec![W::ZERO; n];
-    for k in 0..db.cols() {
-        a.expand_row(k, &mut a_row);
-        for i in 0..ell {
-            let m_ik = db.get(i, k);
-            if m_ik == 0 {
-                continue;
-            }
-            // Sign-extended full-width multiplier: the axpy kernels
-            // handle arbitrary 64-bit `w` (3-multiply decomposition on
-            // AVX2, native mullo on AVX-512DQ).
-            W::axpy(hint.row_mut(i), W::from_i64(m_ik as i64), &a_row);
-        }
-    }
-    hint
-}
-
-/// Row-parallel packed hint preprocessing; bit-identical to
-/// [`preproc_packed`] (same per-thread `A` re-expansion scheme as
-/// [`preproc_par`]).
-///
-/// # Panics
-///
-/// Panics if `db.cols() != a.rows()`.
-pub fn preproc_packed_par<W: Word>(
-    db: &NibbleMat,
-    a: &MatrixARange,
-    num_threads: usize,
-) -> Mat<W> {
-    assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
-    let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
-    let ell = db.rows();
-    let n = a.cols();
-    let mut hint: Mat<W> = Mat::zeros(ell, n);
-    if n == 0 {
-        return hint;
-    }
-    tiptoe_math::par::par_spans_mut(hint.data_mut(), n, num_threads, |start, span| {
-        let row0 = start / n;
-        let rows = span.len() / n;
-        let mut a_row = vec![W::ZERO; n];
-        for k in 0..db.cols() {
-            a.expand_row(k, &mut a_row);
-            for local in 0..rows {
-                let m_ik = db.get(row0 + local, k);
-                if m_ik == 0 {
-                    continue;
-                }
-                let h_row = &mut span[local * n..(local + 1) * n];
-                W::axpy(h_row, W::from_i64(m_ik as i64), &a_row);
-            }
-        }
-    });
-    hint
-}
-
-/// The homomorphic product over a packed database.
-///
-/// # Panics
-///
-/// Panics if `ct.c.len() != db.cols()`.
-pub fn apply_packed<W: Word>(db: &NibbleMat, ct: &LweCiphertext<W>) -> Vec<W> {
-    let _span = kernel_span("lwe.matvec", db.rows(), db.cols());
-    db.matvec(&ct.c)
-}
-
-/// Batched homomorphic product over a packed database: one scan
-/// answers all ciphertexts; bit-identical per answer to
-/// [`apply_packed`].
+/// The homomorphic matrix-vector products `c'_b = M·c_b`
+/// ("2·N 64-bit additions and multiplications"): [`scan`] under the
+/// `lwe.matvec` span, one pass over the database for the whole batch.
 ///
 /// # Panics
 ///
 /// Panics if any ciphertext's dimension differs from `db.cols()`.
-pub fn apply_packed_many<W: Word>(
-    db: &NibbleMat,
-    cts: &[LweCiphertext<W>],
-    num_threads: usize,
-) -> Vec<Vec<W>> {
-    let mut span = kernel_span("lwe.matvec_batch", db.rows(), db.cols());
+pub fn apply<W: Word>(db: &impl DbLayout, cts: &[&[W]], threads: usize) -> Vec<Vec<W>> {
+    let mut span = kernel_span("lwe.matvec", db.rows(), db.cols());
     span.attr_u64("batch", cts.len() as u64);
-    let vs: Vec<Vec<W>> = cts.iter().map(|ct| ct.c.clone()).collect();
-    db.matvec_batch(&vs, num_threads)
+    scan(db, cts, threads)
 }
 
 /// Computes `H·s`, the linear part of decryption. This is exactly the
@@ -467,7 +296,13 @@ pub fn decryption_noise<W: Word>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiptoe_math::nibble::NibbleMat;
     use tiptoe_math::rng::seeded_rng;
+
+    /// `Apply` of one ciphertext on the caller's thread.
+    fn apply_one<W: Word>(db: &impl DbLayout, ct: &LweCiphertext<W>) -> Vec<W> {
+        apply(db, &[&ct.c], 1).pop().expect("one answer per ciphertext")
+    }
 
     fn random_db(rng: &mut impl Rng, rows: usize, cols: usize, p: u64) -> Mat<u32> {
         Mat::from_fn(rows, cols, |_, _| rng.gen_range(0..p) as u32)
@@ -496,8 +331,8 @@ mod tests {
         let mut v = vec![0u64; cols];
         v[cols / 2] = 1;
         let ct = encrypt(params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<W>(&db, &a.row_range(0, cols));
-        let applied = apply(&db, &ct);
+        let hint = preproc::<W>(&db, &a.row_range(0, cols), 1);
+        let applied = apply_one(&db, &ct);
         let got = decrypt(params, &sk, &hint, &applied);
         let want = matvec_mod_p(&db, &v, params.p);
         assert_eq!(got, want);
@@ -574,8 +409,8 @@ mod tests {
         let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..params.p)).collect();
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
-        let applied = apply(&db, &ct);
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
+        let applied = apply_one(&db, &ct);
         let got = decrypt(&params, &sk, &hint, &applied);
         let want = matvec_mod_p(&db, &v, params.p);
         assert_eq!(got, want);
@@ -592,8 +427,8 @@ mod tests {
         let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..16)).collect();
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
-        let applied = apply(&db, &ct);
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
+        let applied = apply_one(&db, &ct);
         let got = decrypt(&params, &sk, &hint, &applied);
         assert_eq!(got, matvec_mod_p(&db, &v, params.p));
     }
@@ -610,8 +445,8 @@ mod tests {
         let mut v = vec![0u64; cols];
         v[3] = 1;
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
-        let applied = apply(&db, &ct);
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
+        let applied = apply_one(&db, &ct);
         let right = decrypt(&params, &sk, &hint, &applied);
         let wrong = decrypt(&params, &other, &hint, &applied);
         assert_ne!(right, wrong);
@@ -627,8 +462,8 @@ mod tests {
         let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..params.p)).collect();
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
-        let applied = apply(&db, &ct);
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
+        let applied = apply_one(&db, &ct);
         let truth = matvec_mod_p(&db, &v, params.p);
         let noise = decryption_noise(&params, &sk, &hint, &applied, &truth);
         let bound = params.noise_bound(cols);
@@ -656,9 +491,9 @@ mod tests {
         let cols = 40;
         let db = random_db(&mut rng, 6, cols, 16);
         let a = MatrixA::new(31, cols, params.n);
-        let full = preproc::<u64>(&db, &a.row_range(0, cols));
-        let left = preproc::<u64>(&db.column_slice(0, 24), &a.row_range(0, 24));
-        let right = preproc::<u64>(&db.column_slice(24, cols), &a.row_range(24, 16));
+        let full = preproc::<u64>(&db, &a.row_range(0, cols), 1);
+        let left = preproc::<u64>(&db.column_slice(0, 24), &a.row_range(0, 24), 1);
+        let right = preproc::<u64>(&db.column_slice(24, cols), &a.row_range(24, 16), 1);
         for i in 0..6 {
             for j in 0..params.n {
                 assert_eq!(full.get(i, j), left.get(i, j).wrapping_add(right.get(i, j)));
@@ -683,12 +518,25 @@ mod tests {
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..16)).collect();
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
 
-        let plain_hint = preproc::<u64>(&plain, &a.row_range(0, cols));
-        let plain_out = decrypt(&params, &sk, &plain_hint, &apply(&plain, &ct));
+        let plain_hint = preproc::<u64>(&plain, &a.row_range(0, cols), 1);
+        let plain_out = decrypt(&params, &sk, &plain_hint, &apply_one(&plain, &ct));
 
-        let packed_hint = preproc_packed::<u64>(&packed, &a.row_range(0, cols));
-        let packed_out = decrypt(&params, &sk, &packed_hint, &apply_packed(&packed, &ct));
+        let packed_hint = preproc::<u64>(&packed, &a.row_range(0, cols), 1);
+        let packed_out = decrypt(&params, &sk, &packed_hint, &apply_one(&packed, &ct));
         assert_eq!(plain_out, packed_out);
+    }
+
+    /// `H = M·A` by the definition, one pinned-scalar axpy per entry.
+    fn preproc_reference<W: Word>(db: &impl DbLayout, a: &MatrixARange) -> Mat<W> {
+        let mut hint: Mat<W> = Mat::zeros(db.rows(), a.cols());
+        let mut a_row = vec![W::ZERO; a.cols()];
+        for k in 0..db.cols() {
+            a.expand_row(k, &mut a_row);
+            for i in 0..db.rows() {
+                tiptoe_math::simd::axpy_scalar(hint.row_mut(i), db.entry(i, k), &a_row);
+            }
+        }
+        hint
     }
 
     #[test]
@@ -699,15 +547,14 @@ mod tests {
         let db = random_db(&mut rng, 23, cols, 16);
         let a = MatrixA::new(77, cols, params.n);
         let range = a.row_range(0, cols);
-        let want = preproc::<u64>(&db, &range);
-        assert_eq!(preproc_scalar::<u64>(&db, &range), want, "dispatched == pinned scalar");
+        let want = preproc_reference::<u64>(&db, &range);
         for threads in [0usize, 1, 2, 3, 8] {
-            assert_eq!(preproc_par::<u64>(&db, &range, threads), want, "threads={threads}");
+            assert_eq!(preproc::<u64>(&db, &range, threads), want, "threads={threads}");
         }
         // u32 width too.
-        let want32 = preproc::<u32>(&db, &range);
-        assert_eq!(preproc_scalar::<u32>(&db, &range), want32);
-        assert_eq!(preproc_par::<u32>(&db, &range, 3), want32);
+        let want32 = preproc_reference::<u32>(&db, &range);
+        assert_eq!(preproc::<u32>(&db, &range, 1), want32);
+        assert_eq!(preproc::<u32>(&db, &range, 3), want32);
     }
 
     #[test]
@@ -719,13 +566,9 @@ mod tests {
         let packed = NibbleMat::from_signed(17, cols, &signed);
         let a = MatrixA::new(78, cols, params.n);
         let range = a.row_range(0, cols);
-        let want = preproc_packed::<u64>(&packed, &range);
+        let want = preproc_reference::<u64>(&packed, &range);
         for threads in [1usize, 2, 5] {
-            assert_eq!(
-                preproc_packed_par::<u64>(&packed, &range, threads),
-                want,
-                "threads={threads}"
-            );
+            assert_eq!(preproc::<u64>(&packed, &range, threads), want, "threads={threads}");
         }
     }
 
@@ -743,10 +586,11 @@ mod tests {
                 encrypt(&params, &sk, &a, &v, &mut rng)
             })
             .collect();
-        let batched = apply_many(&db, &cts, 2);
+        let refs: Vec<&[u64]> = cts.iter().map(|ct| ct.c.as_slice()).collect();
+        let batched = apply(&db, &refs, 2);
         for (b, ct) in cts.iter().enumerate() {
-            assert_eq!(batched[b], apply(&db, ct), "ciphertext {b}");
-            assert_eq!(apply_par(&db, ct, 3), apply(&db, ct));
+            assert_eq!(batched[b], apply_one(&db, ct), "ciphertext {b}");
+            assert_eq!(apply(&db, &[&ct.c], 3), [apply_one(&db, ct)]);
         }
     }
 

@@ -1,13 +1,14 @@
-//! Dense row-major matrices and the matrix-vector kernels that
-//! dominate Tiptoe's server-side cost.
+//! Dense row-major matrices and the one scan kernel that dominates
+//! Tiptoe's server-side cost.
 //!
 //! The ranking service's per-query work is one product `M · ct` where
 //! `M` holds small plaintext entries (quantized embeddings, at most
 //! `log2 p ≤ 17` bits) and `ct` is a ciphertext vector of full machine
-//! words (paper §4.2: "roughly 2·N·d 64-bit word operations"). The
-//! kernels below therefore take a narrow (`u32`) matrix and a wide
-//! ([`Word`]) vector, with wrapping arithmetic providing the mod-`2^k`
-//! reduction for free.
+//! words (paper §4.2: "roughly 2·N·d 64-bit word operations"), with
+//! wrapping arithmetic providing the mod-`2^k` reduction for free.
+//! [`scan`] is that product — tiled, batched and row-parallel — over
+//! any [`DbLayout`] storage format; [`matvec_wide`] is the client's
+//! `H·s`.
 
 use crate::zq::Word;
 
@@ -146,182 +147,114 @@ impl<T: Copy + Default> Mat<T> {
     }
 }
 
-/// `out = M · v` over `Z_{2^k}` with a narrow matrix and wide vector.
+/// A storage format for the server's narrow plaintext matrix.
 ///
-/// This is the SimplePIR `Apply` hot loop: entries of `db` are already
-/// reduced modulo the plaintext modulus and are treated as elements of
-/// `Z_{2^k}`; the wrap-around of [`Word`] arithmetic performs the
-/// modular reduction.
-///
-/// Runs on the best kernel available: the L1-tiled loop over the
-/// runtime-dispatched [`Word::dot_narrow`] (the widest SIMD tier the
-/// CPU supports, see [`crate::simd`]). Bit-identical to the
-/// pinned-scalar [`matvec_scalar`] at every tier — wrapping mod-`2^k`
-/// sums are associative and commutative, so neither the tiling nor
-/// the lane grouping can change any output word.
-///
-/// # Panics
-///
-/// Panics if `v.len() != db.cols()`.
-pub fn matvec<W: Word>(db: &Mat<u32>, v: &[W]) -> Vec<W> {
-    matvec_blocked(db, v)
+/// The two server kernels — the online [`scan`] and the one-time hint
+/// preprocessing in `tiptoe-lwe` — need exactly two things from a
+/// database: the inner product of part of one row with a ciphertext
+/// tile, and the `Z_{2^k}` embedding of one entry. Everything else
+/// (tiling, batching, threading) is written once on top of this trait.
+/// Implemented by [`Mat<u32>`] (`Z_p` residues, runtime-dispatched
+/// SIMD dot) and [`crate::nibble::NibbleMat`] (packed signed 4-bit
+/// entries, sign-extended).
+pub trait DbLayout: Sync {
+    /// Number of rows.
+    fn rows(&self) -> usize;
+
+    /// Number of columns.
+    fn cols(&self) -> usize;
+
+    /// Inner product over `Z_{2^k}` of row `row`'s columns
+    /// `[col_start, col_start + v.len())` with `v`. [`scan`] only asks
+    /// for `col_start` at multiples of [`TILE_COLS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row or the column range is out of bounds.
+    fn dot_segment<W: Word>(&self, row: usize, col_start: usize, v: &[W]) -> W;
+
+    /// The entry at `(row, col)` embedded into `Z_{2^k}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-bounds access.
+    fn entry<W: Word>(&self, row: usize, col: usize) -> W;
 }
 
-/// Pinned-scalar `out = M · v`: identical math to [`matvec`] but
-/// always on the portable four-way-unrolled kernel, never the SIMD
-/// tiers. This is the benchmark baseline and the oracle the dispatch
-/// property tests compare against; serving paths use [`matvec`].
-pub fn matvec_scalar<W: Word>(db: &Mat<u32>, v: &[W]) -> Vec<W> {
-    assert_eq!(v.len(), db.cols(), "dimension mismatch");
-    let mut out = Vec::with_capacity(db.rows());
-    for i in 0..db.rows() {
-        out.push(dot_row(db.row(i), v));
+impl DbLayout for Mat<u32> {
+    fn rows(&self) -> usize {
+        self.rows
     }
-    out
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    #[inline]
+    fn dot_segment<W: Word>(&self, row: usize, col_start: usize, v: &[W]) -> W {
+        W::dot_narrow(&self.row(row)[col_start..col_start + v.len()], v)
+    }
+
+    #[inline]
+    fn entry<W: Word>(&self, row: usize, col: usize) -> W {
+        W::from_u64(self.get(row, col) as u64)
+    }
 }
 
-/// Inner product of one narrow row with a wide vector on the portable
-/// scalar kernel (four-way unrolled to keep the MAC pipeline busy).
-///
-/// This is the scalar *reference*: the runtime-dispatched
-/// [`Word::dot_narrow`] is property-tested bit-identical to it at
-/// every [`crate::simd::KernelTier`].
-#[inline]
-pub fn dot_row<W: Word>(row: &[u32], v: &[W]) -> W {
-    crate::simd::dot_narrow_scalar(row, v)
-}
-
-/// Column-tile width (in elements) of the cache-blocked kernels: 2048
-/// `u64` words = 16 KiB, so one tile of `v` stays resident in L1 while
-/// every row's matching segment streams past it.
+/// Column-tile width (in elements) of [`scan`]: 2048 `u64` words =
+/// 16 KiB, so one tile of a query stays resident in L1 while every
+/// row's matching segment streams past it. Even, so a tile of packed
+/// nibbles starts on a byte boundary.
 pub const TILE_COLS: usize = 2048;
 
-/// Cache-blocked `out = M · v`: processes `v` one L1-sized column tile
-/// at a time so each tile is loaded once per *tile* instead of once
-/// per *row*. Bit-identical to [`matvec`] (wrapping mod-`2^k` sums are
-/// associative, so regrouping the additions cannot change the result).
+/// `out[b] = M · queries[b]` over `Z_{2^k}`: the SimplePIR `Apply` hot
+/// loop and the only online kernel. Entries of `db` are treated as
+/// elements of `Z_{2^k}`; the wrap-around of [`Word`] arithmetic
+/// performs the modular reduction.
+///
+/// One pass over the database answers the whole batch (`M` is ℓ×m
+/// words, a query only m, so the matrix traffic dominates and is paid
+/// once for `B` queries); the columns are walked one [`TILE_COLS`]
+/// tile at a time so a query tile is loaded once per tile instead of
+/// once per row; contiguous row spans fan out over `threads` threads
+/// (`0` = one per core, `1` = inline on the caller's stack). Wrapping
+/// mod-`2^k` sums are associative and commutative, so no tiling, batch
+/// size, thread count, or SIMD lane grouping inside
+/// [`DbLayout::dot_segment`] can change any output word.
 ///
 /// # Panics
 ///
-/// Panics if `v.len() != db.cols()`.
-pub fn matvec_blocked<W: Word>(db: &Mat<u32>, v: &[W]) -> Vec<W> {
-    assert_eq!(v.len(), db.cols(), "dimension mismatch");
-    let mut out = vec![W::ZERO; db.rows()];
-    matvec_rows_into(db, 0, v, &mut out);
-    out
-}
-
-/// Blocked matvec of rows `[row_start, row_start + out.len())` into
-/// `out` — the span-level worker shared by the blocked and parallel
-/// entry points.
-///
-/// # Panics
-///
-/// Panics if the row range exceeds `db.rows()` or `v.len()` differs
-/// from `db.cols()`.
-pub fn matvec_rows_into<W: Word>(db: &Mat<u32>, row_start: usize, v: &[W], out: &mut [W]) {
-    assert!(row_start + out.len() <= db.rows(), "row range out of bounds");
-    assert_eq!(v.len(), db.cols(), "dimension mismatch");
-    out.fill(W::ZERO);
-    let cols = db.cols();
-    for tile_start in (0..cols).step_by(TILE_COLS) {
-        let tile_end = (tile_start + TILE_COLS).min(cols);
-        let vt = &v[tile_start..tile_end];
-        for (off, o) in out.iter_mut().enumerate() {
-            let seg = &db.row(row_start + off)[tile_start..tile_end];
-            *o = o.wadd(W::dot_narrow(seg, vt));
-        }
+/// Panics if any query's length differs from `db.cols()`.
+pub fn scan<W: Word>(db: &impl DbLayout, queries: &[&[W]], threads: usize) -> Vec<Vec<W>> {
+    let (rows, cols) = (db.rows(), db.cols());
+    for q in queries {
+        assert_eq!(q.len(), cols, "dimension mismatch");
     }
-}
-
-/// Row-parallel, cache-blocked `out = M · v`: each thread computes a
-/// contiguous span of output rows with [`matvec_rows_into`].
-/// `num_threads == 0` means one thread per core. Bit-identical to
-/// [`matvec`].
-///
-/// # Panics
-///
-/// Panics if `v.len() != db.cols()`.
-pub fn matvec_par<W: Word>(db: &Mat<u32>, v: &[W], num_threads: usize) -> Vec<W> {
-    assert_eq!(v.len(), db.cols(), "dimension mismatch");
-    let mut out = vec![W::ZERO; db.rows()];
-    crate::par::par_spans_mut(&mut out, 1, num_threads, |start, span| {
-        matvec_rows_into(db, start, v, span);
-    });
-    out
-}
-
-/// Batched `out[b] = M · vs[b]`: answers `B` query vectors in **one
-/// pass over the database**, amortizing the DRAM traffic for `M`
-/// (which dominates: the matrix is ℓ×m words, the vectors only m) —
-/// the matrix-matrix form of SimplePIR's `Apply`. Each output is
-/// bit-identical to `matvec(db, &vs[b])`.
-///
-/// # Panics
-///
-/// Panics if any vector's length differs from `db.cols()`.
-pub fn matvec_batch<W: Word>(db: &Mat<u32>, vs: &[Vec<W>], num_threads: usize) -> Vec<Vec<W>> {
-    for v in vs {
-        assert_eq!(v.len(), db.cols(), "dimension mismatch");
-    }
-    if vs.is_empty() {
+    if queries.is_empty() {
         return Vec::new();
     }
-    let rows = db.rows();
-    let batch = vs.len();
+    let batch = queries.len();
     // Row-major (row, batch) accumulator so one row's products for all
-    // vectors are computed while the row is hot in cache.
+    // queries are computed while the row is hot in cache.
     let mut flat = vec![W::ZERO; rows * batch];
-    crate::par::par_spans_mut(&mut flat, batch, num_threads, |start, span| {
+    crate::par::par_spans_mut(&mut flat, batch, threads, |start, span| {
         let row0 = start / batch;
-        let cols = db.cols();
         for tile_start in (0..cols).step_by(TILE_COLS) {
             let tile_end = (tile_start + TILE_COLS).min(cols);
             for (local, row_out) in span.chunks_exact_mut(batch).enumerate() {
-                let seg = &db.row(row0 + local)[tile_start..tile_end];
-                for (o, v) in row_out.iter_mut().zip(vs.iter()) {
-                    *o = o.wadd(W::dot_narrow(seg, &v[tile_start..tile_end]));
+                for (o, q) in row_out.iter_mut().zip(queries) {
+                    let dot = db.dot_segment(row0 + local, tile_start, &q[tile_start..tile_end]);
+                    *o = o.wadd(dot);
                 }
             }
         }
     });
-    // Transpose the flat accumulator into per-vector outputs.
-    let mut outs = vec![Vec::with_capacity(rows); batch];
-    for row_out in flat.chunks_exact(batch) {
-        for (out, &x) in outs.iter_mut().zip(row_out.iter()) {
-            out.push(x);
-        }
-    }
-    outs
-}
-
-/// `out = M · A` over `Z_{2^k}`: the SimplePIR hint computation.
-///
-/// `db` is the narrow plaintext matrix (`ℓ × m`), `a` the wide LWE
-/// public matrix (`m × n`); the result is the `ℓ × n` hint. Uses an
-/// i-k-j loop order so the inner loop streams rows of `a`.
-///
-/// # Panics
-///
-/// Panics if `db.cols() != a.rows()`.
-pub fn matmul_hint<W: Word>(db: &Mat<u32>, a: &Mat<W>) -> Mat<W> {
-    assert_eq!(db.cols(), a.rows(), "dimension mismatch");
-    let mut out: Mat<W> = Mat::zeros(db.rows(), a.cols());
-    for i in 0..db.rows() {
-        let db_row = db.row(i);
-        let out_row = out.row_mut(i);
-        for (k, &m_ik) in db_row.iter().enumerate() {
-            if m_ik == 0 {
-                continue;
-            }
-            W::axpy(out_row, W::from_u64(m_ik as u64), a.row(k));
-        }
-    }
-    out
+    // Transpose the flat accumulator into per-query outputs.
+    (0..batch).map(|b| flat.iter().skip(b).step_by(batch).copied().collect()).collect()
 }
 
 /// `out = H · s` over `Z_{2^k}` for a wide matrix and wide vector
-/// (hint-times-secret during decryption).
+/// (hint-times-secret during client-side decryption).
 ///
 /// # Panics
 ///
@@ -335,97 +268,38 @@ pub fn matvec_wide<W: Word>(h: &Mat<W>, s: &[W]) -> Vec<W> {
     out
 }
 
-/// Row-parallel [`matvec_wide`]; bit-identical (wrapping sums are
-/// associative and commutative, so neither the row split nor the
-/// dispatched kernel's lane grouping changes any output word).
-///
-/// # Panics
-///
-/// Panics if `s.len() != h.cols()`.
-pub fn matvec_wide_par<W: Word>(h: &Mat<W>, s: &[W], num_threads: usize) -> Vec<W> {
-    assert_eq!(s.len(), h.cols(), "dimension mismatch");
-    let mut out = vec![W::ZERO; h.rows()];
-    crate::par::par_spans_mut(&mut out, 1, num_threads, |start, span| {
-        for (off, o) in span.iter_mut().enumerate() {
-            *o = W::dot_wide(h.row(start + off), s);
-        }
-    });
-    out
-}
-
-/// Row-parallel [`matmul_hint`]: each thread computes a contiguous
-/// block of hint rows with the same i-k-j loop order, so every output
-/// entry's accumulation order — and therefore its value — is
-/// unchanged.
-///
-/// # Panics
-///
-/// Panics if `db.cols() != a.rows()`.
-pub fn matmul_hint_par<W: Word>(db: &Mat<u32>, a: &Mat<W>, num_threads: usize) -> Mat<W> {
-    assert_eq!(db.cols(), a.rows(), "dimension mismatch");
-    let n = a.cols();
-    let mut out: Mat<W> = Mat::zeros(db.rows(), n);
-    crate::par::par_spans_mut(out.data_mut(), n, num_threads, |start, span| {
-        let row0 = start / n;
-        for (local, out_row) in span.chunks_exact_mut(n).enumerate() {
-            let db_row = db.row(row0 + local);
-            for (k, &m_ik) in db_row.iter().enumerate() {
-                if m_ik == 0 {
-                    continue;
-                }
-                W::axpy(out_row, W::from_u64(m_ik as u64), a.row(k));
-            }
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One query on the caller's thread.
+    fn scan_one<W: Word>(db: &Mat<u32>, v: &[W]) -> Vec<W> {
+        scan(db, &[v], 1).pop().expect("one answer per query")
+    }
+
+    /// Untiled `M · v` by the definition.
+    fn naive<W: Word>(db: &Mat<u32>, v: &[W]) -> Vec<W> {
+        (0..db.rows())
+            .map(|i| {
+                v.iter().enumerate().fold(W::ZERO, |acc, (j, &x)| {
+                    acc.wadd(W::from_u64(db.get(i, j) as u64).wmul(x))
+                })
+            })
+            .collect()
+    }
 
     #[test]
     fn matvec_matches_naive_u64() {
         let db = Mat::from_fn(3, 5, |i, j| (i * 5 + j) as u32);
         let v: Vec<u64> = (0..5).map(|j| (j as u64 + 1) * 1_000_000_007).collect();
-        let got = matvec(&db, &v);
-        for (i, &g) in got.iter().enumerate() {
-            let mut want = 0u64;
-            for (j, &x) in v.iter().enumerate() {
-                want = want.wrapping_add((db.get(i, j) as u64).wrapping_mul(x));
-            }
-            assert_eq!(g, want);
-        }
+        assert_eq!(scan_one(&db, &v), naive(&db, &v));
     }
 
     #[test]
     fn matvec_matches_naive_u32() {
         let db = Mat::from_fn(4, 7, |i, j| (i * 31 + j * 17) as u32);
         let v: Vec<u32> = (0..7).map(|j| (j as u32 + 1).wrapping_mul(0x9e37_79b9)).collect();
-        let got = matvec(&db, &v);
-        for (i, &g) in got.iter().enumerate() {
-            let mut want = 0u32;
-            for (j, &x) in v.iter().enumerate() {
-                want = want.wrapping_add(db.get(i, j).wrapping_mul(x));
-            }
-            assert_eq!(g, want);
-        }
-    }
-
-    #[test]
-    fn matmul_hint_matches_matvec_per_column() {
-        let db = Mat::from_fn(3, 4, |i, j| (i + 2 * j) as u32);
-        let a: Mat<u64> = Mat::from_fn(4, 2, |i, j| (i as u64 + 1) * 7 + j as u64 * 1e15 as u64);
-        let h = matmul_hint(&db, &a);
-        assert_eq!(h.rows(), 3);
-        assert_eq!(h.cols(), 2);
-        for j in 0..2 {
-            let col: Vec<u64> = (0..4).map(|k| a.get(k, j)).collect();
-            let want = matvec(&db, &col);
-            for (i, &w) in want.iter().enumerate() {
-                assert_eq!(h.get(i, j), w);
-            }
-        }
+        assert_eq!(scan_one(&db, &v), naive(&db, &v));
     }
 
     #[test]
@@ -463,7 +337,7 @@ mod tests {
     fn matvec_rejects_bad_shape() {
         let db = Mat::from_fn(2, 3, |_, _| 1u32);
         let v = vec![1u64; 4];
-        let _ = matvec(&db, &v);
+        let _ = scan_one(&db, &v);
     }
 
     /// A shape that exercises tile boundaries: more columns than one
@@ -480,23 +354,25 @@ mod tests {
     #[test]
     fn blocked_matvec_is_bit_identical() {
         let (db, v) = wide_case();
-        assert_eq!(matvec_blocked(&db, &v), matvec(&db, &v));
+        assert_eq!(scan_one(&db, &v), naive(&db, &v));
     }
 
     #[test]
     fn dispatched_matvec_matches_pinned_scalar() {
         let (db, v) = wide_case();
-        assert_eq!(matvec(&db, &v), matvec_scalar(&db, &v));
+        let pinned = |row| crate::simd::dot_narrow_scalar(db.row(row), &v);
+        assert_eq!(scan_one(&db, &v), (0..db.rows()).map(pinned).collect::<Vec<_>>());
         let v32: Vec<u32> = v.iter().map(|&x| x as u32).collect();
-        assert_eq!(matvec(&db, &v32), matvec_scalar(&db, &v32));
+        let pinned32 = |row| crate::simd::dot_narrow_scalar(db.row(row), &v32);
+        assert_eq!(scan_one(&db, &v32), (0..db.rows()).map(pinned32).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_matvec_is_bit_identical_for_any_thread_count() {
         let (db, v) = wide_case();
-        let want = matvec(&db, &v);
+        let want = naive(&db, &v);
         for threads in [0usize, 1, 2, 3, 5, 16] {
-            assert_eq!(matvec_par(&db, &v, threads), want, "threads={threads}");
+            assert_eq!(scan(&db, &[&v], threads), std::slice::from_ref(&want), "threads={threads}");
         }
     }
 
@@ -506,21 +382,12 @@ mod tests {
         let vs: Vec<Vec<u64>> = (0..5)
             .map(|b| v.iter().map(|&x| x.wrapping_mul(b as u64 + 1)).collect())
             .collect();
-        let got = matvec_batch(&db, &vs, 2);
+        let refs: Vec<&[u64]> = vs.iter().map(Vec::as_slice).collect();
+        let got = scan(&db, &refs, 2);
         assert_eq!(got.len(), vs.len());
         for (b, out) in got.iter().enumerate() {
-            assert_eq!(out, &matvec(&db, &vs[b]), "batch element {b}");
+            assert_eq!(out, &naive(&db, &vs[b]), "batch element {b}");
         }
-        assert!(matvec_batch::<u64>(&db, &[], 2).is_empty());
-    }
-
-    #[test]
-    fn parallel_hint_and_wide_kernels_are_bit_identical() {
-        let db = Mat::from_fn(9, 31, |i, j| ((i * 31 + j) % 7) as u32);
-        let a: Mat<u64> = Mat::from_fn(31, 6, |i, j| ((i as u64) << 32) | ((j as u64 + 1) * 77));
-        assert_eq!(matmul_hint_par(&db, &a, 3), matmul_hint(&db, &a));
-        let h: Mat<u64> = Mat::from_fn(10, 8, |i, j| (i as u64 + 3).wrapping_mul(j as u64 ^ 55));
-        let s: Vec<u64> = (0..8).map(|j| u64::MAX - j).collect();
-        assert_eq!(matvec_wide_par(&h, &s, 4), matvec_wide(&h, &s));
+        assert!(scan::<u64>(&db, &[], 2).is_empty());
     }
 }

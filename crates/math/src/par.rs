@@ -1,17 +1,17 @@
 //! Scoped-thread helpers for the row-parallel server kernels.
 //!
-//! The hot kernels ([`crate::matrix::matvec`] and the hint
-//! preprocessing in `tiptoe-lwe`) compute independent output rows, so
-//! they parallelize by handing each thread a contiguous span of the
-//! output. Everything here is plain `std::thread::scope` fan-out — no
+//! The hot kernels ([`crate::matrix::scan`], the hint preprocessing in
+//! `tiptoe-lwe` and token generation in `tiptoe-underhood`) compute
+//! independent output rows, so they parallelize by handing each thread
+//! a contiguous span of the output. Everything here is plain `std::thread::scope` fan-out — no
 //! work stealing, no runtime — because the spans are uniform and the
 //! kernels are bandwidth-bound: static partitioning loses nothing and
 //! keeps the code dependency-free.
 //!
 //! Determinism: the helpers only decide *which thread* computes each
 //! span; the per-element arithmetic and its order are unchanged, so
-//! every parallel kernel built on them is bit-identical to its scalar
-//! counterpart (enforced by the workspace property tests).
+//! every kernel built on them is bit-identical at any thread count
+//! (enforced by the workspace property tests).
 //!
 //! Thread-count policy: `0` means "one thread per available core"
 //! (capped by the `TIPTOE_THREADS` environment variable when set), any

@@ -133,7 +133,7 @@ impl PirServer {
     pub fn with_threads(db: PirDatabase, a_seed: u64, uh: Underhood, num_threads: usize) -> Self {
         let a = MatrixA::new(a_seed, db.num_records(), db.params().n);
         let hint =
-            scheme::preproc_par::<u32>(db.matrix(), &a.row_range(0, db.num_records()), num_threads);
+            scheme::preproc::<u32>(db.matrix(), &a.row_range(0, db.num_records()), num_threads);
         let server_hint = uh.preprocess_hint(&hint);
         Self { db, a, uh, hint, server_hint }
     }
@@ -190,10 +190,7 @@ impl PirServer {
     /// Panics if the ciphertext dimension differs from the number of
     /// records.
     pub fn answer(&self, ct: &LweCiphertext<u32>) -> Vec<u32> {
-        let mut span = tiptoe_obs::span("pir.answer");
-        span.attr_u64("rows", self.db.rows() as u64);
-        span.attr_u64("cols", self.db.num_records() as u64);
-        scheme::apply(self.db.matrix(), ct)
+        self.answer_many(std::slice::from_ref(ct), 1).pop().expect("one answer per ciphertext")
     }
 
     /// Answers a batch of online queries in one pass over the
@@ -210,7 +207,8 @@ impl PirServer {
         span.attr_u64("rows", self.db.rows() as u64);
         span.attr_u64("cols", self.db.num_records() as u64);
         span.attr_u64("batch", cts.len() as u64);
-        scheme::apply_many(self.db.matrix(), cts, num_threads)
+        let cts: Vec<&[u32]> = cts.iter().map(|ct| ct.c.as_slice()).collect();
+        scheme::apply(self.db.matrix(), &cts, num_threads)
     }
 
     /// The raw hint (used by tests and by clients that opt into

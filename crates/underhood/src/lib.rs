@@ -375,85 +375,35 @@ impl Underhood {
         self.generate_token_expanded(sh, &es.expand(self))
     }
 
-    /// Token generation over a pre-expanded secret (the hot path).
+    /// Token generation over a pre-expanded secret on the caller's
+    /// thread: [`Underhood::generate_token_expanded_many`] at `B = 1`.
     ///
     /// # Panics
     ///
     /// Panics if the expansion covers fewer coordinates than the
     /// hint's secret dimension.
     pub fn generate_token_expanded(&self, sh: &ServerHint, es: &ExpandedSecret) -> QueryToken {
-        self.generate_token_expanded_par(sh, es, 1)
+        self.generate_token_expanded_many(sh, &[es], 1).pop().expect("one token per secret")
     }
 
-    /// Parallel token generation (`num_threads == 0` = one thread per
-    /// core): the `(chunk, limb)` evaluations — each an independent
-    /// NTT-domain multiply-accumulate over the secret coordinates plus
-    /// one modulus switch — fan out across threads. Every unit's
-    /// arithmetic is untouched, so the token is bit-identical to the
-    /// sequential path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expansion covers fewer coordinates than the
-    /// hint's secret dimension.
-    pub fn generate_token_expanded_par(
-        &self,
-        sh: &ServerHint,
-        es: &ExpandedSecret,
-        num_threads: usize,
-    ) -> QueryToken {
-        assert!(es.len() >= sh.n, "encrypted secret too short for this hint");
-        let n_ring = self.ctx.params().degree;
-        let limbs = self.limbs as usize;
-        let units = sh.chunks() * limbs;
-        let mut flat: Vec<Option<SwitchedCiphertext>> = (0..units).map(|_| None).collect();
-        tiptoe_math::par::par_spans_mut(&mut flat, 1, num_threads, |start, span| {
-            let table = self.ctx.table();
-            let mut acc_a = vec![0u64; n_ring];
-            let mut acc_b = vec![0u64; n_ring];
-            for (off, slot) in span.iter_mut().enumerate() {
-                let unit = start + off;
-                let limb_polys = &sh.polys[unit / limbs][unit % limbs];
-                acc_a.iter_mut().for_each(|x| *x = 0);
-                acc_b.iter_mut().for_each(|x| *x = 0);
-                for (h_poly, z) in limb_polys.iter().zip(es.z.iter()) {
-                    table.mul_acc_shoup(h_poly, z.a.data(), &mut acc_a);
-                    table.mul_acc_shoup(h_poly, z.b.data(), &mut acc_b);
-                }
-                let acc = RlweCiphertext {
-                    a: Poly::from_ntt_data(std::sync::Arc::clone(table), acc_a.clone()),
-                    b: Poly::from_ntt_data(std::sync::Arc::clone(table), acc_b.clone()),
-                };
-                *slot = Some(mod_switch(&self.ctx, &acc, self.switch_log_q2));
-            }
-        });
-        let mut units_iter = flat.into_iter();
-        let chunks = (0..sh.chunks())
-            .map(|_| {
-                (0..limbs)
-                    .map(|_| units_iter.next().flatten().expect("every unit computed"))
-                    .collect()
-            })
-            .collect();
-        QueryToken { chunks, rows: sh.rows }
-    }
-
-    /// Batched token generation: evaluates one hint against `B`
+    /// Token generation, the one body: evaluates one hint against `B`
     /// clients' expanded secrets in a single pass over the hint
     /// polynomials.
     ///
-    /// Token generation is memory-bound on the hint: each `(chunk,
-    /// limb, coordinate)` Shoup polynomial is far larger than the
-    /// per-client accumulators. The per-client path re-reads every
-    /// polynomial from DRAM once per client; here the inner loop loads
-    /// each polynomial once and multiply-accumulates it into all `B`
-    /// clients' accumulators while it is hot — the token-path
-    /// counterpart of the batched matvec kernels, and what the serving
-    /// plane's token lane flushes through.
+    /// The `(chunk, limb)` evaluations — each an independent
+    /// NTT-domain multiply-accumulate over the secret coordinates plus
+    /// one modulus switch — fan out across `num_threads` threads (`0`
+    /// = one per core, `1` = inline). Token generation is memory-bound
+    /// on the hint: each `(chunk, limb, coordinate)` Shoup polynomial
+    /// is far larger than the per-client accumulators, so the inner
+    /// loop loads each polynomial once and multiply-accumulates it
+    /// into all `B` clients' accumulators while it is hot — the
+    /// token-path counterpart of the batched scan, and what the
+    /// serving plane's token lane flushes through.
     ///
     /// Each client's accumulation order over the secret coordinates is
-    /// unchanged, so every returned token is bit-identical to
-    /// [`Underhood::generate_token_expanded`] for that client alone.
+    /// the same at any batch size and thread count, so every returned
+    /// token is bit-identical to the one that client gets alone.
     ///
     /// # Panics
     ///
@@ -475,9 +425,9 @@ impl Underhood {
         let n_ring = self.ctx.params().degree;
         let limbs = self.limbs as usize;
         let units = sh.chunks() * limbs;
-        // `(chunk, limb)` units fan out across threads exactly as in
-        // the per-client parallel path; the batch dimension stays
-        // inside each unit, where the polynomial reuse lives.
+        // `(chunk, limb)` units fan out across threads; the batch
+        // dimension stays inside each unit, where the polynomial reuse
+        // lives.
         let mut flat: Vec<Option<Vec<SwitchedCiphertext>>> = (0..units).map(|_| None).collect();
         tiptoe_math::par::par_spans_mut(&mut flat, 1, num_threads, |start, span| {
             let table = self.ctx.table();
@@ -788,8 +738,13 @@ pub fn combine_decoded_subset<W: Word>(
 mod tests {
     use super::*;
     use rand::Rng;
-    use tiptoe_lwe::scheme::{apply, preproc};
+    use tiptoe_lwe::scheme::preproc;
     use tiptoe_math::rng::seeded_rng;
+
+    /// `Apply` of one ciphertext on the caller's thread.
+    fn apply<W: Word>(db: &Mat<u32>, ct: &LweCiphertext<W>) -> Vec<W> {
+        scheme::apply(db, &[&ct.c], 1).pop().expect("one answer per ciphertext")
+    }
 
     fn test_underhood_64() -> Underhood {
         // Inner: q = 2^64, p = 2^17 (ranking-like), n = 64.
@@ -832,7 +787,7 @@ mod tests {
 
         // Offline: encrypted secret -> token.
         let es = EncryptedSecret::encrypt(uh, &key, &mut rng);
-        let hint = preproc::<W>(&db, &a.row_range(0, cols));
+        let hint = preproc::<W>(&db, &a.row_range(0, cols), 1);
         let sh = uh.preprocess_hint(&hint);
         let token = uh.generate_token(&sh, &es);
         let mut decoded = uh.decode_token::<W>(&key, &token);
@@ -876,13 +831,14 @@ mod tests {
         let a = MatrixA::new(21, 32, uh.lwe().n);
         let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
         let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, 32));
+        let hint = preproc::<u64>(&db, &a.row_range(0, 32), 1);
         let sh = uh.preprocess_hint(&hint);
         let expanded = es.expand(&uh);
         let sequential = uh.generate_token_expanded(&sh, &expanded).encode();
         for threads in [0, 2, 3, 7] {
-            let par = uh.generate_token_expanded_par(&sh, &expanded, threads).encode();
-            assert_eq!(par, sequential, "threads={threads}");
+            let par = uh.generate_token_expanded_many(&sh, &[&expanded], threads);
+            assert_eq!(par.len(), 1);
+            assert_eq!(par[0].encode(), sequential, "threads={threads}");
         }
     }
 
@@ -896,7 +852,7 @@ mod tests {
         let mut rng = seeded_rng(31);
         let db = random_db(&mut rng, 150, 32, 8);
         let a = MatrixA::new(23, 32, uh.lwe().n);
-        let hint = preproc::<u64>(&db, &a.row_range(0, 32));
+        let hint = preproc::<u64>(&db, &a.row_range(0, 32), 1);
         let sh = uh.preprocess_hint(&hint);
         let expansions: Vec<ExpandedSecret> = (0..3)
             .map(|_| {
@@ -925,7 +881,7 @@ mod tests {
         let a = MatrixA::new(5, 16, uh.lwe().n);
         let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
         let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, 16));
+        let hint = preproc::<u64>(&db, &a.row_range(0, 16), 1);
         let sh = uh.preprocess_hint(&hint);
         let token = uh.generate_token(&sh, &es);
         let mut decoded = uh.decode_token::<u64>(&key, &token);
@@ -947,7 +903,7 @@ mod tests {
         let a = MatrixA::new(6, cols, uh.lwe().n);
         let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
         let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
         let sh = uh.preprocess_hint(&hint);
         let token = uh.generate_token(&sh, &es);
         let mut decoded = uh.decode_token::<u64>(&key, &token);
@@ -975,8 +931,9 @@ mod tests {
         let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
         let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
 
-        let left = preproc::<u64>(&db.column_slice(0, split), &a.row_range(0, split));
-        let right = preproc::<u64>(&db.column_slice(split, cols), &a.row_range(split, cols - split));
+        let left = preproc::<u64>(&db.column_slice(0, split), &a.row_range(0, split), 1);
+        let right =
+            preproc::<u64>(&db.column_slice(split, cols), &a.row_range(split, cols - split), 1);
         let t_left = uh.generate_token(&uh.preprocess_hint(&left), &es);
         let t_right = uh.generate_token(&uh.preprocess_hint(&right), &es);
         let combined = combine_partial_tokens(&uh, &[t_left, t_right]);
@@ -1005,8 +962,9 @@ mod tests {
         let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
 
         let left_db = db.column_slice(0, split);
-        let left = preproc::<u64>(&left_db, &a.row_range(0, split));
-        let right = preproc::<u64>(&db.column_slice(split, cols), &a.row_range(split, cols - split));
+        let left = preproc::<u64>(&left_db, &a.row_range(0, split), 1);
+        let right =
+            preproc::<u64>(&db.column_slice(split, cols), &a.row_range(split, cols - split), 1);
         let t_left = uh.generate_token(&uh.preprocess_hint(&left), &es);
         let t_right = uh.generate_token(&uh.preprocess_hint(&right), &es);
         let mut parts =
@@ -1051,7 +1009,7 @@ mod tests {
         let a = MatrixA::new(5, 16, uh.lwe().n);
         let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
         let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, 16));
+        let hint = preproc::<u64>(&db, &a.row_range(0, 16), 1);
         let token = uh.generate_token(&uh.preprocess_hint(&hint), &es);
         let mut bytes = token.encode();
         bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -1099,7 +1057,7 @@ mod tests {
         let a = MatrixA::new(77, cols, uh.lwe().n);
         let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
         let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
         let sh = uh.preprocess_hint(&hint);
         for trial in 0..3 {
             let token = uh.generate_token(&sh, &es);
@@ -1123,7 +1081,7 @@ mod tests {
         let a = MatrixA::new(9, cols, uh.lwe().n);
         let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
         let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, cols));
+        let hint = preproc::<u64>(&db, &a.row_range(0, cols), 1);
         let token = uh.generate_token(&uh.preprocess_hint(&hint), &es);
         // The raw hint would be rows×n 8-byte words.
         let raw_hint_bytes = (hint.rows() * hint.cols() * 8) as u64;

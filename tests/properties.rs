@@ -145,8 +145,8 @@ proptest! {
         let mut v = vec![0u64; cols];
         v[target] = 1;
         let ct = scheme::encrypt(&params, &sk, &a, &v, &mut rng);
-        let hint = scheme::preproc::<u32>(&db, &a.row_range(0, cols));
-        let applied = scheme::apply(&db, &ct);
+        let hint = scheme::preproc::<u32>(&db, &a.row_range(0, cols), 1);
+        let applied = scheme::apply(&db, &[&ct.c], 1).remove(0);
         let got = scheme::decrypt(&params, &sk, &hint, &applied);
         let want: Vec<u64> = (0..rows).map(|r| db.get(r, target) as u64).collect();
         prop_assert_eq!(got, want);

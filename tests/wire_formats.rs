@@ -36,7 +36,7 @@ fn live_protocol_messages_roundtrip() {
     // 2. The query token (token-phase download) — and the decoded copy
     //    must be *usable*: the full protocol must round-trip through
     //    serialized messages.
-    let hint = scheme::preproc::<u64>(&db, &a.row_range(0, cols));
+    let hint = scheme::preproc::<u64>(&db, &a.row_range(0, cols), 1);
     let sh = uh.preprocess_hint(&hint);
     let token = uh.generate_token(&sh, &es_back);
     let token_bytes = token.encode();
@@ -54,7 +54,7 @@ fn live_protocol_messages_roundtrip() {
 
     // 4. End-to-end through the serialized artifacts.
     let mut decoded = uh.decode_token::<u64>(&key, &token_back);
-    let applied = scheme::apply(&db, &ct_back);
+    let applied = scheme::apply(&db, &[&ct_back.c], 1).remove(0);
     let got = uh.decrypt(&mut decoded, &applied);
     let want: Vec<u64> = (0..8).map(|r| db.get(r, 5) as u64).collect();
     assert_eq!(got, want, "protocol must survive serialization");
