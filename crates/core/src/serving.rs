@@ -33,6 +33,7 @@ use tiptoe_net::{
     AdmissionController, AdmissionPermit, AdmissionPolicy, BreakerBank, BreakerPolicy,
     BreakerState, CoalescePolicy, Coalescer, DeadlineBudget, LaneStatus, ServeError,
 };
+use tiptoe_obs::recorder::flush_reason;
 use tiptoe_underhood::{ExpandedSecret, QueryToken};
 
 use crate::ranking::RankingService;
@@ -58,8 +59,8 @@ pub struct ServingPlane<'a> {
     token_lane: Coalescer<'a, Arc<ExpandedSecret>, TokenBundle>,
     admission: Option<AdmissionController>,
     breakers: Option<BreakerBank>,
-    /// The plane-wide in-flight gauge shared by every lane (the solo
-    /// fast path's cohort signal), kept here for introspection.
+    /// The plane-wide in-flight gauge shared by every lane (how many
+    /// requests a complete batch holds), kept here for introspection.
     cohort: Arc<AtomicUsize>,
 }
 
@@ -112,10 +113,10 @@ impl<'a> ServingPlane<'a> {
         admission.validate().expect("invalid admission policy");
         breaker.validate().expect("invalid breaker policy");
         // One in-flight gauge across every lane in the plane: a query
-        // crosses the lanes one at a time, so "am I alone?" (the solo
-        // fast path) must be answered plane-wide — a momentarily empty
-        // lane under concurrent load still has batch companions parked
-        // in sibling lanes.
+        // crosses the lanes one at a time, so "is everyone here?" (the
+        // coalescer's completion rule) must be answered plane-wide — a
+        // momentarily empty lane under concurrent load still has batch
+        // companions parked in sibling lanes.
         let cohort = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let rank_lanes = (0..ranking.num_shards())
             .map(|idx| {
@@ -389,7 +390,8 @@ pub struct SloStatus {
 pub struct PlaneStatus {
     /// Per-lane occupancy, labeled `rank[w]` / `url` / `token`.
     pub lanes: Vec<(String, LaneStatus)>,
-    /// Plane-wide in-flight submitter count (the solo-path signal).
+    /// Plane-wide in-flight submitter count (the completion rule's
+    /// population).
     pub cohort: usize,
     /// Admission counters, when admission control is enabled.
     pub admission: Option<AdmissionStatus>,
@@ -425,14 +427,22 @@ impl PlaneStatus {
             let _ = write!(
                 out,
                 "{{\"name\":\"{name}\",\"id\":{},\"queued\":{},\"inflight\":{},\
-                 \"effective_wait_us\":{},\"max_wait_us\":{},\"max_batch\":{}}}",
+                 \"effective_wait_us\":{},\"max_wait_us\":{},\"max_batch\":{},\
+                 \"last_batch\":{},\"served\":{},\"flushes\":{{",
                 l.id,
                 l.queued,
                 l.inflight,
                 l.effective_wait.as_micros(),
                 l.max_wait.as_micros(),
-                l.max_batch
+                l.max_batch,
+                l.last_batch,
+                l.served
             );
+            for (code, n) in l.flushes.iter().enumerate() {
+                let sep = if code > 0 { "," } else { "" };
+                let _ = write!(out, "{sep}\"{}\":{n}", flush_reason::name(code as u64));
+            }
+            out.push_str("}}");
         }
         let _ = write!(out, "],\"cohort\":{}", self.cohort);
         match &self.admission {
@@ -508,23 +518,42 @@ impl PlaneStatus {
             }
             out.push('\n');
         }
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "{:<10} {:>4} {:>6} {:>8} {:>12} {:>10} {:>9}",
-            "lane", "id", "queued", "inflight", "eff_wait_us", "max_wait", "max_batch"
+            "{:<10} {:>4} {:>6} {:>8} {:>12} {:>10} {:>9} {:>10}",
+            "lane",
+            "id",
+            "queued",
+            "inflight",
+            "eff_wait_us",
+            "max_wait",
+            "max_batch",
+            "last_batch"
         );
+        // Flushes by reason: a healthy closed loop is all `complete`
+        // (or `solo`); `deadline` counts the waits for a missing
+        // submitter.
+        for code in 0..flush_reason::COUNT {
+            let _ = write!(out, " {:>8}", flush_reason::name(code as u64));
+        }
+        out.push('\n');
         for (name, l) in &self.lanes {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "{:<10} {:>4} {:>6} {:>8} {:>12} {:>10} {:>9}",
+                "{:<10} {:>4} {:>6} {:>8} {:>12} {:>10} {:>9} {:>10}",
                 name,
                 l.id,
                 l.queued,
                 l.inflight,
                 l.effective_wait.as_micros(),
                 l.max_wait.as_micros(),
-                l.max_batch
+                l.max_batch,
+                l.last_batch
             );
+            for n in l.flushes {
+                let _ = write!(out, " {n:>8}");
+            }
+            out.push('\n');
         }
         let _ = writeln!(
             out,
@@ -612,6 +641,8 @@ mod tests {
         let text = status.render();
         assert!(text.contains("serving plane"));
         assert!(text.contains("url"), "render lists the url lane:\n{text}");
+        assert!(text.contains("last_batch") && text.contains("complete"), "flush columns:\n{text}");
+        assert!(json.contains("\"flushes\":{\"full\":0"), "per-lane flush counts in {json}");
         assert!(text.contains("net.coalesce.flush_us"), "render lists histograms:\n{text}");
     }
 

@@ -26,18 +26,33 @@
 //!   to the first member's channel, and that parked submitter — which
 //!   does hold `&self` — wakes, runs the kernel, and distributes
 //!   results.
-//! - **Solo requests flush immediately.** If a submitter finds the
-//!   queue empty and no co-submitter in flight on the lane, waiting
-//!   cannot possibly batch anything: it drains itself and runs the
-//!   kernel inline (reason `solo`), so a lone client pays kernel
-//!   latency, not `max_wait`.
-//! - **`max_wait` adapts to measured arrival rate.** With
-//!   [`CoalescePolicy::adaptive`] set, the armed deadline is
-//!   `min(max_wait, p50 interarrival × (max_batch − 1), p50 flush)`
-//!   from the `net.coalesce.interarrival_us` / `net.coalesce.flush_us`
-//!   histograms this module records: there is no point waiting longer
-//!   than the batch needs to fill, nor longer than the scan the wait
-//!   is trying to save. The policy's `max_wait` is a hard ceiling.
+//! - **A complete batch flushes on its last arrival.** Every
+//!   submitter raises the lane's (and its cohort's) in-flight gauge
+//!   before it enqueues, so an arriving submitter that finds the queue
+//!   at least as long as that gauge knows nobody who could join is
+//!   still missing; if the queue is also at least as long as the
+//!   lane's previous batch (submitters are outside the gauge for the
+//!   microseconds between leaving one lane and entering the next, and
+//!   "expect the last batch again" keeps those batches whole), waiting
+//!   cannot batch anything more: the arriving thread drains and runs
+//!   the kernel inline (reason `complete`; `solo` is its batch-of-one
+//!   case, so a lone client pays kernel latency, not `max_wait`). `N`
+//!   lock-stepped closed-loop submitters therefore pay
+//!   `Σ_lanes flush(N)` per operation and no timer at all (`DESIGN.md`
+//!   §15 states the bound).
+//! - **Only an incomplete batch waits, and `max_wait` adapts to the
+//!   lane's measured arrival rate.** The deadline is armed when
+//!   someone in flight has not arrived yet: a co-submitter still in a
+//!   sibling lane or inside a running flush, or a lane whose
+//!   population just shrank (one deadline wait per decrease; the
+//!   drained batch then resets the expectation). With
+//!   [`CoalescePolicy::adaptive`] set the armed deadline is
+//!   `min(max_wait, max(p90 interarrival × (max_batch − 1), p50 flush))`
+//!   from this lane's own `net.coalesce.interarrival_us[lane<id>]`
+//!   series and the `net.coalesce.flush_us` histogram: there is no
+//!   point waiting longer than the batch needs to fill, and a wait
+//!   shorter than one flush buys nothing. The policy's `max_wait` is a
+//!   hard ceiling.
 //!
 //! Results are bit-identical to unbatched serving as long as the
 //! flush function is (the workspace's batched kernels guarantee it),
@@ -110,11 +125,12 @@ pub struct CoalescePolicy {
 impl Default for CoalescePolicy {
     /// Defaults chosen for the serving benches' shard scans (hundreds
     /// of microseconds): a 1 ms ceiling is long enough to fill an
-    /// 8-batch at any arrival rate worth batching, while the solo
-    /// fast path keeps an idle lane's latency at kernel cost and the
-    /// adaptive deadline undercuts the ceiling once histograms warm
-    /// up. (The previous cooperative scheduler defaulted to 2 ms and
-    /// made lone queries wait all of it.)
+    /// 8-batch at any arrival rate worth batching, while the
+    /// completion rule keeps a lane whose submitters have all arrived
+    /// (a lone client included) at kernel cost and the adaptive
+    /// deadline undercuts the ceiling once histograms warm up. (The
+    /// previous cooperative scheduler defaulted to 2 ms and made lone
+    /// queries wait all of it.)
     fn default() -> Self {
         Self {
             max_batch: 8,
@@ -164,7 +180,11 @@ enum FlushReason {
     Deadline,
     /// The queue hit `queue_depth`; the submitter drained it first.
     Overflow,
-    /// A lone request with no co-submitters flushed itself inline.
+    /// The last submitter in flight arrived and flushed the whole
+    /// batch inline, without a timer.
+    Complete,
+    /// [`FlushReason::Complete`] with a batch of one: a lone request
+    /// with no co-submitters flushed itself inline.
     Solo,
     /// A parked waiter's liveness-net timeout drained the lane (only
     /// reachable when the reactor missed a deadline, e.g. crashed).
@@ -177,6 +197,7 @@ impl FlushReason {
             FlushReason::Full => "full",
             FlushReason::Deadline => "deadline",
             FlushReason::Overflow => "overflow",
+            FlushReason::Complete => "complete",
             FlushReason::Solo => "solo",
             FlushReason::Fallback => "fallback",
         }
@@ -190,6 +211,7 @@ impl FlushReason {
             FlushReason::Full => fr::FULL,
             FlushReason::Deadline => fr::DEADLINE,
             FlushReason::Overflow => fr::OVERFLOW,
+            FlushReason::Complete => fr::COMPLETE,
             FlushReason::Solo => fr::SOLO,
             FlushReason::Fallback => fr::FALLBACK,
         }
@@ -237,9 +259,18 @@ struct LaneState<Req, Resp> {
     id: u64,
     policy: CoalescePolicy,
     inner: Mutex<LaneInner<Req, Resp>>,
-    /// Submitters currently inside `submit_*` on this lane (the solo
-    /// fast path fires only when this is exactly 1).
+    /// Submitters currently inside `submit_*` on this lane: with the
+    /// cohort gauge, how many requests a complete batch holds.
     inflight: AtomicUsize,
+    /// This lane's arrival gaps, the adaptive wait's input: its own
+    /// labelled series, so a ranking lane's wait is not computed from
+    /// the token lane's gaps. (Lane ids are never reused, so the
+    /// series stays in the registry after the lane is dropped.)
+    interarrival: tiptoe_obs::metrics::Histogram,
+    /// Flushes this lane ran, by [`FlushReason::code`], and the
+    /// requests they served (introspection only).
+    flushes: [AtomicU64; tiptoe_obs::recorder::flush_reason::COUNT],
+    served: AtomicU64,
 }
 
 /// Lane-id allocator (process-wide, so recorder timelines from
@@ -255,14 +286,18 @@ struct LaneInner<Req, Resp> {
     generation: u64,
     /// Previous arrival, for the interarrival histogram.
     last_arrival: Option<Instant>,
+    /// Size of the batch drained last: what a complete batch is
+    /// expected to reach again (0 before the first drain).
+    last_batch: usize,
 }
 
 impl<Req: Send + 'static, Resp: Send + 'static> LaneState<Req, Resp> {
     /// Drains up to one batch. `expected_generation` is the arm token
     /// of a reactor deadline (stale tokens drain nothing); `None`
-    /// drains unconditionally (full/overflow/solo/fallback paths).
-    /// Draining bumps the generation; if requests are left behind, a
-    /// fresh deadline is armed for them.
+    /// drains unconditionally (full/overflow/complete/fallback paths).
+    /// Draining bumps the generation and records the batch size as the
+    /// lane's `last_batch`; if requests are left behind, a fresh
+    /// deadline is armed for them.
     fn drain_batch(
         self: &Arc<Self>,
         expected_generation: Option<u64>,
@@ -279,6 +314,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> LaneState<Req, Resp> {
         let take = inner.queue.len().min(self.policy.max_batch);
         let batch: Vec<_> = inner.queue.drain(..take).collect();
         inner.generation += 1;
+        inner.last_batch = take;
         if !inner.queue.is_empty() {
             let gen = inner.generation;
             let wait = self.effective_max_wait();
@@ -313,8 +349,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> LaneState<Req, Resp> {
         if !self.policy.adaptive {
             return self.policy.max_wait;
         }
-        let m = tiptoe_obs::metrics();
-        let inter = m.histogram("net.coalesce.interarrival_us");
+        let inter = &self.interarrival;
         if inter.count() < 32 {
             // Cold start: no arrival-rate signal yet.
             return self.policy.max_wait;
@@ -329,7 +364,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> LaneState<Req, Resp> {
         // While a flush runs, the lane accumulates arrivals for free —
         // a wait shorter than one flush cannot improve latency, so the
         // measured flush time is a floor, not a cap.
-        let flush = m.histogram("net.coalesce.flush_us");
+        let flush = tiptoe_obs::metrics().histogram("net.coalesce.flush_us");
         let floor_us = if flush.count() >= 8 { flush.quantile(0.5) } else { 0 };
         let derived = Duration::from_micros(fill_us.max(floor_us).max(1));
         derived.min(self.policy.max_wait)
@@ -385,6 +420,15 @@ pub struct LaneStatus {
     pub max_wait: Duration,
     /// The policy's batch size.
     pub max_batch: usize,
+    /// Size of the batch drained last (what the completion rule
+    /// expects to assemble again).
+    pub last_batch: usize,
+    /// Flushes this lane has run, indexed by
+    /// `tiptoe_obs::recorder::flush_reason` code.
+    pub flushes: [u64; tiptoe_obs::recorder::flush_reason::COUNT],
+    /// Requests those flushes served (`served / Σ flushes` is the
+    /// lane's mean batch).
+    pub served: u64,
 }
 
 /// A batching scheduler in front of a batched kernel: concurrent
@@ -415,16 +459,22 @@ impl<'a, Req: Send + 'static, Resp: Send + 'static> Coalescer<'a, Req, Resp> {
         flush: impl Fn(Vec<Req>) -> Vec<Resp> + Send + Sync + 'a,
     ) -> Self {
         policy.validate().expect("invalid coalescer policy");
+        let id = NEXT_LANE_ID.fetch_add(1, Ordering::Relaxed);
         Self {
             lane: Arc::new(LaneState {
-                id: NEXT_LANE_ID.fetch_add(1, Ordering::Relaxed),
+                id,
                 policy,
                 inner: Mutex::new(LaneInner {
                     queue: VecDeque::new(),
                     generation: 0,
                     last_arrival: None,
+                    last_batch: 0,
                 }),
                 inflight: AtomicUsize::new(0),
+                interarrival: tiptoe_obs::metrics()
+                    .histogram_with("net.coalesce.interarrival_us", Some(format!("lane{id}"))),
+                flushes: std::array::from_fn(|_| AtomicU64::new(0)),
+                served: AtomicU64::new(0),
             }),
             next_ticket: AtomicU64::new(0),
             cohort: None,
@@ -437,12 +487,12 @@ impl<'a, Req: Send + 'static, Resp: Send + 'static> Coalescer<'a, Req, Resp> {
     /// URL server, token generation) one at a time, so under
     /// concurrent load any single lane is routinely empty the moment
     /// a request arrives — but companions for its batch are right
-    /// behind, parked in sibling lanes. With a cohort installed, the
-    /// solo fast path only fires when this submitter is alone across
-    /// the *whole cohort* (a genuinely lone client), not merely first
-    /// onto this lane; otherwise it waits out the armed deadline and
-    /// batches. Without a cohort the lane's own in-flight count is
-    /// the only signal (correct for standalone coalescers).
+    /// behind, parked in sibling lanes. With a cohort installed, a
+    /// batch is complete only when it holds every submitter in flight
+    /// across the *whole cohort*, not merely everyone on this lane;
+    /// until then it waits for them (at most the armed deadline).
+    /// Without a cohort the lane's own in-flight count is the only
+    /// signal (correct for standalone coalescers).
     pub fn with_cohort(mut self, cohort: Arc<AtomicUsize>) -> Self {
         self.cohort = Some(cohort);
         self
@@ -462,13 +512,20 @@ impl<'a, Req: Send + 'static, Resp: Send + 'static> Coalescer<'a, Req, Resp> {
     /// Live occupancy snapshot of this lane (for `ServingPlane`
     /// introspection; values are instantaneous and unsynchronized).
     pub fn lane_status(&self) -> LaneStatus {
+        let (queued, last_batch) = {
+            let inner = self.lane.inner.lock().expect("coalescer queue lock");
+            (inner.queue.len(), inner.last_batch)
+        };
         LaneStatus {
             id: self.lane.id,
-            queued: self.lane.inner.lock().expect("coalescer queue lock").queue.len(),
+            queued,
             inflight: self.lane.inflight.load(Ordering::SeqCst),
             effective_wait: self.lane.effective_wait_estimate(),
             max_wait: self.lane.policy.max_wait,
             max_batch: self.lane.policy.max_batch,
+            last_batch,
+            flushes: std::array::from_fn(|i| self.lane.flushes[i].load(Ordering::Relaxed)),
+            served: self.lane.served.load(Ordering::Relaxed),
         }
     }
 
@@ -514,7 +571,7 @@ impl<'a, Req: Send + 'static, Resp: Send + 'static> Coalescer<'a, Req, Resp> {
         Req: Clone,
     {
         let start = Instant::now();
-        // RAII inflight count: the solo fast path must see every
+        // RAII inflight count: the completion rule must see every
         // submitter that could still contribute to a batch, including
         // ones sleeping between crash retries.
         let _inflight = InflightGuard::enter(&self.lane.inflight);
@@ -547,22 +604,20 @@ impl<'a, Req: Send + 'static, Resp: Send + 'static> Coalescer<'a, Req, Resp> {
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
         let m = tiptoe_obs::metrics();
-        let overflowing =
-            self.lane.inner.lock().expect("coalescer queue lock").queue.len()
-                >= self.lane.policy.queue_depth;
-        if overflowing {
-            m.counter("net.coalesce.backpressure").inc();
-            self.flush_now(FlushReason::Overflow);
-        }
-        // Enqueue; then decide between the solo fast path, arming the
-        // reactor (queue just became non-empty), or riding an already
-        // armed deadline.
-        let (len_after, arm) = {
+        // One critical section: the backpressure probe, the enqueue and
+        // the inputs of the flush decision (the lock is retaken only
+        // after an overflow drain).
+        let (len_after, present, last_batch, arm) = {
             let mut inner = self.lane.inner.lock().expect("coalescer queue lock");
+            if inner.queue.len() >= self.lane.policy.queue_depth {
+                drop(inner);
+                m.counter("net.coalesce.backpressure").inc();
+                self.flush_now(FlushReason::Overflow);
+                inner = self.lane.inner.lock().expect("coalescer queue lock");
+            }
             let now = Instant::now();
             if let Some(prev) = inner.last_arrival {
-                m.histogram("net.coalesce.interarrival_us")
-                    .record(now.duration_since(prev).as_micros() as u64);
+                self.lane.interarrival.record(now.duration_since(prev).as_micros() as u64);
             }
             inner.last_arrival = Some(now);
             inner.queue.push_back(Pending {
@@ -573,35 +628,40 @@ impl<'a, Req: Send + 'static, Resp: Send + 'static> Coalescer<'a, Req, Resp> {
                 ctx: tiptoe_obs::TraceCtx::current(),
             });
             let len = inner.queue.len();
-            let arm = if len == 1 { Some(inner.generation) } else { None };
-            (len, arm)
+            // Every submitter raises the gauges before it enqueues, so
+            // a queue this long is missing nobody who is in flight.
+            let present = self
+                .lane
+                .inflight
+                .load(Ordering::SeqCst)
+                .max(self.cohort.as_ref().map_or(0, |c| c.load(Ordering::SeqCst)));
+            (len, present, inner.last_batch, (len == 1).then_some(inner.generation))
         };
         tiptoe_obs::recorder::record(
             tiptoe_obs::recorder::EventKind::LaneEnqueued,
             self.lane.id,
             len_after as u64,
-            0,
-            0,
+            present as u64,
+            last_batch as u64,
         );
         if len_after >= self.lane.policy.max_batch {
             self.flush_now(FlushReason::Full);
-        } else if len_after == 1 {
-            if self.lane.inflight.load(Ordering::SeqCst) == 1
-                && self.cohort.as_ref().is_none_or(|c| c.load(Ordering::SeqCst) == 1)
-            {
-                // Nobody else is in flight on this lane — or anywhere
-                // in the lane's cohort — so waiting cannot batch
-                // anything; serve the request now.
-                self.flush_now(FlushReason::Solo);
-            } else if let Some(gen) = arm {
-                // The queue just became non-empty: arm one deadline
-                // for the whole forming batch.
-                reactor::arm(
-                    Instant::now() + self.lane.effective_max_wait(),
-                    Arc::downgrade(&self.lane) as Weak<dyn reactor::DeadlineTarget>,
-                    gen,
-                );
-            }
+        } else if len_after >= present.max(last_batch) {
+            // Everyone in flight is queued here, and the batch is no
+            // smaller than the last one (whose members may be between
+            // lanes, outside the gauge): waiting cannot batch anything
+            // more, so serve it now.
+            let batch = self.lane.drain_batch(None);
+            let reason = if batch.len() == 1 { FlushReason::Solo } else { FlushReason::Complete };
+            self.run_batch(batch, reason);
+        } else if let Some(gen) = arm {
+            // Someone is still missing and the queue just became
+            // non-empty: arm one deadline for the whole forming batch.
+            reactor::arm(
+                Instant::now() + self.lane.effective_max_wait(),
+                Arc::downgrade(&self.lane) as Weak<dyn reactor::DeadlineTarget>,
+                gen,
+            );
         }
         // Park. A healthy lane wakes us with `Done` (someone flushed a
         // batch containing us) or `Lead` (the reactor delegated the
@@ -673,7 +733,7 @@ impl<'a, Req: Send + 'static, Resp: Send + 'static> Coalescer<'a, Req, Resp> {
     }
 
     /// Drains up to one batch from the queue and runs the kernel on it
-    /// inline (the full/overflow/solo/fallback paths).
+    /// inline (the full/overflow/fallback paths).
     fn flush_now(&self, reason: FlushReason) {
         let batch = self.lane.drain_batch(None);
         self.run_batch(batch, reason);
@@ -751,6 +811,8 @@ impl<'a, Req: Send + 'static, Resp: Send + 'static> Coalescer<'a, Req, Resp> {
         m.histogram("net.coalesce.batch_size").record(batch.len() as u64);
         m.histogram("net.coalesce.queue_wait_us").record(queue_wait_us);
         m.counter_with("net.coalesce.flushes", Some(reason.as_str().into())).inc();
+        self.lane.flushes[reason.code() as usize].fetch_add(1, Ordering::Relaxed);
+        self.lane.served.fetch_add(batch.len() as u64, Ordering::Relaxed);
 
         let (reqs, members): (Vec<Req>, Vec<Member<Req, Resp>>) =
             batch.into_iter().map(|p| (p.req, (p.reply, p.ctx.trace_id))).unzip();
@@ -1070,6 +1132,133 @@ mod tests {
         );
     }
 
+    /// A policy under which only a quarter-second stall fires a
+    /// deadline, so the flush counts below are decided by arrivals alone.
+    fn patient(max_batch: usize) -> CoalescePolicy {
+        CoalescePolicy {
+            max_batch,
+            max_wait: Duration::from_millis(250),
+            queue_depth: 64,
+            adaptive: false,
+        }
+    }
+
+    /// Puts a lane in the state a population of `n` leaves it in. (From
+    /// a cold start the first batches depend on thread start order;
+    /// `last_batch` is what makes that irrelevant afterwards.)
+    fn warmed<'a>(c: Coalescer<'a, u64, u64>, n: usize) -> Coalescer<'a, u64, u64> {
+        c.lane.inner.lock().expect("coalescer queue lock").last_batch = n;
+        c
+    }
+
+    /// Runs `threads` closed-loop submitters for `rounds` rounds, each
+    /// round crossing `lanes` in order; lane `l` must answer `r` with
+    /// `2r + l`.
+    fn closed_loop(lanes: &[Coalescer<'_, u64, u64>], threads: u64, rounds: u64) {
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                scope.spawn(move || {
+                    for round in 0..rounds {
+                        let req = t * rounds + round;
+                        for (l, lane) in lanes.iter().enumerate() {
+                            assert_eq!(lane.submit(req), 2 * req + l as u64, "response matched");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    fn flushes(c: &Coalescer<'_, u64, u64>, reason: FlushReason) -> u64 {
+        c.lane_status().flushes[reason.code() as usize]
+    }
+
+    #[test]
+    fn closed_loop_batches_flush_complete_on_the_last_arrival() {
+        // The bound of DESIGN §15: N lock-stepped submitters pay one
+        // flush per lane and no timer, so every flush holds all N and
+        // is labelled `complete`.
+        const N: u64 = 4;
+        const ROUNDS: u64 = 200;
+        let cohort = Arc::new(AtomicUsize::new(0));
+        let whole = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let lanes: Vec<_> = (0..2)
+            .map(|l| {
+                let whole = &whole[l];
+                let c = Coalescer::new(patient(8), move |reqs: Vec<u64>| {
+                    if reqs.len() as u64 == N {
+                        whole.fetch_add(1, Ordering::Relaxed);
+                    }
+                    reqs.into_iter().map(|r| 2 * r + l as u64).collect()
+                });
+                warmed(c.with_cohort(cohort.clone()), N as usize)
+            })
+            .collect();
+        closed_loop(&lanes, N, ROUNDS);
+        for (lane, whole) in lanes.iter().zip(&whole) {
+            let status = lane.lane_status();
+            let total: u64 = status.flushes.iter().sum();
+            assert_eq!(status.served, N * ROUNDS, "requests in = responses out");
+            let whole = whole.load(Ordering::Relaxed) as u64;
+            assert!(whole * 10 >= total * 8, "{whole} of {total} flushes held all {N}");
+            let complete = flushes(lane, FlushReason::Complete);
+            assert!(complete * 10 >= total * 8, "{complete} of {total} flushes complete");
+            let deadline = flushes(lane, FlushReason::Deadline);
+            assert!(deadline * 10 <= total, "{deadline} of {total} flushes waited out a deadline");
+        }
+    }
+
+    #[test]
+    fn a_shrinking_population_costs_one_deadline_per_departure() {
+        const ROUNDS: u64 = 20;
+        let lane = [warmed(
+            Coalescer::new(patient(8), |reqs: Vec<u64>| reqs.into_iter().map(|r| 2 * r).collect()),
+            4,
+        )];
+        let lane_ref = &lane[0];
+        let mut seen = [0u64; tiptoe_obs::recorder::flush_reason::COUNT];
+        let mut delta = move || {
+            let now = lane_ref.lane_status().flushes;
+            let d: Vec<u64> = now.iter().zip(seen).map(|(n, s)| n - s).collect();
+            seen = now;
+            d
+        };
+        let (deadline, complete, solo) = (
+            FlushReason::Deadline.code() as usize,
+            FlushReason::Complete.code() as usize,
+            FlushReason::Solo.code() as usize,
+        );
+        closed_loop(&lane, 4, ROUNDS);
+        let d = delta();
+        assert_eq!((d[deadline], d[complete]), (0, ROUNDS), "4 in lock-step: {d:?}");
+        // 4 -> 3: the first batch waits once for the submitter that
+        // left, then three is the expectation.
+        closed_loop(&lane, 3, ROUNDS);
+        let d = delta();
+        assert_eq!((d[deadline], d[complete]), (1, ROUNDS - 1), "4 -> 3: {d:?}");
+        // 3 -> 1: one more wait, then the lone submitter flushes solo.
+        closed_loop(&lane, 1, ROUNDS);
+        let d = delta();
+        assert_eq!((d[deadline], d[solo]), (1, ROUNDS - 1), "3 -> 1: {d:?}");
+    }
+
+    #[test]
+    fn a_population_above_max_batch_still_flushes_full() {
+        // A fifth submitter that never arrives keeps every batch
+        // incomplete, so reaching `max_batch` is what flushes.
+        let sizes = Mutex::new(Vec::new());
+        let lane = [Coalescer::new(patient(2), |reqs: Vec<u64>| {
+            sizes.lock().expect("sizes").push(reqs.len());
+            reqs.into_iter().map(|r| 2 * r).collect()
+        })];
+        let _absent = InflightGuard::enter(&lane[0].lane.inflight);
+        closed_loop(&lane, 4, 10);
+        assert!(flushes(&lane[0], FlushReason::Full) >= 1);
+        assert_eq!(flushes(&lane[0], FlushReason::Complete), 0);
+        assert_eq!(flushes(&lane[0], FlushReason::Solo), 0);
+        assert!(sizes.lock().expect("sizes").iter().all(|&n| n <= 2), "max_batch respected");
+    }
+
     #[test]
     fn overflow_applies_backpressure_by_flushing() {
         let policy = CoalescePolicy {
@@ -1151,18 +1340,22 @@ mod tests {
 
     #[test]
     fn adaptive_wait_never_exceeds_the_policy_ceiling() {
-        let m = tiptoe_obs::metrics();
-        // Warm the (process-global) histograms past the cold-start
-        // thresholds with a fast arrival rate and a cheap flush.
-        for _ in 0..64 {
-            m.histogram("net.coalesce.interarrival_us").record(50);
-            m.histogram("net.coalesce.flush_us").record(400);
-        }
         let policy = CoalescePolicy { max_wait: Duration::from_millis(20), ..Default::default() };
         let c = Coalescer::new(policy, |reqs: Vec<u64>| reqs);
+        // Warm the lane's arrival series and the (process-global)
+        // flush histogram past the cold-start thresholds with a fast
+        // arrival rate and a cheap flush.
+        for _ in 0..64 {
+            c.lane.interarrival.record(50);
+            tiptoe_obs::metrics().histogram("net.coalesce.flush_us").record(400);
+        }
         let derived = c.lane.effective_max_wait();
         assert!(derived <= policy.max_wait, "{derived:?} exceeds ceiling");
         assert!(derived >= Duration::from_micros(1));
+        // The estimate is the lane's own: a sibling that has seen no
+        // arrivals is still at cold start, whatever this lane measured.
+        let sibling = Coalescer::new(policy, |reqs: Vec<u64>| reqs);
+        assert_eq!(sibling.lane.effective_wait_estimate(), policy.max_wait);
         // With adaptation off the ceiling is used verbatim.
         let fixed = CoalescePolicy { adaptive: false, ..policy };
         let c2 = Coalescer::new(fixed, |reqs: Vec<u64>| reqs);

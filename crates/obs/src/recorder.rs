@@ -51,7 +51,11 @@ pub enum EventKind {
     /// verdict, `b` = capacity.
     Shed = 2,
     /// The query joined a coalescer lane's queue. `a` = lane id,
-    /// `b` = queue depth after enqueue.
+    /// `b` = queue depth after enqueue, `c` = submitters in flight
+    /// (the larger of the lane's and its cohort's gauge), `d` = size
+    /// of the lane's previous batch. The lane flushed on this arrival
+    /// iff `b ≥ max(c, d)` (or `b` reached `max_batch`); otherwise the
+    /// query waits for a later arrival or the armed deadline.
     LaneEnqueued = 3,
     /// The query's batch flushed. `a` = lane id, `b` = batch size,
     /// `c` = flush reason code (see [`flush_reason`]), `d` =
@@ -156,6 +160,11 @@ pub mod flush_reason {
     pub const SOLO: u64 = 3;
     /// The reactor was down; a waiter self-flushed.
     pub const FALLBACK: u64 = 4;
+    /// The last submitter in flight arrived and flushed the whole
+    /// batch without waiting (`SOLO` is its batch-of-one case).
+    pub const COMPLETE: u64 = 5;
+    /// Number of reason codes (`0..COUNT` are all named).
+    pub const COUNT: usize = 6;
 
     /// Display name for a flush reason code.
     pub fn name(code: u64) -> &'static str {
@@ -165,6 +174,7 @@ pub mod flush_reason {
             OVERFLOW => "overflow",
             SOLO => "solo",
             FALLBACK => "fallback",
+            COMPLETE => "complete",
             _ => "unknown",
         }
     }
@@ -221,7 +231,12 @@ impl Event {
                 vec![("inflight", n(self.a)), ("capacity", n(self.b))]
             }
             EventKind::Shed => vec![("inflight", n(self.a)), ("capacity", n(self.b))],
-            EventKind::LaneEnqueued => vec![("lane", n(self.a)), ("depth", n(self.b))],
+            EventKind::LaneEnqueued => vec![
+                ("lane", n(self.a)),
+                ("depth", n(self.b)),
+                ("present", n(self.c)),
+                ("last_batch", n(self.d)),
+            ],
             EventKind::LaneFlushed => vec![
                 ("lane", n(self.a)),
                 ("batch", n(self.b)),
@@ -534,11 +549,16 @@ mod tests {
         let _g = guard();
         reset();
         record_for(42, EventKind::LaneFlushed, 1, 3, flush_reason::SOLO, 17);
+        record_for(42, EventKind::LaneEnqueued, 2, 4, 4, 3);
+        record_for(42, EventKind::LaneFlushed, 2, 4, flush_reason::COMPLETE, 9);
         record_for(42, EventKind::ShardSkipped, 2, breaker_state::OPEN, 0, 0);
         record_for(42, EventKind::Finished, result_code::DEADLINE_EXCEEDED, 500, 900, 0);
         let text = render_timeline(42);
         assert!(text.contains("lane-flushed"), "{text}");
         assert!(text.contains("reason=solo"), "{text}");
+        assert!(text.contains("depth=4 present=4 last_batch=3"), "{text}");
+        assert!(text.contains("reason=complete"), "{text}");
+        assert!((0..flush_reason::COUNT as u64).all(|c| flush_reason::name(c) != "unknown"));
         assert!(text.contains("breaker=open"), "{text}");
         assert!(text.contains("result=deadline-exceeded"), "{text}");
         let json = timeline_json(42);

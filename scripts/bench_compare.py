@@ -143,6 +143,18 @@ def compare_serving(base, cur):
                     f"serving direct@{r['clients']}: queries_per_scan "
                     f"{r['queries_per_scan']} != {want}"
                 )
+    # Count-based, so gated on any runner: with several clients in
+    # flight the plane must answer more queries per scan than one.
+    direct = {r["clients"]: r for r in rows if r["mode"] == "direct"}
+    for r in rows:
+        d = direct.get(r["clients"])
+        if r["mode"] == "coalesced" and r["clients"] > 1 and d is not None:
+            if r["queries_per_scan"] <= d["queries_per_scan"]:
+                fail(
+                    f"serving coalesced@{r['clients']}: queries_per_scan "
+                    f"{r['queries_per_scan']} does not exceed direct's "
+                    f"{d['queries_per_scan']}"
+                )
     if not same_config(base, cur, ["docs", "shards", "queries_per_client"]):
         note("serving: config differs from baseline; skipping row bands")
         return

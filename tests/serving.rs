@@ -7,6 +7,7 @@ use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, Corpus, CorpusConfig};
 use tiptoe_embed::text::TextEmbedder;
+use tiptoe_lwe::LweCiphertext;
 use tiptoe_math::rng::seeded_rng;
 use tiptoe_net::{FaultPlan, FaultPolicy};
 use tiptoe_underhood::ClientKey;
@@ -28,6 +29,25 @@ fn build(policy: Option<FaultPolicy>) -> (Corpus, TiptoeInstance<TextEmbedder>) 
     (corpus, instance)
 }
 
+/// `n` ranking ciphertexts over uniformly random plaintext vectors.
+fn random_cts(
+    instance: &TiptoeInstance<TextEmbedder>,
+    rng: &mut impl Rng,
+    n: usize,
+) -> Vec<LweCiphertext<u64>> {
+    let service = &instance.ranking;
+    let uh = service.underhood();
+    let key = ClientKey::generate(uh, instance.config.rank_lwe.n, rng);
+    (0..n)
+        .map(|_| {
+            let v: Vec<u64> = (0..service.upload_dim())
+                .map(|_| rng.gen_range(0..instance.config.rank_lwe.p))
+                .collect();
+            uh.encrypt_query::<u64, _>(&key, &service.public_matrix(), &v, rng)
+        })
+        .collect()
+}
+
 /// Concurrent ciphertext-level answers through the plane equal the
 /// sequential service answers exactly, at batch sizes around, at, and
 /// beyond the coalescer's `max_batch`.
@@ -36,17 +56,8 @@ fn coalesced_answers_are_bit_identical_at_every_batch_size() {
     let (_, instance) = build(None);
     let service = &instance.ranking;
     let mut rng = seeded_rng(5);
-    let uh = service.underhood();
-    let key = ClientKey::generate(uh, instance.config.rank_lwe.n, &mut rng);
     for batch in [1usize, 3, 19] {
-        let cts: Vec<_> = (0..batch)
-            .map(|_| {
-                let v: Vec<u64> = (0..service.upload_dim())
-                    .map(|_| rng.gen_range(0..instance.config.rank_lwe.p))
-                    .collect();
-                uh.encrypt_query::<u64, _>(&key, &service.public_matrix(), &v, &mut rng)
-            })
-            .collect();
+        let cts = random_cts(&instance, &mut rng, batch);
         let plane = instance.serving_plane();
         let coalesced: Vec<Vec<u64>> = std::thread::scope(|scope| {
             let handles: Vec<_> = cts
@@ -119,6 +130,71 @@ fn concurrent_served_searches_stay_bit_identical() {
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
     assert_eq!(expect, got, "coalesced fleet must match sequential clients");
+}
+
+/// Four closed-loop submitters through the real plane: every lane they
+/// cross flushes when the fourth arrives, so they share each scan (mean
+/// batch 4, asserted ≥ 3 from the lanes' own flush counts) and each
+/// still gets exactly the answer it would have gotten alone.
+#[test]
+fn four_submitters_share_scans_and_stay_bit_identical() {
+    const SUBMITTERS: usize = 4;
+    const OPS: usize = 20;
+    let corpus = generate(&CorpusConfig::small(DOCS, SEED), 24);
+    let mut config = TiptoeConfig::test_small(DOCS, SEED);
+    config.num_shards = SHARDS;
+    // Only a quarter-second stall may flush a batch short of a member,
+    // so the counts below are decided by arrivals, not by the scheduler.
+    config.coalesce.max_wait = std::time::Duration::from_millis(250);
+    config.coalesce.adaptive = false;
+    config.validate();
+    let embedder = TextEmbedder::new(config.d_embed, SEED, 0);
+    let instance = TiptoeInstance::build(&config, embedder, &corpus);
+    let service = &instance.ranking;
+    let cts = random_cts(&instance, &mut seeded_rng(9), SUBMITTERS);
+    let direct: Vec<Vec<u64>> = cts.iter().map(|ct| service.answer(ct).0).collect();
+    let plane = instance.serving_plane();
+    // One thread per submitter, each running `ops` on its own ciphertext.
+    let fleet = |ops: &(dyn Fn(usize) + Sync)| {
+        std::thread::scope(|scope| {
+            for i in 0..SUBMITTERS {
+                scope.spawn(move || ops(i));
+            }
+        });
+    };
+    // (flushes, requests served) over the ranking lanes so far.
+    let scans = || {
+        let status = plane.status();
+        status.lanes[..plane.num_rank_lanes()].iter().fold((0, 0), |(f, r), (_, lane)| {
+            (f + lane.flushes.iter().sum::<u64>(), r + lane.served)
+        })
+    };
+
+    // Gather the fleet on one lane at a time first, until a flush there
+    // holds all four (they all see it and stop together). On a single
+    // lane a straggler is absorbed when the others come back round, but
+    // across lanes two groups half a cycle apart only close up because a
+    // larger batch scans longer, and at 200 documents no scan takes long.
+    for w in 0..plane.num_rank_lanes() {
+        let (lo, hi) = service.shard_columns(w);
+        fleet(&|i| loop {
+            plane.rank_chunk(w, cts[i].c[lo..hi].to_vec());
+            if plane.status().lanes[w].1.last_batch == SUBMITTERS {
+                break;
+            }
+        });
+    }
+    let (flushes_before, served_before) = scans();
+    fleet(&|i| {
+        for _ in 0..OPS {
+            let (got, _) = service.answer_via(&cts[i], Some(&plane));
+            assert_eq!(got, direct[i], "coalesced answer must be bit-identical");
+        }
+    });
+    let (flushes, served) = scans();
+    let (flushes, served) = (flushes - flushes_before, served - served_before);
+    assert_eq!(served as usize, SUBMITTERS * OPS * plane.num_rank_lanes());
+    assert!(served >= 3 * flushes, "mean batch {served}/{flushes} is below 3");
 }
 
 /// A lone client pays no coalescing latency: with nobody to batch
