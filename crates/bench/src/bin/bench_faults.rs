@@ -23,6 +23,7 @@ use std::fmt::Write as _;
 use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
+use tiptoe_core::client::QueryOptions;
 use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, Corpus, CorpusConfig};
@@ -91,7 +92,11 @@ fn main() {
         .iter()
         .map(|q| {
             let a = plain_client.search(&plain, &q.text, K);
-            let b = check_client.search_with_faults(&tolerant, &q.text, K, &FaultPlan::none());
+            let benign = FaultPlan::none();
+            let opts = QueryOptions { faults: Some(&benign), ..Default::default() };
+            let b = check_client
+                .query(&tolerant, &q.text, K, opts)
+                .expect("unbudgeted search cannot fail");
             assert_eq!(a.cluster, b.cluster, "benign cluster drifted: {}", q.text);
             assert_eq!(a.hits, b.hits, "benign hits drifted: {}", q.text);
             let ir = to_ir_hits(&a.hits);
@@ -131,7 +136,10 @@ fn main() {
                     FaultRates::mixed(rate),
                 )
             };
-            let r = client.search_with_faults(&tolerant, &query.text, K, &plan);
+            let opts = QueryOptions { faults: Some(&plan), ..Default::default() };
+            let r = client
+                .query(&tolerant, &query.text, K, opts)
+                .expect("unbudgeted search cannot fail");
             let latency = r.cost.perceived_latency(&link);
             total_latency += latency;
             row.max_latency = row.max_latency.max(latency);
@@ -215,14 +223,14 @@ fn main() {
                 scope.spawn(move || {
                     let mut c = overloaded.new_client(1000 + (wave * 16 + j) as u64);
                     barrier.wait();
-                    let outcome =
-                        match c.try_search_served_with_faults(overloaded, text, K, plan, plane) {
-                            Ok(r) => {
-                                admitted_runs.lock().expect("runs lock").push((qi, r));
-                                Ok(())
-                            }
-                            Err(e) => Err(e),
-                        };
+                    let opts = QueryOptions { probes: 1, faults: Some(plan), plane: Some(plane) };
+                    let outcome = match c.query(overloaded, text, K, opts) {
+                        Ok(r) => {
+                            admitted_runs.lock().expect("runs lock").push((qi, r));
+                            Ok(())
+                        }
+                        Err(e) => Err(e),
+                    };
                     wave_outcomes.lock().expect("outcomes lock").push(outcome);
                 });
             }

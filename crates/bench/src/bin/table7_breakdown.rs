@@ -145,7 +145,7 @@ fn main() {
     let config = tiptoe_core::config::TiptoeConfig::text(512, 13);
     let embedder = tiptoe_embed::text::TextEmbedder::paper_text(13);
     let small = tiptoe_core::instance::TiptoeInstance::build(&config, embedder, &corpus);
-    let report = tiptoe_core::throughput::measure_online_throughput(&small, &corpus, 3, 2);
+    let report = tiptoe_core::throughput::measure_online_throughput(&small, &corpus, 3, 2, None);
     println!(
         "  {} queries across 3 clients: {:.1} q/s online (512-doc corpus, 1 core)",
         report.queries, report.qps

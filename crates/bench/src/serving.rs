@@ -29,9 +29,7 @@
 
 use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
-use tiptoe_core::throughput::{
-    measure_online_throughput, measure_online_throughput_coalesced, ThroughputReport,
-};
+use tiptoe_core::throughput::{measure_online_throughput, ThroughputReport};
 use tiptoe_corpus::synth::{generate, CorpusConfig};
 use tiptoe_embed::text::TextEmbedder;
 
@@ -219,7 +217,7 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchOutcome {
         let mut served = instance.new_client(9);
         let q = &corpus.queries[0];
         let a = direct.search(&instance, &q.text, 10);
-        let b = served.search_served(&instance, &q.text, 10, &plane);
+        let b = served.try_search_served(&instance, &q.text, 10, &plane).expect("admitted");
         assert_eq!(a.cluster, b.cluster, "coalesced serving must be bit-identical");
         assert_eq!(a.hits, b.hits, "coalesced serving must be bit-identical");
     }
@@ -228,7 +226,8 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchOutcome {
     let scans_per_direct_query = (cfg.shards + 1) as u64;
     let mut rows = Vec::with_capacity(cfg.clients.len() * 2);
     for &clients in &cfg.clients {
-        let direct = measure_online_throughput(&instance, &corpus, clients, cfg.queries_per_client);
+        let direct =
+            measure_online_throughput(&instance, &corpus, clients, cfg.queries_per_client, None);
         let scans = direct.queries as u64 * scans_per_direct_query;
         rows.push(ServingRow {
             clients,
@@ -238,12 +237,16 @@ pub fn run_serving_bench(cfg: &ServingBenchConfig) -> ServingBenchOutcome {
             queries_per_scan: direct.queries as f64 / scans as f64,
         });
 
+        // A fresh plane per cell, so no lane carries a previous
+        // fleet's `last_batch` into this one.
+        let plane = instance.serving_plane();
         let before = tiptoe_obs::metrics().snapshot();
-        let coalesced = measure_online_throughput_coalesced(
+        let coalesced = measure_online_throughput(
             &instance,
             &corpus,
             clients,
             cfg.queries_per_client,
+            Some(&plane),
         );
         let scans = flushes_in(&tiptoe_obs::metrics().snapshot().delta(&before));
         assert!(scans > 0, "coalesced run must have flushed at least once");

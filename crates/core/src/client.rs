@@ -17,8 +17,15 @@
 //! Every message's exact size is recorded in the instance's
 //! [`tiptoe_net::Transcript`] and summarized per query in
 //! [`QueryCost`].
+//!
+//! There is one query body, [`TiptoeClient::query`]; what varies
+//! between callers is the three fields of [`QueryOptions`] (how many
+//! clusters to probe, a fault plan, a serving plane).
+//! [`TiptoeClient::search`] and [`TiptoeClient::try_search_served`]
+//! are its two shorthands.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -122,7 +129,7 @@ impl QueryCost {
 /// form on the fault-oblivious path, or one decoded token per shard on
 /// the fault-tolerant path (so decryption can proceed over any
 /// surviving subset — see [`combine_decoded_subset`]).
-enum RankTokens {
+enum DecodedRank {
     Combined(DecodedToken<u64>),
     PerShard(Vec<DecodedToken<u64>>),
 }
@@ -134,7 +141,7 @@ enum RankTokens {
 /// semantic security, so every fetch samples a new key.
 struct PreparedTokens {
     key: ClientKey,
-    rank: RankTokens,
+    rank: DecodedRank,
     url: DecodedToken<u32>,
     cost: QueryCost,
 }
@@ -171,6 +178,35 @@ pub struct SearchResults {
     /// policy is enabled (even on all-healthy queries, so callers can
     /// check `missing_clusters.is_empty()` uniformly).
     pub degraded: Option<DegradedQuery>,
+}
+
+/// The settable axes of one [`TiptoeClient::query`]. The default is
+/// the direct, single-probe, healthy query of
+/// [`TiptoeClient::search`].
+#[derive(Clone, Copy)]
+pub struct QueryOptions<'a> {
+    /// Clusters searched, nearest first (paper §8.2); the hits of all
+    /// probes are merged. Every probe is a full protocol round with
+    /// its own token.
+    pub probes: usize,
+    /// An explicit fault plan: the rounds run through the fault-aware
+    /// dispatcher (timeouts, retries, hedging per the instance's
+    /// [`tiptoe_net::FaultPolicy`], which must be enabled) and
+    /// complete in degraded mode over whatever shards survive;
+    /// [`SearchResults::degraded`] reports exactly which clusters went
+    /// unanswered. `None` is the benign plan.
+    pub faults: Option<&'a FaultPlan>,
+    /// The serving plane to go through: shard compute (and any token
+    /// fetch) is routed through its batch coalescers, under its
+    /// admission control, deadline budget and circuit breakers where
+    /// the plane has them. `None` calls the services directly.
+    pub plane: Option<&'a ServingPlane<'a>>,
+}
+
+impl Default for QueryOptions<'_> {
+    fn default() -> Self {
+        Self { probes: 1, faults: None, plane: None }
+    }
 }
 
 /// The Tiptoe client state.
@@ -272,35 +308,33 @@ impl TiptoeClient {
         // The server expands the upload once and reuses it for both
         // services (§A.3's shared-secret-key optimization) and for
         // every ranking shard. On the fault-tolerant path the
-        // coordinator skips combining the per-shard ranking tokens:
-        // the client downloads all `W` of them (a `W×` token-phase
-        // download) so it can later decrypt over any surviving subset.
+        // coordinator skips combining the per-shard ranking tokens
+        // (below): the client downloads all `W` of them (a `W×`
+        // token-phase download) so it can later decrypt over any
+        // surviving subset.
         let (expanded, t_expand) = timed(|| es.expand(uh_rank));
         let fault_tolerant = instance.config.fault_policy.enabled;
-        let (rank_tokens, url_token, t_tokens) = if let Some(plane) = serving {
-            // Coalesced fetch: this client's expanded secret is
-            // batched with concurrently arriving clients' and both
-            // services' hint evaluations are flushed through the
-            // batched kernels. The coordinator-side part sum of the
-            // combined path applies to the returned per-shard parts.
-            let (bundle, wall) = timed(|| plane.generate_tokens(std::sync::Arc::new(expanded)));
-            let rank_tokens = if fault_tolerant {
-                bundle.rank_parts
-            } else {
-                vec![combine_partial_tokens(uh_rank, &bundle.rank_parts)]
-            };
-            (rank_tokens, bundle.url, ParallelTiming { wall, cpu: wall })
-        } else {
-            let (rank_tokens, t_rank) = if fault_tolerant {
-                instance.ranking.generate_token_parts_expanded(&expanded)
-            } else {
-                let (combined, t) = instance.ranking.generate_token_expanded(&expanded);
-                (vec![combined], t)
-            };
-            let (url_token, t_url) = instance.url.generate_token_expanded(&expanded);
-            (rank_tokens, url_token, t_rank.then(t_url))
+        // One kernel yields the per-shard ranking parts either way:
+        // through the plane this client's expanded secret is batched
+        // with concurrently arriving clients' on the token lane,
+        // directly it is a batch of one.
+        let (rank_parts, url_token, mut t_tokens) = match serving {
+            Some(plane) => {
+                let (bundle, wall) = timed(|| plane.generate_tokens(Arc::new(expanded)));
+                (bundle.rank_parts, bundle.url, ParallelTiming { wall, cpu: wall })
+            }
+            None => {
+                let (mut bundles, t_rank) =
+                    instance.ranking.generate_token_parts_expanded_many(&[&expanded]);
+                let (url_token, t_url) = instance.url.generate_token_expanded(&expanded);
+                (bundles.pop().expect("one bundle per secret"), url_token, t_rank.then(t_url))
+            }
         };
-        let mut t_tokens = t_tokens;
+        let rank_tokens = if fault_tolerant {
+            rank_parts
+        } else {
+            vec![combine_partial_tokens(uh_rank, &rank_parts)]
+        };
         t_tokens.cpu += t_expand;
         t_tokens.wall += t_expand;
         cost.token_server = t_tokens;
@@ -311,11 +345,11 @@ impl TiptoeClient {
         let (decoded, t_decode) = timed(|| {
             let _span = tiptoe_obs::span("client.token_decrypt");
             let rank = if fault_tolerant {
-                RankTokens::PerShard(
+                DecodedRank::PerShard(
                     rank_tokens.iter().map(|t| uh_rank.decode_token::<u64>(&key, t)).collect(),
                 )
             } else {
-                RankTokens::Combined(uh_rank.decode_token::<u64>(&key, &rank_tokens[0]))
+                DecodedRank::Combined(uh_rank.decode_token::<u64>(&key, &rank_tokens[0]))
             };
             let url = uh_url.decode_token::<u32>(&key, &url_token);
             (rank, url)
@@ -331,253 +365,58 @@ impl TiptoeClient {
         cost
     }
 
-    /// Multi-probe private search (paper §8.2: "Querying more clusters
-    /// could improve search quality, but would substantially increase
-    /// Tiptoe's costs"): runs `probes` independent single-cluster
-    /// searches against the client's `probes` nearest centroids and
-    /// merges the results. Costs scale linearly with `probes` (each
-    /// probe consumes one token and one full protocol round).
+    /// Executes one private search, consuming one token per probed
+    /// cluster (fetching one first whenever none is cached). This is
+    /// the one query body; [`QueryOptions`] selects how it is served.
     ///
-    /// # Panics
+    /// It is also the query boundary for tracing and the flight
+    /// recorder: one query scope, one `client.query` root span, one
+    /// typed `Finished` event and one export of the
+    /// Chrome-trace/metrics/folded artifacts (so the file always holds
+    /// the most recent query), however many clusters are probed.
     ///
-    /// Panics if `k == 0` or `probes == 0`.
-    pub fn search_multiprobe<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-        probes: usize,
-    ) -> SearchResults {
-        assert!(probes > 0, "need at least one probe");
-        // Rank the centroids once, then force each probe's cluster by
-        // temporarily masking the centroid cache.
-        let raw = instance.embedder.embed_text(query);
-        let mut q = self.pca.project(&raw);
-        normalize(&mut q);
-        let order = ranked_centroids(&self.meta.centroids, &q, probes);
-
-        let mut merged: Vec<RankedUrl> = Vec::new();
-        let mut total_cost = QueryCost::default();
-        let first_cluster = order.first().copied().unwrap_or(0);
-        let mut degraded: Option<DegradedQuery> = None;
-        for &cluster in &order {
-            let results = self
-                .search_in_cluster(instance, query, k, Some(cluster), None, None, None)
-                .expect("unbudgeted search cannot fail");
-            total_cost = add_costs(&total_cost, &results.cost);
-            merged.extend(results.hits);
-            degraded = merge_degraded(degraded, results.degraded);
-        }
-        merged.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
-        // A dual-assigned document can surface from two probes; keep
-        // its best-scoring occurrence only.
-        let mut seen = std::collections::HashSet::new();
-        merged.retain(|h| seen.insert(h.doc));
-        merged.truncate(k);
-        SearchResults { cluster: first_cluster, hits: merged, cost: total_cost, degraded }
-    }
-
-    /// Executes one private search, consuming one token (fetching one
-    /// first if none is cached).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn search<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-    ) -> SearchResults {
-        self.search_in_cluster(instance, query, k, None, None, None, None)
-            .expect("unbudgeted search cannot fail")
-    }
-
-    /// [`TiptoeClient::search`] through a serving plane: shard compute
-    /// is routed through the plane's batch coalescers, so searches
-    /// issued by concurrent clients share database scans. Results are
-    /// bit-identical to [`TiptoeClient::search`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn search_served<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-        serving: &ServingPlane<'_>,
-    ) -> SearchResults {
-        self.search_in_cluster(instance, query, k, None, None, Some(serving), None)
-            .expect("unbudgeted search cannot fail")
-    }
-
-    /// The overload-safe form of [`TiptoeClient::search_served`]: the
-    /// query first passes the plane's admission control (shed queries
-    /// return [`ServeError::Overloaded`] *before* consuming a token or
-    /// moving any bytes) and then runs under the plane's per-query
-    /// deadline budget, so a stalled lane or exhausted budget surfaces
-    /// as a typed [`ServeError::DeadlineExceeded`] instead of blocking.
-    /// With admission control disabled on the plane this is exactly
-    /// [`TiptoeClient::search_served`].
+    /// When the plane has admission control on, the query first asks
+    /// for a permit — a shed query returns [`ServeError::Overloaded`]
+    /// *before* consuming a token or moving any bytes — and then runs
+    /// every probe under one per-query deadline budget, so a stalled
+    /// lane or exhausted budget surfaces as a typed
+    /// [`ServeError::DeadlineExceeded`] instead of blocking.
     ///
     /// # Errors
     ///
     /// [`ServeError::Overloaded`], [`ServeError::DeadlineExceeded`],
-    /// or [`ServeError::LaneFailed`]. A shed query consumed nothing; a
-    /// deadlined query consumed its token (the paper's tokens are
-    /// single-use) but returned no partial answer.
+    /// [`ServeError::LaneFailed`] or [`ServeError::InvalidPolicy`]. A
+    /// shed query consumed nothing; a deadlined query consumed its
+    /// token (the paper's tokens are single-use) but returned no
+    /// partial answer. A query with neither a plane nor an enabled
+    /// fault policy cannot fail.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
-    pub fn try_search_served<E: Embedder>(
+    /// Panics if `k == 0`, `opts.probes == 0`, or `opts.faults` is set
+    /// on an instance whose fault policy is disabled (the policy
+    /// governs token shape at fetch time, so it cannot be chosen per
+    /// query).
+    pub fn query<E: Embedder>(
         &mut self,
         instance: &TiptoeInstance<E>,
-        query: &str,
+        text: &str,
         k: usize,
-        serving: &ServingPlane<'_>,
+        opts: QueryOptions<'_>,
     ) -> Result<SearchResults, ServeError> {
-        self.admitted_search(instance, query, k, None, serving)
-    }
-
-    /// The overload-safe form of
-    /// [`TiptoeClient::search_served_with_faults`]: admission control
-    /// and deadline budgets compose with an explicit fault plan, so
-    /// the plane sheds excess load while the fault-aware dispatcher
-    /// (and the plane's circuit breakers, if enabled) handle the
-    /// injected faults underneath.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiptoeClient::try_search_served`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or the instance's fault policy is disabled.
-    pub fn try_search_served_with_faults<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-        plan: &FaultPlan,
-        serving: &ServingPlane<'_>,
-    ) -> Result<SearchResults, ServeError> {
+        assert!(k > 0, "k must be positive");
+        assert!(opts.probes > 0, "need at least one probe");
         assert!(
-            instance.config.fault_policy.enabled,
-            "try_search_served_with_faults needs an instance with fault_policy.enabled"
+            opts.faults.is_none() || instance.config.fault_policy.enabled,
+            "a fault plan needs an instance with fault_policy.enabled"
         );
-        self.admitted_search(instance, query, k, Some(plan), serving)
-    }
-
-    /// One admission-controlled protocol round: admit (or shed), then
-    /// run the query under the plane's deadline budget while holding
-    /// the admission permit.
-    fn admitted_search<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-        plan: Option<&FaultPlan>,
-        serving: &ServingPlane<'_>,
-    ) -> Result<SearchResults, ServeError> {
-        // The query boundary opens *before* admission so a shed query
-        // still owns a flight-recorder timeline (the shed event plus
-        // its typed outcome); the nested scope inside
-        // `search_in_cluster` adopts this one.
-        let scope = tiptoe_obs::query_scope();
-        let permit = match serving.admit() {
-            Ok(p) => p,
-            Err(e) => {
-                // Shed before any wire bytes: the transcript records
-                // the rejection itself, never a partial phase.
-                instance.transcript.record_shed();
-                let (code, b, c) = e.recorder_code();
-                recorder::record(EventKind::Finished, code, b, c, 0);
-                recorder::dump_on_error(scope.id(), "admission shed");
-                return Err(e);
-            }
-        };
-        let budget = serving.query_budget();
-        let results =
-            self.search_in_cluster(instance, query, k, None, plan, Some(serving), budget.as_ref());
-        drop(permit);
-        results
-    }
-
-    /// [`TiptoeClient::search_with_faults`] through a serving plane:
-    /// fault handling applies per query at the dispatch layer while
-    /// the healthy shards' compute is still coalesced underneath.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or the instance's fault policy is disabled.
-    pub fn search_served_with_faults<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-        plan: &FaultPlan,
-        serving: &ServingPlane<'_>,
-    ) -> SearchResults {
-        assert!(
-            instance.config.fault_policy.enabled,
-            "search_served_with_faults needs an instance with fault_policy.enabled"
-        );
-        self.search_in_cluster(instance, query, k, None, Some(plan), Some(serving), None)
-            .expect("unbudgeted search cannot fail")
-    }
-
-    /// One private search under an explicit fault plan: the query runs
-    /// through the fault-aware dispatcher (timeouts, retries, hedging
-    /// per the instance's [`tiptoe_net::FaultPolicy`]) and completes in
-    /// degraded mode over whatever shards survive.
-    /// [`SearchResults::degraded`] reports exactly which clusters went
-    /// unanswered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or the instance's fault policy is disabled
-    /// (the policy governs token shape at fetch time, so it cannot be
-    /// chosen per query).
-    pub fn search_with_faults<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-        plan: &FaultPlan,
-    ) -> SearchResults {
-        assert!(
-            instance.config.fault_policy.enabled,
-            "search_with_faults needs an instance with fault_policy.enabled"
-        );
-        self.search_in_cluster(instance, query, k, None, Some(plan), None, None)
-            .expect("unbudgeted search cannot fail")
-    }
-
-    /// One protocol round, optionally forcing the searched cluster
-    /// (used by multi-probe; `None` selects the nearest centroid).
-    ///
-    /// This is also the tracing boundary: when tracing is enabled,
-    /// each round clears the span buffer, runs under a `client.query`
-    /// root span, and exports the Chrome-trace/metrics/folded
-    /// artifacts to the configured path (so the file always holds the
-    /// most recent query).
-    #[allow(clippy::too_many_arguments)]
-    fn search_in_cluster<E: Embedder>(
-        &mut self,
-        instance: &TiptoeInstance<E>,
-        query: &str,
-        k: usize,
-        force_cluster: Option<usize>,
-        plan: Option<&FaultPlan>,
-        serving: Option<&ServingPlane<'_>>,
-        budget: Option<&DeadlineBudget>,
-    ) -> Result<SearchResults, ServeError> {
+        // The scope opens *before* admission so a shed query still
+        // owns a flight-recorder timeline (the shed event plus its
+        // typed outcome).
         let scope = tiptoe_obs::query_scope();
         let results = {
             let _root = tiptoe_obs::span("client.query");
-            self.run_query(instance, query, k, force_cluster, plan, serving, budget)
+            self.run_query(instance, text, k, opts)
         };
         // The typed outcome closes this query's flight-recorder
         // timeline; any failure auto-dumps the full timeline so the
@@ -594,19 +433,107 @@ impl TiptoeClient {
         results
     }
 
-    /// The protocol round proper (see [`Self::search_in_cluster`]).
-    #[allow(clippy::too_many_arguments)]
-    fn run_query<E: Embedder>(
+    /// [`TiptoeClient::query`] with the default options: one probe,
+    /// straight at the services, no injected faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn search<E: Embedder>(
         &mut self,
         instance: &TiptoeInstance<E>,
         query: &str,
         k: usize,
-        force_cluster: Option<usize>,
-        plan: Option<&FaultPlan>,
-        serving: Option<&ServingPlane<'_>>,
+    ) -> SearchResults {
+        self.query(instance, query, k, QueryOptions::default())
+            .expect("unbudgeted search cannot fail")
+    }
+
+    /// [`TiptoeClient::query`] through a serving plane: shard compute
+    /// is routed through the plane's batch coalescers, so searches
+    /// issued by concurrent clients share database scans, under the
+    /// plane's admission control and deadline budget when it has them.
+    /// Results are bit-identical to [`TiptoeClient::search`].
+    ///
+    /// # Errors
+    ///
+    /// See [`TiptoeClient::query`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn try_search_served<E: Embedder>(
+        &mut self,
+        instance: &TiptoeInstance<E>,
+        query: &str,
+        k: usize,
+        serving: &ServingPlane<'_>,
+    ) -> Result<SearchResults, ServeError> {
+        self.query(instance, query, k, QueryOptions { plane: Some(serving), ..Default::default() })
+    }
+
+    /// The query proper (see [`Self::query`]): admit, embed once,
+    /// route, then one protocol round per probed cluster, merged.
+    fn run_query<E: Embedder>(
+        &mut self,
+        instance: &TiptoeInstance<E>,
+        text: &str,
+        k: usize,
+        opts: QueryOptions<'_>,
+    ) -> Result<SearchResults, ServeError> {
+        // The permit is held, and the one budget shared, across every
+        // probe of the query.
+        let _permit = match opts.plane.map_or(Ok(None), ServingPlane::admit) {
+            Ok(permit) => permit,
+            Err(e) => {
+                // Shed before any wire bytes: the transcript records
+                // the rejection itself, never a partial phase.
+                instance.transcript.record_shed();
+                return Err(e);
+            }
+        };
+        let budget = opts.plane.and_then(ServingPlane::query_budget);
+
+        // --- Client: embed, reduce, select clusters (step 1).
+        let ((q, clusters), t_select) = timed(|| {
+            let embed_span = tiptoe_obs::span("client.embed");
+            let raw = instance.embedder.embed_text(text);
+            let mut q = self.pca.project(&raw);
+            normalize(&mut q);
+            drop(embed_span);
+            let _span = tiptoe_obs::span("client.route");
+            let clusters = nearest_centroids(&self.meta.centroids, &q, opts.probes);
+            (q, clusters)
+        });
+
+        // Costs scale linearly with the probes (§8.2: "Querying more
+        // clusters could improve search quality, but would
+        // substantially increase Tiptoe's costs"): each consumes one
+        // token and one full protocol round.
+        let mut rounds = Vec::with_capacity(clusters.len());
+        for cluster in clusters {
+            rounds.push(self.protocol_round(instance, &q, cluster, k, opts, budget.as_ref())?);
+        }
+        let mut results = rounds
+            .into_iter()
+            .reduce(|acc, next| merge_probe(acc, next, k))
+            .expect("at least one centroid to probe");
+        results.cost.client_time += t_select;
+        Ok(results)
+    }
+
+    /// One protocol round against `cluster` for the embedded query
+    /// `q`: encrypt, ranking phase, decrypt, URL phase, recover.
+    fn protocol_round<E: Embedder>(
+        &mut self,
+        instance: &TiptoeInstance<E>,
+        q: &[f32],
+        cluster: usize,
+        k: usize,
+        opts: QueryOptions<'_>,
         budget: Option<&DeadlineBudget>,
     ) -> Result<SearchResults, ServeError> {
-        assert!(k > 0, "k must be positive");
+        let serving = opts.plane;
         if self.tokens.is_empty() {
             // A served query fetches its token through the plane's
             // coalescing token lane; direct queries fetch directly.
@@ -615,31 +542,20 @@ impl TiptoeClient {
         let mut prepared = self.tokens.pop_front().expect("token fetched above");
         let mut cost = prepared.cost.clone();
 
-        // --- Client: embed, reduce, select cluster, encrypt (step 1).
-        let ((ct, cluster), t_embed) = timed(|| {
-            let embed_span = tiptoe_obs::span("client.embed");
-            let raw = instance.embedder.embed_text(query);
-            let mut q = self.pca.project(&raw);
-            normalize(&mut q);
-            drop(embed_span);
-            let cluster = {
-                let _span = tiptoe_obs::span("client.route");
-                force_cluster.unwrap_or_else(|| nearest_centroid(&self.meta.centroids, &q))
-            };
+        let (ct, t_encrypt) = timed(|| {
             let _span = tiptoe_obs::span("client.encrypt");
-            let q_zp = self.quant.to_zp(&q);
+            let q_zp = self.quant.to_zp(q);
             let d = self.meta.d;
             let mut v = vec![0u64; self.meta.ranking_upload_dim()];
             for (j, &x) in q_zp.iter().enumerate() {
                 v[cluster * d + j] = x as u64;
             }
-            let ct = instance.ranking.underhood().encrypt_query::<u64, _>(
+            instance.ranking.underhood().encrypt_query::<u64, _>(
                 &prepared.key,
                 &instance.ranking.public_matrix(),
                 &v,
                 &mut self.rng,
-            );
-            (ct, cluster)
+            )
         });
         // --- Ranking service (step 2): one typed dispatch for every
         // serving mode (healthy, fault-aware, coalesced). Sizes are
@@ -649,7 +565,7 @@ impl TiptoeClient {
         cost.rank_down = (instance.ranking.rows() * 8) as u64;
         let policy = &instance.config.fault_policy;
         let benign = FaultPlan::none();
-        let plan = plan.unwrap_or(&benign);
+        let plan = opts.faults.unwrap_or(&benign);
         let rank_span = tiptoe_obs::span("client.rank_phase");
         let ledger = Ledger {
             transcript: &instance.transcript,
@@ -659,7 +575,7 @@ impl TiptoeClient {
             down_bytes: cost.rank_down,
         };
         let ranked =
-            instance.ranking.try_dispatch_answer(&ct, plan, policy, Some(&ledger), serving, budget)?;
+            instance.ranking.dispatch_answer(&ct, plan, policy, Some(&ledger), serving, budget)?;
         cost.rank_server = ranked.timing;
         let applied = ranked.response;
         let survivors = ranked.survivors;
@@ -682,8 +598,8 @@ impl TiptoeClient {
             let _span = tiptoe_obs::span("client.rank_decrypt");
             let uh_rank = instance.ranking.underhood();
             let raw = match &mut prepared.rank {
-                RankTokens::Combined(token) => uh_rank.decrypt(token, &applied),
-                RankTokens::PerShard(parts) => {
+                DecodedRank::Combined(token) => uh_rank.decrypt(token, &applied),
+                DecodedRank::PerShard(parts) => {
                     if survivors.iter().any(|&ok| ok) {
                         let mut subset = combine_decoded_subset(parts, &survivors);
                         uh_rank.decrypt(&mut subset, &applied)
@@ -734,7 +650,7 @@ impl TiptoeClient {
         // The URL server shares the plan's address space at index `W`,
         // after the ranking shards.
         let shard_base = instance.ranking.num_shards();
-        let fetched = instance.url.try_dispatch_answer(
+        let fetched = instance.url.dispatch_answer(
             &url_ct,
             shard_base,
             plan,
@@ -786,9 +702,25 @@ impl TiptoeClient {
             hits
         });
 
-        cost.client_time = t_embed + t_rankdec + t_urlenc + t_recover;
+        cost.client_time = t_encrypt + t_rankdec + t_urlenc + t_recover;
         Ok(SearchResults { cluster, hits, cost, degraded })
     }
+}
+
+/// Folds one more probe's round into a query's results: hits merged
+/// best first and cut to `k`, costs and degraded-mode reports summed.
+/// `cluster` stays the nearest one.
+fn merge_probe(mut acc: SearchResults, next: SearchResults, k: usize) -> SearchResults {
+    acc.cost = add_costs(&acc.cost, &next.cost);
+    acc.degraded = merge_degraded(acc.degraded, next.degraded);
+    acc.hits.extend(next.hits);
+    acc.hits.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+    // A dual-assigned document can surface from two probes; keep
+    // its best-scoring occurrence only.
+    let mut seen = std::collections::HashSet::new();
+    acc.hits.retain(|h| seen.insert(h.doc));
+    acc.hits.truncate(k);
+    acc
 }
 
 /// Accumulates per-probe degraded-mode reports for multi-probe
@@ -825,15 +757,21 @@ fn merge_degraded(
     }
 }
 
-/// The `k` nearest centroids, best first.
-fn ranked_centroids(centroids: &[Vec<f32>], q: &[f32], k: usize) -> Vec<usize> {
-    let mut scored: Vec<(f32, usize)> = centroids
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (tiptoe_embed::vector::dot(c, q), i))
-        .collect();
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    scored.into_iter().take(k).map(|(_, i)| i).collect()
+/// The `probes` nearest centroids by inner product, best first. A
+/// centroid displaces a kept one only on a strictly greater score, so
+/// among equals the lowest index wins; with `probes == 1` this is one
+/// linear first-maximum scan.
+fn nearest_centroids(centroids: &[Vec<f32>], q: &[f32], probes: usize) -> Vec<usize> {
+    let mut best: Vec<(f32, usize)> = Vec::with_capacity(probes + 1);
+    for (i, c) in centroids.iter().enumerate() {
+        let s = tiptoe_embed::vector::dot(c, q);
+        let pos = best.iter().position(|&(kept, _)| s > kept).unwrap_or(best.len());
+        if pos < probes {
+            best.insert(pos, (s, i));
+            best.truncate(probes);
+        }
+    }
+    best.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Component-wise sum of two per-query cost records.
@@ -851,19 +789,6 @@ fn add_costs(a: &QueryCost, b: &QueryCost) -> QueryCost {
         client_time: a.client_time + b.client_time,
         client_preproc: a.client_preproc + b.client_preproc,
     }
-}
-
-fn nearest_centroid(centroids: &[Vec<f32>], q: &[f32]) -> usize {
-    let mut best = 0usize;
-    let mut best_score = f32::NEG_INFINITY;
-    for (i, c) in centroids.iter().enumerate() {
-        let s = tiptoe_embed::vector::dot(c, q);
-        if s > best_score {
-            best_score = s;
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -969,7 +894,18 @@ mod tests {
         let mut multi_found = 0;
         for q in corpus.queries.iter().take(8) {
             let single = client.search(&instance, &q.text, 20);
-            let multi = client.search_multiprobe(&instance, &q.text, 20, 3);
+            // An outer scope names the query's recorder timeline (the
+            // query adopts it), so it can be read back below.
+            let scope = tiptoe_obs::query_scope();
+            let multi = client
+                .query(&instance, &q.text, 20, QueryOptions { probes: 3, ..Default::default() })
+                .expect("unbudgeted search cannot fail");
+            let finished = recorder::timeline(scope.id())
+                .iter()
+                .filter(|e| e.kind == EventKind::Finished)
+                .count();
+            drop(scope);
+            assert_eq!(finished, 1, "three probes are one query with one typed outcome");
             if single.hits.iter().any(|h| h.doc == q.relevant) {
                 single_found += 1;
             }
@@ -985,6 +921,133 @@ mod tests {
             assert_eq!(docs.len(), multi.hits.len());
         }
         assert!(multi_found >= single_found, "multi {multi_found} < single {single_found}");
+    }
+
+    /// Counts `embed_text` calls on the way to a [`TextEmbedder`].
+    struct CountingEmbedder(TextEmbedder, std::sync::atomic::AtomicUsize);
+
+    impl Embedder for CountingEmbedder {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+
+        fn embed_text(&self, text: &str) -> Vec<f32> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.embed_text(text)
+        }
+
+        fn model_bytes(&self) -> u64 {
+            self.0.model_bytes()
+        }
+    }
+
+    #[test]
+    fn a_multiprobe_query_embeds_admits_and_budgets_once() {
+        let corpus = generate(&CorpusConfig::small(200, 24), 0);
+        let mut config = TiptoeConfig::test_small(200, 24);
+        config.admission.enabled = true;
+        config.admission.max_inflight = 2;
+        config.admission.deadline = Duration::from_secs(60);
+        config.validate();
+        let embedder = CountingEmbedder(
+            TextEmbedder::new(config.d_embed, 24, 0),
+            std::sync::atomic::AtomicUsize::new(0),
+        );
+        let instance = TiptoeInstance::build(&config, embedder, &corpus);
+        let plane = instance.serving_plane();
+        let mut client = instance.new_client(8);
+        let embeds_before = instance.embedder.1.load(std::sync::atomic::Ordering::Relaxed);
+
+        let scope = tiptoe_obs::query_scope();
+        let opts = QueryOptions { probes: 3, faults: None, plane: Some(&plane) };
+        let results =
+            client.query(&instance, "museum history archive", 10, opts).expect("admitted");
+        let timeline = recorder::timeline(scope.id());
+        drop(scope);
+
+        let embeds = instance.embedder.1.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(embeds - embeds_before, 1, "the query text is embedded once");
+        assert_eq!(plane.admission().expect("admission on").admitted(), 1, "one permit");
+        // One budget: the six dispatches (ranking + URL per probe)
+        // charge the same allowance and its spend only accumulates.
+        let charges: Vec<_> =
+            timeline.iter().filter(|e| e.kind == EventKind::BudgetCharged).collect();
+        assert_eq!(charges.len(), 6, "{charges:?}");
+        assert!(charges.iter().all(|e| e.c == charges[0].c), "one budget total");
+        assert!(charges.windows(2).all(|w| w[0].b <= w[1].b), "spend accumulates: {charges:?}");
+        // Costs keep summing per probe.
+        assert_eq!(results.cost.rank_up % 3, 0);
+        assert_eq!(results.cost.online_bytes() % 3, 0);
+    }
+
+    /// Reference for the routing rule: a stable descending sort, so
+    /// the first of equal scores wins, cut to `probes`.
+    fn stable_sort_prefix(centroids: &[Vec<f32>], q: &[f32], probes: usize) -> Vec<usize> {
+        let mut scored: Vec<(f32, usize)> = centroids
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (tiptoe_embed::vector::dot(c, q), i))
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
+        scored.into_iter().take(probes).map(|(_, i)| i).collect()
+    }
+
+    #[test]
+    fn nearest_centroids_is_the_first_maximum_rule_at_every_probe_count() {
+        use rand::Rng;
+        let mut rng = seeded_rng(97);
+        let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let random: Vec<Vec<f32>> =
+            (0..50).map(|_| (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
+        // Ties: every centroid appears three times, and one score is
+        // shared by all.
+        let mut tied: Vec<Vec<f32>> = random.iter().take(10).cloned().collect();
+        tied.extend(random.iter().take(10).cloned());
+        tied.extend(random.iter().take(10).cloned());
+        let flat = vec![vec![0.5f32; 8]; 12];
+        for centroids in [&random, &tied, &flat] {
+            for probes in [1, 2, 3, 7, centroids.len(), centroids.len() + 5] {
+                assert_eq!(
+                    nearest_centroids(centroids, &q, probes),
+                    stable_sort_prefix(centroids, &q, probes),
+                    "probes = {probes}"
+                );
+            }
+            // The single-probe case is the linear first-maximum scan.
+            let mut best = (f32::NEG_INFINITY, 0usize);
+            for (i, c) in centroids.iter().enumerate() {
+                let s = tiptoe_embed::vector::dot(c, &q);
+                if s > best.0 {
+                    best = (s, i);
+                }
+            }
+            assert_eq!(nearest_centroids(centroids, &q, 1), vec![best.1]);
+        }
+    }
+
+    #[test]
+    fn each_probe_draws_the_client_rng_exactly_as_one_search() {
+        // Every draw of a round (key, `Enc2(s)`, query and PIR noise)
+        // is independent of the query text and the cluster, so for
+        // equal seeds two searches and one two-probe query leave the
+        // client RNG at the same position: routing, the probe loop and
+        // the merge draw nothing.
+        use rand::Rng;
+        let instance = build_instance();
+        let mut a = instance.new_client(11);
+        let mut b = instance.new_client(11);
+        let first = a.search(&instance, "health doctor symptoms", 10);
+        a.search(&instance, "travel island beach", 10);
+        let both = b
+            .query(
+                &instance,
+                "health doctor symptoms",
+                10,
+                QueryOptions { probes: 2, ..Default::default() },
+            )
+            .expect("direct");
+        assert_eq!(both.cluster, first.cluster, "the nearest centroid is the first probe");
+        assert_eq!(a.rng.gen::<u64>(), b.rng.gen::<u64>(), "RNG streams diverged");
     }
 
     #[test]

@@ -9,7 +9,14 @@
 //!
 //! Token generation (§6.3) follows the same sharding: each worker
 //! evaluates `Enc2(hint_w · s)` and the coordinator combines partial
-//! tokens by ciphertext addition.
+//! tokens by ciphertext addition. It has one body,
+//! [`RankingService::generate_token_parts_expanded_many`], whether one
+//! client asks directly (`B = 1`) or the serving plane's token lane
+//! flushes a batch.
+//!
+//! Online answers have one fallible body too,
+//! [`RankingService::dispatch_answer`]; [`RankingService::answer`] and
+//! [`RankingService::answer_via`] are its healthy shorthands.
 
 use std::time::{Duration, Instant};
 
@@ -20,7 +27,7 @@ use tiptoe_math::rng::derive_seed;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
 use tiptoe_net::{
-    dispatch, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
+    dispatch, timed, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
     ParallelTiming, ServeError, Service,
 };
 use tiptoe_underhood::{
@@ -154,49 +161,6 @@ impl Service for RankAnswer<'_> {
 
     fn cluster_range(&self) -> Option<(usize, usize)> {
         Some((0, self.svc.cols / self.svc.d))
-    }
-}
-
-/// Token generation (§6.3) as a typed [`Service`]: each worker
-/// evaluates `Enc2(hint_w · s)` over its hint shard; parts stay
-/// separate (the combined-token path sums them afterwards).
-struct RankToken<'a> {
-    svc: &'a RankingService,
-}
-
-impl Service for RankToken<'_> {
-    type Request = ExpandedSecret;
-    type Part = QueryToken;
-    type Response = Vec<QueryToken>;
-
-    fn outer_span(&self) -> &'static str {
-        "rank.token"
-    }
-
-    fn shard_span(&self) -> &'static str {
-        "rank.token_shard"
-    }
-
-    fn num_shards(&self) -> usize {
-        self.svc.shards.len()
-    }
-
-    fn serve(&self, idx: usize, es: &ExpandedSecret) -> Result<Vec<u8>, ServeError> {
-        // Inside each shard the (chunk, limb) NTT multiply-accumulate
-        // units fan out across threads; the token is bit-identical to
-        // the sequential evaluation.
-        let threads = self.svc.parallelism.num_threads;
-        let hint = &self.svc.shards[idx].server_hint;
-        let mut tokens = self.svc.uh.generate_token_expanded_many(hint, &[es], threads);
-        Ok(tokens.pop().expect("one token per secret").encode())
-    }
-
-    fn parse(&self, _idx: usize, payload: &[u8]) -> Result<QueryToken, WireError> {
-        QueryToken::decode(payload)
-    }
-
-    fn combine(&self, parts: Vec<Option<QueryToken>>) -> Vec<QueryToken> {
-        parts.into_iter().flatten().collect()
     }
 }
 
@@ -380,41 +344,34 @@ impl RankingService {
     /// Token generation over a pre-expanded secret; the expansion can
     /// be shared with the URL service (§A.3's shared-key upload).
     pub fn generate_token_expanded(&self, es: &ExpandedSecret) -> (QueryToken, ParallelTiming) {
-        let (parts, timing) = self.generate_token_parts_expanded(es);
-        (combine_partial_tokens(&self.uh, &parts), timing)
+        let (mut parts, timing) = self.generate_token_parts_expanded_many(&[es]);
+        (combine_partial_tokens(&self.uh, &parts.pop().expect("one bundle per secret")), timing)
     }
 
-    /// Per-shard query tokens, *not* combined: clients on the
-    /// fault-tolerant path keep them separate so they can decrypt over
-    /// any surviving subset of shards
-    /// ([`tiptoe_underhood::combine_decoded_subset`]). Costs `W×` the
-    /// token download of the combined path.
-    pub fn generate_token_parts_expanded(
-        &self,
-        es: &ExpandedSecret,
-    ) -> (Vec<QueryToken>, ParallelTiming) {
-        let plan = FaultPlan::none();
-        let policy = FaultPolicy::default();
-        let d = dispatch(&RankToken { svc: self }, es, 0, DispatchContext::new(&plan, &policy), None)
-            .expect("healthy token dispatch cannot fail");
-        (d.response, d.timing)
-    }
-
-    /// Batched per-shard token generation for `B` clients: every
-    /// shard's hint polynomials are read from DRAM once for the whole
-    /// batch (the token-path counterpart of
+    /// Per-shard token generation for `B` clients: every shard's hint
+    /// polynomials are read from DRAM once for the whole batch (the
+    /// token-path counterpart of
     /// [`RankingService::shard_answer_many`]). Returns one `Vec` of
-    /// per-shard tokens (in shard order) per client, each
-    /// bit-identical to that client's
-    /// [`RankingService::generate_token_parts_expanded`] result; the
-    /// serving plane's token lane flushes through this kernel.
+    /// per-shard tokens (in shard order) per client, each bit-identical
+    /// at every `B`, plus the fan-out's timing (`wall` = slowest shard,
+    /// `cpu` = summed work). The parts are *not* combined: clients on
+    /// the fault-tolerant path keep them separate so they can decrypt
+    /// over any surviving subset of shards
+    /// ([`tiptoe_underhood::combine_decoded_subset`]), at `W×` the token
+    /// download of the combined path. A direct fetch is the `B = 1`
+    /// case; the serving plane's token lane flushes through the same
+    /// kernel.
     pub fn generate_token_parts_expanded_many(
         &self,
         secrets: &[&ExpandedSecret],
-    ) -> Vec<Vec<QueryToken>> {
+    ) -> (Vec<Vec<QueryToken>>, ParallelTiming) {
         let mut span = tiptoe_obs::span("rank.token");
         span.attr_u64("batch", secrets.len() as u64);
+        // Inside each shard the (chunk, limb) NTT multiply-accumulate
+        // units fan out across threads; the tokens are bit-identical
+        // to the sequential evaluation.
         let threads = self.parallelism.num_threads;
+        let mut timing = ParallelTiming::default();
         // [shard][client] — each shard evaluated once over the batch.
         let per_shard: Vec<Vec<QueryToken>> = self
             .shards
@@ -422,14 +379,19 @@ impl RankingService {
             .map(|shard| {
                 let mut s = tiptoe_obs::span("rank.token_shard");
                 s.attr_u64("batch", secrets.len() as u64);
-                self.uh.generate_token_expanded_many(&shard.server_hint, secrets, threads)
+                let (tokens, elapsed) = timed(|| {
+                    self.uh.generate_token_expanded_many(&shard.server_hint, secrets, threads)
+                });
+                timing.add_shard(elapsed);
+                tokens
             })
             .collect();
         // Transpose to [client][shard] for the per-client bundles.
         let mut iters: Vec<_> = per_shard.into_iter().map(|v| v.into_iter()).collect();
-        (0..secrets.len())
+        let bundles = (0..secrets.len())
             .map(|_| iters.iter_mut().map(|it| it.next().expect("client count")).collect())
-            .collect()
+            .collect();
+        (bundles, timing)
     }
 
     /// The column range `[start, end)` served by shard `idx`.
@@ -510,43 +472,28 @@ impl RankingService {
         ct: &LweCiphertext<u64>,
         via: Option<&ServingPlane<'_>>,
     ) -> (Vec<u64>, ParallelTiming) {
-        let d = self.dispatch_answer(ct, &FaultPlan::none(), &FaultPolicy::default(), None, via);
+        let d = self
+            .dispatch_answer(ct, &FaultPlan::none(), &FaultPolicy::default(), None, via, None)
+            .expect("an unbudgeted healthy dispatch cannot fail");
         (d.response, d.timing)
     }
 
     /// Dispatches an online ranking query through the typed service
     /// plane ([`tiptoe_net::dispatch`]): transcript accounting via
     /// `ledger`, fault handling under `plan`/`policy` (healthy fan-out
-    /// when the policy is disabled), and optional batch coalescing via
-    /// the serving plane — one engine for every serving mode.
+    /// when the policy is disabled), optional batch coalescing via the
+    /// serving plane, and the overload-safety layers — the query's
+    /// deadline `budget` is checked before the fan-out and charged
+    /// with its wall time, and the serving plane's circuit breakers
+    /// (if enabled) gate per-shard traffic on the fault-aware path.
+    /// One engine for every serving mode.
     ///
     /// With a benign plan every shard answers on the first attempt and
     /// the response equals [`RankingService::answer`] exactly; shards
     /// that never deliver contribute zero to the sum (see
-    /// [`RankingService::missing_clusters`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext dimension differs from `d·C` or an
-    /// enabled policy is invalid.
-    pub fn dispatch_answer(
-        &self,
-        ct: &LweCiphertext<u64>,
-        plan: &FaultPlan,
-        policy: &FaultPolicy,
-        ledger: Option<&Ledger<'_>>,
-        via: Option<&ServingPlane<'_>>,
-    ) -> Dispatched<Vec<u64>> {
-        self.try_dispatch_answer(ct, plan, policy, ledger, via, None)
-            .expect("unbudgeted dispatch cannot fail on a valid policy")
-    }
-
-    /// [`RankingService::dispatch_answer`] under the overload-safety
-    /// layers: the query's deadline `budget` is checked before the
-    /// fan-out and charged with its wall time, and the serving plane's
-    /// circuit breakers (if enabled) gate per-shard traffic on the
-    /// fault-aware path. Without a budget this cannot fail on a valid
-    /// policy — breakers alone only degrade the combine.
+    /// [`RankingService::missing_clusters`]). Without a budget this
+    /// cannot fail on a valid policy — breakers alone only degrade the
+    /// combine.
     ///
     /// # Errors
     ///
@@ -558,7 +505,7 @@ impl RankingService {
     /// # Panics
     ///
     /// Panics if the ciphertext dimension differs from `d·C`.
-    pub fn try_dispatch_answer(
+    pub fn dispatch_answer(
         &self,
         ct: &LweCiphertext<u64>,
         plan: &FaultPlan,

@@ -138,7 +138,7 @@ impl<'a> ServingPlane<'a> {
         // hint-evaluation kernels.
         let token_lane = Coalescer::new(policy, move |secrets: Vec<Arc<ExpandedSecret>>| {
             let refs: Vec<&ExpandedSecret> = secrets.iter().map(|a| a.as_ref()).collect();
-            let rank = ranking.generate_token_parts_expanded_many(&refs);
+            let (rank, _) = ranking.generate_token_parts_expanded_many(&refs);
             let url_tokens = url.generate_token_expanded_many(&refs, threads);
             rank.into_iter()
                 .zip(url_tokens)
@@ -236,20 +236,6 @@ impl<'a> ServingPlane<'a> {
     /// direct per-client token generation.
     pub fn generate_tokens(&self, es: Arc<ExpandedSecret>) -> TokenBundle {
         self.token_lane.submit(es)
-    }
-
-    /// [`ServingPlane::generate_tokens`] under a deadline (see
-    /// [`ServingPlane::rank_chunk_within`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::DeadlineExceeded`] or [`ServeError::LaneFailed`].
-    pub fn generate_tokens_within(
-        &self,
-        es: Arc<ExpandedSecret>,
-        deadline: Duration,
-    ) -> Result<TokenBundle, ServeError> {
-        self.token_lane.submit_within(es, deadline)
     }
 
     /// Answers one URL PIR query through the coalescing lane.
@@ -597,7 +583,9 @@ mod tests {
 
         // Direct per-client generation vs the plane's token lane, from
         // the same upload (expansion is deterministic).
-        let (direct_parts, _) = instance.ranking.generate_token_parts_expanded(&es.expand(uh));
+        let (mut direct, _) =
+            instance.ranking.generate_token_parts_expanded_many(&[&es.expand(uh)]);
+        let direct_parts = direct.pop().expect("one bundle per secret");
         let (direct_url, _) = instance.url.generate_token_expanded(&es.expand(uh));
         let bundle = plane.generate_tokens(std::sync::Arc::new(es.expand(uh)));
         assert_eq!(bundle.rank_parts.len(), direct_parts.len());

@@ -4,7 +4,7 @@
 //!
 //! The load generator runs `clients` concurrent closed-loop clients
 //! against the instance, either straight at the services (every query
-//! pays its own database scans) or through the serving plane
+//! pays its own database scans) or through a serving plane
 //! ([`crate::serving::ServingPlane`]), where concurrently in-flight
 //! queries are coalesced into shared scans. Both modes return
 //! bit-identical results; only sustained queries/s and the latency
@@ -16,7 +16,9 @@ use std::time::{Duration, Instant};
 use tiptoe_corpus::synth::Corpus;
 use tiptoe_embed::Embedder;
 
+use crate::client::QueryOptions;
 use crate::instance::TiptoeInstance;
+use crate::serving::ServingPlane;
 
 /// Outcome of a throughput run.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +50,10 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 /// `queries_per_client` online searches with pre-fetched tokens, and
 /// reports the sustained rate plus latency percentiles. (Token
 /// prefetch is excluded from the measured window, matching the
-/// paper's split of token-generation and ranking throughput.)
+/// paper's split of token-generation and ranking throughput.) With a
+/// `plane`, every query's shard compute goes through its batch
+/// coalescers, so concurrent clients share database scans; results
+/// are bit-identical either way.
 ///
 /// # Panics
 ///
@@ -59,34 +64,7 @@ pub fn measure_online_throughput<E: Embedder + Send + Sync>(
     corpus: &Corpus,
     clients: usize,
     queries_per_client: usize,
-) -> ThroughputReport {
-    run_load(instance, corpus, clients, queries_per_client, false)
-}
-
-/// [`measure_online_throughput`] through the serving plane: the same
-/// closed-loop load, but every query's shard compute goes through the
-/// plane's batch coalescers, so concurrent clients share database
-/// scans. Results are bit-identical; this measures the speedup.
-///
-/// # Panics
-///
-/// Panics if `clients == 0`, `queries_per_client == 0`, or the corpus
-/// has no benchmark queries.
-pub fn measure_online_throughput_coalesced<E: Embedder + Send + Sync>(
-    instance: &TiptoeInstance<E>,
-    corpus: &Corpus,
-    clients: usize,
-    queries_per_client: usize,
-) -> ThroughputReport {
-    run_load(instance, corpus, clients, queries_per_client, true)
-}
-
-fn run_load<E: Embedder + Send + Sync>(
-    instance: &TiptoeInstance<E>,
-    corpus: &Corpus,
-    clients: usize,
-    queries_per_client: usize,
-    coalesced: bool,
+    plane: Option<&ServingPlane<'_>>,
 ) -> ThroughputReport {
     assert!(clients > 0 && queries_per_client > 0, "degenerate load");
     assert!(!corpus.queries.is_empty(), "no benchmark queries");
@@ -103,23 +81,21 @@ fn run_load<E: Embedder + Send + Sync>(
         .collect();
 
     // Measured online phase: clients run concurrently.
-    let plane = coalesced.then(|| instance.serving_plane());
     let latencies = Mutex::new(Vec::with_capacity(clients * queries_per_client));
     let start = Instant::now();
     std::thread::scope(|scope| {
         for (i, client) in prepared.iter_mut().enumerate() {
             let queries = &corpus.queries;
-            let plane = plane.as_ref();
             let latencies = &latencies;
             scope.spawn(move || {
                 let mut mine = Vec::with_capacity(queries_per_client);
                 for k in 0..queries_per_client {
                     let q = &queries[(i + k) % queries.len()];
                     let t0 = Instant::now();
-                    let results = match plane {
-                        Some(plane) => client.search_served(instance, &q.text, 10, plane),
-                        None => client.search(instance, &q.text, 10),
-                    };
+                    let opts = QueryOptions { plane, ..Default::default() };
+                    let results = client
+                        .query(instance, &q.text, 10, opts)
+                        .expect("every query of a throughput run must be answered");
                     mine.push(t0.elapsed());
                     std::hint::black_box(results);
                 }
@@ -188,7 +164,7 @@ mod tests {
         let mut served = instance.new_client(9);
         for q in corpus.queries.iter().take(2) {
             let a = direct.search(&instance, &q.text, 10);
-            let b = served.search_served(&instance, &q.text, 10, &plane);
+            let b = served.try_search_served(&instance, &q.text, 10, &plane).expect("admitted");
             assert_eq!(a.cluster, b.cluster);
             assert_eq!(a.hits, b.hits, "coalesced search must be bit-identical");
         }
@@ -200,14 +176,15 @@ mod tests {
         let config = TiptoeConfig::test_small(120, 72);
         let embedder = TextEmbedder::new(config.d_embed, 72, 0);
         let instance = TiptoeInstance::build(&config, embedder, &corpus);
-        let report = measure_online_throughput(&instance, &corpus, 2, 2);
+        let report = measure_online_throughput(&instance, &corpus, 2, 2, None);
         assert_eq!(report.queries, 4);
         assert!(report.qps > 0.0);
         assert!(report.wall > Duration::ZERO);
         assert!(report.p50 <= report.p95 && report.p95 <= report.p99);
         assert!(report.p99 > Duration::ZERO);
 
-        let coalesced = measure_online_throughput_coalesced(&instance, &corpus, 2, 2);
+        let plane = instance.serving_plane();
+        let coalesced = measure_online_throughput(&instance, &corpus, 2, 2, Some(&plane));
         assert_eq!(coalesced.queries, 4);
         assert!(coalesced.qps > 0.0);
     }

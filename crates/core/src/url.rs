@@ -140,7 +140,9 @@ impl UrlService {
     /// Panics if the ciphertext dimension differs from the record
     /// count.
     pub fn answer(&self, ct: &LweCiphertext<u32>) -> (Vec<u32>, ParallelTiming) {
-        let d = self.dispatch_answer(ct, 0, &FaultPlan::none(), &FaultPolicy::default(), None, None);
+        let d = self
+            .dispatch_answer(ct, 0, &FaultPlan::none(), &FaultPolicy::default(), None, None, None)
+            .expect("an unbudgeted healthy dispatch cannot fail");
         (d.response.expect("healthy dispatch always answers"), d.timing)
     }
 
@@ -154,40 +156,25 @@ impl UrlService {
     /// Dispatches an online PIR query through the typed service plane
     /// ([`tiptoe_net::dispatch`]): transcript accounting via `ledger`,
     /// fault handling under `plan`/`policy` (the server is addressed
-    /// as shard `shard_base` so ranking and URL share one plan), and
-    /// optional batch coalescing via the serving plane. The response
+    /// as shard `shard_base` so ranking and URL share one plan, and
+    /// owns breaker `shard_base`), optional batch coalescing via the
+    /// serving plane, and the query's deadline `budget`. The response
     /// is `None` if the server never delivers a verified answer within
     /// the deadline (impossible when the policy is disabled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ciphertext dimension differs from the record
-    /// count or an enabled policy is invalid.
-    pub fn dispatch_answer(
-        &self,
-        ct: &LweCiphertext<u32>,
-        shard_base: usize,
-        plan: &FaultPlan,
-        policy: &FaultPolicy,
-        ledger: Option<&Ledger<'_>>,
-        via: Option<&ServingPlane<'_>>,
-    ) -> Dispatched<Option<Vec<u32>>> {
-        self.try_dispatch_answer(ct, shard_base, plan, policy, ledger, via, None)
-            .expect("unbudgeted dispatch cannot fail on a valid policy")
-    }
-
-    /// [`UrlService::dispatch_answer`] under the overload-safety
-    /// layers (deadline `budget` plus the serving plane's circuit
-    /// breakers — the URL server owns breaker `shard_base`).
     ///
     /// # Errors
     ///
     /// [`ServeError::DeadlineExceeded`] when the budget runs out,
     /// [`ServeError::LaneFailed`] on a permanently crashed coalescer
     /// lane, [`ServeError::InvalidPolicy`] on an invalid enabled
-    /// policy.
+    /// policy. Without a budget it cannot fail on a valid policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ciphertext dimension differs from the record
+    /// count.
     #[allow(clippy::too_many_arguments)]
-    pub fn try_dispatch_answer(
+    pub fn dispatch_answer(
         &self,
         ct: &LweCiphertext<u32>,
         shard_base: usize,

@@ -16,8 +16,8 @@
 //! - [`seal`]/[`open`]: a checksummed response envelope so corrupted
 //!   or truncated payloads are *detected* (and fail into the retry
 //!   path as [`WireError`]s) instead of being decoded as garbage.
-//! - [`dispatch_faulty`]: the fault-aware replacement for
-//!   [`crate::simulate_parallel`] on the query path. It executes
+//! - [`dispatch_faulty`]: the fault-aware fan-out [`crate::dispatch`]
+//!   runs in place of its healthy loop. It executes
 //!   shards sequentially but accounts for them in **virtual time**:
 //!   a crashed worker costs one attempt timeout of wall-clock and no
 //!   CPU; a straggler's virtual latency is `measured · factor +
@@ -383,8 +383,8 @@ fn unit_draw(seed: u64, shard: u64, attempt: u64) -> f64 {
 /// The coordinator's recovery policy.
 ///
 /// Disabled by default: with `enabled == false` the query path uses
-/// the raw [`crate::simulate_parallel`] fan-out and is bit-identical
-/// to the pre-fault-tolerance behavior.
+/// [`crate::dispatch`]'s healthy loop (no envelope, no retries) and
+/// is bit-identical to the pre-fault-tolerance behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Whether the fault-aware dispatch (and the per-shard token path
@@ -547,8 +547,8 @@ enum Delivery<R> {
     Bad { at: Duration, bytes: u64 },
 }
 
-/// Fault-aware coordinator fan-out: the drop-in replacement for
-/// [`crate::simulate_parallel`] on the query path.
+/// Fault-aware coordinator fan-out: what [`crate::dispatch`] runs
+/// in place of its healthy loop when `policy.enabled`.
 ///
 /// `serve` produces shard `idx`'s raw response payload (the worker
 /// compute) or fails typed (e.g. a coalescer lane refused the request
@@ -563,6 +563,15 @@ enum Delivery<R> {
 /// services can share one plan (the ranking shards take `0..W`, the
 /// URL server `W`).
 ///
+/// `gates` are the per-shard circuit-breaker decisions, when the
+/// plane has breakers: a shard gated [`ShardGate::Skip`] is not
+/// dispatched at all — it is reported as failed with zero attempts
+/// and zero wall (the breaker already knows it is down; waiting out
+/// its timeouts again would just burn the query's deadline budget),
+/// and the query degrades to survivor-subset decryption over the
+/// remaining shards. [`ShardGate::Serve`] and [`ShardGate::Probe`]
+/// dispatch normally, as does every shard when `gates` is `None`.
+///
 /// Timing is virtual (see the module docs) and deterministic in the
 /// plan wherever fault delays are expressed as fixed `extra` delays.
 ///
@@ -570,34 +579,12 @@ enum Delivery<R> {
 ///
 /// [`ServeError::InvalidPolicy`] on an invalid policy; any
 /// [`ServeError`] from `serve` is propagated.
-pub fn dispatch_faulty<T, R>(
-    shards: &[T],
-    shard_base: usize,
-    plan: &FaultPlan,
-    policy: &FaultPolicy,
-    serve: impl FnMut(usize, &T) -> Result<Vec<u8>, ServeError>,
-    parse: impl FnMut(usize, &[u8]) -> Result<R, WireError>,
-) -> Result<(Vec<Option<R>>, FaultReport), ServeError> {
-    dispatch_faulty_gated(shards, shard_base, plan, policy, None, serve, parse)
-}
-
-/// [`dispatch_faulty`] with per-shard circuit-breaker gates: a shard
-/// gated [`ShardGate::Skip`] is not dispatched at all — it is
-/// reported as failed with zero attempts and zero wall (the breaker
-/// already knows it is down; waiting out its timeouts again would
-/// just burn the query's deadline budget), and the query degrades to
-/// survivor-subset decryption over the remaining shards.
-/// [`ShardGate::Serve`] and [`ShardGate::Probe`] dispatch normally.
-///
-/// # Errors
-///
-/// As [`dispatch_faulty`].
 ///
 /// # Panics
 ///
 /// Panics if `gates` is provided with a length other than
 /// `shards.len()`.
-pub fn dispatch_faulty_gated<T, R>(
+pub fn dispatch_faulty<T, R>(
     shards: &[T],
     shard_base: usize,
     plan: &FaultPlan,
@@ -953,6 +940,7 @@ mod tests {
             0,
             &FaultPlan::none(),
             &FaultPolicy::tolerant(),
+            None,
             serve_ok,
             parse_ok,
         )
@@ -971,7 +959,7 @@ mod tests {
         let plan = FaultPlan::none().crash_shard(1);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results[0], Some(0));
         assert_eq!(results[1], None);
         assert_eq!(results[2], Some(20));
@@ -990,7 +978,7 @@ mod tests {
         let plan = FaultPlan::none().flaky_then_recover(0, 2);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results, vec![Some(0), Some(10)]);
         assert!(report.all_ok());
         assert_eq!(report.retries, 2);
@@ -1008,7 +996,7 @@ mod tests {
             let mut policy = FaultPolicy::tolerant();
             policy.hedge_after = None;
             let (results, report) =
-                dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+                dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
             assert_eq!(results, vec![Some(0), Some(10)], "{kind:?}");
             assert_eq!(report.corrupted, 1, "{kind:?}");
             assert_eq!(report.retries, 1, "{kind:?}");
@@ -1023,7 +1011,7 @@ mod tests {
         // so the primary is abandoned and the hedge (healthy) wins.
         let plan = FaultPlan::none().straggle_shard(2, 1.0, Duration::from_secs(10));
         let policy = FaultPolicy::tolerant();
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         // The sticky straggler also delays the hedge, which still
         // arrives... no: sticky applies to every attempt, so the hedge
         // straggles too and the shard exhausts its attempts.
@@ -1039,7 +1027,7 @@ mod tests {
             FaultKind::Straggle { factor: 10.0, extra: Duration::from_secs(10) },
         );
         let (results, report) =
-            dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+            dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results[2], Some(20));
         assert!(report.shards[2].ok);
         assert_eq!(report.shards[2].attempts, 1, "hedge consumed no retry");
@@ -1057,7 +1045,7 @@ mod tests {
         policy.hedge_after = None;
         // 60 ms fixed virtual delay < 250 ms timeout: arrives, verified.
         let plan = FaultPlan::none().straggle_shard(0, 1.0, Duration::from_millis(60));
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results, vec![Some(0), Some(10)]);
         assert!(report.all_ok());
         assert!(report.shards[0].wall >= Duration::from_millis(60));
@@ -1088,9 +1076,9 @@ mod tests {
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
         let (hit, _) =
-            dispatch_faulty(&shards, 5, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+            dispatch_faulty(&shards, 5, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(hit, vec![None]);
-        let (miss, _) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (miss, _) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(miss, vec![Some(0)]);
     }
 
@@ -1102,7 +1090,7 @@ mod tests {
         policy.hedge_after = None;
         policy.max_retries = 100;
         policy.deadline = Duration::from_millis(600);
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results, vec![None]);
         // 600 ms budget / 250 ms timeouts: at most 3 attempts launch.
         assert!(report.shards[0].attempts <= 3, "{}", report.shards[0].attempts);
@@ -1120,7 +1108,7 @@ mod tests {
         // response-time histograms with observed (fast) latencies.
         for _ in 0..20 {
             let (_, report) =
-                dispatch_faulty(&shards, 7000, &FaultPlan::none(), &fixed, serve_ok, parse_ok)
+                dispatch_faulty(&shards, 7000, &FaultPlan::none(), &fixed, None, serve_ok, parse_ok)
                     .expect("dispatch");
             assert!(report.all_ok());
         }
@@ -1149,10 +1137,10 @@ mod tests {
             )
         };
         let (fixed_res, fixed_report) =
-            dispatch_faulty(&shards, 7000, &straggler(), &fixed, serve_ok, parse_ok)
+            dispatch_faulty(&shards, 7000, &straggler(), &fixed, None, serve_ok, parse_ok)
                 .expect("dispatch");
         let (tuned_res, tuned_report) =
-            dispatch_faulty(&shards, 7000, &straggler(), &tuned, serve_ok, parse_ok)
+            dispatch_faulty(&shards, 7000, &straggler(), &tuned, None, serve_ok, parse_ok)
                 .expect("dispatch");
         assert_eq!(fixed_res[2], Some(20));
         assert_eq!(tuned_res[2], Some(20));
@@ -1182,7 +1170,7 @@ mod tests {
         assert_eq!(p.validate().expect_err("late hedge").field, "fault_policy.hedge_after");
         // An invalid policy surfaces through dispatch as a typed
         // error, not a panic.
-        let err = dispatch_faulty(&echo_shards(1), 0, &FaultPlan::none(), &p, serve_ok, parse_ok)
+        let err = dispatch_faulty(&echo_shards(1), 0, &FaultPlan::none(), &p, None, serve_ok, parse_ok)
             .expect_err("invalid policy rejected");
         assert!(matches!(err, ServeError::InvalidPolicy(_)), "{err:?}");
     }
@@ -1197,7 +1185,7 @@ mod tests {
         policy.hedge_after = None;
         policy.max_retries = 0;
         let (results, report) =
-            dispatch_faulty(&shards, 0, &plan, &policy, serve_ok, parse_ok).expect("dispatch");
+            dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results, vec![Some(0), None, None, Some(30)]);
         assert_eq!(report.failed_shards(), vec![1, 2], "the whole AZ fails together");
     }
@@ -1206,7 +1194,7 @@ mod tests {
     fn skip_gates_fail_shards_without_burning_attempts() {
         let shards = echo_shards(3);
         let gates = [ShardGate::Serve, ShardGate::Skip, ShardGate::Probe];
-        let (results, report) = dispatch_faulty_gated(
+        let (results, report) = dispatch_faulty(
             &shards,
             0,
             &FaultPlan::none(),
@@ -1236,6 +1224,7 @@ mod tests {
             0,
             &FaultPlan::none(),
             &FaultPolicy::tolerant(),
+            None,
             |idx, s| if idx == 1 { Err(budget_err) } else { serve_ok(idx, s) },
             parse_ok,
         )

@@ -6,7 +6,7 @@
 //! The paper runs on 45 AWS machines; this workspace runs on one. The
 //! cluster is therefore *simulated with full structural fidelity*:
 //! shards execute the same code a worker machine would, one at a time,
-//! and [`simulate_parallel`] reports
+//! and [`dispatch`] reports a [`ParallelTiming`]:
 //!
 //! - `cpu`: the summed execution time (→ the paper's "core-seconds",
 //!   which count every vCPU paid for), and
@@ -23,14 +23,13 @@
 pub mod coalesce;
 pub mod fault;
 pub mod overload;
-pub mod pool;
 pub mod service;
 
 pub use coalesce::{
     chaos_inject_reactor_panic, CoalescePolicy, Coalescer, LaneStatus, MAX_LANE_RETRIES,
 };
 pub use fault::{
-    dispatch_faulty, dispatch_faulty_gated, open, open_traced, seal, seal_traced,
+    dispatch_faulty, open, open_traced, seal, seal_traced,
     shard_response_histogram, FaultKind, FaultPlan, FaultPolicy, FaultRates, FaultReport,
     ShardReport, TRACED_ENVELOPE_OVERHEAD,
 };
@@ -38,7 +37,6 @@ pub use overload::{
     AdmissionController, AdmissionPermit, AdmissionPolicy, BreakerBank, BreakerPolicy,
     BreakerState, ConfigError, DeadlineBudget, ServeError, ShardGate,
 };
-pub use pool::WorkerPool;
 pub use service::{dispatch, DispatchContext, Dispatched, Ledger, Service};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -262,28 +260,19 @@ pub struct ParallelTiming {
 }
 
 impl ParallelTiming {
+    /// Adds one shard of a fan-out that took `elapsed`: shards run one
+    /// at a time on this machine (so scheduler interleaving cannot
+    /// distort the numbers) but stand for parallel workers, hence
+    /// `wall` = slowest shard and `cpu` = sum.
+    pub fn add_shard(&mut self, elapsed: Duration) {
+        self.wall = self.wall.max(elapsed);
+        self.cpu += elapsed;
+    }
+
     /// Combines two phases executed one after the other.
     pub fn then(self, next: ParallelTiming) -> ParallelTiming {
         ParallelTiming { wall: self.wall + next.wall, cpu: self.cpu + next.cpu }
     }
-}
-
-/// Runs `f` over every shard, measuring per-shard time; returns the
-/// results plus [`ParallelTiming`] (`wall` = slowest shard, `cpu` =
-/// sum). This models the coordinator fan-out of §4.3 on a single
-/// machine without letting scheduler interleaving distort the numbers.
-pub fn simulate_parallel<T, R>(shards: &[T], mut f: impl FnMut(&T) -> R) -> (Vec<R>, ParallelTiming) {
-    let mut results = Vec::with_capacity(shards.len());
-    let mut wall = Duration::ZERO;
-    let mut cpu = Duration::ZERO;
-    for shard in shards {
-        let start = Instant::now();
-        results.push(f(shard));
-        let elapsed = start.elapsed();
-        wall = wall.max(elapsed);
-        cpu += elapsed;
-    }
-    (results, ParallelTiming { wall, cpu })
 }
 
 /// A stopwatch for single-machine (client or coordinator) steps.
@@ -337,22 +326,6 @@ mod tests {
         // A phase with no payload still costs one RTT.
         let lat = link.phase_latency(0, 0, Duration::ZERO);
         assert_eq!(lat, Duration::from_millis(50));
-    }
-
-    #[test]
-    fn simulate_parallel_reports_max_and_sum() {
-        let shards = vec![1u64, 2, 3];
-        let (results, timing) = simulate_parallel(&shards, |&s| {
-            // Busy-work proportional to the shard value.
-            let mut acc = 0u64;
-            for i in 0..s * 200_000 {
-                acc = acc.wrapping_add(i);
-            }
-            acc
-        });
-        assert_eq!(results.len(), 3);
-        assert!(timing.cpu >= timing.wall, "cpu {:?} < wall {:?}", timing.cpu, timing.wall);
-        assert!(timing.wall > Duration::ZERO);
     }
 
     #[test]

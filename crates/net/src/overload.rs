@@ -8,7 +8,7 @@
 //! holds the three cooperating mechanisms:
 //!
 //! - [`DeadlineBudget`] — a per-query wall-clock allowance carried
-//!   from `search_served` through [`crate::dispatch`] into coalescer
+//!   from the client's `query` through [`crate::dispatch`] into coalescer
 //!   lanes and the fault-aware fan-out. A query that cannot finish in
 //!   budget fails early with a typed [`ServeError::DeadlineExceeded`]
 //!   instead of queueing forever.

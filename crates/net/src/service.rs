@@ -1,12 +1,9 @@
 //! The typed service plane: one dispatch engine for every
 //! request/response service in the deployment.
 //!
-//! The repo had grown four drifting serving paths — the healthy
-//! fan-out, the fault-aware fan-out, the worker-pool cluster
-//! coordinator, and the batched throughput driver — each
-//! re-implementing dispatch, transcript accounting, fault handling,
-//! and span instrumentation. This module collapses them into one code
-//! path:
+//! Every query-path fan-out (healthy, fault-aware, coalesced) goes
+//! through this module, so dispatch, transcript accounting, fault
+//! handling and span instrumentation are written once:
 //!
 //! - [`Service`] — a typed shard service: how many shards it has, how
 //!   a shard serializes its answer to the wire, how the coordinator
@@ -16,25 +13,26 @@
 //!   registry by [`crate::Transcript`]) plus per-cluster byte
 //!   attribution when the service maps shards onto clusters.
 //! - [`dispatch`] — the engine. Policy knobs select the behavior:
-//!   with `policy.enabled == false` it runs the healthy
-//!   [`crate::simulate_parallel`] fan-out (per-shard spans named by
-//!   the service, no envelope, bit-identical to the historical
-//!   `answer` paths); with `policy.enabled == true` every response
-//!   crosses the checksummed `TPT1` envelope under
-//!   [`crate::dispatch_faulty`]'s timeouts, retries, and hedging.
+//!   with `policy.enabled == false` it runs the healthy loop (one
+//!   shard after another, per-shard spans named by the service, no
+//!   envelope, the first serve error aborts the fan-out); with
+//!   `policy.enabled == true` every response crosses the checksummed
+//!   `TPT1` envelope under [`crate::dispatch_faulty`]'s timeouts,
+//!   retries, and hedging.
 //!
 //! Batch coalescing composes *underneath* this plane: a service's
 //! `serve` may route its shard computation through a
 //! [`crate::Coalescer`], so concurrently dispatched requests share one
 //! database scan while accounting, faults, and spans stay per-request.
 
+use std::time::Instant;
+
 use tiptoe_math::wire::WireError;
 
-use crate::fault::dispatch_faulty_gated;
+use crate::fault::dispatch_faulty;
 use crate::overload::{BreakerBank, DeadlineBudget, ServeError, ShardGate};
 use crate::{
-    simulate_parallel, Direction, FaultPlan, FaultPolicy, FaultReport, ParallelTiming, Phase,
-    Transcript,
+    Direction, FaultPlan, FaultPolicy, FaultReport, ParallelTiming, Phase, Transcript,
 };
 
 /// A typed, sharded request/response service.
@@ -124,7 +122,8 @@ pub struct Dispatched<R> {
     /// `survivors[w]` is true iff shard `w` delivered a verified
     /// answer (all true on the healthy path).
     pub survivors: Vec<bool>,
-    /// Virtual timing: `wall` = slowest shard, `cpu` = summed work.
+    /// Virtual timing of the §4.3 coordinator fan-out: `wall` =
+    /// slowest shard, `cpu` = summed work.
     pub timing: ParallelTiming,
     /// Retry/timeout/hedge accounting; `Some` iff the fault-aware
     /// path ran (i.e. `policy.enabled`).
@@ -242,7 +241,7 @@ pub fn dispatch<S: Service>(
             .breakers
             .filter(|b| b.policy().enabled)
             .map(|b| shard_ids.iter().map(|&i| b.gate(shard_base + i)).collect());
-        let (parts, report) = dispatch_faulty_gated(
+        let (parts, report) = dispatch_faulty(
             &shard_ids,
             shard_base,
             ctx.plan,
@@ -265,27 +264,33 @@ pub fn dispatch<S: Service>(
         let timing = report.timing;
         (parts, survivors, timing, Some(report))
     } else {
-        let (parts, timing) = simulate_parallel(&shard_ids, |&idx| {
+        let mut parts = Vec::with_capacity(shard_ids.len());
+        let mut timing = ParallelTiming::default();
+        for &idx in &shard_ids {
             let mut span = tiptoe_obs::span(svc.shard_span());
             if tiptoe_obs::enabled() {
                 span.set_label(format!("{idx}"));
             }
-            let shard_start = std::time::Instant::now();
+            let shard_start = Instant::now();
             let part = svc.serve(idx, req).map(|payload| {
                 svc.parse(idx, &payload).expect("healthy shard payload must parse")
             });
+            let elapsed = shard_start.elapsed();
             tiptoe_obs::recorder::record(
                 tiptoe_obs::recorder::EventKind::ShardOutcome,
                 (shard_base + idx) as u64,
                 u64::from(part.is_ok()),
                 1,
-                shard_start.elapsed().as_micros() as u64,
+                elapsed.as_micros() as u64,
             );
-            part
-        });
-        let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
+            timing.add_shard(elapsed);
+            // A typed serve failure ends the fan-out here, as on the
+            // fault-aware path: the query can no longer finish in
+            // budget, so the remaining shards are not asked.
+            parts.push(Some(part?));
+        }
         let survivors = vec![true; parts.len()];
-        (parts.into_iter().map(Some).collect(), survivors, timing, None)
+        (parts, survivors, timing, None)
     };
     let response = svc.combine(parts);
 
@@ -362,6 +367,96 @@ mod tests {
         fn cluster_range(&self) -> Option<(usize, usize)> {
             self.clusters
         }
+    }
+
+    /// A service whose shard `w` stalls `(w + 1) · stall` and then
+    /// answers `w`, or fails typed when `fail` is set; counts `serve`
+    /// calls.
+    struct StallService {
+        stall: std::time::Duration,
+        fail: bool,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Service for StallService {
+        type Request = ();
+        type Part = u64;
+        type Response = u64;
+
+        fn outer_span(&self) -> &'static str {
+            "test.stall"
+        }
+
+        fn shard_span(&self) -> &'static str {
+            "test.stall_shard"
+        }
+
+        fn num_shards(&self) -> usize {
+            4
+        }
+
+        fn serve(&self, idx: usize, _req: &()) -> Result<Vec<u8>, ServeError> {
+            self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            std::thread::sleep(self.stall * (idx as u32 + 1));
+            if self.fail {
+                return Err(ServeError::DeadlineExceeded { budget: self.stall, spent: self.stall });
+            }
+            let mut w = WireWriter::new();
+            w.put_u64(idx as u64);
+            Ok(w.finish())
+        }
+
+        fn parse(&self, _idx: usize, payload: &[u8]) -> Result<u64, WireError> {
+            let mut r = WireReader::new(payload);
+            let v = r.get_u64()?;
+            r.finish()?;
+            Ok(v)
+        }
+
+        fn combine(&self, parts: Vec<Option<u64>>) -> u64 {
+            parts.into_iter().flatten().sum()
+        }
+    }
+
+    #[test]
+    fn a_serve_error_aborts_the_fan_out_under_both_policies() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let stall = Duration::from_millis(40);
+        let plan = FaultPlan::none();
+        for policy in [FaultPolicy::default(), FaultPolicy::tolerant()] {
+            let svc = StallService { stall, fail: true, calls: AtomicUsize::new(0) };
+            let t0 = Instant::now();
+            let err = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &policy), None)
+                .expect_err("the first shard's failure is the dispatch's");
+            let elapsed = t0.elapsed();
+            assert!(matches!(err, ServeError::DeadlineExceeded { .. }), "{err:?}");
+            assert_eq!(
+                svc.calls.load(Ordering::Relaxed),
+                1,
+                "no shard is asked after one failed typed (enabled = {})",
+                policy.enabled
+            );
+            assert!(elapsed < stall * 2, "held for {elapsed:?} (enabled = {})", policy.enabled);
+        }
+    }
+
+    #[test]
+    fn healthy_timing_is_the_slowest_shard_and_the_summed_work() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::Duration;
+        let stall = Duration::from_millis(3);
+        let svc = StallService { stall, fail: false, calls: AtomicUsize::new(0) };
+        let plan = FaultPlan::none();
+        let policy = FaultPolicy::default();
+        let d = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &policy), None)
+            .expect("healthy dispatch");
+        assert_eq!(d.response, 1 + 2 + 3);
+        // Shards stall 3, 6, 9 and 12 ms: wall is the last one alone,
+        // cpu all four.
+        assert!(d.timing.wall >= stall * 4, "wall {:?}", d.timing.wall);
+        assert!(d.timing.cpu >= stall * 10, "cpu {:?}", d.timing.cpu);
+        assert!(d.timing.cpu >= d.timing.wall + stall * 6, "{:?}", d.timing);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Chaos and property-fuzz suite for the overload-safe serving plane.
 //!
 //! Every test here injects a failure the plane must *contain*:
-//! coalescer lanes crash mid-flush under concurrent submitters, pool
-//! workers are poisoned by seeded request streams, whole availability
-//! zones of shards crash together, and more clients arrive than the
-//! admission capacity can hold. The invariants are always the same —
+//! coalescer lanes crash mid-flush under concurrent submitters, whole
+//! availability zones of shards crash together, and more clients
+//! arrive than the admission capacity can hold. The invariants are always the same —
 //! no query is lost, none is duplicated, none is answered
 //! incorrectly, and every failure surfaces as a typed error rather
 //! than a panic.
@@ -16,14 +15,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
 
-use tiptoe_core::client::TiptoeClient;
+use tiptoe_core::client::{QueryOptions, TiptoeClient};
 use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, CorpusConfig};
 use tiptoe_embed::text::TextEmbedder;
-use tiptoe_net::{
-    CoalescePolicy, Coalescer, FaultPlan, ServeError, WorkerPool, MAX_LANE_RETRIES,
-};
+use tiptoe_net::{CoalescePolicy, Coalescer, FaultPlan, ServeError, MAX_LANE_RETRIES};
 
 const DOCS: usize = 220;
 const SEED: u64 = 51;
@@ -224,46 +221,6 @@ fn reactor_crash_mid_flush_loses_no_request_and_duplicates_none() {
 }
 
 #[test]
-fn fuzzed_poisoned_pool_workers_degrade_without_loss() {
-    // A seeded stream of poison requests across 32 fan-out rounds:
-    // exactly the poisoned slots degrade to None, every other slot
-    // answers correctly, and the worker threads survive to the end.
-    const POISON: u64 = u64::MAX;
-    let seed = chaos_seed();
-    let pool: WorkerPool<u64, u64> = WorkerPool::spawn(4, |idx, x: u64| {
-        assert_ne!(x, POISON, "injected poison request for worker {idx}");
-        x.wrapping_mul(2) + idx as u64
-    });
-    let mut poisoned_rounds = 0usize;
-    for round in 0..32u64 {
-        let reqs: Vec<u64> = (0..4)
-            .map(|w| {
-                if splitmix(seed ^ (round * 4 + w)).is_multiple_of(5) { POISON } else { round * 4 + w }
-            })
-            .collect();
-        let out = pool.try_scatter_gather(reqs.clone());
-        assert_eq!(out.len(), 4, "one slot per worker, every round");
-        for (w, (req, resp)) in reqs.iter().zip(&out).enumerate() {
-            if *req == POISON {
-                assert_eq!(*resp, None, "poisoned slot must degrade, not fabricate");
-                poisoned_rounds += 1;
-            } else {
-                assert_eq!(*resp, Some(req.wrapping_mul(2) + w as u64));
-            }
-        }
-    }
-    assert!(poisoned_rounds > 0, "the seeded schedule must actually poison something");
-    // All four threads are still alive and correct after the chaos.
-    assert_eq!(pool.try_scatter_gather(vec![1, 2, 3, 4]), vec![
-        Some(2),
-        Some(5),
-        Some(8),
-        Some(11)
-    ]);
-    pool.shutdown();
-}
-
-#[test]
 fn az_correlated_crash_degrades_exactly_the_zone() {
     // One availability zone (two of four shards) crashes as a unit.
     // Queries whose searched cluster lives on a surviving shard must
@@ -292,7 +249,9 @@ fn az_correlated_crash_degrades_exactly_the_zone() {
         .collect();
     dead_clusters.sort_unstable();
 
-    let results = client(&tolerant).search_with_faults(&tolerant, query, 10, &plan);
+    let results = client(&tolerant)
+        .query(&tolerant, query, 10, QueryOptions { faults: Some(&plan), ..Default::default() })
+        .expect("unbudgeted search cannot fail");
     let dq = results.degraded.expect("degraded state");
     assert_eq!(dq.rank_report.failed_shards(), zone.to_vec(), "exactly the zone fails");
     assert_eq!(dq.missing_clusters, dead_clusters, "missing set is the zone's cluster union");
@@ -305,7 +264,9 @@ fn az_correlated_crash_degrades_exactly_the_zone() {
     let mut owner_zone = [owner, (owner + 1) % w];
     owner_zone.sort_unstable();
     let plan = FaultPlan::none().correlated_crash(&owner_zone);
-    let results = client(&tolerant).search_with_faults(&tolerant, query, 10, &plan);
+    let results = client(&tolerant)
+        .query(&tolerant, query, 10, QueryOptions { faults: Some(&plan), ..Default::default() })
+        .expect("unbudgeted search cannot fail");
     let dq = results.degraded.expect("degraded state");
     assert!(dq.searched_cluster_missing);
     assert!(dq.missing_clusters.contains(&results.cluster));

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use tiptoe_core::client::TiptoeClient;
+use tiptoe_core::client::{QueryOptions, SearchResults, TiptoeClient};
 use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, CorpusConfig};
@@ -51,6 +51,19 @@ fn client(instance: &TiptoeInstance<TextEmbedder>) -> TiptoeClient {
     instance.new_client(7)
 }
 
+/// One direct search under an explicit fault plan.
+fn search_with_faults(
+    client: &mut TiptoeClient,
+    instance: &TiptoeInstance<TextEmbedder>,
+    query: &str,
+    k: usize,
+    plan: &FaultPlan,
+) -> SearchResults {
+    client
+        .query(instance, query, k, QueryOptions { faults: Some(plan), ..Default::default() })
+        .expect("unbudgeted search cannot fail")
+}
+
 #[test]
 fn benign_plan_results_are_bit_identical_to_the_plain_path() {
     // Acceptance bar: with no faults injected, the fault-tolerant path
@@ -62,7 +75,7 @@ fn benign_plan_results_are_bit_identical_to_the_plain_path() {
     let mut c_tol = client(&tolerant);
     for query in ["museum history archive", "health doctor symptoms", "travel island beach"] {
         let a = c_plain.search(&plain, query, 10);
-        let b = c_tol.search_with_faults(&tolerant, query, 10, &FaultPlan::none());
+        let b = search_with_faults(&mut c_tol, &tolerant, query, 10, &FaultPlan::none());
         assert_eq!(a.cluster, b.cluster, "{query}: cluster drifted");
         assert_eq!(a.hits, b.hits, "{query}: hits drifted");
         let dq = b.degraded.expect("fault-tolerant searches report degraded state");
@@ -101,7 +114,7 @@ fn crashed_shard_plus_straggler_degrades_within_the_deadline() {
         FaultKind::Straggle { factor: 10.0, extra: Duration::from_secs(10) },
     );
 
-    let results = client(&tolerant).search_with_faults(&tolerant, query, 10, &plan);
+    let results = search_with_faults(&mut client(&tolerant), &tolerant, query, 10, &plan);
     let dq = results.degraded.expect("degraded state");
 
     // Ranked results over the surviving shards, identical to the
@@ -143,7 +156,7 @@ fn hedged_request_beats_a_ten_x_straggler() {
         0,
         FaultKind::Straggle { factor: 10.0, extra: Duration::from_secs(10) },
     );
-    let results = client(&tolerant).search_with_faults(&tolerant, "travel island beach", 5, &plan);
+    let results = search_with_faults(&mut client(&tolerant), &tolerant, "travel island beach", 5, &plan);
     let dq = results.degraded.expect("degraded state");
     assert!(dq.rank_report.all_ok(), "hedge must rescue the straggler");
     assert_eq!(dq.rank_report.retries, 0, "no retry: the hedge races the primary");
@@ -161,7 +174,7 @@ fn flaky_shard_recovers_via_retry() {
     let query = "health doctor symptoms";
     let reference = client(&plain).search(&plain, query, 10);
     let plan = FaultPlan::none().flaky_then_recover(2, 1);
-    let results = client(&tolerant).search_with_faults(&tolerant, query, 10, &plan);
+    let results = search_with_faults(&mut client(&tolerant), &tolerant, query, 10, &plan);
     let dq = results.degraded.expect("degraded state");
     assert!(dq.rank_report.all_ok(), "one crash then recovery must succeed");
     assert!(dq.rank_report.retries >= 1);
@@ -178,7 +191,7 @@ fn corrupted_and_truncated_responses_are_rejected_and_retried() {
     let plan = FaultPlan::none()
         .with_fault(0, 0, FaultKind::Corrupt)
         .with_fault(1, 0, FaultKind::Truncate);
-    let results = client(&tolerant).search_with_faults(&tolerant, query, 10, &plan);
+    let results = search_with_faults(&mut client(&tolerant), &tolerant, query, 10, &plan);
     let dq = results.degraded.expect("degraded state");
     assert!(dq.rank_report.all_ok());
     assert!(dq.rank_report.corrupted >= 2, "both tampered responses must be caught");
@@ -204,7 +217,7 @@ fn url_server_crash_degrades_to_empty_hits_not_a_panic() {
     let tolerant = build(true, 3);
     let url_addr = tolerant.ranking.num_shards();
     let plan = FaultPlan::none().crash_shard(url_addr);
-    let results = client(&tolerant).search_with_faults(&tolerant, "museum history archive", 5, &plan);
+    let results = search_with_faults(&mut client(&tolerant), &tolerant, "museum history archive", 5, &plan);
     let dq = results.degraded.expect("degraded state");
     assert!(dq.rank_report.all_ok(), "ranking shards were healthy");
     assert!(dq.url_failed);
@@ -222,7 +235,7 @@ fn searched_cluster_crash_is_reported_and_scores_zero() {
     let tolerant = build(true, 3);
     let query = "travel island beach";
     // Find the shard that owns the searched cluster via a benign probe.
-    let probe = client(&tolerant).search_with_faults(&tolerant, query, 5, &FaultPlan::none());
+    let probe = search_with_faults(&mut client(&tolerant), &tolerant, query, 5, &FaultPlan::none());
     let owner = (0..tolerant.ranking.num_shards())
         .find(|&w| {
             let (lo, hi) = tolerant.ranking.shard_clusters(w);
@@ -230,7 +243,7 @@ fn searched_cluster_crash_is_reported_and_scores_zero() {
         })
         .expect("cluster has a shard");
     let plan = FaultPlan::none().crash_shard(owner);
-    let results = client(&tolerant).search_with_faults(&tolerant, query, 5, &plan);
+    let results = search_with_faults(&mut client(&tolerant), &tolerant, query, 5, &plan);
     let dq = results.degraded.expect("degraded state");
     assert!(dq.searched_cluster_missing);
     assert!(dq.missing_clusters.contains(&results.cluster));
@@ -245,7 +258,7 @@ fn searched_cluster_crash_is_reported_and_scores_zero() {
 fn all_ranking_shards_down_still_returns_cleanly() {
     let tolerant = build(true, 2);
     let plan = FaultPlan::none().crash_shard(0).crash_shard(1);
-    let results = client(&tolerant).search_with_faults(&tolerant, "health doctor", 5, &plan);
+    let results = search_with_faults(&mut client(&tolerant), &tolerant, "health doctor", 5, &plan);
     let dq = results.degraded.expect("degraded state");
     assert_eq!(dq.rank_report.failed_shards().len(), 2);
     assert!(dq.searched_cluster_missing);

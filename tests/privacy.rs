@@ -8,26 +8,30 @@
 //! independent of the client's query string — and ciphertexts must not
 //! repeat or leak plaintext structure.
 
+use tiptoe_core::client::QueryOptions;
 use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, CorpusConfig};
 use tiptoe_embed::text::TextEmbedder;
 use tiptoe_lwe::{scheme::encrypt, LweParams, LweSecretKey, MatrixA};
 use tiptoe_math::rng::seeded_rng;
-use tiptoe_net::Direction;
+use tiptoe_net::{Direction, FaultPlan, FaultPolicy};
 
 fn build(seed: u64) -> TiptoeInstance<TextEmbedder> {
+    build_with(seed, |_| {})
+}
+
+fn build_with(seed: u64, tweak: impl FnOnce(&mut TiptoeConfig)) -> TiptoeInstance<TextEmbedder> {
     let corpus = generate(&CorpusConfig::small(180, seed), 0);
-    let config = TiptoeConfig::test_small(180, seed);
+    let mut config = TiptoeConfig::test_small(180, seed);
+    tweak(&mut config);
+    config.validate();
     let embedder = TextEmbedder::new(config.d_embed, seed, 0);
     TiptoeInstance::build(&config, embedder, &corpus)
 }
 
 #[test]
 fn wire_transcript_is_independent_of_the_query() {
-    let instance = build(71);
-    let mut client = instance.new_client(1);
-
     // Queries chosen to hit different clusters, different scores,
     // different result sets.
     let queries = [
@@ -36,26 +40,55 @@ fn wire_transcript_is_independent_of_the_query() {
         "museum",
         "completely unrelated gibberish zzzz qqqq xxxx",
     ];
-    let mut footprints = Vec::new();
-    for q in queries {
-        instance.transcript.reset();
-        let results = client.search(&instance, q, 5);
-        let phases: Vec<(&'static str, u64, u64)> = instance
-            .transcript
-            .phases()
-            .into_iter()
-            .map(|p| {
-                (
-                    p.as_str(),
-                    instance.transcript.phase_total(p, Direction::Upload),
-                    instance.transcript.phase_total(p, Direction::Download),
-                )
-            })
-            .collect();
-        footprints.push((phases, results.cost.total_bytes()));
+    // Every way a query can be served: the footprint must not depend
+    // on the query string in any of them.
+    let plain = build(71);
+    let admitting = build_with(71, |c| {
+        c.admission.enabled = true;
+        c.admission.max_inflight = 2;
+        c.admission.deadline = std::time::Duration::from_secs(60);
+    });
+    let tolerant = build_with(71, |c| c.fault_policy = FaultPolicy::tolerant());
+    let (plain_plane, admitting_plane) = (plain.serving_plane(), admitting.serving_plane());
+    let benign = FaultPlan::none();
+    let direct = QueryOptions::default();
+    let modes = [
+        ("direct", &plain, direct),
+        ("plane", &plain, QueryOptions { plane: Some(&plain_plane), ..direct }),
+        ("admitting plane", &admitting, QueryOptions { plane: Some(&admitting_plane), ..direct }),
+        ("benign faults", &tolerant, QueryOptions { faults: Some(&benign), ..direct }),
+        ("two probes", &plain, QueryOptions { probes: 2, ..direct }),
+    ];
+    let mut single_probe_online = Vec::new();
+    for (mode, instance, opts) in modes {
+        let mut client = instance.new_client(1);
+        let mut footprints = Vec::new();
+        for q in queries {
+            instance.transcript.reset();
+            let results = client.query(instance, q, 5, opts).expect(mode);
+            let phases: Vec<(&'static str, u64, u64)> = instance
+                .transcript
+                .phases()
+                .into_iter()
+                .map(|p| {
+                    (
+                        p.as_str(),
+                        instance.transcript.phase_total(p, Direction::Upload),
+                        instance.transcript.phase_total(p, Direction::Download),
+                    )
+                })
+                .collect();
+            footprints.push((phases, results.cost.total_bytes(), results.cost.online_bytes()));
+        }
+        for w in footprints.windows(2) {
+            assert_eq!(w[0], w[1], "{mode}: transcript shape must not depend on the query");
+        }
+        if opts.probes == 1 {
+            single_probe_online.push((mode, footprints[0].2));
+        }
     }
-    for w in footprints.windows(2) {
-        assert_eq!(w[0], w[1], "transcript shape must not depend on the query");
+    for w in single_probe_online.windows(2) {
+        assert_eq!(w[0].1, w[1].1, "online bytes differ between {} and {}", w[0].0, w[1].0);
     }
 }
 

@@ -11,6 +11,7 @@ use std::time::Duration;
 
 use rand::Rng;
 use tiptoe_core::batch::CompressedUrlBatch;
+use tiptoe_core::client::QueryOptions;
 use tiptoe_core::config::TiptoeConfig;
 use tiptoe_corpus::tzip;
 use tiptoe_dpf::DpfKey;
@@ -302,7 +303,12 @@ fn breaker_rerouted_queries_stay_bit_identical() {
     let mut c = tolerant.new_client(7);
     for round in 0..4 {
         let results = c
-            .try_search_served_with_faults(&tolerant, query, 10, &plan, &plane)
+            .query(
+                &tolerant,
+                query,
+                10,
+                QueryOptions { probes: 1, faults: Some(&plan), plane: Some(&plane) },
+            )
             .expect("admitted query completes despite the dead shard");
         let dq = results.degraded.expect("degraded state");
         assert_eq!(results.cluster, reference.cluster, "round {round}");

@@ -3,6 +3,7 @@
 //! at every batch size, with or without injected faults.
 
 use rand::Rng;
+use tiptoe_core::client::QueryOptions;
 use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, Corpus, CorpusConfig};
@@ -89,7 +90,8 @@ fn served_searches_match_direct_searches_end_to_end() {
     let mut served = instance.new_client(11);
     for q in corpus.queries.iter().take(3) {
         let a = direct.search(&instance, &q.text, 10);
-        let b = served.search_served(&instance, &q.text, 10, &plane);
+        let opts = QueryOptions { plane: Some(&plane), ..Default::default() };
+        let b = served.query(&instance, &q.text, 10, opts).expect("admission is off");
         assert_eq!(a.cluster, b.cluster, "cluster drifted: {}", q.text);
         assert_eq!(a.hits, b.hits, "hits drifted: {}", q.text);
         assert_eq!(a.cost.rank_up, b.cost.rank_up);
@@ -122,7 +124,9 @@ fn concurrent_served_searches_stay_bit_identical() {
                 scope.spawn(move || {
                     let mut c = instance.new_client(100 + i as u64);
                     let q = &corpus.queries[i % corpus.queries.len()];
-                    let r = c.search_served(instance, &q.text, 10, plane);
+                    let r = c
+                        .try_search_served(instance, &q.text, 10, plane)
+                        .expect("admission is off");
                     (r.cluster, r.hits)
                 })
             })
@@ -225,7 +229,7 @@ fn solo_served_searches_do_not_wait_out_the_flush_deadline() {
     let direct_elapsed = t0.elapsed();
     let plane = instance.serving_plane();
     let t0 = std::time::Instant::now();
-    let b = served.search_served(&instance, &q.text, 10, &plane);
+    let b = served.try_search_served(&instance, &q.text, 10, &plane).expect("admission is off");
     let served_elapsed = t0.elapsed();
     assert_eq!(a.hits, b.hits, "solo served search must stay bit-identical");
 
@@ -258,8 +262,10 @@ fn served_faulty_searches_match_unserved_faulty_searches() {
     let mut unserved = instance.new_client(21);
     let mut served = instance.new_client(21);
     for q in corpus.queries.iter().take(2) {
-        let a = unserved.search_with_faults(&instance, &q.text, 10, &plan);
-        let b = served.search_served_with_faults(&instance, &q.text, 10, &plan, &plane);
+        let direct = QueryOptions { faults: Some(&plan), ..Default::default() };
+        let a = unserved.query(&instance, &q.text, 10, direct).expect("unbudgeted");
+        let via = QueryOptions { plane: Some(&plane), ..direct };
+        let b = served.query(&instance, &q.text, 10, via).expect("admission is off");
         assert_eq!(a.cluster, b.cluster);
         assert_eq!(a.hits, b.hits, "degraded hits drifted: {}", q.text);
         let da = a.degraded.expect("fault-tolerant searches report state");
@@ -284,7 +290,9 @@ fn served_benign_plan_is_bit_identical_to_plain_search() {
     let mut b = tolerant.new_client(31);
     let q = &corpus.queries[0];
     let ra = a.search(&plain, &q.text, 10);
-    let rb = b.search_served_with_faults(&tolerant, &q.text, 10, &FaultPlan::none(), &plane);
+    let benign = FaultPlan::none();
+    let opts = QueryOptions { probes: 1, faults: Some(&benign), plane: Some(&plane) };
+    let rb = b.query(&tolerant, &q.text, 10, opts).expect("admission is off");
     assert_eq!(ra.cluster, rb.cluster);
     assert_eq!(ra.hits, rb.hits);
     let db = rb.degraded.expect("reports even when healthy");

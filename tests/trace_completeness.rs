@@ -83,7 +83,9 @@ fn run_cohort(
                 scope.spawn(move || {
                     let mut c = instance.new_client(700 + i as u64);
                     let q = &corpus.queries[i % corpus.queries.len()];
-                    let r = c.search_served(instance, &q.text, 10, plane);
+                    let r = c
+                        .try_search_served(instance, &q.text, 10, plane)
+                        .expect("admission is off");
                     (r.cluster, r.hits)
                 })
             })
@@ -225,7 +227,7 @@ fn sampled_out_queries_still_get_recorder_timelines() {
     let plane = instance.serving_plane();
     let baseline = {
         let mut c = instance.new_client(900);
-        c.search_served(&instance, &q.text, 10, &plane)
+        c.try_search_served(&instance, &q.text, 10, &plane).expect("admission is off")
     };
 
     // 1-in-1000 sampling: queries after the first are sampled out.
@@ -235,10 +237,10 @@ fn sampled_out_queries_still_get_recorder_timelines() {
     let up_before = instance.transcript.total(tiptoe_net::Direction::Upload);
     let down_before = instance.transcript.total(tiptoe_net::Direction::Download);
     let mut c = instance.new_client(901);
-    let first = c.search_served(&instance, &q.text, 10, &plane);
+    let first = c.try_search_served(&instance, &q.text, 10, &plane).expect("admission is off");
     tiptoe_obs::clear_spans();
     let mut c = instance.new_client(900);
-    let sampled_out = c.search_served(&instance, &q.text, 10, &plane);
+    let sampled_out = c.try_search_served(&instance, &q.text, 10, &plane).expect("admission is off");
     let spans = tiptoe_obs::spans_snapshot();
     tiptoe_obs::disable();
     tiptoe_obs::set_span_sample(1);
