@@ -6,15 +6,19 @@
 //! single-body kernels, and writes `BENCH_kernels.json` at the
 //! repository root.
 //!
-//! The token rows (`ntt_forward`, `ntt_inverse`, `rlwe_encrypt_scalar`,
-//! `rlwe_expand`, `hint_mac`) run at the production outer ring
-//! (N = 2048, 62-bit Q) over one token's worth of work: 2,048
-//! ciphertexts, and for `hint_mac` one `(chunk, limb)` unit of token
-//! generation (2,048 hint polynomials against both components of the
-//! expanded secret; a token is one such unit per shard, chunk and
-//! limb). These kernels have one scalar body and no tier to compare
-//! against, so their `speedup_vs_scalar` is 1 by construction and only
-//! their time is of interest.
+//! The token rows (`ntt_forward`, `ntt_inverse`, `noise_sample`,
+//! `rlwe_encrypt_scalar`, `rlwe_expand`, `hint_mac`) run at the
+//! production outer ring (N = 2048, 62-bit Q) over one token's worth
+//! of work: 2,048 ciphertexts, and for `hint_mac` one `(chunk, limb)`
+//! unit of token generation (2,048 hint polynomials against both
+//! components of the expanded secret; a token is one such unit per
+//! shard, chunk and limb). `noise_sample` is the errors of those
+//! ciphertexts alone (keystream plus table pass, 2^22 samples, so
+//! seconds × 238 is ns per sample), one row per supported tier with σ
+//! and the table length in the shape. The other kernels have one
+//! scalar body and no tier to compare against, so their
+//! `speedup_vs_scalar` is 1 by construction and only their time is of
+//! interest.
 //!
 //! The client rows run at the two shipped upload shapes (m×n of the
 //! seeded public matrix `A`): 17088×2048, the deployed text preset,
@@ -65,7 +69,7 @@ use tiptoe_math::matrix::{scan, Mat};
 use tiptoe_math::ntt::ShoupPoly;
 use tiptoe_math::par::max_threads;
 use tiptoe_math::rng::{derive_seed, seeded_rng};
-use tiptoe_math::sample::gaussian_i64;
+use tiptoe_math::sample::{gaussian_i64, NoiseTable};
 use tiptoe_math::simd::{self, KernelTier};
 use tiptoe_rlwe::{RlweCiphertext, RlweContext, RlweParams, RlweSecretKey};
 
@@ -181,6 +185,22 @@ fn preproc_scalar(db: &Mat<u32>, a: &MatrixARange) -> Mat<u64> {
 /// `MatrixA::expand_row` with the tier named instead of detected.
 fn expand_row_at(tier: KernelTier, a: &MatrixA, k: usize, row: &mut [u64]) {
     simd::keystream(tier, &StdRng::key_from_u64(derive_seed(a.seed(), k as u64)), 0, row);
+}
+
+/// The rows of a kernel with one body per keystream tier, as
+/// `(variant, seconds, scalar seconds)`: `scalar`, `tier_*` for each
+/// tier below the host's, and `dispatched_*`, which is `at(None)`, the
+/// production entry.
+fn tier_rows(mut at: impl FnMut(Option<KernelTier>) -> f64) -> Vec<(String, f64, f64)> {
+    let scalar = at(Some(KernelTier::Scalar));
+    let mut rows = vec![("scalar".to_string(), scalar, scalar)];
+    for below in [KernelTier::Avx2, KernelTier::Avx512] {
+        if below < simd::tier() {
+            rows.push((format!("tier_{}", below.name()), at(Some(below)), scalar));
+        }
+    }
+    rows.push((format!("dispatched_{}", simd::tier_name()), at(None), scalar));
+    rows
 }
 
 /// `scheme::encrypt` on the scalar tier end to end (one-block
@@ -306,16 +326,9 @@ fn main() {
                 }
             })
         };
-        let scalar = at(Some(KernelTier::Scalar));
-        push("expand_row", "scalar".into(), &shape, Some(scalar), scalar, None);
-        for below in [KernelTier::Avx2, KernelTier::Avx512] {
-            if below < simd::tier() {
-                let seconds = at(Some(below));
-                push("expand_row", format!("tier_{}", below.name()), &shape, Some(seconds), scalar, None);
-            }
+        for (variant, seconds, scalar) in tier_rows(&mut at) {
+            push("expand_row", variant, &shape, Some(seconds), scalar, None);
         }
-        let dispatched = at(None);
-        push("expand_row", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
     }
 
     // --- Client kernel: one online `Enc(q̃)` at the deployed shape
@@ -350,6 +363,22 @@ fn main() {
     push("ntt_forward", "scalar".into(), &shape, Some(forward), forward, None);
     let inverse = time(reps, || (0..ring).for_each(|_| table.inverse(&mut poly)));
     push("ntt_inverse", "scalar".into(), &shape, Some(inverse), inverse, None);
+
+    let noise = NoiseTable::new(ctx.params().sigma);
+    let noise_shape =
+        format!("{ring}x{ring} sigma={} thresholds={}", ctx.params().sigma, noise.bound());
+    let mut e = vec![0u64; ring];
+    let mut noise_at = |tier: Option<KernelTier>| {
+        time(reps, || {
+            for i in 0..ring as u64 {
+                noise.fill(tier.unwrap_or(simd::tier()), &StdRng::key_from_u64(i), ctx.q(), &mut e);
+                std::hint::black_box(&mut e);
+            }
+        })
+    };
+    for (variant, seconds, scalar) in tier_rows(&mut noise_at) {
+        push("noise_sample", variant, &noise_shape, Some(seconds), scalar, None);
+    }
 
     let secret = tiptoe_math::sample::ternary_vec(&mut rng, ring);
     let encrypt_all = |rng: &mut StdRng| -> Vec<_> {

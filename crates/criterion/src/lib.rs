@@ -252,7 +252,9 @@ mod tests {
     fn bench_function_measures_and_records() {
         let mut c = Criterion::default().measurement_time(Duration::from_millis(5));
         c.filter = None;
-        c.bench_function("spin", |b| b.iter(|| (0..100u64).sum::<u64>()));
+        // Every term goes through `black_box`, or a release build folds
+        // the sum to a constant and an iteration rounds to 0 ns.
+        c.bench_function("spin", |b| b.iter(|| (0..100u64).map(black_box).sum::<u64>()));
         assert_eq!(c.samples.len(), 1);
         assert!(c.samples[0].iters >= 1);
         assert!(c.samples[0].per_iter > Duration::ZERO);

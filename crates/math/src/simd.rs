@@ -15,7 +15,9 @@
 //! whose blocks are independent given their counters, so the vector
 //! tiers compute eight blocks at once (lane `l` = block `counter + l`)
 //! and emit exactly the byte stream the one-block-at-a-time scalar
-//! tier does.
+//! tier does. The outer scheme's noise is drawn from that stream by a
+//! table inversion ([`cdt_invert`]) that treats every word alike, so
+//! it is the same safe body at every tier as well.
 //!
 //! # Dispatch tiers
 //!
@@ -30,7 +32,9 @@
 //! `#[target_feature]` set. AVX-512 runs the same 8 lanes as AVX2 —
 //! native rotates and 32 registers (the 16-word state no longer
 //! spills) make it ≈2.4× the AVX2 build, while 16 lanes measured
-//! slower than 8 and is not shipped.
+//! slower than 8 and is not shipped. The table inversion is built the
+//! same way over 64-word blocks at every tier; the compiler picks the
+//! vector width.
 //!
 //! The tier is detected once (see [`tier`]) with
 //! `is_x86_feature_detected!` and cached for the process lifetime;
@@ -48,9 +52,9 @@
 //! functions below, which establish that contract via the cached
 //! feature probe. Inside the kernels, the remaining unsafe operations
 //! are unaligned vector loads/stores whose bounds are justified
-//! inline at each block. The keystream kernels have no unsafe
-//! operation inside at all: they only instantiate safe code under a
-//! wider feature set.
+//! inline at each block. The keystream and table-inversion kernels
+//! have no unsafe operation inside at all: they only instantiate safe
+//! code under a wider feature set.
 
 use std::sync::OnceLock;
 
@@ -403,6 +407,106 @@ pub fn keystream<W: Word>(tier: KernelTier, key: &[u32; 8], counter: u64, out: &
 }
 
 // ---------------------------------------------------------------------
+// Cumulative-distribution-table inversion: one safe body, instantiated
+// per tier.
+// ---------------------------------------------------------------------
+
+/// Words per block of [`cdt_invert`]: the counters of one block are
+/// eight 512-bit registers, and the loop over a block has a constant
+/// trip count, so it unrolls into straight vector code.
+const CDT_BLOCK: usize = 64;
+
+/// `u ≥ t` as 0 or 1 for `u, t < 2^63`: the sign bit of `t − 1 − u`,
+/// which cannot overflow in that range. A subtraction and a shift are
+/// one instruction each at every tier, where a 64-bit compare is a
+/// five-instruction emulation below SSE4.2.
+#[inline(always)]
+fn ge_63(u: u64, t: u64) -> u64 {
+    t.wrapping_sub(1).wrapping_sub(u) >> 63
+}
+
+/// One block of [`cdt_invert`]. Thresholds outer, words inner: every
+/// word meets every threshold, and the inner loop is a few vector
+/// instructions per register of counters. `ge` is [`ge_63`], a
+/// parameter only so that a test can count the calls.
+#[inline(always)]
+fn cdt_invert_block(
+    thresholds: &[u64],
+    q: u64,
+    block: &mut [u64; CDT_BLOCK],
+    ge: &impl Fn(u64, u64) -> u64,
+) {
+    let u = block.map(|w| w >> 1);
+    let mut k = [0u64; CDT_BLOCK];
+    for &t in thresholds {
+        for (k, &u) in k.iter_mut().zip(&u) {
+            *k += ge(u, t);
+        }
+    }
+    for (w, &k) in block.iter_mut().zip(&k) {
+        // −0 is 0, not `q`: negate only a nonzero magnitude.
+        let negate = 0u64.wrapping_sub(*w & u64::from(k != 0));
+        *w = (k & !negate) | (q.wrapping_sub(k) & negate);
+    }
+}
+
+/// [`cdt_invert`] over whole blocks, then over what is left of `buf`
+/// padded to one more whole block, so the work done depends on
+/// `buf.len()` and `thresholds.len()` and on nothing in `buf`.
+#[inline(always)]
+fn cdt_invert_blocks(thresholds: &[u64], q: u64, buf: &mut [u64], ge: impl Fn(u64, u64) -> u64) {
+    let (blocks, tail) = buf.as_chunks_mut::<CDT_BLOCK>();
+    for block in blocks {
+        cdt_invert_block(thresholds, q, block, &ge);
+    }
+    if !tail.is_empty() {
+        let mut padded = [0u64; CDT_BLOCK];
+        padded[..tail.len()].copy_from_slice(tail);
+        cdt_invert_block(thresholds, q, &mut padded, &ge);
+        tail.copy_from_slice(&padded[..tail.len()]);
+    }
+}
+
+/// Turns uniform 64-bit words into signed table samples modulo `q`, in
+/// place: word `w` becomes `±k mod q` with
+/// `k = #{j : (w >> 1) ≥ thresholds[j]}` and the sign taken from bit 0
+/// of `w`. With `thresholds[j] = 2^63·P(|X| ≤ j)` this inverts the
+/// cumulative distribution of `|X|` at 63-bit resolution
+/// ([`crate::sample::NoiseTable`] builds such a table for the discrete
+/// Gaussian).
+///
+/// Constant time in the words: `k` is counted over *all* thresholds
+/// with no early exit, the sign is applied by mask, and no branch,
+/// index or loop bound depends on a word, so every sample costs the
+/// same `thresholds.len()` compares whatever is drawn.
+///
+/// Runs at `tier` clamped to the host's, as [`keystream`] does; each
+/// word is handled on its own, so every tier writes the same samples.
+///
+/// # Panics
+///
+/// Panics if a threshold is `≥ 2^63` (no 63-bit word reaches it, and
+/// the compare is exact only below that) or if `q` does not exceed
+/// `thresholds.len()`, the largest magnitude.
+#[inline]
+pub fn cdt_invert(tier: KernelTier, thresholds: &[u64], q: u64, buf: &mut [u64]) {
+    assert!(thresholds.iter().all(|&t| t < 1 << 63), "threshold out of 63-bit range");
+    assert!(q > thresholds.len() as u64, "modulus below the largest sample");
+    match tier.min(self::tier()) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the tier run is at most `tier()`, which returns this
+        // variant only after `is_x86_feature_detected!` confirmed
+        // avx512f+avx512dq.
+        KernelTier::Avx512 => unsafe { x86::cdt_invert_avx512(thresholds, q, buf) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above; `tier()` is Avx2 or Avx512 here, and
+        // `detect` reports either only after confirming avx2.
+        KernelTier::Avx2 => unsafe { x86::cdt_invert_avx2(thresholds, q, buf) },
+        _ => cdt_invert_blocks(thresholds, q, buf, ge_63),
+    }
+}
+
+// ---------------------------------------------------------------------
 // x86-64 vector kernels.
 // ---------------------------------------------------------------------
 
@@ -410,7 +514,7 @@ pub fn keystream<W: Word>(tier: KernelTier, key: &[u32; 8], counter: u64, out: &
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::{keystream_lanes, Word, VECTOR_LANES};
+    use super::{cdt_invert_blocks, ge_63, keystream_lanes, Word, VECTOR_LANES};
 
     /// Low 64 bits of `r·x` per lane when every lane of `r` is `< 2^32`
     /// (a zero-extended `u32` database entry):
@@ -468,6 +572,22 @@ mod x86 {
     #[target_feature(enable = "avx512f,avx512dq")]
     pub(super) unsafe fn keystream_avx512<W: Word>(key: &[u32; 8], counter: u64, out: &mut [W]) {
         keystream_lanes::<VECTOR_LANES, W>(key, counter, out)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cdt_invert_avx2(thresholds: &[u64], q: u64, buf: &mut [u64]) {
+        cdt_invert_blocks(thresholds, q, buf, ge_63)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn cdt_invert_avx512(thresholds: &[u64], q: u64, buf: &mut [u64]) {
+        cdt_invert_blocks(thresholds, q, buf, ge_63)
     }
 
     /// # Safety
@@ -922,6 +1042,59 @@ mod tests {
                     axpy_scalar(&mut want, w, &v);
                     assert_eq!(got, want);
                 }
+            }
+        }
+    }
+
+    /// A 5-entry table with round numbers: `k` is how many eighths of
+    /// the 63-bit range `u` has passed, up to 5.
+    const EIGHTHS: [u64; 5] = [1 << 60, 2 << 60, 3 << 60, 4 << 60, 5 << 60];
+
+    #[test]
+    fn cdt_invert_counts_thresholds_and_applies_the_sign() {
+        let q = 1_000_003;
+        // (word, sample): magnitude from bits 63..1, sign from bit 0.
+        let cases = [
+            (0u64, 0u64),
+            (1, 0), // −0 is 0
+            (u64::MAX, q - 5),
+            (u64::MAX - 1, 5),
+            ((1 << 61) - 2, 0), // u = 2^60 − 1, one short of T[0]
+            (1 << 61, 1),       // u = T[0] exactly
+            ((1 << 61) + 1, q - 1),
+            ((3 << 61) + 1, q - 3),
+        ];
+        for len in [cases.len(), CDT_BLOCK, CDT_BLOCK + cases.len()] {
+            let mut buf: Vec<u64> = cases.iter().map(|c| c.0).cycle().take(len).collect();
+            cdt_invert(tier(), &EIGHTHS, q, &mut buf);
+            let want: Vec<u64> = cases.iter().map(|c| c.1).cycle().take(len).collect();
+            assert_eq!(buf, want, "len {len}");
+        }
+        let mut untouched = [0u64, 1, u64::MAX];
+        cdt_invert(tier(), &[], q, &mut untouched);
+        assert_eq!(untouched, [0, 0, 0], "the empty table samples zero");
+    }
+
+    #[test]
+    #[should_panic(expected = "63-bit")]
+    fn cdt_invert_refuses_a_saturated_threshold() {
+        cdt_invert(tier(), &[1 << 62, 1 << 63], 97, &mut [0u64; 4]);
+    }
+
+    #[test]
+    fn cdt_invert_does_the_same_compares_whatever_the_words() {
+        // The count depends on the two lengths alone: every word of
+        // every (padded) block meets every threshold.
+        for len in [0usize, 1, 63, 64, 65, 2048, 2051] {
+            let mut random = vec![0u64; len];
+            keystream(tier(), &[7; 8], 0, &mut random);
+            for mut words in [vec![0u64; len], vec![u64::MAX; len], random] {
+                let compares = std::cell::Cell::new(0usize);
+                cdt_invert_blocks(&EIGHTHS, 97, &mut words, |u, t| {
+                    compares.set(compares.get() + 1);
+                    ge_63(u, t)
+                });
+                assert_eq!(compares.get(), EIGHTHS.len() * len.next_multiple_of(CDT_BLOCK), "len {len}");
             }
         }
     }

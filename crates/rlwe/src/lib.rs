@@ -43,7 +43,8 @@ use rand::Rng;
 use tiptoe_math::ntt::{NttTable, ShoupPoly};
 use tiptoe_math::poly::{Domain, Poly};
 use tiptoe_math::rng::{derive_seed, expand_seed};
-use tiptoe_math::sample::{fill_gaussian, ternary_vec};
+use tiptoe_math::sample::{ternary_vec, NoiseTable};
+use tiptoe_math::simd;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 
 /// Parameters of the outer RLWE scheme.
@@ -55,7 +56,9 @@ pub struct RlweParams {
     pub q_bits: u32,
     /// Plaintext modulus `t` (a power of two in this workspace).
     pub t: u64,
-    /// Error standard deviation.
+    /// Error width: the parameter σ of the discrete Gaussian
+    /// `p(k) ∝ exp(−k²/2σ²)` the errors are drawn from (at most 28,
+    /// see [`NoiseTable`]).
     pub sigma: f64,
 }
 
@@ -76,13 +79,15 @@ impl RlweParams {
     }
 }
 
-/// Shared precomputed state: parameters plus NTT tables.
+/// Shared precomputed state: parameters plus NTT and noise tables.
 #[derive(Debug, Clone)]
 pub struct RlweContext {
     params: RlweParams,
     table: Arc<NttTable>,
     /// `Δ = ⌊Q/t⌋`.
     delta: u64,
+    /// The error distribution of `params.sigma`.
+    noise: NoiseTable,
 }
 
 impl RlweContext {
@@ -91,13 +96,14 @@ impl RlweContext {
     /// # Panics
     ///
     /// Panics if the parameters are inconsistent (`t ≥ Q/4`, degree
-    /// not a power of two, …).
+    /// not a power of two, …) or `sigma` is negative, not finite or
+    /// above 28 (see [`NoiseTable::new`]).
     pub fn new(params: RlweParams) -> Self {
         let table = Arc::new(NttTable::new(params.degree, params.q_bits));
         let q = table.modulus().value();
         assert!(params.t >= 2 && params.t < q / 4, "plaintext modulus out of range");
         let delta = q / params.t;
-        Self { params, table, delta }
+        Self { params, table, delta, noise: NoiseTable::new(params.sigma) }
     }
 
     /// The scheme parameters.
@@ -118,6 +124,11 @@ impl RlweContext {
     /// The plaintext scale `Δ = ⌊Q/t⌋`.
     pub fn delta(&self) -> u64 {
         self.delta
+    }
+
+    /// The largest `|e|` a fresh ciphertext's error coefficients take.
+    pub fn noise_bound(&self) -> u64 {
+        self.noise.bound()
     }
 
     /// Encodes a signed plaintext value as `round(m·Q/t) mod Q`.
@@ -285,12 +296,15 @@ fn expand_a(ctx: &RlweContext, seed: u64) -> Vec<u64> {
     a_ntt
 }
 
-/// Fresh noise `e`, reduced modulo `Q` (coefficient domain).
+/// Fresh noise `e`, reduced modulo `Q` (coefficient domain): a
+/// keystream under a 256-bit key from `rng`, the one thing drawn from
+/// it, inverted through the noise table in place. Constant time: the
+/// same eight `u32`s of `rng` and the same compares whatever `e` is.
 fn sample_noise<R: Rng + ?Sized>(ctx: &RlweContext, rng: &mut R) -> Vec<u64> {
-    let mut e = vec![0i64; ctx.params.degree];
-    fill_gaussian(rng, ctx.params.sigma, &mut e);
-    let modulus = ctx.table.modulus();
-    e.into_iter().map(|e| modulus.reduce_signed(e)).collect()
+    let key: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+    let mut e = vec![0u64; ctx.params.degree];
+    ctx.noise.fill(simd::tier(), &key, ctx.q(), &mut e);
+    e
 }
 
 /// Completes an encryption from `e + Δ·m` in coefficient domain:
@@ -399,6 +413,22 @@ pub fn decrypt(ctx: &RlweContext, sk: &RlweSecretKey, ct: &RlweCiphertext) -> Ve
         .collect()
 }
 
+/// The largest `|noise|` among the coefficients of a ciphertext whose
+/// plaintext is known: the phase minus the encoded message, centred.
+pub fn max_noise(
+    ctx: &RlweContext,
+    sk: &RlweSecretKey,
+    ct: &RlweCiphertext,
+    expected_signed: &[i64],
+) -> u64 {
+    let modulus = *ctx.table.modulus();
+    let phase = phase(ctx, sk, ct);
+    let noise = phase.coeffs().iter().zip(expected_signed).map(|(&c, &m)| {
+        modulus.center(modulus.sub(c, ctx.encode_plain(m))).unsigned_abs()
+    });
+    noise.max().unwrap_or(0)
+}
+
 /// Measures the remaining noise budget (bits) of a ciphertext whose
 /// plaintext is known. Returns `log2(Δ/2) - log2(max |noise|)`;
 /// negative values mean decryption already failed.
@@ -408,15 +438,8 @@ pub fn noise_budget_bits(
     ct: &RlweCiphertext,
     expected_signed: &[i64],
 ) -> f64 {
-    let modulus = *ctx.table.modulus();
-    let mut max_noise = 0u64;
-    for (&c, &m) in phase(ctx, sk, ct).coeffs().iter().zip(expected_signed.iter()) {
-        let expected = ctx.encode_plain(m);
-        let noise = modulus.center(modulus.sub(c, expected)).unsigned_abs();
-        max_noise = max_noise.max(noise);
-    }
     let budget = (ctx.delta / 2) as f64;
-    (budget.log2()) - (max_noise.max(1) as f64).log2()
+    budget.log2() - (max_noise(ctx, sk, ct, expected_signed).max(1) as f64).log2()
 }
 
 /// A modulus-switched ciphertext over `Z_{2^log_q2}`, in coefficient
@@ -543,6 +566,7 @@ pub fn decrypt_switched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
     use tiptoe_math::rng::seeded_rng;
 
     fn ctx() -> RlweContext {
@@ -771,6 +795,34 @@ mod tests {
         let std = (noise.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / n).sqrt();
         assert!(mean.abs() < 0.1, "noise mean {mean}");
         assert!((std - 3.2).abs() / 3.2 < 0.05, "noise std {std}, want 3.2 within 5 %");
+    }
+
+    #[test]
+    fn encryption_consumes_the_same_randomness_whatever_it_encrypts() {
+        // Eight `u32`s of the caller's generator a ciphertext (the
+        // noise key), for any message under any key: nothing about a
+        // secret moves the generator, and no draw is rejected.
+        for ctx in [ctx(), RlweContext::new(RlweParams::production())] {
+            let keys = [25, 26].map(|seed| RlweSecretKey::generate(&ctx, &mut seeded_rng(seed)));
+            let mut untouched = seeded_rng(27);
+            for _ in 0..8 {
+                untouched.next_u32();
+            }
+            let want = untouched.next_u64();
+            for sk in &keys {
+                for c in [-1i64, 0, 1] {
+                    let mut rng = seeded_rng(27);
+                    encrypt_scalar(&ctx, sk, c, 3, &mut rng);
+                    assert_eq!(rng.next_u64(), want, "c = {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "thresholds")]
+    fn a_width_past_the_table_is_refused() {
+        RlweContext::new(RlweParams { sigma: 81920.0, ..RlweParams::insecure_test() });
     }
 
     #[test]

@@ -740,6 +740,7 @@ mod tests {
     use rand::Rng;
     use tiptoe_lwe::scheme::preproc;
     use tiptoe_math::rng::seeded_rng;
+    use tiptoe_rlwe::{max_noise, mul_plain_acc, noise_budget_bits};
 
     /// `Apply` of one ciphertext on the caller's thread.
     fn apply<W: Word>(db: &Mat<u32>, ct: &LweCiphertext<W>) -> Vec<W> {
@@ -1070,6 +1071,35 @@ mod tests {
         }
         // The analytic budget agrees: margins at this width are ample.
         assert!(uh.total_noise_bound(cols) < uh.lwe().delta() as f64 / 8.0);
+
+        // The outer scheme's half, over all n ciphertexts. Fresh errors
+        // are bounded by the sampler's table, deterministically; and
+        // `hint·s` at its deepest (one (chunk, limb) unit over a full
+        // chunk, N rows of 16-bit limbs against every coordinate)
+        // leaves budget to spare.
+        let outer = uh.outer();
+        let ring = outer.params().degree;
+        let expanded = es.expand(&uh);
+        let mut message = vec![0i64; ring];
+        let mut acc = RlweCiphertext::zero(outer);
+        let mut want = vec![0i64; ring];
+        for (z, &s_i) in expanded.z.iter().zip(&key.ternary) {
+            message[0] = s_i;
+            let fresh = max_noise(outer, &key.rlwe_sk, z, &message);
+            assert!(fresh <= outer.noise_bound(), "fresh |e| = {fresh} past the table");
+            let limbs: Vec<u64> = (0..ring).map(|_| rng.gen_range(0..1u64 << 16)).collect();
+            mul_plain_acc(&mut acc, &outer.plaintext_ntt(&limbs), z);
+            for (w, &l) in want.iter_mut().zip(&limbs) {
+                *w += s_i * l as i64;
+            }
+        }
+        let budget = noise_budget_bits(outer, &key.rlwe_sk, &acc, &want);
+        assert!(
+            budget > 0.0,
+            "{budget:.2} bits of outer budget left after hint·s (n = {}, N = {ring}, fresh |e| <= {})",
+            expanded.len(),
+            outer.noise_bound()
+        );
     }
 
     #[test]

@@ -22,6 +22,8 @@ The token-path kernel rows (NTT, seeded RLWE encrypt/expand, hint
 multiply-accumulate) have one scalar body and no dispatched twin, so
 they have no ratio to band: they must be present in both files with a
 positive time, and that time is reported like any other wall-clock.
+The noise sampler's row is required like them, and having one row per
+tier its dispatched speedup is banded like any other.
 
 Rows are matched by identity keys (kernel/variant/shape, or
 clients/mode); rows present only on one side are reported but only
@@ -44,6 +46,9 @@ SINGLE_BODY_KERNELS = (
     "rlwe_expand",
     "hint_mac",
 )
+
+# Token-path rows that must be present in both files.
+TOKEN_KERNELS = SINGLE_BODY_KERNELS + ("noise_sample",)
 
 failures = []
 notes = []
@@ -88,7 +93,7 @@ def compare_kernels(base, cur):
         fail(f"kernels: rep_samples {samples} != reps {reps} x {measured} measured rows")
     for side, doc in (("baseline", base), ("current", cur)):
         present = {r["kernel"] for r in doc.get("results", []) if "skipped" not in r}
-        for kernel in SINGLE_BODY_KERNELS:
+        for kernel in TOKEN_KERNELS:
             if kernel not in present:
                 fail(f"kernels {kernel}: no measured row in the {side} file")
     by_key = {

@@ -9,6 +9,7 @@ use tiptoe_math::fixed::FixedEncoder;
 use tiptoe_math::matrix::Mat;
 use tiptoe_math::ntt::NttTable;
 use tiptoe_math::rng::seeded_rng;
+use tiptoe_math::sample::NoiseTable;
 use tiptoe_math::simd::{self, KernelTier};
 use tiptoe_math::zq::Word;
 use tiptoe_pir::BitPacker;
@@ -71,6 +72,25 @@ fn keystream_counter_carries_inside_a_batch() {
     let mut wrapped = vec![0u64; 8];
     simd::keystream(KernelTier::Scalar, &key, 0, &mut wrapped);
     assert_ne!(want[24..32], wrapped[..]);
+}
+
+/// The outer scheme's noise is the same words at every tier: the
+/// keystream is (above), and the table pass treats each word alone.
+#[test]
+fn every_supported_tier_draws_the_same_noise() {
+    let ctx = RlweContext::new(RlweParams::production());
+    let table = NoiseTable::new(ctx.params().sigma);
+    let key = rand::rngs::StdRng::key_from_u64(0x7157_0e5e_ed01);
+    for len in [0usize, 1, 63, 64, 65, 2048, 2051] {
+        let mut want = vec![0u64; len];
+        table.fill(KernelTier::Scalar, &key, ctx.q(), &mut want);
+        assert!(want.iter().all(|&e| e <= table.bound() || ctx.q() - e <= table.bound()));
+        for tier in supported_tiers() {
+            let mut got = vec![0u64; len];
+            table.fill(tier, &key, ctx.q(), &mut got);
+            assert_eq!(got, want, "{tier:?} len={len}");
+        }
+    }
 }
 
 proptest! {
