@@ -12,13 +12,18 @@
 //! of work: 2,048 ciphertexts, and for `hint_mac` one `(chunk, limb)`
 //! unit of token generation (2,048 hint polynomials against both
 //! components of the expanded secret; a token is one such unit per
-//! shard, chunk and limb). `noise_sample` is the errors of those
-//! ciphertexts alone (keystream plus table pass, 2^22 samples, so
-//! seconds × 238 is ns per sample), one row per supported tier with σ
-//! and the table length in the shape. The other kernels have one
-//! scalar body and no tier to compare against, so their
+//! chunk and limb of a service's hint). `noise_sample` is the errors
+//! of those ciphertexts alone (keystream plus table pass, 2^22
+//! samples, so seconds × 238 is ns per sample), one row per supported
+//! tier with σ and the table length in the shape. The other kernels
+//! have one scalar body and no tier to compare against, so their
 //! `speedup_vs_scalar` is 1 by construction and only their time is of
-//! interest.
+//! interest. `token_gen` is then the whole pass,
+//! `Underhood::generate_token_expanded_many` over one hint at the
+//! deployed ring parameters (one chunk × two limbs, both units plus
+//! their modulus switches) for B = 1 and B = 4 uploads on one thread:
+//! what a ranking token costs the server, and what a token-lane flush
+//! of four costs per token.
 //!
 //! The client rows run at the two shipped upload shapes (m×n of the
 //! seeded public matrix `A`): 17088×2048, the deployed text preset,
@@ -72,6 +77,7 @@ use tiptoe_math::rng::{derive_seed, seeded_rng};
 use tiptoe_math::sample::{gaussian_i64, NoiseTable};
 use tiptoe_math::simd::{self, KernelTier};
 use tiptoe_rlwe::{RlweCiphertext, RlweContext, RlweParams, RlweSecretKey};
+use tiptoe_underhood::{ClientKey, EncryptedSecret, ExpandedSecret, Underhood};
 
 const MATVEC_ROWS: usize = 1 << 15;
 const MATVEC_COLS: usize = 1 << 10;
@@ -408,6 +414,28 @@ fn main() {
         }
     });
     push("hint_mac", "scalar".into(), &format!("{}x{ring}", 2 * ring), Some(mac), mac, None);
+    drop((uploaded, expanded, hints));
+
+    // --- The whole token pass at the deployed ring parameters: one
+    // hint (one chunk × two limbs, 4,096 polynomials) against B
+    // uploads on one thread, per token. ---
+    let uh = Underhood::new(params);
+    let hint = Mat::from_fn(ring, n, |_, _| rng.gen::<u64>());
+    let server_hint = uh.preprocess_hint(&hint);
+    let secrets: Vec<ExpandedSecret> = (0..BATCH)
+        .map(|_| {
+            let key = ClientKey::generate(&uh, n, &mut rng);
+            EncryptedSecret::encrypt(&uh, &key, &mut rng).expand(&uh)
+        })
+        .collect();
+    let secrets: Vec<&ExpandedSecret> = secrets.iter().collect();
+    let shape =
+        format!("{ring}x{n} chunks={} limbs={}", server_hint.chunks(), uh.limb_count());
+    let one = time(reps, || uh.generate_token_expanded_many(&server_hint, &secrets[..1], 1));
+    let batched =
+        time(reps, || uh.generate_token_expanded_many(&server_hint, &secrets, 1)) / BATCH as f64;
+    push("token_gen", "b1".into(), &shape, Some(one), one, None);
+    push("token_gen", format!("b{BATCH}_per_token"), &shape, Some(batched), one, None);
 
     // --- Emit BENCH_kernels.json at the workspace root. The rep
     // accounting comes from a metrics-snapshot delta over the run, so

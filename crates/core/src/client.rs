@@ -41,7 +41,7 @@ use tiptoe_net::{
 use tiptoe_obs::recorder::{self, result_code, EventKind};
 use tiptoe_pir::PirClient;
 use tiptoe_underhood::{
-    combine_decoded_subset, combine_partial_tokens, ClientKey, DecodedToken, EncryptedSecret,
+    combine_decoded_subset, ClientKey, DecodedToken, EncryptedSecret,
 };
 
 use crate::batch::ClientMetadata;
@@ -125,9 +125,9 @@ impl QueryCost {
     }
 }
 
-/// The ranking-token material a client holds per query: the combined
-/// form on the fault-oblivious path, or one decoded token per shard on
-/// the fault-tolerant path (so decryption can proceed over any
+/// The ranking-token material a client holds per query: the one token
+/// over the summed hint, or one decoded token per shard from a
+/// fault-tolerant service (so decryption can proceed over any
 /// surviving subset — see [`combine_decoded_subset`]).
 enum DecodedRank {
     Combined(DecodedToken<u64>),
@@ -269,9 +269,9 @@ impl TiptoeClient {
     ) -> QueryCost {
         // A *standalone* prefetch (one happening outside a query
         // round, e.g. in the background between queries) is its own
-        // tracing boundary: without this, its spans — notably the
-        // per-shard `rank.token_shard` fan-out — would pile into the
-        // previous query's buffer and never be exported. The query
+        // tracing boundary: without this, its spans — notably
+        // `rank.token_shard` — would pile into the previous query's
+        // buffer and never be exported. The query
         // scope also gives the prefetch its own flight-recorder
         // timeline (adopting the surrounding query's when nested).
         let standalone = tiptoe_obs::enabled() && tiptoe_obs::current_span().is_none();
@@ -306,19 +306,17 @@ impl TiptoeClient {
         instance.transcript.record_up(Phase::Token, cost.token_up);
 
         // The server expands the upload once and reuses it for both
-        // services (§A.3's shared-secret-key optimization) and for
-        // every ranking shard. On the fault-tolerant path the
-        // coordinator skips combining the per-shard ranking tokens
-        // (below): the client downloads all `W` of them (a `W×`
-        // token-phase download) so it can later decrypt over any
-        // surviving subset.
+        // services (§A.3's shared-secret-key optimization). A
+        // fault-tolerant ranking service returns one token per shard
+        // where the others return one (a `W×` token-phase download,
+        // server pass and hint memory), so the client can later
+        // decrypt over any surviving subset.
         let (expanded, t_expand) = timed(|| es.expand(uh_rank));
-        let fault_tolerant = instance.config.fault_policy.enabled;
-        // One kernel yields the per-shard ranking parts either way:
-        // through the plane this client's expanded secret is batched
-        // with concurrently arriving clients' on the token lane,
-        // directly it is a batch of one.
-        let (rank_parts, url_token, mut t_tokens) = match serving {
+        // One kernel yields the ranking tokens either way: through the
+        // plane this client's expanded secret is batched with
+        // concurrently arriving clients' on the token lane, directly
+        // it is a batch of one.
+        let (rank_tokens, url_token, mut t_tokens) = match serving {
             Some(plane) => {
                 let (bundle, wall) = timed(|| plane.generate_tokens(Arc::new(expanded)));
                 (bundle.rank_parts, bundle.url, ParallelTiming { wall, cpu: wall })
@@ -330,11 +328,6 @@ impl TiptoeClient {
                 (bundles.pop().expect("one bundle per secret"), url_token, t_rank.then(t_url))
             }
         };
-        let rank_tokens = if fault_tolerant {
-            rank_parts
-        } else {
-            vec![combine_partial_tokens(uh_rank, &rank_parts)]
-        };
         t_tokens.cpu += t_expand;
         t_tokens.wall += t_expand;
         cost.token_server = t_tokens;
@@ -344,12 +337,14 @@ impl TiptoeClient {
 
         let (decoded, t_decode) = timed(|| {
             let _span = tiptoe_obs::span("client.token_decrypt");
-            let rank = if fault_tolerant {
-                DecodedRank::PerShard(
-                    rank_tokens.iter().map(|t| uh_rank.decode_token::<u64>(&key, t)).collect(),
-                )
+            // The shape is what the service sent, not what the
+            // config says now.
+            let mut parts: Vec<DecodedToken<u64>> =
+                rank_tokens.iter().map(|t| uh_rank.decode_token::<u64>(&key, t)).collect();
+            let rank = if parts.len() == 1 {
+                DecodedRank::Combined(parts.pop().expect("one token"))
             } else {
-                DecodedRank::Combined(uh_rank.decode_token::<u64>(&key, &rank_tokens[0]))
+                DecodedRank::PerShard(parts)
             };
             let url = uh_url.decode_token::<u32>(&key, &url_token);
             (rank, url)
@@ -598,14 +593,11 @@ impl TiptoeClient {
             let _span = tiptoe_obs::span("client.rank_decrypt");
             let uh_rank = instance.ranking.underhood();
             let raw = match &mut prepared.rank {
+                _ if !survivors.iter().any(|&ok| ok) => vec![0u64; applied.len()],
                 DecodedRank::Combined(token) => uh_rank.decrypt(token, &applied),
                 DecodedRank::PerShard(parts) => {
-                    if survivors.iter().any(|&ok| ok) {
-                        let mut subset = combine_decoded_subset(parts, &survivors);
-                        uh_rank.decrypt(&mut subset, &applied)
-                    } else {
-                        vec![0u64; applied.len()]
-                    }
+                    let mut subset = combine_decoded_subset(parts, &survivors);
+                    uh_rank.decrypt(&mut subset, &applied)
                 }
             };
             let n_members = self.meta.cluster_sizes[cluster] as usize;

@@ -7,9 +7,12 @@
 //! ciphertext `ct = (ct_1 ∥ … ∥ ct_W)`, each worker computes
 //! `a_w = M_w · ct_w`, and the coordinator returns `Σ_w a_w`.
 //!
-//! Token generation (§6.3) follows the same sharding: each worker
-//! evaluates `Enc2(hint_w · s)` and the coordinator combines partial
-//! tokens by ciphertext addition. It has one body,
+//! Token generation (§6.3) does not follow the sharding: every shard
+//! hint `H_w = M_w · A_w` is corpus-only, so the build sums them once
+//! into `H = Σ_w H_w = M · A` and a token is one `Enc2(H · s)`. Only a
+//! service built under the fault policy keeps the `H_w` apart, because
+//! its clients decrypt over whichever shards survive. Either way it
+//! has one body,
 //! [`RankingService::generate_token_parts_expanded_many`], whether one
 //! client asks directly (`B = 1`) or the serving plane's token lane
 //! flushes a batch.
@@ -30,9 +33,7 @@ use tiptoe_net::{
     dispatch, timed, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
     ParallelTiming, ServeError, Service,
 };
-use tiptoe_underhood::{
-    combine_partial_tokens, EncryptedSecret, ExpandedSecret, QueryToken, ServerHint, Underhood,
-};
+use tiptoe_underhood::{EncryptedSecret, ExpandedSecret, QueryToken, ServerHint, Underhood};
 
 use crate::batch::IndexArtifacts;
 use crate::config::{Parallelism, TiptoeConfig};
@@ -69,19 +70,27 @@ impl ShardDb {
     }
 }
 
-/// One ranking worker: its vertical matrix shard plus crypto state.
+/// One ranking worker: its vertical matrix shard.
 struct RankingShard {
     /// Columns `[col_start, col_start + db.cols())` of the full matrix.
     col_start: usize,
     db: ShardDb,
+}
+
+/// A hint the token pass evaluates under `Enc2`.
+struct TokenHint {
     /// The raw SimplePIR hint (kept for incremental corpus updates).
-    hint: Mat<u64>,
-    server_hint: ServerHint,
+    raw: Mat<u64>,
+    server: ServerHint,
 }
 
 /// The sharded ranking service.
 pub struct RankingService {
     shards: Vec<RankingShard>,
+    /// What a token is generated from: the one summed hint
+    /// `H = Σ_w H_w`, or, built under the fault policy, every shard's
+    /// `H_w` in shard order.
+    token_hints: Vec<TokenHint>,
     uh: Underhood,
     a: MatrixA,
     rows: usize,
@@ -167,7 +176,8 @@ impl Service for RankAnswer<'_> {
 impl RankingService {
     /// Builds the service from batch artifacts: shards the matrix,
     /// computes each shard's SimplePIR hint, and prepares the
-    /// NTT-ready limb decomposition for token generation.
+    /// NTT-ready limb decomposition of their sum (of each of them,
+    /// under the fault policy) for token generation.
     pub fn build(config: &TiptoeConfig, artifacts: &IndexArtifacts) -> Self {
         Self::from_matrix(config, &artifacts.rank_matrix)
     }
@@ -191,6 +201,8 @@ impl RankingService {
         let c = m / d;
         let w = config.num_shards.min(c.max(1));
         let mut shards = Vec::with_capacity(w);
+        let per_shard_tokens = config.fault_policy.enabled;
+        let mut raw_hints: Vec<Mat<u64>> = Vec::new();
         let clusters_per = c.div_ceil(w);
         let mut cluster = 0usize;
         while cluster < c {
@@ -210,14 +222,29 @@ impl RankingService {
                 let hint = scheme::preproc::<u64>(&plain, &range, threads);
                 (ShardDb::Plain(plain), hint)
             };
-            let server_hint = uh.preprocess_hint(&hint);
-            shards.push(RankingShard { col_start, db, hint, server_hint });
+            // Every H_w is corpus-only, so H = Σ_w H_w is taken here,
+            // once, and not per token; only fault-tolerant clients
+            // need the H_w apart (survivor-subset decryption).
+            match raw_hints.first_mut() {
+                Some(total) if !per_shard_tokens => {
+                    for (t, &h) in total.data_mut().iter_mut().zip(hint.data()) {
+                        *t = t.wrapping_add(h);
+                    }
+                }
+                _ => raw_hints.push(hint),
+            }
+            shards.push(RankingShard { col_start, db });
             cluster = hi;
         }
+        let token_hints = raw_hints
+            .into_iter()
+            .map(|raw| TokenHint { server: uh.preprocess_hint(&raw), raw })
+            .collect();
         let preproc_time = t0.elapsed();
 
         Self {
             shards,
+            token_hints,
             uh,
             a,
             rows: matrix.rows(),
@@ -261,25 +288,18 @@ impl RankingService {
     /// Bytes of index state held across all workers (matrix + the
     /// NTT-ready hint polys dominate).
     pub fn server_storage_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                let matrix = s.db.storage_bytes();
-                let hint_polys = (s.server_hint.chunks()
-                    * self.uh.limb_count() as usize
-                    * s.server_hint.secret_dim()
-                    * self.uh.outer().params().degree
-                    * 8) as u64;
-                matrix + hint_polys
-            })
-            .sum()
+        let matrix: u64 = self.shards.iter().map(|s| s.db.storage_bytes()).sum();
+        let hint_polys: u64 = self.token_hints.iter().map(|h| h.server.byte_len()).sum();
+        matrix + hint_polys
     }
 
     /// Incrementally indexes one new document (§3.2 "Handling updates
     /// to the corpus"): writes its quantized embedding into the padding
-    /// slot `(cluster, row)`, updates the affected shard's hint by the
-    /// rank-one correction `ΔH[row] = Σ_j q[j]·A[col_j]`, and refreshes
-    /// only the NTT chunk containing `row` — no full re-preprocessing.
+    /// slot `(cluster, row)`, updates the hint that covers its columns
+    /// (the summed one, or the shard's own under the fault policy) by
+    /// the rank-one correction `ΔH[row] = Σ_j q[j]·A[col_j]`, and
+    /// refreshes only the NTT chunk containing `row` — no full
+    /// re-preprocessing.
     ///
     /// Outstanding query tokens become stale (the paper: tokens "are
     /// usable until the document corpus changes").
@@ -294,11 +314,12 @@ impl RankingService {
         let col_hi = col_lo + d;
         assert!(col_hi <= self.cols, "cluster out of range");
         assert!(row < self.rows, "row out of range");
-        let shard = self
+        let idx = self
             .shards
-            .iter_mut()
-            .find(|s| col_lo >= s.col_start && col_hi <= s.col_start + s.db.cols())
+            .iter()
+            .position(|s| col_lo >= s.col_start && col_hi <= s.col_start + s.db.cols())
             .expect("cluster maps into exactly one shard");
+        let shard = &mut self.shards[idx];
         let local_lo = col_lo - shard.col_start;
 
         // 1. Write the matrix slot (must be padding). Packed shards do
@@ -314,80 +335,95 @@ impl RankingService {
             }
         }
 
-        // 2. Rank-one hint correction: ΔH[row] += Σ_j q[j]·A[local_lo+j].
+        // 2. Rank-one hint correction: ΔH[row] += Σ_j q[j]·A[col_lo+j],
+        //    the same rows of `A` whether the hint is a shard's or the
+        //    sum of all of them.
+        let slot = if self.token_hints.len() == 1 { 0 } else { idx };
+        let hint = &mut self.token_hints[slot];
         let n = self.a.cols();
-        let range = self.a.row_range(shard.col_start, shard.db.cols());
+        let range = self.a.row_range(col_lo, d);
         let mut a_row = vec![0u64; n];
         for (j, &qj) in q_zp.iter().enumerate() {
             if qj == 0 {
                 continue;
             }
-            range.expand_row(local_lo + j, &mut a_row);
-            for (h, &a_val) in shard.hint.row_mut(row).iter_mut().zip(a_row.iter()) {
+            range.expand_row(j, &mut a_row);
+            for (h, &a_val) in hint.raw.row_mut(row).iter_mut().zip(a_row.iter()) {
                 *h = h.wrapping_add((qj as u64).wrapping_mul(a_val));
             }
         }
 
         // 3. Refresh only the NTT chunk holding `row`.
         let chunk = row / self.uh.outer().params().degree;
-        let polys = self.uh.hint_chunk_polys(&shard.hint, chunk);
-        shard.server_hint.replace_chunk(chunk, polys);
+        let polys = self.uh.hint_chunk_polys(&hint.raw, chunk);
+        hint.server.replace_chunk(chunk, polys);
     }
 
     /// Generates a (single-use) query token for a client's encrypted
-    /// secret: each worker evaluates its hint shard under `Enc2`, the
-    /// coordinator sums (§6.3, offline path).
+    /// secret: `Enc2(H·s)` over the summed hint (§6.3, offline path).
+    ///
+    /// # Panics
+    ///
+    /// As [`RankingService::generate_token_expanded`].
     pub fn generate_token(&self, es: &EncryptedSecret) -> (QueryToken, ParallelTiming) {
         self.generate_token_expanded(&es.expand(&self.uh))
     }
 
     /// Token generation over a pre-expanded secret; the expansion can
     /// be shared with the URL service (§A.3's shared-key upload).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a multi-shard service built under the fault policy:
+    /// it has one token per shard and no single one (see
+    /// [`RankingService::generate_token_parts_expanded_many`]).
     pub fn generate_token_expanded(&self, es: &ExpandedSecret) -> (QueryToken, ParallelTiming) {
-        let (mut parts, timing) = self.generate_token_parts_expanded_many(&[es]);
-        (combine_partial_tokens(&self.uh, &parts.pop().expect("one bundle per secret")), timing)
+        let (mut bundles, timing) = self.generate_token_parts_expanded_many(&[es]);
+        let mut parts = bundles.pop().expect("one bundle per secret");
+        assert_eq!(parts.len(), 1, "a fault-tolerant service has one token per shard");
+        (parts.pop().expect("one part"), timing)
     }
 
-    /// Per-shard token generation for `B` clients: every shard's hint
-    /// polynomials are read from DRAM once for the whole batch (the
+    /// Token generation for `B` clients: the polynomials of every
+    /// token hint are read from DRAM once for the whole batch (the
     /// token-path counterpart of
     /// [`RankingService::shard_answer_many`]). Returns one `Vec` of
-    /// per-shard tokens (in shard order) per client, each bit-identical
-    /// at every `B`, plus the fan-out's timing (`wall` = slowest shard,
-    /// `cpu` = summed work). The parts are *not* combined: clients on
-    /// the fault-tolerant path keep them separate so they can decrypt
-    /// over any surviving subset of shards
-    /// ([`tiptoe_underhood::combine_decoded_subset`]), at `W×` the token
-    /// download of the combined path. A direct fetch is the `B = 1`
-    /// case; the serving plane's token lane flushes through the same
-    /// kernel.
+    /// tokens per client, each bit-identical at every `B`, plus the
+    /// timing (`wall` = slowest hint, `cpu` = summed work). That `Vec`
+    /// holds the one token over the summed hint; from a service built
+    /// under the fault policy it holds one token per shard, in shard
+    /// order and *not* combined, so the client can decrypt over any
+    /// surviving subset of shards
+    /// ([`tiptoe_underhood::combine_decoded_subset`]) — at `W×` the
+    /// token download, server work and hint memory. A direct fetch is
+    /// the `B = 1` case; the serving plane's token lane flushes through
+    /// the same kernel.
     pub fn generate_token_parts_expanded_many(
         &self,
         secrets: &[&ExpandedSecret],
     ) -> (Vec<Vec<QueryToken>>, ParallelTiming) {
         let mut span = tiptoe_obs::span("rank.token");
         span.attr_u64("batch", secrets.len() as u64);
-        // Inside each shard the (chunk, limb) NTT multiply-accumulate
+        // Inside each hint the (chunk, limb) NTT multiply-accumulate
         // units fan out across threads; the tokens are bit-identical
         // to the sequential evaluation.
         let threads = self.parallelism.num_threads;
         let mut timing = ParallelTiming::default();
-        // [shard][client] — each shard evaluated once over the batch.
-        let per_shard: Vec<Vec<QueryToken>> = self
-            .shards
+        // [hint][client] — each hint evaluated once over the batch.
+        let per_hint: Vec<Vec<QueryToken>> = self
+            .token_hints
             .iter()
-            .map(|shard| {
+            .map(|hint| {
                 let mut s = tiptoe_obs::span("rank.token_shard");
                 s.attr_u64("batch", secrets.len() as u64);
-                let (tokens, elapsed) = timed(|| {
-                    self.uh.generate_token_expanded_many(&shard.server_hint, secrets, threads)
-                });
+                let (tokens, elapsed) =
+                    timed(|| self.uh.generate_token_expanded_many(&hint.server, secrets, threads));
                 timing.add_shard(elapsed);
                 tokens
             })
             .collect();
-        // Transpose to [client][shard] for the per-client bundles.
-        let mut iters: Vec<_> = per_shard.into_iter().map(|v| v.into_iter()).collect();
+        // Transpose to [client][hint] for the per-client bundles.
+        let mut iters: Vec<_> = per_hint.into_iter().map(|v| v.into_iter()).collect();
         let bundles = (0..secrets.len())
             .map(|_| iters.iter_mut().map(|it| it.next().expect("client count")).collect())
             .collect();
@@ -630,6 +666,65 @@ mod tests {
             packed.server_storage_bytes(),
             plain.server_storage_bytes()
         );
+    }
+
+    fn token_hint_bytes(service: &RankingService) -> u64 {
+        service.token_hints.iter().map(|h| h.server.byte_len()).sum()
+    }
+
+    #[test]
+    fn one_summed_token_hint_unless_fault_tolerant() {
+        let (config, artifacts, plain) = setup();
+        let mut tolerant_config = config.clone();
+        tolerant_config.fault_policy = FaultPolicy::tolerant();
+        let tolerant = RankingService::build(&tolerant_config, &artifacts);
+        let w = plain.num_shards();
+        assert!(w >= 2 && tolerant.num_shards() == w);
+
+        // One hint's worth of polynomials, W under the fault policy.
+        let uh = plain.underhood();
+        let ring = uh.outer().params().degree;
+        let polys = plain.rows().div_ceil(ring) * uh.limb_count() as usize * config.rank_lwe.n;
+        assert_eq!(plain.token_hints.len(), 1);
+        assert_eq!(token_hint_bytes(&plain), (polys * ring * 16) as u64);
+        assert_eq!(tolerant.token_hints.len(), w);
+        assert_eq!(token_hint_bytes(&tolerant), (w * polys * ring * 16) as u64);
+        assert_eq!(
+            tolerant.server_storage_bytes() - plain.server_storage_bytes(),
+            ((w - 1) * polys * ring * 16) as u64
+        );
+
+        // The one token decrypts to what the W tokens do over all
+        // survivors.
+        let mut rng = seeded_rng(33);
+        let key = ClientKey::generate(uh, config.rank_lwe.n, &mut rng);
+        let expanded = EncryptedSecret::encrypt(uh, &key, &mut rng).expand(uh);
+        let (token, _) = plain.generate_token_expanded(&expanded);
+        let (mut bundles, _) = tolerant.generate_token_parts_expanded_many(&[&expanded]);
+        let parts = bundles.pop().expect("one bundle per secret");
+        assert_eq!(parts.len(), w);
+        assert_eq!(token.byte_len(), parts[0].byte_len());
+        let mut parts: Vec<_> = parts.iter().map(|t| uh.decode_token::<u64>(&key, t)).collect();
+        let mut survivors = tiptoe_underhood::combine_decoded_subset(&mut parts, &vec![true; w]);
+        let mut one = uh.decode_token::<u64>(&key, &token);
+        let v: Vec<u64> =
+            (0..plain.upload_dim()).map(|_| rng.gen_range(0..config.rank_lwe.p)).collect();
+        let ct = uh.encrypt_query::<u64, _>(&key, &plain.public_matrix(), &v, &mut rng);
+        let (applied, _) = plain.answer(&ct);
+        assert_eq!(applied, tolerant.answer(&ct).0);
+        assert_eq!(uh.decrypt(&mut one, &applied), uh.decrypt(&mut survivors, &applied));
+    }
+
+    #[test]
+    fn deployed_parameters_hold_4096_ranking_hint_polynomials() {
+        // `TiptoeConfig::text`: 4 shards, N = n = 2048, one chunk of
+        // rows, two limbs.
+        let config = TiptoeConfig::text(4096, 1);
+        let cols = config.num_shards * config.d_reduced;
+        let matrix = Mat::<u32>::from_fn(4, cols, |r, c| ((r + c) % 8) as u32);
+        let service = RankingService::from_matrix(&config, &matrix);
+        assert_eq!(service.num_shards(), 4);
+        assert_eq!(token_hint_bytes(&service), 4096 * 2048 * 16);
     }
 
     #[test]

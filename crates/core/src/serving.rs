@@ -39,11 +39,12 @@ use tiptoe_underhood::{ExpandedSecret, QueryToken};
 use crate::ranking::RankingService;
 use crate::url::UrlService;
 
-/// One client's coalesced token-fetch result: its per-shard ranking
-/// tokens (in shard order, uncombined so both the combined and the
-/// fault-tolerant client paths can be served) plus its URL token.
+/// One client's coalesced token-fetch result: its ranking tokens as
+/// [`RankingService::generate_token_parts_expanded_many`] returns them
+/// plus its URL token.
 pub struct TokenBundle {
-    /// Per-ranking-shard tokens, in shard order.
+    /// The one ranking token, or one per shard (in shard order) from a
+    /// fault-tolerant service.
     pub rank_parts: Vec<QueryToken>,
     /// The URL service's token.
     pub url: QueryToken,

@@ -190,9 +190,9 @@ impl UrlService {
         dispatch(&UrlAnswer { svc: self, via, budget }, ct, shard_base, ctx, ledger)
     }
 
-    /// Server-side storage.
+    /// Server-side storage (database + the NTT-ready hint polys).
     pub fn storage_bytes(&self) -> u64 {
-        self.server.database().storage_bytes()
+        self.server.storage_bytes()
     }
 }
 

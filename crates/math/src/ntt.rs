@@ -279,6 +279,11 @@ impl ShoupPoly {
     pub fn values(&self) -> &[u64] {
         &self.values
     }
+
+    /// Bytes held: every value and its Shoup quotient.
+    pub fn byte_len(&self) -> u64 {
+        ((self.values.len() + self.quotients.len()) * std::mem::size_of::<u64>()) as u64
+    }
 }
 
 /// Reverses the low `bits` bits of `x`.

@@ -211,6 +211,12 @@ impl PirServer {
         scheme::apply(self.db.matrix(), &cts, num_threads)
     }
 
+    /// Server-side bytes held: the database plus the NTT-ready hint
+    /// polynomials.
+    pub fn storage_bytes(&self) -> u64 {
+        self.db.storage_bytes() + self.server_hint.byte_len()
+    }
+
     /// The raw hint (used by tests and by clients that opt into
     /// hint download instead of tokens — the plain-SimplePIR mode the
     /// paper compares against in §6.2).

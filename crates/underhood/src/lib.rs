@@ -308,6 +308,12 @@ impl ServerHint {
         self.polys.len()
     }
 
+    /// Bytes resident for the hint polynomials: `chunks · limbs · n`
+    /// Shoup polynomials of `N` values and `N` quotients each.
+    pub fn byte_len(&self) -> u64 {
+        self.polys.iter().flatten().flatten().map(ShoupPoly::byte_len).sum()
+    }
+
     /// Replaces one chunk's polynomials after an incremental hint
     /// update (§3.2 corpus updates).
     ///
@@ -655,49 +661,7 @@ impl<W: Word> DecodedToken<W> {
     }
 }
 
-/// Combines partial tokens from vertically sharded workers by summing
-/// the underlying ciphertexts (the coordinator-side aggregation of
-/// §4.3 applied to token generation).
-///
-/// All shards must share chunk/limb layout and modulus.
-///
-/// # Panics
-///
-/// Panics if `parts` is empty or the layouts differ.
-pub fn combine_partial_tokens(uh: &Underhood, parts: &[QueryToken]) -> QueryToken {
-    assert!(!parts.is_empty(), "no partial tokens to combine");
-    let rows = parts[0].rows;
-    let n_ring = uh.outer().params().degree;
-    let chunk_count = parts[0].chunks.len();
-    let limb_count = parts[0].chunks.first().map_or(0, |c| c.len());
-    let mut out = Vec::with_capacity(chunk_count);
-    for c in 0..chunk_count {
-        let mut per_limb = Vec::with_capacity(limb_count);
-        for l in 0..limb_count {
-            let log_q2 = parts[0].chunks[c][l].log_q2;
-            let mask = if log_q2 == 64 { u64::MAX } else { (1u64 << log_q2) - 1 };
-            let mut a = vec![0u64; n_ring];
-            let mut b = vec![0u64; n_ring];
-            for part in parts {
-                assert_eq!(part.rows, rows, "shard layout mismatch");
-                let sw = &part.chunks[c][l];
-                assert_eq!(sw.log_q2, log_q2, "shard modulus mismatch");
-                for (acc, &x) in a.iter_mut().zip(sw.a.iter()) {
-                    *acc = acc.wrapping_add(x) & mask;
-                }
-                for (acc, &x) in b.iter_mut().zip(sw.b.iter()) {
-                    *acc = acc.wrapping_add(x) & mask;
-                }
-            }
-            per_limb.push(SwitchedCiphertext { a, b, log_q2 });
-        }
-        out.push(per_limb);
-    }
-    QueryToken { chunks: out, rows }
-}
-
-/// Combines *decoded* per-shard tokens over a survivor subset: the
-/// degraded-mode counterpart of [`combine_partial_tokens`].
+/// Combines *decoded* per-shard tokens over a survivor subset.
 ///
 /// With a vertically sharded hint `H = Σ_w H_w`, each shard's token
 /// decodes to `H_w·s` (plus its bounded drop error), and any subset
@@ -918,33 +882,104 @@ mod tests {
         }
     }
 
+    /// Bits of outer noise budget left in the noisiest `(chunk, limb)`
+    /// accumulation `Σ_hint Σ_i limb_j(hint)_i · z_i`, before the
+    /// modulus switch. One hint is the token the server evaluates;
+    /// several are the ciphertext sum of their separate tokens.
+    fn min_outer_budget(
+        uh: &Underhood,
+        key: &ClientKey,
+        es: &ExpandedSecret,
+        hints: &[&Mat<u64>],
+    ) -> f64 {
+        let outer = uh.outer();
+        let ring = outer.params().degree;
+        let rows = hints[0].rows();
+        let mut min = f64::INFINITY;
+        for chunk in 0..rows.div_ceil(ring) {
+            for j in 0..uh.limb_count() {
+                let mut acc = RlweCiphertext::zero(outer);
+                let mut want = vec![0i64; ring];
+                for hint in hints {
+                    for (i, z) in es.z.iter().enumerate().take(hint.cols()) {
+                        let limbs: Vec<u64> = (chunk * ring..(chunk + 1) * ring)
+                            .map(|row| if row < rows { uh.limb(hint.get(row, i), j) } else { 0 })
+                            .collect();
+                        mul_plain_acc(&mut acc, &outer.plaintext_ntt(&limbs), z);
+                        for (w, &l) in want.iter_mut().zip(&limbs) {
+                            *w += key.ternary[i] * l as i64;
+                        }
+                    }
+                }
+                min = min.min(noise_budget_bits(outer, &key.rlwe_sk, &acc, &want));
+            }
+        }
+        min
+    }
+
     #[test]
-    fn sharded_tokens_combine_to_unsharded_result() {
-        // Vertical sharding: hint = hint_left + hint_right, and the
-        // coordinator sums the partial tokens (all under one client key).
+    fn summed_hint_token_matches_plaintext_survivors_and_budget() {
+        // Vertical sharding (§4.3): H = Σ_w H_w. One token over the
+        // summed hint must decrypt exactly like the plaintext product
+        // and like per-shard tokens combined over all survivors, stay
+        // within the dropped-bit budget of the true H·s, and leave no
+        // less outer noise budget than the sum of the W shard tokens.
         let uh = test_underhood_64();
-        let mut rng = seeded_rng(6);
+        let (p, n) = (uh.lwe().p, uh.lwe().n);
         let cols = 48;
-        let split = 32;
-        let p = uh.lwe().p;
-        let db = random_db(&mut rng, 8, cols, 16);
-        let a = MatrixA::new(7, cols, uh.lwe().n);
-        let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
-        let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
+        let cases = [1usize, 2, 4].into_iter().flat_map(|w| [(w, 10usize), (w, 150)]);
+        for (case, (shards, rows)) in cases.enumerate() {
+            let mut rng = seeded_rng(60 + case as u64);
+            let db = random_db(&mut rng, rows, cols, 16);
+            let a = MatrixA::new(7, cols, n);
+            let key = ClientKey::generate(&uh, n, &mut rng);
+            let expanded = EncryptedSecret::encrypt(&uh, &key, &mut rng).expand(&uh);
 
-        let left = preproc::<u64>(&db.column_slice(0, split), &a.row_range(0, split), 1);
-        let right =
-            preproc::<u64>(&db.column_slice(split, cols), &a.row_range(split, cols - split), 1);
-        let t_left = uh.generate_token(&uh.preprocess_hint(&left), &es);
-        let t_right = uh.generate_token(&uh.preprocess_hint(&right), &es);
-        let combined = combine_partial_tokens(&uh, &[t_left, t_right]);
-        let mut decoded = uh.decode_token::<u64>(&key, &combined);
+            let width = cols / shards;
+            let shard_hints: Vec<Mat<u64>> = (0..shards)
+                .map(|w| {
+                    let lo = w * width;
+                    preproc::<u64>(&db.column_slice(lo, lo + width), &a.row_range(lo, width), 1)
+                })
+                .collect();
+            let mut full = Mat::<u64>::zeros(rows, n);
+            for hint in &shard_hints {
+                for (t, &h) in full.data_mut().iter_mut().zip(hint.data()) {
+                    *t = t.wrapping_add(h);
+                }
+            }
+            assert_eq!(full.data(), preproc::<u64>(&db, &a.row_range(0, cols), 1).data());
 
-        let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..p)).collect();
-        let ct = uh.encrypt_query::<u64, _>(&key, &a, &v, &mut rng);
-        let applied = apply(&db, &ct);
-        let got = uh.decrypt(&mut decoded, &applied);
-        assert_eq!(got, matvec_mod_p(&db, &v, p));
+            let token = uh.generate_token_expanded(&uh.preprocess_hint(&full), &expanded);
+            let mut summed = uh.decode_token::<u64>(&key, &token);
+            let exact = scheme::hint_times_secret(&full, &key.lwe_key::<u64>(uh.lwe()));
+            let budget = (n as u64) << uh.dropped_bits();
+            for (got, want) in summed.hs.as_ref().expect("fresh").iter().zip(&exact) {
+                let err = (want.wrapping_sub(*got) as i64).unsigned_abs();
+                assert!(err <= budget, "W={shards} rows={rows}: hint error {err} > {budget}");
+            }
+
+            let mut parts: Vec<DecodedToken<u64>> = shard_hints
+                .iter()
+                .map(|h| {
+                    let part = uh.generate_token_expanded(&uh.preprocess_hint(h), &expanded);
+                    uh.decode_token::<u64>(&key, &part)
+                })
+                .collect();
+            let mut survivors = combine_decoded_subset(&mut parts, &vec![true; shards]);
+
+            let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..p)).collect();
+            let ct = uh.encrypt_query::<u64, _>(&key, &a, &v, &mut rng);
+            let applied = apply(&db, &ct);
+            let want = matvec_mod_p(&db, &v, p);
+            assert_eq!(uh.decrypt(&mut summed, &applied), want, "W={shards} rows={rows}");
+            assert_eq!(uh.decrypt(&mut survivors, &applied), want, "W={shards} rows={rows}");
+
+            let one = min_outer_budget(&uh, &key, &expanded, &[&full]);
+            let per_shard: Vec<&Mat<u64>> = shard_hints.iter().collect();
+            let combined = min_outer_budget(&uh, &key, &expanded, &per_shard);
+            assert!(one > 0.0 && one >= combined, "W={shards} rows={rows}: {one} < {combined}");
+        }
     }
 
     #[test]
@@ -987,17 +1022,6 @@ mod tests {
         // Included parts are consumed; excluded ones stay fresh.
         assert!(!parts[0].is_fresh());
         assert!(parts[1].is_fresh());
-
-        // Both shards surviving must match the combined-token path.
-        let mut all =
-            vec![uh.decode_token::<u64>(&key, &t_left), uh.decode_token::<u64>(&key, &t_right)];
-        let mut both = combine_decoded_subset(&mut all, &[true, true]);
-        let combined = combine_partial_tokens(&uh, &[t_left, t_right]);
-        let mut dec = uh.decode_token::<u64>(&key, &combined);
-        let v2: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..p)).collect();
-        let ct2 = uh.encrypt_query::<u64, _>(&key, &a, &v2, &mut rng);
-        let applied2 = apply(&db, &ct2);
-        assert_eq!(uh.decrypt(&mut both, &applied2), uh.decrypt(&mut dec, &applied2));
     }
 
     #[test]
@@ -1018,6 +1042,18 @@ mod tests {
         // The original still roundtrips.
         let back = QueryToken::decode(&token.encode()).expect("valid token decodes");
         assert_eq!(back.rows(), token.rows());
+    }
+
+    #[test]
+    fn server_hint_byte_len_counts_values_and_quotients() {
+        let uh = test_underhood_64();
+        let (ring, n) = (uh.outer().params().degree, uh.lwe().n);
+        for rows in [10usize, 150] {
+            let sh = uh.preprocess_hint(&Mat::<u64>::zeros(rows, n));
+            assert_eq!(sh.chunks(), rows.div_ceil(ring));
+            let polys = sh.chunks() * uh.limb_count() as usize * n;
+            assert_eq!(sh.byte_len(), (polys * ring * 16) as u64, "rows={rows}");
+        }
     }
 
     #[test]

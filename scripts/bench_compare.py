@@ -23,7 +23,9 @@ multiply-accumulate) have one scalar body and no dispatched twin, so
 they have no ratio to band: they must be present in both files with a
 positive time, and that time is reported like any other wall-clock.
 The noise sampler's row is required like them, and having one row per
-tier its dispatched speedup is banded like any other.
+tier its dispatched speedup is banded like any other. So is the whole
+token pass (`token_gen`): its B = 1 time is reported, and its batched
+per-token speedup over B = 1, a same-host ratio, is banded.
 
 Rows are matched by identity keys (kernel/variant/shape, or
 clients/mode); rows present only on one side are reported but only
@@ -48,7 +50,7 @@ SINGLE_BODY_KERNELS = (
 )
 
 # Token-path rows that must be present in both files.
-TOKEN_KERNELS = SINGLE_BODY_KERNELS + ("noise_sample",)
+TOKEN_KERNELS = SINGLE_BODY_KERNELS + ("noise_sample", "token_gen")
 
 failures = []
 notes = []
@@ -113,7 +115,8 @@ def compare_kernels(base, cur):
             # produces different names, which is not a regression.
             note(f"kernels {r['kernel']}/{r['variant']}: no baseline row")
             continue
-        if r["kernel"] in SINGLE_BODY_KERNELS:
+        token_b1 = (r["kernel"], r["variant"]) == ("token_gen", "b1")
+        if r["kernel"] in SINGLE_BODY_KERNELS or token_b1:
             note(
                 f"kernels {r['kernel']}: {r['seconds'] * 1e3:.1f} ms vs baseline "
                 f"{b['seconds'] * 1e3:.1f} ms (reported, not gated)"
@@ -122,7 +125,8 @@ def compare_kernels(base, cur):
         # Speedup over scalar is a same-host ratio: gate it, banded.
         # Skip overhead baselines and memory-bound shapes (their note
         # says the ratio measures DRAM, not the kernel).
-        if r["variant"].startswith("dispatched") and "note" not in r:
+        gated = r["variant"].startswith("dispatched") or r["kernel"] == "token_gen"
+        if gated and "note" not in r:
             band(
                 f"kernels {r['kernel']}/{r['variant']} speedup",
                 r["speedup_vs_scalar"],
