@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::Rng;
-use tiptoe_math::ntt::NttTable;
+use tiptoe_math::ntt::{mul_acc_wide, NttTable, Wide};
 use tiptoe_math::rng::seeded_rng;
 use tiptoe_rlwe::{encrypt_scalar, expand, mod_switch, RlweContext, RlweParams, RlweSecretKey};
 
@@ -43,10 +43,14 @@ fn bench_token_path(c: &mut Criterion) {
     c.bench_function("rlwe_expand_2048", |b| b.iter(|| expand(&ctx, &seeded)));
     let z = expand(&ctx, &seeded);
     let h_coeffs: Vec<u64> = (0..2048).map(|_| rng.gen_range(0..1u64 << 16)).collect();
-    let h = ctx.plaintext_shoup(&h_coeffs);
-    let mut acc = vec![0u64; 2048];
+    let h = ctx.plaintext_ntt(&h_coeffs);
+    let (mut acc_a, mut acc_b) = (vec![Wide::default(); 2048], vec![Wide::default(); 2048]);
+    // One coordinate into both components; the totals never reduce,
+    // and the third word has room for 2^68 calls.
     c.bench_function("hint_mac_2048", |b| {
-        b.iter(|| ctx.table().mul_acc_shoup(&h, z.b.data(), &mut acc))
+        b.iter(|| {
+            mul_acc_wide(&[h.data()], &[z.a.data()], &[z.b.data()], &mut acc_a, &mut acc_b)
+        })
     });
 }
 

@@ -10,8 +10,9 @@
 //! `rlwe_encrypt_scalar`, `rlwe_expand`, `hint_mac`) run at the
 //! production outer ring (N = 2048, 62-bit Q) over one token's worth
 //! of work: 2,048 ciphertexts, and for `hint_mac` one `(chunk, limb)`
-//! unit of token generation (2,048 hint polynomials against both
-//! components of the expanded secret; a token is one such unit per
+//! unit of token generation (`mul_acc_wide` over 2,048 hint
+//! polynomials against both components of the expanded secret, then
+//! `reduce_wide` of the 4,096 totals; a token is one such unit per
 //! chunk and limb of a service's hint). `noise_sample` is the errors
 //! of those ciphertexts alone (keystream plus table pass, 2^22
 //! samples, so seconds × 238 is ns per sample), one row per supported
@@ -20,10 +21,12 @@
 //! `speedup_vs_scalar` is 1 by construction and only their time is of
 //! interest. `token_gen` is then the whole pass,
 //! `Underhood::generate_token_expanded_many` over one hint at the
-//! deployed ring parameters (one chunk × two limbs, both units plus
-//! their modulus switches) for B = 1 and B = 4 uploads on one thread:
-//! what a ranking token costs the server, and what a token-lane flush
-//! of four costs per token.
+//! deployed ring parameters (every unit under one sweep of the secret
+//! plus the modulus switches) for B = 1 and B = 4 uploads on one
+//! thread, at the ranking shape (n = 2,048, one chunk × two limbs) and
+//! the URL shape (n = 1,408, two chunks × two limbs): what each token
+//! costs the server, and what a token-lane flush of four costs per
+//! token.
 //!
 //! The client rows run at the two shipped upload shapes (m×n of the
 //! seeded public matrix `A`): 17088×2048, the deployed text preset,
@@ -71,8 +74,9 @@ use rand::Rng;
 use tiptoe_lwe::matrix_a::MatrixARange;
 use tiptoe_lwe::{scheme, LweParams, LweSecretKey, MatrixA};
 use tiptoe_math::matrix::{scan, Mat};
-use tiptoe_math::ntt::ShoupPoly;
+use tiptoe_math::ntt::{mul_acc_wide, reduce_wide, Wide};
 use tiptoe_math::par::max_threads;
+use tiptoe_math::poly::Poly;
 use tiptoe_math::rng::{derive_seed, seeded_rng};
 use tiptoe_math::sample::{gaussian_i64, NoiseTable};
 use tiptoe_math::simd::{self, KernelTier};
@@ -400,28 +404,29 @@ fn main() {
     push("rlwe_expand", "scalar".into(), &shape, Some(expand), expand, None);
 
     let expanded = expand_all();
-    let hints: Vec<ShoupPoly> = (0..ring)
+    let hints: Vec<Poly> = (0..ring)
         .map(|_| {
             let limbs: Vec<u64> = (0..ring).map(|_| rng.gen_range(0..1u64 << 16)).collect();
-            ctx.plaintext_shoup(&limbs)
+            ctx.plaintext_ntt(&limbs)
         })
         .collect();
-    let (mut acc_a, mut acc_b) = (vec![0u64; ring], vec![0u64; ring]);
+    let h: Vec<&[u64]> = hints.iter().map(Poly::data).collect();
+    let za: Vec<&[u64]> = expanded.iter().map(|z| z.a.data()).collect();
+    let zb: Vec<&[u64]> = expanded.iter().map(|z| z.b.data()).collect();
     let mac = time(reps, || {
-        for (h, z) in hints.iter().zip(&expanded) {
-            table.mul_acc_shoup(h, z.a.data(), &mut acc_a);
-            table.mul_acc_shoup(h, z.b.data(), &mut acc_b);
-        }
+        let (mut acc_a, mut acc_b) = (vec![Wide::default(); ring], vec![Wide::default(); ring]);
+        mul_acc_wide(&h, &za, &zb, &mut acc_a, &mut acc_b);
+        acc_a.iter().chain(&acc_b).map(|&w| reduce_wide(w, ctx.q())).collect::<Vec<u64>>()
     });
     push("hint_mac", "scalar".into(), &format!("{}x{ring}", 2 * ring), Some(mac), mac, None);
     drop((uploaded, expanded, hints));
 
-    // --- The whole token pass at the deployed ring parameters: one
-    // hint (one chunk × two limbs, 4,096 polynomials) against B
-    // uploads on one thread, per token. ---
+    // --- The whole token pass at the deployed ring parameters, per
+    // token on one thread, against B uploads of the one shared secret:
+    // the ranking hint (one chunk × two limbs, 4,096 polynomials) and
+    // the URL hint's shape (two chunks × two limbs over the first
+    // 1,408 coordinates, four units under one sweep). ---
     let uh = Underhood::new(params);
-    let hint = Mat::from_fn(ring, n, |_, _| rng.gen::<u64>());
-    let server_hint = uh.preprocess_hint(&hint);
     let secrets: Vec<ExpandedSecret> = (0..BATCH)
         .map(|_| {
             let key = ClientKey::generate(&uh, n, &mut rng);
@@ -429,13 +434,26 @@ fn main() {
         })
         .collect();
     let secrets: Vec<&ExpandedSecret> = secrets.iter().collect();
-    let shape =
-        format!("{ring}x{n} chunks={} limbs={}", server_hint.chunks(), uh.limb_count());
-    let one = time(reps, || uh.generate_token_expanded_many(&server_hint, &secrets[..1], 1));
-    let batched =
-        time(reps, || uh.generate_token_expanded_many(&server_hint, &secrets, 1)) / BATCH as f64;
-    push("token_gen", "b1".into(), &shape, Some(one), one, None);
-    push("token_gen", format!("b{BATCH}_per_token"), &shape, Some(batched), one, None);
+    let url_uh = Underhood::new(LweParams::url(991));
+    let url_n = url_uh.lwe().n;
+    let shapes = [
+        (&uh, uh.preprocess_hint(&Mat::from_fn(ring, n, |_, _| rng.gen::<u64>()))),
+        (&url_uh, url_uh.preprocess_hint(&Mat::from_fn(2 * ring, url_n, |_, _| rng.gen::<u32>()))),
+    ];
+    for (uh, server_hint) in &shapes {
+        let shape = format!(
+            "{}x{} chunks={} limbs={}",
+            server_hint.rows(),
+            server_hint.secret_dim(),
+            server_hint.chunks(),
+            uh.limb_count()
+        );
+        let one = time(reps, || uh.generate_token_expanded_many(server_hint, &secrets[..1], 1));
+        let batched =
+            time(reps, || uh.generate_token_expanded_many(server_hint, &secrets, 1)) / BATCH as f64;
+        push("token_gen", "b1".into(), &shape, Some(one), one, None);
+        push("token_gen", format!("b{BATCH}_per_token"), &shape, Some(batched), one, None);
+    }
 
     // --- Emit BENCH_kernels.json at the workspace root. The rep
     // accounting comes from a metrics-snapshot delta over the run, so

@@ -404,9 +404,9 @@ impl RankingService {
     ) -> (Vec<Vec<QueryToken>>, ParallelTiming) {
         let mut span = tiptoe_obs::span("rank.token");
         span.attr_u64("batch", secrets.len() as u64);
-        // Inside each hint the (chunk, limb) NTT multiply-accumulate
-        // units fan out across threads; the tokens are bit-identical
-        // to the sequential evaluation.
+        // Inside each hint the threads split the NTT coefficients of
+        // every (chunk, limb) sum; the tokens are bit-identical to the
+        // sequential evaluation.
         let threads = self.parallelism.num_threads;
         let mut timing = ParallelTiming::default();
         // [hint][client] — each hint evaluated once over the batch.
@@ -686,12 +686,12 @@ mod tests {
         let ring = uh.outer().params().degree;
         let polys = plain.rows().div_ceil(ring) * uh.limb_count() as usize * config.rank_lwe.n;
         assert_eq!(plain.token_hints.len(), 1);
-        assert_eq!(token_hint_bytes(&plain), (polys * ring * 16) as u64);
+        assert_eq!(token_hint_bytes(&plain), (polys * ring * 8) as u64);
         assert_eq!(tolerant.token_hints.len(), w);
-        assert_eq!(token_hint_bytes(&tolerant), (w * polys * ring * 16) as u64);
+        assert_eq!(token_hint_bytes(&tolerant), (w * polys * ring * 8) as u64);
         assert_eq!(
             tolerant.server_storage_bytes() - plain.server_storage_bytes(),
-            ((w - 1) * polys * ring * 16) as u64
+            ((w - 1) * polys * ring * 8) as u64
         );
 
         // The one token decrypts to what the W tokens do over all
@@ -724,7 +724,7 @@ mod tests {
         let matrix = Mat::<u32>::from_fn(4, cols, |r, c| ((r + c) % 8) as u32);
         let service = RankingService::from_matrix(&config, &matrix);
         assert_eq!(service.num_shards(), 4);
-        assert_eq!(token_hint_bytes(&service), 4096 * 2048 * 16);
+        assert_eq!(token_hint_bytes(&service), 4096 * 2048 * 8);
     }
 
     #[test]

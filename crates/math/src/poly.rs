@@ -46,7 +46,7 @@ impl Poly {
     }
 
     /// Wraps raw *NTT-domain* data produced by low-level kernels (e.g.
-    /// the Shoup multiply-accumulate path of token generation).
+    /// the unreduced multiply-accumulate of token generation).
     ///
     /// # Panics
     ///

@@ -410,6 +410,19 @@ mod tests {
     }
 
     #[test]
+    fn deployed_parameters_hold_5632_url_hint_polynomials_over_two_chunks() {
+        // `TiptoeConfig::text`: n = 1408, N = 2048, two limbs; records
+        // of 2,400 bytes are 2,134 rows, two chunks like the 4,096-doc
+        // deployment's URL batches.
+        let uh = Underhood::new(LweParams::url(991));
+        let db = PirDatabase::build_with_params(&records(3, 2400, 11), *uh.lwe());
+        assert_eq!(db.rows().div_ceil(2048), 2);
+        let server = PirServer::new(db, 42, uh);
+        let hint_bytes = server.storage_bytes() - server.database().storage_bytes();
+        assert_eq!(hint_bytes, 5632 * 2048 * 8);
+    }
+
+    #[test]
     fn upload_dimension_matches_record_count() {
         let recs = records(12, 16, 9);
         let uh = test_underhood();

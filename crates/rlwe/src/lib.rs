@@ -169,18 +169,6 @@ impl RlweContext {
         p.to_ntt();
         p
     }
-
-    /// Prepares a public plaintext polynomial in Shoup-precomputed NTT
-    /// form, for the token-generation hot loop (the hint polynomials
-    /// are fixed across queries, so the precomputation amortizes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != N`.
-    pub fn plaintext_shoup(&self, coeffs: &[u64]) -> ShoupPoly {
-        let p = self.plaintext_ntt(coeffs);
-        self.table.prepare_shoup(p.data())
-    }
 }
 
 /// A ternary RLWE secret key.

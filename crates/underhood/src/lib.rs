@@ -42,10 +42,10 @@
 use rand::Rng;
 use tiptoe_lwe::{scheme, LweCiphertext, LweParams, LweSecretKey, MatrixA};
 use tiptoe_math::matrix::Mat;
+use tiptoe_math::ntt::{mul_acc_wide, reduce_wide, Wide, WIDE_ACC_BUDGET, WIDE_GROUP};
 use tiptoe_math::poly::Poly;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
-use tiptoe_math::ntt::ShoupPoly;
 use tiptoe_rlwe::{
     decrypt_switched, encrypt_scalar, expand, mod_switch, RlweCiphertext, RlweContext,
     RlweParams, RlweSecretKey, SeededRlweCiphertext, SwitchedCiphertext,
@@ -281,15 +281,17 @@ impl EncryptedSecret {
 /// The server's NTT-ready form of a (bit-dropped, limb-decomposed)
 /// hint: for each chunk of `N` hint rows, each limb, and each secret
 /// coordinate `i`, the plaintext polynomial whose coefficient `r` is
-/// `limb_j(H[chunk·N + r][i])`.
+/// `limb_j(H[chunk·N + r][i])`, as `N` plain NTT-domain words.
 pub struct ServerHint {
-    /// `[chunk][limb][secret coordinate] -> Shoup-precomputed
-    /// NTT-domain plaintext`.
-    polys: Vec<Vec<Vec<ShoupPoly>>>,
+    /// One flat `[limb][secret coordinate][NTT word]` run per chunk
+    /// (see [`Underhood::hint_chunk_polys`]).
+    chunks: Vec<Vec<u64>>,
     /// Original number of hint rows (before padding to chunks of `N`).
     rows: usize,
     /// Secret dimension `n` of this hint.
     n: usize,
+    /// Ring degree `N`.
+    ring: usize,
 }
 
 impl ServerHint {
@@ -305,13 +307,13 @@ impl ServerHint {
 
     /// Number of row chunks (`⌈rows / N⌉`).
     pub fn chunks(&self) -> usize {
-        self.polys.len()
+        self.chunks.len()
     }
 
     /// Bytes resident for the hint polynomials: `chunks · limbs · n`
-    /// Shoup polynomials of `N` values and `N` quotients each.
+    /// polynomials of `N` 8-byte words.
     pub fn byte_len(&self) -> u64 {
-        self.polys.iter().flatten().flatten().map(ShoupPoly::byte_len).sum()
+        self.chunks.iter().map(|c| std::mem::size_of_val(c.as_slice()) as u64).sum()
     }
 
     /// Replaces one chunk's polynomials after an incremental hint
@@ -320,11 +322,18 @@ impl ServerHint {
     /// # Panics
     ///
     /// Panics if `chunk` is out of range or the layout differs.
-    pub fn replace_chunk(&mut self, chunk: usize, polys: Vec<Vec<ShoupPoly>>) {
-        assert!(chunk < self.polys.len(), "chunk out of range");
-        assert_eq!(polys.len(), self.polys[chunk].len(), "limb count mismatch");
-        assert!(polys.iter().all(|l| l.len() == self.n), "column count mismatch");
-        self.polys[chunk] = polys;
+    pub fn replace_chunk(&mut self, chunk: usize, polys: Vec<u64>) {
+        assert!(chunk < self.chunks.len(), "chunk out of range");
+        assert_eq!(polys.len(), self.chunks[chunk].len(), "chunk layout mismatch");
+        self.chunks[chunk] = polys;
+    }
+
+    /// The `n` polynomials of `(chunk, limb)` unit `unit` (limb-minor),
+    /// in secret-coordinate order.
+    fn unit_polys(&self, unit: usize, limbs: usize) -> std::slice::ChunksExact<'_, u64> {
+        let per_limb = self.n * self.ring;
+        let limb = unit % limbs;
+        self.chunks[unit / limbs][limb * per_limb..(limb + 1) * per_limb].chunks_exact(self.ring)
     }
 }
 
@@ -332,36 +341,31 @@ impl Underhood {
     /// Preprocesses a hint for token generation (corpus-dependent
     /// only; runs in the data-loading batch phase).
     pub fn preprocess_hint<W: Word>(&self, hint: &Mat<W>) -> ServerHint {
-        let n_ring = self.ctx.params().degree;
+        let ring = self.ctx.params().degree;
         let rows = hint.rows();
-        let n = hint.cols();
-        let chunks = rows.div_ceil(n_ring).max(1);
-        let polys = (0..chunks).map(|c| self.hint_chunk_polys(hint, c)).collect();
-        ServerHint { polys, rows, n }
+        let chunks = rows.div_ceil(ring).max(1);
+        let chunks = (0..chunks).map(|c| self.hint_chunk_polys(hint, c)).collect();
+        ServerHint { chunks, rows, n: hint.cols(), ring }
     }
 
     /// Builds the NTT-ready limb polynomials of one chunk of `N_ring`
     /// hint rows (the unit of incremental refresh after a corpus
-    /// update: touching one matrix row only invalidates its chunk).
-    pub fn hint_chunk_polys<W: Word>(&self, hint: &Mat<W>, chunk: usize) -> Vec<Vec<ShoupPoly>> {
-        let n_ring = self.ctx.params().degree;
+    /// update: touching one matrix row only invalidates its chunk), as
+    /// one flat `[limb][secret coordinate][NTT word]` run.
+    pub fn hint_chunk_polys<W: Word>(&self, hint: &Mat<W>, chunk: usize) -> Vec<u64> {
+        let ring = self.ctx.params().degree;
         let rows = hint.rows();
         let n = hint.cols();
-        let mut coeffs = vec![0u64; n_ring];
-        let mut per_limb = Vec::with_capacity(self.limbs as usize);
-        for j in 0..self.limbs {
-            let mut per_col = Vec::with_capacity(n);
-            for i in 0..n {
-                for (r, slot) in coeffs.iter_mut().enumerate() {
-                    let row = chunk * n_ring + r;
-                    *slot =
-                        if row < rows { self.limb(hint.get(row, i).to_u64(), j) } else { 0 };
-                }
-                per_col.push(self.ctx.plaintext_shoup(&coeffs));
+        let mut polys = vec![0u64; self.limbs as usize * n * ring];
+        for (slot, poly) in polys.chunks_exact_mut(ring).enumerate() {
+            let (j, i) = ((slot / n) as u32, slot % n);
+            // A 16-bit limb is already reduced modulo Q.
+            for (row, c) in (chunk * ring..rows).zip(poly.iter_mut()) {
+                *c = self.limb(hint.get(row, i).to_u64(), j);
             }
-            per_limb.push(per_col);
+            self.ctx.table().forward(poly);
         }
-        per_limb
+        polys
     }
 
     /// Generates a query token: evaluates `Enc2(limb_j(H)·s)` for every
@@ -393,23 +397,25 @@ impl Underhood {
     }
 
     /// Token generation, the one body: evaluates one hint against `B`
-    /// clients' expanded secrets in a single pass over the hint
-    /// polynomials.
+    /// clients' expanded secrets in one sweep over the secret
+    /// coordinates.
     ///
-    /// The `(chunk, limb)` evaluations — each an independent
-    /// NTT-domain multiply-accumulate over the secret coordinates plus
-    /// one modulus switch — fan out across `num_threads` threads (`0`
-    /// = one per core, `1` = inline). Token generation is memory-bound
-    /// on the hint: each `(chunk, limb, coordinate)` Shoup polynomial
-    /// is far larger than the per-client accumulators, so the inner
-    /// loop loads each polynomial once and multiply-accumulates it
-    /// into all `B` clients' accumulators while it is hot — the
-    /// token-path counterpart of the batched scan, and what the
-    /// serving plane's token lane flushes through.
+    /// Every `(chunk, limb)` unit is `Σ_i h_i ∘ z_i` over the secret
+    /// coordinates, and each NTT coefficient of it is a sum of its
+    /// own, so `num_threads` threads (`0` = one per core, `1` =
+    /// inline) split the *coefficient range*: each accumulates every
+    /// unit and every client over its span with
+    /// [`mul_acc_wide`], unreduced, and reduces each coefficient once
+    /// after the last coordinate. A sweep visits the coordinates in
+    /// groups of [`WIDE_GROUP`] and feeds a group to every unit and
+    /// client while it is in cache, so each hint polynomial and each
+    /// `z_i` comes from memory once a call (units beyond
+    /// [`WIDE_ACC_BUDGET`] bytes of accumulators take a further sweep).
+    /// The modulus switches then fan out per `(unit, client)`.
     ///
-    /// Each client's accumulation order over the secret coordinates is
-    /// the same at any batch size and thread count, so every returned
-    /// token is bit-identical to the one that client gets alone.
+    /// A sum over the integers does not depend on how it was grouped,
+    /// so every returned token is bit-identical to the one that client
+    /// gets alone, at any batch size and thread count.
     ///
     /// # Panics
     ///
@@ -428,67 +434,68 @@ impl Underhood {
         for es in secrets {
             assert!(es.len() >= sh.n, "encrypted secret too short for this hint");
         }
-        let n_ring = self.ctx.params().degree;
+        let q = self.ctx.q();
         let limbs = self.limbs as usize;
         let units = sh.chunks() * limbs;
-        // `(chunk, limb)` units fan out across threads; the batch
-        // dimension stays inside each unit, where the polynomial reuse
-        // lives.
-        let mut flat: Vec<Option<Vec<SwitchedCiphertext>>> = (0..units).map(|_| None).collect();
-        tiptoe_math::par::par_spans_mut(&mut flat, 1, num_threads, |start, span| {
-            let table = self.ctx.table();
-            let mut acc_a = vec![vec![0u64; n_ring]; b];
-            let mut acc_b = vec![vec![0u64; n_ring]; b];
-            for (off, slot) in span.iter_mut().enumerate() {
-                let unit = start + off;
-                let limb_polys = &sh.polys[unit / limbs][unit % limbs];
-                for acc in acc_a.iter_mut().chain(acc_b.iter_mut()) {
-                    acc.iter_mut().for_each(|x| *x = 0);
-                }
-                for (i, h_poly) in limb_polys.iter().enumerate() {
-                    // One DRAM read of `h_poly` serves the whole batch.
-                    for (bi, es) in secrets.iter().enumerate() {
-                        let z = &es.z[i];
-                        table.mul_acc_shoup(h_poly, z.a.data(), &mut acc_a[bi]);
-                        table.mul_acc_shoup(h_poly, z.b.data(), &mut acc_b[bi]);
+        // One reduced NTT word per coefficient and `(unit, client,
+        // component)` slot, coefficient-major so a thread owns rows.
+        let slots = units * b * 2;
+        let mut sums = vec![0u64; sh.ring * slots];
+        tiptoe_math::par::par_spans_mut(&mut sums, slots, num_threads, |start, rows| {
+            let len = rows.len() / slots;
+            let span = start / slots..start / slots + len;
+            let za: Vec<Vec<&[u64]>> = secrets
+                .iter()
+                .map(|es| es.z[..sh.n].iter().map(|z| &z.a.data()[span.clone()]).collect())
+                .collect();
+            let zb: Vec<Vec<&[u64]>> = secrets
+                .iter()
+                .map(|es| es.z[..sh.n].iter().map(|z| &z.b.data()[span.clone()]).collect())
+                .collect();
+            // Accumulators of a sweep, `[unit][client][component]`.
+            let per_unit = b * 2 * len;
+            let tile = (WIDE_ACC_BUDGET / (per_unit * std::mem::size_of::<Wide>())).clamp(1, units);
+            let mut acc = vec![Wide::default(); tile * per_unit];
+            for first in (0..units).step_by(tile) {
+                let h: Vec<Vec<&[u64]>> = (first..units.min(first + tile))
+                    .map(|unit| sh.unit_polys(unit, limbs).map(|p| &p[span.clone()]).collect())
+                    .collect();
+                acc.fill(Wide::default());
+                for lo in (0..sh.n).step_by(WIDE_GROUP) {
+                    let group = lo..sh.n.min(lo + WIDE_GROUP);
+                    for (acc, h) in acc.chunks_exact_mut(per_unit).zip(&h) {
+                        for ((acc, za), zb) in acc.chunks_exact_mut(2 * len).zip(&za).zip(&zb) {
+                            let (acc_a, acc_b) = acc.split_at_mut(len);
+                            let (za, zb) = (&za[group.clone()], &zb[group.clone()]);
+                            mul_acc_wide(&h[group.clone()], za, zb, acc_a, acc_b);
+                        }
                     }
                 }
-                *slot = Some(
-                    (0..b)
-                        .map(|bi| {
-                            let acc = RlweCiphertext {
-                                a: Poly::from_ntt_data(
-                                    std::sync::Arc::clone(table),
-                                    acc_a[bi].clone(),
-                                ),
-                                b: Poly::from_ntt_data(
-                                    std::sync::Arc::clone(table),
-                                    acc_b[bi].clone(),
-                                ),
-                            };
-                            mod_switch(&self.ctx, &acc, self.switch_log_q2)
-                        })
-                        .collect(),
-                );
+                let totals = acc.chunks_exact(len).take(h.len() * b * 2);
+                for (slot, totals) in (first * b * 2..).zip(totals) {
+                    for (row, &total) in rows.chunks_exact_mut(slots).zip(totals) {
+                        row[slot] = reduce_wide(total, q);
+                    }
+                }
             }
         });
-        // Transpose [unit][client] into per-client chunk×limb layouts.
-        let mut per_client: Vec<Vec<SwitchedCiphertext>> =
-            (0..b).map(|_| Vec::with_capacity(units)).collect();
-        for unit_cts in flat {
-            let unit_cts = unit_cts.expect("every unit computed");
-            for (bi, ct) in unit_cts.into_iter().enumerate() {
-                per_client[bi].push(ct);
+        // `[unit][client]`, each the modulus switch of its two slots.
+        let mut switched: Vec<Option<SwitchedCiphertext>> = (0..units * b).map(|_| None).collect();
+        tiptoe_math::par::par_spans_mut(&mut switched, 1, num_threads, |start, span| {
+            let poly = |slot: usize| {
+                let data = sums.chunks_exact(slots).map(|row| row[slot]).collect();
+                Poly::from_ntt_data(std::sync::Arc::clone(self.ctx.table()), data)
+            };
+            for (pair, out) in (start..).zip(span) {
+                let sum = RlweCiphertext { a: poly(2 * pair), b: poly(2 * pair + 1) };
+                *out = Some(mod_switch(&self.ctx, &sum, self.switch_log_q2));
             }
-        }
-        per_client
-            .into_iter()
-            .map(|units_flat| {
-                let mut it = units_flat.into_iter();
-                let chunks = (0..sh.chunks())
-                    .map(|_| (0..limbs).map(|_| it.next().expect("unit count")).collect())
-                    .collect();
-                QueryToken { chunks, rows: sh.rows }
+        });
+        (0..b)
+            .map(|bi| {
+                let mut limb = |unit: usize| switched[unit * b + bi].take().expect("switched");
+                let chunk = |c: usize| (c * limbs..(c + 1) * limbs).map(&mut limb).collect();
+                QueryToken { chunks: (0..sh.chunks()).map(chunk).collect(), rows: sh.rows }
             })
             .collect()
     }
@@ -787,55 +794,100 @@ mod tests {
         roundtrip::<u64>(&test_underhood_64(), 150, 32, 3, false);
     }
 
+    /// A hint of `rows` rows (64 to a chunk) and `clients` expansions
+    /// under independent keys.
+    fn hint_and_expansions(
+        uh: &Underhood,
+        rows: usize,
+        clients: usize,
+        seed: u64,
+    ) -> (ServerHint, Vec<ExpandedSecret>) {
+        let mut rng = seeded_rng(seed);
+        let db = random_db(&mut rng, rows, 32, 8);
+        let a = MatrixA::new(21, 32, uh.lwe().n);
+        let sh = uh.preprocess_hint(&preproc::<u64>(&db, &a.row_range(0, 32), 1));
+        let expansions = (0..clients)
+            .map(|_| {
+                let key = ClientKey::generate(uh, uh.lwe().n, &mut rng);
+                EncryptedSecret::encrypt(uh, &key, &mut rng).expand(uh)
+            })
+            .collect();
+        (sh, expansions)
+    }
+
+    /// Thread counts whose spans do not all divide the 64-coefficient
+    /// ring evenly (3 → 22, 22, 20; 5 → 13 × 4, 12), and auto.
+    const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 5, 0];
+
     #[test]
     fn parallel_token_generation_is_bit_identical() {
         let uh = test_underhood_64();
-        let mut rng = seeded_rng(9);
-        // 150 rows over a degree-64 ring -> 3 chunks x 3 limbs of work.
-        let db = random_db(&mut rng, 150, 32, 8);
-        let a = MatrixA::new(21, 32, uh.lwe().n);
-        let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
-        let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-        let hint = preproc::<u64>(&db, &a.row_range(0, 32), 1);
-        let sh = uh.preprocess_hint(&hint);
-        let expanded = es.expand(&uh);
-        let sequential = uh.generate_token_expanded(&sh, &expanded).encode();
-        for threads in [0, 2, 3, 7] {
-            let par = uh.generate_token_expanded_many(&sh, &[&expanded], threads);
-            assert_eq!(par.len(), 1);
-            assert_eq!(par[0].encode(), sequential, "threads={threads}");
+        for rows in [10, 150] {
+            let (sh, expansions) = hint_and_expansions(&uh, rows, 1, 9);
+            assert_eq!(sh.chunks(), rows.div_ceil(64));
+            let sequential = uh.generate_token_expanded(&sh, &expansions[0]).encode();
+            for threads in THREAD_COUNTS {
+                let par = uh.generate_token_expanded_many(&sh, &[&expansions[0]], threads);
+                assert_eq!(par.len(), 1);
+                assert_eq!(par[0].encode(), sequential, "rows={rows} threads={threads}");
+            }
         }
     }
 
     #[test]
     fn batched_token_generation_is_bit_identical_per_client() {
-        // Three clients with independent keys against one multi-chunk
-        // hint: every batched token must equal that client's solo
-        // token byte-for-byte, at several thread counts (the batch
-        // dimension lives inside each parallel unit).
+        // Clients with independent keys against one hint: every
+        // batched token must equal that client's solo token
+        // byte-for-byte, at any batch size and thread count (threads
+        // split the coefficients, the batch shares each sweep).
         let uh = test_underhood_64();
-        let mut rng = seeded_rng(31);
-        let db = random_db(&mut rng, 150, 32, 8);
-        let a = MatrixA::new(23, 32, uh.lwe().n);
-        let hint = preproc::<u64>(&db, &a.row_range(0, 32), 1);
-        let sh = uh.preprocess_hint(&hint);
-        let expansions: Vec<ExpandedSecret> = (0..3)
-            .map(|_| {
-                let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
-                EncryptedSecret::encrypt(&uh, &key, &mut rng).expand(&uh)
-            })
-            .collect();
-        let solo: Vec<Vec<u8>> =
-            expansions.iter().map(|es| uh.generate_token_expanded(&sh, es).encode()).collect();
-        let refs: Vec<&ExpandedSecret> = expansions.iter().collect();
-        for threads in [1, 2, 3] {
-            let batched = uh.generate_token_expanded_many(&sh, &refs, threads);
-            assert_eq!(batched.len(), 3);
-            for (bi, token) in batched.iter().enumerate() {
-                assert_eq!(token.encode(), solo[bi], "client {bi}, threads={threads}");
+        // 2,880 rows are 90 units: four clients' accumulators pass the
+        // budget and the hint takes two sweeps where a solo takes one.
+        let wide = std::mem::size_of::<Wide>();
+        assert!((3 * 90 * 2 * 64 * wide..4 * 90 * 2 * 64 * wide).contains(&WIDE_ACC_BUDGET));
+        for rows in [10, 150, 2880] {
+            let (sh, expansions) = hint_and_expansions(&uh, rows, 4, 31);
+            let solo: Vec<Vec<u8>> =
+                expansions.iter().map(|es| uh.generate_token_expanded(&sh, es).encode()).collect();
+            for b in [1, 3, 4] {
+                let refs: Vec<&ExpandedSecret> = expansions[..b].iter().collect();
+                for threads in THREAD_COUNTS {
+                    let batched = uh.generate_token_expanded_many(&sh, &refs, threads);
+                    assert_eq!(batched.len(), b);
+                    for (bi, token) in batched.iter().enumerate() {
+                        let case = format!("rows={rows} B={b} client {bi} threads={threads}");
+                        assert_eq!(token.encode(), solo[bi], "{case}");
+                    }
+                }
             }
+            assert!(uh.generate_token_expanded_many(&sh, &[], 1).is_empty());
         }
-        assert!(uh.generate_token_expanded_many(&sh, &[], 1).is_empty());
+    }
+
+    /// FNV-1a, 64-bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    fn golden_token<W: Word>(uh: &Underhood, rows: usize) -> Vec<u8> {
+        let mut rng = seeded_rng(2207);
+        let db = random_db(&mut rng, rows, 32, 8);
+        let a = MatrixA::new(29, 32, uh.lwe().n);
+        let key = ClientKey::generate(uh, uh.lwe().n, &mut rng);
+        let es = EncryptedSecret::encrypt(uh, &key, &mut rng);
+        let hint = preproc::<W>(&db, &a.row_range(0, 32), 1);
+        uh.generate_token(&uh.preprocess_hint(&hint), &es).encode()
+    }
+
+    #[test]
+    fn token_bytes_match_the_recorded_golden_hashes() {
+        // Recorded on the Shoup-reduced token pass (PR 21): whatever
+        // the server's arithmetic, every sum is the canonical
+        // representative in [0, Q), so the bytes do not move.
+        let t64 = golden_token::<u64>(&test_underhood_64(), 150);
+        let t32 = golden_token::<u32>(&test_underhood_32(), 70);
+        assert_eq!((t64.len(), fnv1a(&t64)), (4302, 130798054875270718), "64-bit words, 3 chunks");
+        assert_eq!((t32.len(), fnv1a(&t32)), (2872, 6339899779384653342), "32-bit words, 2 chunks");
     }
 
     #[test]
@@ -1045,14 +1097,14 @@ mod tests {
     }
 
     #[test]
-    fn server_hint_byte_len_counts_values_and_quotients() {
+    fn server_hint_byte_len_is_eight_bytes_a_coefficient() {
         let uh = test_underhood_64();
         let (ring, n) = (uh.outer().params().degree, uh.lwe().n);
         for rows in [10usize, 150] {
             let sh = uh.preprocess_hint(&Mat::<u64>::zeros(rows, n));
             assert_eq!(sh.chunks(), rows.div_ceil(ring));
             let polys = sh.chunks() * uh.limb_count() as usize * n;
-            assert_eq!(sh.byte_len(), (polys * ring * 16) as u64, "rows={rows}");
+            assert_eq!(sh.byte_len(), (polys * ring * 8) as u64, "rows={rows}");
         }
     }
 

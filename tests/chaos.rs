@@ -12,7 +12,7 @@
 //! unset, the suite runs at the default seed.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use tiptoe_core::client::{QueryOptions, TiptoeClient};
@@ -170,15 +170,18 @@ fn fuzzed_lane_crashes_answer_correctly_or_fail_typed() {
 fn reactor_crash_mid_flush_loses_no_request_and_duplicates_none() {
     // Kill the coalescer's timer thread at its worst moment — after it
     // pops due deadlines but before it fires them — while 12
-    // submitters race in small waves (so some batches are partial and
-    // depend on the timer). Every request must come back exactly once
-    // with its own answer: parked waiters' fallback timeouts drain any
-    // batch the dead timer abandoned, and the generation protocol
-    // ensures a request drained by one path can't be re-flushed by
-    // another.
+    // submitters race in. The lane's cohort gauge is held above any
+    // queue length, so no batch is ever complete on arrival, and 12 is
+    // not a multiple of `max_batch`: whatever the arrival order, at
+    // least one batch is partial and has only the timer (or, once the
+    // crash has eaten its deadline, a waiter's fallback) to flush it.
+    // Every request must come back exactly once with its own answer:
+    // parked waiters' fallback timeouts drain any batch the dead timer
+    // abandoned, and the generation protocol ensures a request drained
+    // by one path can't be re-flushed by another.
     let served = AtomicUsize::new(0);
     let policy = CoalescePolicy {
-        max_batch: 4,
+        max_batch: 5,
         max_wait: Duration::from_millis(2),
         queue_depth: 64,
         adaptive: false,
@@ -186,7 +189,9 @@ fn reactor_crash_mid_flush_loses_no_request_and_duplicates_none() {
     let c = Coalescer::new(policy, |reqs: Vec<u64>| {
         served.fetch_add(reqs.len(), Ordering::SeqCst);
         reqs.into_iter().map(|r| r.wrapping_mul(7).wrapping_add(3)).collect()
-    });
+    })
+    // Thirteen cohort members that never arrive.
+    .with_cohort(Arc::new(AtomicUsize::new(13)));
     let reactor_crashes_before =
         tiptoe_obs::metrics().counter("net.coalesce.reactor_crashes").get();
     tiptoe_net::chaos_inject_reactor_panic();
@@ -195,10 +200,6 @@ fn reactor_crash_mid_flush_loses_no_request_and_duplicates_none() {
         for i in 0..12u64 {
             let (c, delivered) = (&c, &delivered);
             scope.spawn(move || {
-                // Staggered arrivals: three waves of four, so the
-                // injected crash lands while partial batches are
-                // waiting on the (dead) timer.
-                std::thread::sleep(Duration::from_micros(300 * (i / 4)));
                 let resp = c
                     .submit_within(i, Duration::from_secs(60))
                     .expect("a reactor crash must not fail requests");
