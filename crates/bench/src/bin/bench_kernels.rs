@@ -19,7 +19,13 @@
 //! tier with σ and the table length in the shape. The other kernels
 //! have one scalar body and no tier to compare against, so their
 //! `speedup_vs_scalar` is 1 by construction and only their time is of
-//! interest. `token_gen` is then the whole pass,
+//! interest. `rlwe_encrypt_scalar` and `rlwe_expand` are timed twice:
+//! `scalar` is 2,048 standalone ciphertexts through the
+//! one-ciphertext API, `parallel_t*` the same 2,048 as
+//! `EncryptedSecret::{encrypt, expand}` run them, one flat buffer
+//! filled on `t` threads (`lwe_encrypt` has the same sweep). These
+//! kernels take no thread count, so the sweep pins them through
+//! `TIPTOE_THREADS`. `token_gen` is then the whole pass,
 //! `Underhood::generate_token_expanded_many` over one hint at the
 //! deployed ring parameters (every unit under one sweep of the secret
 //! plus the modulus switches) for B = 1 and B = 4 uploads on one
@@ -155,6 +161,21 @@ struct Entry {
     /// Set on entries that are not an apples-to-apples speedup claim
     /// (e.g. `parallel_t1`, the thread sweep's own baseline).
     note: Option<&'static str>,
+}
+
+/// Runs `f` with `TIPTOE_THREADS` set to `threads`. The client kernels
+/// take no thread count (they ask for one per core), so the
+/// environment cap is the one way to pin them; nothing else runs in
+/// this process while it is changed.
+fn pinned<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    let before = std::env::var("TIPTOE_THREADS").ok();
+    std::env::set_var("TIPTOE_THREADS", threads.to_string());
+    let out = f();
+    match before {
+        Some(v) => std::env::set_var("TIPTOE_THREADS", v),
+        None => std::env::remove_var("TIPTOE_THREADS"),
+    }
+    out
 }
 
 /// Thread counts for the parallel sweep: always 1 (the sweep's
@@ -356,9 +377,15 @@ fn main() {
     );
     let shape = format!("{m}x{n}");
     let scalar = time(reps, || encrypt_scalar(&params, &sk, &a, &q, &mut seeded_rng(33)));
-    let dispatched = time(reps, || scheme::encrypt(&params, &sk, &a, &q, &mut seeded_rng(33)));
+    let encrypt = || scheme::encrypt(&params, &sk, &a, &q, &mut seeded_rng(33));
+    let dispatched = pinned(1, || time(reps, encrypt));
     push("lwe_encrypt", "scalar".into(), &shape, Some(scalar), scalar, None);
     push("lwe_encrypt", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
+    for t in thread_sweep(threads) {
+        let seconds = pinned(t, || time_threads(t, cores, reps, encrypt));
+        let note = (t == 1).then_some(T1_NOTE);
+        push("lwe_encrypt", format!("parallel_t{t}"), &shape, seconds, scalar, note);
+    }
 
     // --- Token path at the production outer ring: what the client
     // pays to upload `Enc2(s)` and the server to expand it and run one
@@ -402,6 +429,21 @@ fn main() {
         || -> Vec<RlweCiphertext> { uploaded.iter().map(|z| tiptoe_rlwe::expand(&ctx, z)).collect() };
     let expand = time(reps, expand_all);
     push("rlwe_expand", "scalar".into(), &shape, Some(expand), expand, None);
+    // The same work as the client and the server do it: one upload in
+    // one flat buffer, filled and expanded on `t` threads.
+    let uh = Underhood::new(params);
+    let key = ClientKey::generate(&uh, n, &mut rng);
+    let upload = EncryptedSecret::encrypt(&uh, &key, &mut seeded_rng(35));
+    for t in thread_sweep(threads) {
+        let run = || EncryptedSecret::encrypt(&uh, &key, &mut seeded_rng(35));
+        let seconds = pinned(t, || time_threads(t, cores, reps, run));
+        push("rlwe_encrypt_scalar", format!("parallel_t{t}"), &shape, seconds, encrypt, None);
+    }
+    for t in thread_sweep(threads) {
+        let seconds = pinned(t, || time_threads(t, cores, reps, || upload.expand(&uh)));
+        push("rlwe_expand", format!("parallel_t{t}"), &shape, seconds, expand, None);
+    }
+    drop(upload);
 
     let expanded = expand_all();
     let hints: Vec<Poly> = (0..ring)
@@ -426,7 +468,6 @@ fn main() {
     // the ranking hint (one chunk × two limbs, 4,096 polynomials) and
     // the URL hint's shape (two chunks × two limbs over the first
     // 1,408 coordinates, four units under one sweep). ---
-    let uh = Underhood::new(params);
     let secrets: Vec<ExpandedSecret> = (0..BATCH)
         .map(|_| {
             let key = ClientKey::generate(&uh, n, &mut rng);

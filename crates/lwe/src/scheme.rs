@@ -133,7 +133,9 @@ impl<W: Word> LweCiphertext<W> {
     }
 }
 
-/// Encrypts a plaintext vector `v ∈ Z_p^m` under secret `sk`.
+/// Encrypts a plaintext vector `v ∈ Z_p^m` under secret `sk`, on one
+/// thread per core when the shape is worth it
+/// ([`tiptoe_math::par::prg_threads`]): the same words at any count.
 ///
 /// # Panics
 ///
@@ -146,18 +148,34 @@ pub fn encrypt<W: Word, R: Rng + ?Sized>(
     v: &[u64],
     rng: &mut R,
 ) -> LweCiphertext<W> {
+    encrypt_with_threads(params, sk, a, v, rng, 0)
+}
+
+/// [`encrypt`] at a thread count. The `m` noise terms are all that is
+/// drawn from `rng`, first and in row order; each thread then expands
+/// its own rows of `A` and adds `row·s + Δ·v` to their noise.
+fn encrypt_with_threads<W: Word, R: Rng + ?Sized>(
+    params: &LweParams,
+    sk: &LweSecretKey<W>,
+    a: &MatrixA,
+    v: &[u64],
+    rng: &mut R,
+    num_threads: usize,
+) -> LweCiphertext<W> {
     assert_eq!(v.len(), a.rows(), "plaintext length must equal upload dimension");
     assert_eq!(sk.dim(), a.cols(), "secret dimension mismatch");
     assert!(v.iter().all(|&x| x < params.p), "plaintext entries must be reduced mod p");
     let delta = W::from_u64(params.delta());
-    let mut row = vec![W::ZERO; a.cols()];
-    let mut c = Vec::with_capacity(v.len());
-    for (k, &vk) in v.iter().enumerate() {
-        a.expand_row(k, &mut row);
-        let acc = W::dot_wide(&row, sk.words());
-        let e = W::from_i64(gaussian_i64(rng, params.sigma));
-        c.push(acc.wadd(e).wadd(delta.wmul(W::from_u64(vk))));
-    }
+    let mut c: Vec<W> = v.iter().map(|_| W::from_i64(gaussian_i64(rng, params.sigma))).collect();
+    let threads = tiptoe_math::par::prg_threads(num_threads, v.len(), a.cols());
+    tiptoe_math::par::par_spans_mut(&mut c, 1, threads, |start, span| {
+        let mut row = vec![W::ZERO; a.cols()];
+        for ((k, c_k), &vk) in (start..).zip(span).zip(&v[start..]) {
+            a.expand_row(k, &mut row);
+            let acc = W::dot_wide(&row, sk.words());
+            *c_k = acc.wadd(*c_k).wadd(delta.wmul(W::from_u64(vk)));
+        }
+    });
     LweCiphertext { c }
 }
 
@@ -383,6 +401,56 @@ mod tests {
             encrypt_matches_reference::<u64>(64, n);
             encrypt_matches_reference::<u32>(32, n);
         }
+    }
+
+    /// Thread counts whose spans do not all divide the rows evenly,
+    /// and auto.
+    const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 5, 0];
+
+    #[test]
+    fn encrypt_is_bit_identical_at_any_thread_count() {
+        // 9 rows are under the grain (every count runs inline); 701
+        // rows of n = 2048 are 1.4 M PRG words, five threads' grain,
+        // in spans of 141 and a tail of 137.
+        let params = LweParams::ranking_text();
+        let mut rng = seeded_rng(41);
+        let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
+        for m in [9usize, 701] {
+            let a = MatrixA::new(43, m, params.n);
+            let v: Vec<u64> = (0..m).map(|_| rng.gen_range(0..params.p)).collect();
+            let want = encrypt_reference(&params, &sk, &a, &v, &mut rng.clone());
+            for threads in THREAD_COUNTS {
+                let mut rng = rng.clone();
+                let call = || encrypt_with_threads(&params, &sk, &a, &v, &mut rng, threads);
+                let (ct, spans) = tiptoe_math::par::observe_spans(call);
+                assert_eq!(ct.c, want, "m={m} threads={threads}");
+                match (m, threads) {
+                    (9, _) | (_, 1) => assert_eq!(spans, [(0, m)], "m={m} threads={threads}"),
+                    (_, 0) => {} // one a core of this host
+                    _ => assert_eq!(spans.len(), threads, "m={m}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encrypt_partition_and_randomness_do_not_see_key_or_query() {
+        // Two secrets and two query vectors, one generator state: the
+        // same spans go to the same threads (they follow m and n) and
+        // the generator ends where it would have ended anyway.
+        let params = LweParams::ranking_text();
+        let a = MatrixA::new(47, 701, params.n);
+        let keys = [51, 52].map(|s| LweSecretKey::<u64>::generate(&params, &mut seeded_rng(s)));
+        let queries = [vec![0u64; 701], (0..701).map(|k| k % params.p).collect()];
+        let mut observed = Vec::new();
+        for (sk, v) in keys.iter().zip(&queries) {
+            let mut rng = seeded_rng(53);
+            let call = || encrypt_with_threads(&params, sk, &a, v, &mut rng, 3);
+            let (_, spans) = tiptoe_math::par::observe_spans(call);
+            observed.push((spans, rng.gen::<u64>()));
+        }
+        assert_eq!(observed[0].0, [(0, 234), (234, 234), (468, 233)]);
+        assert_eq!(observed[0], observed[1]);
     }
 
     #[test]

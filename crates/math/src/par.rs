@@ -1,9 +1,11 @@
-//! Scoped-thread helpers for the row-parallel server kernels.
+//! Scoped-thread helpers for the row-parallel kernels: on the server
+//! [`crate::matrix::scan`], the hint preprocessing in `tiptoe-lwe` and
+//! token generation in `tiptoe-underhood`; on the client the `Enc2(s)`
+//! upload, its expansion, and `Enc(q̃)`.
 //!
-//! The hot kernels ([`crate::matrix::scan`], the hint preprocessing in
-//! `tiptoe-lwe` and token generation in `tiptoe-underhood`) compute
-//! independent output rows, so they parallelize by handing each thread
-//! a contiguous span of the output. Everything here is plain `std::thread::scope` fan-out — no
+//! They compute independent output rows, so they parallelize by
+//! handing each thread a contiguous span of the output. Everything
+//! here is plain `std::thread::scope` fan-out — no
 //! work stealing, no runtime — because the spans are uniform and the
 //! kernels are bandwidth-bound: static partitioning loses nothing and
 //! keeps the code dependency-free.
@@ -16,7 +18,11 @@
 //! Thread-count policy: `0` means "one thread per available core"
 //! (capped by the `TIPTOE_THREADS` environment variable when set), any
 //! other value is used as given; both are clamped so no thread ends up
-//! without a full span of work.
+//! without a full span of work. Server kernels get the count from
+//! their caller's configuration; client kernels have none to get and
+//! ask for `0` through [`prg_threads`].
+
+use std::cell::RefCell;
 
 /// Number of worker threads meant by a `num_threads` knob value of 0:
 /// one per available core, overridable with `TIPTOE_THREADS`.
@@ -33,6 +39,40 @@ pub fn max_threads() -> usize {
 pub fn effective_threads(num_threads: usize, work_items: usize) -> usize {
     let requested = if num_threads == 0 { max_threads() } else { num_threads };
     requested.clamp(1, work_items.max(1))
+}
+
+/// Fewest PRG words a thread of a client kernel gets: 0.5 ms of
+/// keystream at the widest tier's 1.9 ns a word (`expand_row` in
+/// `BENCH_kernels.json`; 9 ns scalar) against the tens of µs of a
+/// spawn and join. The 64-coordinate test upload (8 K words) and an
+/// 89-row URL query (125 K) stay inline; the deployed upload (8 M) and
+/// ranking query (35 M) fan out.
+pub const MIN_PRG_WORDS_PER_THREAD: usize = 1 << 18;
+
+/// [`effective_threads`] for `rows` independent rows of `words` PRG
+/// words each, capped so every thread has the grain above: a function
+/// of the shape alone, never of what the rows hold.
+pub fn prg_threads(num_threads: usize, rows: usize, words: usize) -> usize {
+    effective_threads(num_threads, rows.min(rows * words / MIN_PRG_WORDS_PER_THREAD))
+}
+
+thread_local! {
+    /// Spans handed out on this thread while [`observe_spans`] runs.
+    static OBSERVED: RefCell<Option<Vec<(usize, usize)>>> = const { RefCell::new(None) };
+}
+
+/// Runs `f`; returns with its result the `(start, len)` of every span
+/// its [`par_spans_mut`] calls on this thread handed out, inline runs
+/// included. Tests compare them to show that a kernel's partition does
+/// not follow its secret inputs.
+pub fn observe_spans<R>(f: impl FnOnce() -> R) -> (R, Vec<(usize, usize)>) {
+    OBSERVED.with(|o| *o.borrow_mut() = Some(Vec::new()));
+    let out = f();
+    (out, OBSERVED.with(|o| o.take()).unwrap_or_default())
+}
+
+fn note_span(start: usize, len: usize) {
+    OBSERVED.with(|o| o.borrow_mut().iter_mut().for_each(|spans| spans.push((start, len))));
 }
 
 /// Runs `f(start, span)` over contiguous spans of `data`, one span per
@@ -56,6 +96,7 @@ pub fn par_spans_mut<T: Send>(
     let items = data.len() / align;
     let threads = effective_threads(num_threads, items);
     if threads <= 1 {
+        note_span(0, data.len());
         f(0, data);
         return;
     }
@@ -69,6 +110,7 @@ pub fn par_spans_mut<T: Send>(
             let take = (items_per * align).min(rest.len());
             let (span, tail) = rest.split_at_mut(take);
             let f = &f;
+            note_span(start, take);
             scope.spawn(move || f(start, span));
             start += take;
             rest = tail;
@@ -86,6 +128,34 @@ mod tests {
         assert_eq!(effective_threads(2, 100), 2);
         assert_eq!(effective_threads(5, 0), 1);
         assert!(effective_threads(0, 1 << 20) >= 1);
+    }
+
+    #[test]
+    fn prg_grain_keeps_small_shapes_inline_whatever_is_asked() {
+        for asked in [0usize, 1, 2, 8] {
+            // The test upload, an 89-row URL query, an empty kernel.
+            assert_eq!(prg_threads(asked, 64, 128), 1);
+            assert_eq!(prg_threads(asked, 89, 1408), 1);
+            assert_eq!(prg_threads(asked, 0, 2048), 1);
+        }
+        // The deployed upload and ranking query take what is asked;
+        // in between, what the grain leaves.
+        assert_eq!(prg_threads(8, 2048, 4096), 8);
+        assert_eq!(prg_threads(2, 17_088, 2048), 2);
+        assert_eq!(prg_threads(8, 401, 2048), 3);
+        assert_eq!(prg_threads(8, 3, 1 << 20), 3, "never more threads than rows");
+    }
+
+    #[test]
+    fn observed_spans_are_the_ones_handed_out() {
+        let mut data = vec![0u8; 40];
+        let fan_out = || par_spans_mut(&mut data, 8, 3, |_, span| span.fill(1));
+        assert_eq!(observe_spans(fan_out).1, [(0, 16), (16, 16), (32, 8)]);
+        let inline = || par_spans_mut(&mut data, 8, 1, |_, span| span.fill(2));
+        assert_eq!(observe_spans(inline).1, [(0, 40)]);
+        // Nothing is kept once the observation ends.
+        par_spans_mut(&mut data, 8, 2, |_, _| {});
+        assert_eq!(observe_spans(|| ()).1, []);
     }
 
     #[test]

@@ -207,42 +207,43 @@ pub struct SeededRlweCiphertext {
     pub b_ntt: Vec<u64>,
 }
 
-impl SeededRlweCiphertext {
-    /// Wire size in bytes: seed + count prefix + `N` 8-byte words.
-    pub fn byte_len(&self) -> u64 {
-        12 + 8 * self.b_ntt.len() as u64
-    }
+/// Wire size in bytes of one seeded ciphertext of degree `N`: seed +
+/// count prefix + `N` 8-byte words.
+pub fn seeded_byte_len(degree: usize) -> u64 {
+    12 + 8 * degree as u64
+}
 
-    /// Serializes to the wire format.
-    pub fn encode_into(&self, w: &mut WireWriter) {
-        w.put_u64(self.a_seed);
-        w.put_u64_slice(&self.b_ntt);
-    }
+/// Writes one seeded ciphertext: the seed, a count, `b̂`'s words.
+pub fn encode_seeded(w: &mut WireWriter, a_seed: u64, b_ntt: &[u64]) {
+    w.put_u64(a_seed);
+    w.put_u64_slice(b_ntt);
+}
 
-    /// Serializes to a standalone message.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(self.byte_len() as usize);
-        self.encode_into(&mut w);
-        w.finish()
+/// Reads one seeded ciphertext of `ctx`'s ring, so that whatever
+/// decodes can be expanded: `b̂` into the `N` words of `b_ntt`, the
+/// seed returned.
+///
+/// # Errors
+///
+/// Fails on truncation, a polynomial whose length is not `N`, or a
+/// word that is not reduced modulo `Q`.
+pub fn decode_seeded(
+    r: &mut WireReader<'_>,
+    ctx: &RlweContext,
+    b_ntt: &mut [u64],
+) -> Result<u64, WireError> {
+    let a_seed = r.get_u64()?;
+    if r.get_u32()? as usize != b_ntt.len() {
+        return Err(WireError::Invalid("seeded ciphertext degree"));
     }
-
-    /// Parses one ciphertext of `ctx`'s ring from a reader, so that
-    /// whatever decodes can be [`expand`]ed.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncation, a polynomial whose length is not `N`, or a
-    /// word that is not reduced modulo `Q`.
-    pub fn decode_from(r: &mut WireReader<'_>, ctx: &RlweContext) -> Result<Self, WireError> {
-        let (a_seed, b_ntt) = (r.get_u64()?, r.get_u64_slice()?);
-        if b_ntt.len() != ctx.params.degree {
-            return Err(WireError::Invalid("seeded ciphertext degree"));
-        }
-        if b_ntt.iter().any(|&w| w >= ctx.q()) {
+    let words = r.get_bytes(8 * b_ntt.len())?.chunks_exact(8);
+    for (w, bytes) in b_ntt.iter_mut().zip(words) {
+        *w = u64::from_le_bytes(bytes.try_into().expect("eight bytes a word"));
+        if *w >= ctx.q() {
             return Err(WireError::Invalid("seeded ciphertext word not reduced"));
         }
-        Ok(Self { a_seed, b_ntt })
     }
+    Ok(a_seed)
 }
 
 /// An expanded (or evaluated) ciphertext with both components in NTT
@@ -271,41 +272,32 @@ impl RlweCiphertext {
     }
 }
 
-/// Expands the uniform `a` polynomial from a seed, directly as its
-/// NTT-domain words.
-fn expand_a(ctx: &RlweContext, seed: u64) -> Vec<u64> {
+/// Expands the uniform `a` polynomial of `seed` into `a_ntt`, directly
+/// as its NTT-domain words.
+pub fn expand_a(ctx: &RlweContext, seed: u64, a_ntt: &mut [u64]) {
     let q = ctx.q();
-    let mut a_ntt = vec![0u64; ctx.params.degree];
-    expand_seed(derive_seed(seed, 0x524c_5745), &mut a_ntt);
+    expand_seed(derive_seed(seed, 0x524c_5745), a_ntt);
     // The widening-multiply map of `gen_range(0..q)`, word by word.
-    for c in &mut a_ntt {
+    for c in a_ntt {
         *c = ((*c as u128 * q as u128) >> 64) as u64;
     }
-    a_ntt
 }
 
-/// Fresh noise `e`, reduced modulo `Q` (coefficient domain): a
-/// keystream under a 256-bit key from `rng`, the one thing drawn from
-/// it, inverted through the noise table in place. Constant time: the
-/// same eight `u32`s of `rng` and the same compares whatever `e` is.
-fn sample_noise<R: Rng + ?Sized>(ctx: &RlweContext, rng: &mut R) -> Vec<u64> {
-    let key: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
-    let mut e = vec![0u64; ctx.params.degree];
-    ctx.noise.fill(simd::tier(), &key, ctx.q(), &mut e);
-    e
+/// The 256-bit noise key of one ciphertext: eight `u32`s of `rng`, the
+/// one thing an encryption draws from it, whatever it encrypts. Its
+/// keystream, inverted through the noise table in place, is the fresh
+/// noise `e` (coefficient domain, reduced modulo `Q`): the same
+/// compares whatever `e` is.
+pub fn noise_key<R: Rng + ?Sized>(rng: &mut R) -> [u32; 8] {
+    std::array::from_fn(|_| rng.next_u32())
 }
 
-/// Completes an encryption from `e + Δ·m` in coefficient domain:
-/// `b̂ = NTT(e + Δ·m) + â∘ŝ`.
-fn seal(
-    ctx: &RlweContext,
-    sk: &RlweSecretKey,
-    mut b_ntt: Vec<u64>,
-    a_seed: u64,
-) -> SeededRlweCiphertext {
-    ctx.table.forward(&mut b_ntt);
-    ctx.table.mul_acc_shoup(&sk.s_ntt, &expand_a(ctx, a_seed), &mut b_ntt);
-    SeededRlweCiphertext { a_seed, b_ntt }
+/// Completes an encryption in place, from `e + Δ·m` in coefficient
+/// domain to `b̂ = NTT(e + Δ·m) + â∘ŝ`; `a_ntt` is left holding `â`.
+fn seal(ctx: &RlweContext, sk: &RlweSecretKey, a_seed: u64, a_ntt: &mut [u64], b_ntt: &mut [u64]) {
+    ctx.table.forward(b_ntt);
+    expand_a(ctx, a_seed, a_ntt);
+    ctx.table.mul_acc_shoup(&sk.s_ntt, a_ntt, b_ntt);
 }
 
 /// Encrypts a plaintext polynomial given by signed coefficients
@@ -323,16 +315,37 @@ pub fn encrypt<R: Rng + ?Sized>(
 ) -> SeededRlweCiphertext {
     assert_eq!(m_signed.len(), ctx.params.degree, "degree mismatch");
     let modulus = ctx.table.modulus();
-    let mut b = sample_noise(ctx, rng);
-    for (b, &m) in b.iter_mut().zip(m_signed) {
+    let mut b_ntt = vec![0u64; m_signed.len()];
+    ctx.noise.fill(simd::tier(), &noise_key(rng), ctx.q(), &mut b_ntt);
+    for (b, &m) in b_ntt.iter_mut().zip(m_signed) {
         *b = modulus.add(*b, ctx.encode_plain(m));
     }
-    seal(ctx, sk, b, a_seed)
+    seal(ctx, sk, a_seed, &mut vec![0u64; m_signed.len()], &mut b_ntt);
+    SeededRlweCiphertext { a_seed, b_ntt }
 }
 
 /// Encrypts the constant polynomial `c` (the shape used for the inner
-/// secret-key entries `z_i = Enc2(s_i)`). Only coefficient 0 carries a
-/// message, so only it is encoded, whatever the value of `c`.
+/// secret-key entries `z_i = Enc2(s_i)`) into `b_ntt`, with `a_ntt` as
+/// scratch (left holding `â`); both are `N` words. Only coefficient 0
+/// carries a message, so only it is encoded, whatever the value of
+/// `c`. The randomness comes as values, so a caller can draw for many
+/// ciphertexts first and fill them on several threads.
+pub fn encrypt_scalar_into(
+    ctx: &RlweContext,
+    sk: &RlweSecretKey,
+    c: i64,
+    a_seed: u64,
+    noise_key: &[u32; 8],
+    a_ntt: &mut [u64],
+    b_ntt: &mut [u64],
+) {
+    ctx.noise.fill(simd::tier(), noise_key, ctx.q(), b_ntt);
+    b_ntt[0] = ctx.table.modulus().add(b_ntt[0], ctx.encode_plain(c));
+    seal(ctx, sk, a_seed, a_ntt, b_ntt);
+}
+
+/// [`encrypt_scalar_into`] as one standalone ciphertext, its noise key
+/// drawn from `rng`.
 pub fn encrypt_scalar<R: Rng + ?Sized>(
     ctx: &RlweContext,
     sk: &RlweSecretKey,
@@ -340,9 +353,9 @@ pub fn encrypt_scalar<R: Rng + ?Sized>(
     a_seed: u64,
     rng: &mut R,
 ) -> SeededRlweCiphertext {
-    let mut b = sample_noise(ctx, rng);
-    b[0] = ctx.table.modulus().add(b[0], ctx.encode_plain(c));
-    seal(ctx, sk, b, a_seed)
+    let (mut a_ntt, mut b_ntt) = (vec![0u64; ctx.params.degree], vec![0u64; ctx.params.degree]);
+    encrypt_scalar_into(ctx, sk, c, a_seed, &noise_key(rng), &mut a_ntt, &mut b_ntt);
+    SeededRlweCiphertext { a_seed, b_ntt }
 }
 
 /// Expands a seeded ciphertext for evaluation. Both components are
@@ -351,9 +364,11 @@ pub fn encrypt_scalar<R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if `ct` is not of `ctx`'s ring (wrong degree or unreduced
-/// words); [`SeededRlweCiphertext::decode_from`] admits no such value.
+/// words); [`decode_seeded`] admits no such value.
 pub fn expand(ctx: &RlweContext, ct: &SeededRlweCiphertext) -> RlweCiphertext {
-    let a = Poly::from_ntt_data(Arc::clone(&ctx.table), expand_a(ctx, ct.a_seed));
+    let mut a_ntt = vec![0u64; ctx.params.degree];
+    expand_a(ctx, ct.a_seed, &mut a_ntt);
+    let a = Poly::from_ntt_data(Arc::clone(&ctx.table), a_ntt);
     let b = Poly::from_ntt_data(Arc::clone(&ctx.table), ct.b_ntt.clone());
     RlweCiphertext { a, b }
 }
@@ -561,6 +576,20 @@ mod tests {
         RlweContext::new(RlweParams::insecure_test())
     }
 
+    fn encode(ct: &SeededRlweCiphertext) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        encode_seeded(&mut w, ct.a_seed, &ct.b_ntt);
+        w.finish()
+    }
+
+    fn decode(bytes: &[u8], ctx: &RlweContext) -> Result<SeededRlweCiphertext, WireError> {
+        let mut r = WireReader::new(bytes);
+        let mut b_ntt = vec![0u64; ctx.params().degree];
+        let a_seed = decode_seeded(&mut r, ctx, &mut b_ntt)?;
+        r.finish()?;
+        Ok(SeededRlweCiphertext { a_seed, b_ntt })
+    }
+
     #[test]
     fn encrypt_decrypt_roundtrip() {
         let ctx = ctx();
@@ -697,7 +726,7 @@ mod tests {
         let ct = encrypt_scalar(&ctx, &sk, 1, 9, &mut rng);
         let expanded = expand(&ctx, &ct);
         // Seed + framing vs two full polynomials.
-        assert!(ct.byte_len() <= expanded.byte_len() / 2 + 16);
+        assert!(encode(&ct).len() as u64 <= expanded.byte_len() / 2 + 16);
     }
 
     #[test]
@@ -706,14 +735,12 @@ mod tests {
         let mut rng = seeded_rng(20);
         let sk = RlweSecretKey::generate(&ctx, &mut rng);
         let ct = encrypt_scalar(&ctx, &sk, -1, 5, &mut rng);
-        let bytes = ct.encode();
-        assert_eq!(bytes.len() as u64, ct.byte_len());
+        let bytes = encode(&ct);
+        assert_eq!(bytes.len() as u64, seeded_byte_len(ctx.params().degree));
         // The layout the size model (DESIGN.md §6) counts: an 8-byte
         // seed, a 4-byte count, N 8-byte words.
-        assert_eq!(ct.byte_len(), 12 + 8 * ctx.params().degree as u64);
-        let mut r = tiptoe_math::wire::WireReader::new(&bytes);
-        let back = SeededRlweCiphertext::decode_from(&mut r, &ctx).expect("decodes");
-        r.finish().expect("consumed");
+        assert_eq!(bytes.len(), 12 + 8 * ctx.params().degree);
+        let back = decode(&bytes, &ctx).expect("decodes");
         assert_eq!(back.a_seed, ct.a_seed);
         assert_eq!(back.b_ntt, ct.b_ntt);
     }
@@ -724,10 +751,7 @@ mod tests {
         let mut rng = seeded_rng(22);
         let sk = RlweSecretKey::generate(&ctx, &mut rng);
         let ct = encrypt_scalar(&ctx, &sk, 1, 5, &mut rng);
-        let decode = |ct: &SeededRlweCiphertext| {
-            let bytes = ct.encode();
-            SeededRlweCiphertext::decode_from(&mut WireReader::new(&bytes), &ctx)
-        };
+        let decode = |ct: &SeededRlweCiphertext| decode(&encode(ct), &ctx);
         assert!(decode(&ct).is_ok());
         let mut unreduced = ct.clone();
         unreduced.b_ntt[0] |= 1 << 63;
@@ -751,10 +775,8 @@ mod tests {
         let sk = RlweSecretKey::generate(&ctx, &mut rng);
         for i in 0..2048u64 {
             let c = tiptoe_math::sample::ternary_i64(&mut rng);
-            let bytes = encrypt_scalar(&ctx, &sk, c, i, &mut rng).encode();
-            let mut r = WireReader::new(&bytes);
-            let back = SeededRlweCiphertext::decode_from(&mut r, &ctx).expect("decodes");
-            r.finish().expect("consumed");
+            let bytes = encode(&encrypt_scalar(&ctx, &sk, c, i, &mut rng));
+            let back = decode(&bytes, &ctx).expect("decodes");
             let got = decrypt(&ctx, &sk, &expand(&ctx, &back));
             assert_eq!(got[0], c, "ciphertext {i}");
             assert!(got[1..].iter().all(|&x| x == 0), "ciphertext {i}");

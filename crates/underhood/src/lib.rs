@@ -39,16 +39,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use rand::Rng;
 use tiptoe_lwe::{scheme, LweCiphertext, LweParams, LweSecretKey, MatrixA};
 use tiptoe_math::matrix::Mat;
 use tiptoe_math::ntt::{mul_acc_wide, reduce_wide, Wide, WIDE_ACC_BUDGET, WIDE_GROUP};
+use tiptoe_math::par::{par_spans_mut, prg_threads};
 use tiptoe_math::poly::Poly;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
 use tiptoe_rlwe::{
-    decrypt_switched, encrypt_scalar, expand, mod_switch, RlweCiphertext, RlweContext,
-    RlweParams, RlweSecretKey, SeededRlweCiphertext, SwitchedCiphertext,
+    decode_seeded, decrypt_switched, encode_seeded, encrypt_scalar_into, expand_a, mod_switch,
+    noise_key, seeded_byte_len, RlweCiphertext, RlweContext, RlweParams, RlweSecretKey,
+    SwitchedCiphertext,
 };
 
 /// Dropped hint mass must stay below `Δ / 2^DROP_BUDGET_SHIFT`,
@@ -177,48 +182,73 @@ impl ClientKey {
 }
 
 /// The client's query-independent upload: `Enc2(s_i)` for every entry
-/// of the (shared) inner secret (the `z_i` of Appendix A).
+/// of the (shared) inner secret (the `z_i` of Appendix A), as the `n`
+/// `a`-seeds and one flat run of the `n` polynomials `b̂_i`.
 #[derive(Debug, Clone)]
 pub struct EncryptedSecret {
-    z: Vec<SeededRlweCiphertext>,
+    seeds: Vec<u64>,
+    /// `[secret coordinate][NTT word]`; the expansion shares it.
+    b_ntt: Arc<Vec<u64>>,
+    /// Ring degree `N`.
+    ring: usize,
 }
 
 impl EncryptedSecret {
-    /// Encrypts the shared inner secret under the outer key.
+    /// Encrypts the shared inner secret under the outer key, on one
+    /// thread per core when the upload is worth it ([`prg_threads`]):
+    /// the same bytes at any thread count.
     pub fn encrypt<R: Rng + ?Sized>(uh: &Underhood, key: &ClientKey, rng: &mut R) -> Self {
-        let z = key
-            .ternary
-            .iter()
-            .enumerate()
-            .map(|(i, &s_i)| {
-                let seed = derive_ct_seed(rng, i);
-                encrypt_scalar(uh.outer(), &key.rlwe_sk, s_i, seed, rng)
-            })
-            .collect();
-        Self { z }
+        Self::encrypt_with_threads(uh, key, rng, 0)
+    }
+
+    /// [`Self::encrypt`] at a thread count. Every seed and noise key
+    /// is drawn from `rng` first, in ciphertext order; ciphertext `i`
+    /// is then a function of its own draws and `s_i`.
+    fn encrypt_with_threads<R: Rng + ?Sized>(
+        uh: &Underhood,
+        key: &ClientKey,
+        rng: &mut R,
+        num_threads: usize,
+    ) -> Self {
+        let ring = uh.ctx.params().degree;
+        let (seeds, noise): (Vec<u64>, Vec<[u32; 8]>) = (0..key.ternary.len() as u64)
+            .map(|i| (tiptoe_math::rng::derive_seed(rng.gen(), i), noise_key(rng)))
+            .unzip();
+        let mut b_ntt = vec![0u64; seeds.len() * ring];
+        // A ciphertext is two keystreams, the noise and `â`.
+        let threads = prg_threads(num_threads, seeds.len(), 2 * ring);
+        par_spans_mut(&mut b_ntt, ring, threads, |start, span| {
+            let first = start / ring;
+            let mut a_ntt = vec![0u64; ring];
+            let inputs = key.ternary[first..].iter().zip(&seeds[first..]).zip(&noise[first..]);
+            for (b, ((&s_i, &seed), noise)) in span.chunks_exact_mut(ring).zip(inputs) {
+                encrypt_scalar_into(&uh.ctx, &key.rlwe_sk, s_i, seed, noise, &mut a_ntt, b);
+            }
+        });
+        Self { seeds, b_ntt: Arc::new(b_ntt), ring }
     }
 
     /// Number of entries covered (`max_n`).
     pub fn len(&self) -> usize {
-        self.z.len()
+        self.seeds.len()
     }
 
     /// Whether the upload is empty.
     pub fn is_empty(&self) -> bool {
-        self.z.is_empty()
+        self.seeds.is_empty()
     }
 
     /// Wire size in bytes: count prefix plus the seeded ciphertexts.
     pub fn byte_len(&self) -> u64 {
-        4 + self.z.iter().map(|c| c.byte_len()).sum::<u64>()
+        4 + self.len() as u64 * seeded_byte_len(self.ring)
     }
 
     /// Serializes to the wire format (`encode().len() == byte_len()`).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::with_capacity(self.byte_len() as usize);
-        w.put_u32(self.z.len() as u32);
-        for ct in &self.z {
-            ct.encode_into(&mut w);
+        w.put_u32(self.len() as u32);
+        for (&seed, b) in self.seeds.iter().zip(self.b_ntt.chunks_exact(self.ring)) {
+            encode_seeded(&mut w, seed, b);
         }
         w.finish()
     }
@@ -238,43 +268,68 @@ impl EncryptedSecret {
         if n > (1 << 20) {
             return Err(WireError::Invalid("too many secret-key ciphertexts"));
         }
-        let z = (0..n)
-            .map(|_| SeededRlweCiphertext::decode_from(&mut r, uh.outer()))
+        let ring = uh.ctx.params().degree;
+        // Sized by the ciphertexts the bytes can hold (and one more,
+        // in which a message that declares more than it has fails),
+        // never by the possibly hostile count.
+        let held = n.min(r.remaining() / seeded_byte_len(ring) as usize + 1);
+        let mut b_ntt = vec![0u64; held * ring];
+        let mut polys = b_ntt.chunks_exact_mut(ring);
+        let seeds = (0..n)
+            .map(|_| decode_seeded(&mut r, &uh.ctx, polys.next().ok_or(WireError::Truncated)?))
             .collect::<Result<Vec<_>, _>>()?;
         r.finish()?;
-        Ok(Self { z })
+        Ok(Self { seeds, b_ntt: Arc::new(b_ntt), ring })
+    }
+
+    /// Expands all ciphertexts into NTT form (server side), on one
+    /// thread per core when there are enough ([`prg_threads`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the upload is not of `uh`'s outer ring.
+    pub fn expand(&self, uh: &Underhood) -> ExpandedSecret {
+        self.expand_with_threads(uh, 0)
+    }
+
+    /// [`Self::expand`] at a thread count: `â_i` follows from seed `i`.
+    fn expand_with_threads(&self, uh: &Underhood, num_threads: usize) -> ExpandedSecret {
+        let ring = self.ring;
+        assert_eq!(ring, uh.ctx.params().degree, "upload is of another ring");
+        let mut a_ntt = vec![0u64; self.b_ntt.len()];
+        let threads = prg_threads(num_threads, self.len(), ring);
+        par_spans_mut(&mut a_ntt, ring, threads, |start, span| {
+            for (a, &seed) in span.chunks_exact_mut(ring).zip(&self.seeds[start / ring..]) {
+                expand_a(&uh.ctx, seed, a);
+            }
+        });
+        ExpandedSecret { a_ntt, b_ntt: Arc::clone(&self.b_ntt), ring }
     }
 }
 
-fn derive_ct_seed<R: Rng + ?Sized>(rng: &mut R, i: usize) -> u64 {
-    tiptoe_math::rng::derive_seed(rng.gen(), i as u64)
-}
-
 /// A server-side expanded form of an [`EncryptedSecret`]: every `z_i`
-/// in NTT domain, ready for token generation. The upload already
-/// carries `b` in that domain, so expansion is `n` PRG expansions of
-/// `a` and no transform; it is still done once and shared across
-/// services and shards rather than once per token.
+/// in NTT domain, ready for token generation, one flat
+/// `[secret coordinate][NTT word]` run per component. The upload
+/// already carries `b̂` in that domain, so expansion is `n` PRG
+/// expansions of `â`, no transform and no copy (`b̂` is the upload's
+/// buffer); it is still done once and shared across services and
+/// shards rather than once per token.
 pub struct ExpandedSecret {
-    z: Vec<RlweCiphertext>,
+    a_ntt: Vec<u64>,
+    b_ntt: Arc<Vec<u64>>,
+    /// Ring degree `N`.
+    ring: usize,
 }
 
 impl ExpandedSecret {
     /// Number of secret coordinates covered.
     pub fn len(&self) -> usize {
-        self.z.len()
+        self.a_ntt.len() / self.ring
     }
 
     /// Whether the expansion is empty.
     pub fn is_empty(&self) -> bool {
-        self.z.is_empty()
-    }
-}
-
-impl EncryptedSecret {
-    /// Expands all ciphertexts into NTT form (server side).
-    pub fn expand(&self, uh: &Underhood) -> ExpandedSecret {
-        ExpandedSecret { z: self.z.iter().map(|z| expand(uh.outer(), z)).collect() }
+        self.a_ntt.is_empty()
     }
 }
 
@@ -433,6 +488,7 @@ impl Underhood {
         }
         for es in secrets {
             assert!(es.len() >= sh.n, "encrypted secret too short for this hint");
+            assert_eq!(es.ring, sh.ring, "expansion and hint are of different rings");
         }
         let q = self.ctx.q();
         let limbs = self.limbs as usize;
@@ -441,17 +497,16 @@ impl Underhood {
         // component)` slot, coefficient-major so a thread owns rows.
         let slots = units * b * 2;
         let mut sums = vec![0u64; sh.ring * slots];
-        tiptoe_math::par::par_spans_mut(&mut sums, slots, num_threads, |start, rows| {
+        par_spans_mut(&mut sums, slots, num_threads, |start, rows| {
             let len = rows.len() / slots;
             let span = start / slots..start / slots + len;
-            let za: Vec<Vec<&[u64]>> = secrets
-                .iter()
-                .map(|es| es.z[..sh.n].iter().map(|z| &z.a.data()[span.clone()]).collect())
-                .collect();
-            let zb: Vec<Vec<&[u64]>> = secrets
-                .iter()
-                .map(|es| es.z[..sh.n].iter().map(|z| &z.b.data()[span.clone()]).collect())
-                .collect();
+            // The hint's `n` polynomials of a flat component, cut to
+            // this thread's coefficients.
+            fn cut<'a>(z: &'a [u64], sh: &ServerHint, span: &Range<usize>) -> Vec<&'a [u64]> {
+                z.chunks_exact(sh.ring).take(sh.n).map(|p| &p[span.clone()]).collect()
+            }
+            let za: Vec<Vec<&[u64]>> = secrets.iter().map(|es| cut(&es.a_ntt, sh, &span)).collect();
+            let zb: Vec<Vec<&[u64]>> = secrets.iter().map(|es| cut(&es.b_ntt, sh, &span)).collect();
             // Accumulators of a sweep, `[unit][client][component]`.
             let per_unit = b * 2 * len;
             let tile = (WIDE_ACC_BUDGET / (per_unit * std::mem::size_of::<Wide>())).clamp(1, units);
@@ -481,10 +536,10 @@ impl Underhood {
         });
         // `[unit][client]`, each the modulus switch of its two slots.
         let mut switched: Vec<Option<SwitchedCiphertext>> = (0..units * b).map(|_| None).collect();
-        tiptoe_math::par::par_spans_mut(&mut switched, 1, num_threads, |start, span| {
+        par_spans_mut(&mut switched, 1, num_threads, |start, span| {
             let poly = |slot: usize| {
                 let data = sums.chunks_exact(slots).map(|row| row[slot]).collect();
-                Poly::from_ntt_data(std::sync::Arc::clone(self.ctx.table()), data)
+                Poly::from_ntt_data(Arc::clone(self.ctx.table()), data)
             };
             for (pair, out) in (start..).zip(span) {
                 let sum = RlweCiphertext { a: poly(2 * pair), b: poly(2 * pair + 1) };
@@ -733,6 +788,14 @@ mod tests {
         Underhood::with_outer(lwe, rlwe, 44)
     }
 
+    /// Every `z_i` of an expansion as a ciphertext of the polynomial
+    /// API.
+    fn ciphertexts(uh: &Underhood, es: &ExpandedSecret) -> Vec<RlweCiphertext> {
+        let poly = |p: &[u64]| Poly::from_ntt_data(Arc::clone(uh.outer().table()), p.to_vec());
+        let (a, b) = (es.a_ntt.chunks_exact(es.ring), es.b_ntt.chunks_exact(es.ring));
+        a.zip(b).map(|(a, b)| RlweCiphertext { a: poly(a), b: poly(b) }).collect()
+    }
+
     fn random_db(rng: &mut impl Rng, rows: usize, cols: usize, p: u64) -> Mat<u32> {
         Mat::from_fn(rows, cols, |_, _| rng.gen_range(0..p) as u32)
     }
@@ -890,6 +953,87 @@ mod tests {
         assert_eq!((t32.len(), fnv1a(&t32)), (2872, 6339899779384653342), "32-bit words, 2 chunks");
     }
 
+    /// An upload that fans out: 401 coordinates at the production
+    /// ring are 1.6 M PRG words to encrypt (five threads' grain, spans
+    /// of 81 and a tail of 77) and 0.8 M to expand (three threads').
+    fn fan_out_underhood() -> Underhood {
+        let lwe = LweParams { n: 401, ..LweParams::insecure_test(64, 1 << 17, 81920.0) };
+        Underhood::with_outer(lwe, RlweParams::production(), 44)
+    }
+
+    fn golden_upload(uh: &Underhood, seed: u64) -> Vec<u8> {
+        let mut rng = seeded_rng(seed);
+        let key = ClientKey::generate(uh, uh.lwe().n, &mut rng);
+        EncryptedSecret::encrypt(uh, &key, &mut rng).encode()
+    }
+
+    #[test]
+    fn upload_bytes_match_the_recorded_golden_hashes() {
+        // Recorded on the one-`Vec`-a-ciphertext, one-thread upload
+        // (PR 22), whose generator the draws-first order reads alike.
+        let small = golden_upload(&test_underhood_64(), 2301);
+        let wide = golden_upload(&fan_out_underhood(), 2302);
+        assert_eq!((small.len(), fnv1a(&small)), (33540, 10093058593094627701), "n = 64, N = 64");
+        assert_eq!((wide.len(), fnv1a(&wide)), (6574800, 1952762845133890460), "n = 401, N = 2048");
+    }
+
+    #[test]
+    fn upload_and_expansion_are_bit_identical_at_any_thread_count() {
+        // Under the grain (every count runs inline) and above it, with
+        // spans that do not divide the coordinates evenly.
+        for (uh, inline) in [(test_underhood_64(), true), (fan_out_underhood(), false)] {
+            let n = uh.lwe().n;
+            let key = ClientKey::generate(&uh, n, &mut seeded_rng(71));
+            let upload = |threads| {
+                let mut rng = seeded_rng(72);
+                let call = || EncryptedSecret::encrypt_with_threads(&uh, &key, &mut rng, threads);
+                let (es, spans) = tiptoe_math::par::observe_spans(call);
+                (es, spans, rng.gen::<u64>())
+            };
+            let (want, _, rng_after) = upload(1);
+            let want_a = want.expand_with_threads(&uh, 1).a_ntt;
+            for threads in THREAD_COUNTS {
+                let (es, spans, after) = upload(threads);
+                assert_eq!(es.encode(), want.encode(), "n={n} threads={threads}");
+                assert_eq!(after, rng_after, "n={n} threads={threads}: generator position");
+                match (inline, threads) {
+                    (true, _) | (false, 1) => assert_eq!(spans.len(), 1, "n={n} threads={threads}"),
+                    (false, 0) => {} // one a core of this host
+                    (false, _) => assert_eq!(spans.len(), threads, "n={n}"),
+                }
+                let expanded = es.expand_with_threads(&uh, threads);
+                assert_eq!(expanded.a_ntt, want_a, "n={n} threads={threads}");
+                assert!(Arc::ptr_eq(&expanded.b_ntt, &es.b_ntt), "b̂ is shared, not copied");
+            }
+        }
+    }
+
+    #[test]
+    fn upload_partition_and_randomness_do_not_see_the_secret() {
+        // Two composite keys, one generator state: the same words are
+        // taken from the generator and the same spans go to the same
+        // threads (they follow n and N), and the seeds, which travel
+        // in the clear, are the same; only the `b̂` differ.
+        let uh = fan_out_underhood();
+        let keys = [81, 82].map(|s| ClientKey::generate(&uh, uh.lwe().n, &mut seeded_rng(s)));
+        assert_ne!(keys[0].ternary, keys[1].ternary);
+        let observed = keys.each_ref().map(|key| {
+            let mut rng = seeded_rng(83);
+            let call = || EncryptedSecret::encrypt_with_threads(&uh, key, &mut rng, 3);
+            let (es, upload_spans) = tiptoe_math::par::observe_spans(call);
+            let (_, expand_spans) =
+                tiptoe_math::par::observe_spans(|| es.expand_with_threads(&uh, 3));
+            (es, upload_spans, expand_spans, rng.gen::<u64>())
+        });
+        let [(es0, upload0, expand0, after0), (es1, upload1, expand1, after1)] = observed;
+        let ring = 2048;
+        assert_eq!(upload0, [(0, 134 * ring), (134 * ring, 134 * ring), (268 * ring, 133 * ring)]);
+        assert_eq!(expand0, upload0, "401 seeds over three threads as well");
+        assert_eq!((upload0, expand0, after0), (upload1, expand1, after1));
+        assert_eq!(es0.seeds, es1.seeds);
+        assert_ne!(es0.b_ntt, es1.b_ntt);
+    }
+
     #[test]
     fn token_reuse_is_rejected() {
         let uh = test_underhood_64();
@@ -948,12 +1092,13 @@ mod tests {
         let ring = outer.params().degree;
         let rows = hints[0].rows();
         let mut min = f64::INFINITY;
+        let z = ciphertexts(uh, es);
         for chunk in 0..rows.div_ceil(ring) {
             for j in 0..uh.limb_count() {
                 let mut acc = RlweCiphertext::zero(outer);
                 let mut want = vec![0i64; ring];
                 for hint in hints {
-                    for (i, z) in es.z.iter().enumerate().take(hint.cols()) {
+                    for (i, z) in z.iter().enumerate().take(hint.cols()) {
                         let limbs: Vec<u64> = (chunk * ring..(chunk + 1) * ring)
                             .map(|row| if row < rows { uh.limb(hint.get(row, i), j) } else { 0 })
                             .collect();
@@ -1171,7 +1316,7 @@ mod tests {
         let mut message = vec![0i64; ring];
         let mut acc = RlweCiphertext::zero(outer);
         let mut want = vec![0i64; ring];
-        for (z, &s_i) in expanded.z.iter().zip(&key.ternary) {
+        for (z, &s_i) in ciphertexts(&uh, &expanded).iter().zip(&key.ternary) {
             message[0] = s_i;
             let fresh = max_noise(outer, &key.rlwe_sk, z, &message);
             assert!(fresh <= outer.noise_bound(), "fresh |e| = {fresh} past the table");

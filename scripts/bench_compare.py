@@ -21,7 +21,9 @@ they measure the runner, not the code. The gate covers:
 The token-path kernel rows (NTT, seeded RLWE encrypt/expand, hint
 multiply-accumulate) have one scalar body and no dispatched twin, so
 they have no ratio to band: they must be present in both files with a
-positive time, and that time is reported like any other wall-clock.
+positive time, and that time is reported like any other wall-clock
+(their `parallel_t*` rows, and `lwe_encrypt`'s, likewise: a thread
+sweep's speedup measures the runner's cores).
 The noise sampler's row is required like them, and having one row per
 tier its dispatched speedup is banded like any other. So is the whole
 token pass (`token_gen`): its B = 1 time is reported, and its batched

@@ -140,6 +140,18 @@ fn hostile_length_headers_fail_fast_without_huge_allocation() {
     rows_forged[..4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(QueryToken::decode(&rows_forged).is_err());
 
+    // Encrypted secret: the largest count the decoder admits, at the
+    // production ring (16 GiB of polynomials if believed), over the
+    // bytes of one ciphertext. The one buffer is sized by the bytes.
+    let production = Underhood::new(LweParams::ranking_text());
+    let mut counted = (1u32 << 20).to_le_bytes().to_vec();
+    counted.extend_from_slice(&[0u8; 8]);
+    counted.extend_from_slice(&2048u32.to_le_bytes());
+    counted.extend_from_slice(&[0u8; 8 * 2048]);
+    assert_eq!(EncryptedSecret::decode(&counted, &production).err(), Some(WireError::Truncated));
+    counted[..4].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(EncryptedSecret::decode(&counted, &production).map(|es| es.len()), Ok(1));
+
     // The originals still parse after all this.
     assert!(QueryToken::decode(&token_bytes).is_ok());
     assert_eq!(open(&valid).expect("valid"), b"ok");

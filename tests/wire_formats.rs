@@ -80,6 +80,12 @@ fn corrupted_messages_are_rejected_not_panicked() {
     let mut hostile = bytes.clone();
     hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(EncryptedSecret::decode(&hostile, &uh).is_err());
+    // Nor may a count the decoder admits, over fewer ciphertexts than
+    // it declares: one more than are there, and the cap itself.
+    for count in [es.len() as u32 + 1, 1 << 20] {
+        hostile[..4].copy_from_slice(&count.to_le_bytes());
+        assert!(EncryptedSecret::decode(&hostile, &uh).is_err(), "count {count}");
+    }
 }
 
 #[test]
