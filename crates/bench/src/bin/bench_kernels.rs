@@ -36,8 +36,9 @@
 //!
 //! The client rows run at the two shipped upload shapes (m×n of the
 //! seeded public matrix `A`): 17088×2048, the deployed text preset,
-//! where a row is 32 keystream batches, and 41664×64, where a row is
-//! exactly one batch under its own key. `expand_row` carries one row
+//! where a row is 32 8-block keystream batches (16 of the AVX-512
+//! tier's 16-block ones), and 41664×64, where a row is exactly one
+//! 8-block batch under its own key. `expand_row` carries one row
 //! per keystream tier the host supports, so the artifact shows each
 //! tier beating the one below it.
 //!

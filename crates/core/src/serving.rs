@@ -127,9 +127,9 @@ impl<'a> ServingPlane<'a> {
                 .with_cohort(cohort.clone())
             })
             .collect();
-        let threads = ranking.parallelism().num_threads;
+        let url_threads = url.parallelism().num_threads;
         let url_lane = Coalescer::new(policy, move |cts: Vec<LweCiphertext<u32>>| {
-            url.answer_many(&cts, threads)
+            url.answer_many(&cts, url_threads)
         })
         .with_cohort(cohort.clone());
         // Token generation coalesces too: it is the same
@@ -140,7 +140,7 @@ impl<'a> ServingPlane<'a> {
         let token_lane = Coalescer::new(policy, move |secrets: Vec<Arc<ExpandedSecret>>| {
             let refs: Vec<&ExpandedSecret> = secrets.iter().map(|a| a.as_ref()).collect();
             let (rank, _) = ranking.generate_token_parts_expanded_many(&refs);
-            let url_tokens = url.generate_token_expanded_many(&refs, threads);
+            let url_tokens = url.generate_token_expanded_many(&refs, url_threads);
             rank.into_iter()
                 .zip(url_tokens)
                 .map(|(rank_parts, url)| TokenBundle { rank_parts, url })

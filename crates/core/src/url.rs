@@ -14,7 +14,7 @@ use tiptoe_pir::{PirDatabase, PirServer};
 use tiptoe_underhood::{EncryptedSecret, ExpandedSecret, QueryToken, Underhood};
 
 use crate::batch::IndexArtifacts;
-use crate::config::TiptoeConfig;
+use crate::config::{Parallelism, TiptoeConfig};
 use crate::serving::ServingPlane;
 
 /// The URL retrieval as a typed [`Service`]: a single "shard" (the
@@ -74,6 +74,7 @@ impl Service for UrlAnswer<'_> {
 /// The URL service: a PIR server over the compressed URL batches.
 pub struct UrlService {
     server: PirServer,
+    parallelism: Parallelism,
     /// Wall-clock spent in cryptographic preprocessing at build time.
     pub preproc_time: Duration,
 }
@@ -91,7 +92,12 @@ impl UrlService {
         let uh = Underhood::with_outer(config.url_lwe, config.rlwe, config.switch_log_q2);
         let (server, preproc_time) =
             timed(|| PirServer::new(db, derive_seed(config.seed, 0xB161), uh));
-        Self { server, preproc_time }
+        Self { server, parallelism: config.parallelism, preproc_time }
+    }
+
+    /// The parallelism knobs this service was built with.
+    pub fn parallelism(&self) -> Parallelism {
+        self.parallelism
     }
 
     /// The composed-scheme parameters (shared with clients).
@@ -111,14 +117,16 @@ impl UrlService {
 
     /// Generates a (single-use) URL-retrieval token.
     pub fn generate_token(&self, es: &EncryptedSecret) -> (QueryToken, ParallelTiming) {
-        let (token, wall) = timed(|| self.server.generate_token(es));
-        (token, ParallelTiming { wall, cpu: wall })
+        self.generate_token_expanded(&es.expand(self.underhood()))
     }
 
-    /// Token generation over a pre-expanded secret.
+    /// Token generation over a pre-expanded secret: the `B = 1` case
+    /// of [`UrlService::generate_token_expanded_many`], at the thread
+    /// count the serving plane's token lane runs it with.
     pub fn generate_token_expanded(&self, es: &ExpandedSecret) -> (QueryToken, ParallelTiming) {
-        let (token, wall) = timed(|| self.server.generate_token_expanded(es));
-        (token, ParallelTiming { wall, cpu: wall })
+        let (mut tokens, wall) =
+            timed(|| self.generate_token_expanded_many(&[es], self.parallelism.num_threads));
+        (tokens.pop().expect("one token per secret"), ParallelTiming { wall, cpu: wall })
     }
 
     /// Batched token generation for `B` clients in one pass over the

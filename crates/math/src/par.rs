@@ -41,12 +41,14 @@ pub fn effective_threads(num_threads: usize, work_items: usize) -> usize {
     requested.clamp(1, work_items.max(1))
 }
 
-/// Fewest PRG words a thread of a client kernel gets: 0.5 ms of
-/// keystream at the widest tier's 1.9 ns a word (`expand_row` in
+/// Fewest PRG words a thread of a client kernel gets: 0.28 ms of
+/// keystream at the widest tier's ≈1.05 ns a word (`expand_row` in
 /// `BENCH_kernels.json`; 9 ns scalar) against the tens of µs of a
 /// spawn and join. The 64-coordinate test upload (8 K words) and an
 /// 89-row URL query (125 K) stay inline; the deployed upload (8 M) and
-/// ranking query (35 M) fan out.
+/// ranking query (35 M) fan out. No shipped shape lies between 2^18
+/// and 2^19 words, so the 0.5 ms grain 2^19 would restore at that rate
+/// moves no kernel.
 pub const MIN_PRG_WORDS_PER_THREAD: usize = 1 << 18;
 
 /// [`effective_threads`] for `rows` independent rows of `words` PRG

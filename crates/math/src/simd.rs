@@ -13,28 +13,32 @@
 //! The client-side hot loop is different in kind: expanding the seed
 //! of the public LWE matrix `A` is a ChaCha12 keystream ([`keystream`]),
 //! whose blocks are independent given their counters, so the vector
-//! tiers compute eight blocks at once (lane `l` = block `counter + l`)
-//! and emit exactly the byte stream the one-block-at-a-time scalar
-//! tier does. The outer scheme's noise is drawn from that stream by a
-//! table inversion ([`cdt_invert`]) that treats every word alike, so
-//! it is the same safe body at every tier as well.
+//! tiers compute 8 or 16 blocks at once (lane `l` = block
+//! `counter + l`) and emit exactly the byte stream the
+//! one-block-at-a-time scalar tier does. The outer scheme's noise is
+//! drawn from that stream by a table inversion ([`cdt_invert`]) that
+//! treats every word alike, so it is the same safe body at every tier
+//! as well.
 //!
 //! # Dispatch tiers
 //!
 //! | Tier                     | dot (u32·u64) | dot (u32·u32) | axpy | keystream               |
 //! |--------------------------|---------------|---------------|------|-------------------------|
-//! | [`KernelTier::Avx512`]   | 8 lanes       | 16 lanes      | 8/16 | 8 blocks, EVEX encoding |
+//! | [`KernelTier::Avx512`]   | 8 lanes       | 16 lanes      | 8/16 | 16 blocks (rest: 8)     |
 //! | [`KernelTier::Avx2`]     | 4 lanes       | 8 lanes       | 4/8  | 8 blocks                |
 //! | [`KernelTier::Scalar`]   | 4-way unroll  | 4-way unroll  | 1    | 1 block                 |
 //!
-//! The keystream has one lane-generic body and no intrinsics: the
-//! vector tiers are that body at 8 lanes compiled under the tier's
-//! `#[target_feature]` set. AVX-512 runs the same 8 lanes as AVX2 —
-//! native rotates and 32 registers (the 16-word state no longer
-//! spills) make it ≈2.4× the AVX2 build, while 16 lanes measured
-//! slower than 8 and is not shipped. The table inversion is built the
-//! same way over 64-word blocks at every tier; the compiler picks the
-//! vector width.
+//! The keystream has one lane-generic body, with no intrinsics, that
+//! the scalar tier runs at 1 lane and the AVX2 tier at 8 under its
+//! `#[target_feature]` set. The AVX-512 tier runs a row's whole
+//! 16-block batches through its own body, one block per `u32` of a
+//! 512-bit register with native rotates, transposed to one block per
+//! register in registers at the end (≈1.05 ns a word, where the
+//! lane-generic body measured ≈1.8 at 8 lanes and slower still at 16).
+//! What is left of the row, and every row shorter than 16 blocks, takes
+//! the lane-generic body at 8 lanes. The table inversion is built the
+//! lane-generic way over 64-word blocks at every tier; the compiler
+//! picks the vector width.
 //!
 //! The tier is detected once (see [`tier`]) with
 //! `is_x86_feature_detected!` and cached for the process lifetime;
@@ -52,9 +56,12 @@
 //! functions below, which establish that contract via the cached
 //! feature probe. Inside the kernels, the remaining unsafe operations
 //! are unaligned vector loads/stores whose bounds are justified
-//! inline at each block. The keystream and table-inversion kernels
-//! have no unsafe operation inside at all: they only instantiate safe
-//! code under a wider feature set.
+//! inline at each block. The AVX-512 keystream's only one is its
+//! write-out store: per block of a 128-word batch, one 64-byte store
+//! of its register into an 8-word local, which safe code then converts
+//! into that block's 8 words of the batch. The AVX2 keystream and the
+//! table-inversion kernels have no unsafe operation inside at all:
+//! they only instantiate safe code under a wider feature set.
 
 use std::sync::OnceLock;
 
@@ -266,13 +273,14 @@ pub fn axpy_u32(acc: &mut [u32], w: u32, x: &[u32]) {
 }
 
 // ---------------------------------------------------------------------
-// ChaCha12 keystream: one lane-generic body, instantiated per tier.
+// ChaCha12 keystream: one lane-generic body, instantiated per tier
+// (AVX-512 adds a 16-lane body in `x86`).
 // ---------------------------------------------------------------------
 
 /// `u64` words in one 64-byte ChaCha block.
 const BLOCK_WORDS: usize = 8;
 
-/// Blocks per batch at the vector tiers.
+/// Blocks per batch of the lane-generic body at the vector tiers.
 const VECTOR_LANES: usize = 8;
 
 /// One ChaCha quarter round on words `a, b, c, d` of every lane. Each
@@ -389,7 +397,7 @@ fn keystream_lanes<const L: usize, W: Word>(key: &[u32; 8], mut counter: u64, ou
 /// a test or bench can drive every supported tier and no caller can
 /// reach an instruction set the CPU lacks. Every tier emits the same
 /// words: ChaCha blocks depend only on `(key, counter)`, and the
-/// vector tiers compute eight of them side by side.
+/// vector tiers compute 8 or 16 of them side by side.
 #[inline]
 pub fn keystream<W: Word>(tier: KernelTier, key: &[u32; 8], counter: u64, out: &mut [W]) {
     match tier.min(self::tier()) {
@@ -514,7 +522,9 @@ pub fn cdt_invert(tier: KernelTier, thresholds: &[u64], q: u64, buf: &mut [u64])
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::{cdt_invert_blocks, ge_63, keystream_lanes, Word, VECTOR_LANES};
+    use super::{
+        cdt_invert_blocks, ge_63, keystream_lanes, Word, BLOCK_WORDS, CHACHA_CONST, VECTOR_LANES,
+    };
 
     /// Low 64 bits of `r·x` per lane when every lane of `r` is `< 2^32`
     /// (a zero-extended `u32` database entry):
@@ -566,12 +576,119 @@ mod x86 {
         keystream_lanes::<VECTOR_LANES, W>(key, counter, out)
     }
 
+    /// Blocks per batch of the 16-lane body: one per `u32` of a
+    /// 512-bit register.
+    const WIDE_LANES: usize = 16;
+
+    /// Words per batch of the 16-lane body (1 KiB of stream).
+    const WIDE_BATCH: usize = WIDE_LANES * BLOCK_WORDS;
+
+    /// [`super::quarter_round`] on whole registers, lane `l` of each
+    /// being word `a`/`b`/`c`/`d` of block `l`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn quarter_round_x16(x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<16>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<12>(_mm512_xor_si512(x[b], x[c]));
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32::<8>(_mm512_xor_si512(x[d], x[a]));
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32::<7>(_mm512_xor_si512(x[b], x[c]));
+    }
+
+    /// [`super::chacha12_blocks`] at 16 lanes in registers, written
+    /// out as [`super::keystream_lanes`] writes a batch: block
+    /// `counter + l` fills words `8l..8l + 8` of `batch`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn chacha12_x16<W: Word>(key: &[u32; 8], counter: u64, batch: &mut [W; WIDE_BATCH]) {
+        let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let mut x = [_mm512_setzero_si512(); 16];
+        for (xi, &w) in x.iter_mut().zip(CHACHA_CONST.iter().chain(key)) {
+            *xi = _mm512_set1_epi32(w as i32);
+        }
+        // Lane `l`'s low word wrapped past 2^32 iff it ended below `l`.
+        x[12] = _mm512_add_epi32(_mm512_set1_epi32(counter as i32), lanes);
+        let carry = _mm512_cmplt_epu32_mask(x[12], lanes);
+        let high = _mm512_set1_epi32((counter >> 32) as i32);
+        x[13] = _mm512_mask_add_epi32(high, carry, high, _mm512_set1_epi32(1));
+        let initial = x;
+        for _ in 0..6 {
+            quarter_round_x16(&mut x, 0, 4, 8, 12);
+            quarter_round_x16(&mut x, 1, 5, 9, 13);
+            quarter_round_x16(&mut x, 2, 6, 10, 14);
+            quarter_round_x16(&mut x, 3, 7, 11, 15);
+            quarter_round_x16(&mut x, 0, 5, 10, 15);
+            quarter_round_x16(&mut x, 1, 6, 11, 12);
+            quarter_round_x16(&mut x, 2, 7, 8, 13);
+            quarter_round_x16(&mut x, 3, 4, 9, 14);
+        }
+        for (xi, init) in x.iter_mut().zip(&initial) {
+            *xi = _mm512_add_epi32(*xi, *init);
+        }
+        // 16×16 transpose. The epi32 then epi64 interleaves turn each
+        // 128-bit quarter `k` of `t[4g + c]` into words 4g..4g+3 of
+        // block 4k + c; the two 128-bit shuffles then gather quarter
+        // `k` of `t[c]`, `t[4 + c]`, `t[8 + c]`, `t[12 + c]`.
+        let mut t = x;
+        for g in (0..16).step_by(4) {
+            let lo01 = _mm512_unpacklo_epi32(x[g], x[g + 1]);
+            let hi01 = _mm512_unpackhi_epi32(x[g], x[g + 1]);
+            let lo23 = _mm512_unpacklo_epi32(x[g + 2], x[g + 3]);
+            let hi23 = _mm512_unpackhi_epi32(x[g + 2], x[g + 3]);
+            t[g] = _mm512_unpacklo_epi64(lo01, lo23);
+            t[g + 1] = _mm512_unpackhi_epi64(lo01, lo23);
+            t[g + 2] = _mm512_unpacklo_epi64(hi01, hi23);
+            t[g + 3] = _mm512_unpackhi_epi64(hi01, hi23);
+        }
+        for c in 0..4 {
+            let q01 = _mm512_shuffle_i32x4::<0x44>(t[c], t[4 + c]);
+            let q23 = _mm512_shuffle_i32x4::<0xee>(t[c], t[4 + c]);
+            let r01 = _mm512_shuffle_i32x4::<0x44>(t[8 + c], t[12 + c]);
+            let r23 = _mm512_shuffle_i32x4::<0xee>(t[8 + c], t[12 + c]);
+            x[c] = _mm512_shuffle_i32x4::<0x88>(q01, r01);
+            x[4 + c] = _mm512_shuffle_i32x4::<0xdd>(q01, r01);
+            x[8 + c] = _mm512_shuffle_i32x4::<0x88>(q23, r23);
+            x[12 + c] = _mm512_shuffle_i32x4::<0xdd>(q23, r23);
+        }
+        // `stream` never reaches memory: for `u64` each block is one
+        // 64-byte store into the batch, for `u32` the compiler folds
+        // the truncation into the transpose (≈6 % slower than a
+        // `u32`-only store, not worth a second write-out for the 125 K
+        // `u32` words of a deployed URL query).
+        for (block, words) in x.iter().zip(batch.as_chunks_mut::<BLOCK_WORDS>().0) {
+            let mut stream = [0u64; BLOCK_WORDS];
+            // SAFETY: `stream` is 64 writable bytes, one register;
+            // storeu has no alignment requirement.
+            unsafe { _mm512_storeu_si512(stream.as_mut_ptr().cast(), *block) };
+            for (slot, &word) in words.iter_mut().zip(&stream) {
+                *slot = W::from_u64(word);
+            }
+        }
+    }
+
+    /// Whole 16-block batches at full width, then what is left of the
+    /// row through the lane-generic body at 8 lanes. A row shorter than
+    /// 16 blocks takes the latter alone: padded to 16 lanes its work
+    /// would double.
+    ///
     /// # Safety
     ///
     /// The CPU must support AVX-512F and AVX-512DQ.
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn keystream_avx512<W: Word>(key: &[u32; 8], counter: u64, out: &mut [W]) {
-        keystream_lanes::<VECTOR_LANES, W>(key, counter, out)
+    pub(super) unsafe fn keystream_avx512<W: Word>(
+        key: &[u32; 8],
+        mut counter: u64,
+        out: &mut [W],
+    ) {
+        let (batches, rest) = out.as_chunks_mut::<WIDE_BATCH>();
+        for batch in batches {
+            chacha12_x16(key, counter, batch);
+            counter = counter.wrapping_add(WIDE_LANES as u64);
+        }
+        keystream_lanes::<VECTOR_LANES, W>(key, counter, rest)
     }
 
     /// # Safety

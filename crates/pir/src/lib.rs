@@ -160,17 +160,12 @@ impl PirServer {
         self.uh.generate_token(&self.server_hint, es)
     }
 
-    /// Token generation over a pre-expanded secret (shared with other
-    /// services holding the same outer parameters).
-    pub fn generate_token_expanded(&self, es: &ExpandedSecret) -> QueryToken {
-        let _span = tiptoe_obs::span("pir.token_gen");
-        self.uh.generate_token_expanded(&self.server_hint, es)
-    }
-
-    /// Batched token generation for `B` clients in one pass over the
-    /// hint polynomials (each bit-identical to
-    /// [`PirServer::generate_token_expanded`] for that client); the
-    /// serving plane's token lane flushes through this kernel.
+    /// Token generation over pre-expanded secrets (shared with other
+    /// services holding the same outer parameters) for `B` clients in
+    /// one pass over the hint polynomials, on `num_threads` threads;
+    /// each token is bit-identical to [`PirServer::generate_token`]
+    /// for that client. The serving plane's token lane flushes through
+    /// this kernel, and a direct fetch is its `B = 1` case.
     pub fn generate_token_expanded_many(
         &self,
         secrets: &[&ExpandedSecret],

@@ -27,7 +27,10 @@ sweep's speedup measures the runner's cores).
 The noise sampler's row is required like them, and having one row per
 tier its dispatched speedup is banded like any other. So is the whole
 token pass (`token_gen`): its B = 1 time is reported, and its batched
-per-token speedup over B = 1, a same-host ratio, is banded.
+per-token speedup over B = 1, a same-host ratio, is banded. The
+AVX-512 keystream is banded tighter (75 %) on its time against the
+AVX2 tier's at the deployed `expand_row` shape, so that a fallback from
+its 16-lane body to 8 lanes fails; a runner without AVX-512 skips it.
 
 Rows are matched by identity keys (kernel/variant/shape, or
 clients/mode); rows present only on one side are reported but only
@@ -66,18 +69,40 @@ def note(msg):
     notes.append(msg)
 
 
-def band(label, current, baseline):
-    """Gate `current >= TOLERANCE * baseline` for a ratio metric."""
+# The AVX-512 keystream's 16-lane body over the AVX2 tier's 8 lanes, a
+# same-host ratio on the deployed upload shape. Its own, tighter band:
+# a silent fallback to 8 lanes at the AVX-512 tier (~8x -> ~4.7x over
+# scalar) would still pass the 50 % speedup band.
+WIDE_KEYSTREAM = ("expand_row", "17088x2048")
+WIDE_KEYSTREAM_TOLERANCE = 0.75
+
+
+def band(label, current, baseline, tolerance=TOLERANCE):
+    """Gate `current >= tolerance * baseline` for a ratio metric."""
     if baseline <= 0:
         note(f"{label}: baseline {baseline} not gateable")
         return
-    if current < TOLERANCE * baseline:
+    if current < tolerance * baseline:
         fail(
             f"{label}: {current:.3f} vs baseline {baseline:.3f} "
-            f"(below {TOLERANCE:.0%} band)"
+            f"(below {tolerance:.0%} band)"
         )
     else:
         note(f"{label}: {current:.3f} vs baseline {baseline:.3f} ok")
+
+
+def wide_keystream_ratio(doc):
+    """`tier_avx2` over `dispatched_avx512` seconds of the deployed
+    `expand_row` shape, or None when the file has no AVX-512 row."""
+    kernel, shape = WIDE_KEYSTREAM
+    seconds = {
+        r["variant"]: r["seconds"]
+        for r in doc.get("results", [])
+        if (r["kernel"], r["shape"]) == (kernel, shape) and "skipped" not in r
+    }
+    if "tier_avx2" not in seconds or "dispatched_avx512" not in seconds:
+        return None
+    return seconds["tier_avx2"] / seconds["dispatched_avx512"]
 
 
 def same_config(base, cur, keys):
@@ -134,6 +159,12 @@ def compare_kernels(base, cur):
                 r["speedup_vs_scalar"],
                 b["speedup_vs_scalar"],
             )
+    cur_wide, base_wide = wide_keystream_ratio(cur), wide_keystream_ratio(base)
+    label = "kernels expand_row avx2/avx512"
+    if cur_wide is None or base_wide is None:
+        note(f"{label}: no AVX-512 row on one side; 16-lane check skipped")
+    else:
+        band(label, cur_wide, base_wide, WIDE_KEYSTREAM_TOLERANCE)
 
 
 def compare_serving(base, cur):

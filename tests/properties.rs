@@ -23,10 +23,13 @@ fn supported_tiers() -> impl Iterator<Item = KernelTier> {
         .filter(|&t| t <= simd::tier())
 }
 
-/// Lengths on both sides of the scalar tier's 8-word block and the
-/// vector tiers' 64-word batch, plus the deployed n = 2048 and a
-/// ragged tail past it.
-const KEYSTREAM_LENS: [usize; 13] = [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 2048, 2051];
+/// Lengths on both sides of the scalar tier's 8-word block, the
+/// 8-lane batch's 64 words and the AVX-512 tier's 128-word batch (and
+/// of one and two such batches plus an 8-lane remainder), plus the
+/// deployed n = 1408 and n = 2048 and a ragged tail past the latter.
+const KEYSTREAM_LENS: [usize; 20] = [
+    0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 1408, 2048, 2051,
+];
 
 fn keystream_matches_stdrng<W: Word>(tier: KernelTier) {
     use rand::rngs::StdRng;
@@ -34,10 +37,11 @@ fn keystream_matches_stdrng<W: Word>(tier: KernelTier) {
     let seed = 0x7157_0e5e_ed00 + W::BITS as u64;
     let key = StdRng::key_from_u64(seed);
     let mut oracle = seeded_rng(seed);
-    let stream: Vec<W> = (0..8 * 5 + 2051).map(|_| W::from_u64(oracle.gen())).collect();
+    let stream: Vec<W> = (0..8 * 13 + 2051).map(|_| W::from_u64(oracle.gen())).collect();
     // Block 0 is a whole row from its start; block 5 puts every
-    // 8-block batch across two of the aligned batches of the stream.
-    for start in [0usize, 5] {
+    // 8-block batch across two of the aligned batches of the stream,
+    // and block 13 every 16-block batch.
+    for start in [0usize, 5, 13] {
         for len in KEYSTREAM_LENS {
             let mut got = vec![W::ZERO; len];
             simd::keystream(tier, &key, start as u64, &mut got);
@@ -55,21 +59,28 @@ fn every_supported_keystream_tier_matches_stdrng() {
 }
 
 /// The block counter is 64 bits over two state words; a batch whose
-/// lanes straddle `2^32` must carry into the high word per lane.
+/// lanes straddle `2^32` must carry into the high word per lane. 257
+/// words are two 16-block batches (the first straddles) and a 1-block
+/// tail at the AVX-512 tier.
 #[test]
 fn keystream_counter_carries_inside_a_batch() {
+    counter_carries::<u64>();
+    counter_carries::<u32>();
+}
+
+fn counter_carries<W: Word>() {
     let key = rand::rngs::StdRng::key_from_u64(3);
     let start = u64::from(u32::MAX) - 2;
-    let mut want = vec![0u64; 129];
+    let mut want = vec![W::ZERO; 257];
     simd::keystream(KernelTier::Scalar, &key, start, &mut want);
     for tier in supported_tiers() {
-        let mut got = vec![0u64; 129];
+        let mut got = vec![W::ZERO; 257];
         simd::keystream(tier, &key, start, &mut got);
-        assert_eq!(got, want, "{tier:?}");
+        assert_eq!(got, want, "{tier:?} u{}", W::BITS);
     }
     // Blocks on the two sides of the carry differ (the high word is
     // not dropped): block 2^32 is not block 0.
-    let mut wrapped = vec![0u64; 8];
+    let mut wrapped = vec![W::ZERO; 8];
     simd::keystream(KernelTier::Scalar, &key, 0, &mut wrapped);
     assert_ne!(want[24..32], wrapped[..]);
 }
