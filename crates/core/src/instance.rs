@@ -119,3 +119,24 @@ impl<E: Embedder> TiptoeInstance<E> {
             + (self.artifacts.meta.cluster_sizes.len() as u64) * 8
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tiptoe_corpus::synth::{generate, CorpusConfig};
+    use tiptoe_embed::text::TextEmbedder;
+
+    #[test]
+    fn both_services_export_a_positive_noise_margin() {
+        let corpus = generate(&CorpusConfig::small(120, 3), 0);
+        let config = TiptoeConfig::test_small(120, 3);
+        let embedder = TextEmbedder::new(config.d_embed, 3, 0);
+        TiptoeInstance::build(&config, embedder, &corpus);
+        let gauges = tiptoe_obs::metrics().snapshot().gauges;
+        for label in ["ranking", "url"] {
+            let name = format!("rlwe.noise_budget_bits[{label}]");
+            let bits = gauges.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
+            assert!(bits.is_some_and(|b| b > 0.0), "{name} = {bits:?}");
+        }
+    }
+}

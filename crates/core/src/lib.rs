@@ -22,15 +22,12 @@
 //!   dispatch itself lives in `tiptoe-net`).
 //! - [`analysis`] — the analytic cost models behind Table 6, Figure 8,
 //!   and Figure 9 (Coeus scaling, client-side-index baselines, AWS
-//!   prices, web-scale extrapolation).
-//! - [`keyword`] — the §9 exact-keyword-search extension (private
-//!   key-value lookups for phone numbers, addresses, …).
-//! - [`recommend`] — the §9 private-recommendations extension.
-//! - [`encrypted`] — the §9 search-over-encrypted-documents extension
-//!   (client-indexed corpus, PIR-fetched encrypted cluster blobs).
-//! - [`noncolluding`] — the §9 two-server mode: DPF-shared queries
-//!   over plaintext replicas, ~1 MiB/query instead of tens of MiB.
-//! - [`ads`] — the §9 private-advertising extension.
+//!   prices, web-scale extrapolation, and the §9 non-colluding
+//!   two-server traffic estimate).
+//! - [`update`] — incremental corpus updates (§3.2) applied to the
+//!   deployed instance the query path serves.
+//! - [`throughput`] — the closed-loop load driver behind Table 7's
+//!   throughput rows.
 //!
 //! # Quickstart
 //!
@@ -54,17 +51,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ads;
 pub mod analysis;
 pub mod batch;
 pub mod client;
 pub mod config;
-pub mod encrypted;
 pub mod instance;
-pub mod keyword;
-pub mod noncolluding;
 pub mod ranking;
-pub mod recommend;
 pub mod serving;
 pub mod throughput;
 pub mod update;

@@ -173,6 +173,15 @@ impl Service for RankAnswer<'_> {
     }
 }
 
+/// Records a service's analytic noise margin at upload dimension `m`
+/// ([`Underhood::noise_margin_bits`]) as the gauge
+/// `rlwe.noise_budget_bits[label]`, so every metrics snapshot shows the
+/// headroom the build-time asserts only require to be positive.
+pub(crate) fn record_noise_budget_gauge(label: &'static str, uh: &Underhood, m: usize) {
+    let bits = uh.noise_margin_bits(m);
+    tiptoe_obs::metrics().gauge_with("rlwe.noise_budget_bits", Some(label.into())).set(bits);
+}
+
 impl RankingService {
     /// Builds the service from batch artifacts: shards the matrix,
     /// computes each shard's SimplePIR hint, and prepares the
@@ -182,9 +191,8 @@ impl RankingService {
         Self::from_matrix(config, &artifacts.rank_matrix)
     }
 
-    /// Builds the service over an explicit Figure 3 matrix (used by
-    /// the §9 extensions, which bring their own item corpora).
-    pub fn from_matrix(config: &TiptoeConfig, matrix: &Mat<u32>) -> Self {
+    /// [`RankingService::build`] over the Figure 3 matrix alone.
+    fn from_matrix(config: &TiptoeConfig, matrix: &Mat<u32>) -> Self {
         let uh = Underhood::with_outer(config.rank_lwe, config.rlwe, config.switch_log_q2);
         let m = matrix.cols();
         let d = config.d_reduced;
@@ -193,7 +201,7 @@ impl RankingService {
             uh.supports_upload_dim(m),
             "upload dimension {m} exceeds the noise budget of the ranking parameters"
         );
-        crate::encrypted::record_noise_budget_gauge("ranking", &uh, m);
+        record_noise_budget_gauge("ranking", &uh, m);
 
         let t0 = Instant::now();
         // Vertical partition on cluster boundaries: shard w covers a

@@ -15,6 +15,7 @@ use tiptoe_underhood::{EncryptedSecret, ExpandedSecret, QueryToken, Underhood};
 
 use crate::batch::IndexArtifacts;
 use crate::config::{Parallelism, TiptoeConfig};
+use crate::ranking::record_noise_budget_gauge;
 use crate::serving::ServingPlane;
 
 /// The URL retrieval as a typed [`Service`]: a single "shard" (the
@@ -90,6 +91,7 @@ impl UrlService {
             artifacts.url_batches.iter().map(|b| b.compressed.clone()).collect();
         let db = PirDatabase::build_with_params(&records, config.url_lwe);
         let uh = Underhood::with_outer(config.url_lwe, config.rlwe, config.switch_log_q2);
+        record_noise_budget_gauge("url", &uh, db.num_records());
         let (server, preproc_time) =
             timed(|| PirServer::new(db, derive_seed(config.seed, 0xB161), uh));
         Self { server, parallelism: config.parallelism, preproc_time }

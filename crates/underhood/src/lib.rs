@@ -622,10 +622,17 @@ impl Underhood {
         self.lwe.noise_bound(m) + (self.lwe.n as f64) * (2f64).powi(self.kappa as i32)
     }
 
+    /// Headroom before decryption rounds incorrectly at upload
+    /// dimension `m`, in bits: `log2(Δ/2) − log2(total_noise_bound(m))`.
+    pub fn noise_margin_bits(&self, m: usize) -> f64 {
+        let delta_half = self.lwe.delta() as f64 / 2.0;
+        delta_half.log2() - self.total_noise_bound(m).log2()
+    }
+
     /// Whether the composed scheme decrypts reliably at upload
     /// dimension `m`.
     pub fn supports_upload_dim(&self, m: usize) -> bool {
-        self.total_noise_bound(m) < self.lwe.delta() as f64 / 2.0
+        self.noise_margin_bits(m) > 0.0
     }
 }
 

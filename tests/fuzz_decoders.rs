@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 use tiptoe_core::batch::CompressedUrlBatch;
 use tiptoe_corpus::tzip;
-use tiptoe_dpf::DpfKey;
 use tiptoe_lwe::{LweCiphertext, LweParams};
 use tiptoe_math::rng::seeded_rng;
 use tiptoe_math::wire::WireError;
@@ -51,7 +50,6 @@ proptest! {
     ) {
         let _ = decode_and_expand(&data);
         let _ = QueryToken::decode(&data);
-        let _ = DpfKey::decode(&data);
         let _ = LweCiphertext::<u32>::decode(&data);
         let _ = LweCiphertext::<u64>::decode(&data);
         let _ = tzip::decompress(&data);

@@ -247,36 +247,6 @@ proptest! {
     }
 
     #[test]
-    fn dpf_reconstructs_point_functions(
-        seed in any::<u64>(),
-        height in 1u32..9,
-        block in 1usize..8,
-    ) {
-        let mut rng = seeded_rng(seed);
-        use rand::Rng;
-        let alpha = rng.gen_range(0..1usize << height);
-        let beta: Vec<u32> = (0..block).map(|_| rng.gen()).collect();
-        let (k0, k1) = tiptoe_dpf::generate(height, alpha, &beta, &mut rng);
-        // Spot-check a few leaves plus alpha itself.
-        let mut points = vec![alpha, 0, (1usize << height) - 1];
-        points.push(rng.gen_range(0..1usize << height));
-        for x in points {
-            let got: Vec<u32> = tiptoe_dpf::eval(&k0, x)
-                .into_iter()
-                .zip(tiptoe_dpf::eval(&k1, x))
-                .map(|(a, b)| a.wrapping_add(b))
-                .collect();
-            let want = if x == alpha { beta.clone() } else { vec![0u32; block] };
-            prop_assert_eq!(got, want);
-        }
-        // Keys round-trip the wire format.
-        let bytes = k0.encode();
-        prop_assert_eq!(bytes.len() as u64, k0.byte_len());
-        let back = tiptoe_dpf::DpfKey::decode(&bytes).expect("decodes");
-        prop_assert_eq!(tiptoe_dpf::full_eval(&back), tiptoe_dpf::full_eval(&k0));
-    }
-
-    #[test]
     fn rlwe_mod_switch_preserves_headroom_messages(
         seed in any::<u64>(),
         log_q2 in 40u32..60,

@@ -14,7 +14,6 @@ use tiptoe_core::batch::CompressedUrlBatch;
 use tiptoe_core::client::QueryOptions;
 use tiptoe_core::config::TiptoeConfig;
 use tiptoe_corpus::tzip;
-use tiptoe_dpf::DpfKey;
 use tiptoe_lwe::{LweCiphertext, LweParams, MatrixA};
 use tiptoe_math::rng::seeded_rng;
 use tiptoe_net::{
@@ -96,7 +95,6 @@ fn fuzzed_token_bytes_never_panic_the_decoder() {
         if let Ok(es) = EncryptedSecret::decode(&bytes, &uh) {
             es.expand(&uh);
         }
-        let _ = DpfKey::decode(&bytes);
         let _ = LweCiphertext::<u64>::decode(&bytes);
         let _ = LweCiphertext::<u32>::decode(&bytes);
         let _ = tzip::decompress(&bytes);

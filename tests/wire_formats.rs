@@ -4,7 +4,6 @@
 //! and corrupted/truncated inputs are rejected without panicking.
 
 use rand::Rng;
-use tiptoe_dpf::DpfKey;
 use tiptoe_lwe::{scheme, LweCiphertext, LweParams, MatrixA};
 use tiptoe_math::matrix::Mat;
 use tiptoe_math::rng::seeded_rng;
@@ -86,26 +85,6 @@ fn corrupted_messages_are_rejected_not_panicked() {
         hostile[..4].copy_from_slice(&count.to_le_bytes());
         assert!(EncryptedSecret::decode(&hostile, &uh).is_err(), "count {count}");
     }
-}
-
-#[test]
-fn dpf_keys_roundtrip_and_reject_bitflips() {
-    let mut rng = seeded_rng(3);
-    let beta = vec![5u32; 16];
-    let (k0, _k1) = tiptoe_dpf::generate(8, 200, &beta, &mut rng);
-    let bytes = k0.encode();
-    assert_eq!(bytes.len() as u64, k0.byte_len());
-    let back = DpfKey::decode(&bytes).expect("decodes");
-    for x in [0usize, 100, 200, 255] {
-        assert_eq!(tiptoe_dpf::eval(&back, x), tiptoe_dpf::eval(&k0, x));
-    }
-    // Structural fields are validated.
-    let mut bad_party = bytes.clone();
-    bad_party[0] = 7;
-    assert!(DpfKey::decode(&bad_party).is_err());
-    let mut bad_height = bytes.clone();
-    bad_height[1] = 99;
-    assert!(DpfKey::decode(&bad_height).is_err());
 }
 
 #[test]
