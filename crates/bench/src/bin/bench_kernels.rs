@@ -25,7 +25,11 @@
 //! `EncryptedSecret::{encrypt, expand}` run them, one flat buffer
 //! filled on `t` threads (`lwe_encrypt` has the same sweep). These
 //! kernels take no thread count, so the sweep pins them through
-//! `TIPTOE_THREADS`. `token_gen` is then the whole pass,
+//! `TIPTOE_THREADS`. Each rep is one call of the public function, and
+//! a call takes the buffer the rep before it dropped, as a fetch takes
+//! the last fetch's: with the minimum over reps, these rows time the
+//! steady state, not the page faults of a first fill. `token_gen` is
+//! then the whole pass,
 //! `Underhood::generate_token_expanded_many` over one hint at the
 //! deployed ring parameters (every unit under one sweep of the secret
 //! plus the modulus switches) for B = 1 and B = 4 uploads on one

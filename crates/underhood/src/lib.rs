@@ -39,8 +39,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::ops::Range;
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut, Range};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::Rng;
 use tiptoe_lwe::{scheme, LweCiphertext, LweParams, LweSecretKey, MatrixA};
@@ -181,6 +181,62 @@ impl ClientKey {
     }
 }
 
+/// An `n·N`-word run of public material, an upload's `b̂` or an
+/// expansion's `â`, that goes back to [`SPARES`] when dropped. At the
+/// deployed shape each is 32 MiB, which a fresh allocation maps page by
+/// page as it is first written: 8,192 faults twice a fetch.
+#[derive(Debug, PartialEq)]
+struct Words(Vec<u64>);
+
+/// Runs given back by dropped [`Words`], oldest first. The newest
+/// [`MAX_SPARES`] are kept, one fetch's worth, so no more stays
+/// resident between fetches than a fetch holds anyway.
+static SPARES: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
+const MAX_SPARES: usize = 2;
+
+impl Words {
+    /// `len` words: a spare of exactly that length when one is kept,
+    /// holding whatever its last owner wrote. Every caller writes each
+    /// word before it reads any, so what is taken, and what comes out,
+    /// depends on the length alone.
+    fn take(len: usize) -> Self {
+        // A push or a remove leaves the list whole, poisoned or not.
+        let mut spares = SPARES.lock().unwrap_or_else(PoisonError::into_inner);
+        let spare = spares.iter().position(|w| w.len() == len).map(|i| spares.remove(i));
+        drop(spares);
+        Self(spare.unwrap_or_else(|| vec![0; len]))
+    }
+}
+
+impl Drop for Words {
+    fn drop(&mut self) {
+        // An empty run has no pages worth a spare's place.
+        if self.0.is_empty() {
+            return;
+        }
+        let evicted = {
+            let mut spares = SPARES.lock().unwrap_or_else(PoisonError::into_inner);
+            spares.push(std::mem::take(&mut self.0));
+            (spares.len() > MAX_SPARES).then(|| spares.remove(0))
+        };
+        // Unmapped outside the lock.
+        drop(evicted);
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+impl DerefMut for Words {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.0
+    }
+}
+
 /// The client's query-independent upload: `Enc2(s_i)` for every entry
 /// of the (shared) inner secret (the `z_i` of Appendix A), as the `n`
 /// `a`-seeds and one flat run of the `n` polynomials `b̂_i`.
@@ -188,7 +244,7 @@ impl ClientKey {
 pub struct EncryptedSecret {
     seeds: Vec<u64>,
     /// `[secret coordinate][NTT word]`; the expansion shares it.
-    b_ntt: Arc<Vec<u64>>,
+    b_ntt: Arc<Words>,
     /// Ring degree `N`.
     ring: usize,
 }
@@ -214,7 +270,7 @@ impl EncryptedSecret {
         let (seeds, noise): (Vec<u64>, Vec<[u32; 8]>) = (0..key.ternary.len() as u64)
             .map(|i| (tiptoe_math::rng::derive_seed(rng.gen(), i), noise_key(rng)))
             .unzip();
-        let mut b_ntt = vec![0u64; seeds.len() * ring];
+        let mut b_ntt = Words::take(seeds.len() * ring);
         // A ciphertext is two keystreams, the noise and `â`.
         let threads = prg_threads(num_threads, seeds.len(), 2 * ring);
         par_spans_mut(&mut b_ntt, ring, threads, |start, span| {
@@ -273,7 +329,7 @@ impl EncryptedSecret {
         // in which a message that declares more than it has fails),
         // never by the possibly hostile count.
         let held = n.min(r.remaining() / seeded_byte_len(ring) as usize + 1);
-        let mut b_ntt = vec![0u64; held * ring];
+        let mut b_ntt = Words::take(held * ring);
         let mut polys = b_ntt.chunks_exact_mut(ring);
         let seeds = (0..n)
             .map(|_| decode_seeded(&mut r, &uh.ctx, polys.next().ok_or(WireError::Truncated)?))
@@ -296,7 +352,7 @@ impl EncryptedSecret {
     fn expand_with_threads(&self, uh: &Underhood, num_threads: usize) -> ExpandedSecret {
         let ring = self.ring;
         assert_eq!(ring, uh.ctx.params().degree, "upload is of another ring");
-        let mut a_ntt = vec![0u64; self.b_ntt.len()];
+        let mut a_ntt = Words::take(self.b_ntt.len());
         let threads = prg_threads(num_threads, self.len(), ring);
         par_spans_mut(&mut a_ntt, ring, threads, |start, span| {
             for (a, &seed) in span.chunks_exact_mut(ring).zip(&self.seeds[start / ring..]) {
@@ -315,8 +371,8 @@ impl EncryptedSecret {
 /// buffer); it is still done once and shared across services and
 /// shards rather than once per token.
 pub struct ExpandedSecret {
-    a_ntt: Vec<u64>,
-    b_ntt: Arc<Vec<u64>>,
+    a_ntt: Words,
+    b_ntt: Arc<Words>,
     /// Ring degree `N`.
     ring: usize,
 }
@@ -939,7 +995,18 @@ mod tests {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
     }
 
-    fn golden_token<W: Word>(uh: &Underhood, rows: usize) -> Vec<u8> {
+    /// Leaves the spares holding `len`-word runs of `u64::MAX`, a word
+    /// no upload, expansion or token can contain (each is `< Q`).
+    fn stale_spares(len: usize) {
+        (0..MAX_SPARES).for_each(|_| drop(Words(vec![u64::MAX; len])));
+    }
+
+    /// The golden token's bytes; `stale` fills its upload and expansion
+    /// from [`stale_spares`].
+    fn golden_token<W: Word>(uh: &Underhood, rows: usize, stale: bool) -> Vec<u8> {
+        if stale {
+            stale_spares(uh.lwe().n * uh.outer().params().degree);
+        }
         let mut rng = seeded_rng(2207);
         let db = random_db(&mut rng, rows, 32, 8);
         let a = MatrixA::new(29, 32, uh.lwe().n);
@@ -953,11 +1020,14 @@ mod tests {
     fn token_bytes_match_the_recorded_golden_hashes() {
         // Recorded on the Shoup-reduced token pass (PR 21): whatever
         // the server's arithmetic, every sum is the canonical
-        // representative in [0, Q), so the bytes do not move.
-        let t64 = golden_token::<u64>(&test_underhood_64(), 150);
-        let t32 = golden_token::<u32>(&test_underhood_32(), 70);
-        assert_eq!((t64.len(), fnv1a(&t64)), (4302, 130798054875270718), "64-bit words, 3 chunks");
-        assert_eq!((t32.len(), fnv1a(&t32)), (2872, 6339899779384653342), "32-bit words, 2 chunks");
+        // representative in [0, Q), so the bytes do not move. The
+        // second pass starts from stale recycled buffers.
+        for stale in [false, true] {
+            let t64 = golden_token::<u64>(&test_underhood_64(), 150, stale);
+            let t32 = golden_token::<u32>(&test_underhood_32(), 70, stale);
+            assert_eq!((t64.len(), fnv1a(&t64)), (4302, 130798054875270718), "64-bit words, 3 chunks");
+            assert_eq!((t32.len(), fnv1a(&t32)), (2872, 6339899779384653342), "32-bit words, 2 chunks");
+        }
     }
 
     /// An upload that fans out: 401 coordinates at the production
@@ -968,7 +1038,10 @@ mod tests {
         Underhood::with_outer(lwe, RlweParams::production(), 44)
     }
 
-    fn golden_upload(uh: &Underhood, seed: u64) -> Vec<u8> {
+    fn golden_upload(uh: &Underhood, seed: u64, stale: bool) -> Vec<u8> {
+        if stale {
+            stale_spares(uh.lwe().n * uh.outer().params().degree);
+        }
         let mut rng = seeded_rng(seed);
         let key = ClientKey::generate(uh, uh.lwe().n, &mut rng);
         EncryptedSecret::encrypt(uh, &key, &mut rng).encode()
@@ -978,10 +1051,45 @@ mod tests {
     fn upload_bytes_match_the_recorded_golden_hashes() {
         // Recorded on the one-`Vec`-a-ciphertext, one-thread upload
         // (PR 22), whose generator the draws-first order reads alike.
-        let small = golden_upload(&test_underhood_64(), 2301);
-        let wide = golden_upload(&fan_out_underhood(), 2302);
-        assert_eq!((small.len(), fnv1a(&small)), (33540, 10093058593094627701), "n = 64, N = 64");
-        assert_eq!((wide.len(), fnv1a(&wide)), (6574800, 1952762845133890460), "n = 401, N = 2048");
+        // The second pass writes into stale recycled buffers.
+        for stale in [false, true] {
+            let small = golden_upload(&test_underhood_64(), 2301, stale);
+            let wide = golden_upload(&fan_out_underhood(), 2302, stale);
+            assert_eq!((small.len(), fnv1a(&small)), (33540, 10093058593094627701), "n = 64, N = 64");
+            assert_eq!((wide.len(), fnv1a(&wide)), (6574800, 1952762845133890460), "n = 401, N = 2048");
+        }
+    }
+
+    #[test]
+    fn recycled_buffers_hold_what_fresh_ones_do() {
+        // A decode and its expansion over stale spares give the
+        // original upload's bytes and `â`.
+        let uh = test_underhood_64();
+        let key = ClientKey::generate(&uh, uh.lwe().n, &mut seeded_rng(91));
+        let es = EncryptedSecret::encrypt(&uh, &key, &mut seeded_rng(92));
+        let (bytes, want_a) = (es.encode(), es.expand(&uh).a_ntt.to_vec());
+        stale_spares(es.b_ntt.len());
+        let decoded = EncryptedSecret::decode(&bytes, &uh).expect("an upload decodes");
+        let expanded = decoded.expand(&uh);
+        assert_eq!(decoded.encode(), bytes);
+        assert_eq!((&expanded.a_ntt[..], &expanded.b_ntt[..]), (&want_a[..], &es.b_ntt[..]));
+
+        // A buffer written at one thread count and reused at another.
+        let uh = fan_out_underhood();
+        let key = ClientKey::generate(&uh, uh.lwe().n, &mut seeded_rng(93));
+        let upload = |threads| {
+            EncryptedSecret::encrypt_with_threads(&uh, &key, &mut seeded_rng(94), threads)
+        };
+        for (first, then) in [(3, 1), (1, 3)] {
+            let written = upload(first);
+            let (bytes, a) =
+                (written.encode(), written.expand_with_threads(&uh, first).a_ntt.to_vec());
+            drop(written);
+            let reused = upload(then);
+            assert_eq!(reused.encode(), bytes, "written at {first} threads, reused at {then}");
+            let a_then = reused.expand_with_threads(&uh, then).a_ntt;
+            assert_eq!(a_then[..], a[..], "written at {first} threads, reused at {then}");
+        }
     }
 
     #[test]
