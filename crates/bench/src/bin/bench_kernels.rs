@@ -197,7 +197,7 @@ fn thread_sweep(top: usize) -> Vec<usize> {
 /// Pinned-scalar `M·v`: the portable four-way-unrolled dot per row,
 /// never the SIMD tiers — the baseline of the `matvec*` rows.
 fn matvec_scalar(db: &Mat<u32>, v: &[u64]) -> Vec<u64> {
-    (0..db.rows()).map(|i| simd::dot_narrow_scalar(db.row(i), v)).collect()
+    (0..db.rows()).map(|i| simd::dot_narrow_scalar([db.row(i)], v)[0]).collect()
 }
 
 /// Pinned-scalar `H = M·A`: `scheme::preproc`'s loop on the portable

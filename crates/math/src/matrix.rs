@@ -10,6 +10,8 @@
 //! any [`DbLayout`] storage format; [`matvec_wide`] is the client's
 //! `H·s`.
 
+use std::ops::Range;
+
 use crate::zq::Word;
 
 /// A dense row-major matrix.
@@ -147,16 +149,23 @@ impl<T: Copy + Default> Mat<T> {
     }
 }
 
+/// Most rows one [`DbLayout::dot_segment`] call answers: [`scan`] walks
+/// a tile's rows in groups of this many, so each lane-chunk of a query
+/// tile is loaded once per group rather than once per row. Four rows'
+/// accumulators and the query's registers fit the AVX-512 `u32·u64`
+/// body's 32 vector registers.
+pub const ROW_GROUP: usize = 4;
+
 /// A storage format for the server's narrow plaintext matrix.
 ///
 /// The two server kernels — the online [`scan`] and the one-time hint
 /// preprocessing in `tiptoe-lwe` — need exactly two things from a
-/// database: the inner product of part of one row with a ciphertext
-/// tile, and the `Z_{2^k}` embedding of one entry. Everything else
-/// (tiling, batching, threading) is written once on top of this trait.
-/// Implemented by [`Mat<u32>`] (`Z_p` residues, runtime-dispatched
-/// SIMD dot) and [`crate::nibble::NibbleMat`] (packed signed 4-bit
-/// entries, sign-extended).
+/// database: the inner products of part of a group of rows with a
+/// ciphertext tile, and the `Z_{2^k}` embedding of one entry.
+/// Everything else (tiling, batching, threading) is written once on
+/// top of this trait. Implemented by [`Mat<u32>`] (`Z_p` residues,
+/// runtime-dispatched SIMD dot) and [`crate::nibble::NibbleMat`]
+/// (packed signed 4-bit entries, sign-extended).
 pub trait DbLayout: Sync {
     /// Number of rows.
     fn rows(&self) -> usize;
@@ -164,14 +173,19 @@ pub trait DbLayout: Sync {
     /// Number of columns.
     fn cols(&self) -> usize;
 
-    /// Inner product over `Z_{2^k}` of row `row`'s columns
-    /// `[col_start, col_start + v.len())` with `v`. [`scan`] only asks
-    /// for `col_start` at multiples of [`TILE_COLS`].
+    /// Inner products over `Z_{2^k}` of `v` with the columns
+    /// `[col_start, col_start + v.len())` of `rows`, one to
+    /// [`ROW_GROUP`] consecutive rows: entry `i` is row
+    /// `rows.start + i`'s, and the entries from `rows.len()` on are
+    /// zero. [`scan`] only asks for `col_start` at multiples of
+    /// [`TILE_COLS`].
     ///
     /// # Panics
     ///
-    /// Panics if the row or the column range is out of bounds.
-    fn dot_segment<W: Word>(&self, row: usize, col_start: usize, v: &[W]) -> W;
+    /// Panics if the group is empty or longer than [`ROW_GROUP`], or a
+    /// row or the column range is out of bounds.
+    fn dot_segment<W: Word>(&self, rows: Range<usize>, col_start: usize, v: &[W])
+        -> [W; ROW_GROUP];
 
     /// The entry at `(row, col)` embedded into `Z_{2^k}`.
     ///
@@ -190,9 +204,26 @@ impl DbLayout for Mat<u32> {
         self.cols
     }
 
+    /// A whole group is one call of the row-group kernel; a shorter
+    /// one (a span's last `rows % ROW_GROUP` rows) is its one-row case,
+    /// row by row.
     #[inline]
-    fn dot_segment<W: Word>(&self, row: usize, col_start: usize, v: &[W]) -> W {
-        W::dot_narrow(&self.row(row)[col_start..col_start + v.len()], v)
+    fn dot_segment<W: Word>(
+        &self,
+        rows: Range<usize>,
+        col_start: usize,
+        v: &[W],
+    ) -> [W; ROW_GROUP] {
+        let segment = |row: usize| &self.row(row)[col_start..col_start + v.len()];
+        if rows.len() == ROW_GROUP {
+            return W::dot_narrow(std::array::from_fn(|i| segment(rows.start + i)), v);
+        }
+        assert!((1..ROW_GROUP).contains(&rows.len()), "row group of {} rows", rows.len());
+        let mut out = [W::ZERO; ROW_GROUP];
+        for (o, row) in out.iter_mut().zip(rows) {
+            [*o] = W::dot_narrow([segment(row)], v);
+        }
+        out
     }
 
     #[inline]
@@ -215,12 +246,14 @@ pub const TILE_COLS: usize = 2048;
 /// One pass over the database answers the whole batch (`M` is ℓ×m
 /// words, a query only m, so the matrix traffic dominates and is paid
 /// once for `B` queries); the columns are walked one [`TILE_COLS`]
-/// tile at a time so a query tile is loaded once per tile instead of
-/// once per row; contiguous row spans fan out over `threads` threads
-/// (`0` = one per core, `1` = inline on the caller's stack). Wrapping
-/// mod-`2^k` sums are associative and commutative, so no tiling, batch
-/// size, thread count, or SIMD lane grouping inside
-/// [`DbLayout::dot_segment`] can change any output word.
+/// tile at a time, and a tile's rows [`ROW_GROUP`] at a time, so each
+/// query tile stays cache-resident and is loaded once per group of
+/// rows instead of once per row; contiguous row spans fan out over
+/// `threads` threads (`0` = one per core, `1` = inline on the caller's
+/// stack). Wrapping mod-`2^k` sums are associative and commutative, so
+/// no tiling, row grouping, batch size, thread count, or SIMD lane
+/// grouping inside [`DbLayout::dot_segment`] can change any output
+/// word.
 ///
 /// # Panics
 ///
@@ -241,10 +274,14 @@ pub fn scan<W: Word>(db: &impl DbLayout, queries: &[&[W]], threads: usize) -> Ve
         let row0 = start / batch;
         for tile_start in (0..cols).step_by(TILE_COLS) {
             let tile_end = (tile_start + TILE_COLS).min(cols);
-            for (local, row_out) in span.chunks_exact_mut(batch).enumerate() {
-                for (o, q) in row_out.iter_mut().zip(queries) {
-                    let dot = db.dot_segment(row0 + local, tile_start, &q[tile_start..tile_end]);
-                    *o = o.wadd(dot);
+            for (g, group_out) in span.chunks_mut(ROW_GROUP * batch).enumerate() {
+                let first = row0 + g * ROW_GROUP;
+                let rows = first..first + group_out.len() / batch;
+                for (b, q) in queries.iter().enumerate() {
+                    let dots = db.dot_segment(rows.clone(), tile_start, &q[tile_start..tile_end]);
+                    for (o, dot) in group_out[b..].iter_mut().step_by(batch).zip(dots) {
+                        *o = o.wadd(dot);
+                    }
                 }
             }
         }
@@ -360,11 +397,30 @@ mod tests {
     #[test]
     fn dispatched_matvec_matches_pinned_scalar() {
         let (db, v) = wide_case();
-        let pinned = |row| crate::simd::dot_narrow_scalar(db.row(row), &v);
+        let pinned = |row| crate::simd::dot_narrow_scalar([db.row(row)], &v)[0];
         assert_eq!(scan_one(&db, &v), (0..db.rows()).map(pinned).collect::<Vec<_>>());
         let v32: Vec<u32> = v.iter().map(|&x| x as u32).collect();
-        let pinned32 = |row| crate::simd::dot_narrow_scalar(db.row(row), &v32);
+        let pinned32 = |row| crate::simd::dot_narrow_scalar([db.row(row)], &v32)[0];
         assert_eq!(scan_one(&db, &v32), (0..db.rows()).map(pinned32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn deployed_wide_shard_shape_matches_naive() {
+        // A ranking shard of the wide deployment: 122 = 4·30 + 2 rows
+        // (one thread's span ends in a two-row group, three threads'
+        // in one-row groups), and 20,832 columns, ten whole tiles and a
+        // ragged one.
+        let (rows, cols) = (122, 20_832);
+        let db = Mat::from_fn(rows, cols, |i, j| (i * 2654435761 + j * 40503) as u32 & 0xffff);
+        let word = |b: u64, j: u64| (j ^ b).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let vs: Vec<Vec<u64>> =
+            (0..4).map(|b| (0..cols as u64).map(|j| word(b, j)).collect()).collect();
+        let want: Vec<Vec<u64>> = vs.iter().map(|v| naive(&db, v)).collect();
+        assert_eq!(scan(&db, &[&vs[0]], 1), want[..1], "B = 1");
+        let refs: Vec<&[u64]> = vs.iter().map(Vec::as_slice).collect();
+        for threads in [1, 3] {
+            assert_eq!(scan(&db, &refs, threads), want, "B = 4, threads = {threads}");
+        }
     }
 
     #[test]

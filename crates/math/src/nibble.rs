@@ -15,7 +15,9 @@
 //! formats decrypt identically (asserted by tests). The URL service's
 //! non-power-of-two `p` keeps the plain `u32` format.
 
-use crate::matrix::{DbLayout, Mat};
+use std::ops::Range;
+
+use crate::matrix::{DbLayout, Mat, ROW_GROUP};
 use crate::zq::Word;
 
 /// A row-major matrix of signed 4-bit entries, two per byte.
@@ -115,27 +117,12 @@ impl NibbleMat {
     pub fn to_residues(&self) -> Mat<u32> {
         Mat::from_fn(self.rows, self.cols, |r, c| self.get(r, c) as i32 as u32)
     }
-}
 
-impl DbLayout for NibbleMat {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Decodes two nibbles per byte into two independent accumulators
-    /// (even and odd columns), signed values embedded via wrap-around.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment is out of bounds or `col_start` is odd
-    /// (a segment must start on a byte boundary).
-    fn dot_segment<W: Word>(&self, row: usize, col_start: usize, v: &[W]) -> W {
-        assert!(row < self.rows && col_start + v.len() <= self.cols, "index out of bounds");
-        assert!(col_start.is_multiple_of(2), "segment must start on a byte boundary");
+    /// One row of [`DbLayout::dot_segment`]: decodes two nibbles per
+    /// byte into two independent accumulators (even and odd columns),
+    /// signed values embedded via wrap-around. The caller has checked
+    /// the bounds and that `col_start` is even.
+    fn dot_row<W: Word>(&self, row: usize, col_start: usize, v: &[W]) -> W {
         let stride = self.cols.div_ceil(2);
         let bytes = &self.data[row * stride + col_start / 2..][..v.len().div_ceil(2)];
         let mut acc0 = W::ZERO;
@@ -152,6 +139,39 @@ impl DbLayout for NibbleMat {
             acc0 = acc0.wadd(W::from_i64(lo).wmul(*last));
         }
         acc0.wadd(acc1)
+    }
+}
+
+impl DbLayout for NibbleMat {
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The rows of the group one at a time through the same decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group is empty or longer than [`ROW_GROUP`], the
+    /// segment is out of bounds, or `col_start` is odd (a segment must
+    /// start on a byte boundary).
+    fn dot_segment<W: Word>(
+        &self,
+        rows: Range<usize>,
+        col_start: usize,
+        v: &[W],
+    ) -> [W; ROW_GROUP] {
+        assert!((1..=ROW_GROUP).contains(&rows.len()), "row group of {} rows", rows.len());
+        assert!(rows.end <= self.rows && col_start + v.len() <= self.cols, "index out of bounds");
+        assert!(col_start.is_multiple_of(2), "segment must start on a byte boundary");
+        let mut out = [W::ZERO; ROW_GROUP];
+        for (o, row) in out.iter_mut().zip(rows) {
+            *o = self.dot_row(row, col_start, v);
+        }
+        out
     }
 
     fn entry<W: Word>(&self, row: usize, col: usize) -> W {
@@ -263,6 +283,6 @@ mod tests {
     #[should_panic(expected = "byte boundary")]
     fn odd_segment_start_rejected() {
         let m = NibbleMat::from_signed(1, 4, &[1, 2, 3, 4]);
-        let _ = m.dot_segment(0, 1, &[1u64, 1]);
+        let _ = m.dot_segment(0..1, 1, &[1u64, 1]);
     }
 }

@@ -24,9 +24,15 @@
 //!
 //! | Tier                     | dot (u32·u64) | dot (u32·u32) | axpy | keystream               |
 //! |--------------------------|---------------|---------------|------|-------------------------|
-//! | [`KernelTier::Avx512`]   | 8 lanes       | 16 lanes      | 8/16 | 16 blocks (rest: 8)     |
-//! | [`KernelTier::Avx2`]     | 4 lanes       | 8 lanes       | 4/8  | 8 blocks                |
-//! | [`KernelTier::Scalar`]   | 4-way unroll  | 4-way unroll  | 1    | 1 block                 |
+//! | [`KernelTier::Avx512`]   | 8 lanes × R   | 16 lanes × R  | 8/16 | 16 blocks (rest: 8)     |
+//! | [`KernelTier::Avx2`]     | 4 lanes × R   | 8 lanes × R   | 4/8  | 8 blocks                |
+//! | [`KernelTier::Scalar`]   | 4-way × R     | 4-way × R     | 1    | 1 block                 |
+//!
+//! The narrow dots are row groups: one body per width and tier,
+//! const-generic in the row count `R`, loads each lane-chunk of the
+//! vector once and multiplies it into `R` rows' accumulators. The scan
+//! runs [`crate::matrix::ROW_GROUP`] rows; `R = 1` is the single-row
+//! dot.
 //!
 //! The keystream has one lane-generic body, with no intrinsics, that
 //! the scalar tier runs at 1 lane and the AVX2 tier at 8 under its
@@ -142,28 +148,46 @@ pub fn tier_name() -> &'static str {
 // the oracle the vector tiers are property-tested against).
 // ---------------------------------------------------------------------
 
-/// Four-way-unrolled scalar inner product of a narrow `u32` row with a
-/// wide vector — the portable tier of [`Word::dot_narrow`], and the
-/// reference all vector kernels must match bit-for-bit.
+/// The words a row group's kernels read: `v.len()`, or a shorter row's
+/// length. Callers keep them equal; a mismatch truncates (and trips
+/// the debug assertion) instead of reading past a slice.
+#[inline(always)]
+fn group_len<const R: usize>(rows: &[&[u32]; R], v_len: usize) -> usize {
+    debug_assert!(rows.iter().all(|r| r.len() == v_len), "row and vector lengths differ");
+    rows.iter().fold(v_len, |n, r| n.min(r.len()))
+}
+
+/// What the unrolled or vector loop of a row-group kernel left,
+/// `row[i..n]` against `v[i..n]`, added to `acc`.
+#[inline(always)]
+fn tail<W: Word>(acc: W, row: &[u32], v: &[W], i: usize, n: usize) -> W {
+    let rest = row[i..n].iter().zip(&v[i..n]);
+    rest.fold(acc, |a, (&r, &x)| a.wadd(W::from_u64(r as u64).wmul(x)))
+}
+
+/// Four-way-unrolled scalar inner products of `R` narrow `u32` rows
+/// with one wide vector, each four-word chunk of `v` read once for all
+/// of them — the portable tier of [`Word::dot_narrow`], and the
+/// reference all vector kernels must match bit-for-bit. `R = 1` is the
+/// single-row dot.
 #[inline]
-pub fn dot_narrow_scalar<W: Word>(row: &[u32], v: &[W]) -> W {
-    debug_assert_eq!(row.len(), v.len());
-    let mut acc0 = W::ZERO;
-    let mut acc1 = W::ZERO;
-    let mut acc2 = W::ZERO;
-    let mut acc3 = W::ZERO;
-    let mut row4 = row.chunks_exact(4);
-    let mut v4 = v.chunks_exact(4);
-    for (r, x) in (&mut row4).zip(&mut v4) {
-        acc0 = acc0.wadd(W::from_u64(r[0] as u64).wmul(x[0]));
-        acc1 = acc1.wadd(W::from_u64(r[1] as u64).wmul(x[1]));
-        acc2 = acc2.wadd(W::from_u64(r[2] as u64).wmul(x[2]));
-        acc3 = acc3.wadd(W::from_u64(r[3] as u64).wmul(x[3]));
+pub fn dot_narrow_scalar<W: Word, const R: usize>(rows: [&[u32]; R], v: &[W]) -> [W; R] {
+    let n = group_len(&rows, v.len());
+    let v4 = v[..n].as_chunks::<4>().0;
+    let rows4 = rows.map(|r| r[..n].as_chunks::<4>().0);
+    let mut acc = [[W::ZERO; 4]; R];
+    for (j, x) in v4.iter().enumerate() {
+        for (acc, r4) in acc.iter_mut().zip(&rows4) {
+            for ((a, &r), &x) in acc.iter_mut().zip(&r4[j]).zip(x) {
+                *a = a.wadd(W::from_u64(r as u64).wmul(x));
+            }
+        }
     }
-    for (&r, &x) in row4.remainder().iter().zip(v4.remainder().iter()) {
-        acc0 = acc0.wadd(W::from_u64(r as u64).wmul(x));
+    let mut out = [W::ZERO; R];
+    for ((o, [a0, a1, a2, a3]), row) in out.iter_mut().zip(acc).zip(rows) {
+        *o = tail(a0.wadd(a1).wadd(a2).wadd(a3), row, v, 4 * v4.len(), n);
     }
-    acc0.wadd(acc1).wadd(acc2).wadd(acc3)
+    out
 }
 
 /// Scalar tier of [`Word::dot_wide`]: inner product of two wide
@@ -201,32 +225,32 @@ pub fn axpy_scalar<W: Word>(acc: &mut [W], w: W, x: &[W]) {
 // route here).
 // ---------------------------------------------------------------------
 
-/// Dispatched inner product of a `u32` row with a `u64` vector.
+/// Dispatched inner products of `R` `u32` rows with one `u64` vector.
 #[inline]
-pub fn dot_u32_u64(row: &[u32], v: &[u64]) -> u64 {
+pub fn dot_u32_u64<const R: usize>(rows: [&[u32]; R], v: &[u64]) -> [u64; R] {
     match tier() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `tier()` returned this variant only after
         // `is_x86_feature_detected!` confirmed the required features.
-        KernelTier::Avx512 => unsafe { x86::dot_u32_u64_avx512(row, v) },
+        KernelTier::Avx512 => unsafe { x86::dot_u32_u64_avx512(rows, v) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — AVX2 was detected at runtime.
-        KernelTier::Avx2 => unsafe { x86::dot_u32_u64_avx2(row, v) },
-        _ => dot_narrow_scalar(row, v),
+        KernelTier::Avx2 => unsafe { x86::dot_u32_u64_avx2(rows, v) },
+        _ => dot_narrow_scalar(rows, v),
     }
 }
 
-/// Dispatched inner product of a `u32` row with a `u32` vector.
+/// Dispatched inner products of `R` `u32` rows with one `u32` vector.
 #[inline]
-pub fn dot_u32_u32(row: &[u32], v: &[u32]) -> u32 {
+pub fn dot_u32_u32<const R: usize>(rows: [&[u32]; R], v: &[u32]) -> [u32; R] {
     match tier() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `tier()` confirmed avx512f+avx512dq at runtime.
-        KernelTier::Avx512 => unsafe { x86::dot_u32_u32_avx512(row, v) },
+        KernelTier::Avx512 => unsafe { x86::dot_u32_u32_avx512(rows, v) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `tier()` confirmed avx2 at runtime.
-        KernelTier::Avx2 => unsafe { x86::dot_u32_u32_avx2(row, v) },
-        _ => dot_narrow_scalar(row, v),
+        KernelTier::Avx2 => unsafe { x86::dot_u32_u32_avx2(rows, v) },
+        _ => dot_narrow_scalar(rows, v),
     }
 }
 
@@ -523,7 +547,8 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::{
-        cdt_invert_blocks, ge_63, keystream_lanes, Word, BLOCK_WORDS, CHACHA_CONST, VECTOR_LANES,
+        cdt_invert_blocks, ge_63, group_len, keystream_lanes, tail, Word, BLOCK_WORDS,
+        CHACHA_CONST, VECTOR_LANES,
     };
 
     /// Low 64 bits of `r·x` per lane when every lane of `r` is `< 2^32`
@@ -707,40 +732,62 @@ mod x86 {
         cdt_invert_blocks(thresholds, q, buf, ge_63)
     }
 
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn hsum_epi64_512(v: __m512i) -> u64 {
+        let mut lanes = [0u64; 8];
+        // SAFETY: `lanes` is a valid, writable 64-byte buffer; storeu
+        // has no alignment requirement.
+        unsafe { _mm512_storeu_epi64(lanes.as_mut_ptr().cast(), v) };
+        lanes.iter().fold(0u64, |a, &b| a.wrapping_add(b))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn hsum_epi32_512(v: __m512i) -> u32 {
+        let mut lanes = [0u32; 16];
+        // SAFETY: `lanes` is a valid, writable 64-byte buffer; storeu
+        // has no alignment requirement.
+        unsafe { _mm512_storeu_epi32(lanes.as_mut_ptr().cast(), v) };
+        lanes.iter().fold(0u32, |a, &b| a.wrapping_add(b))
+    }
+
     /// # Safety
     ///
     /// The CPU must support AVX2 (established by the dispatcher's
     /// cached `is_x86_feature_detected!("avx2")` probe).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_u32_u64_avx2(row: &[u32], v: &[u64]) -> u64 {
-        debug_assert_eq!(row.len(), v.len());
-        let n = row.len().min(v.len());
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
+    pub(super) unsafe fn dot_u32_u64_avx2<const R: usize>(
+        rows: [&[u32]; R],
+        v: &[u64],
+    ) -> [u64; R] {
+        let n = group_len(&rows, v.len());
+        let mut acc = [[_mm256_setzero_si256(); 2]; R];
         let mut i = 0;
         while i + 8 <= n {
-            // SAFETY: `i + 8 <= n` bounds the two 16-byte u32 loads at
-            // offsets `i` and `i + 4` and the two 32-byte u64 loads at
-            // the same offsets inside their slices; loadu tolerates
-            // unaligned addresses.
-            let (r0, r1, x0, x1) = unsafe {
-                (
-                    _mm256_cvtepu32_epi64(_mm_loadu_si128(row.as_ptr().add(i).cast())),
-                    _mm256_cvtepu32_epi64(_mm_loadu_si128(row.as_ptr().add(i + 4).cast())),
+            // SAFETY: `i + 8 <= n` bounds the two 32-byte u64 loads of
+            // `v` at offsets `i` and `i + 4`, and each row's two 16-byte
+            // u32 loads at the same offsets (no row is shorter than
+            // `n`); loadu tolerates unaligned addresses.
+            unsafe {
+                let x = [
                     _mm256_loadu_si256(v.as_ptr().add(i).cast()),
                     _mm256_loadu_si256(v.as_ptr().add(i + 4).cast()),
-                )
-            };
-            acc0 = _mm256_add_epi64(acc0, mul64_by_u32(r0, x0));
-            acc1 = _mm256_add_epi64(acc1, mul64_by_u32(r1, x1));
+                ];
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    for (k, (acc, &x)) in acc.iter_mut().zip(&x).enumerate() {
+                        let r = _mm_loadu_si128(row.as_ptr().add(i + 4 * k).cast());
+                        *acc = _mm256_add_epi64(*acc, mul64_by_u32(_mm256_cvtepu32_epi64(r), x));
+                    }
+                }
+            }
             i += 8;
         }
-        let mut acc = hsum_epi64(_mm256_add_epi64(acc0, acc1));
-        while i < n {
-            acc = acc.wrapping_add((row[i] as u64).wrapping_mul(v[i]));
-            i += 1;
+        let mut out = [0u64; R];
+        for ((o, [a0, a1]), row) in out.iter_mut().zip(acc).zip(&rows) {
+            *o = tail(hsum_epi64(_mm256_add_epi64(a0, a1)), row, v, i, n);
         }
-        acc
+        out
     }
 
     /// 512-bit low-64 multiply for lanes with `r < 2^32`: on AVX-512DQ
@@ -758,133 +805,126 @@ mod x86 {
     /// The CPU must support AVX-512F and AVX-512DQ (established by the
     /// dispatcher's cached feature probe).
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn dot_u32_u64_avx512(row: &[u32], v: &[u64]) -> u64 {
-        debug_assert_eq!(row.len(), v.len());
-        let n = row.len().min(v.len());
-        let mut acc0 = _mm512_setzero_si512();
-        let mut acc1 = _mm512_setzero_si512();
-        let mut acc2 = _mm512_setzero_si512();
-        let mut acc3 = _mm512_setzero_si512();
+    pub(super) unsafe fn dot_u32_u64_avx512<const R: usize>(
+        rows: [&[u32]; R],
+        v: &[u64],
+    ) -> [u64; R] {
+        let n = group_len(&rows, v.len());
+        // Four rows × four chunks of accumulators and four query
+        // registers: 20 of the 32 vector registers.
+        let mut acc = [[_mm512_setzero_si512(); 4]; R];
         let mut i = 0;
         while i + 32 <= n {
-            // SAFETY: `i + 32 <= n` bounds the four 32-byte u32 loads
-            // and the four 64-byte u64 loads at offsets `i`, `i + 8`,
-            // `i + 16`, `i + 24`; the epi32/epi64 loadu intrinsics are
-            // unaligned loads.
+            // SAFETY: `i + 32 <= n` bounds the four 64-byte u64 loads of
+            // `v` at offsets `i`, `i + 8`, `i + 16`, `i + 24`, and each
+            // row's four 32-byte u32 loads at the same offsets (no row
+            // is shorter than `n`); the loadu intrinsics are unaligned
+            // loads.
             unsafe {
-                let r0 = _mm512_cvtepu32_epi64(_mm256_loadu_si256(row.as_ptr().add(i).cast()));
-                let r1 = _mm512_cvtepu32_epi64(_mm256_loadu_si256(row.as_ptr().add(i + 8).cast()));
-                let r2 = _mm512_cvtepu32_epi64(_mm256_loadu_si256(row.as_ptr().add(i + 16).cast()));
-                let r3 = _mm512_cvtepu32_epi64(_mm256_loadu_si256(row.as_ptr().add(i + 24).cast()));
-                let x0 = _mm512_loadu_epi64(v.as_ptr().add(i).cast());
-                let x1 = _mm512_loadu_epi64(v.as_ptr().add(i + 8).cast());
-                let x2 = _mm512_loadu_epi64(v.as_ptr().add(i + 16).cast());
-                let x3 = _mm512_loadu_epi64(v.as_ptr().add(i + 24).cast());
-                acc0 = _mm512_add_epi64(acc0, mul64_by_u32_512(r0, x0));
-                acc1 = _mm512_add_epi64(acc1, mul64_by_u32_512(r1, x1));
-                acc2 = _mm512_add_epi64(acc2, mul64_by_u32_512(r2, x2));
-                acc3 = _mm512_add_epi64(acc3, mul64_by_u32_512(r3, x3));
+                let mut x = [_mm512_setzero_si512(); 4];
+                for (k, x) in x.iter_mut().enumerate() {
+                    *x = _mm512_loadu_epi64(v.as_ptr().add(i + 8 * k).cast());
+                }
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    for (k, (acc, &x)) in acc.iter_mut().zip(&x).enumerate() {
+                        let r = _mm256_loadu_si256(row.as_ptr().add(i + 8 * k).cast());
+                        let r = _mm512_cvtepu32_epi64(r);
+                        *acc = _mm512_add_epi64(*acc, mul64_by_u32_512(r, x));
+                    }
+                }
             }
             i += 32;
         }
         while i + 8 <= n {
-            // SAFETY: `i + 8 <= n` bounds one 32-byte u32 load and one
-            // 64-byte u64 load at offset `i`.
+            // SAFETY: `i + 8 <= n` bounds the 64-byte u64 load of `v`
+            // and each row's 32-byte u32 load at offset `i`.
             unsafe {
-                let r = _mm512_cvtepu32_epi64(_mm256_loadu_si256(row.as_ptr().add(i).cast()));
                 let x = _mm512_loadu_epi64(v.as_ptr().add(i).cast());
-                acc0 = _mm512_add_epi64(acc0, mul64_by_u32_512(r, x));
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    let r = _mm512_cvtepu32_epi64(_mm256_loadu_si256(row.as_ptr().add(i).cast()));
+                    acc[0] = _mm512_add_epi64(acc[0], mul64_by_u32_512(r, x));
+                }
             }
             i += 8;
         }
-        let mut lanes = [0u64; 8];
-        // SAFETY: `lanes` is a valid, writable 64-byte buffer.
-        unsafe {
-            _mm512_storeu_epi64(
-                lanes.as_mut_ptr().cast(),
-                _mm512_add_epi64(_mm512_add_epi64(acc0, acc1), _mm512_add_epi64(acc2, acc3)),
-            )
-        };
-        let mut acc = lanes.iter().fold(0u64, |a, &b| a.wrapping_add(b));
-        while i < n {
-            acc = acc.wrapping_add((row[i] as u64).wrapping_mul(v[i]));
-            i += 1;
+        let mut out = [0u64; R];
+        for ((o, [a0, a1, a2, a3]), row) in out.iter_mut().zip(acc).zip(&rows) {
+            let sum = _mm512_add_epi64(_mm512_add_epi64(a0, a1), _mm512_add_epi64(a2, a3));
+            *o = tail(hsum_epi64_512(sum), row, v, i, n);
         }
-        acc
+        out
     }
 
     /// # Safety
     ///
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_u32_u32_avx2(row: &[u32], v: &[u32]) -> u32 {
-        debug_assert_eq!(row.len(), v.len());
-        let n = row.len().min(v.len());
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
+    pub(super) unsafe fn dot_u32_u32_avx2<const R: usize>(
+        rows: [&[u32]; R],
+        v: &[u32],
+    ) -> [u32; R] {
+        let n = group_len(&rows, v.len());
+        let mut acc = [[_mm256_setzero_si256(); 2]; R];
         let mut i = 0;
         while i + 16 <= n {
-            // SAFETY: `i + 16 <= n` bounds all four 32-byte loads at
-            // offsets `i` and `i + 8` inside both slices.
-            let (r0, r1, x0, x1) = unsafe {
-                (
-                    _mm256_loadu_si256(row.as_ptr().add(i).cast()),
-                    _mm256_loadu_si256(row.as_ptr().add(i + 8).cast()),
+            // SAFETY: `i + 16 <= n` bounds the two 32-byte loads of `v`
+            // at offsets `i` and `i + 8`, and each row's two at the same
+            // offsets (no row is shorter than `n`).
+            unsafe {
+                let x = [
                     _mm256_loadu_si256(v.as_ptr().add(i).cast()),
                     _mm256_loadu_si256(v.as_ptr().add(i + 8).cast()),
-                )
-            };
-            acc0 = _mm256_add_epi32(acc0, _mm256_mullo_epi32(r0, x0));
-            acc1 = _mm256_add_epi32(acc1, _mm256_mullo_epi32(r1, x1));
+                ];
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    for (k, (acc, &x)) in acc.iter_mut().zip(&x).enumerate() {
+                        let r = _mm256_loadu_si256(row.as_ptr().add(i + 8 * k).cast());
+                        *acc = _mm256_add_epi32(*acc, _mm256_mullo_epi32(r, x));
+                    }
+                }
+            }
             i += 16;
         }
-        let mut acc = hsum_epi32(_mm256_add_epi32(acc0, acc1));
-        while i < n {
-            acc = acc.wrapping_add(row[i].wrapping_mul(v[i]));
-            i += 1;
+        let mut out = [0u32; R];
+        for ((o, [a0, a1]), row) in out.iter_mut().zip(acc).zip(&rows) {
+            *o = tail(hsum_epi32(_mm256_add_epi32(a0, a1)), row, v, i, n);
         }
-        acc
+        out
     }
 
     /// # Safety
     ///
     /// The CPU must support AVX-512F and AVX-512DQ.
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn dot_u32_u32_avx512(row: &[u32], v: &[u32]) -> u32 {
-        debug_assert_eq!(row.len(), v.len());
-        let n = row.len().min(v.len());
-        let mut acc0 = _mm512_setzero_si512();
-        let mut acc1 = _mm512_setzero_si512();
+    pub(super) unsafe fn dot_u32_u32_avx512<const R: usize>(
+        rows: [&[u32]; R],
+        v: &[u32],
+    ) -> [u32; R] {
+        let n = group_len(&rows, v.len());
+        let mut acc = [[_mm512_setzero_si512(); 2]; R];
         let mut i = 0;
         while i + 32 <= n {
-            // SAFETY: `i + 32 <= n` bounds all four 64-byte loads at
-            // offsets `i` and `i + 16` inside both slices.
-            let (r0, r1, x0, x1) = unsafe {
-                (
-                    _mm512_loadu_epi32(row.as_ptr().add(i).cast()),
-                    _mm512_loadu_epi32(row.as_ptr().add(i + 16).cast()),
+            // SAFETY: `i + 32 <= n` bounds the two 64-byte loads of `v`
+            // at offsets `i` and `i + 16`, and each row's two at the
+            // same offsets (no row is shorter than `n`).
+            unsafe {
+                let x = [
                     _mm512_loadu_epi32(v.as_ptr().add(i).cast()),
                     _mm512_loadu_epi32(v.as_ptr().add(i + 16).cast()),
-                )
-            };
-            acc0 = _mm512_add_epi32(acc0, _mm512_mullo_epi32(r0, x0));
-            acc1 = _mm512_add_epi32(acc1, _mm512_mullo_epi32(r1, x1));
+                ];
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    for (k, (acc, &x)) in acc.iter_mut().zip(&x).enumerate() {
+                        let r = _mm512_loadu_epi32(row.as_ptr().add(i + 16 * k).cast());
+                        *acc = _mm512_add_epi32(*acc, _mm512_mullo_epi32(r, x));
+                    }
+                }
+            }
             i += 32;
         }
-        let mut lanes = [0u32; 16];
-        // SAFETY: `lanes` is a valid, writable 64-byte buffer.
-        unsafe {
-            _mm512_storeu_epi32(
-                lanes.as_mut_ptr().cast(),
-                _mm512_add_epi32(acc0, acc1),
-            )
-        };
-        let mut acc = lanes.iter().fold(0u32, |a, &b| a.wrapping_add(b));
-        while i < n {
-            acc = acc.wrapping_add(row[i].wrapping_mul(v[i]));
-            i += 1;
+        let mut out = [0u32; R];
+        for ((o, [a0, a1]), row) in out.iter_mut().zip(acc).zip(&rows) {
+            *o = tail(hsum_epi32_512(_mm512_add_epi32(a0, a1)), row, v, i, n);
         }
-        acc
+        out
     }
 
     /// # Safety
@@ -935,10 +975,7 @@ mod x86 {
             vacc = _mm512_add_epi64(vacc, _mm512_mullo_epi64(x, y));
             i += 8;
         }
-        let mut lanes = [0u64; 8];
-        // SAFETY: `lanes` is a valid, writable 64-byte buffer.
-        unsafe { _mm512_storeu_epi64(lanes.as_mut_ptr().cast(), vacc) };
-        let mut acc = lanes.iter().fold(0u64, |a, &b| a.wrapping_add(b));
+        let mut acc = hsum_epi64_512(vacc);
         while i < n {
             acc = acc.wrapping_add(a[i].wrapping_mul(b[i]));
             i += 1;
@@ -1080,7 +1117,7 @@ mod tests {
     fn dispatched_dot_narrow_matches_scalar_u64() {
         for &len in LENS {
             let (row, v) = narrow_case(len, 7);
-            assert_eq!(dot_u32_u64(&row, &v), dot_narrow_scalar(&row, &v), "len={len}");
+            assert_eq!(dot_u32_u64([&row[..]], &v), dot_narrow_scalar([&row[..]], &v), "len={len}");
         }
     }
 
@@ -1089,7 +1126,50 @@ mod tests {
         for &len in LENS {
             let (row, v) = narrow_case(len, 11);
             let v32: Vec<u32> = v.iter().map(|&x| x as u32).collect();
-            assert_eq!(dot_u32_u32(&row, &v32), dot_narrow_scalar(&row, &v32), "len={len}");
+            let want = dot_narrow_scalar([&row[..]], &v32);
+            assert_eq!(dot_u32_u32([&row[..]], &v32), want, "len={len}");
+        }
+    }
+
+    /// `R` rows of unequal contents (a seed each) and one vector.
+    fn group_case<const R: usize>(len: usize) -> ([Vec<u32>; R], Vec<u64>) {
+        (std::array::from_fn(|r| narrow_case(len, 29 + r as u64).0), narrow_case(len, 23).1)
+    }
+
+    /// Each row's dot by the definition.
+    fn naive_dots<W: Word, const R: usize>(rows: [&[u32]; R], v: &[W]) -> [W; R] {
+        let mac = |a: W, (&r, &x): (&u32, &W)| a.wadd(W::from_u64(r as u64).wmul(x));
+        rows.map(|row| row.iter().zip(v).fold(W::ZERO, mac))
+    }
+
+    /// The row-group body at `R` rows: the scalar reference against
+    /// each row's dot by the definition, then every vector tier the
+    /// host supports against the scalar reference, at both widths.
+    #[cfg(target_arch = "x86_64")]
+    fn check_row_group<const R: usize>(avx2: bool, avx512: bool) {
+        for &len in LENS {
+            let (rows, v) = group_case::<R>(len);
+            let rows = rows.each_ref().map(Vec::as_slice);
+            let v32: Vec<u32> = v.iter().map(|&x| x as u32).collect();
+            let (want, want32) = (dot_narrow_scalar(rows, &v), dot_narrow_scalar(rows, &v32));
+            assert_eq!(want, naive_dots(rows, &v), "R={R}, len={len}");
+            assert_eq!(want32, naive_dots(rows, &v32), "R={R}, len={len} (u32)");
+            if avx2 {
+                // SAFETY: avx2 was detected by the caller.
+                unsafe {
+                    assert_eq!(x86::dot_u32_u64_avx2(rows, &v), want, "avx2, R={R}, len={len}");
+                    assert_eq!(x86::dot_u32_u32_avx2(rows, &v32), want32, "avx2, R={R}, len={len}");
+                }
+            }
+            if avx512 {
+                // SAFETY: avx512f+avx512dq were detected by the caller.
+                unsafe {
+                    let (got, got32) =
+                        (x86::dot_u32_u64_avx512(rows, &v), x86::dot_u32_u32_avx512(rows, &v32));
+                    assert_eq!(got, want, "avx512, R={R}, len={len}");
+                    assert_eq!(got32, want32, "avx512, R={R}, len={len}");
+                }
+            }
         }
     }
 
@@ -1130,15 +1210,16 @@ mod tests {
     fn every_supported_tier_is_bit_identical_to_scalar() {
         let avx2 = is_x86_feature_detected!("avx2");
         let avx512 = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
+        check_row_group::<1>(avx2, avx512);
+        check_row_group::<2>(avx2, avx512);
+        check_row_group::<3>(avx2, avx512);
+        check_row_group::<4>(avx2, avx512);
         for &len in LENS {
-            let (row, v) = narrow_case(len, 23);
-            let v32: Vec<u32> = v.iter().map(|&x| x as u32).collect();
+            let (_, v) = narrow_case(len, 23);
             let w = 0xfeed_f00d_dead_beefu64;
             if avx2 {
                 // SAFETY: avx2 was detected above.
                 unsafe {
-                    assert_eq!(x86::dot_u32_u64_avx2(&row, &v), dot_narrow_scalar(&row, &v));
-                    assert_eq!(x86::dot_u32_u32_avx2(&row, &v32), dot_narrow_scalar(&row, &v32));
                     assert_eq!(x86::dot_wide_u64_avx2(&v, &v), dot_wide_scalar(&v, &v));
                     let mut got = v.clone();
                     let mut want = v.clone();
@@ -1150,8 +1231,6 @@ mod tests {
             if avx512 {
                 // SAFETY: avx512f+avx512dq were detected above.
                 unsafe {
-                    assert_eq!(x86::dot_u32_u64_avx512(&row, &v), dot_narrow_scalar(&row, &v));
-                    assert_eq!(x86::dot_u32_u32_avx512(&row, &v32), dot_narrow_scalar(&row, &v32));
                     assert_eq!(x86::dot_wide_u64_avx512(&v, &v), dot_wide_scalar(&v, &v));
                     let mut got = v.clone();
                     let mut want = v.clone();

@@ -69,18 +69,19 @@ pub trait Word:
     /// Fails if the input is truncated.
     fn get_wire(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 
-    /// Runtime-dispatched inner product of a narrow `u32` row with a
-    /// wide vector — the matvec hot loop. Bit-identical to
-    /// [`crate::simd::dot_narrow_scalar`] at every
+    /// Runtime-dispatched inner products of `R` narrow `u32` rows with
+    /// one wide vector, each lane-chunk of `v` loaded once for all `R`
+    /// — the scan's hot loop (`R = 1` is the single-row dot).
+    /// Bit-identical to [`crate::simd::dot_narrow_scalar`] at every
     /// [`crate::simd::KernelTier`] (wrapping mod-`2^BITS` sums are
     /// associative and commutative, so lane regrouping cannot change
     /// the result).
     ///
     /// # Panics
     ///
-    /// May panic (and in release mode truncates to the shorter length)
+    /// May panic (and in release mode truncates to the shortest length)
     /// if the slices differ in length; callers keep them equal.
-    fn dot_narrow(row: &[u32], v: &[Self]) -> Self;
+    fn dot_narrow<const R: usize>(rows: [&[u32]; R], v: &[Self]) -> [Self; R];
 
     /// Runtime-dispatched inner product of two wide vectors
     /// (hint-times-secret during decryption). Bit-identical to
@@ -157,15 +158,17 @@ impl Word for u32 {
     }
 
     #[inline(always)]
-    fn dot_narrow(row: &[u32], v: &[Self]) -> Self {
-        crate::simd::dot_u32_u32(row, v)
+    fn dot_narrow<const R: usize>(rows: [&[u32]; R], v: &[Self]) -> [Self; R] {
+        crate::simd::dot_u32_u32(rows, v)
     }
 
     #[inline(always)]
     fn dot_wide(a: &[Self], b: &[Self]) -> Self {
         // u32 "wide" operands have the same shape as a narrow row, so
-        // the narrow kernel is the dispatched implementation.
-        crate::simd::dot_u32_u32(a, b)
+        // the narrow kernel's one-row case is the dispatched
+        // implementation.
+        let [dot] = crate::simd::dot_u32_u32([a], b);
+        dot
     }
 
     #[inline(always)]
@@ -238,8 +241,8 @@ impl Word for u64 {
     }
 
     #[inline(always)]
-    fn dot_narrow(row: &[u32], v: &[Self]) -> Self {
-        crate::simd::dot_u32_u64(row, v)
+    fn dot_narrow<const R: usize>(rows: [&[u32]; R], v: &[Self]) -> [Self; R] {
+        crate::simd::dot_u32_u64(rows, v)
     }
 
     #[inline(always)]

@@ -174,26 +174,22 @@ impl RlweContext {
 /// A ternary RLWE secret key.
 #[derive(Debug, Clone)]
 pub struct RlweSecretKey {
-    /// Ternary coefficients (kept for modulus-switched decryption).
-    ternary: Vec<i64>,
     /// NTT-domain form with Shoup quotients: `â∘ŝ` is one
-    /// multiply-accumulate in encryption and standard decryption.
+    /// multiply-accumulate in encryption and in both decryptions.
     s_ntt: ShoupPoly,
 }
 
 impl RlweSecretKey {
     /// Samples a fresh ternary key.
     pub fn generate<R: Rng + ?Sized>(ctx: &RlweContext, rng: &mut R) -> Self {
-        let ternary = ternary_vec(rng, ctx.params.degree);
-        let mut s = Poly::from_signed(Arc::clone(&ctx.table), &ternary);
-        s.to_ntt();
-        let s_ntt = ctx.table.prepare_shoup(s.data());
-        Self { ternary, s_ntt }
+        Self::from_ternary(ctx, &ternary_vec(rng, ctx.params.degree))
     }
 
-    /// The key's ternary coefficients.
-    pub fn ternary(&self) -> &[i64] {
-        &self.ternary
+    /// The key with the given ternary coefficients.
+    fn from_ternary(ctx: &RlweContext, ternary: &[i64]) -> Self {
+        let mut s = Poly::from_signed(Arc::clone(&ctx.table), ternary);
+        s.to_ntt();
+        Self { s_ntt: ctx.table.prepare_shoup(s.data()) }
     }
 }
 
@@ -501,12 +497,15 @@ impl SwitchedCiphertext {
 ///
 /// # Panics
 ///
-/// Panics if `log_q2` is not in `(log2 t + 2, 63]`.
+/// Panics if `log_q2` is not in `(log2 t + 2, 63]`, or if
+/// `N·2^log_q2 ≥ Q/2` ([`decrypt_switched`]'s exactness condition;
+/// `log_q2 ≤ 49` on the production ring).
 pub fn mod_switch(ctx: &RlweContext, ct: &RlweCiphertext, log_q2: u32) -> SwitchedCiphertext {
     let t_bits = 63 - ctx.params.t.leading_zeros();
     assert!(log_q2 > t_bits + 2 && log_q2 <= 63, "switched modulus out of range");
     let q = ctx.q() as u128;
     let q2 = 1u128 << log_q2;
+    assert!(ctx.params.degree as u128 * q2 < q / 2, "switched modulus too wide to decrypt exactly");
     let mask = (q2 - 1) as u64;
     let switch = |poly: &Poly| -> Vec<u64> {
         let mut p = poly.clone();
@@ -519,46 +518,43 @@ pub fn mod_switch(ctx: &RlweContext, ct: &RlweCiphertext, log_q2: u32) -> Switch
     SwitchedCiphertext { a: switch(&ct.a), b: switch(&ct.b), log_q2 }
 }
 
-/// Decrypts a modulus-switched ciphertext. The negacyclic product
-/// `a·s` is computed schoolbook over `Z_{2^log_q2}` (client-side cost:
-/// `N²` word operations, a few milliseconds at `N = 2048`).
+/// Decrypts a modulus-switched ciphertext.
+///
+/// The negacyclic product `a·s` is taken exactly in `Z_Q`: one forward
+/// NTT of `a`, one product with `ŝ`, one inverse NTT, the same
+/// operations whatever the key. With ternary `s`, every coefficient of
+/// the integer product lies strictly inside `±N·2^log_q2`, which
+/// [`mod_switch`] keeps below `Q/2`, so the centred residue is that
+/// integer, and it is wrapped to `2^log_q2` as the phase is. A
+/// ciphertext switched any wider (only a hostile one: the decoder
+/// admits up to 63 bits) decrypts to garbage without panicking.
+///
+/// # Panics
+///
+/// Panics if `ct.a` does not hold `N` coefficients.
 pub fn decrypt_switched(
     ctx: &RlweContext,
     sk: &RlweSecretKey,
     ct: &SwitchedCiphertext,
 ) -> Vec<i64> {
-    let n = ctx.params.degree;
-    assert_eq!(ct.a.len(), n, "degree mismatch");
+    assert_eq!(ct.a.len(), ctx.params.degree, "degree mismatch");
     let mask = if ct.log_q2 == 63 { (1u64 << 63) - 1 } else { (1u64 << ct.log_q2) - 1 };
-    // Negacyclic a·s with ternary s: coefficient k of a·s is
-    // sum_{i+j=k} a_i s_j - sum_{i+j=k+n} a_i s_j.
-    let mut a_s = vec![0u64; n];
-    for (j, &s_j) in sk.ternary.iter().enumerate() {
-        if s_j == 0 {
-            continue;
-        }
-        if s_j == 1 {
-            for i in 0..n - j {
-                a_s[i + j] = a_s[i + j].wrapping_add(ct.a[i]);
-            }
-            for i in n - j..n {
-                a_s[i + j - n] = a_s[i + j - n].wrapping_sub(ct.a[i]);
-            }
-        } else {
-            for i in 0..n - j {
-                a_s[i + j] = a_s[i + j].wrapping_sub(ct.a[i]);
-            }
-            for i in n - j..n {
-                a_s[i + j - n] = a_s[i + j - n].wrapping_add(ct.a[i]);
-            }
-        }
-    }
+    let q = ctx.q();
+    // Below `Q` already unless the width is hostile; `a` is public.
+    let reduce = |c: u64| if c < q { c } else { c % q };
+    let mut a: Vec<u64> = ct.a.iter().map(|&c| reduce(c & mask)).collect();
+    ctx.table.forward(&mut a);
+    let mut a_s = vec![0u64; a.len()];
+    ctx.table.mul_acc_shoup(&sk.s_ntt, &a, &mut a_s);
+    ctx.table.inverse(&mut a_s);
     let q2 = 1u128 << ct.log_q2;
     let t = ctx.params.t as u128;
     ct.b
         .iter()
         .zip(a_s.iter())
-        .map(|(&b, &as_c)| {
+        .map(|(&b, &as_q)| {
+            // Centred by mask, not by branch: `as_q − Q` above `Q/2`.
+            let as_c = as_q.wrapping_sub(q & 0u64.wrapping_sub(u64::from(as_q > q / 2)));
             let y = (b.wrapping_sub(as_c) & mask) as u128;
             let v = ((y * t + q2 / 2) >> ct.log_q2) as u64 % ctx.params.t;
             tiptoe_math::zq::center(v, ctx.params.t)
@@ -716,6 +712,68 @@ mod tests {
         }
         let switched = mod_switch(&ctx, &acc, 44);
         assert_eq!(decrypt_switched(&ctx, &sk, &switched), want);
+    }
+
+    /// [`decrypt_switched`] by the definition: `a·s` summed schoolbook
+    /// over `Z_{2^log_q2}` from the key's ternary coefficients.
+    fn schoolbook_decrypt(ctx: &RlweContext, ternary: &[i64], ct: &SwitchedCiphertext) -> Vec<i64> {
+        let n = ternary.len();
+        let mut a_s = vec![0u64; n];
+        for (j, &s_j) in ternary.iter().enumerate() {
+            for (i, &a_i) in ct.a.iter().enumerate() {
+                let (k, s) = if i + j < n { (i + j, s_j) } else { (i + j - n, -s_j) };
+                a_s[k] = a_s[k].wrapping_add((s as u64).wrapping_mul(a_i));
+            }
+        }
+        let (q2, t) = (1u128 << ct.log_q2, ctx.params().t);
+        let phase = ct.b.iter().zip(&a_s).map(|(&b, &a_s)| (b.wrapping_sub(a_s) as u128) % q2);
+        let rounded = phase.map(|y| ((y * t as u128 + q2 / 2) >> ct.log_q2) as u64 % t);
+        rounded.map(|v| tiptoe_math::zq::center(v, t)).collect()
+    }
+
+    #[test]
+    fn switched_decryption_matches_the_schoolbook_product() {
+        let small = RlweParams { degree: 64, q_bits: 58, t: 1 << 24, sigma: 3.2 };
+        for ctx in [RlweContext::new(small), RlweContext::new(RlweParams::production())] {
+            let n = ctx.params().degree;
+            let mut rng = seeded_rng(30);
+            let keys = [ternary_vec(&mut rng, n), vec![1; n], vec![-1; n]];
+            let top = (1u64 << 44) - 1;
+            let mut word = || rng.next_u64() & top;
+            let b: Vec<u64> = (0..n).map(|_| word()).collect();
+            let random: Vec<u64> = (0..n).map(|_| word()).collect();
+            for a in [random, vec![top; n]] {
+                let ct = SwitchedCiphertext { a, b: b.clone(), log_q2: 44 };
+                for ternary in &keys {
+                    let sk = RlweSecretKey::from_ternary(&ctx, ternary);
+                    let want = schoolbook_decrypt(&ctx, ternary, &ct);
+                    assert_eq!(decrypt_switched(&ctx, &sk, &ct), want, "N = {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too wide")]
+    fn mod_switch_refuses_a_width_it_cannot_decrypt_exactly() {
+        let ctx = RlweContext::new(RlweParams::production());
+        let sk = RlweSecretKey::generate(&ctx, &mut seeded_rng(31));
+        let ct = expand(&ctx, &encrypt_scalar(&ctx, &sk, 1, 3, &mut seeded_rng(32)));
+        mod_switch(&ctx, &ct, 50);
+    }
+
+    #[test]
+    fn a_hostile_switch_width_decrypts_without_panicking() {
+        let ctx = RlweContext::new(RlweParams::production());
+        let sk = RlweSecretKey::generate(&ctx, &mut seeded_rng(33));
+        let n = ctx.params().degree;
+        for log_q2 in [50, 63] {
+            let top = (1u64 << log_q2) - 1;
+            let bytes = SwitchedCiphertext { a: vec![top; n], b: vec![top; n], log_q2 }.encode();
+            let ct = SwitchedCiphertext::decode_from(&mut WireReader::new(&bytes));
+            let ct = ct.expect("a width up to 63 decodes");
+            assert_eq!(decrypt_switched(&ctx, &sk, &ct).len(), n, "log_q2 = {log_q2}");
+        }
     }
 
     #[test]

@@ -249,12 +249,13 @@ proptest! {
     #[test]
     fn rlwe_mod_switch_preserves_headroom_messages(
         seed in any::<u64>(),
-        log_q2 in 40u32..60,
+        log_q2 in 40u32..50,
     ) {
         // Production ring; messages bounded away from t/2 survive any
         // switched modulus at or above the context's safe minimum
         // (t = 2^28 -> min 40; below that the switch's own rounding
-        // noise can flip message bits).
+        // noise can flip message bits) and at most 49, the widest that
+        // `mod_switch` admits (N·2^log_q2 < Q/2).
         let ctx = RlweContext::new(RlweParams::production());
         prop_assert!(log_q2 >= ctx.min_switch_log_q2());
         let mut rng = seeded_rng(seed);
