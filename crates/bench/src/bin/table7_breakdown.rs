@@ -104,14 +104,15 @@ fn main() {
     let rank_core_s = 2.0 * n as f64 * m.d as f64 * 1.2 / model.ops_per_core_second;
     let url_core_s = n as f64 * 22.0 / model.ops_per_core_second;
     // Token cost scales with the number of 2048-row hint chunks, not
-    // rows: each chunk costs a fixed number of NTT-pointwise MACs.
-    let ring = 2048f64;
-    let chunks_measured = (m.rows as f64 / ring).ceil() * 4.0 /* rank shards */
-        + (22.0 * m.docs as f64 * 10.0f64.sqrt() / ring).ceil().max(1.0);
-    let chunks_c4 = (model.rows(n) as f64 / ring).ceil()
-        + ((22.0 * n as f64 * 10.0).sqrt() * 8.0 / 9.0 / ring).ceil();
-    let token_core_s =
-        c.token_server.cpu.as_secs_f64() * (chunks_c4 / chunks_measured.max(1.0)).max(1.0);
+    // rows: each chunk costs a fixed number of NTT-pointwise MACs. One
+    // summed ranking hint of `rows` rows, plus the URL hint.
+    let hint_chunks = |rows: f64, docs: f64| {
+        let url_rows = (22.0 * docs * 10.0).sqrt() * 8.0 / 9.0;
+        (rows / 2048.0).ceil() + (url_rows / 2048.0).ceil()
+    };
+    let chunks_c4 = hint_chunks(model.rows(n) as f64, n as f64);
+    let chunks_measured = hint_chunks(m.rows as f64, m.docs as f64);
+    let token_core_s = c.token_server.cpu.as_secs_f64() * (chunks_c4 / chunks_measured).max(1.0);
     println!("  -- extrapolated to 364M docs --");
     println!("  token (32 vCPU):    {:>8.1} q/s", 32.0 / token_core_s);
     println!("  ranking (160 vCPU): {:>8.1} q/s", 160.0 / rank_core_s);
@@ -133,22 +134,6 @@ fn main() {
     println!(
         "  image/text ranking-upload ratio: {:.2} (paper: 16.2/11.6 = 1.40)",
         ic.rank_up as f64 / c.rank_up as f64 * (docs as f64 / img_docs as f64).sqrt()
-    );
-
-    // --- Concurrent multi-client throughput (the paper's 19-client
-    //     load driver), exercised via the channel-based cluster.
-    println!("\n-- multi-client online throughput (concurrent driver) --");
-    let corpus = tiptoe_corpus::synth::generate(
-        &tiptoe_corpus::synth::CorpusConfig::small(512, 13),
-        8,
-    );
-    let config = tiptoe_core::config::TiptoeConfig::text(512, 13);
-    let embedder = tiptoe_embed::text::TextEmbedder::paper_text(13);
-    let small = tiptoe_core::instance::TiptoeInstance::build(&config, embedder, &corpus);
-    let report = tiptoe_core::throughput::measure_online_throughput(&small, &corpus, 3, 2, None);
-    println!(
-        "  {} queries across 3 clients: {:.1} q/s online (512-doc corpus, 1 core)",
-        report.queries, report.qps
     );
 
     // Shape checks.

@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod measure;
-pub mod serving;
 
 use tiptoe_cluster::{cluster_documents, ClusterConfig, Clustering};
 use tiptoe_corpus::synth::Corpus;

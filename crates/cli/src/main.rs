@@ -4,7 +4,6 @@
 //! tiptoe demo [NUM_DOCS]            # synthetic corpus + interactive search
 //! tiptoe index FILE [QUERY...]      # index a file of documents, run queries
 //! tiptoe search QUERY...            # synthetic corpus, run queries, exit
-//! tiptoe serve-bench [CLIENTS]      # load-test direct vs coalesced serving
 //! tiptoe overload-demo [CLIENTS]    # overload the plane, watch it shed
 //! tiptoe top [CLIENTS] [--json]     # live serving-plane introspection
 //! ```
@@ -33,7 +32,6 @@ fn usage() -> ! {
     eprintln!("  tiptoe demo [NUM_DOCS]        synthetic corpus, interactive prompt");
     eprintln!("  tiptoe index FILE [QUERY...]  index 'url<TAB>text' lines, run queries");
     eprintln!("  tiptoe search QUERY...        synthetic corpus, run queries, exit");
-    eprintln!("  tiptoe serve-bench [CLIENTS]  load-test direct vs coalesced serving");
     eprintln!("  tiptoe overload-demo [CLIENTS] drive 2x capacity, watch typed sheds");
     eprintln!("  tiptoe top [CLIENTS] [--json]  drive load, watch live plane snapshots");
     std::process::exit(2);
@@ -176,42 +174,6 @@ fn overload_demo(clients: Option<usize>) -> ! {
     std::process::exit(0);
 }
 
-/// `tiptoe serve-bench [CLIENTS]`: run the closed-loop serving sweep
-/// (direct vs. coalesced through the batch-coalescing serving plane)
-/// and print throughput, latency percentiles, and scan amortization.
-fn serve_bench(clients: Option<usize>) -> ! {
-    use tiptoe_bench::serving::{run_serving_bench, ServingBenchConfig};
-    let mut cfg = ServingBenchConfig::default();
-    if let Some(c) = clients {
-        cfg.clients = if c == 1 { vec![1] } else { vec![1, c] };
-    }
-    println!(
-        "tiptoe: serving sweep over {} docs, {} shards, {} queries/client ...",
-        cfg.docs, cfg.shards, cfg.queries_per_client
-    );
-    let outcome = run_serving_bench(&cfg);
-    println!(
-        "{:>8}  {:>10}  {:>10}  {:>9}  {:>9}  {:>8}",
-        "clients", "mode", "qps", "p50 ms", "p99 ms", "q/scan"
-    );
-    for row in &outcome.rows {
-        let r = &row.report;
-        println!(
-            "{:>8}  {:>10}  {:>10.2}  {:>9.2}  {:>9.2}  {:>8.3}",
-            row.clients,
-            if row.coalesced { "coalesced" } else { "direct" },
-            r.qps,
-            r.p50.as_secs_f64() * 1e3,
-            r.p99.as_secs_f64() * 1e3,
-            row.queries_per_scan,
-        );
-    }
-    if let Some(s) = outcome.scan_speedup() {
-        println!("scan-bound speedup (coalesced @max clients vs direct @1): {s:.2}x");
-    }
-    std::process::exit(0);
-}
-
 fn load_file(path: &str) -> Corpus {
     let file = std::fs::File::open(path).unwrap_or_else(|e| {
         eprintln!("tiptoe: cannot open {path}: {e}");
@@ -293,9 +255,6 @@ fn interactive(instance: &TiptoeInstance<TextEmbedder>) {
 fn main() {
     tiptoe_obs::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve-bench") {
-        serve_bench(args.get(1).and_then(|a| a.parse().ok()));
-    }
     if args.first().map(String::as_str) == Some("overload-demo") {
         overload_demo(args.get(1).and_then(|a| a.parse().ok()));
     }

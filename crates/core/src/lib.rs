@@ -26,8 +26,6 @@
 //!   two-server traffic estimate).
 //! - [`update`] — incremental corpus updates (§3.2) applied to the
 //!   deployed instance the query path serves.
-//! - [`throughput`] — the closed-loop load driver behind Table 7's
-//!   throughput rows.
 //!
 //! # Quickstart
 //!
@@ -58,6 +56,5 @@ pub mod config;
 pub mod instance;
 pub mod ranking;
 pub mod serving;
-pub mod throughput;
 pub mod update;
 pub mod url;

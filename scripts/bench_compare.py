@@ -3,20 +3,18 @@
 against the committed baseline and fail on regression.
 
 Usage: bench_compare.py <kind> <baseline.json> <current.json>
-  kind: kernels | serving | faults
+  kind: kernels | faults
 
 Wall-clock numbers (qps, seconds, latency percentiles) are NOT gated —
 they measure the runner, not the code. The gate covers:
 
   * structure: required keys present, result rows non-empty, counts
     consistent (e.g. offered == admitted + shed);
-  * deterministic values: seeded quality metrics (MRR at fault rate 0),
-    direct-mode scans-per-query (a pure function of the shard count);
-  * scan-normalized ratios with a tolerance band: batch amortization
-    (queries per scan) and kernel speedup-vs-scalar may wobble with
-    scheduling noise, but a collapse past the band means the
+  * deterministic values: seeded quality metrics (MRR at fault rate 0);
+  * same-host ratios with a tolerance band: kernel speedup-vs-scalar may
+    wobble with scheduling noise, but a collapse past the band means the
     optimization actually broke (e.g. SIMD dispatch silently pinned to
-    scalar, or the coalescer stopped batching).
+    scalar).
 
 The token-path kernel rows (NTT, seeded RLWE encrypt/expand, hint
 multiply-accumulate) have one scalar body and no dispatched twin, so
@@ -32,9 +30,8 @@ AVX-512 keystream is banded tighter (75 %) on its time against the
 AVX2 tier's at the deployed `expand_row` shape, so that a fallback from
 its 16-lane body to 8 lanes fails; a runner without AVX-512 skips it.
 
-Rows are matched by identity keys (kernel/variant/shape, or
-clients/mode); rows present only on one side are reported but only
-gate when the *baseline* row disappeared from a same-config run.
+Kernel rows are matched by kernel/variant/shape; a row present only on
+one side is reported, not gated.
 """
 
 import json
@@ -167,60 +164,6 @@ def compare_kernels(base, cur):
         band(label, cur_wide, base_wide, WIDE_KEYSTREAM_TOLERANCE)
 
 
-def compare_serving(base, cur):
-    rows = cur.get("results", [])
-    if not rows:
-        fail("serving: no results")
-        return
-    shards = cur["shards"]
-    for r in rows:
-        if r["scans"] <= 0:
-            fail(f"serving {r['clients']}/{r['mode']}: no scans recorded")
-        if r["mode"] == "direct":
-            # Direct serving is exactly one scan per lane per query:
-            # a pure function of the shard count, gated exactly.
-            want = 1.0 / (shards + 1)
-            if abs(r["queries_per_scan"] - want) > 1e-6:
-                fail(
-                    f"serving direct@{r['clients']}: queries_per_scan "
-                    f"{r['queries_per_scan']} != {want}"
-                )
-    # Count-based, so gated on any runner: with several clients in
-    # flight the plane must answer more queries per scan than one.
-    direct = {r["clients"]: r for r in rows if r["mode"] == "direct"}
-    for r in rows:
-        d = direct.get(r["clients"])
-        if r["mode"] == "coalesced" and r["clients"] > 1 and d is not None:
-            if r["queries_per_scan"] <= d["queries_per_scan"]:
-                fail(
-                    f"serving coalesced@{r['clients']}: queries_per_scan "
-                    f"{r['queries_per_scan']} does not exceed direct's "
-                    f"{d['queries_per_scan']}"
-                )
-    if not same_config(base, cur, ["docs", "shards", "queries_per_client"]):
-        note("serving: config differs from baseline; skipping row bands")
-        return
-    by_key = {(r["clients"], r["mode"]): r for r in base["results"]}
-    for r in rows:
-        b = by_key.get((r["clients"], r["mode"]))
-        if b is None:
-            note(f"serving {r['clients']}/{r['mode']}: no baseline row")
-            continue
-        if r["mode"] == "coalesced" and r["clients"] > 1:
-            # Scan amortization is the plane's raison d'etre: gate it.
-            band(
-                f"serving coalesced@{r['clients']} queries_per_scan",
-                r["queries_per_scan"],
-                b["queries_per_scan"],
-            )
-    if "speedup_scanbound_maxclients_vs_direct_1" in cur:
-        band(
-            "serving scan-bound speedup",
-            cur["speedup_scanbound_maxclients_vs_direct_1"],
-            base.get("speedup_scanbound_maxclients_vs_direct_1", 0),
-        )
-
-
 def compare_faults(base, cur):
     rows = cur.get("results", [])
     if not rows:
@@ -266,7 +209,6 @@ def main():
         cur = json.load(f)
     {
         "kernels": compare_kernels,
-        "serving": compare_serving,
         "faults": compare_faults,
     }[kind](base, cur)
     for n in notes:

@@ -11,6 +11,7 @@ use tiptoe_embed::text::TextEmbedder;
 use tiptoe_lwe::LweCiphertext;
 use tiptoe_math::rng::seeded_rng;
 use tiptoe_net::{FaultPlan, FaultPolicy};
+use tiptoe_obs::recorder::flush_reason;
 use tiptoe_underhood::ClientKey;
 
 const SEED: u64 = 83;
@@ -219,8 +220,6 @@ fn solo_served_searches_do_not_wait_out_the_flush_deadline() {
     let embedder = TextEmbedder::new(config.d_embed, SEED, 0);
     let instance = TiptoeInstance::build(&config, embedder, &corpus);
 
-    let solo_before =
-        tiptoe_obs::metrics().counter_with("net.coalesce.flushes", Some("solo".into())).get();
     let mut direct = instance.new_client(41);
     let mut served = instance.new_client(41);
     let q = &corpus.queries[0];
@@ -228,19 +227,26 @@ fn solo_served_searches_do_not_wait_out_the_flush_deadline() {
     let a = direct.search(&instance, &q.text, 10);
     let direct_elapsed = t0.elapsed();
     let plane = instance.serving_plane();
+    // (flushes, solo flushes) over the ranking lanes and the URL lane.
+    let scans = || {
+        let status = plane.status();
+        status.lanes[..=plane.num_rank_lanes()].iter().fold((0, 0), |(f, s), (_, lane)| {
+            (f + lane.flushes.iter().sum::<u64>(), s + lane.flushes[flush_reason::SOLO as usize])
+        })
+    };
+    let (flushes_before, solo_before) = scans();
     let t0 = std::time::Instant::now();
     let b = served.try_search_served(&instance, &q.text, 10, &plane).expect("admission is off");
     let served_elapsed = t0.elapsed();
     assert_eq!(a.hits, b.hits, "solo served search must stay bit-identical");
 
-    // The mechanism: the lone query's lane crossings flushed solo
-    // (the counter is process-global, so only monotonicity is
-    // asserted — other tests may flush concurrently).
-    assert!(
-        tiptoe_obs::metrics().counter_with("net.coalesce.flushes", Some("solo".into())).get()
-            > solo_before,
-        "a lone served search must take the solo fast path"
-    );
+    // The mechanism: the lone query cost exactly one scan a ranking
+    // shard plus one URL scan, and every one of them flushed solo.
+    // The counts are this plane's own, so no concurrent test moves them.
+    let (flushes, solo) = scans();
+    let (flushes, solo) = (flushes - flushes_before, solo - solo_before);
+    assert_eq!(flushes, plane.num_rank_lanes() as u64 + 1, "one scan a shard plus the URL scan");
+    assert_eq!(solo, flushes, "a lone served search must take the solo fast path");
     // The latency pin, with slack for debug builds and CI noise: the
     // old scheduler's per-lane idle waits would add over a second
     // here; a small multiple of direct latency is the budget.
