@@ -63,10 +63,10 @@ pub struct TiptoeConfig {
     pub fault_policy: FaultPolicy,
     /// Cross-client batch-coalescing knobs for the serving plane
     /// ([`crate::serving::ServingPlane`]): how many concurrent query
-    /// ciphertexts a shard groups into one database scan, how long a
-    /// lone request waits for co-batched traffic, and the queue-depth
-    /// bound that applies backpressure. Coalesced answers are
-    /// bit-identical to sequential ones at every batch size.
+    /// ciphertexts a shard groups into one database scan, and how long
+    /// an incomplete batch waits for co-batched traffic. Coalesced
+    /// answers are bit-identical to sequential ones at every batch
+    /// size.
     pub coalesce: CoalescePolicy,
     /// Admission-control knobs for the serving plane: the bounded
     /// inflight-query window and the per-admitted-query deadline

@@ -393,7 +393,7 @@ pub struct PlaneStatus {
 
 impl PlaneStatus {
     /// Histograms surfaced in every snapshot: batch formation, scan
-    /// latency, queue wait, the adaptive wait the reactors arm, and
+    /// latency, queue wait, the adaptive wait a forming batch gets, and
     /// per-shard response wall time under the fault plane.
     pub const WATCHED_HISTOGRAMS: [&'static str; 5] = [
         "net.coalesce.batch_size",

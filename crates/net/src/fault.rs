@@ -426,27 +426,6 @@ impl FaultPolicy {
         Self { enabled: true, ..Self::default() }
     }
 
-    /// Tunes the hedge delay from an observed response-time histogram
-    /// (the ROADMAP follow-up: hedging auto-tuned from observed tail
-    /// latencies). The hedge launches at the observed p95 in
-    /// microseconds, so roughly 5% of requests hedge — instead of
-    /// every straggler waiting out the fixed default, which was set
-    /// for wide-area latencies and overshoots the simulated cluster's
-    /// sub-millisecond shards by orders of magnitude. The result is
-    /// clamped to `[100 µs, attempt_timeout − 1 ms]` so it always
-    /// passes [`FaultPolicy::validate`]; an empty histogram leaves
-    /// the policy unchanged.
-    pub fn hedge_from_histogram(mut self, hist: &tiptoe_obs::Histogram) -> Self {
-        if hist.count() == 0 {
-            return self;
-        }
-        let p95 = Duration::from_micros(hist.quantile(0.95));
-        let ceiling = self.attempt_timeout.saturating_sub(Duration::from_millis(1));
-        let floor = Duration::from_micros(100).min(ceiling);
-        self.hedge_after = Some(p95.clamp(floor, ceiling));
-        self
-    }
-
     /// Checks internal consistency.
     ///
     /// # Errors
@@ -529,10 +508,9 @@ impl FaultReport {
 /// The observed response-time histogram (microseconds of virtual
 /// wall-clock per successful delivery) for plan shard address
 /// `plan_shard` — i.e. `shard_base + idx` as seen by
-/// [`dispatch_faulty`]. Feed it to [`FaultPolicy::hedge_from_histogram`]
-/// to auto-tune the hedge delay; the unlabeled
-/// `net.shard_response_us` series aggregates all shards.
-pub fn shard_response_histogram(plan_shard: usize) -> tiptoe_obs::Histogram {
+/// [`dispatch_faulty`]; the unlabeled `net.shard_response_us` series
+/// aggregates all shards.
+fn shard_response_histogram(plan_shard: usize) -> tiptoe_obs::Histogram {
     tiptoe_obs::metrics()
         .histogram_with("net.shard_response_us", Some(format!("shard{plan_shard}")))
 }
@@ -1095,65 +1073,6 @@ mod tests {
         // 600 ms budget / 250 ms timeouts: at most 3 attempts launch.
         assert!(report.shards[0].attempts <= 3, "{}", report.shards[0].attempts);
         assert!(report.shards[0].wall < Duration::from_millis(1200));
-    }
-
-    #[test]
-    fn hedge_from_histogram_beats_fixed_delay() {
-        // Shard base 7000 keeps this test's histogram labels disjoint
-        // from every other test sharing the global registry.
-        let shards = echo_shards(4);
-        let fixed = FaultPolicy::tolerant();
-
-        // Warm-up: healthy dispatches populate the per-shard
-        // response-time histograms with observed (fast) latencies.
-        for _ in 0..20 {
-            let (_, report) =
-                dispatch_faulty(&shards, 7000, &FaultPlan::none(), &fixed, None, serve_ok, parse_ok)
-                    .expect("dispatch");
-            assert!(report.all_ok());
-        }
-        let observed = shard_response_histogram(7002);
-        assert!(observed.count() >= 20);
-
-        // Auto-tune: hedge at the observed p95 instead of the fixed
-        // 100 ms default (set for wide-area latencies).
-        let tuned = fixed.hedge_from_histogram(&observed);
-        tuned.validate().expect("tuned policy stays valid");
-        let tuned_hedge = tuned.hedge_after.expect("tuned hedge set");
-        assert!(
-            tuned_hedge < fixed.hedge_after.expect("fixed hedge set"),
-            "observed p95 {tuned_hedge:?} should undercut the fixed default"
-        );
-
-        // A one-shot straggler on shard 2 (plan address 7002): the
-        // hedge rescues it under both policies, but the tuned policy
-        // launches its hedge at the observed p95 and finishes far
-        // sooner.
-        let straggler = || {
-            FaultPlan::none().with_fault(
-                7002,
-                0,
-                FaultKind::Straggle { factor: 1.0, extra: Duration::from_secs(10) },
-            )
-        };
-        let (fixed_res, fixed_report) =
-            dispatch_faulty(&shards, 7000, &straggler(), &fixed, None, serve_ok, parse_ok)
-                .expect("dispatch");
-        let (tuned_res, tuned_report) =
-            dispatch_faulty(&shards, 7000, &straggler(), &tuned, None, serve_ok, parse_ok)
-                .expect("dispatch");
-        assert_eq!(fixed_res[2], Some(20));
-        assert_eq!(tuned_res[2], Some(20));
-        assert!(
-            tuned_report.shards[2].wall < fixed_report.shards[2].wall,
-            "tuned {:?} not faster than fixed {:?}",
-            tuned_report.shards[2].wall,
-            fixed_report.shards[2].wall
-        );
-
-        // An empty histogram leaves the policy untouched.
-        let empty = shard_response_histogram(7999);
-        assert_eq!(fixed.hedge_from_histogram(&empty), fixed);
     }
 
     #[test]

@@ -25,13 +25,10 @@ pub mod fault;
 pub mod overload;
 pub mod service;
 
-pub use coalesce::{
-    chaos_inject_reactor_panic, CoalescePolicy, Coalescer, LaneStatus, MAX_LANE_RETRIES,
-};
+pub use coalesce::{CoalescePolicy, Coalescer, LaneStatus, MAX_LANE_RETRIES};
 pub use fault::{
-    dispatch_faulty, open, open_traced, seal, seal_traced,
-    shard_response_histogram, FaultKind, FaultPlan, FaultPolicy, FaultRates, FaultReport,
-    ShardReport, TRACED_ENVELOPE_OVERHEAD,
+    dispatch_faulty, open, open_traced, seal, seal_traced, FaultKind, FaultPlan, FaultPolicy,
+    FaultRates, FaultReport, ShardReport, TRACED_ENVELOPE_OVERHEAD,
 };
 pub use overload::{
     AdmissionController, AdmissionPermit, AdmissionPolicy, BreakerBank, BreakerPolicy,

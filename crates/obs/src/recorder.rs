@@ -152,28 +152,22 @@ pub mod result_code {
 pub mod flush_reason {
     /// The batch reached `max_batch`.
     pub const FULL: u64 = 0;
-    /// The lane deadline fired.
+    /// The forming batch's deadline passed; a member flushed it.
     pub const DEADLINE: u64 = 1;
-    /// Backpressure overflow forced the flush.
-    pub const OVERFLOW: u64 = 2;
     /// A lone submitter flushed without waiting.
-    pub const SOLO: u64 = 3;
-    /// The reactor was down; a waiter self-flushed.
-    pub const FALLBACK: u64 = 4;
+    pub const SOLO: u64 = 2;
     /// The last submitter in flight arrived and flushed the whole
     /// batch without waiting (`SOLO` is its batch-of-one case).
-    pub const COMPLETE: u64 = 5;
+    pub const COMPLETE: u64 = 3;
     /// Number of reason codes (`0..COUNT` are all named).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 4;
 
     /// Display name for a flush reason code.
     pub fn name(code: u64) -> &'static str {
         match code {
             FULL => "full",
             DEADLINE => "deadline",
-            OVERFLOW => "overflow",
             SOLO => "solo",
-            FALLBACK => "fallback",
             COMPLETE => "complete",
             _ => "unknown",
         }

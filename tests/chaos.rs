@@ -1,19 +1,20 @@
 //! Chaos and property-fuzz suite for the overload-safe serving plane.
 //!
 //! Every test here injects a failure the plane must *contain*:
-//! coalescer lanes crash mid-flush under concurrent submitters, whole
-//! availability zones of shards crash together, and more clients
-//! arrive than the admission capacity can hold. The invariants are always the same —
-//! no query is lost, none is duplicated, none is answered
-//! incorrectly, and every failure surfaces as a typed error rather
-//! than a panic.
+//! coalescer lanes crash mid-flush under concurrent submitters,
+//! partial batches race their members' withdrawals to the deadline,
+//! whole availability zones of shards crash together, and more
+//! clients arrive than the admission capacity can hold. The
+//! invariants are always the same — no query is lost, none is
+//! duplicated, none is answered incorrectly, and every failure
+//! surfaces as a typed error rather than a panic.
 //!
 //! `TIPTOE_CHAOS_SEED` reseeds the fuzzed schedules (CI sweeps it);
 //! unset, the suite runs at the default seed.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tiptoe_core::client::{QueryOptions, TiptoeClient};
 use tiptoe_core::config::TiptoeConfig;
@@ -21,6 +22,7 @@ use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, CorpusConfig};
 use tiptoe_embed::text::TextEmbedder;
 use tiptoe_net::{CoalescePolicy, Coalescer, FaultPlan, ServeError, MAX_LANE_RETRIES};
+use tiptoe_obs::recorder::flush_reason;
 
 const DOCS: usize = 220;
 const SEED: u64 = 51;
@@ -83,7 +85,6 @@ fn lane_crash_mid_flush_loses_no_request() {
     let policy = CoalescePolicy {
         max_batch: 4,
         max_wait: Duration::from_millis(5),
-        queue_depth: 64,
         adaptive: false,
     };
     let c = Coalescer::new(policy, |reqs: Vec<u64>| {
@@ -133,7 +134,6 @@ fn fuzzed_lane_crashes_answer_correctly_or_fail_typed() {
     let policy = CoalescePolicy {
         max_batch: 4,
         max_wait: Duration::from_millis(2),
-        queue_depth: 64,
         adaptive: false,
     };
     let c = Coalescer::new(policy, |reqs: Vec<u64>| {
@@ -167,58 +167,113 @@ fn fuzzed_lane_crashes_answer_correctly_or_fail_typed() {
 }
 
 #[test]
-fn reactor_crash_mid_flush_loses_no_request_and_duplicates_none() {
-    // Kill the coalescer's timer thread at its worst moment — after it
-    // pops due deadlines but before it fires them — while 12
-    // submitters race in. The lane's cohort gauge is held above any
-    // queue length, so no batch is ever complete on arrival, and 12 is
-    // not a multiple of `max_batch`: whatever the arrival order, at
-    // least one batch is partial and has only the timer (or, once the
-    // crash has eaten its deadline, a waiter's fallback) to flush it.
-    // Every request must come back exactly once with its own answer:
-    // parked waiters' fallback timeouts drain any batch the dead timer
-    // abandoned, and the generation protocol ensures a request drained
-    // by one path can't be re-flushed by another.
+fn partial_batches_flush_on_their_deadline_exactly_once() {
+    // Twelve submitters race into a lane whose cohort gauge is held
+    // above any queue length, so no batch is ever complete on arrival,
+    // and 12 is not a multiple of `max_batch`: whatever the arrival
+    // order, at least one batch is partial and only its deadline
+    // flushes it. Every member of that batch wakes at the deadline;
+    // the first to find its request still queued drains and runs the
+    // batch, and the others must wait for that flush's reply instead
+    // of flushing again. Every request comes back exactly once with
+    // its own answer.
+    let max_wait = Duration::from_millis(10);
     let served = AtomicUsize::new(0);
-    let policy = CoalescePolicy {
-        max_batch: 5,
-        max_wait: Duration::from_millis(2),
-        queue_depth: 64,
-        adaptive: false,
-    };
+    let policy = CoalescePolicy { max_batch: 5, max_wait, adaptive: false };
     let c = Coalescer::new(policy, |reqs: Vec<u64>| {
         served.fetch_add(reqs.len(), Ordering::SeqCst);
         reqs.into_iter().map(|r| r.wrapping_mul(7).wrapping_add(3)).collect()
     })
     // Thirteen cohort members that never arrive.
     .with_cohort(Arc::new(AtomicUsize::new(13)));
-    let reactor_crashes_before =
-        tiptoe_obs::metrics().counter("net.coalesce.reactor_crashes").get();
-    tiptoe_net::chaos_inject_reactor_panic();
+    let deadline_flushes =
+        |c: &Coalescer<'_, u64, u64>| c.lane_status().flushes[flush_reason::DEADLINE as usize];
+    let deadline_before = deadline_flushes(&c);
     let delivered = AtomicUsize::new(0);
+    let slowest_us = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for i in 0..12u64 {
-            let (c, delivered) = (&c, &delivered);
+            let (c, delivered, slowest_us) = (&c, &delivered, &slowest_us);
             scope.spawn(move || {
+                let start = Instant::now();
                 let resp = c
                     .submit_within(i, Duration::from_secs(60))
-                    .expect("a reactor crash must not fail requests");
+                    .expect("a partial batch must not fail requests");
                 assert_eq!(resp, i.wrapping_mul(7).wrapping_add(3), "answer belongs to request");
+                slowest_us.fetch_max(start.elapsed().as_micros() as u64, Ordering::SeqCst);
                 delivered.fetch_add(1, Ordering::SeqCst);
             });
         }
     });
-    assert_eq!(delivered.load(Ordering::SeqCst), 12, "no request lost to the timer crash");
+    assert_eq!(delivered.load(Ordering::SeqCst), 12, "no request stranded in a partial batch");
     assert_eq!(served.load(Ordering::SeqCst), 12, "no request duplicated into a second flush");
-    // The injected panic actually fired and was contained (the
-    // reactor thread restarts its loop rather than dying silently).
-    assert!(
-        tiptoe_obs::metrics().counter("net.coalesce.reactor_crashes").get()
-            > reactor_crashes_before,
-        "chaos injection must have crashed the reactor"
+    assert!(deadline_flushes(&c) > deadline_before, "a partial batch flushed on its deadline");
+    // The request that started a deadline-flushed batch waited out
+    // the whole wait: the deadline is the batch's own, not a stale one.
+    let slowest = Duration::from_micros(slowest_us.load(Ordering::SeqCst));
+    assert!(slowest >= max_wait, "no request waited out a deadline (slowest {slowest:?})");
+    // The lane still coalesces afterwards: a fresh submit succeeds.
+    assert_eq!(c.submit_within(100, Duration::from_secs(60)).expect("after the flush"), 703);
+}
+
+#[test]
+fn withdrawal_against_a_deadline_flush_resolves_exactly_once() {
+    // Seeded rounds of the withdraw-versus-flush race. Each round has
+    // three submitters and one cohort member that never arrives, so
+    // every batch is partial and ends by its deadline flush or by its
+    // members withdrawing. Each submitter's own deadline is drawn from
+    // {0.5, 1, 2} x max_wait, so withdrawals land before, at and after
+    // the flush; the kernel takes a whole max_wait, so a member whose
+    // deadline passes while its request is inside the flush must wait
+    // for that flush rather than withdraw. Every submitter gets its own
+    // answer or DeadlineExceeded, and the kernel's requests plus the
+    // withdrawals account for every submission exactly once.
+    const ROUNDS: u64 = 200;
+    const SUBMITTERS: u64 = 3;
+    let seed = chaos_seed();
+    let max_wait = Duration::from_millis(2);
+    let served = AtomicUsize::new(0);
+    let policy = CoalescePolicy { max_batch: 8, max_wait, adaptive: false };
+    let c = Coalescer::new(policy, |reqs: Vec<u64>| {
+        served.fetch_add(reqs.len(), Ordering::SeqCst);
+        std::thread::sleep(max_wait);
+        reqs.into_iter().map(|r| r ^ 0x5A5A).collect()
+    })
+    .with_cohort(Arc::new(AtomicUsize::new(1)));
+    let answered = AtomicUsize::new(0);
+    let withdrawn = AtomicUsize::new(0);
+    for round in 0..ROUNDS {
+        std::thread::scope(|scope| {
+            for k in 0..SUBMITTERS {
+                let i = round * SUBMITTERS + k;
+                let budget = match splitmix(seed ^ i) % 3 {
+                    0 => max_wait / 2,
+                    1 => max_wait,
+                    _ => max_wait * 2,
+                };
+                let (c, answered, withdrawn) = (&c, &answered, &withdrawn);
+                scope.spawn(move || match c.submit_within(i, budget) {
+                    Ok(resp) => {
+                        assert_eq!(resp, i ^ 0x5A5A, "answers never cross requests");
+                        answered.fetch_add(1, Ordering::SeqCst);
+                    }
+                    Err(ServeError::DeadlineExceeded { .. }) => {
+                        withdrawn.fetch_add(1, Ordering::SeqCst);
+                    }
+                    Err(e) => panic!("unexpected error kind in a deadline race: {e:?}"),
+                });
+            }
+        });
+    }
+    let submitted = (ROUNDS * SUBMITTERS) as usize;
+    let (answered, withdrawn) = (answered.load(Ordering::SeqCst), withdrawn.load(Ordering::SeqCst));
+    assert_eq!(answered + withdrawn, submitted, "every submitter resolved exactly once");
+    assert_eq!(
+        served.load(Ordering::SeqCst) + withdrawn,
+        submitted,
+        "a request is served or withdrawn, never both and never neither"
     );
-    // The plane still coalesces afterwards: a fresh submit succeeds.
-    assert_eq!(c.submit_within(100, Duration::from_secs(60)).expect("post-crash"), 703);
+    assert!(answered > 0 && withdrawn > 0, "{answered} answered, {withdrawn} withdrawn");
 }
 
 #[test]
