@@ -49,11 +49,7 @@ pub struct TiptoeConfig {
     pub num_shards: usize,
     /// Documents sampled for the PCA fit.
     pub pca_sample: usize,
-    /// Store ranking shards as packed signed 4-bit nibbles (8× less
-    /// memory and scan bandwidth; requires a power-of-two plaintext
-    /// modulus so the signed embedding stays congruent mod `p`).
-    pub pack_ranking_db: bool,
-    /// Server-side thread-count and query-batching knobs.
+    /// Server-side thread count.
     pub parallelism: Parallelism,
     /// Coordinator fault-recovery knobs (timeouts, retries, hedging).
     /// Disabled by default: the query path then uses the raw fan-out
@@ -83,19 +79,6 @@ pub struct TiptoeConfig {
     /// survivor-subset decryption over the remaining shards — until a
     /// half-open probe succeeds enough to close it again.
     pub breaker: BreakerPolicy,
-    /// Span-tree sampling: trace 1-in-N queries (`1` = every query,
-    /// the default). Unsampled queries skip span recording entirely —
-    /// only the always-on metrics registry sees them — so tracing can
-    /// stay enabled in overload experiments without the span buffer
-    /// dominating. The `TIPTOE_TRACE_SAMPLE` environment variable sets
-    /// the ambient default; a value here above 1 overrides it.
-    pub trace_sample: u64,
-    /// When set, enables span tracing and exports per-query trace
-    /// artifacts (Chrome trace, metrics snapshot, folded stacks) to
-    /// this path — the programmatic twin of the `TIPTOE_TRACE`
-    /// environment variable. `None` (the default) leaves tracing off:
-    /// one atomic load per would-be span.
-    pub trace_path: Option<String>,
     /// Master seed (all internal randomness derives from it).
     pub seed: u64,
 }
@@ -119,14 +102,11 @@ impl TiptoeConfig {
             urls_per_batch: 880,
             num_shards: 4,
             pca_sample: 2048.min(num_docs),
-            pack_ranking_db: false,
             parallelism: Parallelism::default(),
             fault_policy: FaultPolicy::default(),
             coalesce: CoalescePolicy::default(),
             admission: AdmissionPolicy::default(),
             breaker: BreakerPolicy::default(),
-            trace_sample: 1,
-            trace_path: None,
             seed,
         }
     }
@@ -146,14 +126,11 @@ impl TiptoeConfig {
             urls_per_batch: 880,
             num_shards: 8,
             pca_sample: 2048.min(num_docs),
-            pack_ranking_db: false,
             parallelism: Parallelism::default(),
             fault_policy: FaultPolicy::default(),
             coalesce: CoalescePolicy::default(),
             admission: AdmissionPolicy::default(),
             breaker: BreakerPolicy::default(),
-            trace_sample: 1,
-            trace_path: None,
             seed,
         }
     }
@@ -181,14 +158,11 @@ impl TiptoeConfig {
             urls_per_batch: 16,
             num_shards: 2,
             pca_sample: 512.min(num_docs),
-            pack_ranking_db: false,
             parallelism: Parallelism::default(),
             fault_policy: FaultPolicy::default(),
             coalesce: CoalescePolicy::default(),
             admission: AdmissionPolicy::default(),
             breaker: BreakerPolicy::default(),
-            trace_sample: 1,
-            trace_path: None,
             seed,
         }
     }
@@ -205,8 +179,7 @@ impl TiptoeConfig {
     /// # Errors
     ///
     /// [`ConfigError`] naming the offending knob for any invalid
-    /// fault, coalesce, admission, or breaker policy, or a zero
-    /// `trace_sample`.
+    /// fault, coalesce, admission, or breaker policy.
     ///
     /// # Panics
     ///
@@ -248,20 +221,7 @@ impl TiptoeConfig {
                 });
             }
         }
-        if self.trace_sample == 0 {
-            return Err(ConfigError {
-                field: "trace_sample",
-                reason: "span sampling rate must be at least 1 (1 = trace every query)",
-            });
-        }
         assert!(self.urls_per_batch >= 1, "need at least one URL per batch");
-        if self.pack_ranking_db {
-            assert!(
-                self.rank_lwe.p.is_power_of_two(),
-                "packed storage needs a power-of-two ranking modulus"
-            );
-            assert!(self.quant_bits <= 3, "packed storage holds signed 4-bit entries");
-        }
         Ok(())
     }
 
@@ -291,11 +251,6 @@ mod tests {
 
     #[test]
     fn policy_misconfiguration_surfaces_as_typed_errors() {
-        let mut c = TiptoeConfig::test_small(500, 1);
-        c.trace_sample = 0;
-        let err = c.try_validate().expect_err("zero sampling rate");
-        assert_eq!(err.field, "trace_sample");
-
         let mut c = TiptoeConfig::test_small(500, 1);
         c.coalesce.max_batch = 0;
         let err = c.try_validate().expect_err("zero batch");

@@ -59,17 +59,8 @@ impl<E: Embedder> TiptoeInstance<E> {
     }
 
     fn from_artifacts(config: &TiptoeConfig, embedder: E, mut artifacts: IndexArtifacts) -> Self {
-        // Observability: `TIPTOE_TRACE=…` enables tracing with no code
-        // change; an explicit config knob overrides the ambient env.
+        // Observability: `TIPTOE_TRACE=…` enables tracing with no code change.
         tiptoe_obs::init_from_env();
-        if let Some(path) = &config.trace_path {
-            tiptoe_obs::enable_with_path(path.clone());
-        }
-        // Span sampling: the env sets the ambient default; an explicit
-        // config knob above 1 overrides it (1 leaves the ambient rate).
-        if config.trace_sample > 1 {
-            tiptoe_obs::set_span_sample(config.trace_sample);
-        }
         let ranking = RankingService::build(config, &artifacts);
         let url = UrlService::build(config, &artifacts);
         artifacts.report.crypto = ranking.preproc_time + url.preproc_time;

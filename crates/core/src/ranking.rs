@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 
 use tiptoe_lwe::{scheme, LweCiphertext, MatrixA};
 use tiptoe_math::matrix::Mat;
-use tiptoe_math::nibble::NibbleMat;
 use tiptoe_math::rng::derive_seed;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
@@ -39,42 +38,11 @@ use crate::batch::IndexArtifacts;
 use crate::config::{Parallelism, TiptoeConfig};
 use crate::serving::ServingPlane;
 
-/// One shard's database: plain `Z_p` residues or packed signed
-/// nibbles (8× smaller; power-of-two `p` only).
-enum ShardDb {
-    Plain(Mat<u32>),
-    Packed(NibbleMat),
-}
-
-impl ShardDb {
-    fn cols(&self) -> usize {
-        match self {
-            ShardDb::Plain(m) => m.cols(),
-            ShardDb::Packed(m) => m.cols(),
-        }
-    }
-
-    /// `M_w · ct` for every chunk in one pass over the shard.
-    fn apply(&self, chunks: &[&[u64]], threads: usize) -> Vec<Vec<u64>> {
-        match self {
-            ShardDb::Plain(m) => scheme::apply(m, chunks, threads),
-            ShardDb::Packed(m) => scheme::apply(m, chunks, threads),
-        }
-    }
-
-    fn storage_bytes(&self) -> u64 {
-        match self {
-            ShardDb::Plain(m) => (m.len() * std::mem::size_of::<u32>()) as u64,
-            ShardDb::Packed(m) => m.storage_bytes() as u64,
-        }
-    }
-}
-
 /// One ranking worker: its vertical matrix shard.
 struct RankingShard {
     /// Columns `[col_start, col_start + db.cols())` of the full matrix.
     col_start: usize,
-    db: ShardDb,
+    db: Mat<u32>,
 }
 
 /// A hint the token pass evaluates under `Enc2`.
@@ -217,19 +185,11 @@ impl RankingService {
             let hi = (cluster + clusters_per).min(c);
             let col_start = cluster * d;
             let col_end = hi * d;
-            let plain = matrix.column_slice(col_start, col_end);
+            let db = matrix.column_slice(col_start, col_end);
             let range = a.row_range(col_start, col_end - col_start);
             // The hint is bit-identical at any thread count, so the
             // build is deterministic.
-            let threads = config.parallelism.num_threads;
-            let (db, hint) = if config.pack_ranking_db {
-                let packed = NibbleMat::from_residues_mod_p(&plain, config.rank_lwe.p);
-                let hint = scheme::preproc::<u64>(&packed, &range, threads);
-                (ShardDb::Packed(packed), hint)
-            } else {
-                let hint = scheme::preproc::<u64>(&plain, &range, threads);
-                (ShardDb::Plain(plain), hint)
-            };
+            let hint = scheme::preproc::<u64>(&db, &range, config.parallelism.num_threads);
             // Every H_w is corpus-only, so H = Σ_w H_w is taken here,
             // once, and not per token; only fault-tolerant clients
             // need the H_w apart (survivor-subset decryption).
@@ -296,9 +256,9 @@ impl RankingService {
     /// Bytes of index state held across all workers (matrix + the
     /// NTT-ready hint polys dominate).
     pub fn server_storage_bytes(&self) -> u64 {
-        let matrix: u64 = self.shards.iter().map(|s| s.db.storage_bytes()).sum();
+        let matrix: usize = self.shards.iter().map(|s| std::mem::size_of_val(s.db.data())).sum();
         let hint_polys: u64 = self.token_hints.iter().map(|h| h.server.byte_len()).sum();
-        matrix + hint_polys
+        matrix as u64 + hint_polys
     }
 
     /// Incrementally indexes one new document (§3.2 "Handling updates
@@ -330,18 +290,10 @@ impl RankingService {
         let shard = &mut self.shards[idx];
         let local_lo = col_lo - shard.col_start;
 
-        // 1. Write the matrix slot (must be padding). Packed shards do
-        //    not support in-place updates in this prototype.
-        match &mut shard.db {
-            ShardDb::Plain(m) => {
-                let slot = &mut m.row_mut(row)[local_lo..local_lo + d];
-                assert!(slot.iter().all(|&x| x == 0), "slot already occupied");
-                slot.copy_from_slice(q_zp);
-            }
-            ShardDb::Packed(_) => {
-                panic!("incremental updates require plain (unpacked) shard storage")
-            }
-        }
+        // 1. Write the matrix slot (must be padding).
+        let slot = &mut shard.db.row_mut(row)[local_lo..local_lo + d];
+        assert!(slot.iter().all(|&x| x == 0), "slot already occupied");
+        slot.copy_from_slice(q_zp);
 
         // 2. Rank-one hint correction: ΔH[row] += Σ_j q[j]·A[col_lo+j],
         //    the same rows of `A` whether the hint is a shard's or the
@@ -469,7 +421,7 @@ impl RankingService {
     pub fn shard_answer(&self, idx: usize, chunk: &[u64]) -> Vec<u64> {
         let shard = &self.shards[idx];
         assert_eq!(chunk.len(), shard.db.cols(), "chunk width mismatch");
-        shard.db.apply(&[chunk], 1).pop().expect("one answer per chunk")
+        scheme::apply(&shard.db, &[chunk], 1).pop().expect("one answer per chunk")
     }
 
     /// Batched form of [`RankingService::shard_answer`]: answers `B`
@@ -490,7 +442,7 @@ impl RankingService {
                 chunk.as_slice()
             })
             .collect();
-        shard.db.apply(&chunks, self.parallelism.num_threads)
+        scheme::apply(&shard.db, &chunks, self.parallelism.num_threads)
     }
 
     /// Answers an online ranking query: workers compute their partial
@@ -640,42 +592,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn packed_storage_answers_identically_and_saves_memory() {
-        let corpus = generate(&CorpusConfig::small(180, 10), 0);
-        let mut config = TiptoeConfig::test_small(180, 10);
-        let embedder = TextEmbedder::new(config.d_embed, 10, 0);
-        let artifacts = run_batch_jobs(&config, &embedder, &corpus);
-        let plain = RankingService::build(&config, &artifacts);
-        config.pack_ranking_db = true;
-        config.validate();
-        let packed = RankingService::build(&config, &artifacts);
-
-        let mut rng = seeded_rng(41);
-        let uh = plain.underhood();
-        let key = ClientKey::generate(uh, config.rank_lwe.n, &mut rng);
-        for _ in 0..2 {
-            let v: Vec<u64> =
-                (0..plain.upload_dim()).map(|_| rng.gen_range(0..config.rank_lwe.p)).collect();
-            let ct = uh.encrypt_query::<u64, _>(&key, &plain.public_matrix(), &v, &mut rng);
-            // Decrypted results must agree exactly (both reduce mod p).
-            let es = EncryptedSecret::encrypt(uh, &key, &mut rng);
-            let (t1, _) = plain.generate_token(&es);
-            let (t2, _) = packed.generate_token(&es);
-            let mut d1 = uh.decode_token::<u64>(&key, &t1);
-            let mut d2 = uh.decode_token::<u64>(&key, &t2);
-            let (a1, _) = plain.answer(&ct);
-            let (a2, _) = packed.answer(&ct);
-            assert_eq!(uh.decrypt(&mut d1, &a1), uh.decrypt(&mut d2, &a2));
-        }
-        assert!(
-            packed.server_storage_bytes() < plain.server_storage_bytes(),
-            "packing must shrink server state: {} vs {}",
-            packed.server_storage_bytes(),
-            plain.server_storage_bytes()
-        );
-    }
-
     fn token_hint_bytes(service: &RankingService) -> u64 {
         service.token_hints.iter().map(|h| h.server.byte_len()).sum()
     }
@@ -759,7 +675,8 @@ mod tests {
     #[test]
     fn storage_accounting_is_positive() {
         let (_, _, service) = setup();
-        assert!(service.server_storage_bytes() > 0);
+        let matrix = (service.rows() * service.upload_dim() * 4) as u64;
+        assert_eq!(service.server_storage_bytes(), matrix + token_hint_bytes(&service));
         assert!(service.preproc_time > Duration::ZERO);
     }
 }

@@ -14,13 +14,13 @@
 //! `M·e` as long as it stays below `Δ/2` (enforced by the parameter
 //! selection in [`crate::params`]).
 //!
-//! The server's two jobs are one function each, generic over the
-//! database's storage format ([`DbLayout`]): [`preproc`] and [`apply`].
+//! The server's two jobs are one function each over the database's
+//! `Z_p` residues (a [`Mat<u32>`]): [`preproc`] and [`apply`].
 //! Both take a thread count (`0` = one per core, `1` = inline) that
 //! changes wall-clock time only, never an output word.
 
 use rand::Rng;
-use tiptoe_math::matrix::{matvec_wide, scan, DbLayout, Mat};
+use tiptoe_math::matrix::{matvec_wide, scan, Mat};
 use tiptoe_math::sample::{gaussian_i64, ternary_vec};
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
@@ -181,8 +181,7 @@ fn encrypt_with_threads<W: Word, R: Rng + ?Sized>(
 
 /// Preprocesses the linear function `M` into the hint `H = M·A`
 /// (paper: "the server executes λ·√N 64-bit operations for the
-/// one-time preprocessing of the matrix M") — the only hint kernel,
-/// over any [`DbLayout`] storage format.
+/// one-time preprocessing of the matrix M") — the only hint kernel.
 ///
 /// Splits the hint's ℓ rows into one contiguous block per thread
 /// (`threads == 0` = one per core, `1` = inline on the caller's
@@ -197,7 +196,7 @@ fn encrypt_with_threads<W: Word, R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if `db.cols() != a.rows()`.
-pub fn preproc<W: Word>(db: &impl DbLayout, a: &MatrixARange, threads: usize) -> Mat<W> {
+pub fn preproc<W: Word>(db: &Mat<u32>, a: &MatrixARange, threads: usize) -> Mat<W> {
     assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
     let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
     let n = a.cols();
@@ -211,9 +210,7 @@ pub fn preproc<W: Word>(db: &impl DbLayout, a: &MatrixARange, threads: usize) ->
         for k in 0..db.cols() {
             a.expand_row(k, &mut a_row);
             for (local, h_row) in span.chunks_exact_mut(n).enumerate() {
-                // A sign-extended packed entry is a full-width
-                // multiplier; the axpy kernels take any `w`.
-                let m_ik: W = db.entry(row0 + local, k);
+                let m_ik = W::from_u64(u64::from(db.get(row0 + local, k)));
                 if m_ik != W::ZERO {
                     W::axpy(h_row, m_ik, &a_row);
                 }
@@ -230,7 +227,7 @@ pub fn preproc<W: Word>(db: &impl DbLayout, a: &MatrixARange, threads: usize) ->
 /// # Panics
 ///
 /// Panics if any ciphertext's dimension differs from `db.cols()`.
-pub fn apply<W: Word>(db: &impl DbLayout, cts: &[&[W]], threads: usize) -> Vec<Vec<W>> {
+pub fn apply<W: Word>(db: &Mat<u32>, cts: &[&[W]], threads: usize) -> Vec<Vec<W>> {
     let mut span = kernel_span("lwe.matvec", db.rows(), db.cols());
     span.attr_u64("batch", cts.len() as u64);
     scan(db, cts, threads)
@@ -314,11 +311,10 @@ pub fn decryption_noise<W: Word>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiptoe_math::nibble::NibbleMat;
     use tiptoe_math::rng::seeded_rng;
 
     /// `Apply` of one ciphertext on the caller's thread.
-    fn apply_one<W: Word>(db: &impl DbLayout, ct: &LweCiphertext<W>) -> Vec<W> {
+    fn apply_one<W: Word>(db: &Mat<u32>, ct: &LweCiphertext<W>) -> Vec<W> {
         apply(db, &[&ct.c], 1).pop().expect("one answer per ciphertext")
     }
 
@@ -569,39 +565,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn packed_database_decrypts_identically() {
-        // Power-of-two p: signed-embedded packed entries and mod-p
-        // residue entries give the same decrypted results.
-        let params = LweParams::insecure_test(64, 1 << 17, 81920.0);
-        let mut rng = seeded_rng(31);
-        let cols = 40;
-        let signed: Vec<i8> = (0..8 * cols).map(|_| rng.gen_range(-8i8..=7)).collect();
-        let packed = NibbleMat::from_signed(8, cols, &signed);
-        let plain = Mat::from_fn(8, cols, |r, c| {
-            tiptoe_math::zq::reduce_signed(signed[r * cols + c] as i64, params.p) as u32
-        });
-        let a = MatrixA::new(71, cols, params.n);
-        let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
-        let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..16)).collect();
-        let ct = encrypt(&params, &sk, &a, &v, &mut rng);
-
-        let plain_hint = preproc::<u64>(&plain, &a.row_range(0, cols), 1);
-        let plain_out = decrypt(&params, &sk, &plain_hint, &apply_one(&plain, &ct));
-
-        let packed_hint = preproc::<u64>(&packed, &a.row_range(0, cols), 1);
-        let packed_out = decrypt(&params, &sk, &packed_hint, &apply_one(&packed, &ct));
-        assert_eq!(plain_out, packed_out);
-    }
-
     /// `H = M·A` by the definition, one pinned-scalar axpy per entry.
-    fn preproc_reference<W: Word>(db: &impl DbLayout, a: &MatrixARange) -> Mat<W> {
+    fn preproc_reference<W: Word>(db: &Mat<u32>, a: &MatrixARange) -> Mat<W> {
         let mut hint: Mat<W> = Mat::zeros(db.rows(), a.cols());
         let mut a_row = vec![W::ZERO; a.cols()];
         for k in 0..db.cols() {
             a.expand_row(k, &mut a_row);
             for i in 0..db.rows() {
-                tiptoe_math::simd::axpy_scalar(hint.row_mut(i), db.entry(i, k), &a_row);
+                let m_ik = W::from_u64(u64::from(db.get(i, k)));
+                tiptoe_math::simd::axpy_scalar(hint.row_mut(i), m_ik, &a_row);
             }
         }
         hint
@@ -623,21 +595,6 @@ mod tests {
         let want32 = preproc_reference::<u32>(&db, &range);
         assert_eq!(preproc::<u32>(&db, &range, 1), want32);
         assert_eq!(preproc::<u32>(&db, &range, 3), want32);
-    }
-
-    #[test]
-    fn parallel_packed_preproc_is_bit_identical() {
-        let params = LweParams::insecure_test(64, 1 << 17, 81920.0);
-        let mut rng = seeded_rng(13);
-        let cols = 41;
-        let signed: Vec<i8> = (0..17 * cols).map(|_| rng.gen_range(-8i8..=7)).collect();
-        let packed = NibbleMat::from_signed(17, cols, &signed);
-        let a = MatrixA::new(78, cols, params.n);
-        let range = a.row_range(0, cols);
-        let want = preproc_reference::<u64>(&packed, &range);
-        for threads in [1usize, 2, 5] {
-            assert_eq!(preproc::<u64>(&packed, &range, threads), want, "threads={threads}");
-        }
     }
 
     #[test]

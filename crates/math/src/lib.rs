@@ -10,17 +10,14 @@
 //! - [`ntt`]: negacyclic number-theoretic transforms over NTT-friendly
 //!   primes `Q ≡ 1 (mod 2N)`.
 //! - [`poly`]: elements of the quotient ring `R_Q = Z_Q[x]/(x^N + 1)`.
-//! - [`matrix`]: dense row-major matrices, the `DbLayout` storage
-//!   trait, and `scan` — the one tiled, batched, row-parallel
-//!   matrix-vector kernel that dominates Tiptoe's server cost.
+//! - [`matrix`]: dense row-major matrices and `scan` — the one tiled,
+//!   batched, row-parallel matrix-vector kernel that dominates
+//!   Tiptoe's server cost.
 //! - [`par`]: the scoped-thread span helper behind the kernels'
 //!   row split (`0 = one thread per core`, `TIPTOE_THREADS` override).
 //! - [`simd`]: runtime-dispatched AVX2/AVX-512 vector kernels behind
 //!   the scan/preproc hot loops, with a portable scalar fallback
 //!   and a `TIPTOE_FORCE_SCALAR` pin for testing both dispatch paths.
-//! - [`nibble`]: packed signed-4-bit matrix storage (the paper stores
-//!   embeddings as 4-bit integers), 8× smaller than `u32` residues; a
-//!   second `DbLayout`.
 //! - [`sample`]: lattice noise distributions (rounded discrete
 //!   Gaussians, ternary secrets) over a seeded PRG.
 //! - [`fixed`]: the fixed-precision real-to-`Z_p` embedding encoding of
@@ -45,7 +42,6 @@
 pub mod fixed;
 pub mod matrix;
 pub mod modp;
-pub mod nibble;
 pub mod ntt;
 pub mod par;
 pub mod poly;

@@ -7,8 +7,8 @@
 //! words (paper §4.2: "roughly 2·N·d 64-bit word operations"), with
 //! wrapping arithmetic providing the mod-`2^k` reduction for free.
 //! [`scan`] is that product — tiled, batched and row-parallel — over
-//! any [`DbLayout`] storage format; [`matvec_wide`] is the client's
-//! `H·s`.
+//! the `Z_p` residues of a [`Mat<u32>`]; [`matvec_wide`] is the
+//! client's `H·s`.
 
 use std::ops::Range;
 
@@ -149,93 +149,46 @@ impl<T: Copy + Default> Mat<T> {
     }
 }
 
-/// Most rows one [`DbLayout::dot_segment`] call answers: [`scan`] walks
-/// a tile's rows in groups of this many, so each lane-chunk of a query
-/// tile is loaded once per group rather than once per row. Four rows'
+/// Most rows one `dot_segment` call answers: [`scan`] walks a tile's
+/// rows in groups of this many, so each lane-chunk of a query tile is
+/// loaded once per group rather than once per row. Four rows'
 /// accumulators and the query's registers fit the AVX-512 `u32·u64`
 /// body's 32 vector registers.
 pub const ROW_GROUP: usize = 4;
 
-/// A storage format for the server's narrow plaintext matrix.
+/// Inner products over `Z_{2^k}` of `v` with the columns
+/// `[col_start, col_start + v.len())` of `rows`, one to [`ROW_GROUP`]
+/// consecutive rows of `db`: entry `i` is row `rows.start + i`'s, and
+/// the entries from `rows.len()` on are zero. A whole group is one call
+/// of the row-group kernel; a shorter one (a span's last
+/// `rows % ROW_GROUP` rows) is its one-row case, row by row.
 ///
-/// The two server kernels — the online [`scan`] and the one-time hint
-/// preprocessing in `tiptoe-lwe` — need exactly two things from a
-/// database: the inner products of part of a group of rows with a
-/// ciphertext tile, and the `Z_{2^k}` embedding of one entry.
-/// Everything else (tiling, batching, threading) is written once on
-/// top of this trait. Implemented by [`Mat<u32>`] (`Z_p` residues,
-/// runtime-dispatched SIMD dot) and [`crate::nibble::NibbleMat`]
-/// (packed signed 4-bit entries, sign-extended).
-pub trait DbLayout: Sync {
-    /// Number of rows.
-    fn rows(&self) -> usize;
-
-    /// Number of columns.
-    fn cols(&self) -> usize;
-
-    /// Inner products over `Z_{2^k}` of `v` with the columns
-    /// `[col_start, col_start + v.len())` of `rows`, one to
-    /// [`ROW_GROUP`] consecutive rows: entry `i` is row
-    /// `rows.start + i`'s, and the entries from `rows.len()` on are
-    /// zero. [`scan`] only asks for `col_start` at multiples of
-    /// [`TILE_COLS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group is empty or longer than [`ROW_GROUP`], or a
-    /// row or the column range is out of bounds.
-    fn dot_segment<W: Word>(&self, rows: Range<usize>, col_start: usize, v: &[W])
-        -> [W; ROW_GROUP];
-
-    /// The entry at `(row, col)` embedded into `Z_{2^k}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds access.
-    fn entry<W: Word>(&self, row: usize, col: usize) -> W;
-}
-
-impl DbLayout for Mat<u32> {
-    fn rows(&self) -> usize {
-        self.rows
+/// # Panics
+///
+/// Panics if the group is empty or longer than [`ROW_GROUP`], or a row
+/// or the column range is out of bounds.
+#[inline]
+fn dot_segment<W: Word>(
+    db: &Mat<u32>,
+    rows: Range<usize>,
+    col_start: usize,
+    v: &[W],
+) -> [W; ROW_GROUP] {
+    let segment = |row: usize| &db.row(row)[col_start..col_start + v.len()];
+    if rows.len() == ROW_GROUP {
+        return W::dot_narrow(std::array::from_fn(|i| segment(rows.start + i)), v);
     }
-
-    fn cols(&self) -> usize {
-        self.cols
+    assert!((1..ROW_GROUP).contains(&rows.len()), "row group of {} rows", rows.len());
+    let mut out = [W::ZERO; ROW_GROUP];
+    for (o, row) in out.iter_mut().zip(rows) {
+        [*o] = W::dot_narrow([segment(row)], v);
     }
-
-    /// A whole group is one call of the row-group kernel; a shorter
-    /// one (a span's last `rows % ROW_GROUP` rows) is its one-row case,
-    /// row by row.
-    #[inline]
-    fn dot_segment<W: Word>(
-        &self,
-        rows: Range<usize>,
-        col_start: usize,
-        v: &[W],
-    ) -> [W; ROW_GROUP] {
-        let segment = |row: usize| &self.row(row)[col_start..col_start + v.len()];
-        if rows.len() == ROW_GROUP {
-            return W::dot_narrow(std::array::from_fn(|i| segment(rows.start + i)), v);
-        }
-        assert!((1..ROW_GROUP).contains(&rows.len()), "row group of {} rows", rows.len());
-        let mut out = [W::ZERO; ROW_GROUP];
-        for (o, row) in out.iter_mut().zip(rows) {
-            [*o] = W::dot_narrow([segment(row)], v);
-        }
-        out
-    }
-
-    #[inline]
-    fn entry<W: Word>(&self, row: usize, col: usize) -> W {
-        W::from_u64(self.get(row, col) as u64)
-    }
+    out
 }
 
 /// Column-tile width (in elements) of [`scan`]: 2048 `u64` words =
 /// 16 KiB, so one tile of a query stays resident in L1 while every
-/// row's matching segment streams past it. Even, so a tile of packed
-/// nibbles starts on a byte boundary.
+/// row's matching segment streams past it.
 pub const TILE_COLS: usize = 2048;
 
 /// `out[b] = M · queries[b]` over `Z_{2^k}`: the SimplePIR `Apply` hot
@@ -252,13 +205,12 @@ pub const TILE_COLS: usize = 2048;
 /// `threads` threads (`0` = one per core, `1` = inline on the caller's
 /// stack). Wrapping mod-`2^k` sums are associative and commutative, so
 /// no tiling, row grouping, batch size, thread count, or SIMD lane
-/// grouping inside [`DbLayout::dot_segment`] can change any output
-/// word.
+/// grouping inside the row-group kernel can change any output word.
 ///
 /// # Panics
 ///
 /// Panics if any query's length differs from `db.cols()`.
-pub fn scan<W: Word>(db: &impl DbLayout, queries: &[&[W]], threads: usize) -> Vec<Vec<W>> {
+pub fn scan<W: Word>(db: &Mat<u32>, queries: &[&[W]], threads: usize) -> Vec<Vec<W>> {
     let (rows, cols) = (db.rows(), db.cols());
     for q in queries {
         assert_eq!(q.len(), cols, "dimension mismatch");
@@ -278,7 +230,7 @@ pub fn scan<W: Word>(db: &impl DbLayout, queries: &[&[W]], threads: usize) -> Ve
                 let first = row0 + g * ROW_GROUP;
                 let rows = first..first + group_out.len() / batch;
                 for (b, q) in queries.iter().enumerate() {
-                    let dots = db.dot_segment(rows.clone(), tile_start, &q[tile_start..tile_end]);
+                    let dots = dot_segment(db, rows.clone(), tile_start, &q[tile_start..tile_end]);
                     for (o, dot) in group_out[b..].iter_mut().step_by(batch).zip(dots) {
                         *o = o.wadd(dot);
                     }

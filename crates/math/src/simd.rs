@@ -1,8 +1,7 @@
 //! Runtime-dispatched SIMD kernels behind the matrix-vector hot loops.
 //!
-//! The server-side scan multiplies a narrow (`u32` or sign-extended
-//! nibble) matrix against wide [`Word`] vectors with wrapping
-//! arithmetic. Because wrapping addition modulo `2^k` is associative
+//! The server-side scan multiplies a narrow `u32` matrix against wide
+//! [`Word`] vectors with wrapping arithmetic. Because wrapping addition modulo `2^k` is associative
 //! and commutative, *any* regrouping of the multiply-accumulate chain
 //! — four-way scalar unrolls, 256-bit lanes, 512-bit lanes — produces
 //! bit-identical results, so vectorization is purely a scheduling
@@ -210,8 +209,7 @@ pub fn dot_wide_scalar<W: Word>(a: &[W], b: &[W]) -> W {
 }
 
 /// Scalar tier of [`Word::axpy`]: `acc[i] += w·x[i]` (the hint
-/// preprocessing inner loop; `w` may be a sign-extended full-width
-/// multiplier from the packed database path).
+/// preprocessing inner loop).
 #[inline]
 pub fn axpy_scalar<W: Word>(acc: &mut [W], w: W, x: &[W]) {
     debug_assert_eq!(acc.len(), x.len());

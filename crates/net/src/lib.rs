@@ -112,7 +112,7 @@ pub enum Direction {
 ///
 /// Each instance keeps its own exact entries (tests assert on them
 /// per-query); every record is additionally mirrored into the global
-/// [`tiptoe_obs::metrics`] registry as `net.bytes_up`/`net.bytes_down`
+/// [`tiptoe_obs::metrics()`] registry as `net.bytes_up`/`net.bytes_down`
 /// counters labeled by phase, so the metrics snapshot reproduces the
 /// Table-7-style byte breakdown without a second accounting path.
 #[derive(Debug, Default)]

@@ -19,8 +19,8 @@
 //! 3. **No dependencies.** Everything is `std`; JSON is hand-rolled
 //!    like the workspace's bench emitters.
 //!
-//! Enablement: [`init_from_env`] reads `TIPTOE_TRACE=path`; the
-//! `TiptoeConfig::trace_path` knob calls [`enable_with_path`]. Each
+//! Enablement: [`init_from_env`] reads `TIPTOE_TRACE=path`; code
+//! calls [`enable_with_path`] (and [`set_span_sample`]) directly. Each
 //! query then overwrites `path` (Chrome trace), `path` with a
 //! `.metrics.json` extension (metrics snapshot), and a `.folded`
 //! sibling (flamegraph stacks).
