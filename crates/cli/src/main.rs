@@ -38,12 +38,12 @@ fn usage() -> ! {
 }
 
 /// `tiptoe top [CLIENTS] [--json]`: bring up a small instance with
-/// admission control and breakers on, run closed-loop clients against
-/// the coalesced serving plane, and render a live
+/// admission control on, run closed-loop clients against the
+/// coalesced serving plane, and render a live
 /// [`tiptoe_core::serving::PlaneStatus`] snapshot every refresh —
-/// lane occupancy, cohort, breaker states, admission counters,
-/// latency quantiles, and SLO burn rates. `--json` emits one JSON
-/// object per refresh instead of the text panel (exporter mode).
+/// lane occupancy, cohort, admission counters, latency quantiles, and
+/// SLO burn rates. `--json` emits one JSON object per refresh instead
+/// of the text panel (exporter mode).
 fn top(clients: Option<usize>, json: bool) -> ! {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -58,7 +58,6 @@ fn top(clients: Option<usize>, json: bool) -> ! {
     config.admission.enabled = true;
     config.admission.max_inflight = clients;
     config.admission.deadline = std::time::Duration::from_secs(30);
-    config.breaker.enabled = true;
     config.validate();
     let embedder = TextEmbedder::new(config.d_embed, 7, 0);
     let instance = TiptoeInstance::build(&config, embedder, &corpus);

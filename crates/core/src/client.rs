@@ -574,13 +574,13 @@ impl TiptoeClient {
         cost.rank_server = ranked.timing;
         let applied = ranked.response;
         let survivors = ranked.survivors;
-        let mut degraded = ranked.report.map(|report| {
+        let mut degraded = policy.enabled.then(|| {
             let missing_clusters = instance.ranking.missing_clusters(&survivors);
             DegradedQuery {
                 searched_cluster_missing: missing_clusters.contains(&cluster),
                 missing_clusters,
                 url_failed: false,
-                rank_report: report,
+                rank_report: ranked.report,
                 url_report: FaultReport::default(),
             }
         });
@@ -653,9 +653,9 @@ impl TiptoeClient {
         )?;
         cost.url_server = fetched.timing;
         let answer = fetched.response;
-        if let (Some(report), Some(dq)) = (fetched.report, degraded.as_mut()) {
+        if let Some(dq) = degraded.as_mut() {
             dq.url_failed = answer.is_none();
-            dq.url_report = report;
+            dq.url_report = fetched.report;
         }
         drop(url_span);
 

@@ -52,8 +52,8 @@ pub struct TiptoeConfig {
     /// Server-side thread count.
     pub parallelism: Parallelism,
     /// Coordinator fault-recovery knobs (timeouts, retries, hedging).
-    /// Disabled by default: the query path then uses the raw fan-out
-    /// and is bit-identical to the fault-oblivious protocol. When
+    /// Disabled by default: every shard then gets one untimed attempt
+    /// and the answers are the fault-oblivious protocol's. When
     /// enabled, clients fetch per-shard ranking tokens so they can
     /// decrypt over any surviving subset of shards (degraded mode).
     pub fault_policy: FaultPolicy,
@@ -73,11 +73,12 @@ pub struct TiptoeConfig {
     /// moving any bytes.
     pub admission: AdmissionPolicy,
     /// Per-shard circuit-breaker knobs for the serving plane. Disabled
-    /// by default. When enabled, a shard whose responses fail (or
-    /// straggle past the latency threshold) repeatedly is *opened*:
-    /// the fault-aware dispatch skips it — queries degrade to
-    /// survivor-subset decryption over the remaining shards — until a
-    /// half-open probe succeeds enough to close it again.
+    /// by default, and valid only with `fault_policy.enabled`. When
+    /// enabled, a shard whose responses fail (or straggle past the
+    /// latency threshold) repeatedly is *opened*: dispatch skips it —
+    /// queries degrade to survivor-subset decryption over the
+    /// remaining shards — until a half-open probe succeeds enough to
+    /// close it again.
     pub breaker: BreakerPolicy,
     /// Master seed (all internal randomness derives from it).
     pub seed: u64,
@@ -204,6 +205,14 @@ impl TiptoeConfig {
         self.coalesce.validate()?;
         self.admission.validate()?;
         self.breaker.validate()?;
+        if self.breaker.enabled && !self.fault_policy.enabled {
+            // Dispatch consults breakers only under the fault policy: a
+            // skipped shard leaves the one summed token undecryptable.
+            return Err(ConfigError {
+                field: "breaker.enabled",
+                reason: "circuit breakers need fault_policy.enabled",
+            });
+        }
         if self.admission.enabled {
             // An admitted query crosses several coalescer lanes (token
             // fetch, ranking shards, URL retrieval), and each lane may
@@ -280,6 +289,14 @@ mod tests {
         c.breaker.failure_threshold = 0;
         let err = c.try_validate().expect_err("zero failure threshold");
         assert_eq!(err.field, "breaker.failure_threshold");
+
+        // Breakers do nothing without the fault policy: rejected.
+        let mut c = TiptoeConfig::test_small(500, 1);
+        c.breaker.enabled = true;
+        let err = c.try_validate().expect_err("breakers without the fault policy");
+        assert_eq!(err.field, "breaker.enabled");
+        c.fault_policy = tiptoe_net::FaultPolicy::tolerant();
+        c.try_validate().expect("breakers under the fault policy");
 
         let mut c = TiptoeConfig::test_small(500, 1);
         c.fault_policy = tiptoe_net::FaultPolicy::tolerant();

@@ -88,7 +88,7 @@ impl<E: Embedder> TiptoeInstance<E> {
     /// disabled by default). The plane borrows the services, so drop
     /// it before any mutable corpus update.
     pub fn serving_plane(&self) -> crate::serving::ServingPlane<'_> {
-        crate::serving::ServingPlane::with_overload(
+        crate::serving::ServingPlane::new(
             &self.ranking,
             &self.url,
             self.config.coalesce,

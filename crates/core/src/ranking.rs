@@ -81,8 +81,9 @@ struct RankAnswer<'a> {
     svc: &'a RankingService,
     via: Option<&'a ServingPlane<'a>>,
     /// The query's deadline budget, when admission control issued one:
-    /// coalesced shard compute then runs under `submit_within` so a
-    /// stalled lane surfaces as a typed error instead of blocking.
+    /// a coalescing lane then withdraws the request once the budget is
+    /// spent, so a stalled lane surfaces as a typed error instead of
+    /// blocking.
     budget: Option<&'a DeadlineBudget>,
 }
 
@@ -106,10 +107,12 @@ impl Service for RankAnswer<'_> {
     fn serve(&self, idx: usize, ct: &LweCiphertext<u64>) -> Result<Vec<u8>, ServeError> {
         let shard = &self.svc.shards[idx];
         let chunk = &ct.c[shard.col_start..shard.col_start + shard.db.cols()];
-        let part = match (self.via, self.budget) {
-            (Some(plane), Some(b)) => plane.rank_chunk_within(idx, chunk.to_vec(), b.check()?)?,
-            (Some(plane), None) => plane.rank_chunk(idx, chunk.to_vec()),
-            (None, _) => self.svc.shard_answer(idx, chunk),
+        let part = match self.via {
+            Some(plane) => {
+                let deadline = self.budget.map_or(Ok(Duration::MAX), DeadlineBudget::check)?;
+                plane.rank_chunk_within(idx, chunk.to_vec(), deadline)?
+            }
+            None => self.svc.shard_answer(idx, chunk),
         };
         let mut w = WireWriter::new();
         w.put_u64_slice(&part);
@@ -470,26 +473,26 @@ impl RankingService {
     ) -> (Vec<u64>, ParallelTiming) {
         let d = self
             .dispatch_answer(ct, &FaultPlan::none(), &FaultPolicy::default(), None, via, None)
-            .expect("an unbudgeted healthy dispatch cannot fail");
+            .expect("an unbudgeted dispatch fails only on a crashed lane");
         (d.response, d.timing)
     }
 
     /// Dispatches an online ranking query through the typed service
     /// plane ([`tiptoe_net::dispatch`]): transcript accounting via
-    /// `ledger`, fault handling under `plan`/`policy` (healthy fan-out
-    /// when the policy is disabled), optional batch coalescing via the
-    /// serving plane, and the overload-safety layers — the query's
-    /// deadline `budget` is checked before the fan-out and charged
-    /// with its wall time, and the serving plane's circuit breakers
-    /// (if enabled) gate per-shard traffic on the fault-aware path.
-    /// One engine for every serving mode.
+    /// `ledger`, fault handling under `plan`/`policy` (one untimed
+    /// attempt per shard when the policy is disabled), optional batch
+    /// coalescing via the serving plane, and the overload-safety
+    /// layers — the query's deadline `budget` is checked before the
+    /// fan-out and charged with its wall time, and the serving plane's
+    /// circuit breakers (if enabled) gate per-shard traffic under an
+    /// enabled policy. One engine for every serving mode.
     ///
     /// With a benign plan every shard answers on the first attempt and
     /// the response equals [`RankingService::answer`] exactly; shards
     /// that never deliver contribute zero to the sum (see
-    /// [`RankingService::missing_clusters`]). Without a budget this
-    /// cannot fail on a valid policy — breakers alone only degrade the
-    /// combine.
+    /// [`RankingService::missing_clusters`]). Without a budget or a
+    /// plane this cannot fail on a valid policy — breakers alone only
+    /// degrade the combine.
     ///
     /// # Errors
     ///

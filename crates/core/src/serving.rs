@@ -67,27 +67,8 @@ pub struct ServingPlane<'a> {
 
 impl<'a> ServingPlane<'a> {
     /// Builds one coalescing lane per ranking shard plus one for the
-    /// URL server, with overload safety disabled (every query is
-    /// admitted, no breakers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is invalid.
-    pub fn new(
-        ranking: &'a RankingService,
-        url: &'a UrlService,
-        policy: CoalescePolicy,
-    ) -> Self {
-        Self::with_overload(
-            ranking,
-            url,
-            policy,
-            AdmissionPolicy::default(),
-            BreakerPolicy::default(),
-        )
-    }
-
-    /// [`ServingPlane::new`] with explicit overload-safety policies.
+    /// URL server and one for token fetches, under the given
+    /// overload-safety policies.
     ///
     /// When `admission.enabled`, the plane's concurrent-query capacity
     /// is derived from the observed batched-scan latency histogram
@@ -96,14 +77,15 @@ impl<'a> ServingPlane<'a> {
     /// `capacity + queue_depth` inflight are shed with a typed
     /// [`ServeError::Overloaded`]. When `breaker.enabled`, each
     /// ranking shard (and the URL server, addressed after them) gets a
-    /// circuit breaker consulted by the fault-aware dispatch.
+    /// circuit breaker, which dispatch consults only under an enabled
+    /// fault policy.
     ///
     /// # Panics
     ///
     /// Panics if any policy is invalid (use
     /// [`crate::config::TiptoeConfig::try_validate`] to surface this
     /// as a typed error at config-load time).
-    pub fn with_overload(
+    pub fn new(
         ranking: &'a RankingService,
         url: &'a UrlService,
         policy: CoalescePolicy,
@@ -200,19 +182,10 @@ impl<'a> ServingPlane<'a> {
 
     /// Answers one ranking chunk through shard `idx`'s coalescing
     /// lane: the request is batched with concurrently arriving chunks
-    /// and flushed through the batched kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn rank_chunk(&self, idx: usize, chunk: Vec<u64>) -> Vec<u64> {
-        self.rank_lanes[idx].submit(chunk)
-    }
-
-    /// [`ServingPlane::rank_chunk`] under a deadline: the request is
-    /// withdrawn with a typed error if no flush answers it within
-    /// `deadline`, and lane crashes surface as
-    /// [`ServeError::LaneFailed`] instead of panicking.
+    /// and flushed through the batched kernel. It is withdrawn with a
+    /// typed error if no flush answers it within `deadline`
+    /// (`Duration::MAX` never withdraws it), and lane crashes surface
+    /// as [`ServeError::LaneFailed`] instead of panicking.
     ///
     /// # Errors
     ///
@@ -244,8 +217,8 @@ impl<'a> ServingPlane<'a> {
         self.url_lane.submit(ct)
     }
 
-    /// [`ServingPlane::url_answer`] under a deadline (see
-    /// [`ServingPlane::rank_chunk_within`]).
+    /// [`ServingPlane::url_answer`] under a deadline, failing typed
+    /// (see [`ServingPlane::rank_chunk_within`]).
     ///
     /// # Errors
     ///
@@ -394,7 +367,7 @@ pub struct PlaneStatus {
 impl PlaneStatus {
     /// Histograms surfaced in every snapshot: batch formation, scan
     /// latency, queue wait, the adaptive wait a forming batch gets, and
-    /// per-shard response wall time under the fault plane.
+    /// per-shard response wall time.
     pub const WATCHED_HISTOGRAMS: [&'static str; 5] = [
         "net.coalesce.batch_size",
         "net.coalesce.flush_us",

@@ -47,10 +47,12 @@ impl Service for UrlAnswer<'_> {
     }
 
     fn serve(&self, _idx: usize, ct: &LweCiphertext<u32>) -> Result<Vec<u8>, ServeError> {
-        let answer = match (self.via, self.budget) {
-            (Some(plane), Some(b)) => plane.url_answer_within(ct.clone(), b.check()?)?,
-            (Some(plane), None) => plane.url_answer(ct.clone()),
-            (None, _) => self.svc.server.answer(ct),
+        let answer = match self.via {
+            Some(plane) => {
+                let deadline = self.budget.map_or(Ok(Duration::MAX), DeadlineBudget::check)?;
+                plane.url_answer_within(ct.clone(), deadline)?
+            }
+            None => self.svc.server.answer(ct),
         };
         let mut w = WireWriter::new();
         w.put_u32_slice(&answer);
@@ -152,8 +154,8 @@ impl UrlService {
     pub fn answer(&self, ct: &LweCiphertext<u32>) -> (Vec<u32>, ParallelTiming) {
         let d = self
             .dispatch_answer(ct, 0, &FaultPlan::none(), &FaultPolicy::default(), None, None, None)
-            .expect("an unbudgeted healthy dispatch cannot fail");
-        (d.response.expect("healthy dispatch always answers"), d.timing)
+            .expect("an unbudgeted direct dispatch cannot fail");
+        (d.response.expect("a disabled policy always answers"), d.timing)
     }
 
     /// Answers a batch of PIR queries in one pass over the database
@@ -177,7 +179,8 @@ impl UrlService {
     /// [`ServeError::DeadlineExceeded`] when the budget runs out,
     /// [`ServeError::LaneFailed`] on a permanently crashed coalescer
     /// lane, [`ServeError::InvalidPolicy`] on an invalid enabled
-    /// policy. Without a budget it cannot fail on a valid policy.
+    /// policy. Without a budget or a plane it cannot fail on a valid
+    /// policy.
     ///
     /// # Panics
     ///

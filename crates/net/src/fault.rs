@@ -1,4 +1,4 @@
-//! Deterministic fault injection and fault-aware coordinator dispatch.
+//! Deterministic fault injection and the coordinator's one fan-out.
 //!
 //! The paper's threat model (§2) disclaims availability under
 //! *malicious* servers, but its 45-machine deployment (§8) still has
@@ -13,18 +13,19 @@
 //! - [`FaultPolicy`]: the coordinator's recovery knobs — per-attempt
 //!   timeout, bounded retry with exponential backoff, an optional
 //!   hedged backup request, and an overall per-shard deadline.
-//! - [`seal`]/[`open`]: a checksummed response envelope so corrupted
-//!   or truncated payloads are *detected* (and fail into the retry
-//!   path as [`WireError`]s) instead of being decoded as garbage.
-//! - [`dispatch_faulty`]: the fault-aware fan-out [`crate::dispatch`]
-//!   runs in place of its healthy loop. It executes
-//!   shards sequentially but accounts for them in **virtual time**:
-//!   a crashed worker costs one attempt timeout of wall-clock and no
-//!   CPU; a straggler's virtual latency is `measured · factor +
-//!   extra`; retries add backoff; hedged requests launch at
-//!   `hedge_after`. The resulting [`FaultReport`] feeds the same
-//!   [`ParallelTiming`] accounting the healthy path uses, so injected
-//!   faults are visible in latency numbers.
+//! - [`seal_traced`]/[`open_traced`]: the checksummed TPT2 response
+//!   envelope every shard response crosses, so corrupted or truncated
+//!   payloads are *detected* (and fail into the retry path as
+//!   [`WireError`]s) instead of being decoded as garbage.
+//! - `dispatch_faulty`: the per-shard loop behind every
+//!   [`crate::dispatch`]. It executes shards sequentially but
+//!   accounts for them in **virtual time**: a crashed worker costs one
+//!   attempt timeout of wall-clock and no CPU; a straggler's virtual
+//!   latency is `measured · factor + extra`; retries add backoff;
+//!   hedged requests launch at `hedge_after`. The resulting
+//!   [`FaultReport`] carries the fan-out's [`ParallelTiming`], so
+//!   injected faults are visible in latency numbers. A disabled policy
+//!   runs it under `FaultPolicy::OFF`: one untimed attempt per shard.
 //!
 //! Determinism: every fault decision derives from the plan seed and
 //! the `(shard, attempt)` address, never from wall-clock time. The
@@ -44,13 +45,9 @@ use crate::{timed, ParallelTiming};
 /// length fields).
 pub const MAX_ENVELOPE_PAYLOAD: usize = 1 << 30;
 
-/// Bytes added by [`seal`]: magic, length, checksum.
-pub const ENVELOPE_OVERHEAD: usize = 16;
-
 /// Bytes added by [`seal_traced`]: magic, length, trace id, checksum.
 pub const TRACED_ENVELOPE_OVERHEAD: usize = 24;
 
-const ENVELOPE_MAGIC: u32 = 0x5450_5431; // "TPT1"
 const TRACED_ENVELOPE_MAGIC: u32 = 0x5450_5432; // "TPT2"
 
 /// Attempt-number namespace bit for hedged backup requests, so a
@@ -67,59 +64,14 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a 64-bit checksum (cheap, deterministic, and plenty to detect
-/// the random corruption this harness injects; not cryptographic).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
-}
-
 /// Checksum of a traced envelope: covers the trace id *and* the
 /// payload, so a flipped header bit is detected exactly like a
 /// flipped payload bit.
+///
+/// FNV-1a 64-bit: cheap, deterministic, and plenty to detect the
+/// random corruption this harness injects; not cryptographic.
 fn traced_checksum(trace_id: u64, payload: &[u8]) -> u64 {
     fnv1a(fnv1a(FNV_OFFSET, &trace_id.to_le_bytes()), payload)
-}
-
-/// Wraps a shard response payload in the checksummed wire envelope.
-///
-/// # Panics
-///
-/// Panics if the payload exceeds [`MAX_ENVELOPE_PAYLOAD`].
-pub fn seal(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_ENVELOPE_PAYLOAD, "envelope payload too large");
-    let mut w = WireWriter::with_capacity(payload.len() + ENVELOPE_OVERHEAD);
-    w.put_u32(ENVELOPE_MAGIC);
-    w.put_u32(payload.len() as u32);
-    w.put_u64(checksum(payload));
-    w.put_bytes(payload);
-    w.finish()
-}
-
-/// Verifies and unwraps a sealed response.
-///
-/// # Errors
-///
-/// Fails on truncation, a bad magic, an oversize declared length,
-/// trailing bytes, or a checksum mismatch — every corruption mode the
-/// fault plan can inject maps onto one of these.
-pub fn open(bytes: &[u8]) -> Result<&[u8], WireError> {
-    let mut r = WireReader::new(bytes);
-    if r.get_u32()? != ENVELOPE_MAGIC {
-        return Err(WireError::Invalid("bad envelope magic"));
-    }
-    let len = r.get_u32()? as usize;
-    if len > MAX_ENVELOPE_PAYLOAD {
-        return Err(WireError::Invalid("envelope payload too large"));
-    }
-    let sum = r.get_u64()?;
-    let payload = r.get_bytes(len)?;
-    if r.remaining() != 0 {
-        return Err(WireError::Invalid("trailing bytes after envelope"));
-    }
-    if checksum(payload) != sum {
-        return Err(WireError::Invalid("envelope checksum mismatch"));
-    }
-    Ok(payload)
 }
 
 /// Wraps a shard response in the TPT2 envelope, which additionally
@@ -148,8 +100,10 @@ pub fn seal_traced(payload: &[u8], trace_id: u64) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Fails on the same corruption modes as [`open`]; the checksum
-/// covers the trace id, so header flips are caught too.
+/// Fails on truncation, a bad magic, an oversize declared length,
+/// trailing bytes, or a checksum mismatch — every corruption mode the
+/// fault plan can inject maps onto one of these. The checksum covers
+/// the trace id, so header flips are caught too.
 pub fn open_traced(bytes: &[u8]) -> Result<(u64, &[u8]), WireError> {
     let mut r = WireReader::new(bytes);
     if r.get_u32()? != TRACED_ENVELOPE_MAGIC {
@@ -382,13 +336,14 @@ fn unit_draw(seed: u64, shard: u64, attempt: u64) -> f64 {
 
 /// The coordinator's recovery policy.
 ///
-/// Disabled by default: with `enabled == false` the query path uses
-/// [`crate::dispatch`]'s healthy loop (no envelope, no retries) and
-/// is bit-identical to the pre-fault-tolerance behavior.
+/// Disabled by default: with `enabled == false` [`crate::dispatch`]
+/// ignores the other knobs and gives every shard one attempt that is
+/// never timed out, hedged or retried, so the answers are the
+/// fault-oblivious protocol's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
-    /// Whether the fault-aware dispatch (and the per-shard token path
-    /// it requires) is active.
+    /// Whether the recovery knobs below (and the per-shard token path
+    /// a degraded query needs) are active.
     pub enabled: bool,
     /// Per-attempt, per-shard timeout: a worker that has not delivered
     /// a verifiable response by then is abandoned.
@@ -421,6 +376,17 @@ impl Default for FaultPolicy {
 }
 
 impl FaultPolicy {
+    /// What [`crate::dispatch`] runs a disabled policy as: one attempt
+    /// per shard, never timed out, hedged or retried.
+    pub(crate) const OFF: FaultPolicy = FaultPolicy {
+        enabled: false,
+        attempt_timeout: Duration::MAX,
+        max_retries: 0,
+        backoff: Duration::ZERO,
+        hedge_after: None,
+        deadline: Duration::MAX,
+    };
+
     /// The default recovery knobs with fault tolerance switched on.
     pub fn tolerant() -> Self {
         Self { enabled: true, ..Self::default() }
@@ -458,7 +424,7 @@ impl FaultPolicy {
     }
 }
 
-/// Per-shard outcome of a fault-aware dispatch.
+/// Per-shard outcome of a dispatch.
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Whether the shard delivered a verified answer in time.
@@ -472,7 +438,7 @@ pub struct ShardReport {
     pub wall: Duration,
 }
 
-/// Aggregate outcome of one fault-aware fan-out.
+/// Aggregate outcome of one fan-out.
 #[derive(Debug, Clone, Default)]
 pub struct FaultReport {
     /// Per-shard outcomes, in shard order.
@@ -508,7 +474,7 @@ impl FaultReport {
 /// The observed response-time histogram (microseconds of virtual
 /// wall-clock per successful delivery) for plan shard address
 /// `plan_shard` — i.e. `shard_base + idx` as seen by
-/// [`dispatch_faulty`]; the unlabeled `net.shard_response_us` series
+/// `dispatch_faulty`; the unlabeled `net.shard_response_us` series
 /// aggregates all shards.
 fn shard_response_histogram(plan_shard: usize) -> tiptoe_obs::Histogram {
     tiptoe_obs::metrics()
@@ -525,14 +491,17 @@ enum Delivery<R> {
     Bad { at: Duration, bytes: u64 },
 }
 
-/// Fault-aware coordinator fan-out: what [`crate::dispatch`] runs
-/// in place of its healthy loop when `policy.enabled`.
+/// The coordinator's per-shard loop, which every [`crate::dispatch`]
+/// runs (a disabled policy as [`FaultPolicy::OFF`]).
 ///
-/// `serve` produces shard `idx`'s raw response payload (the worker
+/// Each shard runs under one span named `shard_span` and labelled
+/// with its index in `0..num_shards`, carrying the shard's `attempts`,
+/// `hedged` and `ok` attributes and its virtual wall time. `serve`
+/// produces shard `idx`'s raw response payload (the worker
 /// compute) or fails typed (e.g. a coalescer lane refused the request
 /// within the query's deadline budget — a serve error aborts the
 /// whole dispatch, since the query can no longer finish in budget);
-/// the dispatcher seals the payload in the checksummed envelope,
+/// the dispatcher seals the payload in the TPT2 envelope,
 /// injects any planned fault, verifies the envelope, and hands it to
 /// `parse`. A shard whose attempts are exhausted (or whose deadline
 /// is spent) yields `None` and the caller degrades.
@@ -561,30 +530,32 @@ enum Delivery<R> {
 /// # Panics
 ///
 /// Panics if `gates` is provided with a length other than
-/// `shards.len()`.
-pub fn dispatch_faulty<T, R>(
-    shards: &[T],
+/// `num_shards`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dispatch_faulty<R>(
+    shard_span: &'static str,
+    num_shards: usize,
     shard_base: usize,
     plan: &FaultPlan,
     policy: &FaultPolicy,
     gates: Option<&[ShardGate]>,
-    mut serve: impl FnMut(usize, &T) -> Result<Vec<u8>, ServeError>,
+    mut serve: impl FnMut(usize) -> Result<Vec<u8>, ServeError>,
     mut parse: impl FnMut(usize, &[u8]) -> Result<R, WireError>,
 ) -> Result<(Vec<Option<R>>, FaultReport), ServeError> {
     policy.validate()?;
     if let Some(g) = gates {
-        assert_eq!(g.len(), shards.len(), "one gate per shard");
+        assert_eq!(g.len(), num_shards, "one gate per shard");
     }
     let mut report = FaultReport::default();
-    let mut results: Vec<Option<R>> = Vec::with_capacity(shards.len());
+    let mut results: Vec<Option<R>> = Vec::with_capacity(num_shards);
     let mut cpu_total = Duration::ZERO;
     let mut wall_max = Duration::ZERO;
 
-    for (idx, shard) in shards.iter().enumerate() {
+    for idx in 0..num_shards {
         let gate = gates.map_or(ShardGate::Serve, |g| g[idx]);
-        let mut span = tiptoe_obs::span("net.shard");
+        let mut span = tiptoe_obs::span(shard_span);
         if tiptoe_obs::enabled() {
-            span.set_label(format!("{}", shard_base + idx));
+            span.set_label(format!("{idx}"));
         }
         if gate == ShardGate::Skip {
             span.attr_u64("attempts", 0);
@@ -625,7 +596,7 @@ pub fn dispatch_faulty<T, R>(
 
             // Primary attempt.
             let (primary, cpu) =
-                run_attempt(idx, shard, attempts, shard_base, plan, policy, &mut serve, &mut parse)?;
+                run_attempt(idx, attempts, shard_base, plan, policy, &mut serve, &mut parse)?;
             shard_cpu += cpu;
             let primary_fail_at = match &primary {
                 Delivery::Ok { .. } => None,
@@ -652,7 +623,6 @@ pub fn dispatch_faulty<T, R>(
                     hedged = true;
                     let (backup, hcpu) = run_attempt(
                         idx,
-                        shard,
                         attempts | HEDGE_FLAG,
                         shard_base,
                         plan,
@@ -699,8 +669,7 @@ pub fn dispatch_faulty<T, R>(
 
         let ok = value.is_some();
         if ok {
-            // Successful deliveries feed the tail-latency histograms
-            // that drive hedge auto-tuning.
+            // Successful deliveries feed the response-time histograms.
             let us = shard_wall.as_micros() as u64;
             shard_response_histogram(shard_base + idx).record(us);
             tiptoe_obs::metrics().histogram("net.shard_response_us").record(us);
@@ -750,15 +719,13 @@ type ParseFn<'a, R> = &'a mut dyn FnMut(usize, &[u8]) -> Result<R, WireError>;
 /// Executes one attempt (identified by its plan address) in virtual
 /// time; returns the delivery outcome and the real CPU spent, or
 /// propagates a typed serve failure (which aborts the dispatch).
-#[allow(clippy::too_many_arguments)]
-fn run_attempt<T, R>(
+fn run_attempt<R>(
     idx: usize,
-    shard: &T,
     attempt_no: u32,
     shard_base: usize,
     plan: &FaultPlan,
     policy: &FaultPolicy,
-    serve: &mut impl FnMut(usize, &T) -> Result<Vec<u8>, ServeError>,
+    serve: &mut impl FnMut(usize) -> Result<Vec<u8>, ServeError>,
     parse: &mut impl FnMut(usize, &[u8]) -> Result<R, WireError>,
 ) -> Result<(Delivery<R>, Duration), ServeError> {
     let plan_shard = shard_base + idx;
@@ -779,7 +746,7 @@ fn run_attempt<T, R>(
     match plan.fault_for(plan_shard, attempt_no) {
         Some(FaultKind::Crash) => Ok((Delivery::TimedOut, Duration::ZERO)),
         Some(FaultKind::Straggle { factor, extra }) => {
-            let (payload, t) = timed(|| serve(idx, shard));
+            let (payload, t) = timed(|| serve(idx));
             let payload = payload?;
             let virtual_t = t.mul_f64(factor.max(0.0)) + extra;
             if virtual_t > policy.attempt_timeout {
@@ -789,9 +756,9 @@ fn run_attempt<T, R>(
             }
         }
         Some(FaultKind::Corrupt) => {
-            let (payload, t) = timed(|| serve(idx, shard));
+            let (payload, t) = timed(|| serve(idx));
             let mut sealed = seal_traced(&payload?, trace_id);
-            corrupt_in_place(&mut sealed, TRACED_ENVELOPE_OVERHEAD, plan.seed(), plan_shard, attempt_no);
+            corrupt_in_place(&mut sealed, plan.seed(), plan_shard, attempt_no);
             let bytes = sealed.len() as u64;
             let outcome = match open_traced(&sealed).and_then(|(_, p)| parse(idx, p)) {
                 Ok(value) => Delivery::Ok { value, at: t },
@@ -800,7 +767,7 @@ fn run_attempt<T, R>(
             Ok((outcome, t))
         }
         Some(FaultKind::Truncate) => {
-            let (payload, t) = timed(|| serve(idx, shard));
+            let (payload, t) = timed(|| serve(idx));
             let sealed = seal_traced(&payload?, trace_id);
             let cut = &sealed[..sealed.len() / 2];
             let bytes = cut.len() as u64;
@@ -811,7 +778,7 @@ fn run_attempt<T, R>(
             Ok((outcome, t))
         }
         None => {
-            let (payload, t) = timed(|| serve(idx, shard));
+            let (payload, t) = timed(|| serve(idx));
             let payload = payload?;
             if t > policy.attempt_timeout {
                 Ok((Delivery::TimedOut, t))
@@ -824,13 +791,11 @@ fn run_attempt<T, R>(
 
 /// Deterministically flips one payload byte of a sealed response (the
 /// envelope checksum is guaranteed to catch a single-byte change).
-/// `overhead` is the sealing format's header size
-/// ([`ENVELOPE_OVERHEAD`] or [`TRACED_ENVELOPE_OVERHEAD`]).
-fn corrupt_in_place(sealed: &mut [u8], overhead: usize, seed: u64, shard: usize, attempt: u32) {
+fn corrupt_in_place(sealed: &mut [u8], seed: u64, shard: usize, attempt: u32) {
     let draw = unit_draw(seed ^ 0xc0de, shard as u64, attempt as u64);
-    if sealed.len() > overhead {
-        let span = sealed.len() - overhead;
-        let pos = overhead + ((draw * span as f64) as usize).min(span - 1);
+    if sealed.len() > TRACED_ENVELOPE_OVERHEAD {
+        let span = sealed.len() - TRACED_ENVELOPE_OVERHEAD;
+        let pos = TRACED_ENVELOPE_OVERHEAD + ((draw * span as f64) as usize).min(span - 1);
         sealed[pos] ^= 0xa5;
     } else if let Some(b) = sealed.last_mut() {
         *b ^= 0xa5;
@@ -841,13 +806,9 @@ fn corrupt_in_place(sealed: &mut [u8], overhead: usize, seed: u64, shard: usize,
 mod tests {
     use super::*;
 
-    fn echo_shards(n: usize) -> Vec<u64> {
-        (0..n as u64).collect()
-    }
-
-    fn serve_ok(_: usize, s: &u64) -> Result<Vec<u8>, ServeError> {
+    fn serve_ok(idx: usize) -> Result<Vec<u8>, ServeError> {
         let mut w = WireWriter::new();
-        w.put_u64(*s * 10);
+        w.put_u64(idx as u64 * 10);
         Ok(w.finish())
     }
 
@@ -856,30 +817,6 @@ mod tests {
         let v = r.get_u64()?;
         r.finish()?;
         Ok(v)
-    }
-
-    #[test]
-    fn envelope_roundtrips_and_detects_tampering() {
-        let payload = b"ranking shard answer".to_vec();
-        let sealed = seal(&payload);
-        assert_eq!(sealed.len(), payload.len() + ENVELOPE_OVERHEAD);
-        assert_eq!(open(&sealed).expect("opens"), &payload[..]);
-        // Any single-byte flip in the payload is detected.
-        for pos in ENVELOPE_OVERHEAD..sealed.len() {
-            let mut bad = sealed.clone();
-            bad[pos] ^= 0x01;
-            assert!(open(&bad).is_err(), "flip at {pos} not detected");
-        }
-        // Truncation at every length is detected.
-        for cut in 0..sealed.len() {
-            assert!(open(&sealed[..cut]).is_err(), "cut at {cut} not detected");
-        }
-        // Oversize declared length is rejected without allocating.
-        let mut w = WireWriter::new();
-        w.put_u32(ENVELOPE_MAGIC);
-        w.put_u32(u32::MAX);
-        w.put_u64(0);
-        assert!(open(&w.finish()).is_err());
     }
 
     #[test]
@@ -902,9 +839,13 @@ mod tests {
         for cut in 0..sealed.len() {
             assert!(open_traced(&sealed[..cut]).is_err(), "cut at {cut} not detected");
         }
-        // The two formats never cross-open.
-        assert!(open(&sealed).is_err(), "TPT1 opener must reject TPT2");
-        assert!(open_traced(&seal(&payload)).is_err(), "TPT2 opener must reject TPT1");
+        // Oversize declared length is rejected without allocating.
+        let mut w = WireWriter::new();
+        w.put_u32(TRACED_ENVELOPE_MAGIC);
+        w.put_u32(u32::MAX);
+        w.put_u64(trace_id);
+        w.put_u64(0);
+        assert!(open_traced(&w.finish()).is_err());
         // Query id 0 (outside any scope) round-trips too.
         let (id0, _) = open_traced(&seal_traced(&payload, 0)).expect("opens");
         assert_eq!(id0, 0);
@@ -912,9 +853,10 @@ mod tests {
 
     #[test]
     fn benign_plan_dispatch_answers_every_shard() {
-        let shards = echo_shards(4);
+        let shards = 4;
         let (results, report) = dispatch_faulty(
-            &shards,
+            "test.shard",
+            shards,
             0,
             &FaultPlan::none(),
             &FaultPolicy::tolerant(),
@@ -933,11 +875,11 @@ mod tests {
 
     #[test]
     fn crashed_shard_fails_with_timeout_accounting() {
-        let shards = echo_shards(3);
+        let shards = 3;
         let plan = FaultPlan::none().crash_shard(1);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results[0], Some(0));
         assert_eq!(results[1], None);
         assert_eq!(results[2], Some(20));
@@ -952,11 +894,11 @@ mod tests {
 
     #[test]
     fn flaky_shard_recovers_after_retries() {
-        let shards = echo_shards(2);
+        let shards = 2;
         let plan = FaultPlan::none().flaky_then_recover(0, 2);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results, vec![Some(0), Some(10)]);
         assert!(report.all_ok());
         assert_eq!(report.retries, 2);
@@ -968,13 +910,13 @@ mod tests {
 
     #[test]
     fn corrupt_and_truncated_responses_fail_into_retry() {
-        let shards = echo_shards(2);
+        let shards = 2;
         for kind in [FaultKind::Corrupt, FaultKind::Truncate] {
             let plan = FaultPlan::none().with_fault(1, 0, kind);
             let mut policy = FaultPolicy::tolerant();
             policy.hedge_after = None;
             let (results, report) =
-                dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+                dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
             assert_eq!(results, vec![Some(0), Some(10)], "{kind:?}");
             assert_eq!(report.corrupted, 1, "{kind:?}");
             assert_eq!(report.retries, 1, "{kind:?}");
@@ -984,12 +926,12 @@ mod tests {
 
     #[test]
     fn hedge_beats_deterministic_straggler() {
-        let shards = echo_shards(3);
+        let shards = 3;
         // Shard 2 straggles by a fixed 10 s — far beyond the timeout —
         // so the primary is abandoned and the hedge (healthy) wins.
         let plan = FaultPlan::none().straggle_shard(2, 1.0, Duration::from_secs(10));
         let policy = FaultPolicy::tolerant();
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         // The sticky straggler also delays the hedge, which still
         // arrives... no: sticky applies to every attempt, so the hedge
         // straggles too and the shard exhausts its attempts.
@@ -1005,7 +947,7 @@ mod tests {
             FaultKind::Straggle { factor: 10.0, extra: Duration::from_secs(10) },
         );
         let (results, report) =
-            dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+            dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results[2], Some(20));
         assert!(report.shards[2].ok);
         assert_eq!(report.shards[2].attempts, 1, "hedge consumed no retry");
@@ -1018,12 +960,12 @@ mod tests {
 
     #[test]
     fn slow_straggler_within_timeout_just_arrives_late() {
-        let shards = echo_shards(2);
+        let shards = 2;
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
         // 60 ms fixed virtual delay < 250 ms timeout: arrives, verified.
         let plan = FaultPlan::none().straggle_shard(0, 1.0, Duration::from_millis(60));
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results, vec![Some(0), Some(10)]);
         assert!(report.all_ok());
         assert!(report.shards[0].wall >= Duration::from_millis(60));
@@ -1049,26 +991,26 @@ mod tests {
 
     #[test]
     fn shard_base_offsets_the_plan_address_space() {
-        let shards = echo_shards(1);
+        let shards = 1;
         let plan = FaultPlan::none().crash_shard(5);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
         let (hit, _) =
-            dispatch_faulty(&shards, 5, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+            dispatch_faulty("test.shard", shards, 5, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(hit, vec![None]);
-        let (miss, _) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (miss, _) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(miss, vec![Some(0)]);
     }
 
     #[test]
     fn deadline_caps_retry_spending() {
-        let shards = echo_shards(1);
+        let shards = 1;
         let plan = FaultPlan::none().crash_shard(0);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
         policy.max_retries = 100;
         policy.deadline = Duration::from_millis(600);
-        let (results, report) = dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results, vec![None]);
         // 600 ms budget / 250 ms timeouts: at most 3 attempts launch.
         assert!(report.shards[0].attempts <= 3, "{}", report.shards[0].attempts);
@@ -1089,14 +1031,14 @@ mod tests {
         assert_eq!(p.validate().expect_err("late hedge").field, "fault_policy.hedge_after");
         // An invalid policy surfaces through dispatch as a typed
         // error, not a panic.
-        let err = dispatch_faulty(&echo_shards(1), 0, &FaultPlan::none(), &p, None, serve_ok, parse_ok)
+        let err = dispatch_faulty("test.shard", 1, 0, &FaultPlan::none(), &p, None, serve_ok, parse_ok)
             .expect_err("invalid policy rejected");
         assert!(matches!(err, ServeError::InvalidPolicy(_)), "{err:?}");
     }
 
     #[test]
     fn correlated_crash_takes_down_the_whole_group() {
-        let shards = echo_shards(4);
+        let shards = 4;
         let plan = FaultPlan::none().correlated_crash(&[1, 2]);
         assert!(!plan.is_benign());
         assert_eq!(plan.correlated_groups(), &[vec![1, 2]]);
@@ -1104,17 +1046,18 @@ mod tests {
         policy.hedge_after = None;
         policy.max_retries = 0;
         let (results, report) =
-            dispatch_faulty(&shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+            dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
         assert_eq!(results, vec![Some(0), None, None, Some(30)]);
         assert_eq!(report.failed_shards(), vec![1, 2], "the whole AZ fails together");
     }
 
     #[test]
     fn skip_gates_fail_shards_without_burning_attempts() {
-        let shards = echo_shards(3);
+        let shards = 3;
         let gates = [ShardGate::Serve, ShardGate::Skip, ShardGate::Probe];
         let (results, report) = dispatch_faulty(
-            &shards,
+            "test.shard",
+            shards,
             0,
             &FaultPlan::none(),
             &FaultPolicy::tolerant(),
@@ -1133,18 +1076,19 @@ mod tests {
 
     #[test]
     fn serve_errors_abort_the_dispatch() {
-        let shards = echo_shards(2);
+        let shards = 2;
         let budget_err = ServeError::DeadlineExceeded {
             budget: Duration::from_millis(5),
             spent: Duration::from_millis(9),
         };
         let err = dispatch_faulty(
-            &shards,
+            "test.shard",
+            shards,
             0,
             &FaultPlan::none(),
             &FaultPolicy::tolerant(),
             None,
-            |idx, s| if idx == 1 { Err(budget_err) } else { serve_ok(idx, s) },
+            |idx| if idx == 1 { Err(budget_err) } else { serve_ok(idx) },
             parse_ok,
         )
         .expect_err("serve failure propagates");

@@ -27,8 +27,8 @@ pub mod service;
 
 pub use coalesce::{CoalescePolicy, Coalescer, LaneStatus, MAX_LANE_RETRIES};
 pub use fault::{
-    dispatch_faulty, open, open_traced, seal, seal_traced, FaultKind, FaultPlan, FaultPolicy,
-    FaultRates, FaultReport, ShardReport, TRACED_ENVELOPE_OVERHEAD,
+    open_traced, seal_traced, FaultKind, FaultPlan, FaultPolicy, FaultRates, FaultReport,
+    ShardReport, TRACED_ENVELOPE_OVERHEAD,
 };
 pub use overload::{
     AdmissionController, AdmissionPermit, AdmissionPolicy, BreakerBank, BreakerPolicy,

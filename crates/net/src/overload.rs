@@ -9,7 +9,7 @@
 //!
 //! - [`DeadlineBudget`] — a per-query wall-clock allowance carried
 //!   from the client's `query` through [`crate::dispatch`] into coalescer
-//!   lanes and the fault-aware fan-out. A query that cannot finish in
+//!   lanes and the per-shard fan-out. A query that cannot finish in
 //!   budget fails early with a typed [`ServeError::DeadlineExceeded`]
 //!   instead of queueing forever.
 //! - [`AdmissionController`] — a bounded admission queue over a
@@ -518,9 +518,10 @@ struct BreakerCore {
 /// One circuit breaker per shard in a plan's address space (ranking
 /// shards `0..W`, the URL server at `W`).
 ///
-/// Gating and recording are driven by [`crate::dispatch`] on the
-/// fault-aware path only: healthy-path dispatches neither consult nor
-/// train the bank, so a fault-free deployment pays nothing.
+/// Gating and recording are driven by [`crate::dispatch`] under an
+/// enabled fault policy only: a skipped shard leaves the one summed
+/// token undecryptable, so a disabled policy neither consults nor
+/// trains the bank.
 #[derive(Debug)]
 pub struct BreakerBank {
     policy: BreakerPolicy,

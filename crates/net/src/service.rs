@@ -1,9 +1,10 @@
 //! The typed service plane: one dispatch engine for every
 //! request/response service in the deployment.
 //!
-//! Every query-path fan-out (healthy, fault-aware, coalesced) goes
-//! through this module, so dispatch, transcript accounting, fault
-//! handling and span instrumentation are written once:
+//! Every query-path fan-out (direct or coalesced, with or without a
+//! fault policy) goes through this module, so dispatch, transcript
+//! accounting, fault handling and span instrumentation are written
+//! once:
 //!
 //! - [`Service`] — a typed shard service: how many shards it has, how
 //!   a shard serializes its answer to the wire, how the coordinator
@@ -12,35 +13,29 @@
 //!   per-phase upload/download bytes (mirrored into the metrics
 //!   registry by [`crate::Transcript`]) plus per-cluster byte
 //!   attribution when the service maps shards onto clusters.
-//! - [`dispatch`] — the engine. Policy knobs select the behavior:
-//!   with `policy.enabled == false` it runs the healthy loop (one
-//!   shard after another, per-shard spans named by the service, no
-//!   envelope, the first serve error aborts the fan-out); with
-//!   `policy.enabled == true` every response crosses the checksummed
-//!   `TPT1` envelope under [`crate::dispatch_faulty`]'s timeouts,
-//!   retries, and hedging.
+//! - [`dispatch`] — the engine. It runs one per-shard loop, one shard
+//!   after another, under spans named by the service; every response
+//!   crosses the checksummed `TPT2` envelope, and the first serve
+//!   error aborts the fan-out. `policy.enabled` selects the policy
+//!   that loop runs under: the caller's timeouts, retries and hedging,
+//!   or one untimed attempt per shard.
 //!
 //! Batch coalescing composes *underneath* this plane: a service's
 //! `serve` may route its shard computation through a
 //! [`crate::Coalescer`], so concurrently dispatched requests share one
 //! database scan while accounting, faults, and spans stay per-request.
 
-use std::time::Instant;
-
 use tiptoe_math::wire::WireError;
 
 use crate::fault::dispatch_faulty;
 use crate::overload::{BreakerBank, DeadlineBudget, ServeError, ShardGate};
-use crate::{
-    Direction, FaultPlan, FaultPolicy, FaultReport, ParallelTiming, Phase, Transcript,
-};
+use crate::{Direction, FaultPlan, FaultPolicy, FaultReport, ParallelTiming, Phase, Transcript};
 
 /// A typed, sharded request/response service.
 ///
 /// Implementations describe *what* each shard computes and how it
-/// crosses the wire; [`dispatch`] decides *how* it runs (healthy or
-/// fault-aware, sequential or coalesced) and layers accounting and
-/// spans around it.
+/// crosses the wire; [`dispatch`] decides *how* it runs (under which
+/// fault policy) and layers accounting and spans around it.
 pub trait Service {
     /// The per-query request (e.g. a query ciphertext).
     type Request: ?Sized;
@@ -52,18 +47,16 @@ pub trait Service {
     /// Name of the span wrapping the whole fan-out (e.g. `rank.answer`).
     fn outer_span(&self) -> &'static str;
 
-    /// Name of the healthy per-shard span (e.g. `rank.shard`, labeled
-    /// with the shard index). The fault-aware path uses `net.shard`
-    /// spans from [`dispatch_faulty`] instead, which carry
-    /// attempt/hedge accounting.
+    /// Name of the per-shard span (e.g. `rank.shard`, labeled with
+    /// the shard index), which carries the shard's `attempts`,
+    /// `hedged` and `ok` attributes and its virtual wall time.
     fn shard_span(&self) -> &'static str;
 
     /// Number of worker shards.
     fn num_shards(&self) -> usize;
 
     /// Computes shard `idx`'s answer and serializes it as a wire
-    /// payload (sealed in the checksummed envelope on the fault-aware
-    /// path).
+    /// payload (which [`dispatch`] seals in the checksummed envelope).
     ///
     /// # Errors
     ///
@@ -78,7 +71,7 @@ pub trait Service {
     /// # Errors
     ///
     /// Returns a [`WireError`] on truncated, malformed, or
-    /// wrong-shaped payloads (the fault-aware path retries these).
+    /// wrong-shaped payloads (an enabled fault policy retries these).
     fn parse(&self, idx: usize, payload: &[u8]) -> Result<Self::Part, WireError>;
 
     /// Combines the per-shard parts into the response. Failed shards
@@ -120,14 +113,14 @@ pub struct Dispatched<R> {
     /// The combined response.
     pub response: R,
     /// `survivors[w]` is true iff shard `w` delivered a verified
-    /// answer (all true on the healthy path).
+    /// answer (all true under a disabled policy).
     pub survivors: Vec<bool>,
     /// Virtual timing of the §4.3 coordinator fan-out: `wall` =
     /// slowest shard, `cpu` = summed work.
     pub timing: ParallelTiming,
-    /// Retry/timeout/hedge accounting; `Some` iff the fault-aware
-    /// path ran (i.e. `policy.enabled`).
-    pub report: Option<FaultReport>,
+    /// Per-shard outcomes and retry/timeout/hedge accounting (one
+    /// attempt per shard and nothing else under a disabled policy).
+    pub report: FaultReport,
 }
 
 /// Everything that shapes *how* one dispatch runs: the fault plan,
@@ -148,10 +141,10 @@ pub struct DispatchContext<'a> {
     /// attempt fails early) and charged with the fan-out's wall time
     /// after.
     pub budget: Option<&'a DeadlineBudget>,
-    /// The plane's circuit breakers, if any. Consulted and trained on
-    /// the fault-aware path only — a healthy-path dispatch neither
-    /// gates nor records, so fault-free serving stays bit-identical
-    /// and overhead-free.
+    /// The plane's circuit breakers, if any. Consulted and trained
+    /// only under an enabled fault policy: a skipped shard leaves the
+    /// one summed token undecryptable, and only per-shard tokens
+    /// survive a skip.
     pub breakers: Option<&'a BreakerBank>,
 }
 
@@ -178,9 +171,14 @@ impl<'a> DispatchContext<'a> {
 /// fan-out, fault recovery, and overload safety in one place.
 ///
 /// Middleware order (outermost first): budget check → upload
-/// accounting → outer span → breaker gating → per-shard fan-out
-/// (healthy or fault-aware) → breaker training → combine → download +
-/// retry accounting → budget charge.
+/// accounting → outer span → breaker gating → per-shard fan-out →
+/// breaker training → combine → download + retry accounting → budget
+/// charge.
+///
+/// With `policy.enabled` the fan-out runs under the caller's policy,
+/// its per-shard deadline capped by the remaining budget. Otherwise
+/// it runs under `FaultPolicy::OFF`: one attempt per shard, never
+/// timed out, hedged or retried, and no breakers consulted.
 ///
 /// `shard_base` offsets the fault plan's (and breaker bank's) shard
 /// address space so several services can share one plan (ranking
@@ -199,8 +197,9 @@ impl<'a> DispatchContext<'a> {
 ///
 /// # Panics
 ///
-/// Panics (healthy path only) if a shard's own payload fails its own
-/// parser — that is a programming error, not a fault.
+/// Panics under a disabled policy if the plan can inject a fault, or
+/// if a shard's own payload fails its own parser — that is a
+/// programming error, not a fault.
 pub fn dispatch<S: Service>(
     svc: &S,
     req: &S::Request,
@@ -209,6 +208,7 @@ pub fn dispatch<S: Service>(
     ledger: Option<&Ledger<'_>>,
 ) -> Result<Dispatched<S::Response>, ServeError> {
     let policy = ctx.policy;
+    assert!(policy.enabled || ctx.plan.is_benign(), "a fault plan needs an enabled fault policy");
     // Budget gate: a query that cannot fit even one more attempt in
     // its remaining budget is rejected before any bytes move.
     if let Some(b) = ctx.budget {
@@ -219,10 +219,14 @@ pub fn dispatch<S: Service>(
     }
     // The remaining budget also caps the per-shard deadline, so a
     // late-phase fan-out cannot spend time the query no longer has.
-    let mut eff_policy = *policy;
-    if let (Some(b), true) = (ctx.budget, policy.enabled) {
-        eff_policy.deadline = eff_policy.deadline.min(b.remaining().max(policy.attempt_timeout));
-    }
+    let eff_policy = match (policy.enabled, ctx.budget) {
+        (false, _) => FaultPolicy::OFF,
+        (true, None) => *policy,
+        (true, Some(b)) => FaultPolicy {
+            deadline: policy.deadline.min(b.remaining().max(policy.attempt_timeout)),
+            ..*policy
+        },
+    };
 
     if let Some(l) = ledger {
         l.transcript.record_up(l.phase, l.up_bytes);
@@ -232,66 +236,33 @@ pub fn dispatch<S: Service>(
     }
 
     let _outer = tiptoe_obs::span(svc.outer_span());
-    let shard_ids: Vec<usize> = (0..svc.num_shards()).collect();
-    let (parts, survivors, timing, report) = if policy.enabled {
-        // Circuit-breaker gating (fault-aware path only): open shards
-        // are skipped up front, rerouting the query to degraded-mode
-        // survivor-subset serving instead of waiting out timeouts.
-        let gates: Option<Vec<ShardGate>> = ctx
-            .breakers
-            .filter(|b| b.policy().enabled)
-            .map(|b| shard_ids.iter().map(|&i| b.gate(shard_base + i)).collect());
-        let (parts, report) = dispatch_faulty(
-            &shard_ids,
-            shard_base,
-            ctx.plan,
-            &eff_policy,
-            gates.as_deref(),
-            |idx, _| svc.serve(idx, req),
-            |idx, payload| svc.parse(idx, payload),
-        )?;
-        // Train the breakers with every *served* outcome (skipped
-        // shards saw no traffic, so there is nothing to learn).
-        if let Some(bank) = ctx.breakers {
-            for (i, shard) in report.shards.iter().enumerate() {
-                let skipped = gates.as_ref().is_some_and(|g| g[i] == ShardGate::Skip);
-                if !skipped {
-                    bank.record(shard_base + i, shard.ok, shard.wall);
-                }
+    // Circuit-breaker gating: open shards are skipped up front,
+    // rerouting the query to degraded-mode survivor-subset serving
+    // instead of waiting out timeouts.
+    let breakers = ctx.breakers.filter(|b| policy.enabled && b.policy().enabled);
+    let gates: Option<Vec<ShardGate>> =
+        breakers.map(|b| (0..svc.num_shards()).map(|i| b.gate(shard_base + i)).collect());
+    let (parts, report) = dispatch_faulty(
+        svc.shard_span(),
+        svc.num_shards(),
+        shard_base,
+        ctx.plan,
+        &eff_policy,
+        gates.as_deref(),
+        |idx| svc.serve(idx, req),
+        |idx, payload| svc.parse(idx, payload),
+    )?;
+    assert!(policy.enabled || report.all_ok(), "a shard's own payload must parse");
+    // Train the breakers with every *served* outcome (skipped shards
+    // saw no traffic, so there is nothing to learn).
+    if let (Some(bank), Some(gates)) = (breakers, &gates) {
+        for (i, shard) in report.shards.iter().enumerate() {
+            if gates[i] != ShardGate::Skip {
+                bank.record(shard_base + i, shard.ok, shard.wall);
             }
         }
-        let survivors: Vec<bool> = parts.iter().map(Option::is_some).collect();
-        let timing = report.timing;
-        (parts, survivors, timing, Some(report))
-    } else {
-        let mut parts = Vec::with_capacity(shard_ids.len());
-        let mut timing = ParallelTiming::default();
-        for &idx in &shard_ids {
-            let mut span = tiptoe_obs::span(svc.shard_span());
-            if tiptoe_obs::enabled() {
-                span.set_label(format!("{idx}"));
-            }
-            let shard_start = Instant::now();
-            let part = svc.serve(idx, req).map(|payload| {
-                svc.parse(idx, &payload).expect("healthy shard payload must parse")
-            });
-            let elapsed = shard_start.elapsed();
-            tiptoe_obs::recorder::record(
-                tiptoe_obs::recorder::EventKind::ShardOutcome,
-                (shard_base + idx) as u64,
-                u64::from(part.is_ok()),
-                1,
-                elapsed.as_micros() as u64,
-            );
-            timing.add_shard(elapsed);
-            // A typed serve failure ends the fan-out here, as on the
-            // fault-aware path: the query can no longer finish in
-            // budget, so the remaining shards are not asked.
-            parts.push(Some(part?));
-        }
-        let survivors = vec![true; parts.len()];
-        (parts, survivors, timing, None)
-    };
+    }
+    let survivors: Vec<bool> = parts.iter().map(Option::is_some).collect();
     let response = svc.combine(parts);
 
     if let Some(l) = ledger {
@@ -299,10 +270,8 @@ pub fn dispatch<S: Service>(
         if let Some(range) = svc.cluster_range() {
             l.transcript.attribute_clusters(Direction::Download, range, l.down_bytes);
         }
-        if let Some(r) = &report {
-            if r.wasted_response_bytes > 0 {
-                l.transcript.record_down(l.retry_phase, r.wasted_response_bytes);
-            }
+        if report.wasted_response_bytes > 0 {
+            l.transcript.record_down(l.retry_phase, report.wasted_response_bytes);
         }
     }
 
@@ -311,10 +280,10 @@ pub fn dispatch<S: Service>(
     // cross the wire) but the caller gets a typed late failure
     // instead of a response past its deadline promise.
     if let Some(b) = ctx.budget {
-        b.charge(timing.wall)?;
+        b.charge(report.timing.wall)?;
     }
 
-    Ok(Dispatched { response, survivors, timing, report })
+    Ok(Dispatched { response, survivors, timing: report.timing, report })
 }
 
 #[cfg(test)]
@@ -421,15 +390,13 @@ mod tests {
     #[test]
     fn a_serve_error_aborts_the_fan_out_under_both_policies() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::time::{Duration, Instant};
-        let stall = Duration::from_millis(40);
+        use std::time::Duration;
+        let stall = Duration::from_millis(1);
         let plan = FaultPlan::none();
         for policy in [FaultPolicy::default(), FaultPolicy::tolerant()] {
             let svc = StallService { stall, fail: true, calls: AtomicUsize::new(0) };
-            let t0 = Instant::now();
             let err = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &policy), None)
                 .expect_err("the first shard's failure is the dispatch's");
-            let elapsed = t0.elapsed();
             assert!(matches!(err, ServeError::DeadlineExceeded { .. }), "{err:?}");
             assert_eq!(
                 svc.calls.load(Ordering::Relaxed),
@@ -437,7 +404,6 @@ mod tests {
                 "no shard is asked after one failed typed (enabled = {})",
                 policy.enabled
             );
-            assert!(elapsed < stall * 2, "held for {elapsed:?} (enabled = {})", policy.enabled);
         }
     }
 
@@ -460,6 +426,34 @@ mod tests {
     }
 
     #[test]
+    fn a_disabled_policy_runs_one_untimed_attempt_per_shard() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::Duration;
+        let stall = Duration::from_millis(3);
+        let plan = FaultPlan::none();
+        // Every one of these knobs would cut the 3–12 ms shards short.
+        let knobs = FaultPolicy {
+            enabled: false,
+            attempt_timeout: Duration::from_millis(1),
+            hedge_after: Some(Duration::from_micros(500)),
+            deadline: Duration::from_millis(1),
+            ..FaultPolicy::default()
+        };
+        let svc = StallService { stall, fail: false, calls: AtomicUsize::new(0) };
+        let d = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &knobs), None)
+            .expect("disabled dispatch");
+        assert_eq!(d.response, 1 + 2 + 3);
+        assert!(d.report.shards.iter().all(|s| s.ok && s.attempts == 1 && !s.hedged));
+        assert_eq!((d.report.hedges, d.report.timeouts, d.report.retries), (0, 0, 0));
+
+        let enabled = FaultPolicy { enabled: true, ..knobs };
+        let d = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &enabled), None)
+            .expect("enabled dispatch");
+        assert!(d.report.timeouts > 0, "{:?}", d.report);
+        assert!(!d.report.all_ok(), "the same knobs enabled time the shards out");
+    }
+
+    #[test]
     fn healthy_and_faulty_paths_agree_on_benign_plans() {
         let svc = SumService { shards: 4, base: 100, clusters: None };
         let plan = FaultPlan::none();
@@ -474,8 +468,8 @@ mod tests {
         assert_eq!(healthy.response, faulty.response);
         assert_eq!(healthy.survivors, vec![true; 4]);
         assert_eq!(faulty.survivors, vec![true; 4]);
-        assert!(healthy.report.is_none());
-        assert!(faulty.report.expect("faulty path reports").all_ok());
+        assert!(healthy.report.all_ok());
+        assert!(faulty.report.all_ok());
     }
 
     #[test]
@@ -488,8 +482,7 @@ mod tests {
             .expect("dispatch");
         assert_eq!(d.response, 10 + 12, "crashed shard contributes nothing");
         assert_eq!(d.survivors, vec![true, false, true]);
-        let report = d.report.expect("report");
-        assert_eq!(report.failed_shards(), vec![1]);
+        assert_eq!(d.report.failed_shards(), vec![1]);
         assert!(d.timing.wall >= policy.attempt_timeout);
     }
 
@@ -515,7 +508,7 @@ mod tests {
         assert_eq!(t.phase_total(Phase::Ranking, Direction::Download), 320);
         assert_eq!(
             t.phase_total(Phase::RankingRetries, Direction::Download),
-            d.report.expect("report").wasted_response_bytes
+            d.report.wasted_response_bytes
         );
     }
 
@@ -606,9 +599,8 @@ mod tests {
         let d = dispatch(&svc, &0, 0, ctx, None).expect("dispatch");
         assert_eq!(d.response, 10 + 12, "open shard contributes nothing");
         assert_eq!(d.survivors, vec![true, false, true]);
-        let report = d.report.expect("report");
-        assert_eq!(report.shards[1].attempts, 0, "skipped, not timed out");
-        assert_eq!(report.shards[1].wall, Duration::ZERO);
+        assert_eq!(d.report.shards[1].attempts, 0, "skipped, not timed out");
+        assert_eq!(d.report.shards[1].wall, Duration::ZERO);
         // The skip was fast: no timeout burned on the known-bad shard.
         assert!(d.timing.wall < policy.attempt_timeout);
         // The healthy shards' successes trained their breakers closed.

@@ -541,7 +541,7 @@ mod tests {
         enable();
         clear_spans();
         {
-            let mut s = span("net.shard");
+            let mut s = span("rank.shard");
             s.set_label("3");
             s.attr_u64("bytes", 128);
             s.set_virtual(Duration::from_millis(7));
@@ -549,7 +549,7 @@ mod tests {
         disable();
         let spans = spans_snapshot();
         assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].display_name(), "net.shard[3]");
+        assert_eq!(spans[0].display_name(), "rank.shard[3]");
         assert_eq!(spans[0].attrs, vec![("bytes", 128)]);
         assert_eq!(spans[0].virtual_us, Some(7000));
     }

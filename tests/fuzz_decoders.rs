@@ -11,7 +11,7 @@ use tiptoe_corpus::tzip;
 use tiptoe_lwe::{LweCiphertext, LweParams};
 use tiptoe_math::rng::seeded_rng;
 use tiptoe_math::wire::WireError;
-use tiptoe_net::{open, seal};
+use tiptoe_net::{open_traced, seal_traced};
 use tiptoe_rlwe::RlweParams;
 use tiptoe_underhood::{ClientKey, EncryptedSecret, QueryToken, Underhood};
 
@@ -54,7 +54,7 @@ proptest! {
         let _ = LweCiphertext::<u64>::decode(&data);
         let _ = tzip::decompress(&data);
         let _ = CompressedUrlBatch::decode_payload(&data);
-        let _ = open(&data);
+        let _ = open_traced(&data);
     }
 
     #[test]
@@ -93,18 +93,19 @@ proptest! {
     #[test]
     fn tampered_envelopes_are_rejected_not_parsed(
         payload in proptest::collection::vec(any::<u8>(), 0..512),
+        trace_id in any::<u64>(),
         idx in 0usize..4096,
         xor in 1u8..=255,
     ) {
-        let sealed = seal(&payload);
-        prop_assert_eq!(open(&sealed).expect("own envelope opens"), &payload[..]);
+        let sealed = seal_traced(&payload, trace_id);
+        prop_assert_eq!(open_traced(&sealed).expect("own envelope opens"), (trace_id, &payload[..]));
         let mut tampered = sealed.clone();
         let i = idx % tampered.len();
         tampered[i] ^= xor;
-        prop_assert!(open(&tampered).is_err(), "bit flip at {i} must be caught");
+        prop_assert!(open_traced(&tampered).is_err(), "bit flip at {i} must be caught");
         // Any truncation is caught too.
         let t = idx % sealed.len();
-        prop_assert!(open(&sealed[..t]).is_err());
+        prop_assert!(open_traced(&sealed[..t]).is_err());
     }
 
     #[test]
@@ -127,10 +128,10 @@ fn hostile_length_headers_fail_fast_without_huge_allocation() {
     assert!(tzip::decompress(&hostile).is_err());
 
     // Envelope: a huge declared payload length on a short buffer.
-    let valid = seal(b"ok");
+    let valid = seal_traced(b"ok", 7);
     let mut huge = valid.clone();
     huge[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(open(&huge).is_err());
+    assert!(open_traced(&huge).is_err());
 
     // Query token: a row count far beyond the shipped chunks.
     let (_, token_bytes) = valid_messages();
@@ -152,7 +153,7 @@ fn hostile_length_headers_fail_fast_without_huge_allocation() {
 
     // The originals still parse after all this.
     assert!(QueryToken::decode(&token_bytes).is_ok());
-    assert_eq!(open(&valid).expect("valid"), b"ok");
+    assert_eq!(open_traced(&valid).expect("valid"), (7, &b"ok"[..]));
 }
 
 #[test]

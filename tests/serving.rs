@@ -183,7 +183,9 @@ fn four_submitters_share_scans_and_stay_bit_identical() {
     for w in 0..plane.num_rank_lanes() {
         let (lo, hi) = service.shard_columns(w);
         fleet(&|i| loop {
-            plane.rank_chunk(w, cts[i].c[lo..hi].to_vec());
+            plane
+                .rank_chunk_within(w, cts[i].c[lo..hi].to_vec(), std::time::Duration::MAX)
+                .expect("unbudgeted lanes answer");
             if plane.status().lanes[w].1.last_batch == SUBMITTERS {
                 break;
             }
