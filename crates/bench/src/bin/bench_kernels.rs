@@ -44,7 +44,9 @@
 //! tier's 16-block ones), and 41664×64, where a row is exactly one
 //! 8-block batch under its own key. `expand_row` carries one row
 //! per keystream tier the host supports, so the artifact shows each
-//! tier beating the one below it.
+//! tier beating the one below it. `lwe_encrypt` runs at both and at
+//! 5534x64, the wide deployment's URL query (`u32` words), whose
+//! thread sweep shows the row-cost grain fanning it out.
 //!
 //! `matvec` is measured at two shapes because they answer different
 //! questions: the cache-resident **hot** shape (256×1024, ~1 MiB)
@@ -91,6 +93,7 @@ use tiptoe_math::poly::Poly;
 use tiptoe_math::rng::{derive_seed, seeded_rng};
 use tiptoe_math::sample::{gaussian_i64, NoiseTable};
 use tiptoe_math::simd::{self, KernelTier};
+use tiptoe_math::zq::Word;
 use tiptoe_rlwe::{RlweCiphertext, RlweContext, RlweParams, RlweSecretKey};
 use tiptoe_underhood::{ClientKey, EncryptedSecret, ExpandedSecret, Underhood};
 
@@ -111,6 +114,9 @@ const PREPROC_N: usize = 256;
 /// secret dimension): `TiptoeConfig::text` and `test_small` as the
 /// end-to-end benchmark deploys them.
 const EXPAND_SHAPES: [(usize, usize); 2] = [(17_088, 2_048), (41_664, 64)];
+/// Rows of `test_small`'s URL query at the end-to-end benchmark's
+/// wide deployment (its `n` is 64 as well, its words `u32`).
+const WIDE_URL_ROWS: usize = 5_534;
 
 /// JSON note on every `parallel_t1` row.
 const T1_NOTE: &str = "same call as the dispatched row: one thread runs inline on the caller's \
@@ -240,25 +246,58 @@ fn tier_rows(mut at: impl FnMut(Option<KernelTier>) -> f64) -> Vec<(String, f64,
 }
 
 /// `scheme::encrypt` on the scalar tier end to end (one-block
-/// keystream, scalar `row·s`): the baseline of the `lwe_encrypt` row.
-fn encrypt_scalar(
+/// keystream, scalar `row·s`, the noise drawn word by word from
+/// `rng`): the baseline of the `lwe_encrypt` rows.
+fn encrypt_scalar<W: Word>(
     params: &LweParams,
-    sk: &LweSecretKey<u64>,
+    sk: &LweSecretKey<W>,
     a: &MatrixA,
     v: &[u64],
     rng: &mut StdRng,
-) -> Vec<u64> {
-    let mut row = vec![0u64; a.cols()];
+) -> Vec<W> {
+    let mut row = vec![W::ZERO; a.cols()];
+    let delta = W::from_u64(params.delta());
     v.iter()
         .enumerate()
         .map(|(k, &vk)| {
-            expand_row_at(KernelTier::Scalar, a, k, &mut row);
-            let e = gaussian_i64(rng, params.sigma) as u64;
-            simd::dot_wide_scalar(&row, sk.words())
-                .wrapping_add(e)
-                .wrapping_add(params.delta().wrapping_mul(vk))
+            let key = StdRng::key_from_u64(derive_seed(a.seed(), k as u64));
+            simd::keystream(KernelTier::Scalar, &key, 0, &mut row);
+            let e = W::from_i64(gaussian_i64(rng, params.sigma));
+            simd::dot_wide_scalar(&row, sk.words()).wadd(e).wadd(delta.wmul(W::from_u64(vk)))
         })
         .collect()
+}
+
+/// The `lwe_encrypt` rows of one upload shape, as `(variant, seconds,
+/// scalar seconds, note)`: `scalar`, `dispatched_*` (the public
+/// `scheme::encrypt` on one thread) and the thread sweep, after
+/// checking that the scalar and dispatched ciphertexts are one.
+fn lwe_encrypt_rows<W: Word>(
+    params: &LweParams,
+    m: usize,
+    rng: &mut StdRng,
+    (reps, cores, threads): (usize, usize, usize),
+) -> Vec<(String, Option<f64>, f64, Option<&'static str>)> {
+    let a = MatrixA::new(31, m, params.n);
+    let sk = LweSecretKey::<W>::generate(params, rng);
+    let q: Vec<u64> = (0..m).map(|_| rng.gen_range(0..params.p)).collect();
+    assert_eq!(
+        scheme::encrypt(params, &sk, &a, &q, &mut seeded_rng(33)).c,
+        encrypt_scalar(params, &sk, &a, &q, &mut seeded_rng(33)),
+        "dispatched ciphertext must equal the scalar-tier one"
+    );
+    let scalar = time(reps, || encrypt_scalar(params, &sk, &a, &q, &mut seeded_rng(33)));
+    let encrypt = || scheme::encrypt(params, &sk, &a, &q, &mut seeded_rng(33));
+    let dispatched = pinned(1, || time(reps, encrypt));
+    let mut rows = vec![
+        ("scalar".to_string(), Some(scalar), scalar, None),
+        (format!("dispatched_{}", simd::tier_name()), Some(dispatched), scalar, None),
+    ];
+    for t in thread_sweep(threads) {
+        let seconds = pinned(t, || time_threads(t, cores, reps, encrypt));
+        rows.push((format!("parallel_t{t}"), seconds, scalar, (t == 1).then_some(T1_NOTE)));
+    }
+    rows
 }
 
 fn main() {
@@ -367,29 +406,25 @@ fn main() {
         }
     }
 
-    // --- Client kernel: one online `Enc(q̃)` at the deployed shape
-    // (row expansion + row·s + noise per upload coordinate). ---
-    let (m, n) = EXPAND_SHAPES[0];
+    // --- Client kernel: one online `Enc(q̃)` (row expansion + row·s +
+    // noise per upload coordinate) at the deployed ranking shape and
+    // at the wide deployment's ranking (u64) and URL (u32) shapes. ---
     let params = LweParams::ranking_text();
+    let (m, n) = EXPAND_SHAPES[0];
     assert_eq!(params.n, n, "deployed ranking parameters changed shape");
-    let a = MatrixA::new(31, m, n);
-    let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
-    let q: Vec<u64> = (0..m).map(|_| rng.gen_range(0..params.p)).collect();
-    assert_eq!(
-        scheme::encrypt(&params, &sk, &a, &q, &mut seeded_rng(33)).c,
-        encrypt_scalar(&params, &sk, &a, &q, &mut seeded_rng(33)),
-        "dispatched ciphertext must equal the scalar-tier one"
-    );
-    let shape = format!("{m}x{n}");
-    let scalar = time(reps, || encrypt_scalar(&params, &sk, &a, &q, &mut seeded_rng(33)));
-    let encrypt = || scheme::encrypt(&params, &sk, &a, &q, &mut seeded_rng(33));
-    let dispatched = pinned(1, || time(reps, encrypt));
-    push("lwe_encrypt", "scalar".into(), &shape, Some(scalar), scalar, None);
-    push("lwe_encrypt", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
-    for t in thread_sweep(threads) {
-        let seconds = pinned(t, || time_threads(t, cores, reps, encrypt));
-        let note = (t == 1).then_some(T1_NOTE);
-        push("lwe_encrypt", format!("parallel_t{t}"), &shape, seconds, scalar, note);
+    let wide_rank = LweParams::insecure_test(64, 1 << 17, 81920.0);
+    let wide_url = LweParams::insecure_test(32, 991, 6.4);
+    let (wide_m, url_m) = (EXPAND_SHAPES[1].0, WIDE_URL_ROWS);
+    let sweep = (reps, cores, threads);
+    let shapes = [
+        (format!("{m}x{n}"), lwe_encrypt_rows::<u64>(&params, m, &mut rng, sweep)),
+        (format!("{wide_m}x{}", wide_rank.n), lwe_encrypt_rows::<u64>(&wide_rank, wide_m, &mut rng, sweep)),
+        (format!("{url_m}x{}", wide_url.n), lwe_encrypt_rows::<u32>(&wide_url, url_m, &mut rng, sweep)),
+    ];
+    for (shape, rows) in shapes {
+        for (variant, seconds, scalar, note) in rows {
+            push("lwe_encrypt", variant, &shape, seconds, scalar, note);
+        }
     }
 
     // --- Token path at the production outer ring: what the client

@@ -138,10 +138,6 @@ impl Service for RankAnswer<'_> {
         }
         total
     }
-
-    fn cluster_range(&self) -> Option<(usize, usize)> {
-        Some((0, self.svc.cols / self.svc.d))
-    }
 }
 
 /// Records a service's analytic noise margin at upload dimension `m`

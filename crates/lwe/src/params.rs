@@ -22,6 +22,8 @@
 //! recovers the paper's Tables 11 and 12 to within rounding (the
 //! `table11_12_params` bench binary prints both side by side).
 
+use tiptoe_math::sample::BOX_MULLER_MAX_SIGMA;
+
 /// Gaussian tail multiplier for a 2^-40 per-coordinate failure
 /// probability: `exp(-z²/2) ≈ 2^-40` gives `z ≈ 7.45`; the paper's
 /// tables are consistent with a slightly conservative `7.55`.
@@ -93,11 +95,17 @@ impl LweParams {
     /// # Panics
     ///
     /// Panics if `log_q ∉ {32, 64}`, `p < 2`, `p ≥ 2^(log_q - 10)`
-    /// (no room for noise), or `n == 0`.
+    /// (no room for noise), `n == 0`, or σ is outside
+    /// `[0, BOX_MULLER_MAX_SIGMA]`: a noise draw is then always two
+    /// generator words, never a rejection and a redraw.
     pub fn validate(&self) {
         assert!(self.log_q == 32 || self.log_q == 64, "q must be 2^32 or 2^64");
         assert!(self.n > 0, "secret dimension must be positive");
         assert!(self.p >= 2, "plaintext modulus too small");
+        assert!(
+            (0.0..=BOX_MULLER_MAX_SIGMA).contains(&self.sigma),
+            "noise width outside [0, 2^57], where a Box–Muller draw can reject"
+        );
         assert!(
             (self.p as u128) < (1u128 << (self.log_q - 10)),
             "plaintext modulus leaves no noise room"
@@ -314,6 +322,16 @@ mod tests {
     fn url_for_upload_picks_table_value() {
         let p = LweParams::url_for_upload(1 << 13).p;
         assert!((985..=997).contains(&p), "got {p}");
+    }
+
+    #[test]
+    fn widths_a_draw_could_reject_at_are_refused() {
+        let at = |sigma| LweParams { sigma, ..LweParams::ranking_text() };
+        at(0.0).validate();
+        at(BOX_MULLER_MAX_SIGMA).validate();
+        for sigma in [-1.0, f64::NAN, 2.0 * BOX_MULLER_MAX_SIGMA, f64::INFINITY] {
+            assert!(std::panic::catch_unwind(|| at(sigma).validate()).is_err(), "σ = {sigma}");
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! Both take a thread count (`0` = one per core, `1` = inline) that
 //! changes wall-clock time only, never an output word.
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tiptoe_math::matrix::{matvec_wide, scan, Mat};
-use tiptoe_math::sample::{gaussian_i64, ternary_vec};
+use tiptoe_math::sample::{gaussian_i64, ternary_vec, GaussianStream};
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
 
@@ -151,9 +152,15 @@ pub fn encrypt<W: Word, R: Rng + ?Sized>(
     encrypt_with_threads(params, sk, a, v, rng, 0)
 }
 
-/// [`encrypt`] at a thread count. The `m` noise terms are all that is
-/// drawn from `rng`, first and in row order; each thread then expands
-/// its own rows of `A` and adds `row·s + Δ·v` to their noise.
+/// [`encrypt`] at a thread count. The noise terms are the `m`
+/// [`gaussian_i64`] draws from `rng`, in row order, each two words of
+/// its stream ([`LweParams::validate`] bounds σ so that none
+/// rejects). Each thread regenerates its own rows' words from the
+/// stream's key and position ([`GaussianStream`]), expands its rows of
+/// `A` and adds `row·s + Δ·v`; `rng` is then moved past the `2m` words.
+/// Only a read position off a word boundary (an odd number of
+/// `next_u32`s in) draws on the caller's thread: up to four rows, until
+/// the stream's next block.
 fn encrypt_with_threads<W: Word, R: Rng + ?Sized>(
     params: &LweParams,
     sk: &LweSecretKey<W>,
@@ -166,17 +173,44 @@ fn encrypt_with_threads<W: Word, R: Rng + ?Sized>(
     assert_eq!(sk.dim(), a.cols(), "secret dimension mismatch");
     assert!(v.iter().all(|&x| x < params.p), "plaintext entries must be reduced mod p");
     let delta = W::from_u64(params.delta());
-    let mut c: Vec<W> = v.iter().map(|_| W::from_i64(gaussian_i64(rng, params.sigma))).collect();
-    let threads = tiptoe_math::par::prg_threads(num_threads, v.len(), a.cols());
+    let m = v.len();
+    let mut c = vec![W::ZERO; m];
+    let (key, head, first) = with_std_rng(rng, |rng| {
+        let mut head = 0;
+        while head < m && rng.u64_index().is_none() {
+            c[head] = W::from_i64(gaussian_i64(rng, params.sigma));
+            head += 1;
+        }
+        let first = rng.u64_index().map_or(0, |first| {
+            rng.seek_u64(first + 2 * (m - head) as u64);
+            first
+        });
+        (rng.key(), head, first)
+    });
+    let threads = tiptoe_math::par::prg_threads(num_threads, m, a.cols(), 1);
     tiptoe_math::par::par_spans_mut(&mut c, 1, threads, |start, span| {
         let mut row = vec![W::ZERO; a.cols()];
+        let from = first + 2 * start.saturating_sub(head) as u64;
+        let mut noise = GaussianStream::new(key, from, params.sigma);
         for ((k, c_k), &vk) in (start..).zip(span).zip(&v[start..]) {
+            if k >= head {
+                *c_k = W::from_i64(noise.next().expect("an endless stream"));
+            }
             a.expand_row(k, &mut row);
             let acc = W::dot_wide(&row, sk.words());
             *c_k = acc.wadd(*c_k).wadd(delta.wmul(W::from_u64(vk)));
         }
     });
     LweCiphertext { c }
+}
+
+/// Runs `f` on `rng` if it is a `StdRng`, and otherwise on a `StdRng`
+/// keyed by 32 bytes of it.
+fn with_std_rng<R: Rng + ?Sized, T>(rng: &mut R, f: impl FnOnce(&mut StdRng) -> T) -> T {
+    if let Some(std) = rng.as_std_rng() {
+        return f(std);
+    }
+    f(&mut StdRng::from_seed(rng.gen()))
 }
 
 /// Preprocesses the linear function `M` into the hint `H = M·A`
@@ -311,6 +345,7 @@ pub fn decryption_noise<W: Word>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
     use tiptoe_math::rng::seeded_rng;
 
     /// `Apply` of one ciphertext on the caller's thread.
@@ -425,6 +460,37 @@ mod tests {
                     (_, 0) => {} // one a core of this host
                     _ => assert_eq!(spans.len(), threads, "m={m}"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn encrypt_is_bit_identical_off_a_word_boundary() {
+        // After an odd number of `next_u32`s the generator is four
+        // bytes into a word: the rows up to the stream's next block
+        // draw on the caller's thread and the rest from the stream, at
+        // any thread count, and the generator ends where the word-by-
+        // word draws leave it. Three rows never reach the next block.
+        let params = LweParams::ranking_text();
+        let mut rng = seeded_rng(61);
+        let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
+        for (m, u32s) in [(701usize, 1usize), (701, 3), (701, 15), (3, 1)] {
+            let a = MatrixA::new(67, m, params.n);
+            let v: Vec<u64> = (0..m).map(|_| rng.gen_range(0..params.p)).collect();
+            let mut at = rng.clone();
+            (0..u32s).for_each(|_| {
+                at.next_u32();
+            });
+            assert_eq!(at.u64_index(), None, "{u32s} u32s in");
+            let mut after = at.clone();
+            let want = encrypt_reference(&params, &sk, &a, &v, &mut after);
+            for threads in [1, 2, 3, 5] {
+                let mut rng = at.clone();
+                let call = || encrypt_with_threads(&params, &sk, &a, &v, &mut rng, threads);
+                let (ct, spans) = tiptoe_math::par::observe_spans(call);
+                assert_eq!(ct.c, want, "m={m} u32s={u32s} threads={threads}");
+                assert_eq!(spans.len(), if m == 3 { 1 } else { threads });
+                assert_eq!(rng.gen::<u64>(), after.clone().gen::<u64>(), "m={m} u32s={u32s}");
             }
         }
     }

@@ -41,21 +41,34 @@ pub fn effective_threads(num_threads: usize, work_items: usize) -> usize {
     requested.clamp(1, work_items.max(1))
 }
 
-/// Fewest PRG words a thread of a client kernel gets: 0.28 ms of
-/// keystream at the widest tier's ≈1.05 ns a word (`expand_row` in
-/// `BENCH_kernels.json`; 9 ns scalar) against the tens of µs of a
-/// spawn and join. The 64-coordinate test upload (8 K words) and an
-/// 89-row URL query (125 K) stay inline; the deployed upload (8 M) and
-/// ranking query (35 M) fan out. No shipped shape lies between 2^18
-/// and 2^19 words, so the 0.5 ms grain 2^19 would restore at that rate
-/// moves no kernel.
+/// The grain of a client kernel, in keystream words of the widest
+/// body: 2^18 of them are 0.29 ms at its ≈1.1 ns a word (`expand_row
+/// 17088x2048` in `BENCH_kernels.json`; 9 ns scalar), against the tens
+/// of µs of a spawn and join. [`prg_threads`] gives a thread at least
+/// this much work, counting a row by what it costs
+/// (`PRG_BATCH_WORDS`): the test upload (64 rows of 128 words, 0.01
+/// ms) and an 89-row URL query (89 × 1,408 words and a draw a row, 0.14
+/// ms) stay inline; the wide URL query (5,534 × 64 words and a draw,
+/// 0.92 ms) gets three threads, the deployed upload (2,048 × 4,096
+/// words) 32 and the ranking queries (41,664 × 64 and 17,088 × 2,048)
+/// 23 and 135.
 pub const MIN_PRG_WORDS_PER_THREAD: usize = 1 << 18;
 
-/// [`effective_threads`] for `rows` independent rows of `words` PRG
-/// words each, capped so every thread has the grain above: a function
-/// of the shape alone, never of what the rows hold.
-pub fn prg_threads(num_threads: usize, rows: usize, words: usize) -> usize {
-    effective_threads(num_threads, rows.min(rows * words / MIN_PRG_WORDS_PER_THREAD))
+/// Keystream words in one batch of the widest body, 16 ChaCha blocks.
+/// A row's whole batches cost ≈1.1 ns a word (`expand_row
+/// 17088x2048`), and the rest of it runs on the 8-lane body at ≈2.1
+/// (`expand_row 41664x64`, rows under 16 blocks).
+const PRG_BATCH_WORDS: usize = 128;
+
+/// [`effective_threads`] for `rows` independent rows of `words`
+/// keystream words and `draws` Box–Muller draws (≈31 ns, 28 batch
+/// words, each) apiece, capped so every thread has the grain above: a
+/// function of the shape alone, never of what the rows hold.
+pub fn prg_threads(num_threads: usize, rows: usize, words: usize, draws: usize) -> usize {
+    // In tenths of a nanosecond.
+    let batched = words / PRG_BATCH_WORDS * PRG_BATCH_WORDS;
+    let row = 11 * batched + 21 * (words - batched) + 310 * draws;
+    effective_threads(num_threads, rows.min(rows * row / (11 * MIN_PRG_WORDS_PER_THREAD)))
 }
 
 thread_local! {
@@ -136,16 +149,33 @@ mod tests {
     fn prg_grain_keeps_small_shapes_inline_whatever_is_asked() {
         for asked in [0usize, 1, 2, 8] {
             // The test upload, an 89-row URL query, an empty kernel.
-            assert_eq!(prg_threads(asked, 64, 128), 1);
-            assert_eq!(prg_threads(asked, 89, 1408), 1);
-            assert_eq!(prg_threads(asked, 0, 2048), 1);
+            assert_eq!(prg_threads(asked, 64, 128, 0), 1);
+            assert_eq!(prg_threads(asked, 89, 1408, 1), 1);
+            assert_eq!(prg_threads(asked, 0, 2048, 1), 1);
         }
         // The deployed upload and ranking query take what is asked;
         // in between, what the grain leaves.
-        assert_eq!(prg_threads(8, 2048, 4096), 8);
-        assert_eq!(prg_threads(2, 17_088, 2048), 2);
-        assert_eq!(prg_threads(8, 401, 2048), 3);
-        assert_eq!(prg_threads(8, 3, 1 << 20), 3, "never more threads than rows");
+        assert_eq!(prg_threads(8, 2048, 4096, 0), 8);
+        assert_eq!(prg_threads(2, 17_088, 2048, 1), 2);
+        assert_eq!(prg_threads(8, 401, 2048, 0), 3);
+        assert_eq!(prg_threads(8, 3, 1 << 20, 0), 3, "never more threads than rows");
+    }
+
+    #[test]
+    fn a_row_weighs_what_it_costs() {
+        // The wide URL query: 354,176 words, under two grains as
+        // words, three as short-row words and draws.
+        assert_eq!(prg_threads(8, 5_534, 64, 0), 2);
+        assert_eq!(prg_threads(8, 5_534, 64, 1), 3);
+        assert_eq!(prg_threads(2, 5_534, 64, 1), 2);
+        // Whole batches cost what they did: the shipped uploads,
+        // expansions and the production ranking query keep their
+        // counts.
+        assert_eq!(prg_threads(64, 2048, 4096, 0), 32);
+        assert_eq!(prg_threads(64, 2048, 2048, 0), 16);
+        assert_eq!(prg_threads(64, 64, 64, 0), 1);
+        assert_eq!(prg_threads(256, 17_088, 2048, 1), 135);
+        assert_eq!(prg_threads(64, 41_664, 64, 1), 23);
     }
 
     #[test]

@@ -16,24 +16,105 @@ use rand::Rng;
 
 use crate::simd::{self, KernelTier};
 
+/// Widest `sigma` whose Box–Muller draws never reject: a draw's
+/// magnitude is at most `σ·√(−2 ln 2^−1022) < 37.7σ` (the smallest
+/// `u1` is `f64::MIN_POSITIVE`), under the `9·10^18` cut up to
+/// `σ = 2^57`. Up to it, [`gaussian_i64`] reads exactly two words a
+/// draw, which is what lets [`GaussianStream`] find a draw's words.
+pub const BOX_MULLER_MAX_SIGMA: f64 = (1u64 << 57) as f64;
+
+/// The rounded Box–Muller Gaussian of two uniform 64-bit words, or
+/// `None` for the (beyond [`BOX_MULLER_MAX_SIGMA`], unreachable) tail
+/// that would not fit an `i64`. Each word becomes the `f64` in `[0, 1)`
+/// of its top 53 bits, as `Rng::gen_range` makes it; `u1` is
+/// `gen_range(f64::MIN_POSITIVE..1.0)`, which is that value unless it
+/// is 0.
+fn box_muller(w1: u64, w2: u64, sigma: f64) -> Option<i64> {
+    let unit = |w: u64| (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let u1 = unit(w1).max(f64::MIN_POSITIVE);
+    let u2 = unit(w2);
+    let mag = sigma * (-2.0 * u1.ln()).sqrt();
+    let z = mag * (2.0 * std::f64::consts::PI * u2).cos();
+    (z.abs() < 9.0e18).then(|| z.round() as i64)
+}
+
 /// Samples a rounded continuous Gaussian with standard deviation
-/// `sigma`, returned as a signed integer.
+/// `sigma`, returned as a signed integer: `box_muller` of the next
+/// two `next_u64`s, redrawn on the rejected tail.
 ///
-/// Uses the Box-Muller transform; for the σ values used in this
-/// workspace (far above the smoothing parameter) the statistical
-/// distance from a discrete Gaussian is negligible.
+/// For the σ values used in this workspace (far above the smoothing
+/// parameter) the statistical distance from a discrete Gaussian is
+/// negligible.
 pub fn gaussian_i64<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> i64 {
     debug_assert!(sigma >= 0.0);
     loop {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let mag = sigma * (-2.0 * u1.ln()).sqrt();
-        let z = mag * (2.0 * std::f64::consts::PI * u2).cos();
-        // Rejection of the (measure-zero in practice) tail that would
-        // not fit an i64 keeps the cast sound.
-        if z.abs() < 9.0e18 {
-            return z.round() as i64;
+        let w1 = rng.next_u64();
+        let w2 = rng.next_u64();
+        if let Some(z) = box_muller(w1, w2, sigma) {
+            return z;
         }
+    }
+}
+
+/// Blocks of keystream a [`GaussianStream`] expands at once.
+const STREAM_BLOCKS: usize = 16;
+
+/// The draws [`gaussian_i64`] makes from a `StdRng` whose next
+/// `next_u64` is word `first` of the stream of `key`
+/// (`StdRng::u64_index`), regenerated without the generator, on any
+/// thread: draw `i` is `box_muller` of stream words `first + 2i` and
+/// `first + 2i + 1`, expanded 16 blocks at a time (one batch of the
+/// widest keystream body) by the dispatched kernel. An endless
+/// iterator. No `Debug` or `Clone`: it holds the key of secret noise.
+pub struct GaussianStream {
+    key: [u32; 8],
+    sigma: f64,
+    next_block: u64,
+    words: [u64; STREAM_BLOCKS * 8],
+    pos: usize,
+}
+
+impl GaussianStream {
+    /// The draws from stream word `first` of `key` on.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 ≤ sigma ≤ BOX_MULLER_MAX_SIGMA`, the widths at
+    /// which a draw is two words.
+    pub fn new(key: [u32; 8], first: u64, sigma: f64) -> Self {
+        assert!(
+            (0.0..=BOX_MULLER_MAX_SIGMA).contains(&sigma),
+            "noise width {sigma} is outside [0, 2^57]"
+        );
+        let words = [0; STREAM_BLOCKS * 8];
+        let mut stream = Self { key, sigma, next_block: first / 8, words, pos: 0 };
+        stream.refill();
+        stream.pos = (first % 8) as usize;
+        stream
+    }
+
+    fn refill(&mut self) {
+        simd::keystream(simd::tier(), &self.key, self.next_block, &mut self.words);
+        self.next_block += STREAM_BLOCKS as u64;
+        self.pos = 0;
+    }
+
+    fn word(&mut self) -> u64 {
+        if self.pos == self.words.len() {
+            self.refill();
+        }
+        self.pos += 1;
+        self.words[self.pos - 1]
+    }
+}
+
+impl Iterator for GaussianStream {
+    type Item = i64;
+
+    fn next(&mut self) -> Option<i64> {
+        let w1 = self.word();
+        let w2 = self.word();
+        Some(box_muller(w1, w2, self.sigma).expect("a width up to 2^57 never rejects"))
     }
 }
 
@@ -140,6 +221,60 @@ mod tests {
         assert!(mean.abs() < 3.0, "mean {mean} too far from 0");
         let std = var.sqrt();
         assert!((std - sigma).abs() / sigma < 0.05, "std {std} too far from {sigma}");
+    }
+
+    /// `gaussian_i64` as it was written before [`box_muller`]: two
+    /// `gen_range` draws and the rejection loop.
+    fn gaussian_by_gen_range(rng: &mut StdRng, sigma: f64) -> i64 {
+        loop {
+            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let mag = sigma * (-2.0 * u1.ln()).sqrt();
+            let z = mag * (2.0 * std::f64::consts::PI * u2).cos();
+            if z.abs() < 9.0e18 {
+                return z.round() as i64;
+            }
+        }
+    }
+
+    #[test]
+    fn box_muller_is_the_gen_range_formula() {
+        for sigma in [0.0, 3.2, 6.4, 81920.0, BOX_MULLER_MAX_SIGMA] {
+            let (mut a, mut b) = (seeded_rng(8), seeded_rng(8));
+            for _ in 0..20_000 {
+                assert_eq!(gaussian_i64(&mut a, sigma), gaussian_by_gen_range(&mut b, sigma));
+            }
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "σ = {sigma}: two words a draw");
+        }
+        // The words at the ends of the unit interval: a zero `u1` is
+        // `f64::MIN_POSITIVE`, the widest magnitude there is, and at
+        // the widest σ it is kept.
+        let widest = BOX_MULLER_MAX_SIGMA * (-2.0 * f64::MIN_POSITIVE.ln()).sqrt();
+        assert_eq!(box_muller(0, 0, BOX_MULLER_MAX_SIGMA), Some(widest.round() as i64));
+        assert_eq!(box_muller(0, 0, 2.0 * BOX_MULLER_MAX_SIGMA), None, "past the bound it rejects");
+        assert_eq!(box_muller(u64::MAX, 0, 1e6), Some(0), "u1 just below 1");
+        assert_eq!(box_muller(1 << 11, 1 << 62, 0.0), Some(0));
+    }
+
+    #[test]
+    fn the_stream_is_what_the_generator_draws() {
+        for (sigma, skip) in [(6.4, 0usize), (81920.0, 1), (81920.0, 7), (3.2, 130)] {
+            let mut rng = seeded_rng(9);
+            (0..skip).for_each(|_| {
+                rng.gen::<u64>();
+            });
+            let first = rng.u64_index().expect("a whole number of words in");
+            let stream = GaussianStream::new(rng.key(), first, sigma);
+            let want: Vec<i64> = (0..300).map(|_| gaussian_i64(&mut rng, sigma)).collect();
+            assert_eq!(stream.take(300).collect::<Vec<_>>(), want, "σ = {sigma}, {skip} words in");
+        }
+    }
+
+    #[test]
+    fn widths_that_could_reject_have_no_stream() {
+        for sigma in [-1.0, f64::NAN, 2.0 * BOX_MULLER_MAX_SIGMA] {
+            assert!(std::panic::catch_unwind(|| GaussianStream::new([0; 8], 0, sigma)).is_err());
+        }
     }
 
     #[test]

@@ -110,14 +110,17 @@ pub enum Direction {
 
 /// A per-phase, per-direction ledger of exact wire bytes.
 ///
-/// Each instance keeps its own exact entries (tests assert on them
-/// per-query); every record is additionally mirrored into the global
+/// Each instance keeps its own exact totals (tests assert on them
+/// per-query): one `[upload, download]` pair a phase, the phases in
+/// the order their first message was recorded, so a ledger's size and
+/// the cost of a lookup stay fixed however many queries it serves.
+/// Every record is additionally mirrored into the global
 /// [`tiptoe_obs::metrics()`] registry as `net.bytes_up`/`net.bytes_down`
 /// counters labeled by phase, so the metrics snapshot reproduces the
 /// Table-7-style byte breakdown without a second accounting path.
 #[derive(Debug, Default)]
 pub struct Transcript {
-    entries: Mutex<Vec<(Phase, Direction, u64)>>,
+    totals: Mutex<Vec<(Phase, [u64; 2])>>,
     sheds: AtomicU64,
 }
 
@@ -127,43 +130,44 @@ impl Transcript {
         Self::default()
     }
 
+    fn record(&self, phase: Phase, dir: Direction, bytes: u64) {
+        let mut totals = self.totals.lock().expect("transcript lock");
+        let at = match totals.iter().position(|(p, _)| *p == phase) {
+            Some(at) => at,
+            None => {
+                totals.push((phase, [0; 2]));
+                totals.len() - 1
+            }
+        };
+        totals[at].1[dir as usize] += bytes;
+    }
+
     /// Records a client→server message.
     pub fn record_up(&self, phase: Phase, bytes: u64) {
-        self.entries.lock().expect("transcript lock").push((phase, Direction::Upload, bytes));
+        self.record(phase, Direction::Upload, bytes);
         tiptoe_obs::metrics().counter_with("net.bytes_up", Some(phase.as_str().into())).add(bytes);
     }
 
     /// Records a server→client message.
     pub fn record_down(&self, phase: Phase, bytes: u64) {
-        self.entries.lock().expect("transcript lock").push((phase, Direction::Download, bytes));
+        self.record(phase, Direction::Download, bytes);
         tiptoe_obs::metrics().counter_with("net.bytes_down", Some(phase.as_str().into())).add(bytes);
     }
 
     /// Total bytes in one direction across all phases.
     pub fn total(&self, dir: Direction) -> u64 {
-        self.entries.lock().expect("transcript lock").iter().filter(|(_, d, _)| *d == dir).map(|(_, _, b)| b).sum()
+        self.totals.lock().expect("transcript lock").iter().map(|(_, b)| b[dir as usize]).sum()
     }
 
     /// Bytes for one phase and direction.
     pub fn phase_total(&self, phase: Phase, dir: Direction) -> u64 {
-        self.entries
-            .lock()
-            .expect("transcript lock")
-            .iter()
-            .filter(|(p, d, _)| *p == phase && *d == dir)
-            .map(|(_, _, b)| b)
-            .sum()
+        let totals = self.totals.lock().expect("transcript lock");
+        totals.iter().find(|(p, _)| *p == phase).map_or(0, |(_, b)| b[dir as usize])
     }
 
     /// All phases with recorded traffic, in first-appearance order.
     pub fn phases(&self) -> Vec<Phase> {
-        let mut seen = Vec::new();
-        for &(p, _, _) in self.entries.lock().expect("transcript lock").iter() {
-            if !seen.contains(&p) {
-                seen.push(p);
-            }
-        }
-        seen
+        self.totals.lock().expect("transcript lock").iter().map(|&(p, _)| p).collect()
     }
 
     /// Total traffic in both directions.
@@ -187,35 +191,8 @@ impl Transcript {
 
     /// Clears the ledger (e.g. between measured queries).
     pub fn reset(&self) {
-        self.entries.lock().expect("transcript lock").clear();
+        self.totals.lock().expect("transcript lock").clear();
         self.sheds.store(0, Ordering::Relaxed);
-    }
-
-    /// Attributes one recorded message's bytes across the clusters it
-    /// served, into the `net.cluster_bytes_up`/`net.cluster_bytes_down`
-    /// metric counters labeled `c<idx>` — a *mirror-only* attribution
-    /// (the exact per-phase ledger stays the source of truth). The
-    /// split is exact: `bytes/n` per cluster with the remainder going
-    /// to the lowest-indexed clusters, so the per-cluster counters sum
-    /// to the phase totals byte-for-byte.
-    pub fn attribute_clusters(&self, dir: Direction, clusters: (usize, usize), bytes: u64) {
-        let (lo, hi) = clusters;
-        if hi <= lo {
-            return;
-        }
-        let name = match dir {
-            Direction::Upload => "net.cluster_bytes_up",
-            Direction::Download => "net.cluster_bytes_down",
-        };
-        let n = (hi - lo) as u64;
-        let base = bytes / n;
-        let rem = bytes % n;
-        for (i, c) in (lo..hi).enumerate() {
-            let share = base + u64::from((i as u64) < rem);
-            if share > 0 {
-                tiptoe_obs::metrics().counter_with(name, Some(format!("c{c}"))).add(share);
-            }
-        }
     }
 }
 
@@ -301,6 +278,23 @@ mod tests {
         t.reset();
         assert_eq!(t.grand_total(), 0);
         assert_eq!(t.sheds(), 0);
+    }
+
+    #[test]
+    fn transcript_keeps_one_total_a_phase_whatever_it_serves() {
+        let t = Transcript::new();
+        for _ in 0..10_000 {
+            t.record_up(Phase::Ranking, 3);
+            t.record_down(Phase::Url, 2);
+        }
+        t.record_up(Phase::Token, 0);
+        assert_eq!(t.totals.lock().expect("transcript lock").len(), 3);
+        assert_eq!(t.phases(), vec![Phase::Ranking, Phase::Url, Phase::Token]);
+        assert_eq!(t.phase_total(Phase::Ranking, Direction::Upload), 30_000);
+        assert_eq!(t.phase_total(Phase::Url, Direction::Download), 20_000);
+        assert_eq!(t.phase_total(Phase::Url, Direction::Upload), 0);
+        assert_eq!(t.phase_total(Phase::Setup, Direction::Upload), 0);
+        assert_eq!(t.grand_total(), 50_000);
     }
 
     #[test]

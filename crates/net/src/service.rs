@@ -11,8 +11,7 @@
 //!   parses and combines the parts.
 //! - [`Ledger`] — the transcript-accounting middleware: exact
 //!   per-phase upload/download bytes (mirrored into the metrics
-//!   registry by [`crate::Transcript`]) plus per-cluster byte
-//!   attribution when the service maps shards onto clusters.
+//!   registry by [`crate::Transcript`]).
 //! - [`dispatch`] — the engine. It runs one per-shard loop, one shard
 //!   after another, under spans named by the service; every response
 //!   crosses the checksummed `TPT2` envelope, and the first serve
@@ -29,7 +28,7 @@ use tiptoe_math::wire::WireError;
 
 use crate::fault::dispatch_faulty;
 use crate::overload::{BreakerBank, DeadlineBudget, ServeError, ShardGate};
-use crate::{Direction, FaultPlan, FaultPolicy, FaultReport, ParallelTiming, Phase, Transcript};
+use crate::{FaultPlan, FaultPolicy, FaultReport, ParallelTiming, Phase, Transcript};
 
 /// A typed, sharded request/response service.
 ///
@@ -78,13 +77,6 @@ pub trait Service {
     /// appear as `None` and must degrade gracefully (contribute
     /// nothing).
     fn combine(&self, parts: Vec<Option<Self::Part>>) -> Self::Response;
-
-    /// The contiguous cluster range `[lo, hi)` this service covers,
-    /// if its shards partition a cluster space — enables per-cluster
-    /// byte attribution in the metrics mirror.
-    fn cluster_range(&self) -> Option<(usize, usize)> {
-        None
-    }
 }
 
 /// Transcript-accounting middleware for one dispatched phase.
@@ -230,9 +222,6 @@ pub fn dispatch<S: Service>(
 
     if let Some(l) = ledger {
         l.transcript.record_up(l.phase, l.up_bytes);
-        if let Some(range) = svc.cluster_range() {
-            l.transcript.attribute_clusters(Direction::Upload, range, l.up_bytes);
-        }
     }
 
     let _outer = tiptoe_obs::span(svc.outer_span());
@@ -267,9 +256,6 @@ pub fn dispatch<S: Service>(
 
     if let Some(l) = ledger {
         l.transcript.record_down(l.phase, l.down_bytes);
-        if let Some(range) = svc.cluster_range() {
-            l.transcript.attribute_clusters(Direction::Download, range, l.down_bytes);
-        }
         if report.wasted_response_bytes > 0 {
             l.transcript.record_down(l.retry_phase, report.wasted_response_bytes);
         }
@@ -289,6 +275,7 @@ pub fn dispatch<S: Service>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Direction;
     use tiptoe_math::wire::{WireReader, WireWriter};
 
     /// A toy service: shard `w` answers `base + w`, the coordinator
@@ -296,7 +283,6 @@ mod tests {
     struct SumService {
         shards: usize,
         base: u64,
-        clusters: Option<(usize, usize)>,
     }
 
     impl Service for SumService {
@@ -331,10 +317,6 @@ mod tests {
 
         fn combine(&self, parts: Vec<Option<u64>>) -> u64 {
             parts.into_iter().flatten().sum()
-        }
-
-        fn cluster_range(&self) -> Option<(usize, usize)> {
-            self.clusters
         }
     }
 
@@ -455,7 +437,7 @@ mod tests {
 
     #[test]
     fn healthy_and_faulty_paths_agree_on_benign_plans() {
-        let svc = SumService { shards: 4, base: 100, clusters: None };
+        let svc = SumService { shards: 4, base: 100 };
         let plan = FaultPlan::none();
         let healthy_policy = FaultPolicy::default();
         let faulty_policy = FaultPolicy::tolerant();
@@ -474,7 +456,7 @@ mod tests {
 
     #[test]
     fn failed_shards_degrade_the_combine_and_report() {
-        let svc = SumService { shards: 3, base: 10, clusters: None };
+        let svc = SumService { shards: 3, base: 10 };
         let plan = FaultPlan::none().crash_shard(1);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
@@ -489,7 +471,7 @@ mod tests {
     #[test]
     fn ledger_records_fixed_sizes_and_retry_bytes() {
         let t = Transcript::new();
-        let svc = SumService { shards: 2, base: 0, clusters: None };
+        let svc = SumService { shards: 2, base: 0 };
         let ledger = Ledger {
             transcript: &t,
             phase: Phase::Ranking,
@@ -513,33 +495,9 @@ mod tests {
     }
 
     #[test]
-    fn cluster_attribution_splits_bytes_exactly() {
-        let t = Transcript::new();
-        let svc = SumService { shards: 2, base: 0, clusters: Some((40, 43)) };
-        let ledger = Ledger {
-            transcript: &t,
-            phase: Phase::Ranking,
-            retry_phase: Phase::RankingRetries,
-            up_bytes: 10,
-            down_bytes: 0,
-        };
-        let plan = FaultPlan::none();
-        let policy = FaultPolicy::default();
-        dispatch(&svc, &0, 0, DispatchContext::new(&plan, &policy), Some(&ledger))
-            .expect("dispatch");
-        let m = tiptoe_obs::metrics();
-        let per_cluster: Vec<u64> = (40..43)
-            .map(|c| m.counter_with("net.cluster_bytes_up", Some(format!("c{c}"))).get())
-            .collect();
-        // 10 bytes over 3 clusters: 4 + 3 + 3, summing exactly.
-        assert_eq!(per_cluster.iter().sum::<u64>(), 10);
-        assert!(per_cluster.iter().all(|&b| b == 3 || b == 4), "{per_cluster:?}");
-    }
-
-    #[test]
     fn exhausted_budgets_reject_before_any_work() {
         use std::time::Duration;
-        let svc = SumService { shards: 2, base: 0, clusters: None };
+        let svc = SumService { shards: 2, base: 0 };
         let plan = FaultPlan::none();
         let policy = FaultPolicy::tolerant();
         let t = Transcript::new();
@@ -562,7 +520,7 @@ mod tests {
     #[test]
     fn dispatch_charges_its_wall_time_to_the_budget() {
         use std::time::Duration;
-        let svc = SumService { shards: 2, base: 0, clusters: None };
+        let svc = SumService { shards: 2, base: 0 };
         let plan = FaultPlan::none().straggle_shard(0, 1.0, Duration::from_millis(40));
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
@@ -582,7 +540,7 @@ mod tests {
     fn open_breakers_skip_shards_and_degrade_the_combine() {
         use crate::overload::{BreakerPolicy, BreakerState};
         use std::time::Duration;
-        let svc = SumService { shards: 3, base: 10, clusters: None };
+        let svc = SumService { shards: 3, base: 10 };
         let plan = FaultPlan::none();
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;

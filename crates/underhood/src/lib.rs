@@ -272,7 +272,7 @@ impl EncryptedSecret {
             .unzip();
         let mut b_ntt = Words::take(seeds.len() * ring);
         // A ciphertext is two keystreams, the noise and `â`.
-        let threads = prg_threads(num_threads, seeds.len(), 2 * ring);
+        let threads = prg_threads(num_threads, seeds.len(), 2 * ring, 0);
         par_spans_mut(&mut b_ntt, ring, threads, |start, span| {
             let first = start / ring;
             let mut a_ntt = vec![0u64; ring];
@@ -353,7 +353,7 @@ impl EncryptedSecret {
         let ring = self.ring;
         assert_eq!(ring, uh.ctx.params().degree, "upload is of another ring");
         let mut a_ntt = Words::take(self.b_ntt.len());
-        let threads = prg_threads(num_threads, self.len(), ring);
+        let threads = prg_threads(num_threads, self.len(), ring, 0);
         par_spans_mut(&mut a_ntt, ring, threads, |start, span| {
             for (a, &seed) in span.chunks_exact_mut(ring).zip(&self.seeds[start / ring..]) {
                 expand_a(&uh.ctx, seed, a);
@@ -1058,6 +1058,34 @@ mod tests {
             assert_eq!((small.len(), fnv1a(&small)), (33540, 10093058593094627701), "n = 64, N = 64");
             assert_eq!((wide.len(), fnv1a(&wide)), (6574800, 1952762845133890460), "n = 401, N = 2048");
         }
+    }
+
+    /// FNV-1a of an `Enc(q̃)` of `m` rows under `uh` and, after it, of
+    /// the generator's next word: the ciphertext and where the query
+    /// left the caller's stream.
+    fn golden_query<W: Word>(uh: &Underhood, m: usize, seed: u64) -> (usize, u64) {
+        let mut rng = seeded_rng(seed);
+        let key = ClientKey::generate(uh, uh.lwe().n, &mut rng);
+        let a = MatrixA::new(seed ^ 0x5eed, m, uh.lwe().n);
+        let v: Vec<u64> = (0..m).map(|_| rng.gen_range(0..uh.lwe().p)).collect();
+        let mut bytes = uh.encrypt_query::<W, _>(&key, &a, &v, &mut rng).encode();
+        let len = bytes.len();
+        bytes.extend_from_slice(&rng.gen::<u64>().to_le_bytes());
+        (len, fnv1a(&bytes))
+    }
+
+    #[test]
+    fn query_bytes_match_the_recorded_golden_hashes() {
+        // Recorded on the encryption that drew every noise term on the
+        // caller's thread before the row loop, at the wide deployment's
+        // ranking and URL shapes and the production ranking shape.
+        let rank = golden_query::<u64>(&test_underhood_64(), 41_664, 3401);
+        let url = golden_query::<u32>(&test_underhood_32(), 5_534, 3402);
+        let prod = Underhood::with_outer(LweParams::ranking_text(), RlweParams::production(), 44);
+        let prod = golden_query::<u64>(&prod, 17_088, 3403);
+        assert_eq!(rank, (333_317, 8633848674260810292), "41664 x 64, u64");
+        assert_eq!(url, (22_141, 12984135104703830942), "5534 x 64, u32");
+        assert_eq!(prod, (136_709, 9397739167987296645), "17088 x 2048, u64");
     }
 
     #[test]
