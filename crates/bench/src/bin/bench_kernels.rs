@@ -41,12 +41,13 @@
 //! The client rows run at the two shipped upload shapes (m×n of the
 //! seeded public matrix `A`): 17088×2048, the deployed text preset,
 //! where a row is 32 8-block keystream batches (16 of the AVX-512
-//! tier's 16-block ones), and 41664×64, where a row is exactly one
-//! 8-block batch under its own key. `expand_row` carries one row
-//! per keystream tier the host supports, so the artifact shows each
-//! tier beating the one below it. `lwe_encrypt` runs at both and at
-//! 5534x64, the wide deployment's URL query (`u32` words), whose
-//! thread sweep shows the row-cost grain fanning it out.
+//! tier's 16-block ones), and 41664×64, where a row is one 8-block
+//! batch and the encryptor expands 16 rows of the one stream to a
+//! keystream call (`MatrixA::tile_rows`). `expand_row` times those
+//! calls, one row per keystream tier the host supports, so the
+//! artifact shows each tier beating the one below it. `lwe_encrypt`
+//! runs at both and at 5534x64, the wide deployment's URL query (`u32`
+//! words), whose thread sweep shows the row-cost grain fanning it out.
 //!
 //! `matvec` is measured at two shapes because they answer different
 //! questions: the cache-resident **hot** shape (256×1024, ~1 MiB)
@@ -90,7 +91,7 @@ use tiptoe_math::matrix::{scan, Mat};
 use tiptoe_math::ntt::{mul_acc_wide, reduce_wide, Wide};
 use tiptoe_math::par::max_threads;
 use tiptoe_math::poly::Poly;
-use tiptoe_math::rng::{derive_seed, seeded_rng};
+use tiptoe_math::rng::seeded_rng;
 use tiptoe_math::sample::{gaussian_i64, NoiseTable};
 use tiptoe_math::simd::{self, KernelTier};
 use tiptoe_math::zq::Word;
@@ -223,10 +224,13 @@ fn preproc_scalar(db: &Mat<u32>, a: &MatrixARange) -> Mat<u64> {
     hint
 }
 
-/// Row `k` of `a` expanded at a pinned keystream tier: the body of
-/// `MatrixA::expand_row` with the tier named instead of detected.
-fn expand_row_at(tier: KernelTier, a: &MatrixA, k: usize, row: &mut [u64]) {
-    simd::keystream(tier, &StdRng::key_from_u64(derive_seed(a.seed(), k as u64)), 0, row);
+/// Rows of `a` from row `k` on, expanded at a pinned keystream tier:
+/// the body of `MatrixA::{expand_row, expand_rows}` with the tier named
+/// instead of detected (`rows` is a row's `n` words or a tile's whole
+/// strides).
+fn expand_row_at<W: Word>(tier: KernelTier, a: &MatrixA, k: usize, rows: &mut [W]) {
+    let block = (k * a.stride() / 8) as u64;
+    simd::keystream(tier, &StdRng::key_from_u64(a.seed()), block, rows);
 }
 
 /// The rows of a kernel with one body per keystream tier, as
@@ -246,8 +250,8 @@ fn tier_rows(mut at: impl FnMut(Option<KernelTier>) -> f64) -> Vec<(String, f64,
 }
 
 /// `scheme::encrypt` on the scalar tier end to end (one-block
-/// keystream, scalar `row·s`, the noise drawn word by word from
-/// `rng`): the baseline of the `lwe_encrypt` rows.
+/// keystream a row at a time, scalar `row·s`, the noise drawn word by
+/// word from `rng`): the baseline of the `lwe_encrypt` rows.
 fn encrypt_scalar<W: Word>(
     params: &LweParams,
     sk: &LweSecretKey<W>,
@@ -260,8 +264,7 @@ fn encrypt_scalar<W: Word>(
     v.iter()
         .enumerate()
         .map(|(k, &vk)| {
-            let key = StdRng::key_from_u64(derive_seed(a.seed(), k as u64));
-            simd::keystream(KernelTier::Scalar, &key, 0, &mut row);
+            expand_row_at(KernelTier::Scalar, a, k, &mut row);
             let e = W::from_i64(gaussian_i64(rng, params.sigma));
             simd::dot_wide_scalar(&row, sk.words()).wadd(e).wadd(delta.wmul(W::from_u64(vk)))
         })
@@ -385,19 +388,21 @@ fn main() {
 
     // --- Client kernel: streaming the rows of the seeded public matrix
     // A (every online `Enc(q̃)` and every hint build walks all m of
-    // them), one row per supported keystream tier. ---
+    // them) in the tiles the encryptor expands, one row per supported
+    // keystream tier. ---
     for (m, n) in EXPAND_SHAPES {
         let a = MatrixA::new(29, m, n);
         let shape = format!("{m}x{n}");
-        let mut row = vec![0u64; n];
+        let mut tile = vec![0u64; a.tile_rows() * a.stride()];
         let mut at = |tier: Option<KernelTier>| {
             time(reps, || {
-                for k in 0..m {
+                for k in (0..m).step_by(a.tile_rows()) {
+                    let rows = &mut tile[..a.tile_rows().min(m - k) * a.stride()];
                     match tier {
-                        Some(t) => expand_row_at(t, &a, k, &mut row),
-                        None => a.expand_row(k, &mut row),
+                        Some(t) => expand_row_at(t, &a, k, rows),
+                        None => a.expand_rows(k, rows),
                     }
-                    std::hint::black_box(&mut row);
+                    std::hint::black_box(rows);
                 }
             })
         };

@@ -157,7 +157,8 @@ pub fn encrypt<W: Word, R: Rng + ?Sized>(
 /// its stream ([`LweParams::validate`] bounds σ so that none
 /// rejects). Each thread regenerates its own rows' words from the
 /// stream's key and position ([`GaussianStream`]), expands its rows of
-/// `A` and adds `row·s + Δ·v`; `rng` is then moved past the `2m` words.
+/// `A` a tile at a time ([`MatrixA::expand_rows`]) and adds
+/// `row·s + Δ·v`; `rng` is then moved past the `2m` words.
 /// Only a read position off a word boundary (an odd number of
 /// `next_u32`s in) draws on the caller's thread: up to four rows, until
 /// the stream's next block.
@@ -187,18 +188,22 @@ fn encrypt_with_threads<W: Word, R: Rng + ?Sized>(
         });
         (rng.key(), head, first)
     });
-    let threads = tiptoe_math::par::prg_threads(num_threads, m, a.cols(), 1);
+    let (n, stride, tile_rows) = (a.cols(), a.stride(), a.tile_rows());
+    let threads = tiptoe_math::par::prg_threads(num_threads, m, stride, tile_rows, 1);
     tiptoe_math::par::par_spans_mut(&mut c, 1, threads, |start, span| {
-        let mut row = vec![W::ZERO; a.cols()];
+        let mut tile = vec![W::ZERO; tile_rows * stride];
         let from = first + 2 * start.saturating_sub(head) as u64;
         let mut noise = GaussianStream::new(key, from, params.sigma);
-        for ((k, c_k), &vk) in (start..).zip(span).zip(&v[start..]) {
-            if k >= head {
-                *c_k = W::from_i64(noise.next().expect("an endless stream"));
+        for (k0, c_tile) in (start..).step_by(tile_rows).zip(span.chunks_mut(tile_rows)) {
+            let rows = &mut tile[..c_tile.len() * stride];
+            a.expand_rows(k0, rows);
+            for ((k, c_k), row) in (k0..).zip(c_tile).zip(rows.chunks_exact(stride)) {
+                if k >= head {
+                    *c_k = W::from_i64(noise.next().expect("an endless stream"));
+                }
+                let acc = W::dot_wide(&row[..n], sk.words());
+                *c_k = acc.wadd(*c_k).wadd(delta.wmul(W::from_u64(v[k])));
             }
-            a.expand_row(k, &mut row);
-            let acc = W::dot_wide(&row, sk.words());
-            *c_k = acc.wadd(*c_k).wadd(delta.wmul(W::from_u64(vk)));
         }
     });
     LweCiphertext { c }
@@ -220,10 +225,10 @@ fn with_std_rng<R: Rng + ?Sized, T>(rng: &mut R, f: impl FnOnce(&mut StdRng) -> 
 /// Splits the hint's ℓ rows into one contiguous block per thread
 /// (`threads == 0` = one per core, `1` = inline on the caller's
 /// stack); **each thread streams the seeded rows of `A` once,
-/// independently** (row expansion is seed-derived per row, so blocks
-/// never share state and `A` never materializes). The extra work is
-/// one `A`-expansion per thread (`T·m·n` PRG words against `ℓ·m·n`
-/// MACs) — negligible for `ℓ ≫ T`. Every hint row accumulates over
+/// independently**, a tile at a time (rows are addressable in the
+/// stream, so blocks never share state and `A` never materializes).
+/// The extra work is one `A`-expansion per thread (`T·m·n` PRG words
+/// against `ℓ·m·n` MACs) — negligible for `ℓ ≫ T`. Every hint row accumulates over
 /// `k` in the same order at any thread count, so the result is
 /// bit-identical.
 ///
@@ -238,15 +243,19 @@ pub fn preproc<W: Word>(db: &Mat<u32>, a: &MatrixARange, threads: usize) -> Mat<
     if n == 0 {
         return hint;
     }
+    let (stride, tile_rows) = (a.stride(), a.tile_rows());
     tiptoe_math::par::par_spans_mut(hint.data_mut(), n, threads, |start, span| {
         let row0 = start / n;
-        let mut a_row = vec![W::ZERO; n];
-        for k in 0..db.cols() {
-            a.expand_row(k, &mut a_row);
-            for (local, h_row) in span.chunks_exact_mut(n).enumerate() {
-                let m_ik = W::from_u64(u64::from(db.get(row0 + local, k)));
-                if m_ik != W::ZERO {
-                    W::axpy(h_row, m_ik, &a_row);
+        let mut tile = vec![W::ZERO; tile_rows * stride];
+        for k0 in (0..db.cols()).step_by(tile_rows) {
+            let rows = &mut tile[..tile_rows.min(db.cols() - k0) * stride];
+            a.expand_rows(k0, rows);
+            for (k, a_row) in (k0..).zip(rows.chunks_exact(stride)) {
+                for (local, h_row) in span.chunks_exact_mut(n).enumerate() {
+                    let m_ik = W::from_u64(u64::from(db.get(row0 + local, k)));
+                    if m_ik != W::ZERO {
+                        W::axpy(h_row, m_ik, &a_row[..n]);
+                    }
                 }
             }
         }
@@ -387,9 +396,9 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// The ciphertext as it was defined before rows were expanded in
-    /// bulk: each row of `A` drawn word by word from its own `StdRng`,
-    /// `row·s` as a left fold.
+    /// The ciphertext by the definition: row `k` of `A` drawn word by
+    /// word from `seeded_rng(seed)` moved to word `k·stride`, `row·s`
+    /// as a left fold.
     fn encrypt_reference<W: Word>(
         params: &LweParams,
         sk: &LweSecretKey<W>,
@@ -401,7 +410,8 @@ mod tests {
         v.iter()
             .enumerate()
             .map(|(k, &vk)| {
-                let mut row_rng = seeded_rng(tiptoe_math::rng::derive_seed(a.seed(), k as u64));
+                let mut row_rng = seeded_rng(a.seed());
+                row_rng.seek_u64((k * a.stride()) as u64);
                 let acc = sk.words().iter().fold(W::ZERO, |acc, &s_j| {
                     acc.wadd(W::from_u64(row_rng.gen::<u64>()).wmul(s_j))
                 });
@@ -415,20 +425,20 @@ mod tests {
         let params = LweParams { n, ..LweParams::insecure_test(log_q, 991, 6.4) };
         let mut rng = seeded_rng(n as u64);
         let sk = LweSecretKey::<W>::generate(&params, &mut rng);
-        let a = MatrixA::new(77, 9, n);
-        let v: Vec<u64> = (0..9).map(|_| rng.gen_range(0..params.p)).collect();
+        let a = MatrixA::new(77, 37, n);
+        let v: Vec<u64> = (0..37).map(|_| rng.gen_range(0..params.p)).collect();
         let mut reference_rng = rng.clone();
         let ct = encrypt(&params, &sk, &a, &v, &mut rng);
         assert_eq!(ct.c, encrypt_reference(&params, &sk, &a, &v, &mut reference_rng), "n={n}");
     }
 
     /// Whatever tier expands `A` and folds `row·s`, the ciphertext is
-    /// the one the word-at-a-time definition gives: at one 8-block
-    /// batch per row (n = 64), at ragged tails, and at the deployed
-    /// n = 2048.
+    /// the one the word-at-a-time definition gives: at rows that share
+    /// a tile's 16-block batches (n = 1, 64), at ragged tails and
+    /// padded strides, and at the deployed n = 2048.
     #[test]
     fn encrypt_is_bit_identical_to_stdrng_rows() {
-        for n in [1, 64, 65, 129, 2048] {
+        for n in [1, 9, 64, 65, 129, 2048] {
             encrypt_matches_reference::<u64>(64, n);
             encrypt_matches_reference::<u32>(32, n);
         }
@@ -442,24 +452,30 @@ mod tests {
     fn encrypt_is_bit_identical_at_any_thread_count() {
         // 9 rows are under the grain (every count runs inline); 701
         // rows of n = 2048 are 1.4 M PRG words, five threads' grain,
-        // in spans of 141 and a tail of 137.
-        let params = LweParams::ranking_text();
+        // in spans of 141 and a tail of 137; 14,300 rows of n = 64 are
+        // seven threads' grain, in spans that end mid-tile.
+        let wide = LweParams::insecure_test(64, 1 << 17, 81920.0);
+        let text = LweParams::ranking_text();
+        for (params, m) in [(&text, 9usize), (&text, 701), (&wide, 14_300)] {
+            encrypt_at_every_thread_count(params, m);
+        }
+    }
+
+    fn encrypt_at_every_thread_count(params: &LweParams, m: usize) {
         let mut rng = seeded_rng(41);
-        let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
-        for m in [9usize, 701] {
-            let a = MatrixA::new(43, m, params.n);
-            let v: Vec<u64> = (0..m).map(|_| rng.gen_range(0..params.p)).collect();
-            let want = encrypt_reference(&params, &sk, &a, &v, &mut rng.clone());
-            for threads in THREAD_COUNTS {
-                let mut rng = rng.clone();
-                let call = || encrypt_with_threads(&params, &sk, &a, &v, &mut rng, threads);
-                let (ct, spans) = tiptoe_math::par::observe_spans(call);
-                assert_eq!(ct.c, want, "m={m} threads={threads}");
-                match (m, threads) {
-                    (9, _) | (_, 1) => assert_eq!(spans, [(0, m)], "m={m} threads={threads}"),
-                    (_, 0) => {} // one a core of this host
-                    _ => assert_eq!(spans.len(), threads, "m={m}"),
-                }
+        let sk = LweSecretKey::<u64>::generate(params, &mut rng);
+        let a = MatrixA::new(43, m, params.n);
+        let v: Vec<u64> = (0..m).map(|_| rng.gen_range(0..params.p)).collect();
+        let want = encrypt_reference(params, &sk, &a, &v, &mut rng.clone());
+        for threads in THREAD_COUNTS {
+            let mut rng = rng.clone();
+            let call = || encrypt_with_threads(params, &sk, &a, &v, &mut rng, threads);
+            let (ct, spans) = tiptoe_math::par::observe_spans(call);
+            assert_eq!(ct.c, want, "m={m} threads={threads}");
+            match (m, threads) {
+                (9, _) | (_, 1) => assert_eq!(spans, [(0, m)], "m={m} threads={threads}"),
+                (_, 0) => {} // one a core of this host
+                _ => assert_eq!(spans.len(), threads, "m={m}"),
             }
         }
     }

@@ -42,33 +42,52 @@ pub fn effective_threads(num_threads: usize, work_items: usize) -> usize {
 }
 
 /// The grain of a client kernel, in keystream words of the widest
-/// body: 2^18 of them are 0.29 ms at its ≈1.1 ns a word (`expand_row
-/// 17088x2048` in `BENCH_kernels.json`; 9 ns scalar), against the tens
-/// of µs of a spawn and join. [`prg_threads`] gives a thread at least
-/// this much work, counting a row by what it costs
-/// (`PRG_BATCH_WORDS`): the test upload (64 rows of 128 words, 0.01
-/// ms) and an 89-row URL query (89 × 1,408 words and a draw a row, 0.14
-/// ms) stay inline; the wide URL query (5,534 × 64 words and a draw,
-/// 0.92 ms) gets three threads, the deployed upload (2,048 × 4,096
-/// words) 32 and the ranking queries (41,664 × 64 and 17,088 × 2,048)
-/// 23 and 135.
+/// body: 2^18 of them are 0.29 ms at its ≈1.1 ns a word (`expand_row`
+/// in `BENCH_kernels.json`; 9 ns scalar), against the tens of µs of a
+/// spawn and join. [`prg_threads`] gives a thread at least this much
+/// work, counting a row by what it costs (`PRG_BATCH_WORDS`,
+/// `PRG_ROW_DRAW`): the test upload (64 rows of 128 words, 0.01 ms)
+/// and an 89-row URL query (89 × 1,408 words and a draw a row, 0.15
+/// ms) stay inline; the wide URL query (5,534 × 64 words in tiles of
+/// 16 rows and a draw a row, ≈0.9 ms) gets two threads, the deployed
+/// upload (2,048 × 4,096 words) 32 and the ranking queries (41,664 ×
+/// 64 and 17,088 × 2,048) 21 and 138.
 pub const MIN_PRG_WORDS_PER_THREAD: usize = 1 << 18;
 
 /// Keystream words in one batch of the widest body, 16 ChaCha blocks.
-/// A row's whole batches cost ≈1.1 ns a word (`expand_row
-/// 17088x2048`), and the rest of it runs on the 8-lane body at ≈2.1
-/// (`expand_row 41664x64`, rows under 16 blocks).
+/// A keystream call's whole batches cost ≈1.1 ns a word (`expand_row`
+/// at 17088x2048, and at 41664x64 where a call is a tile of 16 rows),
+/// and the rest of the call runs on the 8-lane body at ≈2.1: all of a
+/// row under 16 blocks expanded on its own, as the test ring's `Enc2(s)`
+/// expansion does.
 const PRG_BATCH_WORDS: usize = 128;
 
+/// A Box–Muller draw with the rest of its `Enc(q̃)` row besides the
+/// keystream, in tenths of a nanosecond: ≈80 ns (65–93 over three
+/// runs of `lwe_encrypt` `parallel_t1` less `expand_row` at 41664x64).
+/// The draw alone is ≈31 ns; the rest is `row·s` and the row's
+/// bookkeeping, which at n = 2,048 grows to ≈0.5 µs and is not counted.
+const PRG_ROW_DRAW: usize = 800;
+
 /// [`effective_threads`] for `rows` independent rows of `words`
-/// keystream words and `draws` Box–Muller draws (≈31 ns, 28 batch
-/// words, each) apiece, capped so every thread has the grain above: a
-/// function of the shape alone, never of what the rows hold.
-pub fn prg_threads(num_threads: usize, rows: usize, words: usize, draws: usize) -> usize {
+/// keystream words and `draws` Box–Muller draws apiece, expanded
+/// `tile` consecutive rows to a keystream call (`1`: one row a call),
+/// capped so every thread has the grain above: a function of the shape
+/// alone, never of what the rows hold.
+pub fn prg_threads(
+    num_threads: usize,
+    rows: usize,
+    words: usize,
+    tile: usize,
+    draws: usize,
+) -> usize {
     // In tenths of a nanosecond.
-    let batched = words / PRG_BATCH_WORDS * PRG_BATCH_WORDS;
-    let row = 11 * batched + 21 * (words - batched) + 310 * draws;
-    effective_threads(num_threads, rows.min(rows * row / (11 * MIN_PRG_WORDS_PER_THREAD)))
+    let tile = tile.max(1);
+    let call = tile * words;
+    let batched = call / PRG_BATCH_WORDS * PRG_BATCH_WORDS;
+    let call_cost = 11 * batched + 21 * (call - batched);
+    let work = rows * call_cost / tile + rows * PRG_ROW_DRAW * draws;
+    effective_threads(num_threads, rows.min(work / (11 * MIN_PRG_WORDS_PER_THREAD)))
 }
 
 thread_local! {
@@ -149,33 +168,39 @@ mod tests {
     fn prg_grain_keeps_small_shapes_inline_whatever_is_asked() {
         for asked in [0usize, 1, 2, 8] {
             // The test upload, an 89-row URL query, an empty kernel.
-            assert_eq!(prg_threads(asked, 64, 128, 0), 1);
-            assert_eq!(prg_threads(asked, 89, 1408, 1), 1);
-            assert_eq!(prg_threads(asked, 0, 2048, 1), 1);
+            assert_eq!(prg_threads(asked, 64, 128, 1, 0), 1);
+            assert_eq!(prg_threads(asked, 89, 1408, 1, 1), 1);
+            assert_eq!(prg_threads(asked, 0, 2048, 1, 1), 1);
         }
         // The deployed upload and ranking query take what is asked;
         // in between, what the grain leaves.
-        assert_eq!(prg_threads(8, 2048, 4096, 0), 8);
-        assert_eq!(prg_threads(2, 17_088, 2048, 1), 2);
-        assert_eq!(prg_threads(8, 401, 2048, 0), 3);
-        assert_eq!(prg_threads(8, 3, 1 << 20, 0), 3, "never more threads than rows");
+        assert_eq!(prg_threads(8, 2048, 4096, 1, 0), 8);
+        assert_eq!(prg_threads(2, 17_088, 2048, 1, 1), 2);
+        assert_eq!(prg_threads(8, 401, 2048, 1, 0), 3);
+        assert_eq!(prg_threads(8, 3, 1 << 20, 1, 0), 3, "never more threads than rows");
     }
 
     #[test]
     fn a_row_weighs_what_it_costs() {
-        // The wide URL query: 354,176 words, under two grains as
-        // words, three as short-row words and draws.
-        assert_eq!(prg_threads(8, 5_534, 64, 0), 2);
-        assert_eq!(prg_threads(8, 5_534, 64, 1), 3);
-        assert_eq!(prg_threads(2, 5_534, 64, 1), 2);
-        // Whole batches cost what they did: the shipped uploads,
-        // expansions and the production ranking query keep their
-        // counts.
-        assert_eq!(prg_threads(64, 2048, 4096, 0), 32);
-        assert_eq!(prg_threads(64, 2048, 2048, 0), 16);
-        assert_eq!(prg_threads(64, 64, 64, 0), 1);
-        assert_eq!(prg_threads(256, 17_088, 2048, 1), 135);
-        assert_eq!(prg_threads(64, 41_664, 64, 1), 23);
+        // The wide URL query: 354,176 words in 16-row tiles, all at the
+        // batched rate, and a draw a row: two grains and most of a
+        // third. Rows of the same words expanded one at a time run the
+        // 8-lane body, at ≈2.1 ns a word.
+        assert_eq!(prg_threads(8, 5_534, 64, 16, 0), 1);
+        assert_eq!(prg_threads(8, 5_534, 64, 16, 1), 2);
+        assert_eq!(prg_threads(8, 5_534, 64, 1, 0), 2);
+        // A tile is counted whole, its ragged tail at the 8-lane rate:
+        // 14 rows of 72 words are 7 batches and 112 words, 872 tenths
+        // of a ns a row, 30.2 grains over 100,000 rows.
+        assert_eq!(prg_threads(64, 100_000, 72, 14, 0), 30);
+        // Whole batches cost what they did: the shipped uploads and
+        // expansions keep their counts.
+        assert_eq!(prg_threads(64, 2048, 4096, 1, 0), 32);
+        assert_eq!(prg_threads(64, 2048, 2048, 1, 0), 16);
+        assert_eq!(prg_threads(64, 64, 64, 1, 0), 1);
+        // The ranking queries.
+        assert_eq!(prg_threads(256, 17_088, 2048, 1, 1), 138);
+        assert_eq!(prg_threads(64, 41_664, 64, 16, 1), 21);
     }
 
     #[test]

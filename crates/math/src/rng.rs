@@ -21,8 +21,8 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 /// `i`-th `u64` that `seeded_rng(seed)` yields (a `u32` word is the
 /// truncation of one `u64`), produced by the dispatched multi-block
 /// keystream kernel without constructing the generator. This is how
-/// the public matrices (`MatrixA` rows, the RLWE `a` polynomials) are
-/// streamed from their seeds.
+/// the RLWE `a` polynomials are streamed from their seeds; `MatrixA`
+/// reads the same stream from a row's block on.
 pub fn expand_seed<W: Word>(seed: u64, out: &mut [W]) {
     simd::keystream(simd::tier(), &StdRng::key_from_u64(seed), 0, out);
 }

@@ -35,13 +35,14 @@
 //!
 //! The keystream has one lane-generic body, with no intrinsics, that
 //! the scalar tier runs at 1 lane and the AVX2 tier at 8 under its
-//! `#[target_feature]` set. The AVX-512 tier runs a row's whole
+//! `#[target_feature]` set. The AVX-512 tier runs a call's whole
 //! 16-block batches through its own body, one block per `u32` of a
 //! 512-bit register with native rotates, transposed to one block per
 //! register in registers at the end (≈1.05 ns a word, where the
 //! lane-generic body measured ≈1.8 at 8 lanes and slower still at 16).
-//! What is left of the row, and every row shorter than 16 blocks, takes
-//! the lane-generic body at 8 lanes. The table inversion is built the
+//! What is left of the call, and every call shorter than 16 blocks,
+//! takes the lane-generic body at 8 lanes (so `MatrixA` hands it a tile
+//! of short rows at once, not one row at a time). The table inversion is built the
 //! lane-generic way over 64-word blocks at every tier; the compiler
 //! picks the vector width.
 //!
@@ -693,9 +694,9 @@ mod x86 {
     }
 
     /// Whole 16-block batches at full width, then what is left of the
-    /// row through the lane-generic body at 8 lanes. A row shorter than
-    /// 16 blocks takes the latter alone: padded to 16 lanes its work
-    /// would double.
+    /// call through the lane-generic body at 8 lanes. A call shorter
+    /// than 16 blocks takes the latter alone: padded to 16 lanes its
+    /// work would double.
     ///
     /// # Safety
     ///

@@ -272,7 +272,7 @@ impl EncryptedSecret {
             .unzip();
         let mut b_ntt = Words::take(seeds.len() * ring);
         // A ciphertext is two keystreams, the noise and `â`.
-        let threads = prg_threads(num_threads, seeds.len(), 2 * ring, 0);
+        let threads = prg_threads(num_threads, seeds.len(), 2 * ring, 1, 0);
         par_spans_mut(&mut b_ntt, ring, threads, |start, span| {
             let first = start / ring;
             let mut a_ntt = vec![0u64; ring];
@@ -353,7 +353,7 @@ impl EncryptedSecret {
         let ring = self.ring;
         assert_eq!(ring, uh.ctx.params().degree, "upload is of another ring");
         let mut a_ntt = Words::take(self.b_ntt.len());
-        let threads = prg_threads(num_threads, self.len(), ring, 0);
+        let threads = prg_threads(num_threads, self.len(), ring, 1, 0);
         par_spans_mut(&mut a_ntt, ring, threads, |start, span| {
             for (a, &seed) in span.chunks_exact_mut(ring).zip(&self.seeds[start / ring..]) {
                 expand_a(&uh.ctx, seed, a);
@@ -1001,8 +1001,27 @@ mod tests {
         (0..MAX_SPARES).for_each(|_| drop(Words(vec![u64::MAX; len])));
     }
 
+    /// `H = M·A` by the definition: row `k` of `A` read word by word
+    /// from `seeded_rng(seed)` moved to word `k·stride`, every entry a
+    /// left fold over `k`.
+    fn naive_hint<W: Word>(db: &Mat<u32>, a: &MatrixA) -> Mat<W> {
+        let rows: Vec<Vec<W>> = (0..a.rows())
+            .map(|k| {
+                let mut rng = seeded_rng(a.seed());
+                rng.seek_u64((k * a.stride()) as u64);
+                (0..a.cols()).map(|_| W::from_u64(rng.gen::<u64>())).collect()
+            })
+            .collect();
+        Mat::from_fn(db.rows(), a.cols(), |i, j| {
+            (0..a.rows()).fold(W::ZERO, |acc, k| {
+                acc.wadd(W::from_u64(u64::from(db.get(i, k))).wmul(rows[k][j]))
+            })
+        })
+    }
+
     /// The golden token's bytes; `stale` fills its upload and expansion
-    /// from [`stale_spares`].
+    /// from [`stale_spares`]. Its hint is checked against
+    /// [`naive_hint`] first.
     fn golden_token<W: Word>(uh: &Underhood, rows: usize, stale: bool) -> Vec<u8> {
         if stale {
             stale_spares(uh.lwe().n * uh.outer().params().degree);
@@ -1013,20 +1032,22 @@ mod tests {
         let key = ClientKey::generate(uh, uh.lwe().n, &mut rng);
         let es = EncryptedSecret::encrypt(uh, &key, &mut rng);
         let hint = preproc::<W>(&db, &a.row_range(0, 32), 1);
+        assert_eq!(hint, naive_hint(&db, &a), "the hint is M·A");
         uh.generate_token(&uh.preprocess_hint(&hint), &es).encode()
     }
 
     #[test]
     fn token_bytes_match_the_recorded_golden_hashes() {
-        // Recorded on the Shoup-reduced token pass (PR 21): whatever
-        // the server's arithmetic, every sum is the canonical
+        // Recorded from a hint built as `naive_hint` builds it, `A`
+        // read word by word from its one stream: whatever the
+        // server's arithmetic, every sum is the canonical
         // representative in [0, Q), so the bytes do not move. The
         // second pass starts from stale recycled buffers.
         for stale in [false, true] {
             let t64 = golden_token::<u64>(&test_underhood_64(), 150, stale);
             let t32 = golden_token::<u32>(&test_underhood_32(), 70, stale);
-            assert_eq!((t64.len(), fnv1a(&t64)), (4302, 130798054875270718), "64-bit words, 3 chunks");
-            assert_eq!((t32.len(), fnv1a(&t32)), (2872, 6339899779384653342), "32-bit words, 2 chunks");
+            assert_eq!((t64.len(), fnv1a(&t64)), (4302, 3242804189938488359), "64-bit words, 3 chunks");
+            assert_eq!((t32.len(), fnv1a(&t32)), (2872, 18386000387506955683), "32-bit words, 2 chunks");
         }
     }
 
@@ -1076,16 +1097,18 @@ mod tests {
 
     #[test]
     fn query_bytes_match_the_recorded_golden_hashes() {
-        // Recorded on the encryption that drew every noise term on the
-        // caller's thread before the row loop, at the wide deployment's
-        // ranking and URL shapes and the production ranking shape.
+        // Recorded from the definition, one thread, word by word: row
+        // `k` of `A` from `seeded_rng(seed)` moved to word `k·stride`,
+        // every noise term a `gaussian_i64` of the caller's generator
+        // in row order; at the wide deployment's ranking and URL
+        // shapes and the production ranking shape.
         let rank = golden_query::<u64>(&test_underhood_64(), 41_664, 3401);
         let url = golden_query::<u32>(&test_underhood_32(), 5_534, 3402);
         let prod = Underhood::with_outer(LweParams::ranking_text(), RlweParams::production(), 44);
         let prod = golden_query::<u64>(&prod, 17_088, 3403);
-        assert_eq!(rank, (333_317, 8633848674260810292), "41664 x 64, u64");
-        assert_eq!(url, (22_141, 12984135104703830942), "5534 x 64, u32");
-        assert_eq!(prod, (136_709, 9397739167987296645), "17088 x 2048, u64");
+        assert_eq!(rank, (333_317, 7196457812587561682), "41664 x 64, u64");
+        assert_eq!(url, (22_141, 14048027152957275527), "5534 x 64, u32");
+        assert_eq!(prod, (136_709, 7046416435678006547), "17088 x 2048, u64");
     }
 
     #[test]

@@ -27,8 +27,10 @@ tier its dispatched speedup is banded like any other. So is the whole
 token pass (`token_gen`): its B = 1 time is reported, and its batched
 per-token speedup over B = 1, a same-host ratio, is banded. The
 AVX-512 keystream is banded tighter (75 %) on its time against the
-AVX2 tier's at the deployed `expand_row` shape, so that a fallback from
-its 16-lane body to 8 lanes fails; a runner without AVX-512 skips it.
+AVX2 tier's at both `expand_row` shapes, the deployed 17088x2048 and
+the short-row 41664x64 (rows of 8 blocks, expanded in tiles that fill
+16-block batches), so that a fallback from its 16-lane body to 8 lanes
+at either fails; a runner without AVX-512 skips it.
 
 Kernel rows are matched by kernel/variant/shape; a row present only on
 one side is reported, not gated.
@@ -67,10 +69,12 @@ def note(msg):
 
 
 # The AVX-512 keystream's 16-lane body over the AVX2 tier's 8 lanes, a
-# same-host ratio on the deployed upload shape. Its own, tighter band:
-# a silent fallback to 8 lanes at the AVX-512 tier (~8x -> ~4.7x over
-# scalar) would still pass the 50 % speedup band.
-WIDE_KEYSTREAM = ("expand_row", "17088x2048")
+# same-host ratio on the deployed upload shape and on the short-row
+# shape, whose tiles of 8-block rows fill 16-block batches. Its own,
+# tighter band: a silent fallback to 8 lanes at the AVX-512 tier
+# (~8x -> ~4.7x over scalar at 17088x2048, ~8x -> ~4.2x at 41664x64)
+# would still pass the 50 % speedup band.
+WIDE_KEYSTREAM = (("expand_row", "17088x2048"), ("expand_row", "41664x64"))
 WIDE_KEYSTREAM_TOLERANCE = 0.75
 
 
@@ -88,10 +92,9 @@ def band(label, current, baseline, tolerance=TOLERANCE):
         note(f"{label}: {current:.3f} vs baseline {baseline:.3f} ok")
 
 
-def wide_keystream_ratio(doc):
-    """`tier_avx2` over `dispatched_avx512` seconds of the deployed
-    `expand_row` shape, or None when the file has no AVX-512 row."""
-    kernel, shape = WIDE_KEYSTREAM
+def wide_keystream_ratio(doc, kernel, shape):
+    """`tier_avx2` over `dispatched_avx512` seconds of one `expand_row`
+    shape, or None when the file has no AVX-512 row."""
     seconds = {
         r["variant"]: r["seconds"]
         for r in doc.get("results", [])
@@ -156,12 +159,14 @@ def compare_kernels(base, cur):
                 r["speedup_vs_scalar"],
                 b["speedup_vs_scalar"],
             )
-    cur_wide, base_wide = wide_keystream_ratio(cur), wide_keystream_ratio(base)
-    label = "kernels expand_row avx2/avx512"
-    if cur_wide is None or base_wide is None:
-        note(f"{label}: no AVX-512 row on one side; 16-lane check skipped")
-    else:
-        band(label, cur_wide, base_wide, WIDE_KEYSTREAM_TOLERANCE)
+    for kernel, shape in WIDE_KEYSTREAM:
+        cur_wide = wide_keystream_ratio(cur, kernel, shape)
+        base_wide = wide_keystream_ratio(base, kernel, shape)
+        label = f"kernels {kernel} {shape} avx2/avx512"
+        if cur_wide is None or base_wide is None:
+            note(f"{label}: no AVX-512 row on one side; 16-lane check skipped")
+        else:
+            band(label, cur_wide, base_wide, WIDE_KEYSTREAM_TOLERANCE)
 
 
 def compare_faults(base, cur):
