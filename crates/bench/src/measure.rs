@@ -80,6 +80,7 @@ fn average_costs(costs: &[QueryCost]) -> QueryCost {
         url_server: avg_t(|c| c.url_server.wall, |c| c.url_server.cpu),
         client_time: avg_d(|c| c.client_time),
         client_preproc: avg_d(|c| c.client_preproc),
+        ..QueryCost::default()
     }
 }
 

@@ -40,9 +40,7 @@ use tiptoe_net::{
 };
 use tiptoe_obs::recorder::{self, result_code, EventKind};
 use tiptoe_pir::PirClient;
-use tiptoe_underhood::{
-    combine_decoded_subset, ClientKey, DecodedToken, EncryptedSecret,
-};
+use tiptoe_underhood::{ClientKey, DecodedToken, EncryptedSecret};
 
 use crate::batch::ClientMetadata;
 use crate::instance::TiptoeInstance;
@@ -86,6 +84,12 @@ pub struct QueryCost {
     /// Client-local compute off the critical path (key generation,
     /// token decode).
     pub client_preproc: Duration,
+    /// Retry, timeout, hedge and corruption accounting of the ranking
+    /// fan-out (one attempt per shard and nothing else under a
+    /// disabled fault policy).
+    pub rank_faults: FaultReport,
+    /// The same accounting for the URL phase.
+    pub url_faults: FaultReport,
 }
 
 impl QueryCost {
@@ -125,15 +129,6 @@ impl QueryCost {
     }
 }
 
-/// The ranking-token material a client holds per query: the one token
-/// over the summed hint, or one decoded token per shard from a
-/// fault-tolerant service (so decryption can proceed over any
-/// surviving subset — see [`combine_decoded_subset`]).
-enum DecodedRank {
-    Combined(DecodedToken<u64>),
-    PerShard(Vec<DecodedToken<u64>>),
-}
-
 /// A prefetched, single-use token pair (ranking + URL) together with
 /// the **fresh** client key it was generated for. §6.3: a token — and
 /// therefore its inner secret — is consumed by exactly one query;
@@ -141,27 +136,9 @@ enum DecodedRank {
 /// semantic security, so every fetch samples a new key.
 struct PreparedTokens {
     key: ClientKey,
-    rank: DecodedRank,
+    rank: DecodedToken<u64>,
     url: DecodedToken<u32>,
     cost: QueryCost,
-}
-
-/// What degraded about a fault-tolerant query (present on
-/// [`SearchResults`] iff the instance's fault policy is enabled).
-#[derive(Debug, Clone, Default)]
-pub struct DegradedQuery {
-    /// Clusters whose ranking scores never arrived (their documents
-    /// cannot appear in `hits` this query).
-    pub missing_clusters: Vec<usize>,
-    /// The cluster this query searched was among the missing: the
-    /// returned hits carry zero scores and the query should be retried.
-    pub searched_cluster_missing: bool,
-    /// The URL server never delivered: `hits` is empty.
-    pub url_failed: bool,
-    /// Retry/timeout/hedge accounting for the ranking fan-out.
-    pub rank_report: FaultReport,
-    /// Retry/timeout/hedge accounting for the URL phase.
-    pub url_report: FaultReport,
 }
 
 /// Results of one private search.
@@ -174,10 +151,6 @@ pub struct SearchResults {
     pub hits: Vec<RankedUrl>,
     /// Exact costs of this query.
     pub cost: QueryCost,
-    /// Degraded-mode accounting: `Some` iff the instance's fault
-    /// policy is enabled (even on all-healthy queries, so callers can
-    /// check `missing_clusters.is_empty()` uniformly).
-    pub degraded: Option<DegradedQuery>,
 }
 
 /// The settable axes of one [`TiptoeClient::query`]. The default is
@@ -191,15 +164,16 @@ pub struct QueryOptions<'a> {
     pub probes: usize,
     /// An explicit fault plan: the rounds run through the fault-aware
     /// dispatcher (timeouts, retries, hedging per the instance's
-    /// [`tiptoe_net::FaultPolicy`], which must be enabled) and
-    /// complete in degraded mode over whatever shards survive;
-    /// [`SearchResults::degraded`] reports exactly which clusters went
-    /// unanswered. `None` is the benign plan.
+    /// [`tiptoe_net::FaultPolicy`], which must be enabled), and
+    /// [`QueryCost::rank_faults`] and [`QueryCost::url_faults`] report
+    /// what recovery cost. A shard the policy cannot recover fails the
+    /// query with [`ServeError::ShardFailed`]. `None` is the benign
+    /// plan.
     pub faults: Option<&'a FaultPlan>,
     /// The serving plane to go through: shard compute (and any token
     /// fetch) is routed through its batch coalescers, under its
-    /// admission control, deadline budget and circuit breakers where
-    /// the plane has them. `None` calls the services directly.
+    /// admission control and deadline budget where the plane has
+    /// them. `None` calls the services directly.
     pub plane: Option<&'a ServingPlane<'a>>,
 }
 
@@ -270,7 +244,7 @@ impl TiptoeClient {
         // A *standalone* prefetch (one happening outside a query
         // round, e.g. in the background between queries) is its own
         // tracing boundary: without this, its spans — notably
-        // `rank.token_shard` — would pile into the previous query's
+        // `rank.token` — would pile into the previous query's
         // buffer and never be exported. The query
         // scope also gives the prefetch its own flight-recorder
         // timeline (adopting the surrounding query's when nested).
@@ -306,46 +280,32 @@ impl TiptoeClient {
         instance.transcript.record_up(Phase::Token, cost.token_up);
 
         // The server expands the upload once and reuses it for both
-        // services (§A.3's shared-secret-key optimization). A
-        // fault-tolerant ranking service returns one token per shard
-        // where the others return one (a `W×` token-phase download,
-        // server pass and hint memory), so the client can later
-        // decrypt over any surviving subset.
+        // services (§A.3's shared-secret-key optimization).
         let (expanded, t_expand) = timed(|| es.expand(uh_rank));
-        // One kernel yields the ranking tokens either way: through the
+        // One kernel yields the ranking token either way: through the
         // plane this client's expanded secret is batched with
         // concurrently arriving clients' on the token lane, directly
         // it is a batch of one.
-        let (rank_tokens, url_token, mut t_tokens) = match serving {
+        let (rank_token, url_token, mut t_tokens) = match serving {
             Some(plane) => {
                 let (bundle, wall) = timed(|| plane.generate_tokens(Arc::new(expanded)));
-                (bundle.rank_parts, bundle.url, ParallelTiming { wall, cpu: wall })
+                (bundle.rank, bundle.url, ParallelTiming { wall, cpu: wall })
             }
             None => {
-                let (mut bundles, t_rank) =
-                    instance.ranking.generate_token_parts_expanded_many(&[&expanded]);
+                let (rank_token, t_rank) = instance.ranking.generate_token_expanded(&expanded);
                 let (url_token, t_url) = instance.url.generate_token_expanded(&expanded);
-                (bundles.pop().expect("one bundle per secret"), url_token, t_rank.then(t_url))
+                (rank_token, url_token, t_rank.then(t_url))
             }
         };
         t_tokens.cpu += t_expand;
         t_tokens.wall += t_expand;
         cost.token_server = t_tokens;
-        cost.token_down =
-            rank_tokens.iter().map(|t| t.byte_len()).sum::<u64>() + url_token.byte_len();
+        cost.token_down = rank_token.byte_len() + url_token.byte_len();
         instance.transcript.record_down(Phase::Token, cost.token_down);
 
         let (decoded, t_decode) = timed(|| {
             let _span = tiptoe_obs::span("client.token_decrypt");
-            // The shape is what the service sent, not what the
-            // config says now.
-            let mut parts: Vec<DecodedToken<u64>> =
-                rank_tokens.iter().map(|t| uh_rank.decode_token::<u64>(&key, t)).collect();
-            let rank = if parts.len() == 1 {
-                DecodedRank::Combined(parts.pop().expect("one token"))
-            } else {
-                DecodedRank::PerShard(parts)
-            };
+            let rank = uh_rank.decode_token::<u64>(&key, &rank_token);
             let url = uh_url.decode_token::<u32>(&key, &url_token);
             (rank, url)
         });
@@ -380,18 +340,21 @@ impl TiptoeClient {
     /// # Errors
     ///
     /// [`ServeError::Overloaded`], [`ServeError::DeadlineExceeded`],
-    /// [`ServeError::LaneFailed`] or [`ServeError::InvalidPolicy`]. A
-    /// shed query consumed nothing; a deadlined query consumed its
-    /// token (the paper's tokens are single-use) but returned no
-    /// partial answer. A query with neither a plane nor an enabled
-    /// fault policy cannot fail.
+    /// [`ServeError::ShardFailed`], [`ServeError::LaneFailed`] or
+    /// [`ServeError::InvalidPolicy`]. A shed query consumed nothing.
+    /// Any other failed query consumed its token, since a ciphertext
+    /// under that token's secret was already sent (the paper's tokens
+    /// are single-use), and returns no partial answer; the client may
+    /// retry it. A shard that is down for good fails every query
+    /// until it recovers, because each query needs every shard. A
+    /// query with neither a plane nor an enabled fault policy cannot
+    /// fail.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`, `opts.probes == 0`, or `opts.faults` is set
-    /// on an instance whose fault policy is disabled (the policy
-    /// governs token shape at fetch time, so it cannot be chosen per
-    /// query).
+    /// on an instance whose fault policy is disabled (a disabled
+    /// policy has no recovery to run a fault plan under).
     pub fn query<E: Embedder>(
         &mut self,
         instance: &TiptoeInstance<E>,
@@ -554,8 +517,9 @@ impl TiptoeClient {
         });
         // --- Ranking service (step 2): one typed dispatch for every
         // serving mode (healthy, fault-aware, coalesced). Sizes are
-        // fixed by the protocol shape — a degraded query must keep
-        // the same observable wire footprint as a healthy one.
+        // fixed by the protocol shape — a retried or failed query
+        // must keep the same observable wire footprint as a healthy
+        // one.
         cost.rank_up = ct.byte_len();
         cost.rank_down = (instance.ranking.rows() * 8) as u64;
         let policy = &instance.config.fault_policy;
@@ -572,34 +536,14 @@ impl TiptoeClient {
         let ranked =
             instance.ranking.dispatch_answer(&ct, plan, policy, Some(&ledger), serving, budget)?;
         cost.rank_server = ranked.timing;
+        cost.rank_faults = ranked.report;
         let applied = ranked.response;
-        let survivors = ranked.survivors;
-        let mut degraded = policy.enabled.then(|| {
-            let missing_clusters = instance.ranking.missing_clusters(&survivors);
-            DegradedQuery {
-                searched_cluster_missing: missing_clusters.contains(&cluster),
-                missing_clusters,
-                url_failed: false,
-                rank_report: ranked.report,
-                url_report: FaultReport::default(),
-            }
-        });
         drop(rank_span);
 
-        // --- Client: decrypt scores, pick the best member. On the
-        // degraded path the per-shard tokens of the *surviving* shards
-        // are summed; if no shard answered, every score is zero.
+        // --- Client: decrypt scores, pick the best member.
         let ((scores, best_row), t_rankdec) = timed(|| {
             let _span = tiptoe_obs::span("client.rank_decrypt");
-            let uh_rank = instance.ranking.underhood();
-            let raw = match &mut prepared.rank {
-                _ if !survivors.iter().any(|&ok| ok) => vec![0u64; applied.len()],
-                DecodedRank::Combined(token) => uh_rank.decrypt(token, &applied),
-                DecodedRank::PerShard(parts) => {
-                    let mut subset = combine_decoded_subset(parts, &survivors);
-                    uh_rank.decrypt(&mut subset, &applied)
-                }
-            };
+            let raw = instance.ranking.underhood().decrypt(&mut prepared.rank, &applied);
             let n_members = self.meta.cluster_sizes[cluster] as usize;
             let scores: Vec<i64> = raw
                 .iter()
@@ -652,19 +596,15 @@ impl TiptoeClient {
             budget,
         )?;
         cost.url_server = fetched.timing;
+        cost.url_faults = fetched.report;
         let answer = fetched.response;
-        if let Some(dq) = degraded.as_mut() {
-            dq.url_failed = answer.is_none();
-            dq.url_report = fetched.report;
-        }
         drop(url_span);
 
         // --- Client: recover the record and assemble ranked URLs. A
-        // failed URL phase (or a malformed record) degrades to an
-        // empty hit list instead of crashing the client.
+        // malformed record (outside input) yields an empty hit list
+        // instead of crashing the client.
         let (hits, t_recover) = timed(|| {
             let _span = tiptoe_obs::span("client.recover");
-            let Some(answer) = answer else { return Vec::new() };
             let Ok(record) =
                 pir_client.recover(instance.url.database(), &mut prepared.url, &answer)
             else {
@@ -695,16 +635,15 @@ impl TiptoeClient {
         });
 
         cost.client_time = t_encrypt + t_rankdec + t_urlenc + t_recover;
-        Ok(SearchResults { cluster, hits, cost, degraded })
+        Ok(SearchResults { cluster, hits, cost })
     }
 }
 
 /// Folds one more probe's round into a query's results: hits merged
-/// best first and cut to `k`, costs and degraded-mode reports summed.
-/// `cluster` stays the nearest one.
+/// best first and cut to `k`, costs summed. `cluster` stays the
+/// nearest one.
 fn merge_probe(mut acc: SearchResults, next: SearchResults, k: usize) -> SearchResults {
     acc.cost = add_costs(&acc.cost, &next.cost);
-    acc.degraded = merge_degraded(acc.degraded, next.degraded);
     acc.hits.extend(next.hits);
     acc.hits.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
     // A dual-assigned document can surface from two probes; keep
@@ -713,40 +652,6 @@ fn merge_probe(mut acc: SearchResults, next: SearchResults, k: usize) -> SearchR
     acc.hits.retain(|h| seen.insert(h.doc));
     acc.hits.truncate(k);
     acc
-}
-
-/// Accumulates per-probe degraded-mode reports for multi-probe
-/// searches: missing clusters union, flags OR, counters sum.
-fn merge_degraded(
-    acc: Option<DegradedQuery>,
-    next: Option<DegradedQuery>,
-) -> Option<DegradedQuery> {
-    match (acc, next) {
-        (None, next) => next,
-        (acc, None) => acc,
-        (Some(mut acc), Some(next)) => {
-            for c in next.missing_clusters {
-                if !acc.missing_clusters.contains(&c) {
-                    acc.missing_clusters.push(c);
-                }
-            }
-            acc.searched_cluster_missing |= next.searched_cluster_missing;
-            acc.url_failed |= next.url_failed;
-            acc.rank_report.retries += next.rank_report.retries;
-            acc.rank_report.timeouts += next.rank_report.timeouts;
-            acc.rank_report.corrupted += next.rank_report.corrupted;
-            acc.rank_report.hedges += next.rank_report.hedges;
-            acc.rank_report.wasted_response_bytes += next.rank_report.wasted_response_bytes;
-            acc.rank_report.timing = acc.rank_report.timing.then(next.rank_report.timing);
-            acc.url_report.retries += next.url_report.retries;
-            acc.url_report.timeouts += next.url_report.timeouts;
-            acc.url_report.corrupted += next.url_report.corrupted;
-            acc.url_report.hedges += next.url_report.hedges;
-            acc.url_report.wasted_response_bytes += next.url_report.wasted_response_bytes;
-            acc.url_report.timing = acc.url_report.timing.then(next.url_report.timing);
-            Some(acc)
-        }
-    }
 }
 
 /// The `probes` nearest centroids by inner product, best first. A
@@ -766,7 +671,9 @@ fn nearest_centroids(centroids: &[Vec<f32>], q: &[f32], probes: usize) -> Vec<us
     best.into_iter().map(|(_, i)| i).collect()
 }
 
-/// Component-wise sum of two per-query cost records.
+/// Component-wise sum of two per-query cost records (the fault
+/// reports' counters add and their shard outcomes follow one another,
+/// probe by probe).
 fn add_costs(a: &QueryCost, b: &QueryCost) -> QueryCost {
     QueryCost {
         token_up: a.token_up + b.token_up,
@@ -780,6 +687,20 @@ fn add_costs(a: &QueryCost, b: &QueryCost) -> QueryCost {
         url_server: a.url_server.then(b.url_server),
         client_time: a.client_time + b.client_time,
         client_preproc: a.client_preproc + b.client_preproc,
+        rank_faults: add_fault_reports(&a.rank_faults, &b.rank_faults),
+        url_faults: add_fault_reports(&a.url_faults, &b.url_faults),
+    }
+}
+
+fn add_fault_reports(a: &FaultReport, b: &FaultReport) -> FaultReport {
+    FaultReport {
+        shards: a.shards.iter().chain(&b.shards).cloned().collect(),
+        retries: a.retries + b.retries,
+        timeouts: a.timeouts + b.timeouts,
+        corrupted: a.corrupted + b.corrupted,
+        hedges: a.hedges + b.hedges,
+        wasted_response_bytes: a.wasted_response_bytes + b.wasted_response_bytes,
+        timing: a.timing.then(b.timing),
     }
 }
 

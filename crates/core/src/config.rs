@@ -3,7 +3,7 @@
 use tiptoe_cluster::ClusterConfig;
 use tiptoe_embed::quantize::Quantizer;
 use tiptoe_lwe::LweParams;
-use tiptoe_net::{AdmissionPolicy, BreakerPolicy, CoalescePolicy, ConfigError, FaultPolicy};
+use tiptoe_net::{AdmissionPolicy, CoalescePolicy, ConfigError, FaultPolicy};
 use tiptoe_rlwe::RlweParams;
 
 /// Server-side parallelism knob.
@@ -51,11 +51,13 @@ pub struct TiptoeConfig {
     pub pca_sample: usize,
     /// Server-side thread count.
     pub parallelism: Parallelism,
-    /// Coordinator fault-recovery knobs (timeouts, retries, hedging).
-    /// Disabled by default: every shard then gets one untimed attempt
-    /// and the answers are the fault-oblivious protocol's. When
-    /// enabled, clients fetch per-shard ranking tokens so they can
-    /// decrypt over any surviving subset of shards (degraded mode).
+    /// Coordinator fault-recovery knobs (timeouts, retries, hedging,
+    /// a per-shard deadline). Disabled by default: every shard then
+    /// gets one untimed attempt and the answers are the
+    /// fault-oblivious protocol's. The policy changes how a shard is
+    /// asked, never the token layout: under every policy a query needs
+    /// every shard, and one still down once the knobs are spent fails
+    /// the query with [`tiptoe_net::ServeError::ShardFailed`].
     pub fault_policy: FaultPolicy,
     /// Cross-client batch-coalescing knobs for the serving plane
     /// ([`crate::serving::ServingPlane`]): how many concurrent query
@@ -72,14 +74,6 @@ pub struct TiptoeConfig {
     /// depth) are shed with a typed error before consuming a token or
     /// moving any bytes.
     pub admission: AdmissionPolicy,
-    /// Per-shard circuit-breaker knobs for the serving plane. Disabled
-    /// by default, and valid only with `fault_policy.enabled`. When
-    /// enabled, a shard whose responses fail (or straggle past the
-    /// latency threshold) repeatedly is *opened*: dispatch skips it —
-    /// queries degrade to survivor-subset decryption over the
-    /// remaining shards — until a half-open probe succeeds enough to
-    /// close it again.
-    pub breaker: BreakerPolicy,
     /// Master seed (all internal randomness derives from it).
     pub seed: u64,
 }
@@ -107,7 +101,6 @@ impl TiptoeConfig {
             fault_policy: FaultPolicy::default(),
             coalesce: CoalescePolicy::default(),
             admission: AdmissionPolicy::default(),
-            breaker: BreakerPolicy::default(),
             seed,
         }
     }
@@ -131,7 +124,6 @@ impl TiptoeConfig {
             fault_policy: FaultPolicy::default(),
             coalesce: CoalescePolicy::default(),
             admission: AdmissionPolicy::default(),
-            breaker: BreakerPolicy::default(),
             seed,
         }
     }
@@ -163,7 +155,6 @@ impl TiptoeConfig {
             fault_policy: FaultPolicy::default(),
             coalesce: CoalescePolicy::default(),
             admission: AdmissionPolicy::default(),
-            breaker: BreakerPolicy::default(),
             seed,
         }
     }
@@ -180,7 +171,7 @@ impl TiptoeConfig {
     /// # Errors
     ///
     /// [`ConfigError`] naming the offending knob for any invalid
-    /// fault, coalesce, admission, or breaker policy.
+    /// fault, coalesce or admission policy.
     ///
     /// # Panics
     ///
@@ -204,15 +195,6 @@ impl TiptoeConfig {
         }
         self.coalesce.validate()?;
         self.admission.validate()?;
-        self.breaker.validate()?;
-        if self.breaker.enabled && !self.fault_policy.enabled {
-            // Dispatch consults breakers only under the fault policy: a
-            // skipped shard leaves the one summed token undecryptable.
-            return Err(ConfigError {
-                field: "breaker.enabled",
-                reason: "circuit breakers need fault_policy.enabled",
-            });
-        }
         if self.admission.enabled {
             // An admitted query crosses several coalescer lanes (token
             // fetch, ranking shards, URL retrieval), and each lane may
@@ -284,19 +266,6 @@ mod tests {
         c.admission.enabled = false;
         c.coalesce.max_wait = std::time::Duration::from_millis(1);
         c.try_validate().expect("no admission, no deadline floor");
-
-        let mut c = TiptoeConfig::test_small(500, 1);
-        c.breaker.failure_threshold = 0;
-        let err = c.try_validate().expect_err("zero failure threshold");
-        assert_eq!(err.field, "breaker.failure_threshold");
-
-        // Breakers do nothing without the fault policy: rejected.
-        let mut c = TiptoeConfig::test_small(500, 1);
-        c.breaker.enabled = true;
-        let err = c.try_validate().expect_err("breakers without the fault policy");
-        assert_eq!(err.field, "breaker.enabled");
-        c.fault_policy = tiptoe_net::FaultPolicy::tolerant();
-        c.try_validate().expect("breakers under the fault policy");
 
         let mut c = TiptoeConfig::test_small(500, 1);
         c.fault_policy = tiptoe_net::FaultPolicy::tolerant();

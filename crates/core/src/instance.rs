@@ -83,9 +83,8 @@ impl<E: Embedder> TiptoeInstance<E> {
     /// Brings up the serving plane over this deployment's services:
     /// one batch-coalescing lane per ranking shard plus one for the
     /// URL server, under the configured [`TiptoeConfig::coalesce`]
-    /// policy, with admission control and circuit breakers per
-    /// [`TiptoeConfig::admission`] and [`TiptoeConfig::breaker`] (both
-    /// disabled by default). The plane borrows the services, so drop
+    /// policy, with admission control per [`TiptoeConfig::admission`]
+    /// (disabled by default). The plane borrows the services, so drop
     /// it before any mutable corpus update.
     pub fn serving_plane(&self) -> crate::serving::ServingPlane<'_> {
         crate::serving::ServingPlane::new(
@@ -93,7 +92,6 @@ impl<E: Embedder> TiptoeInstance<E> {
             &self.url,
             self.config.coalesce,
             self.config.admission,
-            self.config.breaker,
         )
     }
 

@@ -9,11 +9,9 @@
 //!
 //! Token generation (§6.3) does not follow the sharding: every shard
 //! hint `H_w = M_w · A_w` is corpus-only, so the build sums them once
-//! into `H = Σ_w H_w = M · A` and a token is one `Enc2(H · s)`. Only a
-//! service built under the fault policy keeps the `H_w` apart, because
-//! its clients decrypt over whichever shards survive. Either way it
-//! has one body,
-//! [`RankingService::generate_token_parts_expanded_many`], whether one
+//! into `H = Σ_w H_w = M · A` and a token is one `Enc2(H · s)`, under
+//! every fault policy. It has one body,
+//! [`RankingService::generate_token_expanded_many`], whether one
 //! client asks directly (`B = 1`) or the serving plane's token lane
 //! flushes a batch.
 //!
@@ -45,7 +43,7 @@ struct RankingShard {
     db: Mat<u32>,
 }
 
-/// A hint the token pass evaluates under `Enc2`.
+/// The summed hint the token pass evaluates under `Enc2`.
 struct TokenHint {
     /// The raw SimplePIR hint (kept for incremental corpus updates).
     raw: Mat<u64>,
@@ -56,9 +54,8 @@ struct TokenHint {
 pub struct RankingService {
     shards: Vec<RankingShard>,
     /// What a token is generated from: the one summed hint
-    /// `H = Σ_w H_w`, or, built under the fault policy, every shard's
-    /// `H_w` in shard order.
-    token_hints: Vec<TokenHint>,
+    /// `H = Σ_w H_w`.
+    token_hint: TokenHint,
     uh: Underhood,
     a: MatrixA,
     rows: usize,
@@ -74,9 +71,8 @@ pub struct RankingService {
 /// The ranking fan-out as a typed [`Service`]: shard `w` slices its
 /// column range out of the query ciphertext, applies `M_w` (directly
 /// or through a coalescing lane of the serving plane), and ships the
-/// partial product; the coordinator wrapping-adds the parts. Failed
-/// shards contribute zero, so their clusters decode to garbage the
-/// client discards.
+/// partial product; the coordinator wrapping-adds the parts (the
+/// summed token decrypts only the sum over every shard).
 struct RankAnswer<'a> {
     svc: &'a RankingService,
     via: Option<&'a ServingPlane<'a>>,
@@ -129,9 +125,9 @@ impl Service for RankAnswer<'_> {
         Ok(part)
     }
 
-    fn combine(&self, parts: Vec<Option<Vec<u64>>>) -> Vec<u64> {
+    fn combine(&self, parts: Vec<Vec<u64>>) -> Vec<u64> {
         let mut total = vec![0u64; self.svc.rows];
-        for part in parts.into_iter().flatten() {
+        for part in parts {
             for (t, p) in total.iter_mut().zip(part.iter()) {
                 *t = t.wadd(*p);
             }
@@ -152,8 +148,7 @@ pub(crate) fn record_noise_budget_gauge(label: &'static str, uh: &Underhood, m: 
 impl RankingService {
     /// Builds the service from batch artifacts: shards the matrix,
     /// computes each shard's SimplePIR hint, and prepares the
-    /// NTT-ready limb decomposition of their sum (of each of them,
-    /// under the fault policy) for token generation.
+    /// NTT-ready limb decomposition of their sum for token generation.
     pub fn build(config: &TiptoeConfig, artifacts: &IndexArtifacts) -> Self {
         Self::from_matrix(config, &artifacts.rank_matrix)
     }
@@ -176,8 +171,7 @@ impl RankingService {
         let c = m / d;
         let w = config.num_shards.min(c.max(1));
         let mut shards = Vec::with_capacity(w);
-        let per_shard_tokens = config.fault_policy.enabled;
-        let mut raw_hints: Vec<Mat<u64>> = Vec::new();
+        let mut raw: Option<Mat<u64>> = None;
         let clusters_per = c.div_ceil(w);
         let mut cluster = 0usize;
         while cluster < c {
@@ -190,28 +184,25 @@ impl RankingService {
             // build is deterministic.
             let hint = scheme::preproc::<u64>(&db, &range, config.parallelism.num_threads);
             // Every H_w is corpus-only, so H = Σ_w H_w is taken here,
-            // once, and not per token; only fault-tolerant clients
-            // need the H_w apart (survivor-subset decryption).
-            match raw_hints.first_mut() {
-                Some(total) if !per_shard_tokens => {
+            // once, and not per token.
+            match raw.as_mut() {
+                Some(total) => {
                     for (t, &h) in total.data_mut().iter_mut().zip(hint.data()) {
                         *t = t.wrapping_add(h);
                     }
                 }
-                _ => raw_hints.push(hint),
+                None => raw = Some(hint),
             }
             shards.push(RankingShard { col_start, db });
             cluster = hi;
         }
-        let token_hints = raw_hints
-            .into_iter()
-            .map(|raw| TokenHint { server: uh.preprocess_hint(&raw), raw })
-            .collect();
+        let raw = raw.expect("at least one shard");
+        let token_hint = TokenHint { server: uh.preprocess_hint(&raw), raw };
         let preproc_time = t0.elapsed();
 
         Self {
             shards,
-            token_hints,
+            token_hint,
             uh,
             a,
             rows: matrix.rows(),
@@ -256,15 +247,13 @@ impl RankingService {
     /// NTT-ready hint polys dominate).
     pub fn server_storage_bytes(&self) -> u64 {
         let matrix: usize = self.shards.iter().map(|s| std::mem::size_of_val(s.db.data())).sum();
-        let hint_polys: u64 = self.token_hints.iter().map(|h| h.server.byte_len()).sum();
-        matrix as u64 + hint_polys
+        matrix as u64 + self.token_hint.server.byte_len()
     }
 
     /// Incrementally indexes one new document (§3.2 "Handling updates
     /// to the corpus"): writes its quantized embedding into the padding
-    /// slot `(cluster, row)`, updates the hint that covers its columns
-    /// (the summed one, or the shard's own under the fault policy) by
-    /// the rank-one correction `ΔH[row] = Σ_j q[j]·A[col_j]`, and
+    /// slot `(cluster, row)`, updates the summed hint by the rank-one
+    /// correction `ΔH[row] = Σ_j q[j]·A[col_j]`, and
     /// refreshes only the NTT chunk containing `row` — no full
     /// re-preprocessing.
     ///
@@ -294,11 +283,8 @@ impl RankingService {
         assert!(slot.iter().all(|&x| x == 0), "slot already occupied");
         slot.copy_from_slice(q_zp);
 
-        // 2. Rank-one hint correction: ΔH[row] += Σ_j q[j]·A[col_lo+j],
-        //    the same rows of `A` whether the hint is a shard's or the
-        //    sum of all of them.
-        let slot = if self.token_hints.len() == 1 { 0 } else { idx };
-        let hint = &mut self.token_hints[slot];
+        // 2. Rank-one hint correction: ΔH[row] += Σ_j q[j]·A[col_lo+j].
+        let hint = &mut self.token_hint;
         let n = self.a.cols();
         let range = self.a.row_range(col_lo, d);
         let mut a_row = vec![0u64; n];
@@ -330,63 +316,31 @@ impl RankingService {
 
     /// Token generation over a pre-expanded secret; the expansion can
     /// be shared with the URL service (§A.3's shared-key upload).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-shard service built under the fault policy:
-    /// it has one token per shard and no single one (see
-    /// [`RankingService::generate_token_parts_expanded_many`]).
     pub fn generate_token_expanded(&self, es: &ExpandedSecret) -> (QueryToken, ParallelTiming) {
-        let (mut bundles, timing) = self.generate_token_parts_expanded_many(&[es]);
-        let mut parts = bundles.pop().expect("one bundle per secret");
-        assert_eq!(parts.len(), 1, "a fault-tolerant service has one token per shard");
-        (parts.pop().expect("one part"), timing)
+        let (mut tokens, timing) = self.generate_token_expanded_many(&[es]);
+        (tokens.pop().expect("one token per secret"), timing)
     }
 
-    /// Token generation for `B` clients: the polynomials of every
-    /// token hint are read from DRAM once for the whole batch (the
-    /// token-path counterpart of
-    /// [`RankingService::shard_answer_many`]). Returns one `Vec` of
-    /// tokens per client, each bit-identical at every `B`, plus the
-    /// timing (`wall` = slowest hint, `cpu` = summed work). That `Vec`
-    /// holds the one token over the summed hint; from a service built
-    /// under the fault policy it holds one token per shard, in shard
-    /// order and *not* combined, so the client can decrypt over any
-    /// surviving subset of shards
-    /// ([`tiptoe_underhood::combine_decoded_subset`]) — at `W×` the
-    /// token download, server work and hint memory. A direct fetch is
-    /// the `B = 1` case; the serving plane's token lane flushes through
-    /// the same kernel.
-    pub fn generate_token_parts_expanded_many(
+    /// Token generation for `B` clients: the summed hint's polynomials
+    /// are read from DRAM once for the whole batch (the token-path
+    /// counterpart of [`RankingService::shard_answer_many`]). Returns
+    /// one token per client, each bit-identical at every `B`, plus the
+    /// timing of the pass. A direct fetch is the `B = 1` case; the
+    /// serving plane's token lane flushes through the same kernel.
+    pub fn generate_token_expanded_many(
         &self,
         secrets: &[&ExpandedSecret],
-    ) -> (Vec<Vec<QueryToken>>, ParallelTiming) {
+    ) -> (Vec<QueryToken>, ParallelTiming) {
         let mut span = tiptoe_obs::span("rank.token");
         span.attr_u64("batch", secrets.len() as u64);
-        // Inside each hint the threads split the NTT coefficients of
-        // every (chunk, limb) sum; the tokens are bit-identical to the
-        // sequential evaluation.
+        // The threads split the NTT coefficients of every (chunk, limb)
+        // sum; the tokens are bit-identical to the sequential
+        // evaluation.
         let threads = self.parallelism.num_threads;
-        let mut timing = ParallelTiming::default();
-        // [hint][client] — each hint evaluated once over the batch.
-        let per_hint: Vec<Vec<QueryToken>> = self
-            .token_hints
-            .iter()
-            .map(|hint| {
-                let mut s = tiptoe_obs::span("rank.token_shard");
-                s.attr_u64("batch", secrets.len() as u64);
-                let (tokens, elapsed) =
-                    timed(|| self.uh.generate_token_expanded_many(&hint.server, secrets, threads));
-                timing.add_shard(elapsed);
-                tokens
-            })
-            .collect();
-        // Transpose to [client][hint] for the per-client bundles.
-        let mut iters: Vec<_> = per_hint.into_iter().map(|v| v.into_iter()).collect();
-        let bundles = (0..secrets.len())
-            .map(|_| iters.iter_mut().map(|it| it.next().expect("client count")).collect())
-            .collect();
-        (bundles, timing)
+        let hint = &self.token_hint.server;
+        let (tokens, elapsed) =
+            timed(|| self.uh.generate_token_expanded_many(hint, secrets, threads));
+        (tokens, ParallelTiming { wall: elapsed, cpu: elapsed })
     }
 
     /// The column range `[start, end)` served by shard `idx`.
@@ -479,19 +433,18 @@ impl RankingService {
     /// attempt per shard when the policy is disabled), optional batch
     /// coalescing via the serving plane, and the overload-safety
     /// layers — the query's deadline `budget` is checked before the
-    /// fan-out and charged with its wall time, and the serving plane's
-    /// circuit breakers (if enabled) gate per-shard traffic under an
-    /// enabled policy. One engine for every serving mode.
+    /// fan-out and charged with its wall time. One engine for every
+    /// serving mode.
     ///
     /// With a benign plan every shard answers on the first attempt and
-    /// the response equals [`RankingService::answer`] exactly; shards
-    /// that never deliver contribute zero to the sum (see
-    /// [`RankingService::missing_clusters`]). Without a budget or a
-    /// plane this cannot fail on a valid policy — breakers alone only
-    /// degrade the combine.
+    /// the response equals [`RankingService::answer`] exactly. Under a
+    /// disabled policy, without a budget or a plane, this cannot fail.
     ///
     /// # Errors
     ///
+    /// [`ServeError::ShardFailed`] when a shard never delivers within
+    /// the policy's retries, hedges and deadline (the summed token
+    /// decrypts only the sum over every shard),
     /// [`ServeError::DeadlineExceeded`] when the budget runs out,
     /// [`ServeError::LaneFailed`] on a permanently crashed coalescer
     /// lane, [`ServeError::InvalidPolicy`] on an invalid enabled
@@ -510,25 +463,8 @@ impl RankingService {
         budget: Option<&DeadlineBudget>,
     ) -> Result<Dispatched<Vec<u64>>, ServeError> {
         assert_eq!(ct.c.len(), self.cols, "ciphertext dimension mismatch");
-        let ctx = DispatchContext::new(plan, policy)
-            .with_budget(budget)
-            .with_breakers(via.and_then(|p| p.breakers()));
+        let ctx = DispatchContext::new(plan, policy).with_budget(budget);
         dispatch(&RankAnswer { svc: self, via, budget }, ct, 0, ctx, ledger)
-    }
-
-    /// Cluster indices lost with the failed shards of a dispatch:
-    /// `survivors[w] == false` means shard `w`'s cluster range is
-    /// unavailable this query.
-    pub fn missing_clusters(&self, survivors: &[bool]) -> Vec<usize> {
-        survivors
-            .iter()
-            .enumerate()
-            .filter(|(_, ok)| !**ok)
-            .flat_map(|(w, _)| {
-                let (lo, hi) = self.shard_clusters(w);
-                lo..hi
-            })
-            .collect()
     }
 }
 
@@ -592,50 +528,34 @@ mod tests {
     }
 
     fn token_hint_bytes(service: &RankingService) -> u64 {
-        service.token_hints.iter().map(|h| h.server.byte_len()).sum()
+        service.token_hint.server.byte_len()
     }
 
     #[test]
-    fn one_summed_token_hint_unless_fault_tolerant() {
+    fn one_summed_token_hint_under_every_policy() {
         let (config, artifacts, plain) = setup();
         let mut tolerant_config = config.clone();
         tolerant_config.fault_policy = FaultPolicy::tolerant();
         let tolerant = RankingService::build(&tolerant_config, &artifacts);
-        let w = plain.num_shards();
-        assert!(w >= 2 && tolerant.num_shards() == w);
+        assert!(plain.num_shards() >= 2 && tolerant.num_shards() == plain.num_shards());
 
-        // One hint's worth of polynomials, W under the fault policy.
+        // One hint's worth of polynomials, whatever the fault policy.
         let uh = plain.underhood();
         let ring = uh.outer().params().degree;
         let polys = plain.rows().div_ceil(ring) * uh.limb_count() as usize * config.rank_lwe.n;
-        assert_eq!(plain.token_hints.len(), 1);
         assert_eq!(token_hint_bytes(&plain), (polys * ring * 8) as u64);
-        assert_eq!(tolerant.token_hints.len(), w);
-        assert_eq!(token_hint_bytes(&tolerant), (w * polys * ring * 8) as u64);
-        assert_eq!(
-            tolerant.server_storage_bytes() - plain.server_storage_bytes(),
-            ((w - 1) * polys * ring * 8) as u64
-        );
+        assert_eq!(tolerant.server_storage_bytes(), plain.server_storage_bytes());
 
-        // The one token decrypts to what the W tokens do over all
-        // survivors.
+        // Both hand out the same one token per client.
         let mut rng = seeded_rng(33);
         let key = ClientKey::generate(uh, config.rank_lwe.n, &mut rng);
         let expanded = EncryptedSecret::encrypt(uh, &key, &mut rng).expand(uh);
+        let (tokens, _) = tolerant.generate_token_expanded_many(&[&expanded, &expanded]);
         let (token, _) = plain.generate_token_expanded(&expanded);
-        let (mut bundles, _) = tolerant.generate_token_parts_expanded_many(&[&expanded]);
-        let parts = bundles.pop().expect("one bundle per secret");
-        assert_eq!(parts.len(), w);
-        assert_eq!(token.byte_len(), parts[0].byte_len());
-        let mut parts: Vec<_> = parts.iter().map(|t| uh.decode_token::<u64>(&key, t)).collect();
-        let mut survivors = tiptoe_underhood::combine_decoded_subset(&mut parts, &vec![true; w]);
-        let mut one = uh.decode_token::<u64>(&key, &token);
-        let v: Vec<u64> =
-            (0..plain.upload_dim()).map(|_| rng.gen_range(0..config.rank_lwe.p)).collect();
-        let ct = uh.encrypt_query::<u64, _>(&key, &plain.public_matrix(), &v, &mut rng);
-        let (applied, _) = plain.answer(&ct);
-        assert_eq!(applied, tolerant.answer(&ct).0);
-        assert_eq!(uh.decrypt(&mut one, &applied), uh.decrypt(&mut survivors, &applied));
+        assert_eq!(tokens.len(), 2);
+        for t in &tokens {
+            assert_eq!(t.encode(), token.encode());
+        }
     }
 
     #[test]

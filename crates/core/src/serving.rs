@@ -30,8 +30,8 @@ use std::time::Duration;
 
 use tiptoe_lwe::LweCiphertext;
 use tiptoe_net::{
-    AdmissionController, AdmissionPermit, AdmissionPolicy, BreakerBank, BreakerPolicy,
-    BreakerState, CoalescePolicy, Coalescer, DeadlineBudget, LaneStatus, ServeError,
+    AdmissionController, AdmissionPermit, AdmissionPolicy, CoalescePolicy, Coalescer,
+    DeadlineBudget, LaneStatus, ServeError,
 };
 use tiptoe_obs::recorder::flush_reason;
 use tiptoe_underhood::{ExpandedSecret, QueryToken};
@@ -39,27 +39,25 @@ use tiptoe_underhood::{ExpandedSecret, QueryToken};
 use crate::ranking::RankingService;
 use crate::url::UrlService;
 
-/// One client's coalesced token-fetch result: its ranking tokens as
-/// [`RankingService::generate_token_parts_expanded_many`] returns them
-/// plus its URL token.
+/// One client's coalesced token-fetch result: its ranking token as
+/// [`RankingService::generate_token_expanded_many`] returns it plus
+/// its URL token.
 pub struct TokenBundle {
-    /// The one ranking token, or one per shard (in shard order) from a
-    /// fault-tolerant service.
-    pub rank_parts: Vec<QueryToken>,
+    /// The ranking token over the summed hint.
+    pub rank: QueryToken,
     /// The URL service's token.
     pub url: QueryToken,
 }
 
 /// Batch coalescers over both services' shards, plus the plane's
-/// overload-safety layers: an admission controller (bounded inflight
-/// queries, deterministic shedding) and per-shard circuit breakers.
+/// admission controller (bounded inflight queries, deterministic
+/// shedding).
 /// Shareable across client threads (`&ServingPlane` is `Send + Sync`).
 pub struct ServingPlane<'a> {
     rank_lanes: Vec<Coalescer<'a, Vec<u64>, Vec<u64>>>,
     url_lane: Coalescer<'a, LweCiphertext<u32>, Vec<u32>>,
     token_lane: Coalescer<'a, Arc<ExpandedSecret>, TokenBundle>,
     admission: Option<AdmissionController>,
-    breakers: Option<BreakerBank>,
     /// The plane-wide in-flight gauge shared by every lane (how many
     /// requests a complete batch holds), kept here for introspection.
     cohort: Arc<AtomicUsize>,
@@ -68,17 +66,14 @@ pub struct ServingPlane<'a> {
 impl<'a> ServingPlane<'a> {
     /// Builds one coalescing lane per ranking shard plus one for the
     /// URL server and one for token fetches, under the given
-    /// overload-safety policies.
+    /// coalescing and admission policies.
     ///
     /// When `admission.enabled`, the plane's concurrent-query capacity
     /// is derived from the observed batched-scan latency histogram
     /// (`net.coalesce.flush_us`) — or pinned by
     /// `admission.max_inflight` — and queries past
     /// `capacity + queue_depth` inflight are shed with a typed
-    /// [`ServeError::Overloaded`]. When `breaker.enabled`, each
-    /// ranking shard (and the URL server, addressed after them) gets a
-    /// circuit breaker, which dispatch consults only under an enabled
-    /// fault policy.
+    /// [`ServeError::Overloaded`].
     ///
     /// # Panics
     ///
@@ -90,11 +85,9 @@ impl<'a> ServingPlane<'a> {
         url: &'a UrlService,
         policy: CoalescePolicy,
         admission: AdmissionPolicy,
-        breaker: BreakerPolicy,
     ) -> Self {
         policy.validate().expect("invalid coalescer policy");
         admission.validate().expect("invalid admission policy");
-        breaker.validate().expect("invalid breaker policy");
         // One in-flight gauge across every lane in the plane: a query
         // crosses the lanes one at a time, so "is everyone here?" (the
         // coalescer's completion rule) must be answered plane-wide — a
@@ -121,12 +114,9 @@ impl<'a> ServingPlane<'a> {
         // hint-evaluation kernels.
         let token_lane = Coalescer::new(policy, move |secrets: Vec<Arc<ExpandedSecret>>| {
             let refs: Vec<&ExpandedSecret> = secrets.iter().map(|a| a.as_ref()).collect();
-            let (rank, _) = ranking.generate_token_parts_expanded_many(&refs);
+            let (rank, _) = ranking.generate_token_expanded_many(&refs);
             let url_tokens = url.generate_token_expanded_many(&refs, url_threads);
-            rank.into_iter()
-                .zip(url_tokens)
-                .map(|(rank_parts, url)| TokenBundle { rank_parts, url })
-                .collect()
+            rank.into_iter().zip(url_tokens).map(|(rank, url)| TokenBundle { rank, url }).collect()
         })
         .with_cohort(cohort.clone());
         let admission = admission.enabled.then(|| {
@@ -134,8 +124,7 @@ impl<'a> ServingPlane<'a> {
             let capacity = admission.capacity_from_flush_histogram(&flush, policy.max_batch);
             AdmissionController::new(admission, capacity)
         });
-        let breakers = breaker.enabled.then(|| BreakerBank::new(breaker, ranking.num_shards() + 1));
-        Self { rank_lanes, url_lane, token_lane, admission, breakers, cohort }
+        Self { rank_lanes, url_lane, token_lane, admission, cohort }
     }
 
     /// Number of ranking lanes (one per shard).
@@ -146,13 +135,6 @@ impl<'a> ServingPlane<'a> {
     /// The admission controller, when admission control is enabled.
     pub fn admission(&self) -> Option<&AdmissionController> {
         self.admission.as_ref()
-    }
-
-    /// The per-shard circuit breakers, when breakers are enabled.
-    /// Ranking shard `w` owns breaker `w`; the URL server owns breaker
-    /// `W` (matching the fault plan's shared address space).
-    pub fn breakers(&self) -> Option<&BreakerBank> {
-        self.breakers.as_ref()
     }
 
     /// Admits one query, or sheds it. `Ok(None)` means admission
@@ -232,8 +214,8 @@ impl<'a> ServingPlane<'a> {
     }
 
     /// A live introspection snapshot of the whole plane: per-lane
-    /// occupancy, the plane-wide cohort gauge, breaker states,
-    /// admission counters, key latency quantiles, and SLO burn rates.
+    /// occupancy, the plane-wide cohort gauge, admission counters,
+    /// key latency quantiles, and SLO burn rates.
     /// Values are instantaneous and unsynchronized — this is an
     /// operator's view, not a transcript.
     pub fn status(&self) -> PlaneStatus {
@@ -252,11 +234,6 @@ impl<'a> ServingPlane<'a> {
             admitted: c.admitted(),
             sheds: c.sheds(),
         });
-        let breakers = self
-            .breakers
-            .as_ref()
-            .map(|b| (0..b.len()).map(|w| b.state(w)).collect())
-            .unwrap_or_default();
         let registry = tiptoe_obs::metrics();
         let histograms = PlaneStatus::WATCHED_HISTOGRAMS
             .iter()
@@ -285,7 +262,6 @@ impl<'a> ServingPlane<'a> {
             lanes,
             cohort: self.cohort.load(Ordering::SeqCst),
             admission,
-            breakers,
             histograms,
             slo,
         }
@@ -355,9 +331,6 @@ pub struct PlaneStatus {
     pub cohort: usize,
     /// Admission counters, when admission control is enabled.
     pub admission: Option<AdmissionStatus>,
-    /// Per-shard breaker states (ranking shards then the URL server),
-    /// empty when breakers are disabled.
-    pub breakers: Vec<BreakerState>,
     /// Quantiles of the watched latency histograms.
     pub histograms: Vec<HistogramStatus>,
     /// SLO burn rates.
@@ -416,14 +389,7 @@ impl PlaneStatus {
             }
             None => out.push_str(",\"admission\":null"),
         }
-        out.push_str(",\"breakers\":[");
-        for (i, b) in self.breakers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", b.as_str());
-        }
-        out.push_str("],\"histograms\":[");
+        out.push_str(",\"histograms\":[");
         for (i, h) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -471,13 +437,6 @@ impl PlaneStatus {
             self.slo.miss_long,
             self.slo.miss_total
         );
-        if !self.breakers.is_empty() {
-            let _ = write!(out, "breakers   ");
-            for (w, b) in self.breakers.iter().enumerate() {
-                let _ = write!(out, " {w}:{}", b.as_str());
-            }
-            out.push('\n');
-        }
         let _ = write!(
             out,
             "{:<10} {:>4} {:>6} {:>8} {:>12} {:>10} {:>9} {:>10}",
@@ -557,15 +516,10 @@ mod tests {
 
         // Direct per-client generation vs the plane's token lane, from
         // the same upload (expansion is deterministic).
-        let (mut direct, _) =
-            instance.ranking.generate_token_parts_expanded_many(&[&es.expand(uh)]);
-        let direct_parts = direct.pop().expect("one bundle per secret");
+        let (direct_rank, _) = instance.ranking.generate_token_expanded(&es.expand(uh));
         let (direct_url, _) = instance.url.generate_token_expanded(&es.expand(uh));
         let bundle = plane.generate_tokens(std::sync::Arc::new(es.expand(uh)));
-        assert_eq!(bundle.rank_parts.len(), direct_parts.len());
-        for (got, want) in bundle.rank_parts.iter().zip(direct_parts.iter()) {
-            assert_eq!(got.encode(), want.encode(), "coalesced rank token differs");
-        }
+        assert_eq!(bundle.rank.encode(), direct_rank.encode(), "coalesced rank token differs");
         assert_eq!(bundle.url.encode(), direct_url.encode(), "coalesced URL token differs");
     }
 
@@ -597,7 +551,7 @@ mod tests {
         // Both renderings are self-contained and name every lane.
         let json = status.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "json: {json}");
-        for key in ["\"lanes\"", "\"cohort\"", "\"admission\"", "\"breakers\"", "\"slo\""] {
+        for key in ["\"lanes\"", "\"cohort\"", "\"admission\"", "\"slo\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         let text = status.render();

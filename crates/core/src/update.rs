@@ -167,44 +167,35 @@ mod tests {
 
     use crate::config::TiptoeConfig;
 
-    /// Both kinds of instance: one summed ranking hint, and per-shard
-    /// hints under the fault policy.
-    const FAULT_TOLERANT: [bool; 2] = [false, true];
-
-    fn build(fault_tolerant: bool) -> TiptoeInstance<TextEmbedder> {
+    fn build() -> TiptoeInstance<TextEmbedder> {
         let corpus = generate(&CorpusConfig::small(200, 77), 5);
-        let mut config = TiptoeConfig::test_small(200, 77);
-        if fault_tolerant {
-            config.fault_policy = tiptoe_net::FaultPolicy::tolerant();
-        }
+        let config = TiptoeConfig::test_small(200, 77);
         let embedder = TextEmbedder::new(config.d_embed, 77, 0);
         TiptoeInstance::build(&config, embedder, &corpus)
     }
 
     #[test]
     fn added_document_is_privately_searchable() {
-        for fault_tolerant in FAULT_TOLERANT {
-            let mut instance = build(fault_tolerant);
-            let text = "zzap unique incremental document about lunar gardening routines";
-            let url = "https://www.example.com/fresh/lunar-gardening";
-            // Retry with salted text if the first target cluster is
-            // full (possible on tiny corpora).
-            let (report, salted) = (0..40)
-                .find_map(|salt| {
-                    let salted = format!("{text} v{salt}");
-                    instance.add_document(&salted, url).ok().map(|r| (r, salted))
-                })
-                .expect("some salt finds a cluster with room");
+        let mut instance = build();
+        let text = "zzap unique incremental document about lunar gardening routines";
+        let url = "https://www.example.com/fresh/lunar-gardening";
+        // Retry with salted text if the first target cluster is
+        // full (possible on tiny corpora).
+        let (report, salted) = (0..40)
+            .find_map(|salt| {
+                let salted = format!("{text} v{salt}");
+                instance.add_document(&salted, url).ok().map(|r| (r, salted))
+            })
+            .expect("some salt finds a cluster with room");
 
-            // A *fresh* client (new metadata, new tokens) finds the doc.
-            let mut client = instance.new_client(9);
-            let results = client.search(&instance, &salted, 20);
-            assert!(
-                results.hits.iter().any(|h| h.doc == report.doc && h.url == url),
-                "fault_tolerant={fault_tolerant}: new document not retrieved: {:?}",
-                results.hits
-            );
-        }
+        // A *fresh* client (new metadata, new tokens) finds the doc.
+        let mut client = instance.new_client(9);
+        let results = client.search(&instance, &salted, 20);
+        assert!(
+            results.hits.iter().any(|h| h.doc == report.doc && h.url == url),
+            "new document not retrieved: {:?}",
+            results.hits
+        );
     }
 
     /// A raw embedding whose PCA projection lands at a cluster with a
@@ -226,61 +217,53 @@ mod tests {
     #[test]
     fn incremental_hint_matches_full_rebuild() {
         use rand::Rng;
-        for fault_tolerant in FAULT_TOLERANT {
-            let mut instance = build(fault_tolerant);
-            let url = "https://www.example.com/fresh/tidal-synths";
-            let probe = raw_probe_for_free_slot(&instance);
-            instance
-                .add_document_embedding(&probe, url)
-                .expect("centroid probe lands in a cluster with room");
+        let mut instance = build();
+        let url = "https://www.example.com/fresh/tidal-synths";
+        let probe = raw_probe_for_free_slot(&instance);
+        instance
+            .add_document_embedding(&probe, url)
+            .expect("centroid probe lands in a cluster with room");
 
-            // Rebuild the ranking service from the mutated artifacts:
-            // the incremental state must answer queries, and evaluate
-            // its hint into tokens, identically.
-            let rebuilt =
-                crate::ranking::RankingService::build(&instance.config, &instance.artifacts);
-            let mut rng = tiptoe_math::rng::seeded_rng(5);
-            let uh = instance.ranking.underhood();
-            let key =
-                tiptoe_underhood::ClientKey::generate(uh, instance.config.rank_lwe.n, &mut rng);
-            let v: Vec<u64> = (0..instance.ranking.upload_dim())
-                .map(|_| rng.gen_range(0..instance.config.rank_lwe.p))
-                .collect();
-            let ct =
-                uh.encrypt_query::<u64, _>(&key, &instance.ranking.public_matrix(), &v, &mut rng);
-            let (incremental, _) = instance.ranking.answer(&ct);
-            let (full, _) = rebuilt.answer(&ct);
-            assert_eq!(incremental, full, "incremental index diverged from a full rebuild");
+        // Rebuild the ranking service from the mutated artifacts:
+        // the incremental state must answer queries, and evaluate
+        // its hint into tokens, identically.
+        let rebuilt =
+            crate::ranking::RankingService::build(&instance.config, &instance.artifacts);
+        let mut rng = tiptoe_math::rng::seeded_rng(5);
+        let uh = instance.ranking.underhood();
+        let key =
+            tiptoe_underhood::ClientKey::generate(uh, instance.config.rank_lwe.n, &mut rng);
+        let v: Vec<u64> = (0..instance.ranking.upload_dim())
+            .map(|_| rng.gen_range(0..instance.config.rank_lwe.p))
+            .collect();
+        let ct =
+            uh.encrypt_query::<u64, _>(&key, &instance.ranking.public_matrix(), &v, &mut rng);
+        let (incremental, _) = instance.ranking.answer(&ct);
+        let (full, _) = rebuilt.answer(&ct);
+        assert_eq!(incremental, full, "incremental index diverged from a full rebuild");
 
-            let expanded =
-                tiptoe_underhood::EncryptedSecret::encrypt(uh, &key, &mut rng).expand(uh);
-            let tokens = |svc: &crate::ranking::RankingService| -> Vec<Vec<u8>> {
-                let (mut bundles, _) = svc.generate_token_parts_expanded_many(&[&expanded]);
-                bundles.pop().expect("one bundle").iter().map(|t| t.encode()).collect()
-            };
-            let incremental = tokens(&instance.ranking);
-            assert_eq!(
-                incremental.len(),
-                if fault_tolerant { rebuilt.num_shards() } else { 1 }
-            );
-            assert_eq!(incremental, tokens(&rebuilt), "incremental hint diverged");
-        }
+        let expanded =
+            tiptoe_underhood::EncryptedSecret::encrypt(uh, &key, &mut rng).expand(uh);
+        let token = |svc: &crate::ranking::RankingService| svc.generate_token_expanded(&expanded).0;
+        assert_eq!(
+            token(&instance.ranking).encode(),
+            token(&rebuilt).encode(),
+            "incremental hint diverged"
+        );
     }
 
     #[test]
     fn full_cluster_is_reported_not_corrupted() {
-        for fault_tolerant in FAULT_TOLERANT {
-            let mut instance = build(fault_tolerant);
-            // Fill whatever cluster the probe lands in until it errors.
-            let full = (0..500).any(|i| {
-                let text = format!("filler doc {i} w1 w2 w3");
-                instance.add_document(&text, "https://x.example/f").is_err()
-            });
-            assert!(full, "capacity limits must eventually surface");
-            // The instance still answers queries after the failed update.
-            let mut client = instance.new_client(3);
-            let results = client.search(&instance, "w1 w2 w3", 5);
-            assert!(!results.hits.is_empty(), "fault_tolerant={fault_tolerant}");
-        }
+        let mut instance = build();
+        // Fill whatever cluster the probe lands in until it errors.
+        let full = (0..500).any(|i| {
+            let text = format!("filler doc {i} w1 w2 w3");
+            instance.add_document(&text, "https://x.example/f").is_err()
+        });
+        assert!(full, "capacity limits must eventually surface");
+        // The instance still answers queries after the failed update.
+        let mut client = instance.new_client(3);
+        let results = client.search(&instance, "w1 w2 w3", 5);
+        assert!(!results.hits.is_empty());
     }
 }

@@ -32,7 +32,7 @@ struct UrlAnswer<'a> {
 impl Service for UrlAnswer<'_> {
     type Request = LweCiphertext<u32>;
     type Part = Vec<u32>;
-    type Response = Option<Vec<u32>>;
+    type Response = Vec<u32>;
 
     fn outer_span(&self) -> &'static str {
         "url.answer"
@@ -69,8 +69,8 @@ impl Service for UrlAnswer<'_> {
         Ok(answer)
     }
 
-    fn combine(&self, mut parts: Vec<Option<Vec<u32>>>) -> Option<Vec<u32>> {
-        parts.pop().flatten()
+    fn combine(&self, mut parts: Vec<Vec<u32>>) -> Vec<u32> {
+        parts.pop().expect("the one PIR server's answer")
     }
 }
 
@@ -155,7 +155,7 @@ impl UrlService {
         let d = self
             .dispatch_answer(ct, 0, &FaultPlan::none(), &FaultPolicy::default(), None, None, None)
             .expect("an unbudgeted direct dispatch cannot fail");
-        (d.response.expect("a disabled policy always answers"), d.timing)
+        (d.response, d.timing)
     }
 
     /// Answers a batch of PIR queries in one pass over the database
@@ -168,19 +168,20 @@ impl UrlService {
     /// Dispatches an online PIR query through the typed service plane
     /// ([`tiptoe_net::dispatch`]): transcript accounting via `ledger`,
     /// fault handling under `plan`/`policy` (the server is addressed
-    /// as shard `shard_base` so ranking and URL share one plan, and
-    /// owns breaker `shard_base`), optional batch coalescing via the
-    /// serving plane, and the query's deadline `budget`. The response
-    /// is `None` if the server never delivers a verified answer within
-    /// the deadline (impossible when the policy is disabled).
+    /// as shard `shard_base` so ranking and URL share one plan),
+    /// optional batch coalescing via the serving plane, and the
+    /// query's deadline `budget`.
     ///
     /// # Errors
     ///
+    /// [`ServeError::ShardFailed`] (naming shard `shard_base`) when the
+    /// server never delivers a verified answer within the policy's
+    /// retries, hedges and deadline,
     /// [`ServeError::DeadlineExceeded`] when the budget runs out,
     /// [`ServeError::LaneFailed`] on a permanently crashed coalescer
     /// lane, [`ServeError::InvalidPolicy`] on an invalid enabled
-    /// policy. Without a budget or a plane it cannot fail on a valid
-    /// policy.
+    /// policy. Under a disabled policy, without a budget or a plane,
+    /// it cannot fail.
     ///
     /// # Panics
     ///
@@ -196,10 +197,8 @@ impl UrlService {
         ledger: Option<&Ledger<'_>>,
         via: Option<&ServingPlane<'_>>,
         budget: Option<&DeadlineBudget>,
-    ) -> Result<Dispatched<Option<Vec<u32>>>, ServeError> {
-        let ctx = DispatchContext::new(plan, policy)
-            .with_budget(budget)
-            .with_breakers(via.and_then(|p| p.breakers()));
+    ) -> Result<Dispatched<Vec<u32>>, ServeError> {
+        let ctx = DispatchContext::new(plan, policy).with_budget(budget);
         dispatch(&UrlAnswer { svc: self, via, budget }, ct, shard_base, ctx, ledger)
     }
 

@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 
-use crate::overload::{ConfigError, ServeError, ShardGate};
+use crate::overload::{ConfigError, ServeError};
 use crate::{timed, ParallelTiming};
 
 /// Hard cap on an envelope payload (bounds allocation from hostile
@@ -339,11 +339,13 @@ fn unit_draw(seed: u64, shard: u64, attempt: u64) -> f64 {
 /// Disabled by default: with `enabled == false` [`crate::dispatch`]
 /// ignores the other knobs and gives every shard one attempt that is
 /// never timed out, hedged or retried, so the answers are the
-/// fault-oblivious protocol's.
+/// fault-oblivious protocol's. Either way the policy changes only how
+/// a shard is asked, never what a query needs from it: every shard
+/// must answer, and one that still has not after the knobs below are
+/// spent fails the query with [`ServeError::ShardFailed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
-    /// Whether the recovery knobs below (and the per-shard token path
-    /// a degraded query needs) are active.
+    /// Whether the recovery knobs below are active.
     pub enabled: bool,
     /// Per-attempt, per-shard timeout: a worker that has not delivered
     /// a verifiable response by then is abandoned.
@@ -358,7 +360,8 @@ pub struct FaultPolicy {
     /// earlier of the two arrivals.
     pub hedge_after: Option<Duration>,
     /// Per-shard budget across all attempts and backoffs; once spent,
-    /// the shard is declared failed and the query degrades.
+    /// the shard is declared failed and so is the query
+    /// ([`ServeError::ShardFailed`]).
     pub deadline: Duration,
 }
 
@@ -504,20 +507,12 @@ enum Delivery<R> {
 /// the dispatcher seals the payload in the TPT2 envelope,
 /// injects any planned fault, verifies the envelope, and hands it to
 /// `parse`. A shard whose attempts are exhausted (or whose deadline
-/// is spent) yields `None` and the caller degrades.
+/// is spent) yields `None`, and [`crate::dispatch`] fails the query
+/// with [`ServeError::ShardFailed`] once the fan-out has finished.
 ///
 /// `shard_base` offsets the plan's shard address space, so several
 /// services can share one plan (the ranking shards take `0..W`, the
 /// URL server `W`).
-///
-/// `gates` are the per-shard circuit-breaker decisions, when the
-/// plane has breakers: a shard gated [`ShardGate::Skip`] is not
-/// dispatched at all — it is reported as failed with zero attempts
-/// and zero wall (the breaker already knows it is down; waiting out
-/// its timeouts again would just burn the query's deadline budget),
-/// and the query degrades to survivor-subset decryption over the
-/// remaining shards. [`ShardGate::Serve`] and [`ShardGate::Probe`]
-/// dispatch normally, as does every shard when `gates` is `None`.
 ///
 /// Timing is virtual (see the module docs) and deterministic in the
 /// plan wherever fault delays are expressed as fixed `extra` delays.
@@ -526,58 +521,25 @@ enum Delivery<R> {
 ///
 /// [`ServeError::InvalidPolicy`] on an invalid policy; any
 /// [`ServeError`] from `serve` is propagated.
-///
-/// # Panics
-///
-/// Panics if `gates` is provided with a length other than
-/// `num_shards`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch_faulty<R>(
     shard_span: &'static str,
     num_shards: usize,
     shard_base: usize,
     plan: &FaultPlan,
     policy: &FaultPolicy,
-    gates: Option<&[ShardGate]>,
     mut serve: impl FnMut(usize) -> Result<Vec<u8>, ServeError>,
     mut parse: impl FnMut(usize, &[u8]) -> Result<R, WireError>,
 ) -> Result<(Vec<Option<R>>, FaultReport), ServeError> {
     policy.validate()?;
-    if let Some(g) = gates {
-        assert_eq!(g.len(), num_shards, "one gate per shard");
-    }
     let mut report = FaultReport::default();
     let mut results: Vec<Option<R>> = Vec::with_capacity(num_shards);
     let mut cpu_total = Duration::ZERO;
     let mut wall_max = Duration::ZERO;
 
     for idx in 0..num_shards {
-        let gate = gates.map_or(ShardGate::Serve, |g| g[idx]);
         let mut span = tiptoe_obs::span(shard_span);
         if tiptoe_obs::enabled() {
             span.set_label(format!("{idx}"));
-        }
-        if gate == ShardGate::Skip {
-            span.attr_u64("attempts", 0);
-            span.attr_u64("skipped", 1);
-            span.attr_u64("ok", 0);
-            drop(span);
-            tiptoe_obs::recorder::record(
-                tiptoe_obs::recorder::EventKind::ShardSkipped,
-                (shard_base + idx) as u64,
-                // Skip gates only come from open breakers.
-                tiptoe_obs::recorder::breaker_state::OPEN,
-                0,
-                0,
-            );
-            report.shards.push(ShardReport {
-                ok: false,
-                attempts: 0,
-                hedged: false,
-                wall: Duration::ZERO,
-            });
-            results.push(None);
-            continue;
         }
         let mut shard_wall = Duration::ZERO;
         let mut shard_cpu = Duration::ZERO;
@@ -682,7 +644,7 @@ pub(crate) fn dispatch_faulty<R>(
         tiptoe_obs::recorder::record(
             tiptoe_obs::recorder::EventKind::ShardOutcome,
             (shard_base + idx) as u64,
-            u64::from(ok) | (u64::from(hedged) << 1) | (u64::from(gate == ShardGate::Probe) << 2),
+            u64::from(ok) | (u64::from(hedged) << 1),
             attempts as u64,
             shard_wall.as_micros() as u64,
         );
@@ -860,7 +822,6 @@ mod tests {
             0,
             &FaultPlan::none(),
             &FaultPolicy::tolerant(),
-            None,
             serve_ok,
             parse_ok,
         )
@@ -879,7 +840,9 @@ mod tests {
         let plan = FaultPlan::none().crash_shard(1);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) =
+            dispatch_faulty("test.shard", shards, 0, &plan, &policy, serve_ok, parse_ok)
+                .expect("dispatch");
         assert_eq!(results[0], Some(0));
         assert_eq!(results[1], None);
         assert_eq!(results[2], Some(20));
@@ -898,7 +861,9 @@ mod tests {
         let plan = FaultPlan::none().flaky_then_recover(0, 2);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) =
+            dispatch_faulty("test.shard", shards, 0, &plan, &policy, serve_ok, parse_ok)
+                .expect("dispatch");
         assert_eq!(results, vec![Some(0), Some(10)]);
         assert!(report.all_ok());
         assert_eq!(report.retries, 2);
@@ -916,7 +881,8 @@ mod tests {
             let mut policy = FaultPolicy::tolerant();
             policy.hedge_after = None;
             let (results, report) =
-                dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+                dispatch_faulty("test.shard", shards, 0, &plan, &policy, serve_ok, parse_ok)
+                    .expect("dispatch");
             assert_eq!(results, vec![Some(0), Some(10)], "{kind:?}");
             assert_eq!(report.corrupted, 1, "{kind:?}");
             assert_eq!(report.retries, 1, "{kind:?}");
@@ -931,7 +897,9 @@ mod tests {
         // so the primary is abandoned and the hedge (healthy) wins.
         let plan = FaultPlan::none().straggle_shard(2, 1.0, Duration::from_secs(10));
         let policy = FaultPolicy::tolerant();
-        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) =
+            dispatch_faulty("test.shard", shards, 0, &plan, &policy, serve_ok, parse_ok)
+                .expect("dispatch");
         // The sticky straggler also delays the hedge, which still
         // arrives... no: sticky applies to every attempt, so the hedge
         // straggles too and the shard exhausts its attempts.
@@ -947,7 +915,8 @@ mod tests {
             FaultKind::Straggle { factor: 10.0, extra: Duration::from_secs(10) },
         );
         let (results, report) =
-            dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+            dispatch_faulty("test.shard", shards, 0, &plan, &policy, serve_ok, parse_ok)
+                .expect("dispatch");
         assert_eq!(results[2], Some(20));
         assert!(report.shards[2].ok);
         assert_eq!(report.shards[2].attempts, 1, "hedge consumed no retry");
@@ -965,7 +934,9 @@ mod tests {
         policy.hedge_after = None;
         // 60 ms fixed virtual delay < 250 ms timeout: arrives, verified.
         let plan = FaultPlan::none().straggle_shard(0, 1.0, Duration::from_millis(60));
-        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) =
+            dispatch_faulty("test.shard", shards, 0, &plan, &policy, serve_ok, parse_ok)
+                .expect("dispatch");
         assert_eq!(results, vec![Some(0), Some(10)]);
         assert!(report.all_ok());
         assert!(report.shards[0].wall >= Duration::from_millis(60));
@@ -995,10 +966,11 @@ mod tests {
         let plan = FaultPlan::none().crash_shard(5);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let (hit, _) =
-            dispatch_faulty("test.shard", shards, 5, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (hit, _) = dispatch_faulty("test.shard", shards, 5, &plan, &policy, serve_ok, parse_ok)
+            .expect("dispatch");
         assert_eq!(hit, vec![None]);
-        let (miss, _) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (miss, _) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, serve_ok, parse_ok)
+            .expect("dispatch");
         assert_eq!(miss, vec![Some(0)]);
     }
 
@@ -1010,7 +982,9 @@ mod tests {
         policy.hedge_after = None;
         policy.max_retries = 100;
         policy.deadline = Duration::from_millis(600);
-        let (results, report) = dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+        let (results, report) =
+            dispatch_faulty("test.shard", shards, 0, &plan, &policy, serve_ok, parse_ok)
+                .expect("dispatch");
         assert_eq!(results, vec![None]);
         // 600 ms budget / 250 ms timeouts: at most 3 attempts launch.
         assert!(report.shards[0].attempts <= 3, "{}", report.shards[0].attempts);
@@ -1031,7 +1005,7 @@ mod tests {
         assert_eq!(p.validate().expect_err("late hedge").field, "fault_policy.hedge_after");
         // An invalid policy surfaces through dispatch as a typed
         // error, not a panic.
-        let err = dispatch_faulty("test.shard", 1, 0, &FaultPlan::none(), &p, None, serve_ok, parse_ok)
+        let err = dispatch_faulty("test.shard", 1, 0, &FaultPlan::none(), &p, serve_ok, parse_ok)
             .expect_err("invalid policy rejected");
         assert!(matches!(err, ServeError::InvalidPolicy(_)), "{err:?}");
     }
@@ -1046,32 +1020,10 @@ mod tests {
         policy.hedge_after = None;
         policy.max_retries = 0;
         let (results, report) =
-            dispatch_faulty("test.shard", shards, 0, &plan, &policy, None, serve_ok, parse_ok).expect("dispatch");
+            dispatch_faulty("test.shard", shards, 0, &plan, &policy, serve_ok, parse_ok)
+                .expect("dispatch");
         assert_eq!(results, vec![Some(0), None, None, Some(30)]);
         assert_eq!(report.failed_shards(), vec![1, 2], "the whole AZ fails together");
-    }
-
-    #[test]
-    fn skip_gates_fail_shards_without_burning_attempts() {
-        let shards = 3;
-        let gates = [ShardGate::Serve, ShardGate::Skip, ShardGate::Probe];
-        let (results, report) = dispatch_faulty(
-            "test.shard",
-            shards,
-            0,
-            &FaultPlan::none(),
-            &FaultPolicy::tolerant(),
-            Some(&gates),
-            serve_ok,
-            parse_ok,
-        )
-        .expect("dispatch");
-        assert_eq!(results, vec![Some(0), None, Some(20)]);
-        let skipped = &report.shards[1];
-        assert!(!skipped.ok);
-        assert_eq!(skipped.attempts, 0, "skipped shards launch no attempts");
-        assert_eq!(skipped.wall, Duration::ZERO, "skipping costs no deadline budget");
-        assert!(report.shards[0].ok && report.shards[2].ok, "served and probed shards answer");
     }
 
     #[test]
@@ -1087,7 +1039,6 @@ mod tests {
             0,
             &FaultPlan::none(),
             &FaultPolicy::tolerant(),
-            None,
             |idx| if idx == 1 { Err(budget_err) } else { serve_ok(idx) },
             parse_ok,
         )

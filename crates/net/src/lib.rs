@@ -16,6 +16,11 @@
 //! Every protocol message crosses a [`Transcript`], which records its
 //! exact wire size per phase and direction; the end-to-end latency of
 //! a phase is then reconstructed with [`LinkModel::phase_latency`].
+//!
+//! Every shard of a fan-out must answer: under an enabled
+//! [`FaultPolicy`] a shard is retried and hedged up to its deadline,
+//! and one still without a verified answer fails the dispatch with
+//! [`ServeError::ShardFailed`] once the round is accounted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,8 +36,7 @@ pub use fault::{
     ShardReport, TRACED_ENVELOPE_OVERHEAD,
 };
 pub use overload::{
-    AdmissionController, AdmissionPermit, AdmissionPolicy, BreakerBank, BreakerPolicy,
-    BreakerState, ConfigError, DeadlineBudget, ServeError, ShardGate,
+    AdmissionController, AdmissionPermit, AdmissionPolicy, ConfigError, DeadlineBudget, ServeError,
 };
 pub use service::{dispatch, DispatchContext, Dispatched, Ledger, Service};
 

@@ -1,11 +1,11 @@
-//! Overload safety: deadline budgets, admission control, and
-//! per-shard circuit breakers for the typed service plane.
+//! Overload safety: deadline budgets and admission control for the
+//! typed service plane, and the typed errors a query fails with.
 //!
 //! Tiptoe's server work is scan-bound — every query costs a full
 //! database scan — so a burst past capacity cannot be absorbed, only
 //! shed or deadlined (Wally reaches the million-user regime by
 //! scheduling load against explicit capacity budgets). This module
-//! holds the three cooperating mechanisms:
+//! holds the two cooperating mechanisms:
 //!
 //! - [`DeadlineBudget`] — a per-query wall-clock allowance carried
 //!   from the client's `query` through [`crate::dispatch`] into coalescer
@@ -17,11 +17,12 @@
 //!   histogram (`net.coalesce.flush_us`). Queries past
 //!   `capacity + queue_depth` inflight are shed deterministically (by
 //!   arrival order) with [`ServeError::Overloaded`].
-//! - [`BreakerBank`] — per-shard circuit breakers layered on
-//!   [`crate::FaultPolicy`]: a shard whose responses degrade past a
-//!   failure or straggler-latency threshold is *opened* (its traffic
-//!   skipped, queries degrade to survivor-subset decryption over the
-//!   remaining shards) and half-open probed for recovery.
+//!
+//! A shard that stays down is not routed around: every ranking query
+//! fans out to every shard, so one that still has no verified answer
+//! after [`crate::FaultPolicy`]'s retries, hedges and deadline fails
+//! the query with [`ServeError::ShardFailed`], and the client may
+//! retry.
 //!
 //! Everything here is mechanism; policy lives in the corresponding
 //! `*Policy` structs, validated into [`ConfigError`] rather than
@@ -50,10 +51,10 @@ impl std::error::Error for ConfigError {}
 
 /// Why a query was rejected by the overload-safe serving path.
 ///
-/// These are *typed, expected* outcomes under overload — never
-/// panics. A shed or deadlined query costs the client a retry, not a
-/// privacy or correctness loss: admission happens before any token is
-/// consumed, and a deadline abort never returns a partial answer.
+/// These are *typed, expected* outcomes under overload or shard
+/// failure — never panics. A failed query costs the client a retry,
+/// not a privacy or correctness loss: admission happens before any
+/// token is consumed, and no failure returns a partial answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
     /// Admission control shed the query: `inflight` queries were
@@ -79,6 +80,16 @@ pub enum ServeError {
     },
     /// A fault/coalesce policy failed validation at dispatch time.
     InvalidPolicy(ConfigError),
+    /// A shard still had no verified answer after its retries, hedges
+    /// and deadline. The whole fan-out ran and its bytes are
+    /// accounted; only the answer is withheld.
+    ShardFailed {
+        /// The first failed shard, in the fault plan's address space
+        /// (ranking shards `0..W`, the URL server `W`).
+        shard: usize,
+        /// How many of the fan-out's shards failed.
+        failed: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -94,6 +105,9 @@ impl std::fmt::Display for ServeError {
                 write!(f, "coalescer lane failed after {crashes} crashed flushes")
             }
             ServeError::InvalidPolicy(e) => write!(f, "invalid policy: {e}"),
+            ServeError::ShardFailed { shard, failed } => {
+                write!(f, "shard {shard} failed ({failed} failed shards)")
+            }
         }
     }
 }
@@ -115,6 +129,9 @@ impl ServeError {
             }
             ServeError::LaneFailed { crashes } => (rc::LANE_FAILED, u64::from(crashes), 0),
             ServeError::InvalidPolicy(_) => (rc::INVALID_POLICY, 0, 0),
+            ServeError::ShardFailed { shard, failed } => {
+                (rc::SHARD_FAILED, shard as u64, failed as u64)
+            }
         }
     }
 }
@@ -393,272 +410,9 @@ impl Drop for AdmissionPermit<'_> {
     }
 }
 
-/// Circuit-breaker knobs, shared by every shard in a bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerPolicy {
-    /// Master switch; a disabled bank gates everything `Serve`.
-    pub enabled: bool,
-    /// Consecutive degraded outcomes that open a closed breaker.
-    pub failure_threshold: u32,
-    /// A *successful* response slower than this still counts as
-    /// degraded (straggler-aware: a limping shard is rerouted before
-    /// it times whole queries out).
-    pub latency_threshold: Duration,
-    /// Skipped dispatches an open breaker waits before half-open
-    /// probing the shard.
-    pub open_cooldown: u32,
-    /// Consecutive healthy probes that close a half-open breaker.
-    pub close_after: u32,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            failure_threshold: 3,
-            latency_threshold: Duration::from_millis(150),
-            open_cooldown: 8,
-            close_after: 2,
-        }
-    }
-}
-
-impl BreakerPolicy {
-    /// Checks internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] on zero thresholds or cooldowns.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.failure_threshold == 0 {
-            return Err(ConfigError {
-                field: "breaker.failure_threshold",
-                reason: "must tolerate at least one failure before opening",
-            });
-        }
-        if self.latency_threshold == Duration::ZERO {
-            return Err(ConfigError {
-                field: "breaker.latency_threshold",
-                reason: "straggler threshold must be positive",
-            });
-        }
-        if self.open_cooldown == 0 {
-            return Err(ConfigError {
-                field: "breaker.open_cooldown",
-                reason: "an open breaker must cool down before probing",
-            });
-        }
-        if self.close_after == 0 {
-            return Err(ConfigError {
-                field: "breaker.close_after",
-                reason: "closing must require at least one healthy probe",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Breaker state machine: `Closed` → (failures) → `Open` →
-/// (cooldown) → `HalfOpen` → (healthy probes) `Closed` / (degraded
-/// probe) back to `Open`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: traffic flows.
-    Closed,
-    /// Tripped: traffic skips the shard (degraded-mode serving).
-    Open,
-    /// Probing: traffic flows, watched for recovery.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Flight-recorder code (the `breaker_state` vocabulary in
-    /// `tiptoe_obs::recorder`).
-    pub fn recorder_code(self) -> u64 {
-        use tiptoe_obs::recorder::breaker_state as bs;
-        match self {
-            BreakerState::Closed => bs::CLOSED,
-            BreakerState::Open => bs::OPEN,
-            BreakerState::HalfOpen => bs::HALF_OPEN,
-        }
-    }
-
-    /// Stable display name (introspection snapshots).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
-}
-
-/// Per-dispatch verdict for one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardGate {
-    /// Dispatch normally.
-    Serve,
-    /// Dispatch normally, but this is a recovery probe.
-    Probe,
-    /// Skip the shard; the query degrades to the survivor subset.
-    Skip,
-}
-
-#[derive(Debug)]
-struct BreakerCore {
-    state: BreakerState,
-    /// Consecutive degraded outcomes while `Closed`.
-    failures: u32,
-    /// Consecutive healthy probes while `HalfOpen`.
-    successes: u32,
-    /// Skipped dispatches left before an `Open` breaker half-opens.
-    cooldown: u32,
-}
-
-/// One circuit breaker per shard in a plan's address space (ranking
-/// shards `0..W`, the URL server at `W`).
-///
-/// Gating and recording are driven by [`crate::dispatch`] under an
-/// enabled fault policy only: a skipped shard leaves the one summed
-/// token undecryptable, so a disabled policy neither consults nor
-/// trains the bank.
-#[derive(Debug)]
-pub struct BreakerBank {
-    policy: BreakerPolicy,
-    shards: Vec<Mutex<BreakerCore>>,
-}
-
-impl BreakerBank {
-    /// A bank of `num_shards` closed breakers.
-    pub fn new(policy: BreakerPolicy, num_shards: usize) -> Self {
-        let shards = (0..num_shards)
-            .map(|_| {
-                Mutex::new(BreakerCore {
-                    state: BreakerState::Closed,
-                    failures: 0,
-                    successes: 0,
-                    cooldown: 0,
-                })
-            })
-            .collect();
-        Self { policy, shards }
-    }
-
-    /// The policy this bank runs under.
-    pub fn policy(&self) -> BreakerPolicy {
-        self.policy
-    }
-
-    /// Number of breakers in the bank.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the bank is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Gates one dispatch to `shard` (plan address space). An open
-    /// breaker counts the skip against its cooldown and half-opens
-    /// when it reaches zero. Unknown shards are served.
-    pub fn gate(&self, shard: usize) -> ShardGate {
-        if !self.policy.enabled {
-            return ShardGate::Serve;
-        }
-        let Some(slot) = self.shards.get(shard) else {
-            return ShardGate::Serve;
-        };
-        let mut core = slot.lock().expect("breaker lock");
-        match core.state {
-            BreakerState::Closed => ShardGate::Serve,
-            BreakerState::Open => {
-                core.cooldown = core.cooldown.saturating_sub(1);
-                if core.cooldown == 0 {
-                    core.state = BreakerState::HalfOpen;
-                    core.successes = 0;
-                    ShardGate::Probe
-                } else {
-                    ShardGate::Skip
-                }
-            }
-            BreakerState::HalfOpen => ShardGate::Probe,
-        }
-    }
-
-    /// Trains the breaker with one served (non-skipped) outcome:
-    /// `ok` is whether the shard delivered a verified answer, `wall`
-    /// its response latency. A slow success past the straggler
-    /// threshold counts as degraded.
-    pub fn record(&self, shard: usize, ok: bool, wall: Duration) {
-        if !self.policy.enabled {
-            return;
-        }
-        let Some(slot) = self.shards.get(shard) else {
-            return;
-        };
-        let degraded = !ok || wall > self.policy.latency_threshold;
-        let mut core = slot.lock().expect("breaker lock");
-        match core.state {
-            BreakerState::Closed => {
-                if degraded {
-                    core.failures += 1;
-                    if core.failures >= self.policy.failure_threshold {
-                        core.state = BreakerState::Open;
-                        core.cooldown = self.policy.open_cooldown;
-                        core.failures = 0;
-                        tiptoe_obs::metrics().counter("net.breaker.opened").inc();
-                    }
-                } else {
-                    core.failures = 0;
-                }
-            }
-            BreakerState::HalfOpen => {
-                if degraded {
-                    core.state = BreakerState::Open;
-                    core.cooldown = self.policy.open_cooldown;
-                    core.successes = 0;
-                    tiptoe_obs::metrics().counter("net.breaker.reopened").inc();
-                } else {
-                    core.successes += 1;
-                    if core.successes >= self.policy.close_after {
-                        core.state = BreakerState::Closed;
-                        core.failures = 0;
-                        tiptoe_obs::metrics().counter("net.breaker.closed").inc();
-                    }
-                }
-            }
-            // A recorded outcome for an `Open` breaker can only be a
-            // dispatch that was gated before the breaker tripped;
-            // the open state already distrusts the shard, so ignore.
-            BreakerState::Open => {}
-        }
-    }
-
-    /// The current state of `shard`'s breaker (`Closed` for unknown
-    /// shards).
-    pub fn state(&self, shard: usize) -> BreakerState {
-        self.shards
-            .get(shard)
-            .map_or(BreakerState::Closed, |s| s.lock().expect("breaker lock").state)
-    }
-
-    /// Shards whose breakers are currently not closed.
-    pub fn degraded_shards(&self) -> Vec<usize> {
-        (0..self.shards.len()).filter(|&w| self.state(w) != BreakerState::Closed).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const FAST: Duration = Duration::from_millis(1);
-    const SLOW: Duration = Duration::from_millis(500);
-
-    fn enabled_breakers() -> BreakerPolicy {
-        BreakerPolicy { enabled: true, ..BreakerPolicy::default() }
-    }
 
     #[test]
     fn budget_charges_and_rejects_when_exhausted() {
@@ -718,78 +472,19 @@ mod tests {
     }
 
     #[test]
-    fn breaker_opens_after_consecutive_failures_and_recovers() {
-        let policy = enabled_breakers();
-        let bank = BreakerBank::new(policy, 2);
-        assert_eq!(bank.state(0), BreakerState::Closed);
-        // Two failures + one fast success: the streak resets.
-        bank.record(0, false, FAST);
-        bank.record(0, false, FAST);
-        bank.record(0, true, FAST);
-        assert_eq!(bank.state(0), BreakerState::Closed);
-        // Three consecutive failures: open.
-        for _ in 0..policy.failure_threshold {
-            bank.record(0, false, FAST);
-        }
-        assert_eq!(bank.state(0), BreakerState::Open);
-        assert_eq!(bank.degraded_shards(), vec![0]);
-        // Open: skipped for `open_cooldown` dispatches, then probed.
-        for _ in 1..policy.open_cooldown {
-            assert_eq!(bank.gate(0), ShardGate::Skip);
-        }
-        assert_eq!(bank.gate(0), ShardGate::Probe, "cooldown elapsed: half-open probe");
-        assert_eq!(bank.state(0), BreakerState::HalfOpen);
-        // Healthy probes close it again.
-        for _ in 0..policy.close_after {
-            assert_eq!(bank.gate(0), ShardGate::Probe);
-            bank.record(0, true, FAST);
-        }
-        assert_eq!(bank.state(0), BreakerState::Closed);
-        assert_eq!(bank.gate(0), ShardGate::Serve);
-        // The neighbor shard never moved.
-        assert_eq!(bank.state(1), BreakerState::Closed);
-    }
-
-    #[test]
-    fn stragglers_and_failed_probes_reopen() {
-        let policy = BreakerPolicy { failure_threshold: 2, open_cooldown: 1, ..enabled_breakers() };
-        let bank = BreakerBank::new(policy, 1);
-        // Successful but slow responses count as degraded.
-        bank.record(0, true, SLOW);
-        bank.record(0, true, SLOW);
-        assert_eq!(bank.state(0), BreakerState::Open, "stragglers open the breaker");
-        assert_eq!(bank.gate(0), ShardGate::Probe, "cooldown of 1: first gate probes");
-        // The probe fails: straight back to open.
-        bank.record(0, false, FAST);
-        assert_eq!(bank.state(0), BreakerState::Open);
-    }
-
-    #[test]
-    fn disabled_bank_gates_everything_through() {
-        let bank = BreakerBank::new(BreakerPolicy::default(), 1);
-        for _ in 0..10 {
-            bank.record(0, false, SLOW);
-        }
-        assert_eq!(bank.gate(0), ShardGate::Serve);
-        assert_eq!(bank.state(0), BreakerState::Closed);
-    }
-
-    #[test]
     fn policies_validate_into_typed_errors() {
         assert!(AdmissionPolicy::default().validate().is_ok());
-        assert!(BreakerPolicy::default().validate().is_ok());
         let bad = AdmissionPolicy { deadline: Duration::ZERO, ..AdmissionPolicy::default() };
         let err = bad.validate().expect_err("zero deadline");
         assert_eq!(err.field, "admission.deadline");
-        for bad in [
-            BreakerPolicy { failure_threshold: 0, ..BreakerPolicy::default() },
-            BreakerPolicy { latency_threshold: Duration::ZERO, ..BreakerPolicy::default() },
-            BreakerPolicy { open_cooldown: 0, ..BreakerPolicy::default() },
-            BreakerPolicy { close_after: 0, ..BreakerPolicy::default() },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?}");
-        }
         let serve_err: ServeError = ConfigError { field: "x", reason: "y" }.into();
         assert!(format!("{serve_err}").contains("invalid x: y"));
+    }
+
+    #[test]
+    fn a_failed_shard_is_a_numeric_recorder_code() {
+        let e = ServeError::ShardFailed { shard: 0, failed: 2 };
+        assert_eq!(e.recorder_code(), (tiptoe_obs::recorder::result_code::SHARD_FAILED, 0, 2));
+        assert_eq!(e.to_string(), "shard 0 failed (2 failed shards)");
     }
 }

@@ -17,7 +17,9 @@
 //!   crosses the checksummed `TPT2` envelope, and the first serve
 //!   error aborts the fan-out. `policy.enabled` selects the policy
 //!   that loop runs under: the caller's timeouts, retries and hedging,
-//!   or one untimed attempt per shard.
+//!   or one untimed attempt per shard. A shard that never delivers
+//!   fails the query with [`ServeError::ShardFailed`] after the
+//!   fan-out has run and its bytes are accounted.
 //!
 //! Batch coalescing composes *underneath* this plane: a service's
 //! `serve` may route its shard computation through a
@@ -27,7 +29,7 @@
 use tiptoe_math::wire::WireError;
 
 use crate::fault::dispatch_faulty;
-use crate::overload::{BreakerBank, DeadlineBudget, ServeError, ShardGate};
+use crate::overload::{DeadlineBudget, ServeError};
 use crate::{FaultPlan, FaultPolicy, FaultReport, ParallelTiming, Phase, Transcript};
 
 /// A typed, sharded request/response service.
@@ -73,18 +75,19 @@ pub trait Service {
     /// wrong-shaped payloads (an enabled fault policy retries these).
     fn parse(&self, idx: usize, payload: &[u8]) -> Result<Self::Part, WireError>;
 
-    /// Combines the per-shard parts into the response. Failed shards
-    /// appear as `None` and must degrade gracefully (contribute
-    /// nothing).
-    fn combine(&self, parts: Vec<Option<Self::Part>>) -> Self::Response;
+    /// Combines the per-shard parts, one per shard in shard order, into
+    /// the response ([`dispatch`] calls it only when every shard
+    /// delivered).
+    fn combine(&self, parts: Vec<Self::Part>) -> Self::Response;
 }
 
 /// Transcript-accounting middleware for one dispatched phase.
 ///
 /// Upload and download sizes are *fixed by the protocol shape*, never
-/// by the outcome: a degraded query must keep the same observable wire
-/// footprint as a healthy one (the privacy argument extends to
-/// traffic analysis), so the caller supplies both sizes up front.
+/// by the outcome: a failed or retried query must keep the same
+/// observable wire footprint as a healthy one (the privacy argument
+/// extends to traffic analysis), so the caller supplies both sizes up
+/// front.
 #[derive(Debug)]
 pub struct Ledger<'a> {
     /// The ledger to record into.
@@ -104,9 +107,6 @@ pub struct Ledger<'a> {
 pub struct Dispatched<R> {
     /// The combined response.
     pub response: R,
-    /// `survivors[w]` is true iff shard `w` delivered a verified
-    /// answer (all true under a disabled policy).
-    pub survivors: Vec<bool>,
     /// Virtual timing of the §4.3 coordinator fan-out: `wall` =
     /// slowest shard, `cpu` = summed work.
     pub timing: ParallelTiming,
@@ -116,12 +116,10 @@ pub struct Dispatched<R> {
 }
 
 /// Everything that shapes *how* one dispatch runs: the fault plan,
-/// the recovery policy, and the optional overload-safety layers — a
-/// query's deadline budget and the plane's per-shard circuit
-/// breakers.
+/// the recovery policy, and the query's deadline budget, if any.
 ///
-/// Built with [`DispatchContext::new`] plus the `with_*` builders, so
-/// call sites only mention the layers they use.
+/// Built with [`DispatchContext::new`] plus
+/// [`DispatchContext::with_budget`].
 #[derive(Clone, Copy)]
 pub struct DispatchContext<'a> {
     /// The deterministic fault schedule.
@@ -133,28 +131,17 @@ pub struct DispatchContext<'a> {
     /// attempt fails early) and charged with the fan-out's wall time
     /// after.
     pub budget: Option<&'a DeadlineBudget>,
-    /// The plane's circuit breakers, if any. Consulted and trained
-    /// only under an enabled fault policy: a skipped shard leaves the
-    /// one summed token undecryptable, and only per-shard tokens
-    /// survive a skip.
-    pub breakers: Option<&'a BreakerBank>,
 }
 
 impl<'a> DispatchContext<'a> {
-    /// A context with no overload layers (the pre-overload behavior).
+    /// A context with no deadline budget.
     pub fn new(plan: &'a FaultPlan, policy: &'a FaultPolicy) -> Self {
-        Self { plan, policy, budget: None, breakers: None }
+        Self { plan, policy, budget: None }
     }
 
     /// Attaches a deadline budget.
     pub fn with_budget(mut self, budget: Option<&'a DeadlineBudget>) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Attaches a circuit-breaker bank.
-    pub fn with_breakers(mut self, breakers: Option<&'a BreakerBank>) -> Self {
-        self.breakers = breakers;
         self
     }
 }
@@ -163,25 +150,28 @@ impl<'a> DispatchContext<'a> {
 /// fan-out, fault recovery, and overload safety in one place.
 ///
 /// Middleware order (outermost first): budget check → upload
-/// accounting → outer span → breaker gating → per-shard fan-out →
-/// breaker training → combine → download + retry accounting → budget
-/// charge.
+/// accounting → outer span → per-shard fan-out → download + retry
+/// accounting → budget charge → failed-shard check → combine.
 ///
 /// With `policy.enabled` the fan-out runs under the caller's policy,
 /// its per-shard deadline capped by the remaining budget. Otherwise
 /// it runs under `FaultPolicy::OFF`: one attempt per shard, never
-/// timed out, hedged or retried, and no breakers consulted.
+/// timed out, hedged or retried.
 ///
-/// `shard_base` offsets the fault plan's (and breaker bank's) shard
-/// address space so several services can share one plan (ranking
-/// takes `0..W`, the URL server `W`).
+/// `shard_base` offsets the fault plan's shard address space so
+/// several services can share one plan (ranking takes `0..W`, the URL
+/// server `W`).
 ///
-/// Without a budget and with an infallible service, this function
-/// cannot fail on a valid policy — breakers alone only *skip* shards
-/// (degrading the combine), never error.
+/// Under a disabled policy, without a budget and with an infallible
+/// service, this function cannot fail.
 ///
 /// # Errors
 ///
+/// - [`ServeError::ShardFailed`] if any shard still has no verified
+///   answer after its retries, hedges and deadline. The whole fan-out
+///   has run by then, and the phase's upload, download and retry
+///   bytes are recorded and its wall time charged as for an answered
+///   query, so the server sees the same message pattern either way.
 /// - [`ServeError::DeadlineExceeded`] if the query's budget cannot
 ///   fit one more attempt, or the fan-out's wall time overdraws it.
 /// - [`ServeError::InvalidPolicy`] on an invalid enabled policy.
@@ -225,34 +215,16 @@ pub fn dispatch<S: Service>(
     }
 
     let _outer = tiptoe_obs::span(svc.outer_span());
-    // Circuit-breaker gating: open shards are skipped up front,
-    // rerouting the query to degraded-mode survivor-subset serving
-    // instead of waiting out timeouts.
-    let breakers = ctx.breakers.filter(|b| policy.enabled && b.policy().enabled);
-    let gates: Option<Vec<ShardGate>> =
-        breakers.map(|b| (0..svc.num_shards()).map(|i| b.gate(shard_base + i)).collect());
     let (parts, report) = dispatch_faulty(
         svc.shard_span(),
         svc.num_shards(),
         shard_base,
         ctx.plan,
         &eff_policy,
-        gates.as_deref(),
         |idx| svc.serve(idx, req),
         |idx, payload| svc.parse(idx, payload),
     )?;
     assert!(policy.enabled || report.all_ok(), "a shard's own payload must parse");
-    // Train the breakers with every *served* outcome (skipped shards
-    // saw no traffic, so there is nothing to learn).
-    if let (Some(bank), Some(gates)) = (breakers, &gates) {
-        for (i, shard) in report.shards.iter().enumerate() {
-            if gates[i] != ShardGate::Skip {
-                bank.record(shard_base + i, shard.ok, shard.wall);
-            }
-        }
-    }
-    let survivors: Vec<bool> = parts.iter().map(Option::is_some).collect();
-    let response = svc.combine(parts);
 
     if let Some(l) = ledger {
         l.transcript.record_down(l.phase, l.down_bytes);
@@ -265,11 +237,17 @@ pub fn dispatch<S: Service>(
     // *after* the work — the bytes above stay accounted (they did
     // cross the wire) but the caller gets a typed late failure
     // instead of a response past its deadline promise.
-    if let Some(b) = ctx.budget {
-        b.charge(report.timing.wall)?;
+    let charged = ctx.budget.map_or(Ok(()), |b| b.charge(report.timing.wall));
+    // A shard that never delivered is the cause of any overdraw its
+    // timeouts made, so it is the error reported.
+    let failed = report.failed_shards();
+    if let Some(&first) = failed.first() {
+        return Err(ServeError::ShardFailed { shard: shard_base + first, failed: failed.len() });
     }
+    charged?;
 
-    Ok(Dispatched { response, survivors, timing: report.timing, report })
+    let response = svc.combine(parts.into_iter().flatten().collect());
+    Ok(Dispatched { response, timing: report.timing, report })
 }
 
 #[cfg(test)]
@@ -315,8 +293,8 @@ mod tests {
             Ok(v)
         }
 
-        fn combine(&self, parts: Vec<Option<u64>>) -> u64 {
-            parts.into_iter().flatten().sum()
+        fn combine(&self, parts: Vec<u64>) -> u64 {
+            parts.into_iter().sum()
         }
     }
 
@@ -364,8 +342,8 @@ mod tests {
             Ok(v)
         }
 
-        fn combine(&self, parts: Vec<Option<u64>>) -> u64 {
-            parts.into_iter().flatten().sum()
+        fn combine(&self, parts: Vec<u64>) -> u64 {
+            parts.into_iter().sum()
         }
     }
 
@@ -429,10 +407,9 @@ mod tests {
         assert_eq!((d.report.hedges, d.report.timeouts, d.report.retries), (0, 0, 0));
 
         let enabled = FaultPolicy { enabled: true, ..knobs };
-        let d = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &enabled), None)
-            .expect("enabled dispatch");
-        assert!(d.report.timeouts > 0, "{:?}", d.report);
-        assert!(!d.report.all_ok(), "the same knobs enabled time the shards out");
+        let err = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &enabled), None)
+            .expect_err("the same knobs enabled time the shards out");
+        assert!(matches!(err, ServeError::ShardFailed { shard: 0, .. }), "{err:?}");
     }
 
     #[test]
@@ -448,24 +425,36 @@ mod tests {
             .expect("faulty dispatch");
         assert_eq!(healthy.response, 101 + 102 + 103 + 104);
         assert_eq!(healthy.response, faulty.response);
-        assert_eq!(healthy.survivors, vec![true; 4]);
-        assert_eq!(faulty.survivors, vec![true; 4]);
         assert!(healthy.report.all_ok());
         assert!(faulty.report.all_ok());
     }
 
     #[test]
     fn failed_shards_degrade_the_combine_and_report() {
-        let svc = SumService { shards: 3, base: 10 };
-        let plan = FaultPlan::none().crash_shard(1);
+        // A shard still down after its retries fails the dispatch,
+        // named in the plan's address space, after the whole fan-out
+        // ran: every byte of the phase is on the ledger and its wall
+        // time on the budget.
+        let svc = SumService { shards: 4, base: 10 };
+        let plan = FaultPlan::none().crash_shard(3).crash_shard(5);
         let mut policy = FaultPolicy::tolerant();
         policy.hedge_after = None;
-        let d = dispatch(&svc, &0, 0, DispatchContext::new(&plan, &policy), None)
-            .expect("dispatch");
-        assert_eq!(d.response, 10 + 12, "crashed shard contributes nothing");
-        assert_eq!(d.survivors, vec![true, false, true]);
-        assert_eq!(d.report.failed_shards(), vec![1]);
-        assert!(d.timing.wall >= policy.attempt_timeout);
+        let t = Transcript::new();
+        let ledger = Ledger {
+            transcript: &t,
+            phase: Phase::Ranking,
+            retry_phase: Phase::RankingRetries,
+            up_bytes: 640,
+            down_bytes: 320,
+        };
+        let budget = DeadlineBudget::new(std::time::Duration::from_secs(60));
+        let ctx = DispatchContext::new(&plan, &policy).with_budget(Some(&budget));
+        let err = dispatch(&svc, &0, 2, ctx, Some(&ledger)).expect_err("two shards down");
+        assert_eq!(err, ServeError::ShardFailed { shard: 3, failed: 2 });
+        assert_eq!(t.phase_total(Phase::Ranking, Direction::Upload), 640);
+        assert_eq!(t.phase_total(Phase::Ranking, Direction::Download), 320);
+        let attempts = policy.max_retries + 1;
+        assert!(budget.spent() >= policy.attempt_timeout.saturating_mul(attempts));
     }
 
     #[test]
@@ -534,35 +523,5 @@ mod tests {
             d.timing.wall,
             budget.spent()
         );
-    }
-
-    #[test]
-    fn open_breakers_skip_shards_and_degrade_the_combine() {
-        use crate::overload::{BreakerPolicy, BreakerState};
-        use std::time::Duration;
-        let svc = SumService { shards: 3, base: 10 };
-        let plan = FaultPlan::none();
-        let mut policy = FaultPolicy::tolerant();
-        policy.hedge_after = None;
-        let breakers = BreakerBank::new(
-            BreakerPolicy { enabled: true, ..BreakerPolicy::default() },
-            svc.num_shards(),
-        );
-        // Trip shard 1's breaker by hand.
-        for _ in 0..3 {
-            breakers.record(1, false, Duration::from_millis(1));
-        }
-        assert_eq!(breakers.state(1), BreakerState::Open);
-        let ctx = DispatchContext::new(&plan, &policy).with_breakers(Some(&breakers));
-        let d = dispatch(&svc, &0, 0, ctx, None).expect("dispatch");
-        assert_eq!(d.response, 10 + 12, "open shard contributes nothing");
-        assert_eq!(d.survivors, vec![true, false, true]);
-        assert_eq!(d.report.shards[1].attempts, 0, "skipped, not timed out");
-        assert_eq!(d.report.shards[1].wall, Duration::ZERO);
-        // The skip was fast: no timeout burned on the known-bad shard.
-        assert!(d.timing.wall < policy.attempt_timeout);
-        // The healthy shards' successes trained their breakers closed.
-        assert_eq!(breakers.state(0), BreakerState::Closed);
-        assert_eq!(breakers.state(2), BreakerState::Closed);
     }
 }

@@ -68,12 +68,9 @@ pub enum EventKind {
     /// `b` = lane crash count so far.
     LaneCrashed = 6,
     /// One shard's dispatch outcome. `a` = shard id, `b` = flags
-    /// (bit 0 = ok, bit 1 = hedged, bit 2 = breaker half-open probe),
-    /// `c` = attempts, `d` = per-shard wall in microseconds.
+    /// (bit 0 = ok, bit 1 = hedged), `c` = attempts, `d` = per-shard
+    /// wall in microseconds.
     ShardOutcome = 7,
-    /// A shard was skipped by its open circuit breaker. `a` = shard
-    /// id, `b` = breaker state code (see [`breaker_state`]).
-    ShardSkipped = 8,
     /// Wall time charged to the query's deadline budget. `a` =
     /// charged microseconds, `b` = total spent after the charge,
     /// `c` = budget in microseconds.
@@ -81,7 +78,8 @@ pub enum EventKind {
     /// The query finished with a typed result. `a` = result code
     /// (see [`result_code`]); for deadline failures `b` = budget µs
     /// and `c` = spent µs, for sheds `b` = inflight and `c` =
-    /// capacity, for lane failures `b` = crash count.
+    /// capacity, for lane failures `b` = crash count, for shard
+    /// failures `b` = first failed shard and `c` = failed shards.
     Finished = 10,
 }
 
@@ -95,7 +93,6 @@ impl EventKind {
             5 => Self::LaneWithdrawn,
             6 => Self::LaneCrashed,
             7 => Self::ShardOutcome,
-            8 => Self::ShardSkipped,
             9 => Self::BudgetCharged,
             10 => Self::Finished,
             _ => return None,
@@ -112,7 +109,6 @@ impl EventKind {
             Self::LaneWithdrawn => "lane-withdrawn",
             Self::LaneCrashed => "lane-crashed",
             Self::ShardOutcome => "shard-outcome",
-            Self::ShardSkipped => "shard-skipped",
             Self::BudgetCharged => "budget-charged",
             Self::Finished => "finished",
         }
@@ -133,6 +129,9 @@ pub mod result_code {
     pub const LANE_FAILED: u64 = 3;
     /// `ServeError::InvalidPolicy` — rejected configuration.
     pub const INVALID_POLICY: u64 = 4;
+    /// `ServeError::ShardFailed` — a shard never delivered a verified
+    /// answer within its retries, hedges and deadline.
+    pub const SHARD_FAILED: u64 = 5;
 
     /// Display name for a result code.
     pub fn name(code: u64) -> &'static str {
@@ -142,6 +141,7 @@ pub mod result_code {
             DEADLINE_EXCEEDED => "deadline-exceeded",
             LANE_FAILED => "lane-failed",
             INVALID_POLICY => "invalid-policy",
+            SHARD_FAILED => "shard-failed",
             _ => "unknown",
         }
     }
@@ -169,26 +169,6 @@ pub mod flush_reason {
             DEADLINE => "deadline",
             SOLO => "solo",
             COMPLETE => "complete",
-            _ => "unknown",
-        }
-    }
-}
-
-/// Breaker state codes for [`EventKind::ShardSkipped`] events.
-pub mod breaker_state {
-    /// The breaker was closed (normal serving).
-    pub const CLOSED: u64 = 0;
-    /// The breaker was open (shard skipped).
-    pub const OPEN: u64 = 1;
-    /// The breaker was half-open (probe traffic only).
-    pub const HALF_OPEN: u64 = 2;
-
-    /// Display name for a breaker state code.
-    pub fn name(code: u64) -> &'static str {
-        match code {
-            CLOSED => "closed",
-            OPEN => "open",
-            HALF_OPEN => "half-open",
             _ => "unknown",
         }
     }
@@ -243,13 +223,8 @@ impl Event {
                 ("shard", n(self.a)),
                 ("ok", n(self.b & 1)),
                 ("hedged", n((self.b >> 1) & 1)),
-                ("probe", n((self.b >> 2) & 1)),
                 ("attempts", n(self.c)),
                 ("wall_us", n(self.d)),
-            ],
-            EventKind::ShardSkipped => vec![
-                ("shard", n(self.a)),
-                ("breaker", breaker_state::name(self.b).to_string()),
             ],
             EventKind::BudgetCharged => vec![
                 ("charged_us", n(self.a)),
@@ -545,18 +520,20 @@ mod tests {
         record_for(42, EventKind::LaneFlushed, 1, 3, flush_reason::SOLO, 17);
         record_for(42, EventKind::LaneEnqueued, 2, 4, 4, 3);
         record_for(42, EventKind::LaneFlushed, 2, 4, flush_reason::COMPLETE, 9);
-        record_for(42, EventKind::ShardSkipped, 2, breaker_state::OPEN, 0, 0);
+        record_for(42, EventKind::ShardOutcome, 2, 0b10, 3, 750);
         record_for(42, EventKind::Finished, result_code::DEADLINE_EXCEEDED, 500, 900, 0);
+        record_for(42, EventKind::Finished, result_code::SHARD_FAILED, 0, 2, 0);
         let text = render_timeline(42);
         assert!(text.contains("lane-flushed"), "{text}");
         assert!(text.contains("reason=solo"), "{text}");
         assert!(text.contains("depth=4 present=4 last_batch=3"), "{text}");
         assert!(text.contains("reason=complete"), "{text}");
         assert!((0..flush_reason::COUNT as u64).all(|c| flush_reason::name(c) != "unknown"));
-        assert!(text.contains("breaker=open"), "{text}");
+        assert!(text.contains("shard=2 ok=0 hedged=1 attempts=3 wall_us=750"), "{text}");
         assert!(text.contains("result=deadline-exceeded"), "{text}");
+        assert!(text.contains("result=shard-failed"), "{text}");
         let json = timeline_json(42);
-        assert!(json.contains("\"kind\": \"shard-skipped\""), "{json}");
+        assert!(json.contains("\"kind\": \"shard-outcome\""), "{json}");
         assert!(json.contains("\"reason\": \"solo\""), "{json}");
         assert!(json.starts_with('[') && json.trim_end().ends_with(']'), "{json}");
     }

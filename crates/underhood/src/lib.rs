@@ -786,43 +786,6 @@ impl<W: Word> DecodedToken<W> {
     }
 }
 
-/// Combines *decoded* per-shard tokens over a survivor subset.
-///
-/// With a vertically sharded hint `H = Σ_w H_w`, each shard's token
-/// decodes to `H_w·s` (plus its bounded drop error), and any subset
-/// sums to the `H·s` restricted to the shards that answered — so a
-/// client holding per-shard tokens can decrypt exactly over whichever
-/// shards survive a fault-degraded query. Consumes the included parts
-/// (they share the single-use inner secret).
-///
-/// # Panics
-///
-/// Panics if the mask length differs from `parts`, no shard is
-/// included, an included part was already used, or row counts differ.
-pub fn combine_decoded_subset<W: Word>(
-    parts: &mut [DecodedToken<W>],
-    include: &[bool],
-) -> DecodedToken<W> {
-    assert_eq!(parts.len(), include.len(), "survivor mask length mismatch");
-    let mut acc: Option<Vec<W>> = None;
-    for (part, &inc) in parts.iter_mut().zip(include) {
-        if !inc {
-            continue;
-        }
-        let hs = part.take_hs();
-        match &mut acc {
-            None => acc = Some(hs),
-            Some(a) => {
-                assert_eq!(a.len(), hs.len(), "shard token row-count mismatch");
-                for (x, y) in a.iter_mut().zip(hs) {
-                    *x = x.wadd(y);
-                }
-            }
-        }
-    }
-    DecodedToken { hs: Some(acc.expect("no surviving shard token to combine")) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1281,12 +1244,12 @@ mod tests {
     }
 
     #[test]
-    fn summed_hint_token_matches_plaintext_survivors_and_budget() {
+    fn summed_hint_token_matches_plaintext_and_budget() {
         // Vertical sharding (§4.3): H = Σ_w H_w. One token over the
-        // summed hint must decrypt exactly like the plaintext product
-        // and like per-shard tokens combined over all survivors, stay
-        // within the dropped-bit budget of the true H·s, and leave no
-        // less outer noise budget than the sum of the W shard tokens.
+        // summed hint must decrypt exactly like the plaintext product,
+        // stay within the dropped-bit budget of the true H·s, and leave
+        // no less outer noise budget than the sum of the W shard
+        // tokens.
         let uh = test_underhood_64();
         let (p, n) = (uh.lwe().p, uh.lwe().n);
         let cols = 48;
@@ -1322,69 +1285,17 @@ mod tests {
                 assert!(err <= budget, "W={shards} rows={rows}: hint error {err} > {budget}");
             }
 
-            let mut parts: Vec<DecodedToken<u64>> = shard_hints
-                .iter()
-                .map(|h| {
-                    let part = uh.generate_token_expanded(&uh.preprocess_hint(h), &expanded);
-                    uh.decode_token::<u64>(&key, &part)
-                })
-                .collect();
-            let mut survivors = combine_decoded_subset(&mut parts, &vec![true; shards]);
-
             let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..p)).collect();
             let ct = uh.encrypt_query::<u64, _>(&key, &a, &v, &mut rng);
             let applied = apply(&db, &ct);
             let want = matvec_mod_p(&db, &v, p);
             assert_eq!(uh.decrypt(&mut summed, &applied), want, "W={shards} rows={rows}");
-            assert_eq!(uh.decrypt(&mut survivors, &applied), want, "W={shards} rows={rows}");
 
             let one = min_outer_budget(&uh, &key, &expanded, &[&full]);
             let per_shard: Vec<&Mat<u64>> = shard_hints.iter().collect();
             let combined = min_outer_budget(&uh, &key, &expanded, &per_shard);
             assert!(one > 0.0 && one >= combined, "W={shards} rows={rows}: {one} < {combined}");
         }
-    }
-
-    #[test]
-    fn decoded_subset_combination_decrypts_over_survivors() {
-        // Degraded mode: per-shard tokens, decrypted over a survivor
-        // subset, must yield the exact scores of the surviving columns
-        // (the failed shard's columns contribute zero).
-        let uh = test_underhood_64();
-        let mut rng = seeded_rng(16);
-        let cols = 48;
-        let split = 32;
-        let p = uh.lwe().p;
-        let db = random_db(&mut rng, 8, cols, 16);
-        let a = MatrixA::new(7, cols, uh.lwe().n);
-        let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
-        let es = EncryptedSecret::encrypt(&uh, &key, &mut rng);
-
-        let left_db = db.column_slice(0, split);
-        let left = preproc::<u64>(&left_db, &a.row_range(0, split), 1);
-        let right =
-            preproc::<u64>(&db.column_slice(split, cols), &a.row_range(split, cols - split), 1);
-        let t_left = uh.generate_token(&uh.preprocess_hint(&left), &es);
-        let t_right = uh.generate_token(&uh.preprocess_hint(&right), &es);
-        let mut parts =
-            vec![uh.decode_token::<u64>(&key, &t_left), uh.decode_token::<u64>(&key, &t_right)];
-
-        // Only the left shard survives; the query vector is zero on the
-        // failed shard's columns (the client knows which shards died).
-        let mut v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..p)).collect();
-        for x in v.iter_mut().skip(split) {
-            *x = 0;
-        }
-        let ct = uh.encrypt_query::<u64, _>(&key, &a, &v, &mut rng);
-        // The coordinator sums only the surviving shard's answer.
-        let chunk = LweCiphertext { c: ct.c[..split].to_vec() };
-        let applied = apply(&left_db, &chunk);
-        let mut subset = combine_decoded_subset(&mut parts, &[true, false]);
-        let got = uh.decrypt(&mut subset, &applied);
-        assert_eq!(got, matvec_mod_p(&left_db, &v[..split], p));
-        // Included parts are consumed; excluded ones stay fresh.
-        assert!(!parts[0].is_fresh());
-        assert!(parts[1].is_fresh());
     }
 
     #[test]

@@ -9,7 +9,8 @@ Wall-clock numbers (qps, seconds, latency percentiles) are NOT gated —
 they measure the runner, not the code. The gate covers:
 
   * structure: required keys present, result rows non-empty, counts
-    consistent (e.g. offered == admitted + shed);
+    consistent (e.g. offered == admitted + shed, every AZ-crash query
+    failed);
   * deterministic values: seeded quality metrics (MRR at fault rate 0);
   * same-host ratios with a tolerance band: kernel speedup-vs-scalar may
     wobble with scheduling noise, but a collapse past the band means the
@@ -183,11 +184,20 @@ def compare_faults(base, cur):
             )
         if ov["admitted"] <= 0 or ov["shed"] <= 0:
             fail("faults overload: 2x-capacity drive must admit and shed")
+    az = cur.get("az_crash")
+    if az is None:
+        fail("faults: no az_crash scenario")
+    elif az["failed_queries"] != az["queries"] or az["answered"] != 0:
+        # Every query needs every shard: a dead zone fails them all.
+        fail(
+            f"faults az_crash: {az['failed_queries']} of {az['queries']} queries "
+            f"failed and {az['answered']} answered, want all failed"
+        )
     clean = next((r for r in rows if r["fault_rate"] == 0.0), None)
     if clean is None:
         fail("faults: no fault_rate=0 row")
         return
-    for key in ("retries", "timeouts", "corrupted", "degraded_queries"):
+    for key in ("retries", "timeouts", "corrupted", "failed_queries"):
         if clean[key] != 0:
             fail(f"faults rate=0: {key} = {clean[key]}, want 0")
     if abs(clean["mrr_at_k"] - cur["baseline_mrr"]) > 1e-9:

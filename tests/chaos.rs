@@ -21,8 +21,11 @@ use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, CorpusConfig};
 use tiptoe_embed::text::TextEmbedder;
-use tiptoe_net::{CoalescePolicy, Coalescer, FaultPlan, ServeError, MAX_LANE_RETRIES};
+use tiptoe_net::{CoalescePolicy, Coalescer, FaultPlan, FaultPolicy, ServeError, MAX_LANE_RETRIES};
 use tiptoe_obs::recorder::flush_reason;
+
+mod support;
+use support::assert_shard_failed;
 
 const DOCS: usize = 220;
 const SEED: u64 = 51;
@@ -42,13 +45,12 @@ fn splitmix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn build(fault_tolerant: bool, num_shards: usize) -> TiptoeInstance<TextEmbedder> {
+/// An instance under the default fault-tolerant policy.
+fn build_tolerant(num_shards: usize) -> TiptoeInstance<TextEmbedder> {
     let corpus = generate(&CorpusConfig::small(DOCS, SEED), 20);
     let mut config = TiptoeConfig::test_small(DOCS, SEED);
     config.num_shards = num_shards;
-    if fault_tolerant {
-        config.fault_policy = tiptoe_net::FaultPolicy::tolerant();
-    }
+    config.fault_policy = FaultPolicy::tolerant();
     config.validate();
     let embedder = TextEmbedder::new(config.d_embed, SEED, 0);
     TiptoeInstance::build(&config, embedder, &corpus)
@@ -279,55 +281,24 @@ fn withdrawal_against_a_deadline_flush_resolves_exactly_once() {
 #[test]
 fn az_correlated_crash_degrades_exactly_the_zone() {
     // One availability zone (two of four shards) crashes as a unit.
-    // Queries whose searched cluster lives on a surviving shard must
-    // return bit-identical hits to fault-free serving; queries whose
-    // cluster lived in the dead zone must say so and score zeros —
-    // never garbage, never a panic.
-    let plain = build(false, 4);
-    let tolerant = build(true, 4);
+    // Every query needs every shard, so whether or not the searched
+    // cluster lives in the zone, the query fails typed, naming the
+    // zone's first shard and its size — never garbage, never a panic.
+    let tolerant = build_tolerant(4);
     let query = QUERIES[0];
-    let reference = client(&plain).search(&plain, query, 10);
-    let owner = owner_of(&tolerant, reference.cluster);
+    let healthy = client(&tolerant).search(&tolerant, query, 10);
+    let owner = owner_of(&tolerant, healthy.cluster);
     let w = tolerant.ranking.num_shards();
 
-    // Zone A: the two shards after the owner — the searched cluster
-    // survives the outage.
-    let mut zone = [(owner + 1) % w, (owner + 2) % w];
-    zone.sort_unstable();
-    let plan = FaultPlan::none().correlated_crash(&zone);
-    assert_eq!(plan.correlated_groups(), &[zone.to_vec()]);
-    let mut dead_clusters: Vec<usize> = zone
-        .iter()
-        .flat_map(|&s| {
-            let (lo, hi) = tolerant.ranking.shard_clusters(s);
-            lo..hi
-        })
-        .collect();
-    dead_clusters.sort_unstable();
-
-    let results = client(&tolerant)
-        .query(&tolerant, query, 10, QueryOptions { faults: Some(&plan), ..Default::default() })
-        .expect("unbudgeted search cannot fail");
-    let dq = results.degraded.expect("degraded state");
-    assert_eq!(dq.rank_report.failed_shards(), zone.to_vec(), "exactly the zone fails");
-    assert_eq!(dq.missing_clusters, dead_clusters, "missing set is the zone's cluster union");
-    assert!(!dq.searched_cluster_missing);
-    assert_eq!(results.cluster, reference.cluster);
-    assert_eq!(results.hits, reference.hits, "survivor-zone query stays bit-identical");
-
-    // Zone B contains the owner: the client must report the searched
-    // cluster missing and surface only zero scores.
-    let mut owner_zone = [owner, (owner + 1) % w];
-    owner_zone.sort_unstable();
-    let plan = FaultPlan::none().correlated_crash(&owner_zone);
-    let results = client(&tolerant)
-        .query(&tolerant, query, 10, QueryOptions { faults: Some(&plan), ..Default::default() })
-        .expect("unbudgeted search cannot fail");
-    let dq = results.degraded.expect("degraded state");
-    assert!(dq.searched_cluster_missing);
-    assert!(dq.missing_clusters.contains(&results.cluster));
-    for hit in &results.hits {
-        assert_eq!(hit.score, 0.0, "a dead zone must not fabricate scores");
+    // Zone A spares the searched cluster's shard, zone B holds it.
+    for zone in [[(owner + 1) % w, (owner + 2) % w], [owner, (owner + 1) % w]] {
+        let mut zone = zone;
+        zone.sort_unstable();
+        let plan = FaultPlan::none().correlated_crash(&zone);
+        assert_eq!(plan.correlated_groups(), &[zone.to_vec()]);
+        let opts = QueryOptions { faults: Some(&plan), ..Default::default() };
+        let want = ServeError::ShardFailed { shard: zone[0], failed: 2 };
+        assert_shard_failed(&tolerant, &mut client(&tolerant), query, opts, &healthy.cost, want);
     }
 }
 
@@ -337,9 +308,11 @@ fn overload_sheds_with_typed_errors_and_conserves_every_query() {
     // is deterministic: saturate the plane by hand, observe a typed
     // shed that consumes no client token, release, observe admission.
     // Phase 2 is chaotic: 8 clients arrive together against capacity
-    // 2; whatever interleaving the scheduler picks, admitted + shed
-    // must equal 8, every admitted answer must be bit-identical to
-    // unloaded serving, and the controller's ledger must agree.
+    // 2, and every odd one under a plan that crashes a shard for good;
+    // whatever interleaving the scheduler picks, answered + failed +
+    // shed must equal 8, every answer must be bit-identical to
+    // unloaded serving, every failure must name its crashed shard, and
+    // the controller's ledger must agree.
     let corpus = generate(&CorpusConfig::small(DOCS, SEED), 20);
     let mut config = TiptoeConfig::test_small(DOCS, SEED);
     config.num_shards = 3;
@@ -347,6 +320,16 @@ fn overload_sheds_with_typed_errors_and_conserves_every_query() {
     config.admission.max_inflight = 2; // operator override: skip derivation
     config.admission.queue_depth = 0;
     config.admission.deadline = Duration::from_secs(60); // debug-build headroom
+    // Attempts long enough that no healthy shard times out on a
+    // loaded debug build; a crashed one costs two of them.
+    config.fault_policy = FaultPolicy {
+        enabled: true,
+        attempt_timeout: Duration::from_secs(5),
+        max_retries: 1,
+        hedge_after: None,
+        deadline: Duration::from_secs(20),
+        ..FaultPolicy::default()
+    };
     config.validate();
     let embedder = TextEmbedder::new(config.d_embed, SEED, 0);
     let instance = TiptoeInstance::build(&config, embedder, &corpus);
@@ -376,6 +359,7 @@ fn overload_sheds_with_typed_errors_and_conserves_every_query() {
     // Phase 2: 2x overload chaos.
     let barrier = Barrier::new(8);
     let ok_count = AtomicUsize::new(0);
+    let failed_count = AtomicUsize::new(0);
     let shed_count = AtomicUsize::new(0);
     let admitted_before = ctrl.admitted();
     let ctrl_sheds_before = ctrl.sheds();
@@ -384,17 +368,30 @@ fn overload_sheds_with_typed_errors_and_conserves_every_query() {
         for i in 0..8usize {
             let (instance, plane, barrier) = (&instance, &plane, &barrier);
             let (references, ok_count, shed_count) = (&references, &ok_count, &shed_count);
+            let failed_count = &failed_count;
             scope.spawn(move || {
                 let mut c = instance.new_client(100 + i as u64);
+                let crashed = i % 3;
+                let plan = if i % 2 == 1 {
+                    FaultPlan::none().crash_shard(crashed)
+                } else {
+                    FaultPlan::none()
+                };
+                let opts = QueryOptions { probes: 1, faults: Some(&plan), plane: Some(plane) };
                 barrier.wait();
-                match c.try_search_served(instance, QUERIES[i % 4], 10, plane) {
+                match c.query(instance, QUERIES[i % 4], 10, opts) {
                     Ok(r) => {
                         assert_eq!(
                             r.hits,
                             references[i % 4],
                             "admitted queries stay bit-identical under overload"
                         );
+                        assert_eq!(i % 2, 0, "a crashed shard cannot be answered around");
                         ok_count.fetch_add(1, Ordering::SeqCst);
+                    }
+                    Err(ServeError::ShardFailed { shard, failed }) => {
+                        assert_eq!((i % 2, shard, failed), (1, crashed, 1));
+                        failed_count.fetch_add(1, Ordering::SeqCst);
                     }
                     Err(ServeError::Overloaded { inflight, capacity }) => {
                         assert_eq!(capacity, 2);
@@ -407,9 +404,14 @@ fn overload_sheds_with_typed_errors_and_conserves_every_query() {
         }
     });
     let (ok, shed) = (ok_count.load(Ordering::SeqCst), shed_count.load(Ordering::SeqCst));
-    assert_eq!(ok + shed, 8, "every arrival accounted for: answered or shed, none lost");
-    assert!(ok >= 1, "the first arrivals must be admitted");
-    assert_eq!(ctrl.admitted() - admitted_before, ok as u64, "controller agrees on admissions");
+    let failed = failed_count.load(Ordering::SeqCst);
+    assert_eq!(ok + failed + shed, 8, "every arrival accounted for: answered, failed or shed");
+    assert!(ok + failed >= 1, "the first arrivals must be admitted");
+    assert_eq!(
+        ctrl.admitted() - admitted_before,
+        (ok + failed) as u64,
+        "controller agrees on admissions"
+    );
     assert_eq!(ctrl.sheds() - ctrl_sheds_before, shed as u64, "controller agrees on sheds");
     assert_eq!(
         instance.transcript.sheds() - transcript_sheds_before,

@@ -1,10 +1,13 @@
-//! End-to-end fault-injection tests for the degraded-mode query path.
+//! End-to-end fault-injection tests for the fault-tolerant query path.
 //!
 //! The simulated cluster (see `tiptoe-net::fault`) injects crashes,
 //! stragglers, corruption, and truncation deterministically from a
 //! seeded [`FaultPlan`]; the coordinator recovers with timeouts,
 //! bounded retries, and hedged requests per [`FaultPolicy`]. These
-//! tests drive full private searches through that machinery.
+//! tests drive full private searches through that machinery: a shard
+//! it rescues leaves the answer bit-identical, and one still down
+//! after the policy is spent fails the query with
+//! [`ServeError::ShardFailed`].
 
 use std::time::Duration;
 
@@ -13,7 +16,11 @@ use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, CorpusConfig};
 use tiptoe_embed::text::TextEmbedder;
-use tiptoe_net::{FaultKind, FaultPlan, FaultPolicy};
+use tiptoe_net::{FaultKind, FaultPlan, FaultPolicy, ServeError};
+use tiptoe_obs::recorder::{Event, EventKind};
+
+mod support;
+use support::assert_shard_failed;
 
 const DOCS: usize = 220;
 const SEED: u64 = 51;
@@ -51,6 +58,10 @@ fn client(instance: &TiptoeInstance<TextEmbedder>) -> TiptoeClient {
     instance.new_client(7)
 }
 
+fn with_faults(plan: &FaultPlan) -> QueryOptions<'_> {
+    QueryOptions { faults: Some(plan), ..Default::default() }
+}
+
 /// One direct search under an explicit fault plan.
 fn search_with_faults(
     client: &mut TiptoeClient,
@@ -59,16 +70,28 @@ fn search_with_faults(
     k: usize,
     plan: &FaultPlan,
 ) -> SearchResults {
-    client
-        .query(instance, query, k, QueryOptions { faults: Some(plan), ..Default::default() })
-        .expect("unbudgeted search cannot fail")
+    client.query(instance, query, k, with_faults(plan)).expect("the policy rescues every shard")
+}
+
+/// Runs `query` under `plan`, which must fail it with `want`, after
+/// an answered run of the same query gives the phase sizes to check
+/// the failed one's bytes against (see [`assert_shard_failed`]).
+fn fails_with(
+    instance: &TiptoeInstance<TextEmbedder>,
+    query: &str,
+    plan: &FaultPlan,
+    want: ServeError,
+) -> Vec<Event> {
+    let healthy = search_with_faults(&mut client(instance), instance, query, 10, &FaultPlan::none());
+    let opts = with_faults(plan);
+    assert_shard_failed(instance, &mut client(instance), query, opts, &healthy.cost, want)
 }
 
 #[test]
 fn benign_plan_results_are_bit_identical_to_the_plain_path() {
     // Acceptance bar: with no faults injected, the fault-tolerant path
-    // (per-shard tokens, enveloped dispatch, survivor-subset
-    // decryption) returns byte-for-byte the hits of the raw fan-out.
+    // (timeouts, retries and hedges armed) returns byte-for-byte the
+    // hits of the raw fan-out.
     let plain = build(false, 3);
     let tolerant = build(true, 3);
     let mut c_plain = client(&plain);
@@ -78,68 +101,43 @@ fn benign_plan_results_are_bit_identical_to_the_plain_path() {
         let b = search_with_faults(&mut c_tol, &tolerant, query, 10, &FaultPlan::none());
         assert_eq!(a.cluster, b.cluster, "{query}: cluster drifted");
         assert_eq!(a.hits, b.hits, "{query}: hits drifted");
-        let dq = b.degraded.expect("fault-tolerant searches report degraded state");
-        assert!(dq.missing_clusters.is_empty());
-        assert!(!dq.url_failed && !dq.searched_cluster_missing);
-        assert!(dq.rank_report.all_ok() && dq.url_report.all_ok());
-        assert_eq!(dq.rank_report.retries + dq.url_report.retries, 0);
+        let (rank, url) = (&b.cost.rank_faults, &b.cost.url_faults);
+        assert!(rank.all_ok() && url.all_ok());
+        assert_eq!(rank.retries + url.retries, 0);
     }
 }
 
 #[test]
 fn crashed_shard_plus_straggler_degrades_within_the_deadline() {
     // The headline scenario: one ranking shard is hard-crashed and
-    // another is 10x slow. The query must still complete within the
-    // policy deadline, return ranked results over the surviving
-    // shards, and report exactly the crashed shard's clusters missing.
-    let plain = build(false, 3);
+    // another is 10x slow. The hedge rescues the straggler, the crash
+    // burns every retry inside the policy deadline, and the query
+    // fails naming the crashed shard: the summed token decrypts only
+    // the sum over every shard.
     let tolerant = build(true, 3);
     let policy = tolerant.config.fault_policy;
-    let query = "museum history archive";
-
-    // Learn which shard owns the searched cluster, then crash one of
-    // the *other* shards so the searched scores survive.
-    let reference = client(&plain).search(&plain, query, 10);
-    let owner = (0..tolerant.ranking.num_shards())
-        .find(|&w| {
-            let (lo, hi) = tolerant.ranking.shard_clusters(w);
-            (lo..hi).contains(&reference.cluster)
-        })
-        .expect("every cluster has a shard");
-    let crashed = (owner + 1) % tolerant.ranking.num_shards();
-    let straggler = (owner + 2) % tolerant.ranking.num_shards();
+    let (crashed, straggler) = (1, 2);
     let plan = FaultPlan::none().crash_shard(crashed).with_fault(
         straggler,
         0,
         FaultKind::Straggle { factor: 10.0, extra: Duration::from_secs(10) },
     );
 
-    let results = search_with_faults(&mut client(&tolerant), &tolerant, query, 10, &plan);
-    let dq = results.degraded.expect("degraded state");
+    let want = ServeError::ShardFailed { shard: crashed, failed: 1 };
+    let timeline = fails_with(&tolerant, "museum history archive", &plan, want);
 
-    // Ranked results over the surviving shards, identical to the
-    // healthy run (the searched cluster's shard answered).
-    assert_eq!(results.cluster, reference.cluster);
-    assert_eq!(results.hits, reference.hits);
-    assert!(!dq.searched_cluster_missing);
-
-    // Exactly the crashed shard's clusters are reported missing.
-    let (lo, hi) = tolerant.ranking.shard_clusters(crashed);
-    assert_eq!(dq.missing_clusters, (lo..hi).collect::<Vec<_>>());
-    assert_eq!(dq.rank_report.failed_shards(), vec![crashed]);
-
-    // The crash burned every retry; the straggler was rescued by the
-    // hedged second request. Everything stayed inside the deadline.
-    assert!(dq.rank_report.retries >= policy.max_retries);
-    assert!(dq.rank_report.timeouts > policy.max_retries);
-    assert!(dq.rank_report.hedges >= 1, "straggler should have hedged");
-    assert!(
-        dq.rank_report.timing.wall <= policy.deadline,
-        "virtual wall {:?} blew the deadline {:?}",
-        dq.rank_report.timing.wall,
-        policy.deadline
-    );
-    assert!(dq.url_report.all_ok() && !dq.url_failed);
+    // The failed query's shard outcomes, from its recorder timeline:
+    // `a` = shard, `b` bit 0 = ok and bit 1 = hedged, `c` = attempts,
+    // `d` = wall in µs.
+    let outcomes: Vec<_> =
+        timeline.iter().filter(|e| e.kind == EventKind::ShardOutcome).collect();
+    assert_eq!(outcomes.len(), 3, "the whole fan-out ran: {outcomes:?}");
+    let crash = outcomes[crashed];
+    assert_eq!(crash.b & 1, 0, "the crashed shard never delivered");
+    assert_eq!(crash.c, u64::from(policy.max_retries) + 1, "the crash burned every retry");
+    let slow = outcomes[straggler];
+    assert_eq!(slow.b, 0b11, "the straggler was rescued by the hedged second request");
+    assert!(outcomes.iter().all(|e| e.d <= policy.deadline.as_micros() as u64));
 }
 
 #[test]
@@ -157,13 +155,13 @@ fn hedged_request_beats_a_ten_x_straggler() {
         FaultKind::Straggle { factor: 10.0, extra: Duration::from_secs(10) },
     );
     let results = search_with_faults(&mut client(&tolerant), &tolerant, "travel island beach", 5, &plan);
-    let dq = results.degraded.expect("degraded state");
-    assert!(dq.rank_report.all_ok(), "hedge must rescue the straggler");
-    assert_eq!(dq.rank_report.retries, 0, "no retry: the hedge races the primary");
-    assert!(dq.rank_report.hedges >= 1);
-    assert!(dq.rank_report.shards[1].hedged);
-    assert!(dq.rank_report.shards[1].wall >= hedge_after);
-    assert!(dq.rank_report.timing.wall <= policy.deadline);
+    let rank = &results.cost.rank_faults;
+    assert!(rank.all_ok(), "hedge must rescue the straggler");
+    assert_eq!(rank.retries, 0, "no retry: the hedge races the primary");
+    assert!(rank.hedges >= 1);
+    assert!(rank.shards[1].hedged);
+    assert!(rank.shards[1].wall >= hedge_after);
+    assert!(rank.timing.wall <= policy.deadline);
     assert!(!results.hits.is_empty());
 }
 
@@ -175,10 +173,9 @@ fn flaky_shard_recovers_via_retry() {
     let reference = client(&plain).search(&plain, query, 10);
     let plan = FaultPlan::none().flaky_then_recover(2, 1);
     let results = search_with_faults(&mut client(&tolerant), &tolerant, query, 10, &plan);
-    let dq = results.degraded.expect("degraded state");
-    assert!(dq.rank_report.all_ok(), "one crash then recovery must succeed");
-    assert!(dq.rank_report.retries >= 1);
-    assert!(dq.missing_clusters.is_empty());
+    let rank = &results.cost.rank_faults;
+    assert!(rank.all_ok(), "one crash then recovery must succeed");
+    assert!(rank.retries >= 1);
     assert_eq!(results.hits, reference.hits, "recovered run matches the healthy run");
 }
 
@@ -192,12 +189,12 @@ fn corrupted_and_truncated_responses_are_rejected_and_retried() {
         .with_fault(0, 0, FaultKind::Corrupt)
         .with_fault(1, 0, FaultKind::Truncate);
     let results = search_with_faults(&mut client(&tolerant), &tolerant, query, 10, &plan);
-    let dq = results.degraded.expect("degraded state");
-    assert!(dq.rank_report.all_ok());
-    assert!(dq.rank_report.corrupted >= 2, "both tampered responses must be caught");
-    assert!(dq.rank_report.retries >= 2);
+    let rank = &results.cost.rank_faults;
+    assert!(rank.all_ok());
+    assert!(rank.corrupted >= 2, "both tampered responses must be caught");
+    assert!(rank.retries >= 2);
     assert!(
-        dq.rank_report.wasted_response_bytes > 0,
+        rank.wasted_response_bytes > 0,
         "rejected responses must be charged to the retry ledger"
     );
     assert_eq!(results.hits, reference.hits);
@@ -205,33 +202,34 @@ fn corrupted_and_truncated_responses_are_rejected_and_retried() {
     use tiptoe_net::{Direction, Phase};
     assert_eq!(
         tolerant.transcript.phase_total(Phase::RankingRetries, Direction::Download),
-        dq.rank_report.wasted_response_bytes
+        rank.wasted_response_bytes
     );
 }
 
 #[test]
 fn url_server_crash_degrades_to_empty_hits_not_a_panic() {
     // The URL server lives at plan address W, after the ranking
-    // shards. Crashing it must not lose the ranking answer: the query
-    // completes, flags `url_failed`, and returns no hits.
+    // shards. Crashing it fails the query at the URL phase, typed and
+    // named, after both phases moved their full fixed-size bytes (the
+    // observable wire footprint must not depend on faults).
     let tolerant = build(true, 3);
     let url_addr = tolerant.ranking.num_shards();
     let plan = FaultPlan::none().crash_shard(url_addr);
-    let results = search_with_faults(&mut client(&tolerant), &tolerant, "museum history archive", 5, &plan);
-    let dq = results.degraded.expect("degraded state");
-    assert!(dq.rank_report.all_ok(), "ranking shards were healthy");
-    assert!(dq.url_failed);
-    assert!(!dq.url_report.all_ok());
-    assert!(results.hits.is_empty());
-    // The accounted download is the full-phase size even on failure
-    // (the observable wire footprint must not depend on faults).
-    assert_eq!(results.cost.url_down, (tolerant.url.database().rows() * 4) as u64);
+    let want = ServeError::ShardFailed { shard: url_addr, failed: 1 };
+    let timeline = fails_with(&tolerant, "museum history archive", &plan, want);
+    let outcomes: Vec<(u64, u64)> = timeline
+        .iter()
+        .filter(|e| e.kind == EventKind::ShardOutcome)
+        .map(|e| (e.a, e.b & 1))
+        .collect();
+    assert_eq!(outcomes, vec![(0, 1), (1, 1), (2, 1), (3, 0)], "ranking shards were healthy");
 }
 
 #[test]
 fn searched_cluster_crash_is_reported_and_scores_zero() {
-    // When the searched cluster's own shard dies, the client must say
-    // so rather than silently returning garbage rankings.
+    // When the searched cluster's own shard dies the client must not
+    // return garbage rankings: the query fails naming that shard,
+    // exactly as a crash of any other shard does.
     let tolerant = build(true, 3);
     let query = "travel island beach";
     // Find the shard that owns the searched cluster via a benign probe.
@@ -243,28 +241,12 @@ fn searched_cluster_crash_is_reported_and_scores_zero() {
         })
         .expect("cluster has a shard");
     let plan = FaultPlan::none().crash_shard(owner);
-    let results = search_with_faults(&mut client(&tolerant), &tolerant, query, 5, &plan);
-    let dq = results.degraded.expect("degraded state");
-    assert!(dq.searched_cluster_missing);
-    assert!(dq.missing_clusters.contains(&results.cluster));
-    // Surviving-shard scores are exact zeros for the dead cluster, so
-    // every surfaced hit carries a zero score.
-    for hit in &results.hits {
-        assert_eq!(hit.score, 0.0, "dead cluster must not fabricate scores");
-    }
+    fails_with(&tolerant, query, &plan, ServeError::ShardFailed { shard: owner, failed: 1 });
 }
 
 #[test]
 fn all_ranking_shards_down_still_returns_cleanly() {
     let tolerant = build(true, 2);
     let plan = FaultPlan::none().crash_shard(0).crash_shard(1);
-    let results = search_with_faults(&mut client(&tolerant), &tolerant, "health doctor", 5, &plan);
-    let dq = results.degraded.expect("degraded state");
-    assert_eq!(dq.rank_report.failed_shards().len(), 2);
-    assert!(dq.searched_cluster_missing);
-    let total_clusters = tolerant.ranking.shard_clusters(1).1;
-    assert_eq!(dq.missing_clusters.len(), total_clusters);
-    for hit in &results.hits {
-        assert_eq!(hit.score, 0.0);
-    }
+    fails_with(&tolerant, "health doctor", &plan, ServeError::ShardFailed { shard: 0, failed: 2 });
 }

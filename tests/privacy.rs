@@ -69,7 +69,7 @@ fn wire_transcript_is_independent_of_the_query() {
         ("two probes", &plain, QueryOptions { probes: 2, ..direct }),
         ("after an update", &updated, direct),
     ];
-    let mut single_probe_online = Vec::new();
+    let mut single_probe = Vec::new();
     for (mode, instance, opts) in modes {
         let mut client = instance.new_client(1);
         let mut footprints = Vec::new();
@@ -94,17 +94,20 @@ fn wire_transcript_is_independent_of_the_query() {
             assert_eq!(w[0], w[1], "{mode}: transcript shape must not depend on the query");
         }
         // The appended URL can legitimately lengthen the URL PIR record,
-        // so the updated deployment's online bytes are not compared with
-        // the other modes'.
+        // so the updated deployment's bytes are not compared with the
+        // other modes'.
         if mode == "after an update" {
             continue;
         }
         if opts.probes == 1 {
-            single_probe_online.push((mode, footprints[0].2));
+            single_probe.push((mode, footprints[0].1, footprints[0].2));
         }
     }
-    for w in single_probe_online.windows(2) {
-        assert_eq!(w[0].1, w[1].1, "online bytes differ between {} and {}", w[0].0, w[1].0);
+    // The token footprint too: the fault policy changes how a shard is
+    // asked, never what a fetch downloads.
+    for w in single_probe.windows(2) {
+        assert_eq!(w[0].1, w[1].1, "total bytes differ between {} and {}", w[0].0, w[1].0);
+        assert_eq!(w[0].2, w[1].2, "online bytes differ between {} and {}", w[0].0, w[1].0);
     }
 }
 

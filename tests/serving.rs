@@ -1,6 +1,7 @@
 //! Serving-plane integration tests: cross-client batch coalescing
 //! must be invisible in results — bit-identical to sequential serving
-//! at every batch size, with or without injected faults.
+//! at every batch size, and failing the same typed way under injected
+//! faults.
 
 use rand::Rng;
 use tiptoe_core::client::QueryOptions;
@@ -10,9 +11,12 @@ use tiptoe_corpus::synth::{generate, Corpus, CorpusConfig};
 use tiptoe_embed::text::TextEmbedder;
 use tiptoe_lwe::LweCiphertext;
 use tiptoe_math::rng::seeded_rng;
-use tiptoe_net::{FaultPlan, FaultPolicy};
+use tiptoe_net::{FaultPlan, FaultPolicy, ServeError};
 use tiptoe_obs::recorder::flush_reason;
 use tiptoe_underhood::ClientKey;
+
+mod support;
+use support::assert_shard_failed;
 
 const SEED: u64 = 83;
 const DOCS: usize = 200;
@@ -259,8 +263,9 @@ fn solo_served_searches_do_not_wait_out_the_flush_deadline() {
 }
 
 /// Coalescing composes with fault injection: under a seeded plan with
-/// a crashed shard, served searches degrade exactly like unserved
-/// ones — same hits, same missing clusters, same failed shards.
+/// a crashed shard, served searches fail exactly like unserved ones —
+/// the same typed error naming the same shard, the same bytes on the
+/// transcript, one token used up each.
 #[test]
 fn served_faulty_searches_match_unserved_faulty_searches() {
     let (corpus, instance) = build(Some(FaultPolicy::tolerant()));
@@ -269,26 +274,18 @@ fn served_faulty_searches_match_unserved_faulty_searches() {
     let plane = instance.serving_plane();
     let mut unserved = instance.new_client(21);
     let mut served = instance.new_client(21);
+    let want = ServeError::ShardFailed { shard: crashed, failed: 1 };
     for q in corpus.queries.iter().take(2) {
+        let healthy = instance.new_client(22).search(&instance, &q.text, 10);
         let direct = QueryOptions { faults: Some(&plan), ..Default::default() };
-        let a = unserved.query(&instance, &q.text, 10, direct).expect("unbudgeted");
+        assert_shard_failed(&instance, &mut unserved, &q.text, direct, &healthy.cost, want);
         let via = QueryOptions { plane: Some(&plane), ..direct };
-        let b = served.query(&instance, &q.text, 10, via).expect("admission is off");
-        assert_eq!(a.cluster, b.cluster);
-        assert_eq!(a.hits, b.hits, "degraded hits drifted: {}", q.text);
-        let da = a.degraded.expect("fault-tolerant searches report state");
-        let db = b.degraded.expect("fault-tolerant searches report state");
-        assert_eq!(da.missing_clusters, db.missing_clusters);
-        assert_eq!(da.searched_cluster_missing, db.searched_cluster_missing);
-        let (lo, hi) = instance.ranking.shard_clusters(crashed);
-        assert_eq!(db.missing_clusters, (lo..hi).collect::<Vec<_>>());
-        assert_eq!(da.rank_report.failed_shards(), vec![crashed]);
-        assert_eq!(db.rank_report.failed_shards(), vec![crashed]);
+        assert_shard_failed(&instance, &mut served, &q.text, via, &healthy.cost, want);
     }
 }
 
 /// Benign-plan parity on the served fault-tolerant path: with nothing
-/// failing, coalesced degraded-mode searches equal plain searches.
+/// failing, coalesced fault-tolerant searches equal plain searches.
 #[test]
 fn served_benign_plan_is_bit_identical_to_plain_search() {
     let (corpus, plain) = build(None);
@@ -303,7 +300,5 @@ fn served_benign_plan_is_bit_identical_to_plain_search() {
     let rb = b.query(&tolerant, &q.text, 10, opts).expect("admission is off");
     assert_eq!(ra.cluster, rb.cluster);
     assert_eq!(ra.hits, rb.hits);
-    let db = rb.degraded.expect("reports even when healthy");
-    assert!(db.missing_clusters.is_empty());
-    assert!(db.rank_report.all_ok());
+    assert!(rb.cost.rank_faults.all_ok() && rb.cost.url_faults.all_ok());
 }
