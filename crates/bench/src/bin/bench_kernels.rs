@@ -49,15 +49,17 @@
 //! runs at both and at 5534x64, the wide deployment's URL query (`u32`
 //! words), whose thread sweep shows the row-cost grain fanning it out.
 //!
-//! `matvec` is measured at two shapes because they answer different
-//! questions: the cache-resident **hot** shape (256×1024, ~1 MiB)
-//! isolates the kernel itself — this is where SIMD dispatch shows its
-//! real arithmetic speedup — while the paper-scale **streaming**
-//! shape (2^15×1024, 128 MiB) is DRAM-bandwidth-bound on any host
-//! (this VM streams ~5 GB/s single-core, and the scalar loop already
-//! saturates that), so every single-query variant converges on the
-//! memory ceiling there and only the batched variant, which amortizes
-//! the database traffic across queries, escapes it.
+//! `matvec` runs over the ranking layout, `i8` entries in `[−8, 8]`
+//! against `u64` queries, at three shapes because they answer
+//! different questions: the cache-resident **hot** shape (256×1024,
+//! 256 KiB) isolates the kernel itself — this is where SIMD dispatch
+//! shows its real arithmetic speedup — while the **streaming** shape
+//! (2^15×1024, 32 MiB) reads the matrix from beyond the core's caches,
+//! where the batched variant amortizes the matrix traffic across
+//! queries. `matvec_shard` is a ranking shard of the end-to-end
+//! benchmark's wide deployment (122×20,832): one query and a flush of
+//! four, on one thread and two, the scan that `serve_solo` and
+//! `serve_fleet` time.
 //!
 //! ```text
 //! cargo run --release -p tiptoe-bench --bin bench_kernels
@@ -108,6 +110,9 @@ const HOT_ROWS: usize = 1 << 8;
 /// not microseconds (reported time is per single call).
 const HOT_INNER: usize = 64;
 const BATCH: usize = 4;
+/// A ranking shard of the end-to-end benchmark's wide deployment
+/// (`test_small` at 65,536 documents, two shards): rows × columns.
+const SHARD_SHAPE: (usize, usize) = (122, 20_832);
 const PREPROC_ROWS: usize = 1 << 15;
 const PREPROC_COLS: usize = 64;
 const PREPROC_N: usize = 256;
@@ -203,7 +208,7 @@ fn thread_sweep(top: usize) -> Vec<usize> {
 
 /// Pinned-scalar `M·v`: the portable four-way-unrolled dot per row,
 /// never the SIMD tiers — the baseline of the `matvec*` rows.
-fn matvec_scalar(db: &Mat<u32>, v: &[u64]) -> Vec<u64> {
+fn matvec_scalar(db: &Mat<i8>, v: &[u64]) -> Vec<u64> {
     (0..db.rows()).map(|i| simd::dot_narrow_scalar([db.row(i)], v)[0]).collect()
 }
 
@@ -334,7 +339,7 @@ fn main() {
 
     // --- Online kernel, cache-resident shape: what the SIMD tiers buy
     // when the measurement is arithmetic rather than DRAM. ---
-    let hot = Mat::from_fn(HOT_ROWS, MATVEC_COLS, |_, _| rng.gen_range(0..16u32));
+    let hot = Mat::from_fn(HOT_ROWS, MATVEC_COLS, |_, _| rng.gen_range(-8..=8i8));
     let shape = format!("{HOT_ROWS}x{MATVEC_COLS}");
     let per_call = |total: f64| total / HOT_INNER as f64;
     let scalar = per_call(time(reps, || {
@@ -353,11 +358,11 @@ fn main() {
     // --- Online kernel, paper-scale streaming shape (128 MiB): every
     // single-query variant is memory-bound here; batched amortizes the
     // database stream over BATCH queries. ---
-    let db = Mat::from_fn(MATVEC_ROWS, MATVEC_COLS, |_, _| rng.gen_range(0..16u32));
+    let db = Mat::from_fn(MATVEC_ROWS, MATVEC_COLS, |_, _| rng.gen_range(-8..=8i8));
     let shape = format!("{MATVEC_ROWS}x{MATVEC_COLS}");
-    const STREAM_NOTE: &str = "DRAM-bandwidth-bound at this shape: the scalar loop already \
-                               saturates the host's single-core stream; see the cache-resident \
-                               matvec entries for the kernel's arithmetic speedup";
+    const STREAM_NOTE: &str = "memory-bound at this shape: the matrix streams from beyond the \
+                               core's caches; see the cache-resident matvec entries for the \
+                               kernel's arithmetic speedup";
     let scalar = time(reps, || matvec_scalar(&db, &v));
     let dispatched = time(reps, || scan(&db, &[&v], 1));
     // Batched answers BATCH queries per pass; report per-query time.
@@ -370,6 +375,26 @@ fn main() {
         let note = (t == 1).then_some(T1_NOTE);
         push("matvec_stream", format!("parallel_t{t}"), &shape, seconds, scalar, note);
     }
+
+    // --- Online kernel at a deployed shard: one query and a lane flush
+    // of B = 4, on one thread and two. ---
+    let (rows, cols) = SHARD_SHAPE;
+    let mut shard_rng = seeded_rng(22);
+    let shard = Mat::from_fn(rows, cols, |_, _| shard_rng.gen_range(-8..=8i8));
+    let qs: Vec<Vec<u64>> =
+        (0..BATCH).map(|_| (0..cols).map(|_| shard_rng.gen()).collect()).collect();
+    let qs: Vec<&[u64]> = qs.iter().map(Vec::as_slice).collect();
+    let shape = format!("{rows}x{cols}");
+    let scalar = time(reps, || matvec_scalar(&shard, qs[0]));
+    let dispatched = time(reps, || scan(&shard, &qs[..1], 1));
+    push("matvec_shard", "scalar".into(), &shape, Some(scalar), scalar, None);
+    push("matvec_shard", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
+    let batched = time(reps, || scan(&shard, &qs, 1)) / BATCH as f64;
+    push("matvec_shard", format!("batched_b{BATCH}_per_query"), &shape, Some(batched), scalar, None);
+    let seconds = time_threads(2, cores, reps, || scan(&shard, &qs[..1], 2));
+    push("matvec_shard", "parallel_t2".into(), &shape, seconds, scalar, None);
+    let seconds = time_threads(2, cores, reps, || scan(&shard, &qs, 2)).map(|s| s / BATCH as f64);
+    push("matvec_shard", format!("batched_b{BATCH}_t2_per_query"), &shape, seconds, scalar, None);
 
     // --- Offline kernel: preproc (hint = M·A with seeded A). ---
     let db = Mat::from_fn(PREPROC_ROWS, PREPROC_COLS, |_, _| rng.gen_range(0..16u32));

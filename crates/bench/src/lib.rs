@@ -125,11 +125,6 @@ pub struct VariantOutcome {
     pub index_overhead: f64,
 }
 
-/// Quantizes to small signed integers for fast exact scoring.
-fn quantize_signed(quant: &Quantizer, v: &[f32]) -> Vec<i8> {
-    quant.to_signed(v).into_iter().map(|x| x as i8).collect()
-}
-
 /// Exact signed dot product of two quantized vectors.
 fn signed_dot(a: &[i8], b: &[i8]) -> i32 {
     a.iter().zip(b.iter()).map(|(&x, &y)| x as i32 * y as i32).sum()
@@ -160,7 +155,7 @@ pub fn evaluate_variant<E: Embedder>(
     let reduced: Vec<Vec<f32>> = raw.iter().map(|v| reduce(v)).collect();
     let d_active = reduced[0].len();
     let quant = Quantizer::new(config.quant_bits, 1 << 17);
-    let q_docs: Vec<Vec<i8>> = reduced.iter().map(|v| quantize_signed(&quant, v)).collect();
+    let q_docs: Vec<Vec<i8>> = reduced.iter().map(|v| quant.to_i8(v)).collect();
 
     // --- Clustering (optional).
     let clustering: Option<Clustering> = flags.clustering.then(|| {
@@ -178,7 +173,7 @@ pub fn evaluate_variant<E: Embedder>(
     let mut chunk_rng = seeded_rng(derive_seed(config.seed, 0xc4a));
     for query in &corpus.queries {
         let q_emb = reduce(&embedder.embed_text(&query.text));
-        let q_quant = quantize_signed(&quant, &q_emb);
+        let q_quant = quant.to_i8(&q_emb);
 
         let hits: Vec<SearchHit> = match &clustering {
             None => {

@@ -191,8 +191,10 @@ pub struct IndexArtifacts {
     pub order: Vec<u32>,
     /// Start offset of each cluster within `order`.
     pub cluster_offsets: Vec<u32>,
-    /// The ranking matrix (Figure 3): `rows × d·C` entries of `Z_p`.
-    pub rank_matrix: Mat<u32>,
+    /// The ranking matrix (Figure 3): `rows × d·C` quantized entries,
+    /// each the signed representative of its `Z_p` residue (`p` divides
+    /// `q`, so it decrypts the same at a quarter of a residue's bytes).
+    pub rank_matrix: Mat<i8>,
     /// Compressed URL batches in cluster-major order.
     pub url_batches: Vec<CompressedUrlBatch>,
     /// Client-side metadata bundle.
@@ -274,12 +276,12 @@ pub fn run_batch_jobs_from_embeddings(
     let rows = clustering.max_cluster_size();
     let mut order: Vec<u32> = Vec::with_capacity(clustering.total_assignments());
     let mut cluster_offsets = Vec::with_capacity(c);
-    let mut rank_matrix: Mat<u32> = Mat::zeros(rows, d * c);
+    let mut rank_matrix: Mat<i8> = Mat::zeros(rows, d * c);
     for (ci, members) in clustering.members.iter().enumerate() {
         cluster_offsets.push(order.len() as u32);
         for (row, &doc) in members.iter().enumerate() {
             order.push(doc);
-            let q = quant.to_zp(&reduced[doc as usize]);
+            let q = quant.to_i8(&reduced[doc as usize]);
             rank_matrix.row_mut(row)[ci * d..ci * d + d].copy_from_slice(&q);
         }
     }
@@ -361,7 +363,7 @@ mod tests {
         // Spot-check the first member of each cluster.
         for (ci, members) in a.clustering.members.iter().enumerate() {
             let Some(&doc) = members.first() else { continue };
-            let expected = quant.to_zp(&a.reduced_embeddings[doc as usize]);
+            let expected = quant.to_i8(&a.reduced_embeddings[doc as usize]);
             assert_eq!(&a.rank_matrix.row(0)[ci * d..ci * d + d], &expected[..]);
         }
         drop(corpus);

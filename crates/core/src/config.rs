@@ -171,7 +171,11 @@ impl TiptoeConfig {
     /// # Errors
     ///
     /// [`ConfigError`] naming the offending knob for any invalid
-    /// fault, coalesce or admission policy.
+    /// fault, coalesce or admission policy, and for a ranking layout
+    /// the `i8` matrix cannot hold: `quant_bits` above 6 (entries span
+    /// `[−2^b, 2^b]`), or a ranking `p` that is not a power of two (a
+    /// signed entry decrypts like its residue only when `p` divides
+    /// `q`).
     ///
     /// # Panics
     ///
@@ -181,6 +185,19 @@ impl TiptoeConfig {
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         self.rank_lwe.validate();
         self.url_lwe.validate();
+        if self.quant_bits > 6 {
+            return Err(ConfigError {
+                field: "quant_bits",
+                reason: "ranking entries span [-2^b, 2^b] and must fit an i8 (b <= 6)",
+            });
+        }
+        if !self.rank_lwe.p.is_power_of_two() {
+            return Err(ConfigError {
+                field: "rank_lwe.p",
+                reason: "the ranking matrix holds signed entries, which decrypt like residues \
+                         only when p divides q = 2^64 (a power of two)",
+            });
+        }
         assert!(self.d_reduced <= self.d_embed, "PCA cannot increase dimension");
         let quant = self.quantizer();
         assert!(
@@ -272,6 +289,26 @@ mod tests {
         c.fault_policy.attempt_timeout = std::time::Duration::ZERO;
         let err = c.try_validate().expect_err("zero attempt timeout");
         assert_eq!(err.field, "fault_policy.attempt_timeout");
+    }
+
+    #[test]
+    fn ranking_entries_too_wide_for_i8_are_a_typed_error() {
+        let mut c = TiptoeConfig::test_small(500, 1);
+        c.quant_bits = 6;
+        c.try_validate().expect("[-64, 64] fits an i8");
+        c.quant_bits = 7;
+        let err = c.try_validate().expect_err("[-128, 128] does not fit an i8");
+        assert_eq!(err.field, "quant_bits");
+    }
+
+    #[test]
+    fn odd_ranking_modulus_is_a_typed_error() {
+        let mut c = TiptoeConfig::test_small(500, 1);
+        c.rank_lwe.p = (1 << 17) - 1;
+        let err = c.try_validate().expect_err("p does not divide 2^64");
+        assert_eq!(err.field, "rank_lwe.p");
+        c.rank_lwe.p = 1 << 15;
+        c.try_validate().expect("any power of two divides 2^64");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use tiptoe_lwe::{scheme, LweCiphertext, MatrixA};
 use tiptoe_math::matrix::Mat;
 use tiptoe_math::rng::derive_seed;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
-use tiptoe_math::zq::Word;
+use tiptoe_math::zq::{Entry, Word};
 use tiptoe_net::{
     dispatch, timed, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
     ParallelTiming, ServeError, Service,
@@ -40,7 +40,7 @@ use crate::serving::ServingPlane;
 struct RankingShard {
     /// Columns `[col_start, col_start + db.cols())` of the full matrix.
     col_start: usize,
-    db: Mat<u32>,
+    db: Mat<i8>,
 }
 
 /// The summed hint the token pass evaluates under `Enc2`.
@@ -154,7 +154,7 @@ impl RankingService {
     }
 
     /// [`RankingService::build`] over the Figure 3 matrix alone.
-    fn from_matrix(config: &TiptoeConfig, matrix: &Mat<u32>) -> Self {
+    fn from_matrix(config: &TiptoeConfig, matrix: &Mat<i8>) -> Self {
         let uh = Underhood::with_outer(config.rank_lwe, config.rlwe, config.switch_log_q2);
         let m = matrix.cols();
         let d = config.d_reduced;
@@ -243,17 +243,18 @@ impl RankingService {
         self.shards.len()
     }
 
-    /// Bytes of index state held across all workers (matrix + the
-    /// NTT-ready hint polys dominate).
+    /// Bytes of index state held across all workers: the matrix, one
+    /// byte an entry, and the NTT-ready hint polys.
     pub fn server_storage_bytes(&self) -> u64 {
         let matrix: usize = self.shards.iter().map(|s| std::mem::size_of_val(s.db.data())).sum();
         matrix as u64 + self.token_hint.server.byte_len()
     }
 
     /// Incrementally indexes one new document (§3.2 "Handling updates
-    /// to the corpus"): writes its quantized embedding into the padding
-    /// slot `(cluster, row)`, updates the summed hint by the rank-one
-    /// correction `ΔH[row] = Σ_j q[j]·A[col_j]`, and
+    /// to the corpus"): writes its quantized embedding (the signed
+    /// entries of [`tiptoe_embed::quantize::Quantizer::to_i8`]) into the
+    /// padding slot `(cluster, row)`, updates the summed hint by the
+    /// rank-one correction `ΔH[row] = Σ_j q[j]·A[col_j]`, and
     /// refreshes only the NTT chunk containing `row` — no full
     /// re-preprocessing.
     ///
@@ -263,9 +264,9 @@ impl RankingService {
     /// # Panics
     ///
     /// Panics if the slot is out of range, already occupied (nonzero),
-    /// or `q_zp.len()` differs from the embedding dimension.
-    pub fn add_document(&mut self, cluster: usize, row: usize, q_zp: &[u32]) {
-        let d = q_zp.len();
+    /// or `entries.len()` differs from the embedding dimension.
+    pub fn add_document(&mut self, cluster: usize, row: usize, entries: &[i8]) {
+        let d = entries.len();
         let col_lo = cluster * d;
         let col_hi = col_lo + d;
         assert!(col_hi <= self.cols, "cluster out of range");
@@ -281,20 +282,21 @@ impl RankingService {
         // 1. Write the matrix slot (must be padding).
         let slot = &mut shard.db.row_mut(row)[local_lo..local_lo + d];
         assert!(slot.iter().all(|&x| x == 0), "slot already occupied");
-        slot.copy_from_slice(q_zp);
+        slot.copy_from_slice(entries);
 
         // 2. Rank-one hint correction: ΔH[row] += Σ_j q[j]·A[col_lo+j].
         let hint = &mut self.token_hint;
         let n = self.a.cols();
         let range = self.a.row_range(col_lo, d);
         let mut a_row = vec![0u64; n];
-        for (j, &qj) in q_zp.iter().enumerate() {
+        for (j, &qj) in entries.iter().enumerate() {
             if qj == 0 {
                 continue;
             }
             range.expand_row(j, &mut a_row);
+            let qj = qj.to_word::<u64>();
             for (h, &a_val) in hint.raw.row_mut(row).iter_mut().zip(a_row.iter()) {
-                *h = h.wrapping_add((qj as u64).wrapping_mul(a_val));
+                *h = h.wrapping_add(qj.wrapping_mul(a_val));
             }
         }
 
@@ -564,7 +566,7 @@ mod tests {
         // rows, two limbs.
         let config = TiptoeConfig::text(4096, 1);
         let cols = config.num_shards * config.d_reduced;
-        let matrix = Mat::<u32>::from_fn(4, cols, |r, c| ((r + c) % 8) as u32);
+        let matrix = Mat::<i8>::from_fn(4, cols, |r, c| ((r + c) % 8) as i8);
         let service = RankingService::from_matrix(&config, &matrix);
         assert_eq!(service.num_shards(), 4);
         assert_eq!(token_hint_bytes(&service), 4096 * 2048 * 8);
@@ -591,10 +593,101 @@ mod tests {
         assert!(result.is_err());
     }
 
+    /// Lays `embeddings[cluster][row]` out as Figure 3's signed matrix
+    /// and as `u32` residues mod `p`, the reference layout, then
+    /// decrypts several queries against both: the service's hint and
+    /// answer for the signed matrix, the residues' hint and a
+    /// scalar-reference answer for the other. Every row's score must
+    /// agree, and with the plaintext `quantized_dot` of its document.
+    fn assert_signed_entries_decrypt_like_residues(
+        config: &TiptoeConfig,
+        embeddings: &[Vec<Vec<f32>>],
+    ) -> Mat<i8> {
+        let (quant, d, params) = (config.quantizer(), config.d_reduced, &config.rank_lwe);
+        let rows = embeddings.iter().map(Vec::len).max().expect("one cluster");
+        let mut matrix = Mat::<i8>::zeros(rows, d * embeddings.len());
+        for (cluster, docs) in embeddings.iter().enumerate() {
+            for (row, emb) in docs.iter().enumerate() {
+                matrix.row_mut(row)[cluster * d..][..d].copy_from_slice(&quant.to_i8(emb));
+            }
+        }
+        let residues = Mat::from_fn(rows, matrix.cols(), |i, j| {
+            tiptoe_math::zq::reduce_signed(matrix.get(i, j).into(), params.p) as u32
+        });
+        let service = RankingService::from_matrix(config, &matrix);
+        let a = service.public_matrix();
+        let residue_hint = scheme::preproc::<u64>(&residues, &a.row_range(0, matrix.cols()), 1);
+        let mut rng = seeded_rng(35);
+        let uh = service.underhood();
+        let key = ClientKey::generate(uh, params.n, &mut rng);
+        let sk = key.lwe_key::<u64>(params);
+        for query in 0..3 {
+            let target = query % embeddings.len();
+            let mut qvec: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            tiptoe_embed::vector::normalize(&mut qvec);
+            let q_zp = quant.to_zp(&qvec);
+            let mut v = vec![0u64; matrix.cols()];
+            for (x, &q) in v[target * d..].iter_mut().zip(&q_zp) {
+                *x = q.into();
+            }
+            let ct = uh.encrypt_query::<u64, _>(&key, &a, &v, &mut rng);
+            let signed = service.answer(&ct).0;
+            let signed = scheme::decrypt(params, &sk, &service.token_hint.raw, &signed);
+            let dot = |i| tiptoe_math::simd::dot_narrow_scalar([residues.row(i)], &ct.c)[0];
+            let residue = (0..rows).map(dot).collect::<Vec<u64>>();
+            let residue = scheme::decrypt(params, &sk, &residue_hint, &residue);
+            assert_eq!(signed, residue, "query {query}");
+            for (row, &score) in signed.iter().enumerate() {
+                let want = embeddings[target]
+                    .get(row)
+                    .map_or(0, |emb| quant.quantized_dot(&quant.to_zp(emb), &q_zp));
+                assert_eq!(quant.encoder().decode_signed(score), want, "query {query} row {row}");
+            }
+        }
+        matrix
+    }
+
+    #[test]
+    fn signed_entries_decrypt_like_residues_at_test_small() {
+        let (config, artifacts, _) = setup();
+        let members = &artifacts.clustering.members;
+        let embeddings: Vec<Vec<Vec<f32>>> = members
+            .iter()
+            .map(|docs| docs.iter().map(|&doc| artifacts.reduced_embeddings[doc as usize].clone()))
+            .map(Iterator::collect)
+            .collect();
+        let matrix = assert_signed_entries_decrypt_like_residues(&config, &embeddings);
+        assert_eq!(matrix, artifacts.rank_matrix, "the batch jobs' layout");
+    }
+
+    #[test]
+    fn signed_entries_decrypt_like_residues_at_text_parameters() {
+        // The deployed ranking parameters (n = 2048, p = 2^17, 4
+        // shards) over four clusters of random unit embeddings, one of
+        // them shorter so that its last rows are padding.
+        let config = TiptoeConfig::text(4096, 1);
+        let mut rng = seeded_rng(37);
+        let embeddings: Vec<Vec<Vec<f32>>> = (0..4)
+            .map(|cluster| {
+                let docs = if cluster == 2 { 3 } else { 5 };
+                (0..docs)
+                    .map(|_| {
+                        let mut e: Vec<f32> =
+                            (0..config.d_reduced).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                        tiptoe_embed::vector::normalize(&mut e);
+                        e
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_signed_entries_decrypt_like_residues(&config, &embeddings);
+    }
+
     #[test]
     fn storage_accounting_is_positive() {
         let (_, _, service) = setup();
-        let matrix = (service.rows() * service.upload_dim() * 4) as u64;
+        // One byte an entry: the matrix holds `i8`s.
+        let matrix = (service.rows() * service.upload_dim()) as u64;
         assert_eq!(service.server_storage_bytes(), matrix + token_hint_bytes(&service));
         assert!(service.preproc_time > Duration::ZERO);
     }

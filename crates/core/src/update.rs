@@ -118,15 +118,15 @@ impl<E: Embedder> TiptoeInstance<E> {
 
         // 1. Ranking index: matrix slot + incremental hint refresh.
         let quant = self.config.quantizer();
-        let q_zp = quant.to_zp(&reduced);
-        self.ranking.add_document(cluster, row, &q_zp);
+        let entries = quant.to_i8(&reduced);
+        self.ranking.add_document(cluster, row, &entries);
 
         // 2. Mirror into the batch artifacts (kept consistent for
         //    evaluation and for URL-service rebuilds).
         let doc = self.artifacts.reduced_embeddings.len() as u32;
         let d = self.config.d_reduced;
         self.artifacts.rank_matrix.row_mut(row)[cluster * d..cluster * d + d]
-            .copy_from_slice(&q_zp);
+            .copy_from_slice(&entries);
         self.artifacts.reduced_embeddings.push(reduced);
         self.artifacts.clustering.members[cluster].push(doc);
         self.artifacts.clustering.primary.push(cluster as u32);

@@ -53,7 +53,18 @@ impl Quantizer {
         v.iter().map(|&x| self.encoder.encode_signed(x)).collect()
     }
 
-    /// Quantizes to `Z_p` residues ready for the database matrix.
+    /// Quantizes to the signed entries of the ranking matrix: the
+    /// [`Quantizer::to_signed`] values, which fit an `i8` for `bits ≤ 6`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits > 6`: values in `[−2^b, 2^b]` then leave `i8`.
+    pub fn to_i8(&self, v: &[f32]) -> Vec<i8> {
+        assert!(self.encoder.bits() <= 6, "{}-bit values do not fit i8", self.encoder.bits());
+        self.to_signed(v).into_iter().map(|x| x as i8).collect()
+    }
+
+    /// Quantizes to `Z_p` residues.
     pub fn to_zp(&self, v: &[f32]) -> Vec<u32> {
         v.iter().map(|&x| self.encoder.encode(x) as u32).collect()
     }
@@ -141,6 +152,13 @@ mod tests {
         let signed = quant.to_signed(&[-1.0, -0.5, 0.0, 0.5, 1.0]);
         assert_eq!(signed, vec![-8, -4, 0, 4, 8]);
         assert!(signed.iter().all(|&x| (-8..=8).contains(&x)));
+    }
+
+    #[test]
+    fn i8_entries_are_the_signed_values() {
+        let quant = Quantizer::paper_text();
+        assert_eq!(quant.to_i8(&[-1.0, -0.3, 0.0, 0.26, 1.0, 7.0]), [-8, -2, 0, 2, 8, 8]);
+        assert_eq!(Quantizer::new(6, 1 << 17).to_i8(&[-1.0, 1.0]), [-64, 64]);
     }
 
     #[test]

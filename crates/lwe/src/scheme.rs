@@ -14,17 +14,22 @@
 //! `M·e` as long as it stays below `Δ/2` (enforced by the parameter
 //! selection in [`crate::params`]).
 //!
-//! The server's two jobs are one function each over the database's
-//! `Z_p` residues (a [`Mat<u32>`]): [`preproc`] and [`apply`].
-//! Both take a thread count (`0` = one per core, `1` = inline) that
-//! changes wall-clock time only, never an output word.
+//! The server's two jobs are one function each over the database:
+//! [`preproc`] and [`apply`]. Its entries are `Z_p` residues (a
+//! `Mat<u32>`) or, when `p` divides `q`, signed representatives (a
+//! `Mat<i8>`, the ranking service's): with `Δ·p = q`, an entry that
+//! differs from its residue by a multiple of `p` changes `Δ·(M·v)` by
+//! a multiple of `q`, so `c' - H·s = M·e + Δ·(M·v)` decrypts to the
+//! same result, with the smaller `M·e` of the smaller entries. Both
+//! take a thread count (`0` = one per core, `1` = inline) that changes
+//! wall-clock time only, never an output word.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tiptoe_math::matrix::{matvec_wide, scan, Mat};
 use tiptoe_math::sample::{gaussian_i64, ternary_vec, GaussianStream};
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
-use tiptoe_math::zq::Word;
+use tiptoe_math::zq::{Entry, Word};
 
 use crate::matrix_a::{MatrixA, MatrixARange};
 use crate::params::LweParams;
@@ -235,7 +240,7 @@ fn with_std_rng<R: Rng + ?Sized, T>(rng: &mut R, f: impl FnOnce(&mut StdRng) -> 
 /// # Panics
 ///
 /// Panics if `db.cols() != a.rows()`.
-pub fn preproc<W: Word>(db: &Mat<u32>, a: &MatrixARange, threads: usize) -> Mat<W> {
+pub fn preproc<W: Word>(db: &Mat<impl Entry>, a: &MatrixARange, threads: usize) -> Mat<W> {
     assert_eq!(db.cols(), a.rows(), "matrix shapes incompatible");
     let _span = kernel_span("lwe.preproc", db.rows(), db.cols());
     let n = a.cols();
@@ -252,7 +257,7 @@ pub fn preproc<W: Word>(db: &Mat<u32>, a: &MatrixARange, threads: usize) -> Mat<
             a.expand_rows(k0, rows);
             for (k, a_row) in (k0..).zip(rows.chunks_exact(stride)) {
                 for (local, h_row) in span.chunks_exact_mut(n).enumerate() {
-                    let m_ik = W::from_u64(u64::from(db.get(row0 + local, k)));
+                    let m_ik = db.get(row0 + local, k).to_word::<W>();
                     if m_ik != W::ZERO {
                         W::axpy(h_row, m_ik, &a_row[..n]);
                     }
@@ -270,7 +275,7 @@ pub fn preproc<W: Word>(db: &Mat<u32>, a: &MatrixARange, threads: usize) -> Mat<
 /// # Panics
 ///
 /// Panics if any ciphertext's dimension differs from `db.cols()`.
-pub fn apply<W: Word>(db: &Mat<u32>, cts: &[&[W]], threads: usize) -> Vec<Vec<W>> {
+pub fn apply<W: Word>(db: &Mat<impl Entry>, cts: &[&[W]], threads: usize) -> Vec<Vec<W>> {
     let mut span = kernel_span("lwe.matvec", db.rows(), db.cols());
     span.attr_u64("batch", cts.len() as u64);
     scan(db, cts, threads)

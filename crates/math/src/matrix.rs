@@ -2,17 +2,21 @@
 //! Tiptoe's server-side cost.
 //!
 //! The ranking service's per-query work is one product `M · ct` where
-//! `M` holds small plaintext entries (quantized embeddings, at most
-//! `log2 p ≤ 17` bits) and `ct` is a ciphertext vector of full machine
-//! words (paper §4.2: "roughly 2·N·d 64-bit word operations"), with
-//! wrapping arithmetic providing the mod-`2^k` reduction for free.
-//! [`scan`] is that product — tiled, batched and row-parallel — over
-//! the `Z_p` residues of a [`Mat<u32>`]; [`matvec_wide`] is the
+//! `M` holds small plaintext entries (quantized embeddings in
+//! `[−2^b, 2^b]`, `b = 3` deployed) and `ct` is a ciphertext vector of
+//! full machine words (paper §4.2: "roughly 2·N·d 64-bit word
+//! operations"), with wrapping arithmetic providing the mod-`2^k`
+//! reduction for free. [`scan`] is that product — tiled, batched and
+//! row-parallel — over a matrix of [`Entry`]s: the ranking matrix's
+//! signed `i8` representatives (its `p` divides `q`, so they decrypt
+//! like residues, at a quarter of the bytes), or the `Z_p` residues of
+//! a [`Mat<u32>`] (the URL service's odd `p`). [`matvec_wide`] is the
 //! client's `H·s`.
 
 use std::ops::Range;
 
-use crate::zq::Word;
+use crate::simd::PLANE_CHUNK_BYTES;
+use crate::zq::{Entry, Word};
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,15 +156,17 @@ impl<T: Copy + Default> Mat<T> {
 /// Most rows one `dot_segment` call answers: [`scan`] walks a tile's
 /// rows in groups of this many, so each lane-chunk of a query tile is
 /// loaded once per group rather than once per row. Four rows'
-/// accumulators and the query's registers fit the AVX-512 `u32·u64`
-/// body's 32 vector registers.
+/// accumulators and the query's registers fit the AVX-512 `u32·u32`
+/// body's 32 vector registers; the `i8·u64` VNNI body, with eight
+/// accumulators a row, takes a group's rows two at a time.
 pub const ROW_GROUP: usize = 4;
 
 /// Inner products over `Z_{2^k}` of `v` with the columns
 /// `[col_start, col_start + v.len())` of `rows`, one to [`ROW_GROUP`]
 /// consecutive rows of `db`: entry `i` is row `rows.start + i`'s, and
-/// the entries from `rows.len()` on are zero. A whole group is one call
-/// of the row-group kernel; a shorter one (a span's last
+/// the entries from `rows.len()` on are zero. `planes` is the query's
+/// [`Entry::split`] from column `col_start` on. A whole group is one
+/// call of the row-group kernel; a shorter one (a span's last
 /// `rows % ROW_GROUP` rows) is its one-row case, row by row.
 ///
 /// # Panics
@@ -168,33 +174,41 @@ pub const ROW_GROUP: usize = 4;
 /// Panics if the group is empty or longer than [`ROW_GROUP`], or a row
 /// or the column range is out of bounds.
 #[inline]
-fn dot_segment<W: Word>(
-    db: &Mat<u32>,
+fn dot_segment<E: Entry, W: Word>(
+    db: &Mat<E>,
     rows: Range<usize>,
     col_start: usize,
     v: &[W],
+    planes: &[u8],
 ) -> [W; ROW_GROUP] {
     let segment = |row: usize| &db.row(row)[col_start..col_start + v.len()];
     if rows.len() == ROW_GROUP {
-        return W::dot_narrow(std::array::from_fn(|i| segment(rows.start + i)), v);
+        return E::dot(std::array::from_fn(|i| segment(rows.start + i)), v, planes);
     }
     assert!((1..ROW_GROUP).contains(&rows.len()), "row group of {} rows", rows.len());
     let mut out = [W::ZERO; ROW_GROUP];
     for (o, row) in out.iter_mut().zip(rows) {
-        [*o] = W::dot_narrow([segment(row)], v);
+        [*o] = E::dot([segment(row)], v, planes);
     }
     out
+}
+
+/// `q` laid out for the row-group kernel of `db`'s entry type
+/// ([`Entry::split`]).
+fn split_query<E: Entry, W: Word>(_db: &Mat<E>, q: &[W]) -> Vec<u8> {
+    E::split(q)
 }
 
 /// Column-tile width (in elements) of [`scan`]: 2048 `u64` words =
 /// 16 KiB, so one tile of a query stays resident in L1 while every
 /// row's matching segment streams past it.
 pub const TILE_COLS: usize = 2048;
+const _: () = assert!(TILE_COLS.is_multiple_of(64), "a tile is whole chunks of byte planes");
 
 /// `out[b] = M · queries[b]` over `Z_{2^k}`: the SimplePIR `Apply` hot
 /// loop and the only online kernel. Entries of `db` are treated as
-/// elements of `Z_{2^k}`; the wrap-around of [`Word`] arithmetic
-/// performs the modular reduction.
+/// elements of `Z_{2^k}` ([`Entry::to_word`]); the wrap-around of
+/// [`Word`] arithmetic performs the modular reduction.
 ///
 /// One pass over the database answers the whole batch (`M` is ℓ×m
 /// words, a query only m, so the matrix traffic dominates and is paid
@@ -206,11 +220,13 @@ pub const TILE_COLS: usize = 2048;
 /// stack). Wrapping mod-`2^k` sums are associative and commutative, so
 /// no tiling, row grouping, batch size, thread count, or SIMD lane
 /// grouping inside the row-group kernel can change any output word.
+/// Each query is laid out for the kernel once ([`Entry::split`]: the
+/// `i8` VNNI body's byte planes) before the rows fan out.
 ///
 /// # Panics
 ///
 /// Panics if any query's length differs from `db.cols()`.
-pub fn scan<W: Word>(db: &Mat<u32>, queries: &[&[W]], threads: usize) -> Vec<Vec<W>> {
+pub fn scan<W: Word>(db: &Mat<impl Entry>, queries: &[&[W]], threads: usize) -> Vec<Vec<W>> {
     let (rows, cols) = (db.rows(), db.cols());
     for q in queries {
         assert_eq!(q.len(), cols, "dimension mismatch");
@@ -219,6 +235,7 @@ pub fn scan<W: Word>(db: &Mat<u32>, queries: &[&[W]], threads: usize) -> Vec<Vec
         return Vec::new();
     }
     let batch = queries.len();
+    let planes: Vec<Vec<u8>> = queries.iter().map(|q| split_query(db, q)).collect();
     // Row-major (row, batch) accumulator so one row's products for all
     // queries are computed while the row is hot in cache.
     let mut flat = vec![W::ZERO; rows * batch];
@@ -229,8 +246,13 @@ pub fn scan<W: Word>(db: &Mat<u32>, queries: &[&[W]], threads: usize) -> Vec<Vec
             for (g, group_out) in span.chunks_mut(ROW_GROUP * batch).enumerate() {
                 let first = row0 + g * ROW_GROUP;
                 let rows = first..first + group_out.len() / batch;
-                for (b, q) in queries.iter().enumerate() {
-                    let dots = dot_segment(db, rows.clone(), tile_start, &q[tile_start..tile_end]);
+                for (b, (q, planes)) in queries.iter().zip(&planes).enumerate() {
+                    // A tile's planes start at its first column's chunk
+                    // (`TILE_COLS` is a whole number of chunks); an
+                    // empty split stays empty.
+                    let planes = planes.get(tile_start / 64 * PLANE_CHUNK_BYTES..).unwrap_or(&[]);
+                    let v = &q[tile_start..tile_end];
+                    let dots = dot_segment(db, rows.clone(), tile_start, v, planes);
                     for (o, dot) in group_out[b..].iter_mut().step_by(batch).zip(dots) {
                         *o = o.wadd(dot);
                     }
@@ -262,16 +284,16 @@ mod tests {
     use super::*;
 
     /// One query on the caller's thread.
-    fn scan_one<W: Word>(db: &Mat<u32>, v: &[W]) -> Vec<W> {
+    fn scan_one<E: Entry, W: Word>(db: &Mat<E>, v: &[W]) -> Vec<W> {
         scan(db, &[v], 1).pop().expect("one answer per query")
     }
 
     /// Untiled `M · v` by the definition.
-    fn naive<W: Word>(db: &Mat<u32>, v: &[W]) -> Vec<W> {
+    fn naive<E: Entry, W: Word>(db: &Mat<E>, v: &[W]) -> Vec<W> {
         (0..db.rows())
             .map(|i| {
                 v.iter().enumerate().fold(W::ZERO, |acc, (j, &x)| {
-                    acc.wadd(W::from_u64(db.get(i, j) as u64).wmul(x))
+                    acc.wadd(db.get(i, j).to_word::<W>().wmul(x))
                 })
             })
             .collect()
@@ -279,7 +301,7 @@ mod tests {
 
     #[test]
     fn matvec_matches_naive_u64() {
-        let db = Mat::from_fn(3, 5, |i, j| (i * 5 + j) as u32);
+        let db = Mat::from_fn(3, 5, |i, j| (i * 5 + j) as i8 - 7);
         let v: Vec<u64> = (0..5).map(|j| (j as u64 + 1) * 1_000_000_007).collect();
         assert_eq!(scan_one(&db, &v), naive(&db, &v));
     }
@@ -324,17 +346,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matvec_rejects_bad_shape() {
-        let db = Mat::from_fn(2, 3, |_, _| 1u32);
+        let db = Mat::from_fn(2, 3, |_, _| 1i8);
         let v = vec![1u64; 4];
         let _ = scan_one(&db, &v);
     }
 
     /// A shape that exercises tile boundaries: more columns than one
     /// tile, a ragged final tile, and a row count that splits unevenly
-    /// over threads.
-    fn wide_case() -> (Mat<u32>, Vec<u64>) {
+    /// over threads; `i8` entries over their whole range.
+    fn wide_case() -> (Mat<i8>, Vec<u64>) {
         let cols = TILE_COLS + 37;
-        let db = Mat::from_fn(13, cols, |i, j| (i * 2654435761 + j * 40503) as u32);
+        let db = Mat::from_fn(13, cols, |i, j| (i * 2654435761 + j * 40503) as i8);
         let v: Vec<u64> =
             (0..cols).map(|j| (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xdead).collect();
         (db, v)
@@ -351,9 +373,10 @@ mod tests {
         let (db, v) = wide_case();
         let pinned = |row| crate::simd::dot_narrow_scalar([db.row(row)], &v)[0];
         assert_eq!(scan_one(&db, &v), (0..db.rows()).map(pinned).collect::<Vec<_>>());
+        let db32 = Mat::from_fn(db.rows(), db.cols(), |i, j| (db.get(i, j) as u32).wrapping_mul(40503));
         let v32: Vec<u32> = v.iter().map(|&x| x as u32).collect();
-        let pinned32 = |row| crate::simd::dot_narrow_scalar([db.row(row)], &v32)[0];
-        assert_eq!(scan_one(&db, &v32), (0..db.rows()).map(pinned32).collect::<Vec<_>>());
+        let pinned32 = |row| crate::simd::dot_narrow_scalar([db32.row(row)], &v32)[0];
+        assert_eq!(scan_one(&db32, &v32), (0..db.rows()).map(pinned32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -361,9 +384,10 @@ mod tests {
         // A ranking shard of the wide deployment: 122 = 4·30 + 2 rows
         // (one thread's span ends in a two-row group, three threads'
         // in one-row groups), and 20,832 columns, ten whole tiles and a
-        // ragged one.
+        // ragged one whose last 64-column chunk is cut short; entries
+        // over the whole `i8` range.
         let (rows, cols) = (122, 20_832);
-        let db = Mat::from_fn(rows, cols, |i, j| (i * 2654435761 + j * 40503) as u32 & 0xffff);
+        let db = Mat::from_fn(rows, cols, |i, j| (i * 2654435761 + j * 40503) as i8);
         let word = |b: u64, j: u64| (j ^ b).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let vs: Vec<Vec<u64>> =
             (0..4).map(|b| (0..cols as u64).map(|j| word(b, j)).collect()).collect();

@@ -1,7 +1,8 @@
 //! Runtime-dispatched SIMD kernels behind the matrix-vector hot loops.
 //!
-//! The server-side scan multiplies a narrow `u32` matrix against wide
-//! [`Word`] vectors with wrapping arithmetic. Because wrapping addition modulo `2^k` is associative
+//! The server-side scan multiplies a narrow matrix (`i8` ranking
+//! entries, `u32` URL residues) against wide [`Word`] vectors with
+//! wrapping arithmetic. Because wrapping addition modulo `2^k` is associative
 //! and commutative, *any* regrouping of the multiply-accumulate chain
 //! — four-way scalar unrolls, 256-bit lanes, 512-bit lanes — produces
 //! bit-identical results, so vectorization is purely a scheduling
@@ -21,17 +22,26 @@
 //!
 //! # Dispatch tiers
 //!
-//! | Tier                     | dot (u32·u64) | dot (u32·u32) | axpy | keystream               |
-//! |--------------------------|---------------|---------------|------|-------------------------|
-//! | [`KernelTier::Avx512`]   | 8 lanes × R   | 16 lanes × R  | 8/16 | 16 blocks (rest: 8)     |
-//! | [`KernelTier::Avx2`]     | 4 lanes × R   | 8 lanes × R   | 4/8  | 8 blocks                |
-//! | [`KernelTier::Scalar`]   | 4-way × R     | 4-way × R     | 1    | 1 block                 |
+//! | Tier                     | dot (i8·u64)              | dot (u32·u32) | axpy | keystream           |
+//! |--------------------------|---------------------------|---------------|------|---------------------|
+//! | [`KernelTier::Avx512`]   | VNNI, 64 bytes × 8 planes | 16 lanes × R  | 8/16 | 16 blocks (rest: 8) |
+//! | [`KernelTier::Avx2`]     | 4 lanes × R, widened      | 8 lanes × R   | 4/8  | 8 blocks            |
+//! | [`KernelTier::Scalar`]   | 4-way × R                 | 4-way × R     | 1    | 1 block             |
 //!
-//! The narrow dots are row groups: one body per width and tier,
-//! const-generic in the row count `R`, loads each lane-chunk of the
-//! vector once and multiplies it into `R` rows' accumulators. The scan
-//! runs [`crate::matrix::ROW_GROUP`] rows; `R = 1` is the single-row
-//! dot.
+//! The narrow dots are row groups: one body per entry type, width and
+//! tier, const-generic in the row count `R`, loads each lane-chunk of
+//! the vector once and multiplies it into `R` rows' accumulators. The
+//! scan runs [`crate::matrix::ROW_GROUP`] rows; `R = 1` is the
+//! single-row dot. `u32·u64` and `i8·u32`, which no deployment scans,
+//! run the scalar reference at every tier.
+//!
+//! The `i8·u64` body of the ranking scan runs where [`vnni`] holds (an
+//! AVX-512 host with `avx512bw`, `avx512vnni` and `avx512vbmi`; other
+//! AVX-512 hosts take the AVX2 body). It reads the query as eight byte
+//! planes ([`split_planes`], once per query and scan), so a `u64` word
+//! is eight `u8·i8` products that `vpdpbusd` sums four to an `i32`
+//! lane, and the lanes are flushed into `u64` sums before they can
+//! overflow.
 //!
 //! The keystream has one lane-generic body, with no intrinsics, that
 //! the scalar tier runs at 1 lane and the AVX2 tier at 8 under its
@@ -62,7 +72,11 @@
 //! functions below, which establish that contract via the cached
 //! feature probe. Inside the kernels, the remaining unsafe operations
 //! are unaligned vector loads/stores whose bounds are justified
-//! inline at each block. The AVX-512 keystream's only one is its
+//! inline at each block; the VNNI body's row loads are masked to the
+//! row's end, and its plane loads are bounded by a checked length.
+//! The one unsafe operation outside a kernel is [`split_planes`]'
+//! `Vec::set_len` over the plane bytes its body has written. The
+//! AVX-512 keystream's only one is its
 //! write-out store: per block of a 128-word batch, one 64-byte store
 //! of its register into an 8-word local, which safe code then converts
 //! into that block's 8 words of the batch. The AVX2 keystream and the
@@ -73,7 +87,7 @@ use std::sync::OnceLock;
 
 use rand::rngs::CHACHA_CONST;
 
-use crate::zq::Word;
+use crate::zq::{Entry, Word};
 
 /// The instruction-set tier the dispatched kernels run at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -152,7 +166,7 @@ pub fn tier_name() -> &'static str {
 /// length. Callers keep them equal; a mismatch truncates (and trips
 /// the debug assertion) instead of reading past a slice.
 #[inline(always)]
-fn group_len<const R: usize>(rows: &[&[u32]; R], v_len: usize) -> usize {
+fn group_len<E, const R: usize>(rows: &[&[E]; R], v_len: usize) -> usize {
     debug_assert!(rows.iter().all(|r| r.len() == v_len), "row and vector lengths differ");
     rows.iter().fold(v_len, |n, r| n.min(r.len()))
 }
@@ -160,18 +174,18 @@ fn group_len<const R: usize>(rows: &[&[u32]; R], v_len: usize) -> usize {
 /// What the unrolled or vector loop of a row-group kernel left,
 /// `row[i..n]` against `v[i..n]`, added to `acc`.
 #[inline(always)]
-fn tail<W: Word>(acc: W, row: &[u32], v: &[W], i: usize, n: usize) -> W {
+fn tail<E: Entry, W: Word>(acc: W, row: &[E], v: &[W], i: usize, n: usize) -> W {
     let rest = row[i..n].iter().zip(&v[i..n]);
-    rest.fold(acc, |a, (&r, &x)| a.wadd(W::from_u64(r as u64).wmul(x)))
+    rest.fold(acc, |a, (&r, &x)| a.wadd(r.to_word::<W>().wmul(x)))
 }
 
-/// Four-way-unrolled scalar inner products of `R` narrow `u32` rows
-/// with one wide vector, each four-word chunk of `v` read once for all
-/// of them — the portable tier of [`Word::dot_narrow`], and the
-/// reference all vector kernels must match bit-for-bit. `R = 1` is the
-/// single-row dot.
+/// Four-way-unrolled scalar inner products of `R` narrow rows (`u32`
+/// residues or `i8` signed entries) with one wide vector, each
+/// four-word chunk of `v` read once for all of them — the portable
+/// tier of [`Entry::dot`], and the reference all vector kernels must
+/// match bit-for-bit. `R = 1` is the single-row dot.
 #[inline]
-pub fn dot_narrow_scalar<W: Word, const R: usize>(rows: [&[u32]; R], v: &[W]) -> [W; R] {
+pub fn dot_narrow_scalar<E: Entry, W: Word, const R: usize>(rows: [&[E]; R], v: &[W]) -> [W; R] {
     let n = group_len(&rows, v.len());
     let v4 = v[..n].as_chunks::<4>().0;
     let rows4 = rows.map(|r| r[..n].as_chunks::<4>().0);
@@ -179,7 +193,7 @@ pub fn dot_narrow_scalar<W: Word, const R: usize>(rows: [&[u32]; R], v: &[W]) ->
     for (j, x) in v4.iter().enumerate() {
         for (acc, r4) in acc.iter_mut().zip(&rows4) {
             for ((a, &r), &x) in acc.iter_mut().zip(&r4[j]).zip(x) {
-                *a = a.wadd(W::from_u64(r as u64).wmul(x));
+                *a = a.wadd(r.to_word::<W>().wmul(x));
             }
         }
     }
@@ -224,17 +238,81 @@ pub fn axpy_scalar<W: Word>(acc: &mut [W], w: W, x: &[W]) {
 // route here).
 // ---------------------------------------------------------------------
 
-/// Dispatched inner products of `R` `u32` rows with one `u64` vector.
+/// Bytes of [`split_planes`] per 64 words of a query: eight planes of
+/// 64 bytes.
+pub const PLANE_CHUNK_BYTES: usize = 512;
+
+/// 64-column chunks an `i32` lane of the VNNI body sums before it is
+/// flushed into `u64`s: a `vpdpbusd` adds at most `4·255·128 = 130,560`
+/// in magnitude to a lane, and the flush joins two planes' lanes as
+/// `a + 2^8·b` in `i32`, exact while `257·64·130,560 = 2,147,450,880`
+/// stays below `2^31`.
+const VNNI_FLUSH_CHUNKS: usize = 64;
+
+/// Whether the `i8·u64` row groups ([`dot_i8_u64`]) run the AVX-512
+/// VNNI body: the tier is AVX-512 and the CPU also has `avx512bw`
+/// (masked byte loads), `avx512vnni` (`vpdpbusd`) and `avx512vbmi`
+/// (`vpermb`, which splits the query). Probed once, like [`tier`].
+pub fn vnni() -> bool {
+    static VNNI: OnceLock<bool> = OnceLock::new();
+    *VNNI.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if tier() == KernelTier::Avx512 {
+            return is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vnni")
+                && is_x86_feature_detected!("avx512vbmi");
+        }
+        false
+    })
+}
+
+/// The byte planes of a query, as the VNNI body of [`dot_i8_u64`]
+/// reads them, or nothing where that body does not run. For
+/// each 64 words `64c..64c + 64` of `v` (the last padded with zero
+/// words), [`PLANE_CHUNK_BYTES`] bytes from `512c` on: plane `k`, at
+/// `512c + 64k`, holds byte `k` (little-endian) of each word. The scan
+/// splits each query once and every row reads the planes, so that a
+/// `u64` word costs the row kernel eight `u8·i8` products.
+pub fn split_planes(v: &[u64]) -> Vec<u8> {
+    #[cfg(target_arch = "x86_64")]
+    if vnni() {
+        let len = v.len().div_ceil(64) * PLANE_CHUNK_BYTES;
+        let mut planes = Vec::with_capacity(len);
+        // SAFETY: `vnni()` holds only after `is_x86_feature_detected!`
+        // confirmed avx512f (via the tier), avx512bw and avx512vbmi.
+        // The body writes each of the `len` bytes of spare capacity it
+        // is handed (it checks the length), so they are initialized
+        // when `set_len` exposes them; not zero-filling them first
+        // saves a third of the split.
+        unsafe {
+            x86::split_planes_vbmi(v, &mut planes.spare_capacity_mut()[..len]);
+            planes.set_len(len);
+        }
+        return planes;
+    }
+    Vec::new()
+}
+
+/// Dispatched inner products of `R` `i8` rows with one `u64` vector:
+/// the AVX-512 VNNI body over `planes` (the query's [`split_planes`]
+/// from `v`'s first word on) where [`vnni`] holds, a widening AVX2
+/// body over `v` at the AVX2 tier and on AVX-512 hosts without VNNI,
+/// and the scalar reference elsewhere.
+///
+/// # Panics
+///
+/// Panics if the VNNI body runs and `planes` is shorter than the
+/// rows' planes.
 #[inline]
-pub fn dot_u32_u64<const R: usize>(rows: [&[u32]; R], v: &[u64]) -> [u64; R] {
+pub fn dot_i8_u64<const R: usize>(rows: [&[i8]; R], v: &[u64], planes: &[u8]) -> [u64; R] {
     match tier() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `tier()` returned this variant only after
-        // `is_x86_feature_detected!` confirmed the required features.
-        KernelTier::Avx512 => unsafe { x86::dot_u32_u64_avx512(rows, v) },
+        // SAFETY: `vnni()` holds only after `is_x86_feature_detected!`
+        // confirmed avx512f, avx512bw and avx512vnni.
+        KernelTier::Avx512 if vnni() => unsafe { x86::dot_i8_u64_vnni(rows, v.len(), planes) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — AVX2 was detected at runtime.
-        KernelTier::Avx2 => unsafe { x86::dot_u32_u64_avx2(rows, v) },
+        // SAFETY: either tier is reported only after avx2 was detected.
+        KernelTier::Avx2 | KernelTier::Avx512 => unsafe { x86::dot_i8_u64_avx2(rows, v) },
         _ => dot_narrow_scalar(rows, v),
     }
 }
@@ -544,22 +622,12 @@ pub fn cdt_invert(tier: KernelTier, thresholds: &[u64], q: u64, buf: &mut [u64])
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
+    use core::mem::MaybeUninit;
 
     use super::{
         cdt_invert_blocks, ge_63, group_len, keystream_lanes, tail, Word, BLOCK_WORDS,
         CHACHA_CONST, VECTOR_LANES,
     };
-
-    /// Low 64 bits of `r·x` per lane when every lane of `r` is `< 2^32`
-    /// (a zero-extended `u32` database entry):
-    /// `r·x mod 2^64 = r·lo32(x) + ((r·hi32(x)) << 32)`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul64_by_u32(r: __m256i, x: __m256i) -> __m256i {
-        let lo = _mm256_mul_epu32(r, x);
-        let hi = _mm256_mul_epu32(r, _mm256_srli_epi64::<32>(x));
-        _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(hi))
-    }
 
     /// Low 64 bits of `a·b` per lane for arbitrary 64-bit lanes:
     /// `lo64(a·b) = a_lo·b_lo + ((a_lo·b_hi + a_hi·b_lo) << 32)`.
@@ -753,11 +821,10 @@ mod x86 {
 
     /// # Safety
     ///
-    /// The CPU must support AVX2 (established by the dispatcher's
-    /// cached `is_x86_feature_detected!("avx2")` probe).
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_u32_u64_avx2<const R: usize>(
-        rows: [&[u32]; R],
+    pub(super) unsafe fn dot_i8_u64_avx2<const R: usize>(
+        rows: [&[i8]; R],
         v: &[u64],
     ) -> [u64; R] {
         let n = group_len(&rows, v.len());
@@ -765,18 +832,19 @@ mod x86 {
         let mut i = 0;
         while i + 8 <= n {
             // SAFETY: `i + 8 <= n` bounds the two 32-byte u64 loads of
-            // `v` at offsets `i` and `i + 4`, and each row's two 16-byte
-            // u32 loads at the same offsets (no row is shorter than
-            // `n`); loadu tolerates unaligned addresses.
+            // `v` at offsets `i` and `i + 4`, and each row's 8-byte load
+            // at offset `i` (no row is shorter than `n`); the loads are
+            // unaligned.
             unsafe {
                 let x = [
                     _mm256_loadu_si256(v.as_ptr().add(i).cast()),
                     _mm256_loadu_si256(v.as_ptr().add(i + 4).cast()),
                 ];
                 for (acc, row) in acc.iter_mut().zip(&rows) {
-                    for (k, (acc, &x)) in acc.iter_mut().zip(&x).enumerate() {
-                        let r = _mm_loadu_si128(row.as_ptr().add(i + 4 * k).cast());
-                        *acc = _mm256_add_epi64(*acc, mul64_by_u32(_mm256_cvtepu32_epi64(r), x));
+                    let r8 = _mm_loadl_epi64(row.as_ptr().add(i).cast());
+                    let r = [_mm256_cvtepi8_epi64(r8), _mm256_cvtepi8_epi64(_mm_srli_si128::<4>(r8))];
+                    for ((acc, &r), &x) in acc.iter_mut().zip(&r).zip(&x) {
+                        *acc = _mm256_add_epi64(*acc, mullo64(r, x));
                     }
                 }
             }
@@ -789,67 +857,157 @@ mod x86 {
         out
     }
 
-    /// 512-bit low-64 multiply for lanes with `r < 2^32`: on AVX-512DQ
-    /// hardware with IFMA-class multipliers (Ice Lake and later) the
-    /// native `vpmullq` beats the two-`vpmuludq` decomposition, so the
-    /// narrow case just uses the full multiply.
+    /// `vpermb` indices that turn a register of eight `u64` words into
+    /// eight 8-byte plane runs: byte `8k + j` takes byte `k` of word `j`.
+    static PLANE_INDEX: [u8; 64] = {
+        let mut index = [0u8; 64];
+        let mut i = 0;
+        while i < 64 {
+            index[i] = (8 * (i % 8) + i / 8) as u8;
+            i += 1;
+        }
+        index
+    };
+
+    /// [`super::split_planes`] of 64 words: a `vpermb` per eight words
+    /// gathers their plane-`k` bytes into 64-bit lane `k`, and an 8×8
+    /// transpose of those lanes gives plane `k` of all 64 words.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn mul64_by_u32_512(r: __m512i, x: __m512i) -> __m512i {
-        _mm512_mullo_epi64(r, x)
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    fn split_chunk(words: &[u64; 64], out: &mut [MaybeUninit<u8>; super::PLANE_CHUNK_BYTES]) {
+        // SAFETY: `PLANE_INDEX` is 64 readable bytes; loadu is unaligned.
+        let index = unsafe { _mm512_loadu_si512(PLANE_INDEX.as_ptr().cast()) };
+        let mut z = [_mm512_setzero_si512(); 8];
+        for (z, eight) in z.iter_mut().zip(words.as_chunks::<8>().0) {
+            // SAFETY: `eight` is 64 readable bytes; loadu is unaligned.
+            *z = _mm512_permutexvar_epi8(index, unsafe { _mm512_loadu_si512(eight.as_ptr().cast()) });
+        }
+        // Lane `k` of `z[g]` is plane `k` of words `8g..8g + 8`; the
+        // planes are the columns. Interleave pairs of registers, then
+        // gather 128-bit quarters twice (`0x88`: quarters 0 and 2 of
+        // each source, `0xdd`: 1 and 3).
+        let mut t = z;
+        for g in (0..8).step_by(2) {
+            t[g] = _mm512_unpacklo_epi64(z[g], z[g + 1]);
+            t[g + 1] = _mm512_unpackhi_epi64(z[g], z[g + 1]);
+        }
+        let mut u = t;
+        for h in [0, 4] {
+            u[h] = _mm512_shuffle_i64x2::<0x88>(t[h], t[h + 2]);
+            u[h + 1] = _mm512_shuffle_i64x2::<0xdd>(t[h], t[h + 2]);
+            u[h + 2] = _mm512_shuffle_i64x2::<0x88>(t[h + 1], t[h + 3]);
+            u[h + 3] = _mm512_shuffle_i64x2::<0xdd>(t[h + 1], t[h + 3]);
+        }
+        // `u[j]` (and `u[4 + j]`) now hold planes {0, 4}, {2, 6},
+        // {1, 5}, {3, 7} for j = 0..4.
+        for (j, (even, odd)) in [(0, 4), (2, 6), (1, 5), (3, 7)].into_iter().enumerate() {
+            let planes = [
+                (even, _mm512_shuffle_i64x2::<0x88>(u[j], u[4 + j])),
+                (odd, _mm512_shuffle_i64x2::<0xdd>(u[j], u[4 + j])),
+            ];
+            for (k, plane) in planes {
+                // SAFETY: `64k + 64 <= 512` bytes of `out`; storeu is
+                // unaligned.
+                unsafe { _mm512_storeu_si512(out.as_mut_ptr().add(64 * k).cast(), plane) };
+            }
+        }
+    }
+
+    /// Writes every byte of `planes`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512BW and AVX-512VBMI.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    pub(super) unsafe fn split_planes_vbmi(v: &[u64], planes: &mut [MaybeUninit<u8>]) {
+        assert_eq!(planes.len(), v.len().div_ceil(64) * super::PLANE_CHUNK_BYTES, "plane buffer");
+        let (chunks, rest) = v.as_chunks::<64>();
+        let (outs, _) = planes.as_chunks_mut::<{ super::PLANE_CHUNK_BYTES }>();
+        for (words, out) in chunks.iter().zip(outs.iter_mut()) {
+            split_chunk(words, out);
+        }
+        if let Some(out) = outs.get_mut(chunks.len()) {
+            let mut padded = [0u64; 64];
+            padded[..rest.len()].copy_from_slice(rest);
+            split_chunk(&padded, out);
+        }
+    }
+
+    /// `Σ_k 2^(8k)·acc[k]` over the 16 `i32` lanes of eight plane
+    /// accumulators, as eight `u64` lanes mod `2^64`: planes `2j` and
+    /// `2j + 1` are first joined in `i32` (exact under the flush
+    /// interval), then the four pairs are widened and Horner-combined.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn flush_planes(acc: &[__m512i; 8]) -> __m512i {
+        let mut total = _mm512_setzero_si512();
+        for j in (0..4).rev() {
+            let pair = _mm512_add_epi32(acc[2 * j], _mm512_slli_epi32::<8>(acc[2 * j + 1]));
+            let lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(pair));
+            let hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(pair));
+            total = _mm512_add_epi64(_mm512_slli_epi64::<16>(total), _mm512_add_epi64(lo, hi));
+        }
+        total
+    }
+
+    /// The VNNI body for `P` rows of `n` entries: per 64-column chunk,
+    /// each row is one (tail-masked) register of `i8`s and meets the
+    /// eight plane registers in eight `vpdpbusd`s, into `8P` `i32`
+    /// accumulators flushed every [`super::VNNI_FLUSH_CHUNKS`] chunks.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn vnni_rows<const P: usize>(rows: [&[i8]; P], n: usize, planes: &[u8]) -> [u64; P] {
+        let chunks = n.div_ceil(64);
+        assert!(planes.len() >= chunks * super::PLANE_CHUNK_BYTES, "byte planes shorter than the rows");
+        let mut sums = [_mm512_setzero_si512(); P];
+        for block in (0..chunks).step_by(super::VNNI_FLUSH_CHUNKS) {
+            let mut acc = [[_mm512_setzero_si512(); 8]; P];
+            for c in block..(block + super::VNNI_FLUSH_CHUNKS).min(chunks) {
+                let mask = u64::MAX >> (64 - (n - 64 * c).min(64));
+                // SAFETY: `64c < n`, so each pointer is inside its row
+                // (no row is shorter than `n`), and `mask` keeps the
+                // load to the row's first `n` bytes: masked-off bytes
+                // are neither read nor able to fault.
+                let r = rows.map(|row| unsafe {
+                    _mm512_maskz_loadu_epi8(mask, row.as_ptr().add(64 * c).cast())
+                });
+                for k in 0..8 {
+                    // SAFETY: `c < chunks` and the assert above bound the
+                    // 64 bytes at `512c + 64k`; loadu is unaligned.
+                    let p = unsafe {
+                        _mm512_loadu_si512(planes.as_ptr().add(super::PLANE_CHUNK_BYTES * c + 64 * k).cast())
+                    };
+                    for (acc, &r) in acc.iter_mut().zip(&r) {
+                        acc[k] = _mm512_dpbusd_epi32(acc[k], p, r);
+                    }
+                }
+            }
+            for (sum, acc) in sums.iter_mut().zip(&acc) {
+                *sum = _mm512_add_epi64(*sum, flush_planes(acc));
+            }
+        }
+        sums.map(|sum| _mm512_reduce_add_epi64(sum) as u64)
     }
 
     /// # Safety
     ///
-    /// The CPU must support AVX-512F and AVX-512DQ (established by the
-    /// dispatcher's cached feature probe).
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn dot_u32_u64_avx512<const R: usize>(
-        rows: [&[u32]; R],
-        v: &[u64],
+    /// The CPU must support AVX-512F, AVX-512BW and AVX-512VNNI.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub(super) unsafe fn dot_i8_u64_vnni<const R: usize>(
+        rows: [&[i8]; R],
+        v_len: usize,
+        planes: &[u8],
     ) -> [u64; R] {
-        let n = group_len(&rows, v.len());
-        // Four rows × four chunks of accumulators and four query
-        // registers: 20 of the 32 vector registers.
-        let mut acc = [[_mm512_setzero_si512(); 4]; R];
-        let mut i = 0;
-        while i + 32 <= n {
-            // SAFETY: `i + 32 <= n` bounds the four 64-byte u64 loads of
-            // `v` at offsets `i`, `i + 8`, `i + 16`, `i + 24`, and each
-            // row's four 32-byte u32 loads at the same offsets (no row
-            // is shorter than `n`); the loadu intrinsics are unaligned
-            // loads.
-            unsafe {
-                let mut x = [_mm512_setzero_si512(); 4];
-                for (k, x) in x.iter_mut().enumerate() {
-                    *x = _mm512_loadu_epi64(v.as_ptr().add(i + 8 * k).cast());
-                }
-                for (acc, row) in acc.iter_mut().zip(&rows) {
-                    for (k, (acc, &x)) in acc.iter_mut().zip(&x).enumerate() {
-                        let r = _mm256_loadu_si256(row.as_ptr().add(i + 8 * k).cast());
-                        let r = _mm512_cvtepu32_epi64(r);
-                        *acc = _mm512_add_epi64(*acc, mul64_by_u32_512(r, x));
-                    }
-                }
-            }
-            i += 32;
-        }
-        while i + 8 <= n {
-            // SAFETY: `i + 8 <= n` bounds the 64-byte u64 load of `v`
-            // and each row's 32-byte u32 load at offset `i`.
-            unsafe {
-                let x = _mm512_loadu_epi64(v.as_ptr().add(i).cast());
-                for (acc, row) in acc.iter_mut().zip(&rows) {
-                    let r = _mm512_cvtepu32_epi64(_mm256_loadu_si256(row.as_ptr().add(i).cast()));
-                    acc[0] = _mm512_add_epi64(acc[0], mul64_by_u32_512(r, x));
-                }
-            }
-            i += 8;
-        }
+        let n = group_len(&rows, v_len);
+        // Two rows at a time: their 16 accumulators, two row registers
+        // and a plane register fit the 32 vector registers.
         let mut out = [0u64; R];
-        for ((o, [a0, a1, a2, a3]), row) in out.iter_mut().zip(acc).zip(&rows) {
-            let sum = _mm512_add_epi64(_mm512_add_epi64(a0, a1), _mm512_add_epi64(a2, a3));
-            *o = tail(hsum_epi64_512(sum), row, v, i, n);
+        for (o, pair) in out.chunks_mut(2).zip(rows.chunks(2)) {
+            match *pair {
+                [a, b] => o.copy_from_slice(&vnni_rows([a, b], n, planes)),
+                [a] => o.copy_from_slice(&vnni_rows([a], n, planes)),
+                _ => unreachable!("chunks of two"),
+            }
         }
         out
     }
@@ -1112,11 +1270,47 @@ mod tests {
     /// exact multiples of each tier's stride, and ragged tails.
     const LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100, 257];
 
+    /// [`LENS`] and the lengths around the VNNI body's 64-column chunks.
+    fn i8_lens() -> impl Iterator<Item = usize> {
+        LENS.iter().copied().chain([65, 127, 128, 129])
+    }
+
+    /// `i8` entries spread over the whole range.
+    fn i8_row(len: usize, seed: u64) -> Vec<i8> {
+        narrow_case(len, seed).0.into_iter().map(|x| (x >> 13) as i8).collect()
+    }
+
+    /// `R` rows of `i8` entries and one vector: random rows and words,
+    /// or the extremes, rows of all −128 or all 127 against words whose
+    /// bytes are all `0xff`.
+    fn i8_group_case<const R: usize>(len: usize, extreme: bool) -> ([Vec<i8>; R], Vec<u64>) {
+        if extreme {
+            let rows = std::array::from_fn(|r| vec![if r % 2 == 0 { -128 } else { 127 }; len]);
+            return (rows, vec![u64::MAX; len]);
+        }
+        (std::array::from_fn(|r| i8_row(len, 37 + r as u64)), narrow_case(len, 41).1)
+    }
+
+    /// [`split_planes`] by its definition.
+    fn planes_by_definition(v: &[u64]) -> Vec<u8> {
+        let mut planes = vec![0u8; v.len().div_ceil(64) * PLANE_CHUNK_BYTES];
+        for (j, &word) in v.iter().enumerate() {
+            for k in 0..8 {
+                planes[PLANE_CHUNK_BYTES * (j / 64) + 64 * k + j % 64] = (word >> (8 * k)) as u8;
+            }
+        }
+        planes
+    }
+
     #[test]
     fn dispatched_dot_narrow_matches_scalar_u64() {
-        for &len in LENS {
-            let (row, v) = narrow_case(len, 7);
-            assert_eq!(dot_u32_u64([&row[..]], &v), dot_narrow_scalar([&row[..]], &v), "len={len}");
+        for len in i8_lens() {
+            for extreme in [false, true] {
+                let ([row], v) = i8_group_case::<1>(len, extreme);
+                let planes = split_planes(&v);
+                let want = dot_narrow_scalar([&row[..]], &v);
+                assert_eq!(dot_i8_u64([&row[..]], &v, &planes), want, "len={len}");
+            }
         }
     }
 
@@ -1130,22 +1324,43 @@ mod tests {
         }
     }
 
+    #[test]
+    fn i8_lanes_flush_before_they_overflow() {
+        // One row past the flush interval, every product at the largest
+        // magnitude a lane can meet: −128 · 0xff in every byte plane.
+        // −128 · (2^64 − 1) ≡ 128 (mod 2^64), so the row sums to 128·len.
+        let len = 64 * VNNI_FLUSH_CHUNKS + 65;
+        let (row, v) = (vec![-128i8; len], vec![u64::MAX; len]);
+        let want = [128 * len as u64];
+        assert_eq!(dot_narrow_scalar([&row[..]], &v), want);
+        let planes = split_planes(&v);
+        assert_eq!(dot_i8_u64([&row[..]], &v, &planes), want);
+        #[cfg(target_arch = "x86_64")]
+        if vnni() {
+            // SAFETY: `vnni()` confirmed the features.
+            let got = unsafe { x86::dot_i8_u64_vnni([&row[..], &row[..]], len, &planes) };
+            assert_eq!(got, [want[0]; 2]);
+        }
+    }
+
     /// `R` rows of unequal contents (a seed each) and one vector.
     fn group_case<const R: usize>(len: usize) -> ([Vec<u32>; R], Vec<u64>) {
         (std::array::from_fn(|r| narrow_case(len, 29 + r as u64).0), narrow_case(len, 23).1)
     }
 
     /// Each row's dot by the definition.
-    fn naive_dots<W: Word, const R: usize>(rows: [&[u32]; R], v: &[W]) -> [W; R] {
-        let mac = |a: W, (&r, &x): (&u32, &W)| a.wadd(W::from_u64(r as u64).wmul(x));
+    fn naive_dots<E: Entry, W: Word, const R: usize>(rows: [&[E]; R], v: &[W]) -> [W; R] {
+        let mac = |a: W, (&r, &x): (&E, &W)| a.wadd(r.to_word::<W>().wmul(x));
         rows.map(|row| row.iter().zip(v).fold(W::ZERO, mac))
     }
 
-    /// The row-group body at `R` rows: the scalar reference against
-    /// each row's dot by the definition, then every vector tier the
-    /// host supports against the scalar reference, at both widths.
+    /// The row-group bodies at `R` rows: the scalar reference against
+    /// each row's dot by the definition, then every vector body the
+    /// host supports against the scalar reference: `u32·u32` at the
+    /// AVX2 and AVX-512 tiers, `i8·u64` widening at AVX2 and through
+    /// the byte planes at AVX-512 VNNI.
     #[cfg(target_arch = "x86_64")]
-    fn check_row_group<const R: usize>(avx2: bool, avx512: bool) {
+    fn check_row_group<const R: usize>(avx2: bool, avx512: bool, vnni: bool) {
         for &len in LENS {
             let (rows, v) = group_case::<R>(len);
             let rows = rows.each_ref().map(Vec::as_slice);
@@ -1155,18 +1370,37 @@ mod tests {
             assert_eq!(want32, naive_dots(rows, &v32), "R={R}, len={len} (u32)");
             if avx2 {
                 // SAFETY: avx2 was detected by the caller.
-                unsafe {
-                    assert_eq!(x86::dot_u32_u64_avx2(rows, &v), want, "avx2, R={R}, len={len}");
-                    assert_eq!(x86::dot_u32_u32_avx2(rows, &v32), want32, "avx2, R={R}, len={len}");
-                }
+                let got32 = unsafe { x86::dot_u32_u32_avx2(rows, &v32) };
+                assert_eq!(got32, want32, "avx2, R={R}, len={len}");
             }
             if avx512 {
                 // SAFETY: avx512f+avx512dq were detected by the caller.
-                unsafe {
-                    let (got, got32) =
-                        (x86::dot_u32_u64_avx512(rows, &v), x86::dot_u32_u32_avx512(rows, &v32));
-                    assert_eq!(got, want, "avx512, R={R}, len={len}");
-                    assert_eq!(got32, want32, "avx512, R={R}, len={len}");
+                let got32 = unsafe { x86::dot_u32_u32_avx512(rows, &v32) };
+                assert_eq!(got32, want32, "avx512, R={R}, len={len}");
+            }
+        }
+        for len in i8_lens() {
+            for extreme in [false, true] {
+                let (rows, v) = i8_group_case::<R>(len, extreme);
+                let rows = rows.each_ref().map(Vec::as_slice);
+                let want = dot_narrow_scalar(rows, &v);
+                let case = format!("R={R}, len={len}, extreme={extreme}");
+                assert_eq!(want, naive_dots(rows, &v), "{case}");
+                if avx2 {
+                    // SAFETY: avx2 was detected by the caller.
+                    let got = unsafe { x86::dot_i8_u64_avx2(rows, &v) };
+                    assert_eq!(got, want, "avx2 i8, {case}");
+                }
+                if vnni {
+                    let planes = planes_by_definition(&v);
+                    // SAFETY: the VNNI features were detected by the
+                    // caller.
+                    let got = unsafe { x86::dot_i8_u64_vnni(rows, len, &planes) };
+                    assert_eq!(got, want, "vnni, {case}");
+                    // The dispatched split, empty when the body is off
+                    // (`TIPTOE_FORCE_SCALAR`).
+                    let want = if super::vnni() { planes } else { Vec::new() };
+                    assert_eq!(split_planes(&v), want, "vpermb split, len={len}");
                 }
             }
         }
@@ -1209,10 +1443,14 @@ mod tests {
     fn every_supported_tier_is_bit_identical_to_scalar() {
         let avx2 = is_x86_feature_detected!("avx2");
         let avx512 = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
-        check_row_group::<1>(avx2, avx512);
-        check_row_group::<2>(avx2, avx512);
-        check_row_group::<3>(avx2, avx512);
-        check_row_group::<4>(avx2, avx512);
+        let vnni = avx512
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vnni")
+            && is_x86_feature_detected!("avx512vbmi");
+        check_row_group::<1>(avx2, avx512, vnni);
+        check_row_group::<2>(avx2, avx512, vnni);
+        check_row_group::<3>(avx2, avx512, vnni);
+        check_row_group::<4>(avx2, avx512, vnni);
         for &len in LENS {
             let (_, v) = narrow_case(len, 23);
             let w = 0xfeed_f00d_dead_beefu64;

@@ -69,10 +69,12 @@ pub trait Word:
     /// Fails if the input is truncated.
     fn get_wire(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 
-    /// Runtime-dispatched inner products of `R` narrow `u32` rows with
-    /// one wide vector, each lane-chunk of `v` loaded once for all `R`
-    /// — the scan's hot loop (`R = 1` is the single-row dot).
-    /// Bit-identical to [`crate::simd::dot_narrow_scalar`] at every
+    /// Inner products of `R` narrow `u32` rows with one wide vector,
+    /// each lane-chunk of `v` loaded once for all `R` — the `u32`-entry
+    /// scan's row group (`R = 1` is the single-row dot). Dispatched for
+    /// `u32` words; `u64` words, which no deployment scans against
+    /// residues, run the scalar reference. Bit-identical to
+    /// [`crate::simd::dot_narrow_scalar`] at every
     /// [`crate::simd::KernelTier`] (wrapping mod-`2^BITS` sums are
     /// associative and commutative, so lane regrouping cannot change
     /// the result).
@@ -82,6 +84,19 @@ pub trait Word:
     /// May panic (and in release mode truncates to the shortest length)
     /// if the slices differ in length; callers keep them equal.
     fn dot_narrow<const R: usize>(rows: [&[u32]; R], v: &[Self]) -> [Self; R];
+
+    /// Lays a query out as [`Word::dot_i8`] reads it: the byte planes
+    /// of [`crate::simd::split_planes`] where the `u64` AVX-512 VNNI body
+    /// runs, and nothing everywhere else.
+    fn split_planes(v: &[Self]) -> Vec<u8>;
+
+    /// Inner products of `R` signed `i8` rows with one wide vector, the
+    /// `i8`-entry scan's row group: `planes` is [`Word::split_planes`]
+    /// of a query that `v` is a slice of, starting at the same column,
+    /// a multiple of 64. Dispatched for `u64` words, the ranking
+    /// service's; `u32` words run the scalar reference. Bit-identical
+    /// to [`crate::simd::dot_narrow_scalar`] at every tier.
+    fn dot_i8<const R: usize>(rows: [&[i8]; R], v: &[Self], planes: &[u8]) -> [Self; R];
 
     /// Runtime-dispatched inner product of two wide vectors
     /// (hint-times-secret during decryption). Bit-identical to
@@ -160,6 +175,15 @@ impl Word for u32 {
     #[inline(always)]
     fn dot_narrow<const R: usize>(rows: [&[u32]; R], v: &[Self]) -> [Self; R] {
         crate::simd::dot_u32_u32(rows, v)
+    }
+
+    fn split_planes(_: &[Self]) -> Vec<u8> {
+        Vec::new()
+    }
+
+    #[inline(always)]
+    fn dot_i8<const R: usize>(rows: [&[i8]; R], v: &[Self], _: &[u8]) -> [Self; R] {
+        crate::simd::dot_narrow_scalar(rows, v)
     }
 
     #[inline(always)]
@@ -242,7 +266,16 @@ impl Word for u64 {
 
     #[inline(always)]
     fn dot_narrow<const R: usize>(rows: [&[u32]; R], v: &[Self]) -> [Self; R] {
-        crate::simd::dot_u32_u64(rows, v)
+        crate::simd::dot_narrow_scalar(rows, v)
+    }
+
+    fn split_planes(v: &[Self]) -> Vec<u8> {
+        crate::simd::split_planes(v)
+    }
+
+    #[inline(always)]
+    fn dot_i8<const R: usize>(rows: [&[i8]; R], v: &[Self], planes: &[u8]) -> [Self; R] {
+        crate::simd::dot_i8_u64(rows, v, planes)
     }
 
     #[inline(always)]
@@ -253,6 +286,55 @@ impl Word for u64 {
     #[inline(always)]
     fn axpy(acc: &mut [Self], w: Self, x: &[Self]) {
         crate::simd::axpy_u64(acc, w, x)
+    }
+}
+
+/// The entry type of a matrix [`crate::matrix::scan`] reads: a `u32`
+/// residue modulo `p` (any `p`, the URL service's odd one included),
+/// or an `i8` signed representative, which decrypts like the residue
+/// only when `p` divides `q` (the ranking service's power of two).
+pub trait Entry: Copy + Default + PartialEq + Debug + Send + Sync + 'static {
+    /// The entry as an element of `Z_{2^BITS}` (sign-extended for `i8`).
+    fn to_word<W: Word>(self) -> W;
+
+    /// Lays a whole query out for [`Entry::dot`]: nothing for `u32`,
+    /// [`Word::split_planes`] for `i8`.
+    fn split<W: Word>(v: &[W]) -> Vec<u8>;
+
+    /// The scan's row group: [`Word::dot_narrow`] for `u32`,
+    /// [`Word::dot_i8`] for `i8`.
+    fn dot<W: Word, const R: usize>(rows: [&[Self]; R], v: &[W], planes: &[u8]) -> [W; R];
+}
+
+impl Entry for u32 {
+    #[inline(always)]
+    fn to_word<W: Word>(self) -> W {
+        W::from_u64(u64::from(self))
+    }
+
+    fn split<W: Word>(_: &[W]) -> Vec<u8> {
+        Vec::new()
+    }
+
+    #[inline(always)]
+    fn dot<W: Word, const R: usize>(rows: [&[Self]; R], v: &[W], _: &[u8]) -> [W; R] {
+        W::dot_narrow(rows, v)
+    }
+}
+
+impl Entry for i8 {
+    #[inline(always)]
+    fn to_word<W: Word>(self) -> W {
+        W::from_i64(i64::from(self))
+    }
+
+    fn split<W: Word>(v: &[W]) -> Vec<u8> {
+        W::split_planes(v)
+    }
+
+    #[inline(always)]
+    fn dot<W: Word, const R: usize>(rows: [&[Self]; R], v: &[W], planes: &[u8]) -> [W; R] {
+        W::dot_i8(rows, v, planes)
     }
 }
 

@@ -13,7 +13,8 @@
 //! inline, up to more threads than rows), batching (`B` queries per
 //! pass, 1..=5), the SIMD tier inside the dot (CI runs this file at
 //! the dispatched tier and under `TIPTOE_FORCE_SCALAR=1`), and the
-//! row groups, whole and short (1–23 rows).
+//! row groups, whole and short (1–23 rows). The scan runs over both
+//! entry types: `u32` residues and the ranking matrix's `i8`s.
 //! These properties are what lets the deployment knobs (`Parallelism`,
 //! `TIPTOE_THREADS`) change wall-clock time without ever changing
 //! results.
@@ -32,6 +33,16 @@ use tiptoe_math::zq::Word;
 struct Case {
     plain: Mat<u32>,
     entries: Vec<Vec<u64>>,
+}
+
+/// An `i8` database, the ranking layout, with its entries
+/// sign-extended for the oracle.
+fn signed_case(seed: u64, rows: usize, cols: usize) -> (Mat<i8>, Vec<Vec<u64>>) {
+    let mut rng = seeded_rng(seed);
+    let signed: Mat<i8> = Mat::from_fn(rows, cols, |_, _| rng.gen::<u8>() as i8);
+    let entries = signed.data().chunks(cols).map(|row| row.iter().map(|&x| x as u64).collect());
+    let entries = entries.collect();
+    (signed, entries)
 }
 
 fn case(seed: u64, rows: usize, cols: usize) -> Case {
@@ -93,11 +104,22 @@ fn check_scan<W: Word>(seed: u64, rows: usize, cols: usize, batch: usize, thread
     assert_eq!(scheme::apply(&case.plain, &refs(&queries), threads), plain);
 }
 
+fn check_signed_scan(seed: u64, rows: usize, cols: usize, batch: usize, threads: usize) {
+    let (signed, entries) = signed_case(seed, rows, cols);
+    let queries: Vec<Vec<u64>> = random_queries(seed ^ 0xABCD, batch, cols);
+    let got = matrix::scan(&signed, &refs(&queries), threads);
+    assert_eq!(got, oracle_scan(&entries, &queries), "i8 scan != oracle");
+    assert_eq!(scheme::apply(&signed, &refs(&queries), threads), got);
+}
+
 fn check_preproc<W: Word>(seed: u64, rows: usize, cols: usize, n: usize, threads: usize) {
     let case = case(seed, rows, cols);
     let range = MatrixA::new(seed ^ 0x5EED, cols, n).row_range(0, cols);
     let plain: Mat<W> = scheme::preproc(&case.plain, &range, threads);
     assert_eq!(plain, oracle_preproc(&case.entries, &range), "preproc != oracle");
+    let (signed, entries) = signed_case(seed, rows, cols);
+    let signed: Mat<W> = scheme::preproc(&signed, &range, threads);
+    assert_eq!(signed, oracle_preproc(&entries, &range), "i8 preproc != oracle");
 }
 
 /// `wide` pushes the column count past one `TILE_COLS` boundary, so
@@ -120,6 +142,19 @@ proptest! {
     ) {
         let (rows, cols) = shape(rows, cols, wide);
         check_scan::<u64>(seed, rows, cols, batch, threads);
+    }
+
+    #[test]
+    fn matvec_kernels_bit_identical_i8_u64(
+        seed in any::<u64>(),
+        rows in 1usize..24,
+        cols in 1usize..160,
+        wide in any::<bool>(),
+        batch in 1usize..6,
+        threads in 0usize..6,
+    ) {
+        let (rows, cols) = shape(rows, cols, wide);
+        check_signed_scan(seed, rows, cols, batch, threads);
     }
 
     #[test]
