@@ -86,7 +86,7 @@
 use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use tiptoe_lwe::matrix_a::MatrixARange;
 use tiptoe_lwe::{scheme, LweParams, LweSecretKey, MatrixA};
 use tiptoe_math::matrix::{scan, Mat};
@@ -94,7 +94,7 @@ use tiptoe_math::ntt::{mul_acc_wide, reduce_wide, Wide};
 use tiptoe_math::par::max_threads;
 use tiptoe_math::poly::Poly;
 use tiptoe_math::rng::seeded_rng;
-use tiptoe_math::sample::{gaussian_i64, NoiseTable};
+use tiptoe_math::sample::{gaussian_i64, noise_key, NoiseTable};
 use tiptoe_math::simd::{self, KernelTier};
 use tiptoe_math::zq::Word;
 use tiptoe_rlwe::{RlweCiphertext, RlweContext, RlweParams, RlweSecretKey};
@@ -255,8 +255,10 @@ fn tier_rows(mut at: impl FnMut(Option<KernelTier>) -> f64) -> Vec<(String, f64,
 }
 
 /// `scheme::encrypt` on the scalar tier end to end (one-block
-/// keystream a row at a time, scalar `row·s`, the noise drawn word by
-/// word from `rng`): the baseline of the `lwe_encrypt` rows.
+/// keystream a row at a time, scalar `row·s`, the noise a
+/// [`noise_key`] of `rng` and then `gaussian_i64` draws from the
+/// generator seeded with its bytes): the baseline of the
+/// `lwe_encrypt` rows.
 fn encrypt_scalar<W: Word>(
     params: &LweParams,
     sk: &LweSecretKey<W>,
@@ -266,11 +268,13 @@ fn encrypt_scalar<W: Word>(
 ) -> Vec<W> {
     let mut row = vec![W::ZERO; a.cols()];
     let delta = W::from_u64(params.delta());
+    let key = noise_key(rng);
+    let mut noise = StdRng::from_seed(std::array::from_fn(|i| key[i / 4].to_le_bytes()[i % 4]));
     v.iter()
         .enumerate()
         .map(|(k, &vk)| {
             expand_row_at(KernelTier::Scalar, a, k, &mut row);
-            let e = W::from_i64(gaussian_i64(rng, params.sigma));
+            let e = W::from_i64(gaussian_i64(&mut noise, params.sigma));
             simd::dot_wide_scalar(&row, sk.words()).wadd(e).wadd(delta.wmul(W::from_u64(vk)))
         })
         .collect()

@@ -23,15 +23,12 @@
 //!   over a corpus subsample exactly as the paper's batch jobs do.
 //! - [`quantize`] — the fixed-precision signed 4-bit quantization of
 //!   Appendix B.1, bridging real vectors to `Z_p`.
-//! - [`personalize`] — the §9 client-side personalized-search wrapper
-//!   (profile blending; nothing server-side changes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clip;
 pub mod pca;
-pub mod personalize;
 pub mod quantize;
 pub mod text;
 pub mod vector;

@@ -174,25 +174,34 @@ mod tests {
     use rand::RngCore;
     use tiptoe_math::rng::seeded_rng;
 
-    /// Row `k` by the definition: `seeded_rng(seed)` moved to word
-    /// `k·stride` and read one `next_u64` at a time.
-    fn reference_row<W: Word>(a: &MatrixA, k: usize) -> Vec<W> {
+    /// The rows by the definition: `seeded_rng(seed)` read one
+    /// `next_u64` at a time, each row its `n` words and the `stride − n`
+    /// after them skipped.
+    fn reference_rows<W: Word>(a: &MatrixA) -> Vec<Vec<W>> {
         let mut rng = seeded_rng(a.seed());
-        rng.seek_u64((k * a.stride()) as u64);
-        (0..a.cols()).map(|_| W::from_u64(rng.next_u64())).collect()
+        (0..a.rows())
+            .map(|_| {
+                let row = (0..a.cols()).map(|_| W::from_u64(rng.next_u64())).collect();
+                (a.cols()..a.stride()).for_each(|_| {
+                    rng.next_u64();
+                });
+                row
+            })
+            .collect()
     }
 
     #[test]
     fn row_k_is_the_seeded_stream_from_word_k_stride() {
         for n in [1, 7, 8, 9, 64, 65, 1408] {
             let a = MatrixA::new(0xA11CE ^ n as u64, 40, n);
+            let (wide_rows, narrow_rows) = (reference_rows::<u64>(&a), reference_rows::<u32>(&a));
             for k in [0, 1, 2, 17, 39] {
                 let mut wide = vec![0u64; n];
                 let mut narrow = vec![0u32; n];
                 a.expand_row(k, &mut wide);
                 a.expand_row(k, &mut narrow);
-                assert_eq!(wide, reference_row::<u64>(&a, k), "n={n} k={k}");
-                assert_eq!(narrow, reference_row::<u32>(&a, k), "n={n} k={k}");
+                assert_eq!(wide, wide_rows[k], "n={n} k={k}");
+                assert_eq!(narrow, narrow_rows[k], "n={n} k={k}");
             }
         }
     }

@@ -24,10 +24,9 @@
 //! take a thread count (`0` = one per core, `1` = inline) that changes
 //! wall-clock time only, never an output word.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use tiptoe_math::matrix::{matvec_wide, scan, Mat};
-use tiptoe_math::sample::{gaussian_i64, ternary_vec, GaussianStream};
+use tiptoe_math::sample::{noise_key, ternary_vec, GaussianStream};
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::{Entry, Word};
 
@@ -142,6 +141,7 @@ impl<W: Word> LweCiphertext<W> {
 /// Encrypts a plaintext vector `v ∈ Z_p^m` under secret `sk`, on one
 /// thread per core when the shape is worth it
 /// ([`tiptoe_math::par::prg_threads`]): the same words at any count.
+/// `rng` gives one [`noise_key`], 32 bytes whatever `m` is.
 ///
 /// # Panics
 ///
@@ -157,16 +157,13 @@ pub fn encrypt<W: Word, R: Rng + ?Sized>(
     encrypt_with_threads(params, sk, a, v, rng, 0)
 }
 
-/// [`encrypt`] at a thread count. The noise terms are the `m`
-/// [`gaussian_i64`] draws from `rng`, in row order, each two words of
-/// its stream ([`LweParams::validate`] bounds σ so that none
-/// rejects). Each thread regenerates its own rows' words from the
-/// stream's key and position ([`GaussianStream`]), expands its rows of
-/// `A` a tile at a time ([`MatrixA::expand_rows`]) and adds
-/// `row·s + Δ·v`; `rng` is then moved past the `2m` words.
-/// Only a read position off a word boundary (an odd number of
-/// `next_u32`s in) draws on the caller's thread: up to four rows, until
-/// the stream's next block.
+/// [`encrypt`] at a thread count. The noise is one [`noise_key`] of
+/// `rng`, the only thing drawn from it: row `k`'s term is the
+/// [`GaussianStream`] draw that starts at word `2k` of the key's
+/// stream ([`LweParams::validate`] bounds σ so that none rejects).
+/// Each thread reads its own rows' terms from there, expands its rows
+/// of `A` a tile at a time ([`MatrixA::expand_rows`]) and adds
+/// `row·s + Δ·v`.
 fn encrypt_with_threads<W: Word, R: Rng + ?Sized>(
     params: &LweParams,
     sk: &LweSecretKey<W>,
@@ -179,48 +176,24 @@ fn encrypt_with_threads<W: Word, R: Rng + ?Sized>(
     assert_eq!(sk.dim(), a.cols(), "secret dimension mismatch");
     assert!(v.iter().all(|&x| x < params.p), "plaintext entries must be reduced mod p");
     let delta = W::from_u64(params.delta());
-    let m = v.len();
-    let mut c = vec![W::ZERO; m];
-    let (key, head, first) = with_std_rng(rng, |rng| {
-        let mut head = 0;
-        while head < m && rng.u64_index().is_none() {
-            c[head] = W::from_i64(gaussian_i64(rng, params.sigma));
-            head += 1;
-        }
-        let first = rng.u64_index().map_or(0, |first| {
-            rng.seek_u64(first + 2 * (m - head) as u64);
-            first
-        });
-        (rng.key(), head, first)
-    });
+    let key = noise_key(rng);
+    let mut c = vec![W::ZERO; v.len()];
     let (n, stride, tile_rows) = (a.cols(), a.stride(), a.tile_rows());
-    let threads = tiptoe_math::par::prg_threads(num_threads, m, stride, tile_rows, 1);
+    let threads = tiptoe_math::par::prg_threads(num_threads, v.len(), stride, tile_rows, 1);
     tiptoe_math::par::par_spans_mut(&mut c, 1, threads, |start, span| {
         let mut tile = vec![W::ZERO; tile_rows * stride];
-        let from = first + 2 * start.saturating_sub(head) as u64;
-        let mut noise = GaussianStream::new(key, from, params.sigma);
+        let mut noise = GaussianStream::new(key, 2 * start as u64, params.sigma);
         for (k0, c_tile) in (start..).step_by(tile_rows).zip(span.chunks_mut(tile_rows)) {
             let rows = &mut tile[..c_tile.len() * stride];
             a.expand_rows(k0, rows);
             for ((k, c_k), row) in (k0..).zip(c_tile).zip(rows.chunks_exact(stride)) {
-                if k >= head {
-                    *c_k = W::from_i64(noise.next().expect("an endless stream"));
-                }
+                let e = W::from_i64(noise.next().expect("an endless stream"));
                 let acc = W::dot_wide(&row[..n], sk.words());
-                *c_k = acc.wadd(*c_k).wadd(delta.wmul(W::from_u64(v[k])));
+                *c_k = acc.wadd(e).wadd(delta.wmul(W::from_u64(v[k])));
             }
         }
     });
     LweCiphertext { c }
-}
-
-/// Runs `f` on `rng` if it is a `StdRng`, and otherwise on a `StdRng`
-/// keyed by 32 bytes of it.
-fn with_std_rng<R: Rng + ?Sized, T>(rng: &mut R, f: impl FnOnce(&mut StdRng) -> T) -> T {
-    if let Some(std) = rng.as_std_rng() {
-        return f(std);
-    }
-    f(&mut StdRng::from_seed(rng.gen()))
 }
 
 /// Preprocesses the linear function `M` into the hint `H = M·A`
@@ -359,8 +332,10 @@ pub fn decryption_noise<W: Word>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
     use tiptoe_math::rng::seeded_rng;
+    use tiptoe_math::sample::gaussian_i64;
 
     /// `Apply` of one ciphertext on the caller's thread.
     fn apply_one<W: Word>(db: &Mat<u32>, ct: &LweCiphertext<W>) -> Vec<W> {
@@ -401,9 +376,12 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// The ciphertext by the definition: row `k` of `A` drawn word by
-    /// word from `seeded_rng(seed)` moved to word `k·stride`, `row·s`
-    /// as a left fold.
+    /// The ciphertext by the definition: row `k` of `A` the `n` words
+    /// of `seeded_rng(seed)` after its first `k·stride`, read one at a
+    /// time (the `stride − n` after them are skipped), `row·s` as a
+    /// left fold; the noise a [`noise_key`] of `rng`, then
+    /// `gaussian_i64` draws in row order from the generator seeded
+    /// with its bytes.
     fn encrypt_reference<W: Word>(
         params: &LweParams,
         sk: &LweSecretKey<W>,
@@ -412,15 +390,18 @@ mod tests {
         rng: &mut impl Rng,
     ) -> Vec<W> {
         let delta = W::from_u64(params.delta());
+        let key = noise_key(rng);
+        let mut noise = StdRng::from_seed(std::array::from_fn(|i| key[i / 4].to_le_bytes()[i % 4]));
+        let mut a_rng = seeded_rng(a.seed());
         v.iter()
-            .enumerate()
-            .map(|(k, &vk)| {
-                let mut row_rng = seeded_rng(a.seed());
-                row_rng.seek_u64((k * a.stride()) as u64);
+            .map(|&vk| {
                 let acc = sk.words().iter().fold(W::ZERO, |acc, &s_j| {
-                    acc.wadd(W::from_u64(row_rng.gen::<u64>()).wmul(s_j))
+                    acc.wadd(W::from_u64(a_rng.gen::<u64>()).wmul(s_j))
                 });
-                let e = W::from_i64(gaussian_i64(rng, params.sigma));
+                (a.cols()..a.stride()).for_each(|_| {
+                    a_rng.gen::<u64>();
+                });
+                let e = W::from_i64(gaussian_i64(&mut noise, params.sigma));
                 acc.wadd(e).wadd(delta.wmul(W::from_u64(vk)))
             })
             .collect()
@@ -487,11 +468,12 @@ mod tests {
 
     #[test]
     fn encrypt_is_bit_identical_off_a_word_boundary() {
-        // After an odd number of `next_u32`s the generator is four
-        // bytes into a word: the rows up to the stream's next block
-        // draw on the caller's thread and the rest from the stream, at
-        // any thread count, and the generator ends where the word-by-
-        // word draws leave it. Three rows never reach the next block.
+        // Wherever the caller's generator stands (an odd number of
+        // `next_u32`s leaves it four bytes into a word), an encryption
+        // draws 32 bytes of it, whatever `m`, and is the reference's
+        // at any thread count; a prefix `v[..m₁]` under the same draw
+        // is the first `m₁` words, so row `k`'s noise is a function of
+        // the key and `k` alone, not of the spans.
         let params = LweParams::ranking_text();
         let mut rng = seeded_rng(61);
         let sk = LweSecretKey::<u64>::generate(&params, &mut rng);
@@ -502,16 +484,24 @@ mod tests {
             (0..u32s).for_each(|_| {
                 at.next_u32();
             });
-            assert_eq!(at.u64_index(), None, "{u32s} u32s in");
+            let want = encrypt_reference(&params, &sk, &a, &v, &mut at.clone());
             let mut after = at.clone();
-            let want = encrypt_reference(&params, &sk, &a, &v, &mut after);
+            (0..8).for_each(|_| {
+                after.next_u32();
+            });
+            let next_words = |rng: &mut StdRng| (0..4).map(|_| rng.next_u32()).collect::<Vec<_>>();
+            let m1 = m / 2 + 1;
+            let prefix = MatrixA::new(67, m1, params.n);
             for threads in [1, 2, 3, 5] {
+                let case = format!("m={m} u32s={u32s} threads={threads}");
                 let mut rng = at.clone();
                 let call = || encrypt_with_threads(&params, &sk, &a, &v, &mut rng, threads);
                 let (ct, spans) = tiptoe_math::par::observe_spans(call);
-                assert_eq!(ct.c, want, "m={m} u32s={u32s} threads={threads}");
+                assert_eq!(ct.c, want, "{case}");
                 assert_eq!(spans.len(), if m == 3 { 1 } else { threads });
-                assert_eq!(rng.gen::<u64>(), after.clone().gen::<u64>(), "m={m} u32s={u32s}");
+                assert_eq!(next_words(&mut rng), next_words(&mut after.clone()), "{case}: 32 bytes drawn");
+                let head = encrypt_with_threads(&params, &sk, &prefix, &v[..m1], &mut at.clone(), threads);
+                assert_eq!(head.c, want[..m1], "{case}: the first {m1} rows");
             }
         }
     }

@@ -59,13 +59,21 @@ pub fn gaussian_i64<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> i64 {
 /// Blocks of keystream a [`GaussianStream`] expands at once.
 const STREAM_BLOCKS: usize = 16;
 
-/// The draws [`gaussian_i64`] makes from a `StdRng` whose next
-/// `next_u64` is word `first` of the stream of `key`
-/// (`StdRng::u64_index`), regenerated without the generator, on any
-/// thread: draw `i` is `box_muller` of stream words `first + 2i` and
-/// `first + 2i + 1`, expanded 16 blocks at a time (one batch of the
-/// widest keystream body) by the dispatched kernel. An endless
-/// iterator. No `Debug` or `Clone`: it holds the key of secret noise.
+/// The 256-bit key of one encryption's noise: eight `u32`s of `rng`,
+/// whatever the encryption's message or length. Its ChaCha12
+/// keystream is the noise: `Enc` reads [`GaussianStream`]s of it,
+/// `Enc2` inverts it through a [`NoiseTable`] ([`NoiseTable::fill`]).
+pub fn noise_key<R: Rng + ?Sized>(rng: &mut R) -> [u32; 8] {
+    std::array::from_fn(|_| rng.next_u32())
+}
+
+/// The draws [`gaussian_i64`] makes from `StdRng::from_seed` of `key`'s
+/// little-endian bytes once `first` of its words are read, without the
+/// generator, on any thread: draw `i` is `box_muller` of words
+/// `first + 2i` and `first + 2i + 1` of the ChaCha12 stream of `key`,
+/// expanded 16 blocks at a time (one batch of the widest keystream
+/// body) by the dispatched kernel. An endless iterator. No `Debug` or
+/// `Clone`: it holds the key of secret noise.
 pub struct GaussianStream {
     key: [u32; 8],
     sigma: f64,
@@ -209,6 +217,7 @@ mod tests {
     use super::*;
     use crate::rng::seeded_rng;
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn gaussian_moments_are_plausible() {
@@ -259,12 +268,12 @@ mod tests {
     #[test]
     fn the_stream_is_what_the_generator_draws() {
         for (sigma, skip) in [(6.4, 0usize), (81920.0, 1), (81920.0, 7), (3.2, 130)] {
-            let mut rng = seeded_rng(9);
+            let key = noise_key(&mut seeded_rng(9));
+            let mut rng = StdRng::from_seed(std::array::from_fn(|i| key[i / 4].to_le_bytes()[i % 4]));
             (0..skip).for_each(|_| {
                 rng.gen::<u64>();
             });
-            let first = rng.u64_index().expect("a whole number of words in");
-            let stream = GaussianStream::new(rng.key(), first, sigma);
+            let stream = GaussianStream::new(key, skip as u64, sigma);
             let want: Vec<i64> = (0..300).map(|_| gaussian_i64(&mut rng, sigma)).collect();
             assert_eq!(stream.take(300).collect::<Vec<_>>(), want, "σ = {sigma}, {skip} words in");
         }

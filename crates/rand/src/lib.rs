@@ -6,10 +6,17 @@
 //! workspace needs — [`Rng`], [`RngCore`], [`SeedableRng`],
 //! [`rngs::StdRng`], and [`seq::SliceRandom`] — with the same method
 //! semantics. [`rngs::StdRng`] is a real ChaCha12 stream cipher (the
-//! same construction the upstream crate uses), so DPF seed expansion
-//! and the deterministic experiment plumbing keep their PRG quality.
-//! Output streams are *not* bit-compatible with upstream `rand`; the
-//! workspace only relies on self-consistency of seeded streams.
+//! same construction the upstream crate uses), so the seeded public
+//! matrices and the deterministic experiment plumbing keep their PRG
+//! quality. Output streams are *not* bit-compatible with upstream
+//! `rand`; the workspace only relies on self-consistency of seeded
+//! streams.
+//!
+//! Beyond `rand 0.8` the shim has two items: [`rngs::StdRng::key_from_u64`],
+//! the ChaCha key a `seed_from_u64` generator runs under (the SIMD
+//! keystream expands `A` and the RLWE `a` from it), and
+//! [`rngs::CHACHA_CONST`], the constant that keystream starts each
+//! block from.
 
 #![forbid(unsafe_code)]
 
@@ -21,15 +28,6 @@ pub trait RngCore {
     fn next_u64(&mut self) -> u64;
     /// Fills `dest` with uniformly random bytes.
     fn fill_bytes(&mut self, dest: &mut [u8]);
-
-    /// This generator as a [`rngs::StdRng`], if it is one. A bulk
-    /// consumer can then regenerate the words it would draw from the
-    /// stream's key and position ([`rngs::StdRng::u64_index`]) on any
-    /// thread, and move the generator past them
-    /// ([`rngs::StdRng::seek_u64`]).
-    fn as_std_rng(&mut self) -> Option<&mut rngs::StdRng> {
-        None
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -41,9 +39,6 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
-    }
-    fn as_std_rng(&mut self) -> Option<&mut rngs::StdRng> {
-        (**self).as_std_rng()
     }
 }
 
@@ -312,28 +307,6 @@ pub mod rngs {
             key_words(&seed)
         }
 
-        /// The ChaCha key of this generator's stream.
-        pub fn key(&self) -> [u32; 8] {
-            self.key
-        }
-
-        /// Index of the stream's little-endian `u64` that the next
-        /// `next_u64` returns, or `None` while the read position in the
-        /// current block is off an 8-byte boundary: then the next
-        /// `next_u64` straddles two stream words, or skips the block's
-        /// last bytes for the next block's first word.
-        pub fn u64_index(&self) -> Option<u64> {
-            self.pos.is_multiple_of(8).then(|| self.counter.wrapping_sub(1) * 8 + self.pos as u64 / 8)
-        }
-
-        /// Moves the generator so that its next `next_u64` returns the
-        /// stream's `index`-th little-endian `u64`.
-        pub fn seek_u64(&mut self, index: u64) {
-            self.counter = index / 8;
-            self.refill();
-            self.pos = (index % 8) as usize * 8;
-        }
-
         fn refill(&mut self) {
             let mut state = [0u32; 16];
             state[..4].copy_from_slice(&CHACHA_CONST);
@@ -399,10 +372,6 @@ pub mod rngs {
                 let n = chunk.len();
                 chunk.copy_from_slice(self.take(n));
             }
-        }
-
-        fn as_std_rng(&mut self) -> Option<&mut StdRng> {
-            Some(self)
         }
     }
 }
@@ -512,35 +481,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stream_index_names_the_next_word_and_seeking_moves_to_it() {
-        let key = StdRng::key_from_u64(5);
-        let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(rng.key(), key);
-        let stream: Vec<u64> = (0..40).map(|_| rng.next_u64()).collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        for (i, &word) in stream.iter().enumerate().take(20) {
-            assert_eq!(rng.u64_index(), Some(i as u64));
-            assert_eq!(rng.next_u64(), word);
-        }
-        // Half a word in, the position has no index until the block
-        // runs out; a `u64` read then skips its last four bytes.
-        rng.next_u32();
-        for _ in 0..3 {
-            assert_eq!(rng.u64_index(), None);
-            rng.next_u64();
-        }
-        assert_eq!(rng.u64_index(), None, "four bytes are left in the block");
-        assert_eq!(rng.next_u64(), stream[24]);
-        assert_eq!(rng.u64_index(), Some(25));
-        for index in [0u64, 7, 8, 9, 31, 39] {
-            let mut by_ref = &mut rng;
-            RngCore::as_std_rng(&mut by_ref).expect("a StdRng behind the reference").seek_u64(index);
-            assert_eq!(rng.u64_index(), Some(index));
-            assert_eq!(rng.next_u64(), stream[index as usize], "index {index}");
-        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use rand::Rng;
 use tiptoe_math::ntt::{NttTable, ShoupPoly};
 use tiptoe_math::poly::{Domain, Poly};
 use tiptoe_math::rng::{derive_seed, expand_seed};
-use tiptoe_math::sample::{ternary_vec, NoiseTable};
+use tiptoe_math::sample::{noise_key, ternary_vec, NoiseTable};
 use tiptoe_math::simd;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 
@@ -279,15 +279,6 @@ pub fn expand_a(ctx: &RlweContext, seed: u64, a_ntt: &mut [u64]) {
     }
 }
 
-/// The 256-bit noise key of one ciphertext: eight `u32`s of `rng`, the
-/// one thing an encryption draws from it, whatever it encrypts. Its
-/// keystream, inverted through the noise table in place, is the fresh
-/// noise `e` (coefficient domain, reduced modulo `Q`): the same
-/// compares whatever `e` is.
-pub fn noise_key<R: Rng + ?Sized>(rng: &mut R) -> [u32; 8] {
-    std::array::from_fn(|_| rng.next_u32())
-}
-
 /// Completes an encryption in place, from `e + Δ·m` in coefficient
 /// domain to `b̂ = NTT(e + Δ·m) + â∘ŝ`; `a_ntt` is left holding `â`.
 fn seal(ctx: &RlweContext, sk: &RlweSecretKey, a_seed: u64, a_ntt: &mut [u64], b_ntt: &mut [u64]) {
@@ -297,7 +288,10 @@ fn seal(ctx: &RlweContext, sk: &RlweSecretKey, a_seed: u64, a_ntt: &mut [u64], b
 }
 
 /// Encrypts a plaintext polynomial given by signed coefficients
-/// (interpreted modulo `t`): `b = a·s + e + Δ·m`.
+/// (interpreted modulo `t`): `b = a·s + e + Δ·m`. The noise `e` is the
+/// keystream of one [`noise_key`] of `rng`, inverted through the noise
+/// table in place (coefficient domain, reduced modulo `Q`): the same
+/// compares whatever `e` is.
 ///
 /// # Panics
 ///

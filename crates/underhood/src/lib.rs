@@ -48,12 +48,12 @@ use tiptoe_math::matrix::Mat;
 use tiptoe_math::ntt::{mul_acc_wide, reduce_wide, Wide, WIDE_ACC_BUDGET, WIDE_GROUP};
 use tiptoe_math::par::{par_spans_mut, prg_threads};
 use tiptoe_math::poly::Poly;
+use tiptoe_math::sample::noise_key;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::Word;
 use tiptoe_rlwe::{
     decode_seeded, decrypt_switched, encode_seeded, encrypt_scalar_into, expand_a, mod_switch,
-    noise_key, seeded_byte_len, RlweCiphertext, RlweContext, RlweParams, RlweSecretKey,
-    SwitchedCiphertext,
+    seeded_byte_len, RlweCiphertext, RlweContext, RlweParams, RlweSecretKey, SwitchedCiphertext,
 };
 
 /// Dropped hint mass must stay below `Δ / 2^DROP_BUDGET_SHIFT`,
@@ -964,15 +964,18 @@ mod tests {
         (0..MAX_SPARES).for_each(|_| drop(Words(vec![u64::MAX; len])));
     }
 
-    /// `H = M·A` by the definition: row `k` of `A` read word by word
-    /// from `seeded_rng(seed)` moved to word `k·stride`, every entry a
-    /// left fold over `k`.
+    /// `H = M·A` by the definition: `A` read word by word from
+    /// `seeded_rng(seed)`, each row its `n` words and the `stride − n`
+    /// after them skipped, every entry a left fold over `k`.
     fn naive_hint<W: Word>(db: &Mat<u32>, a: &MatrixA) -> Mat<W> {
+        let mut rng = seeded_rng(a.seed());
         let rows: Vec<Vec<W>> = (0..a.rows())
-            .map(|k| {
-                let mut rng = seeded_rng(a.seed());
-                rng.seek_u64((k * a.stride()) as u64);
-                (0..a.cols()).map(|_| W::from_u64(rng.gen::<u64>())).collect()
+            .map(|_| {
+                let row = (0..a.cols()).map(|_| W::from_u64(rng.gen::<u64>())).collect();
+                (a.cols()..a.stride()).for_each(|_| {
+                    rng.gen::<u64>();
+                });
+                row
             })
             .collect();
         Mat::from_fn(db.rows(), a.cols(), |i, j| {
@@ -1060,18 +1063,20 @@ mod tests {
 
     #[test]
     fn query_bytes_match_the_recorded_golden_hashes() {
-        // Recorded from the definition, one thread, word by word: row
-        // `k` of `A` from `seeded_rng(seed)` moved to word `k·stride`,
-        // every noise term a `gaussian_i64` of the caller's generator
-        // in row order; at the wide deployment's ranking and URL
-        // shapes and the production ranking shape.
+        // Recorded from the definition, one thread, word by word: `A`
+        // read from `seeded_rng(seed)`, each row its `n` words and the
+        // `stride − n` after them skipped; the noise eight `next_u32`s
+        // of the caller's generator as a key, then `gaussian_i64` in
+        // row order from `StdRng::from_seed` of the key's bytes; at the
+        // wide deployment's ranking and URL shapes and the production
+        // ranking shape.
         let rank = golden_query::<u64>(&test_underhood_64(), 41_664, 3401);
         let url = golden_query::<u32>(&test_underhood_32(), 5_534, 3402);
         let prod = Underhood::with_outer(LweParams::ranking_text(), RlweParams::production(), 44);
         let prod = golden_query::<u64>(&prod, 17_088, 3403);
-        assert_eq!(rank, (333_317, 7196457812587561682), "41664 x 64, u64");
-        assert_eq!(url, (22_141, 14048027152957275527), "5534 x 64, u32");
-        assert_eq!(prod, (136_709, 7046416435678006547), "17088 x 2048, u64");
+        assert_eq!(rank, (333_317, 16643388026629293540), "41664 x 64, u64");
+        assert_eq!(url, (22_141, 9098581663037652367), "5534 x 64, u32");
+        assert_eq!(prod, (136_709, 8589050217321397997), "17088 x 2048, u64");
     }
 
     #[test]
