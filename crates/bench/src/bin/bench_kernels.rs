@@ -56,7 +56,10 @@
 //! shows its real arithmetic speedup — while the **streaming** shape
 //! (2^15×1024, 32 MiB) reads the matrix from beyond the core's caches,
 //! where the batched variant amortizes the matrix traffic across
-//! queries. `matvec_shard` is a ranking shard of the end-to-end
+//! queries. The hot row's scalar and dispatched reps alternate: the
+//! scalar loop's time at that shape moves by up to 2× with the host's
+//! state, and two mins taken one after the other gave a ratio that did
+//! not reproduce. `matvec_shard` is a ranking shard of the end-to-end
 //! benchmark's wide deployment (122×20,832): one query and a flush of
 //! four, on one thread and two, the scan that `serve_solo` and
 //! `serve_fleet` time.
@@ -102,7 +105,7 @@ use tiptoe_underhood::{ClientKey, EncryptedSecret, ExpandedSecret, Underhood};
 
 const MATVEC_ROWS: usize = 1 << 15;
 const MATVEC_COLS: usize = 1 << 10;
-/// Cache-resident kernel-isolation shape: 256×1024 u32 = 1 MiB, which
+/// Cache-resident kernel-isolation shape: 256×1024 i8 = 256 KiB, which
 /// sits in L2 next to the 8 KiB query vector, so the measurement is
 /// arithmetic, not DRAM.
 const HOT_ROWS: usize = 1 << 8;
@@ -157,6 +160,14 @@ fn time<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
             wall.as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// [`time`] of two bodies whose ratio is a row, one warmed rep of each
+/// in turn so that both see the same host state.
+fn time_pair(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
+    (0..reps).fold((f64::INFINITY, f64::INFINITY), |(a, b), _| {
+        (a.min(time(1, &mut f)), b.min(time(1, &mut g)))
+    })
 }
 
 /// [`time`] for a `threads`-thread variant, or `None` when the host
@@ -345,17 +356,12 @@ fn main() {
     // when the measurement is arithmetic rather than DRAM. ---
     let hot = Mat::from_fn(HOT_ROWS, MATVEC_COLS, |_, _| rng.gen_range(-8..=8i8));
     let shape = format!("{HOT_ROWS}x{MATVEC_COLS}");
-    let per_call = |total: f64| total / HOT_INNER as f64;
-    let scalar = per_call(time(reps, || {
-        for _ in 0..HOT_INNER {
-            std::hint::black_box(matvec_scalar(&hot, &v));
-        }
-    }));
-    let dispatched = per_call(time(reps, || {
-        for _ in 0..HOT_INNER {
-            std::hint::black_box(scan(&hot, &[&v], 1));
-        }
-    }));
+    let (scalar, dispatched) = time_pair(
+        reps,
+        || (0..HOT_INNER).for_each(|_| drop(std::hint::black_box(matvec_scalar(&hot, &v)))),
+        || (0..HOT_INNER).for_each(|_| drop(std::hint::black_box(scan(&hot, &[&v], 1)))),
+    );
+    let (scalar, dispatched) = (scalar / HOT_INNER as f64, dispatched / HOT_INNER as f64);
     push("matvec", "scalar".into(), &shape, Some(scalar), scalar, None);
     push("matvec", format!("dispatched_{tier}"), &shape, Some(dispatched), scalar, None);
 

@@ -41,7 +41,10 @@ fn calibrate_ops_per_second() -> f64 {
 fn main() {
     let ops = calibrate_ops_per_second();
     println!("calibrated MAC throughput: {:.2e} word-ops/core-s\n", ops);
-    let model = ScalingModel { ops_per_core_second: ops, ..ScalingModel::text() };
+    let mut model = ScalingModel::text();
+    model.ops_per_core_second = ops;
+    let core_seconds = |n| model.core_seconds(n).iter().sum::<f64>();
+    let total_bytes = |n| model.shape(n).query_bytes().total_bytes();
 
     println!("== Figure 8: analytic Tiptoe per-query cost vs corpus size (text) ==");
     println!(
@@ -63,10 +66,10 @@ fn main() {
         println!(
             "{:>14} {:>12.0} s {:>14} {:>16} {:>14} {}",
             n,
-            model.core_seconds(n),
-            fmt_bytes(model.token_bytes(n)),
-            fmt_bytes(model.online_bytes(n)),
-            fmt_bytes(model.total_bytes(n)),
+            core_seconds(n),
+            fmt_bytes(model.shape(n).query_bytes().offline_bytes()),
+            fmt_bytes(model.shape(n).query_bytes().online_bytes()),
+            fmt_bytes(total_bytes(n)),
             label
         );
     }
@@ -74,12 +77,11 @@ fn main() {
     let n8 = 8_000_000_000u64;
     println!(
         "ours at 8 billion docs: {:.0} core-s and {} total.",
-        model.core_seconds(n8),
-        fmt_bytes(model.total_bytes(n8))
+        core_seconds(n8),
+        fmt_bytes(total_bytes(n8))
     );
     println!("\nShapes: compute grows linearly in N; communication ~ sqrt(N).");
-    let r_compute = model.core_seconds(10_000_000_000) / model.core_seconds(1_000_000_000);
-    let r_comm =
-        model.total_bytes(10_000_000_000) as f64 / model.total_bytes(1_000_000_000) as f64;
+    let r_compute = core_seconds(10_000_000_000) / core_seconds(1_000_000_000);
+    let r_comm = total_bytes(10_000_000_000) as f64 / total_bytes(1_000_000_000) as f64;
     println!("10x docs -> {r_compute:.1}x compute, {r_comm:.1}x communication");
 }

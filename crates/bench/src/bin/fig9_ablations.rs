@@ -9,7 +9,8 @@
 //! ```
 
 use tiptoe_bench::{evaluate_variant, fmt_mrr, AblationFlags, VariantConfig};
-use tiptoe_core::analysis::{CoeusModel, ScalingModel, C4_DOCS};
+use tiptoe_core::analysis::{CoeusModel, ScalingModel, C4_DOCS, URL_BYTES};
+use tiptoe_core::config::TiptoeConfig;
 use tiptoe_corpus::synth::{generate, CorpusConfig};
 use tiptoe_embed::text::TextEmbedder;
 use tiptoe_math::stats::fmt_bytes;
@@ -22,39 +23,38 @@ use tiptoe_math::stats::fmt_bytes;
 ///   scoring") and retrieves the top-100 URLs with a SEAL-PIR-like
 ///   scheme whose per-retrieval compute is ~50 (heavier ring ops)
 ///   times the SimplePIR byte-scan.
-/// - With clustering (➋+), costs follow [`ScalingModel`].
+/// - With clustering (➋+), costs follow [`ScalingModel`] of the text
+///   deployment with the variant's dimension and dual assignment.
 /// - Without the chunk restriction (➋), the client runs 100 separate
 ///   SimplePIR URL retrievals instead of 1 ("the client must run
-///   SimplePIR to individually retrieve each of the 100 URLs"): 4× in
-///   the paper's URL communication and compute.
-/// - Dual assignment (➎) multiplies ranking compute and download 1.2×.
+///   SimplePIR to individually retrieve each of the 100 URLs").
+/// - Without dual assignment (➎ off), each cluster holds its own
+///   documents only.
 /// - Without PCA (➏ off), d = 768 instead of 192: ~2× total cost in
 ///   the paper (bandwidth and computation "by roughly 2×").
 fn variant_cost(flags: AblationFlags, ops_per_core_second: f64) -> (u64, f64) {
     let n = C4_DOCS;
-    let d = if flags.pca { 192 } else { 768 };
-    let dual = if flags.dual_assign { 1.2 } else { 1.0 };
-    let model = ScalingModel { d, ops_per_core_second, ..ScalingModel::text() };
-
+    let mut config = TiptoeConfig::text(n as usize, 0);
+    if !flags.pca {
+        config.d_reduced = config.d_embed;
+    }
+    if !flags.dual_assign {
+        config.cluster.dual_assign_frac = 0.0;
+    }
     let url_retrievals = if flags.chunk_restrict { 1u64 } else { 100 };
-    let url_scan_bytes = 22.0 * n as f64; // compressed URL store
     if !flags.clustering {
         // ➊: every score travels; URL fetches use an expensive
         // FHE-composed PIR (SEAL-PIR-like, per the Figure 9 caption).
         let comm = n * 8 + url_retrievals * (512 << 10);
-        let ranking_ops = 2.0 * n as f64 * d as f64;
-        let url_ops = url_retrievals as f64 * url_scan_bytes * 50.0;
+        let ranking_ops = 2.0 * n as f64 * config.d_reduced as f64;
+        let url_ops = url_retrievals as f64 * (URL_BYTES * n) as f64 * 50.0;
         return (comm, (ranking_ops + url_ops) / ops_per_core_second);
     }
-    let ranking_comm = (model.token_bytes(n) as f64
-        + model.upload_dim(n) as f64 * 8.0
-        + model.rows(n) as f64 * 8.0 * dual) as u64;
-    let url_comm = url_retrievals * ((40u64 << 10) * 4 / 3 + (n / 880) * 4);
-    let comm = ranking_comm + url_comm;
-    let ranking_ops = 2.0 * n as f64 * d as f64 * dual;
-    let url_ops = url_retrievals as f64 * url_scan_bytes;
-    let token_ops = model.rows(n) as f64 * 2048.0 * 4.0;
-    (comm, (ranking_ops + url_ops + token_ops) / ops_per_core_second)
+    let model = ScalingModel::new(&config, ops_per_core_second);
+    let b = model.shape(n).query_bytes();
+    let comm = b.total_bytes() + (url_retrievals - 1) * (b.url_up + b.url_down);
+    let [rank, url, token] = model.core_seconds(n);
+    (comm, rank + url_retrievals as f64 * url + token)
 }
 
 fn main() {

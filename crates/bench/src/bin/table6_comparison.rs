@@ -14,8 +14,10 @@
 //! cargo run --release -p tiptoe-bench --bin table6_comparison [docs]
 //! ```
 
-use tiptoe_bench::measure::measure_text_deployment;
-use tiptoe_core::analysis::{aws, ClientIndexModel, CoeusModel, C4_DOCS, LAION_DOCS, WIKIPEDIA_DOCS};
+use tiptoe_bench::measure::{measure, text_deployment};
+use tiptoe_core::analysis::{
+    aws, ClientIndexModel, CoeusModel, ScalingModel, C4_DOCS, LAION_DOCS, WIKIPEDIA_DOCS,
+};
 use tiptoe_math::stats::{fmt_bytes, fmt_seconds};
 use tiptoe_net::LinkModel;
 
@@ -23,7 +25,7 @@ fn main() {
     let docs: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4096);
     println!("== Table 6: comparison to private-search alternatives ==\n");
     println!("measuring Tiptoe (production crypto) at {docs} documents ...");
-    let m = measure_text_deployment(docs, 3, 7);
+    let m = measure(text_deployment(docs, 3, 7), 3);
     let link = LinkModel::paper();
     let model = m.scaling_model();
 
@@ -39,20 +41,22 @@ fn main() {
     // --- Extrapolation to the paper's corpus sizes. Latency model:
     // the paper spreads ranking over 160 vCPUs (40 r5.xlarge).
     let vcpus = 160.0;
-    let extrapolate = |n_docs: u64, comm_scale: f64, compute_scale: f64| {
-        let comm = (model.total_bytes(n_docs) as f64 * comm_scale) as u64;
-        let core_s = model.core_seconds(n_docs) * compute_scale;
-        let online = (model.online_bytes(n_docs) as f64 * comm_scale) as u64;
+    let extrapolate = |model: &ScalingModel, n_docs: u64| {
+        let bytes = model.shape(n_docs).query_bytes();
+        let (comm, online) = (bytes.total_bytes(), bytes.online_bytes());
+        let core_s = model.core_seconds(n_docs).iter().sum::<f64>();
         let wall = core_s / vcpus;
         let latency = link
             .phase_latency(online / 2, online / 2, std::time::Duration::from_secs_f64(wall))
             .as_secs_f64();
         (comm, core_s, latency, aws::query_cost(core_s, comm))
     };
-    let (t_comm, t_core, t_lat, t_cost) = extrapolate(C4_DOCS, 1.0, 1.0);
-    // Image search: 1.2x corpus, 2x embedding dimension -> paper reports
-    // 2.3x compute and 1.2x communication over text.
-    let (i_comm, i_core, i_lat, i_cost) = extrapolate(LAION_DOCS, 1.2, 2.3);
+    let (t_comm, t_core, t_lat, t_cost) = extrapolate(&model, C4_DOCS);
+    // Image search: the image deployment's own model, at the word-op
+    // rate this run calibrated.
+    let mut image = ScalingModel::image();
+    image.ops_per_core_second = model.ops_per_core_second;
+    let (i_comm, i_core, i_lat, i_cost) = extrapolate(&image, LAION_DOCS);
 
     println!(
         "{:<38} {:>12} {:>12} {:>12} {:>10} {:>10}",
@@ -140,13 +144,13 @@ fn main() {
     println!("\n-- paper-shape checks --");
     let tiptoe_vs_coeus_comm = CoeusModel::comm_bytes(C4_DOCS) as f64 / t_comm as f64;
     let tiptoe_vs_coeus_cost = CoeusModel::aws_cost(C4_DOCS) / t_cost;
+    let c4 = model.shape(C4_DOCS).query_bytes();
     let checks: [(&str, bool); 4] = [
         ("Tiptoe comm 10-100x below Coeus at C4 scale", tiptoe_vs_coeus_comm > 10.0),
         ("Tiptoe cost ~1000x below Coeus (paper: >1000x)", tiptoe_vs_coeus_cost > 100.0),
         ("Tiptoe comm within 4x of the paper's 56.9 MiB",
             (14u64 << 20..=228u64 << 20).contains(&t_comm)),
-        ("majority of traffic is pre-query at scale",
-            model.token_bytes(C4_DOCS) > model.online_bytes(C4_DOCS)),
+        ("majority of traffic is pre-query at scale", c4.offline_bytes() > c4.online_bytes()),
     ];
     let mut all_ok = true;
     for (name, ok) in checks {

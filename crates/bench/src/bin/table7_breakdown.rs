@@ -10,7 +10,7 @@
 //! cargo run --release -p tiptoe-bench --bin table7_breakdown [docs]
 //! ```
 
-use tiptoe_bench::measure::{measure_image_deployment, measure_text_deployment};
+use tiptoe_bench::measure::{image_deployment, measure, text_deployment};
 use tiptoe_math::stats::{fmt_bytes, fmt_seconds};
 use tiptoe_net::LinkModel;
 
@@ -19,12 +19,13 @@ fn main() {
     let docs: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4096);
     println!("== Table 7: Tiptoe cost breakdown (text search) ==\n");
     println!("measuring at {docs} documents with production crypto ...\n");
-    let m = measure_text_deployment(docs, 3, 11);
+    let m = measure(text_deployment(docs, 3, 11), 3);
     let link = LinkModel::paper();
 
     println!("corpus size:        {} documents (paper: 364M)", m.docs);
-    println!("embedding dim:      {} (paper: 192)", m.d);
-    println!("clusters:           {} of ≈{} docs", m.clusters, m.rows);
+    let d = m.config.d_reduced;
+    println!("embedding dim:      {d} (paper: 192)");
+    println!("clusters:           {} of ≈{} docs", m.shape.m / d, m.shape.rows);
 
     println!("\n-- index preprocessing (paper: 0.013 core-s/doc total) --");
     let stage = |name: &str, d: std::time::Duration| {
@@ -45,10 +46,10 @@ fn main() {
     );
 
     println!("\n-- client download (one-time) --");
-    println!("  model:     {:>12}   (paper: 0.27 GiB)", fmt_bytes(m.model_bytes));
-    println!("  centroids: {:>12}   (paper: 0.02 GiB)", fmt_bytes(m.centroid_bytes));
-    println!("  PCA:       {:>12}   (paper: 0.6 MiB)", fmt_bytes(m.pca_bytes));
-    println!("  total:     {:>12}", fmt_bytes(m.setup_bytes));
+    println!("  model:     {:>12}   (paper: 0.27 GiB)", fmt_bytes(m.meta.model_bytes));
+    println!("  centroids: {:>12}   (paper: 0.02 GiB)", fmt_bytes(m.meta.centroid_bytes));
+    println!("  PCA:       {:>12}   (paper: 0.6 MiB)", fmt_bytes(m.meta.pca_bytes));
+    println!("  total:     {:>12}", fmt_bytes(m.meta.setup_download_bytes()));
 
     let c = &m.cost;
     println!("\n-- communication per query (measured; paper @364M) --");
@@ -98,21 +99,14 @@ fn main() {
         tput(16.0, c.url_server.cpu)
     );
     // Extrapolated to the paper's 364M-document corpus with the model
-    // calibrated on this run.
+    // calibrated on this run. Token work scales with the hint units
+    // (`chunks × limbs × n` NTT-pointwise passes), so the measured
+    // token CPU is scaled by the two shapes' token work.
     let model = m.scaling_model();
     let n = tiptoe_core::analysis::C4_DOCS;
-    let rank_core_s = 2.0 * n as f64 * m.d as f64 * 1.2 / model.ops_per_core_second;
-    let url_core_s = n as f64 * 22.0 / model.ops_per_core_second;
-    // Token cost scales with the number of 2048-row hint chunks, not
-    // rows: each chunk costs a fixed number of NTT-pointwise MACs. One
-    // summed ranking hint of `rows` rows, plus the URL hint.
-    let hint_chunks = |rows: f64, docs: f64| {
-        let url_rows = (22.0 * docs * 10.0).sqrt() * 8.0 / 9.0;
-        (rows / 2048.0).ceil() + (url_rows / 2048.0).ceil()
-    };
-    let chunks_c4 = hint_chunks(model.rows(n) as f64, n as f64);
-    let chunks_measured = hint_chunks(m.rows as f64, m.docs as f64);
-    let token_core_s = c.token_server.cpu.as_secs_f64() * (chunks_c4 / chunks_measured).max(1.0);
+    let token_scale = model.shape(n).ops()[2] / m.shape.ops()[2];
+    let token_core_s = c.token_server.cpu.as_secs_f64() * token_scale;
+    let [rank_core_s, url_core_s, _] = model.core_seconds(n);
     println!("  -- extrapolated to 364M docs --");
     println!("  token (32 vCPU):    {:>8.1} q/s", 32.0 / token_core_s);
     println!("  ranking (160 vCPU): {:>8.1} q/s", 160.0 / rank_core_s);
@@ -125,9 +119,9 @@ fn main() {
     //     to 384, p = 2^15, at a quarter of the text scale.
     let img_docs = (docs / 2).max(512);
     println!("\n== image search column ({img_docs} images) ==");
-    let im = measure_image_deployment(img_docs, 2, 12);
+    let im = measure(image_deployment(img_docs, 2, 12), 2);
     let ic = &im.cost;
-    println!("  embedding dim:   {} (paper: 384)", im.d);
+    println!("  embedding dim:   {} (paper: 384)", im.config.d_reduced);
     println!("  up,   token:   {:>12}   (paper: 32.4 MiB)", fmt_bytes(ic.token_up));
     println!("  up,   ranking: {:>12}   (paper: 16.2 MiB @400M)", fmt_bytes(ic.rank_up));
     println!("  down, ranking: {:>12}   (paper:  1.0 MiB @400M)", fmt_bytes(ic.rank_down));

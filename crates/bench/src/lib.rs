@@ -121,8 +121,6 @@ pub struct VariantOutcome {
     pub cluster_hit_rate: f64,
     /// Active embedding dimension (after optional PCA).
     pub d_active: usize,
-    /// Index slots relative to N (1.0 without, ~1.2 with dual assign).
-    pub index_overhead: f64,
 }
 
 /// Exact signed dot product of two quantized vectors.
@@ -163,9 +161,6 @@ pub fn evaluate_variant<E: Embedder>(
         cc.dual_assign_frac = if flags.dual_assign { 0.2 } else { 0.0 };
         cluster_documents(&reduced, &cc)
     });
-    let index_overhead = clustering
-        .as_ref()
-        .map_or(1.0, |c| c.total_assignments() as f64 / corpus.docs.len() as f64);
 
     // --- Per-query evaluation.
     let mut results = Vec::with_capacity(corpus.queries.len());
@@ -246,7 +241,6 @@ pub fn evaluate_variant<E: Embedder>(
         report: QualityReport::evaluate(&results, &relevant, config.k),
         cluster_hit_rate: cluster_hits as f64 / corpus.queries.len().max(1) as f64,
         d_active,
-        index_overhead,
     }
 }
 

@@ -6,36 +6,33 @@
 
 use std::time::Duration;
 
-use tiptoe_core::analysis::ScalingModel;
+use tiptoe_core::analysis::{DeploymentShape, ScalingModel};
+use tiptoe_core::batch::ClientMetadata;
 use tiptoe_core::client::QueryCost;
 use tiptoe_core::config::TiptoeConfig;
 use tiptoe_core::instance::TiptoeInstance;
 use tiptoe_corpus::synth::{generate, Corpus, CorpusConfig};
+use tiptoe_embed::clip::ClipLikeEmbedder;
 use tiptoe_embed::text::TextEmbedder;
 use tiptoe_embed::Embedder;
+
+/// A deployment and the corpus it indexes.
+pub type Deployment<E> = (Corpus, TiptoeInstance<E>);
 
 /// Everything the table binaries report about one deployment.
 pub struct Measurement {
     /// Documents indexed.
     pub docs: usize,
-    /// Reduced embedding dimension.
-    pub d: usize,
-    /// Clusters.
-    pub clusters: usize,
-    /// Padded cluster size (scores per query).
-    pub rows: usize,
+    /// The deployment's configuration.
+    pub config: TiptoeConfig,
+    /// What fixes the deployment's message sizes.
+    pub shape: DeploymentShape,
     /// Mean per-query cost over the measured queries.
     pub cost: QueryCost,
     /// Batch-job stage timings.
     pub report: tiptoe_core::batch::IndexingReport,
-    /// Client one-time setup download.
-    pub setup_bytes: u64,
-    /// Centroid + metadata download (excluding the model).
-    pub centroid_bytes: u64,
-    /// PCA projection download.
-    pub pca_bytes: u64,
-    /// Embedding-model download (simulated size).
-    pub model_bytes: u64,
+    /// The client's one-time download: model, centroids and PCA.
+    pub meta: ClientMetadata,
     /// Server-side index state.
     pub server_bytes: u64,
     /// Calibrated 64-bit MAC throughput (word-ops/core-second),
@@ -50,56 +47,45 @@ pub struct Measurement {
 impl Measurement {
     /// The web-scale extrapolation model calibrated from this run.
     pub fn scaling_model(&self) -> ScalingModel {
-        ScalingModel {
-            d: self.d,
-            ops_per_core_second: self.ops_per_core_second,
-            url_bytes: 22.0,
-            n_lwe: 2048,
-        }
+        ScalingModel::new(&self.config, self.ops_per_core_second)
     }
 }
 
+/// The mean of `costs`' timings; the bytes, which the deployment's
+/// shape fixes, are the first query's.
 fn average_costs(costs: &[QueryCost]) -> QueryCost {
     let n = costs.len().max(1) as u32;
     let avg_d = |f: fn(&QueryCost) -> Duration| {
         costs.iter().map(f).sum::<Duration>() / n
     };
-    let avg_b = |f: fn(&QueryCost) -> u64| costs.iter().map(f).sum::<u64>() / n as u64;
     let avg_t = |w: fn(&QueryCost) -> Duration, c: fn(&QueryCost) -> Duration| {
         tiptoe_net::ParallelTiming { wall: avg_d(w), cpu: avg_d(c) }
     };
     QueryCost {
-        token_up: avg_b(|c| c.token_up),
-        token_down: avg_b(|c| c.token_down),
-        rank_up: avg_b(|c| c.rank_up),
-        rank_down: avg_b(|c| c.rank_down),
-        url_up: avg_b(|c| c.url_up),
-        url_down: avg_b(|c| c.url_down),
         token_server: avg_t(|c| c.token_server.wall, |c| c.token_server.cpu),
         rank_server: avg_t(|c| c.rank_server.wall, |c| c.rank_server.cpu),
         url_server: avg_t(|c| c.url_server.wall, |c| c.url_server.cpu),
         client_time: avg_d(|c| c.client_time),
         client_preproc: avg_d(|c| c.client_preproc),
-        ..QueryCost::default()
+        ..costs[0].clone()
     }
 }
 
-/// Builds a text deployment with production crypto at `docs` scale and
-/// measures `queries` full private searches.
-pub fn measure_text_deployment(docs: usize, queries: usize, seed: u64) -> Measurement {
+/// A text deployment with production crypto at `docs` documents, with
+/// its corpus of at least one query.
+pub fn text_deployment(docs: usize, queries: usize, seed: u64) -> Deployment<TextEmbedder> {
     let corpus = generate(&CorpusConfig::small(docs, seed), queries.max(1));
     let config = TiptoeConfig::text(docs, seed);
     let embedder = TextEmbedder::paper_text(seed);
     let (instance, _) =
         tiptoe_obs::timed_span("bench.build", || TiptoeInstance::build(&config, embedder, &corpus));
-    measure_instance(docs, &corpus, instance, queries)
+    (corpus, instance)
 }
 
-/// Builds an image deployment (CLIP-like 512-d latents, production
-/// crypto with `p = 2^15`, PCA to 384) and measures it — the Table 6/7
-/// image column.
-pub fn measure_image_deployment(docs: usize, queries: usize, seed: u64) -> Measurement {
-    use tiptoe_embed::clip::ClipLikeEmbedder;
+/// An image deployment (CLIP-like 512-d latents, production crypto with
+/// `p = 2^15`, PCA to 384) of `docs` captioned images, with its corpus
+/// of at least one query: the Table 6/7 image column.
+pub fn image_deployment(docs: usize, queries: usize, seed: u64) -> Deployment<ClipLikeEmbedder> {
     let clip = ClipLikeEmbedder::paper_image(seed);
     // Captions drive both the latents and the benchmark queries.
     let text_corpus = generate(&CorpusConfig::small(docs, seed), queries.max(1));
@@ -121,15 +107,15 @@ pub fn measure_image_deployment(docs: usize, queries: usize, seed: u64) -> Measu
     let (instance, _) = tiptoe_obs::timed_span("bench.build", || {
         TiptoeInstance::build_with_embeddings(&config, clip, &corpus, latents)
     });
-    measure_instance(docs, &corpus, instance, queries)
+    (corpus, instance)
 }
 
-fn measure_instance<E: Embedder + Send + Sync>(
-    docs: usize,
-    corpus: &Corpus,
-    instance: TiptoeInstance<E>,
+/// Measures a deployment over `queries` full private searches.
+pub fn measure<E: Embedder + Send + Sync>(
+    (corpus, instance): Deployment<E>,
     queries: usize,
 ) -> Measurement {
+    let docs = corpus.docs.len();
     let mut client = instance.new_client(1);
     let mut costs = Vec::new();
     for q in corpus.queries.iter().take(queries.max(1)) {
@@ -147,29 +133,21 @@ fn measure_instance<E: Embedder + Send + Sync>(
 
     // Client-side-index baseline: the same data a client would store
     // locally — 4-bit quantized embeddings plus the compressed URLs.
-    let embedding_bytes = instance.artifacts.order.len() as f64 * meta_d(&instance) as f64 / 2.0;
+    let meta = &instance.artifacts.meta;
+    let embedding_bytes = instance.artifacts.order.len() as f64 * meta.d as f64 / 2.0;
     let url_bytes: usize =
         instance.artifacts.url_batches.iter().map(|b| b.compressed.len()).sum();
     let index_bytes_per_doc = (embedding_bytes + url_bytes as f64) / docs as f64;
 
-    let meta = &instance.artifacts.meta;
     Measurement {
         docs,
-        d: meta.d,
-        clusters: meta.c,
-        rows: meta.rows,
+        config: instance.config.clone(),
+        shape: DeploymentShape::of(&instance),
         cost,
         report: instance.artifacts.report.clone(),
-        setup_bytes: client.setup_bytes,
-        centroid_bytes: meta.centroid_bytes,
-        pca_bytes: meta.pca_bytes,
-        model_bytes: meta.model_bytes,
+        meta: meta.clone(),
         server_bytes: instance.server_storage_bytes(),
         ops_per_core_second,
         index_bytes_per_doc,
     }
-}
-
-fn meta_d<E: Embedder>(instance: &TiptoeInstance<E>) -> usize {
-    instance.artifacts.meta.d
 }

@@ -1,10 +1,25 @@
 //! Analytic cost models behind the paper's comparisons: Coeus
-//! query-scoring (Table 6), client-side search indexes (Table 6), the
-//! web-scale extrapolation (Figure 8, §8.5), the optimization ablation
-//! cost axes (Figure 9), and the non-colluding two-server estimate
-//! (§9).
+//! query-scoring (Table 6), client-side search indexes (Table 6),
+//! Tiptoe's own size and work model (the client's ledger, Tables 6–7,
+//! Figures 8–9), and the non-colluding two-server estimate (§9).
 //!
-//! Every constant cites where in the paper it comes from.
+//! Tiptoe's message sizes are written once, in functions next to the
+//! wire types' encoders (`LweCiphertext::wire_len`,
+//! `EncryptedSecret::wire_len`, `QueryToken::wire_len`,
+//! `scheme::answer_byte_len`). A [`DeploymentShape`] holds what they
+//! take, read off a built instance or derived from a [`TiptoeConfig`]
+//! at any corpus size by [`ScalingModel`], and
+//! [`DeploymentShape::query_bytes`] adds them up. Every other constant
+//! cites where in the paper it comes from.
+
+use tiptoe_embed::Embedder;
+use tiptoe_lwe::{scheme, LweCiphertext};
+use tiptoe_pir::BitPacker;
+use tiptoe_underhood::{EncryptedSecret, QueryToken, Underhood};
+
+use crate::client::QueryCost;
+use crate::config::TiptoeConfig;
+use crate::instance::TiptoeInstance;
 
 /// The paper's corpus sizes.
 pub const C4_DOCS: u64 = 364_000_000;
@@ -12,13 +27,14 @@ pub const C4_DOCS: u64 = 364_000_000;
 pub const LAION_DOCS: u64 = 400_000_000;
 /// Wikipedia article count in Coeus's evaluation.
 pub const WIKIPEDIA_DOCS: u64 = 5_000_000;
+/// Compressed bytes per URL: the paper's 7.4 GiB of compressed URLs
+/// for the 364M-document C4 crawl (Table 6).
+pub const URL_BYTES: u64 = 22;
 
 /// AWS list prices used in Table 6.
 pub mod aws {
     /// r5.xlarge (4 vCPU): $0.252/hour.
     pub const R5_XLARGE_HOURLY: f64 = 0.252;
-    /// r5.8xlarge (32 vCPU): $2.016/hour.
-    pub const R5_8XLARGE_HOURLY: f64 = 2.016;
     /// Egress bandwidth: $0.09/GiB.
     pub const EGRESS_PER_GIB: f64 = 0.09;
     /// Per-core-hour rate implied by Table 6's Coeus row
@@ -74,7 +90,7 @@ impl ClientIndexModel {
     /// images (400M docs, d = 384).
     pub fn tiptoe_index_bytes(n_docs: u64, d: usize) -> u64 {
         let embeddings = n_docs * (d as u64) / 2; // 4 bits per dimension
-        let urls = n_docs * 22;
+        let urls = n_docs * URL_BYTES;
         let per_doc_overhead = n_docs * 8; // ids + cluster bookkeeping
         embeddings + urls + per_doc_overhead
     }
@@ -91,102 +107,148 @@ impl ClientIndexModel {
         (n_docs as f64 * (6.4 * (1u64 << 40) as f64 / C4_DOCS as f64)) as u64
     }
 
-    /// Compressed-URL-only lower bound: 7.4 GiB at C4 size.
+    /// Compressed-URL-only lower bound: [`URL_BYTES`] a URL, 7.4 GiB at
+    /// C4 size.
     pub fn url_only_bytes(n_docs: u64) -> u64 {
-        (n_docs as f64 * (7.4 * (1u64 << 30) as f64 / C4_DOCS as f64)) as u64
+        n_docs * URL_BYTES
     }
 }
 
-/// The Figure 8 / §8.5 scaling model for Tiptoe itself.
-///
-/// Shapes (paper §4.2, §6): with `N` documents, embedding dimension
-/// `d`, and `C ≈ √(N·d)/d` clusters chosen to balance the matrix,
-///
-/// - server ranking compute ≈ `2·N·d·1.2` word operations (dual
-///   assignment costs 1.2×), plus the URL-service scan ≈ `22·N` bytes
-///   touched;
-/// - online communication ≈ upload `d·C` + download `N·1.2/C` words
-///   (+ the PIR query/answer);
-/// - token communication ≈ `n` outer ciphertexts up plus
-///   `O(rows)` down.
-#[derive(Debug, Clone, Copy)]
+/// What fixes the size of every message of one query. The pairs are
+/// `[ranking, URL]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeploymentShape {
+    /// Ranking upload dimension `m = d·C`.
+    pub m: usize,
+    /// Ranking matrix rows: the scores one query downloads.
+    pub rows: usize,
+    /// URL records: one PIR column per URL batch.
+    pub url_records: usize,
+    /// URL matrix rows: one record as the packer lays it out.
+    pub url_rows: usize,
+    /// 16-bit limbs a token hint entry splits into.
+    pub limbs: [usize; 2],
+    /// Token hint columns: each service's secret dimension `n`.
+    pub n: [usize; 2],
+    /// Ciphertexts in the token upload: the client secret's `max_n`.
+    pub max_n: usize,
+    /// Outer ring degree `N`.
+    pub ring: usize,
+    /// Bits a token coefficient is switched down to.
+    pub log_q2: u32,
+}
+
+impl DeploymentShape {
+    /// `config`'s shape under its schemes `uh`, before any matrix.
+    fn empty(config: &TiptoeConfig, uh: [&Underhood; 2]) -> Self {
+        Self {
+            limbs: uh.map(|u| u.limb_count() as usize),
+            n: uh.map(|u| u.lwe().n),
+            max_n: config.max_n(),
+            ring: config.rlwe.degree,
+            log_q2: config.switch_log_q2,
+            ..Self::default()
+        }
+    }
+
+    /// The shape of a built instance.
+    pub fn of<E: Embedder>(instance: &TiptoeInstance<E>) -> Self {
+        let (ranking, url) = (&instance.ranking, &instance.url);
+        let (m, rows) = (ranking.upload_dim(), ranking.rows());
+        let (url_records, url_rows) = (url.database().num_records(), url.database().rows());
+        let empty = Self::empty(&instance.config, [ranking.underhood(), url.underhood()]);
+        Self { m, rows, url_records, url_rows, ..empty }
+    }
+
+    /// Token hint chunks of `N` rows.
+    pub fn chunks(&self) -> [usize; 2] {
+        [self.rows, self.url_rows].map(|rows| Underhood::hint_chunks(rows, self.ring))
+    }
+
+    /// The bytes one query moves: the byte fields of the [`QueryCost`]
+    /// the client records (its timings are zero).
+    pub fn query_bytes(&self) -> QueryCost {
+        let chunks = self.chunks();
+        let token =
+            |i: usize| QueryToken::wire_len(chunks[i], self.limbs[i], self.ring, self.log_q2);
+        QueryCost {
+            token_up: EncryptedSecret::wire_len(self.max_n, self.ring),
+            token_down: token(0) + token(1),
+            rank_up: LweCiphertext::<u64>::wire_len(self.m),
+            rank_down: scheme::answer_byte_len::<u64>(self.rows),
+            url_up: LweCiphertext::<u32>::wire_len(self.url_records),
+            url_down: scheme::answer_byte_len::<u32>(self.url_rows),
+            ..QueryCost::default()
+        }
+    }
+
+    /// Word operations of one query, `[ranking scan, URL scan, token]`:
+    /// a multiply and an add per matrix entry and per hint word into
+    /// both halves of each `(chunk, limb)` ciphertext.
+    pub fn ops(&self) -> [f64; 3] {
+        let chunks = self.chunks();
+        let token = |i: usize| 4 * chunks[i] * self.limbs[i] * self.n[i] * self.ring;
+        [2 * self.rows * self.m, 2 * self.url_rows * self.url_records, token(0) + token(1)]
+            .map(|ops| ops as f64)
+    }
+}
+
+/// The Figure 8 / §8.5 scaling model: a deployment's shape and work at
+/// any corpus size, derived from its [`TiptoeConfig`]. `N` documents
+/// fall into `C = ⌈√(N/d)⌉` clusters, the count that balances the
+/// upload `d·C` against the download `N/C` ("if the dimension d grows
+/// large, we can take C ≈ √(N/d)", §4.2), of `⌈N·(1 + f)/C⌉` rows
+/// under dual-assignment fraction `f`. As in `PirDatabase`, each
+/// cluster's URLs form batches of `urls_per_batch`, one column a
+/// batch, whose [`URL_BYTES`] a URL are packed into the rows.
+#[derive(Debug, Clone)]
 pub struct ScalingModel {
-    /// Reduced embedding dimension.
-    pub d: usize,
-    /// Word ops per core-second, calibrated from a measured run
-    /// (defaults to 2·10⁹, this machine's measured MAC throughput).
+    /// Word ops per core-second, calibrated from a measured run (the
+    /// presets take 2·10⁹).
     pub ops_per_core_second: f64,
-    /// Compressed bytes per URL.
-    pub url_bytes: f64,
-    /// Inner secret dimension (ranking).
-    pub n_lwe: usize,
+    config: TiptoeConfig,
+    empty: DeploymentShape,
 }
 
 impl ScalingModel {
-    /// The paper's text configuration.
+    /// The model of `config`'s deployment.
+    pub fn new(config: &TiptoeConfig, ops_per_core_second: f64) -> Self {
+        let scheme = |lwe| Underhood::with_outer(lwe, config.rlwe, config.switch_log_q2);
+        let schemes = [scheme(config.rank_lwe), scheme(config.url_lwe)];
+        let empty = DeploymentShape::empty(config, [&schemes[0], &schemes[1]]);
+        Self { ops_per_core_second, config: config.clone(), empty }
+    }
+
+    /// The paper's text deployment ([`TiptoeConfig::text`]).
     pub fn text() -> Self {
-        Self { d: 192, ops_per_core_second: 2e9, url_bytes: 22.0, n_lwe: 2048 }
+        Self::new(&TiptoeConfig::text(C4_DOCS as usize, 0), 2e9)
     }
 
-    /// The paper's image configuration.
+    /// The paper's image deployment ([`TiptoeConfig::image`]).
     pub fn image() -> Self {
-        Self { d: 384, ops_per_core_second: 2e9, url_bytes: 22.0, n_lwe: 2048 }
+        Self::new(&TiptoeConfig::image(LAION_DOCS as usize, 0), 2e9)
     }
 
-    /// Cluster count `C ≈ √(N/d)·(1/1)` — the paper's "if the
-    /// dimension d grows large, we can take C ≈ √(N/d)" (§4.2).
+    /// Cluster count `C = ⌈√(N/d)⌉`.
     pub fn clusters(&self, n_docs: u64) -> u64 {
-        ((n_docs as f64 / self.d as f64).sqrt().ceil() as u64).max(1)
+        ((n_docs as f64 / self.config.d_reduced as f64).sqrt().ceil() as u64).max(1)
     }
 
-    /// Padded documents per cluster (with the 1.2× dual assignment).
-    pub fn rows(&self, n_docs: u64) -> u64 {
-        (n_docs as f64 * 1.2 / self.clusters(n_docs) as f64).ceil() as u64
+    /// The deployment's shape at `n_docs` documents.
+    pub fn shape(&self, n_docs: u64) -> DeploymentShape {
+        let c = self.clusters(n_docs) as usize;
+        let dual = 1.0 + f64::from(self.config.cluster.dual_assign_frac);
+        let rows = (n_docs as f64 * dual / c as f64).ceil() as usize;
+        let batch = self.config.urls_per_batch;
+        let (m, url_records) = (self.config.d_reduced * c, c * rows.div_ceil(batch));
+        let record_bytes = rows.min(batch) * URL_BYTES as usize;
+        let url_rows = BitPacker::new(self.config.url_lwe.p).entries_for(record_bytes);
+        DeploymentShape { m, rows, url_records, url_rows, ..self.empty }
     }
 
-    /// Ranking upload dimension `m = d·C`.
-    pub fn upload_dim(&self, n_docs: u64) -> u64 {
-        self.d as u64 * self.clusters(n_docs)
-    }
-
-    /// Per-query server compute in core-seconds (ranking scan + URL
-    /// scan + per-query token work).
-    pub fn core_seconds(&self, n_docs: u64) -> f64 {
-        let ranking_ops = 2.0 * n_docs as f64 * self.d as f64 * 1.2;
-        let url_ops = n_docs as f64 * self.url_bytes; // byte-ops over packed URLs
-        let token_ops = {
-            // Hint rows × n × limbs × 2 polys of NTT mults.
-            let rows = self.rows(n_docs) as f64;
-            rows * self.n_lwe as f64 * 2.0 * 2.0
-        };
-        (ranking_ops + url_ops + token_ops) / self.ops_per_core_second
-    }
-
-    /// Pre-query (token) communication in bytes: `n` seeded outer
-    /// ciphertexts of `8·2048` bytes up; down, two switched
-    /// ciphertexts per 2048 hint rows per limb for ranking + URL.
-    pub fn token_bytes(&self, n_docs: u64) -> u64 {
-        let up = (self.n_lwe as u64) * (8 * 2048 + 8);
-        let rank_rows = self.rows(n_docs);
-        let url_rows = (n_docs as f64 * self.url_bytes / self.clusters(n_docs) as f64 * 10.0)
-            .sqrt() as u64; // unbalanced PIR matrix height
-        let down_per_row = 2 * 2 * 6; // 2 limbs × (a,b) × ~44-bit words
-        up + (rank_rows + url_rows) * down_per_row
-    }
-
-    /// Online (ranking + URL) communication in bytes.
-    pub fn online_bytes(&self, n_docs: u64) -> u64 {
-        let rank_up = self.upload_dim(n_docs) * 8;
-        let rank_down = self.rows(n_docs) * 8;
-        let batches = (n_docs as f64 / 880.0).ceil() as u64;
-        let url_up = batches * 4;
-        let url_down = (40u64 << 10) * 4 / 3; // one padded record at 9 bits/entry
-        rank_up + rank_down + url_up + url_down
-    }
-
-    /// Total per-query communication.
-    pub fn total_bytes(&self, n_docs: u64) -> u64 {
-        self.token_bytes(n_docs) + self.online_bytes(n_docs)
+    /// Server core-seconds per query, `[ranking, URL, token]`.
+    pub fn core_seconds(&self, n_docs: u64) -> [f64; 3] {
+        self.shape(n_docs).ops().map(|ops| ops / self.ops_per_core_second)
     }
 }
 
@@ -194,14 +256,13 @@ impl ScalingModel {
 /// with a distributed point function instead of encrypting it.
 /// "We estimate that the per-query communication on the C4 data set
 /// would be roughly 1 MiB (instead of Tiptoe's 56.9 MiB)."
-pub fn non_colluding_bytes(n_docs: u64, d: usize) -> u64 {
-    let model = ScalingModel { d, ..ScalingModel::text() };
+pub fn non_colluding_bytes(model: &ScalingModel, n_docs: u64) -> u64 {
     let clusters = model.clusters(n_docs);
     // Per server: a DPF key of ~λ·log2(C) bits plus the d-dim plain
     // query share, and the plain inner-product scores down.
     let dpf_key = 16 * (64 - u64::from(clusters.leading_zeros()) + 1);
-    let up_per_server = dpf_key + (d as u64) * 2;
-    let down_per_server = model.rows(n_docs) * 4;
+    let up_per_server = dpf_key + (model.config.d_reduced as u64) * 2;
+    let down_per_server = model.shape(n_docs).rows as u64 * 4;
     2 * (up_per_server + down_per_server)
 }
 
@@ -246,25 +307,26 @@ mod tests {
     #[test]
     fn scaling_model_reproduces_figure_8_shape() {
         let model = ScalingModel::text();
+        let core_seconds = |n| model.core_seconds(n).iter().sum::<f64>();
         // §8.5: "on a corpus of 8 billion documents, a Tiptoe search
         // query would require roughly 1 900 core-seconds and 140 MiB of
         // communication".
-        let core_s = model.core_seconds(8_000_000_000);
+        let core_s = core_seconds(8_000_000_000);
         assert!((1_000.0..=4_000.0).contains(&core_s), "core-s {core_s}");
-        let comm = model.total_bytes(8_000_000_000);
+        let comm = model.shape(8_000_000_000).query_bytes().total_bytes();
         assert!((90u64 << 20..=200u64 << 20).contains(&comm), "comm {}", comm >> 20);
         // Compute grows linearly, communication sub-linearly.
-        let c1 = model.core_seconds(1_000_000_000);
-        let c10 = model.core_seconds(10_000_000_000);
+        let c1 = core_seconds(1_000_000_000);
+        let c10 = core_seconds(10_000_000_000);
         assert!((9.0..=11.0).contains(&(c10 / c1)));
-        let b1 = model.total_bytes(1_000_000_000);
-        let b10 = model.total_bytes(10_000_000_000);
+        let b1 = model.shape(1_000_000_000).query_bytes().total_bytes();
+        let b10 = model.shape(10_000_000_000).query_bytes().total_bytes();
         assert!((b10 as f64 / b1 as f64) < 5.0, "communication must scale sublinearly");
     }
 
     #[test]
     fn non_colluding_estimate_is_about_one_mebibyte() {
-        let bytes = non_colluding_bytes(C4_DOCS, 192);
+        let bytes = non_colluding_bytes(&ScalingModel::text(), C4_DOCS);
         assert!(
             ((1u64 << 19)..(4u64 << 20)).contains(&bytes),
             "got {} KiB",

@@ -42,6 +42,7 @@ use tiptoe_obs::recorder::{self, result_code, EventKind};
 use tiptoe_pir::PirClient;
 use tiptoe_underhood::{ClientKey, DecodedToken, EncryptedSecret};
 
+use crate::analysis::DeploymentShape;
 use crate::batch::ClientMetadata;
 use crate::instance::TiptoeInstance;
 use crate::serving::ServingPlane;
@@ -205,11 +206,9 @@ impl TiptoeClient {
         instance.transcript.record_down(Phase::Setup, setup_bytes);
         let rng = seeded_rng(derive_seed(seed, 0xc11e27));
         // One inner ternary secret serves both services per token
-        // (§A.3); a *fresh* one is sampled per token (§6.3). Its
-        // dimension is the larger of the two secret dimensions.
-        let max_n = instance.config.rank_lwe.n.max(instance.config.url_lwe.n);
+        // (§A.3); a *fresh* one is sampled per token (§6.3).
         Self {
-            max_n,
+            max_n: instance.config.max_n(),
             pca: instance.artifacts.pca.clone(),
             meta,
             quant: instance.config.quantizer(),
@@ -519,9 +518,10 @@ impl TiptoeClient {
         // serving mode (healthy, fault-aware, coalesced). Sizes are
         // fixed by the protocol shape — a retried or failed query
         // must keep the same observable wire footprint as a healthy
-        // one.
+        // one — so the answers are priced by the size model.
+        let sizes = DeploymentShape::of(instance).query_bytes();
         cost.rank_up = ct.byte_len();
-        cost.rank_down = (instance.ranking.rows() * 8) as u64;
+        cost.rank_down = sizes.rank_down;
         let policy = &instance.config.fault_policy;
         let benign = FaultPlan::none();
         let plan = opts.faults.unwrap_or(&benign);
@@ -573,9 +573,7 @@ impl TiptoeClient {
             )
         });
         cost.url_up = url_ct.byte_len();
-        // A fixed-size phase regardless of outcome: accounting (and
-        // the observable wire footprint) must not depend on faults.
-        cost.url_down = (instance.url.database().rows() * 4) as u64;
+        cost.url_down = sizes.url_down;
         let url_ledger = Ledger {
             transcript: &instance.transcript,
             phase: Phase::Url,

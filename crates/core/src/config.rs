@@ -164,6 +164,12 @@ impl TiptoeConfig {
         Quantizer::new(self.quant_bits, self.rank_lwe.p)
     }
 
+    /// Dimension of a client's inner secret: one secret serves both
+    /// services (§A.3), so it is the larger of their two `n`.
+    pub fn max_n(&self) -> usize {
+        self.rank_lwe.n.max(self.url_lwe.n)
+    }
+
     /// Checks cross-parameter consistency, surfacing policy
     /// misconfiguration as a typed [`ConfigError`] instead of a panic
     /// — the entry point for config loading.

@@ -51,11 +51,6 @@ impl CorpusConfig {
             seed,
         }
     }
-
-    /// A variant whose queries are literal extracts (no paraphrasing).
-    pub fn literal(num_docs: usize, seed: u64) -> Self {
-        Self { paraphrase_frac: 0.0, ..Self::small(num_docs, seed) }
-    }
 }
 
 /// A synthetic web document.

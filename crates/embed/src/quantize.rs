@@ -69,12 +69,6 @@ impl Quantizer {
         v.iter().map(|&x| self.encoder.encode(x) as u32).collect()
     }
 
-    /// Recovers the (approximate) real inner product from a `Z_p`
-    /// inner-product score.
-    pub fn score_to_f32(&self, score: u64) -> f32 {
-        self.encoder.decode_product(score) as f32
-    }
-
     /// Signed inner product of two quantized vectors, as the
     /// (decrypted) server computation produces it.
     ///

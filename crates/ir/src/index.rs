@@ -52,11 +52,6 @@ impl InvertedIndex {
         self.doc_lengths.len()
     }
 
-    /// Vocabulary size.
-    pub fn num_terms(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Token count of document `doc`.
     ///
     /// # Panics

@@ -160,24 +160,6 @@ impl LweParams {
             _ => None,
         }
     }
-
-    /// Bytes in one ciphertext word (`log_q / 8`).
-    pub fn word_bytes(&self) -> usize {
-        (self.log_q / 8) as usize
-    }
-
-    /// Upload size in bytes for a query of dimension `m`
-    /// ("Ciphertext size before homomorphic operation: m words").
-    pub fn upload_bytes(&self, m: usize) -> u64 {
-        (m * self.word_bytes()) as u64
-    }
-
-    /// Download size in bytes for `ell` output coordinates *without*
-    /// hint outsourcing ("after homomorphic operation: λ·√N words" —
-    /// here `ell·(n+1)` words if the hint rows had to travel too).
-    pub fn raw_download_bytes(&self, ell: usize) -> u64 {
-        (ell * self.word_bytes()) as u64
-    }
 }
 
 /// One row of the paper's Table 11 / Table 12.

@@ -101,9 +101,14 @@ pub struct LweCiphertext<W: Word> {
 }
 
 impl<W: Word> LweCiphertext<W> {
-    /// Wire size in bytes (1-byte width tag, 4-byte count, words).
+    /// Wire size in bytes of `words` words after a width tag and a count.
+    pub fn wire_len(words: usize) -> u64 {
+        5 + answer_byte_len::<W>(words)
+    }
+
+    /// Wire size in bytes ([`LweCiphertext::wire_len`] of its length).
     pub fn byte_len(&self) -> u64 {
-        5 + (self.c.len() * (W::BITS as usize / 8)) as u64
+        Self::wire_len(self.c.len())
     }
 
     /// Serializes to the wire format (`encode().len() == byte_len()`).
@@ -252,6 +257,12 @@ pub fn apply<W: Word>(db: &Mat<impl Entry>, cts: &[&[W]], threads: usize) -> Vec
     let mut span = kernel_span("lwe.matvec", db.rows(), db.cols());
     span.attr_u64("batch", cts.len() as u64);
     scan(db, cts, threads)
+}
+
+/// Bytes of one answer `c' = M·c` of `rows` words as a query's ledger
+/// counts them: the words alone.
+pub fn answer_byte_len<W: Word>(rows: usize) -> u64 {
+    (rows * (W::BITS as usize / 8)) as u64
 }
 
 /// Computes `H·s`, the linear part of decryption. This is exactly the

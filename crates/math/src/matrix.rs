@@ -43,16 +43,6 @@ impl<T: Copy + Default> Mat<T> {
         Self { rows, cols, data }
     }
 
-    /// Wraps an existing row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer does not match shape");
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

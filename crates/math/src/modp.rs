@@ -82,12 +82,6 @@ impl PrimeModulus {
         a % self.q
     }
 
-    /// Reduces an arbitrary `u128` into `Z_Q`.
-    #[inline(always)]
-    pub fn reduce_u128(&self, a: u128) -> u64 {
-        (a % self.q as u128) as u64
-    }
-
     /// Reduces a signed value into `Z_Q`.
     #[inline(always)]
     pub fn reduce_signed(&self, a: i64) -> u64 {

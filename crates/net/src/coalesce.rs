@@ -344,12 +344,6 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
         self.policy
     }
 
-    /// Process-unique id of this coalescer's lane (the key recorder
-    /// timelines and introspection snapshots report lanes under).
-    pub fn lane_id(&self) -> u64 {
-        self.id
-    }
-
     /// Live occupancy snapshot of this lane (for `ServingPlane`
     /// introspection; values are instantaneous and unsynchronized).
     pub fn lane_status(&self) -> LaneStatus {

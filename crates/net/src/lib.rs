@@ -238,15 +238,6 @@ pub struct ParallelTiming {
 }
 
 impl ParallelTiming {
-    /// Adds one shard of a fan-out that took `elapsed`: shards run one
-    /// at a time on this machine (so scheduler interleaving cannot
-    /// distort the numbers) but stand for parallel workers, hence
-    /// `wall` = slowest shard and `cpu` = sum.
-    pub fn add_shard(&mut self, elapsed: Duration) {
-        self.wall = self.wall.max(elapsed);
-        self.cpu += elapsed;
-    }
-
     /// Combines two phases executed one after the other.
     pub fn then(self, next: ParallelTiming) -> ParallelTiming {
         ParallelTiming { wall: self.wall + next.wall, cpu: self.cpu + next.cpu }

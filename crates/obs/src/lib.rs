@@ -47,11 +47,11 @@ use std::time::{Duration, Instant};
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Span-tree sampling rate: trace 1-in-N queries (`1` = every query).
-/// [`begin_query`] rolls the sample; between queries the outcome is
+/// [`query_scope`] rolls the sample; between queries the outcome is
 /// latched in [`SAMPLED`] so [`enabled`] stays one atomic load.
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
 
-/// Queries seen by [`begin_query`] since the sampling rate was set.
+/// Queries seen by [`query_scope`] since the sampling rate was set.
 static QUERY_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Whether the current query was sampled (true outside any query so
@@ -149,7 +149,7 @@ pub fn enabled() -> bool {
 
 /// Sets the span-sampling rate: trace 1-in-`every` queries. `every`
 /// below 1 is clamped to 1 (every query). Resets the query counter so
-/// the next [`begin_query`] is sampled — deterministic for tests and
+/// the next [`query_scope`] is sampled — deterministic for tests and
 /// benchmarks.
 pub fn set_span_sample(every: u64) {
     SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
@@ -213,32 +213,6 @@ pub fn clear_spans() {
     state().spans.lock().expect("span lock").clear();
 }
 
-/// Marks the start of a query: rolls the 1-in-N sampling decision for
-/// this query and, when it is sampled (and tracing is enabled), clears
-/// the span buffer so the exported trace holds exactly one query.
-/// Unsampled queries record no spans at all — [`enabled`] reports
-/// false until the next sampled query begins.
-pub fn begin_query() {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    roll_sample(true);
-}
-
-/// Rolls the 1-in-N sampling decision for one query. The span buffer
-/// is cleared only when the caller is the sole active query —
-/// concurrent clients share the buffer, and clearing it mid-cohort
-/// would erase their in-flight spans.
-fn roll_sample(sole_query: bool) {
-    let every = SAMPLE_EVERY.load(Ordering::Relaxed).max(1);
-    let i = QUERY_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let sampled = i.is_multiple_of(every);
-    SAMPLED.store(sampled, Ordering::Relaxed);
-    if sampled && sole_query {
-        clear_spans();
-    }
-}
-
 /// The query id owning the calling thread (0 outside any
 /// [`query_scope`]). Query ids are minted even when tracing is
 /// disabled or the query is sampled out — the flight recorder
@@ -270,11 +244,13 @@ impl Drop for QueryScope {
 
 /// Enters a query boundary on this thread: mints a process-unique
 /// query id (the flight-recorder key and [`TraceCtx::trace_id`]) and,
-/// when tracing is enabled, rolls the span-sampling decision like
-/// [`begin_query`]. Unlike `begin_query`, the span buffer is cleared
-/// only when no other query is active, so concurrent clients'
-/// in-flight spans survive each other's boundaries and a post-cohort
-/// snapshot holds every query's tree. Nested calls on the same thread
+/// when tracing is enabled, rolls the 1-in-N span-sampling decision.
+/// A sampled query clears the span buffer, so the exported trace holds
+/// that query, but only when no other query is active: concurrent
+/// clients' in-flight spans survive each other's boundaries and a
+/// post-cohort snapshot holds every query's tree. An unsampled query
+/// records no spans ([`enabled`] reports false until the next sampled
+/// one). Nested calls on the same thread
 /// adopt the existing scope (the guard is then inert).
 pub fn query_scope() -> QueryScope {
     if current_query() != 0 {
@@ -283,7 +259,12 @@ pub fn query_scope() -> QueryScope {
     CURRENT_QUERY.with(|q| q.set(NEXT_QUERY.fetch_add(1, Ordering::Relaxed)));
     let active = ACTIVE_QUERIES.fetch_add(1, Ordering::Relaxed) + 1;
     if ENABLED.load(Ordering::Relaxed) {
-        roll_sample(active == 1);
+        let every = SAMPLE_EVERY.load(Ordering::Relaxed).max(1);
+        let sampled = QUERY_COUNTER.fetch_add(1, Ordering::Relaxed).is_multiple_of(every);
+        SAMPLED.store(sampled, Ordering::Relaxed);
+        if sampled && active == 1 {
+            clear_spans();
+        }
     }
     QueryScope { fresh: true }
 }
@@ -587,7 +568,7 @@ mod tests {
         set_span_sample(3);
         let mut recorded = Vec::new();
         for _ in 0..6 {
-            begin_query();
+            let _q = query_scope();
             let sampled = enabled();
             {
                 let _s = span("q");

@@ -261,11 +261,6 @@ impl RlweCiphertext {
         b.to_ntt();
         Self { a, b }
     }
-
-    /// Wire size in bytes: two polynomials of `N` 8-byte words.
-    pub fn byte_len(&self) -> u64 {
-        16 * self.a.data().len() as u64
-    }
 }
 
 /// Expands the uniform `a` polynomial of `seed` into `a_ntt`, directly
@@ -448,11 +443,16 @@ pub struct SwitchedCiphertext {
 }
 
 impl SwitchedCiphertext {
-    /// Wire size in bytes: a width byte plus two bit-packed
-    /// coefficient vectors of `log_q2` bits per value.
+    /// Wire size in bytes at degree `N`: a width byte, then two vectors of
+    /// `N` coefficients packed at `log_q2` bits, each after a count and a width.
+    pub fn wire_len(degree: usize, log_q2: u32) -> u64 {
+        1 + 2 * (5 + (degree as u64 * log_q2 as u64).div_ceil(8))
+    }
+
+    /// Wire size in bytes ([`SwitchedCiphertext::wire_len`] of its
+    /// degree; the decoder admits only equal halves).
     pub fn byte_len(&self) -> u64 {
-        let packed = |n: u64| 5 + (n * self.log_q2 as u64).div_ceil(8);
-        1 + packed(self.a.len() as u64) + packed(self.b.len() as u64)
+        Self::wire_len(self.a.len(), self.log_q2)
     }
 
     /// Serializes to the wire format.
@@ -481,6 +481,9 @@ impl SwitchedCiphertext {
         }
         let a = r.get_packed_u64()?;
         let b = r.get_packed_u64()?;
+        if a.len() != b.len() {
+            return Err(WireError::Invalid("switched ciphertext halves differ in degree"));
+        }
         Ok(Self { a, b, log_q2 })
     }
 }
@@ -683,7 +686,8 @@ mod tests {
         let switched = mod_switch(&ctx, &ct, 44);
         let got = decrypt_switched(&ctx, &sk, &switched);
         assert_eq!(got, m);
-        assert!(switched.byte_len() < ct.byte_len(), "switching should shrink the wire size");
+        // Unswitched, the two polynomials are `N` 8-byte words each.
+        assert!(switched.byte_len() < 16 * n as u64, "switching should shrink the wire size");
     }
 
     #[test]
@@ -777,8 +781,8 @@ mod tests {
         let sk = RlweSecretKey::generate(&ctx, &mut rng);
         let ct = encrypt_scalar(&ctx, &sk, 1, 9, &mut rng);
         let expanded = expand(&ctx, &ct);
-        // Seed + framing vs two full polynomials.
-        assert!(encode(&ct).len() as u64 <= expanded.byte_len() / 2 + 16);
+        // Seed + framing vs two full polynomials of 8-byte words.
+        assert!(encode(&ct).len() as u64 <= 16 * expanded.a.data().len() as u64 / 2 + 16);
     }
 
     #[test]

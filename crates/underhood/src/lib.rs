@@ -170,11 +170,6 @@ impl ClientKey {
         LweSecretKey::from_ternary(params, &self.ternary[..params.n])
     }
 
-    /// The outer ring key.
-    pub fn rlwe_key(&self) -> &RlweSecretKey {
-        &self.rlwe_sk
-    }
-
     /// Inner secret dimension.
     pub fn max_n(&self) -> usize {
         self.ternary.len()
@@ -294,9 +289,15 @@ impl EncryptedSecret {
         self.seeds.is_empty()
     }
 
-    /// Wire size in bytes: count prefix plus the seeded ciphertexts.
+    /// Wire size in bytes of `count` seeded ciphertexts of degree `ring`
+    /// after a count prefix.
+    pub fn wire_len(count: usize, ring: usize) -> u64 {
+        4 + count as u64 * seeded_byte_len(ring)
+    }
+
+    /// Wire size in bytes ([`EncryptedSecret::wire_len`] of its shape).
     pub fn byte_len(&self) -> u64 {
-        4 + self.len() as u64 * seeded_byte_len(self.ring)
+        Self::wire_len(self.len(), self.ring)
     }
 
     /// Serializes to the wire format (`encode().len() == byte_len()`).
@@ -454,9 +455,15 @@ impl Underhood {
     pub fn preprocess_hint<W: Word>(&self, hint: &Mat<W>) -> ServerHint {
         let ring = self.ctx.params().degree;
         let rows = hint.rows();
-        let chunks = rows.div_ceil(ring).max(1);
+        let chunks = Self::hint_chunks(rows, ring);
         let chunks = (0..chunks).map(|c| self.hint_chunk_polys(hint, c)).collect();
         ServerHint { chunks, rows, n: hint.cols(), ring }
+    }
+
+    /// Chunks of `ring` rows (at least one) a hint of `rows` rows is cut
+    /// into; a token holds [`Underhood::limb_count`] ciphertexts each.
+    pub fn hint_chunks(rows: usize, ring: usize) -> usize {
+        rows.div_ceil(ring).max(1)
     }
 
     /// Builds the NTT-ready limb polynomials of one chunk of `N_ring`
@@ -701,10 +708,19 @@ pub struct QueryToken {
 }
 
 impl QueryToken {
-    /// Wire size in bytes: header (rows, chunk count, limb count) plus
-    /// the modulus-switched ciphertexts.
+    /// Wire size in bytes of a header (rows, chunk count, limb count)
+    /// and `chunks × limbs` switched ciphertexts of degree `ring`.
+    pub fn wire_len(chunks: usize, limbs: usize, ring: usize, log_q2: u32) -> u64 {
+        12 + (chunks * limbs) as u64 * SwitchedCiphertext::wire_len(ring, log_q2)
+    }
+
+    /// Wire size in bytes ([`QueryToken::wire_len`] of its shape; the
+    /// decoder admits only ciphertexts of one degree and width).
     pub fn byte_len(&self) -> u64 {
-        12 + self.chunks.iter().flatten().map(|c| c.byte_len()).sum::<u64>()
+        let limbs = self.chunks.first().map_or(0, Vec::len);
+        let ct = self.chunks.iter().flatten().next();
+        let (ring, log_q2) = ct.map_or((0, 0), |c| (c.a.len(), c.log_q2));
+        Self::wire_len(self.chunks.len(), limbs, ring, log_q2)
     }
 
     /// Serializes to the wire format (`encode().len() == byte_len()`).
@@ -741,10 +757,15 @@ impl QueryToken {
             return Err(WireError::Invalid("token row count exceeds chunk capacity"));
         }
         let mut chunks = Vec::with_capacity(chunk_count);
+        let mut shape = None;
         for _ in 0..chunk_count {
             let mut per_limb = Vec::with_capacity(limb_count);
             for _ in 0..limb_count {
-                per_limb.push(SwitchedCiphertext::decode_from(&mut r)?);
+                let ct = SwitchedCiphertext::decode_from(&mut r)?;
+                if *shape.get_or_insert((ct.a.len(), ct.log_q2)) != (ct.a.len(), ct.log_q2) {
+                    return Err(WireError::Invalid("token ciphertexts differ in shape"));
+                }
+                per_limb.push(ct);
             }
             chunks.push(per_limb);
         }
