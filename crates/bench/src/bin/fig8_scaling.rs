@@ -5,41 +5,32 @@
 //!
 //! The paper computes this figure analytically from its measured
 //! 364M-document point; we do the same, calibrating the word-op
-//! throughput from a measured matrix-vector product on this machine.
+//! throughput from a measured ranking scan on this machine: one thread
+//! over a synthetic `i8` matrix whose entries span the text quantizer's
+//! signed range.
 //!
 //! ```text
 //! cargo run --release -p tiptoe-bench --bin fig8_scaling
 //! ```
 
-use std::time::Instant;
-
 use rand::Rng;
+use tiptoe_bench::measure::scan_ops_per_core_second;
 use tiptoe_core::analysis::ScalingModel;
-use tiptoe_math::matrix::{scan, Mat};
+use tiptoe_core::config::TiptoeConfig;
+use tiptoe_math::matrix::Mat;
 use tiptoe_math::rng::seeded_rng;
 use tiptoe_math::stats::fmt_bytes;
 
-/// Measures this machine's 64-bit MAC throughput on the SimplePIR
-/// apply kernel (the number the paper's r5 instances deliver from DRAM
-/// bandwidth).
-fn calibrate_ops_per_second() -> f64 {
+/// A synthetic ranking matrix of `rows × cols` entries drawn from the
+/// text deployment's signed quantized range `[−2^b, 2^b]`.
+fn text_rank_matrix(rows: usize, cols: usize) -> Mat<i8> {
+    let bound = 1i8 << TiptoeConfig::text(1, 0).quant_bits;
     let mut rng = seeded_rng(1);
-    let (rows, cols) = (512usize, 8192usize);
-    let db = Mat::from_fn(rows, cols, |_, _| rng.gen_range(0..16u32));
-    let v: Vec<u64> = (0..cols).map(|_| rng.gen()).collect();
-    // Warm up, then measure.
-    let _ = scan(&db, &[&v], 1);
-    let reps = 8;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(scan(&db, &[std::hint::black_box(&v)], 1));
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    (2.0 * (rows * cols * reps) as f64) / elapsed
+    Mat::from_fn(rows, cols, |_, _| rng.gen_range(-bound..=bound))
 }
 
 fn main() {
-    let ops = calibrate_ops_per_second();
+    let ops = scan_ops_per_core_second(&text_rank_matrix(512, 8192));
     println!("calibrated MAC throughput: {:.2e} word-ops/core-s\n", ops);
     let mut model = ScalingModel::text();
     model.ops_per_core_second = ops;

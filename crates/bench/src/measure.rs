@@ -4,7 +4,9 @@
 //! queries through the full private pipeline, and calibrates the
 //! analytic extrapolation to web scale.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use rand::Rng;
 
 use tiptoe_core::analysis::{DeploymentShape, ScalingModel};
 use tiptoe_core::batch::ClientMetadata;
@@ -15,6 +17,9 @@ use tiptoe_corpus::synth::{generate, Corpus, CorpusConfig};
 use tiptoe_embed::clip::ClipLikeEmbedder;
 use tiptoe_embed::text::TextEmbedder;
 use tiptoe_embed::Embedder;
+use tiptoe_math::matrix::{scan, Mat};
+use tiptoe_math::rng::seeded_rng;
+use tiptoe_math::stats::percentile;
 
 /// A deployment and the corpus it indexes.
 pub type Deployment<E> = (Corpus, TiptoeInstance<E>);
@@ -35,8 +40,9 @@ pub struct Measurement {
     pub meta: ClientMetadata,
     /// Server-side index state.
     pub server_bytes: u64,
-    /// Calibrated 64-bit MAC throughput (word-ops/core-second),
-    /// derived from the measured ranking answers.
+    /// Calibrated 64-bit MAC throughput (word-ops/core-second):
+    /// [`scan_ops_per_core_second`] over the deployment's ranking
+    /// matrix.
     pub ops_per_core_second: f64,
     /// Measured client-side-index bytes per document (4-bit
     /// embeddings plus compressed URLs), for the Table 6 "client-side
@@ -49,6 +55,23 @@ impl Measurement {
     pub fn scaling_model(&self) -> ScalingModel {
         ScalingModel::new(&self.config, self.ops_per_core_second)
     }
+}
+
+/// This host's word-op rate on the ranking scan: the median over nine
+/// warmed reps of one single-thread [`scan`] of a `u64` query over
+/// `matrix`, at 2 ops an entry, in word-ops per core-second.
+pub fn scan_ops_per_core_second(matrix: &Mat<i8>) -> f64 {
+    let mut rng = seeded_rng(1);
+    let query: Vec<u64> = (0..matrix.cols()).map(|_| rng.gen()).collect();
+    std::hint::black_box(scan(matrix, &[&query], 1));
+    let secs: Vec<f64> = (0..9)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(scan(matrix, &[std::hint::black_box(&query)], 1));
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    2.0 * matrix.len() as f64 / percentile(&secs, 50.0).max(1e-9)
 }
 
 /// The mean of `costs`' timings; the bytes, which the deployment's
@@ -125,11 +148,7 @@ pub fn measure<E: Embedder + Send + Sync>(
     }
     let cost = average_costs(&costs);
 
-    // Calibrate word-op throughput from the measured ranking scans:
-    // each answer performs 2 ops per matrix entry.
-    let matrix_entries = instance.artifacts.rank_matrix.len() as f64;
-    let rank_cpu = cost.rank_server.cpu.as_secs_f64().max(1e-9);
-    let ops_per_core_second = 2.0 * matrix_entries / rank_cpu;
+    let ops_per_core_second = scan_ops_per_core_second(&instance.artifacts.rank_matrix);
 
     // Client-side-index baseline: the same data a client would store
     // locally — 4-bit quantized embeddings plus the compressed URLs.

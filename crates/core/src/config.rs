@@ -70,7 +70,7 @@ pub struct TiptoeConfig {
     /// inflight-query window and the per-admitted-query deadline
     /// budget. Disabled by default — every query is admitted and
     /// unbudgeted, exactly the pre-overload behavior. When enabled,
-    /// queries past the plane's derived capacity (plus the queue
+    /// queries past `admission.max_inflight` (plus the queue
     /// depth) are shed with a typed error before consuming a token or
     /// moving any bytes.
     pub admission: AdmissionPolicy,
@@ -222,7 +222,7 @@ impl TiptoeConfig {
             // An admitted query crosses several coalescer lanes (token
             // fetch, ranking shards, URL retrieval), and each lane may
             // wait up to `coalesce.max_wait` before flushing — more
-            // under crash retries. A wait ceiling above 1/8 of the
+            // under crash retries. A lane wait above 1/8 of the
             // per-query deadline budget could exhaust the budget on
             // queued waits alone, deadlining queries the plane had
             // capacity to serve.
@@ -230,7 +230,7 @@ impl TiptoeConfig {
             if self.coalesce.max_wait > floor {
                 return Err(ConfigError {
                     field: "coalesce.max_wait",
-                    reason: "wait ceiling exceeds the admission deadline budget floor \
+                    reason: "lane wait exceeds the admission deadline budget floor \
                              (deadline/8); lane waits alone could deadline admitted queries",
                 });
             }
@@ -275,17 +275,26 @@ mod tests {
         let err = c.try_validate().expect_err("zero deadline");
         assert_eq!(err.field, "admission.deadline");
 
-        // A coalescer wait ceiling that could eat the whole deadline
-        // budget on queued waits is rejected when admission is on —
-        // and only then (unbudgeted queries tolerate any ceiling).
+        // Admission admits exactly `max_inflight`, so an enabled plane
+        // needs a positive capacity.
         let mut c = TiptoeConfig::test_small(500, 1);
         c.admission.enabled = true;
+        c.admission.max_inflight = 0;
+        let err = c.try_validate().expect_err("admission with zero capacity");
+        assert_eq!(err.field, "admission.max_inflight");
+
+        // A coalescer wait that could eat the whole deadline budget on
+        // queued waits is rejected when admission is on — and only then
+        // (unbudgeted queries tolerate any wait).
+        let mut c = TiptoeConfig::test_small(500, 1);
+        c.admission.enabled = true;
+        c.admission.max_inflight = 2;
         c.admission.deadline = std::time::Duration::from_millis(4);
         c.coalesce.max_wait = std::time::Duration::from_millis(1);
-        let err = c.try_validate().expect_err("wait ceiling above deadline/8");
+        let err = c.try_validate().expect_err("lane wait above deadline/8");
         assert_eq!(err.field, "coalesce.max_wait");
         c.coalesce.max_wait = std::time::Duration::from_micros(500);
-        c.try_validate().expect("wait ceiling at deadline/8 is fine");
+        c.try_validate().expect("lane wait at deadline/8 is fine");
         c.admission.enabled = false;
         c.coalesce.max_wait = std::time::Duration::from_millis(1);
         c.try_validate().expect("no admission, no deadline floor");

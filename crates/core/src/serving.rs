@@ -69,9 +69,7 @@ impl<'a> ServingPlane<'a> {
     /// coalescing and admission policies.
     ///
     /// When `admission.enabled`, the plane's concurrent-query capacity
-    /// is derived from the observed batched-scan latency histogram
-    /// (`net.coalesce.flush_us`) — or pinned by
-    /// `admission.max_inflight` — and queries past
+    /// is `admission.max_inflight`, and queries past
     /// `capacity + queue_depth` inflight are shed with a typed
     /// [`ServeError::Overloaded`].
     ///
@@ -119,11 +117,7 @@ impl<'a> ServingPlane<'a> {
             rank.into_iter().zip(url_tokens).map(|(rank, url)| TokenBundle { rank, url }).collect()
         })
         .with_cohort(cohort.clone());
-        let admission = admission.enabled.then(|| {
-            let flush = tiptoe_obs::metrics().histogram("net.coalesce.flush_us");
-            let capacity = admission.capacity_from_flush_histogram(&flush, policy.max_batch);
-            AdmissionController::new(admission, capacity)
-        });
+        let admission = admission.enabled.then(|| AdmissionController::new(admission));
         Self { rank_lanes, url_lane, token_lane, admission, cohort }
     }
 
@@ -271,7 +265,7 @@ impl<'a> ServingPlane<'a> {
 /// Admission-control counters in a [`PlaneStatus`] snapshot.
 #[derive(Debug, Clone)]
 pub struct AdmissionStatus {
-    /// Derived concurrent-query capacity.
+    /// Configured concurrent-query capacity.
     pub capacity: usize,
     /// Extra arrivals tolerated past capacity before shedding.
     pub queue_depth: usize,
@@ -339,13 +333,11 @@ pub struct PlaneStatus {
 
 impl PlaneStatus {
     /// Histograms surfaced in every snapshot: batch formation, scan
-    /// latency, queue wait, the adaptive wait a forming batch gets, and
-    /// per-shard response wall time.
-    pub const WATCHED_HISTOGRAMS: [&'static str; 5] = [
+    /// latency, queue wait, and per-shard response wall time.
+    pub const WATCHED_HISTOGRAMS: [&'static str; 4] = [
         "net.coalesce.batch_size",
         "net.coalesce.flush_us",
         "net.coalesce.queue_wait_us",
-        "net.coalesce.adaptive_wait_us",
         "net.shard_response_us",
     ];
 
@@ -360,12 +352,11 @@ impl PlaneStatus {
             let _ = write!(
                 out,
                 "{{\"name\":\"{name}\",\"id\":{},\"queued\":{},\"inflight\":{},\
-                 \"effective_wait_us\":{},\"max_wait_us\":{},\"max_batch\":{},\
-                 \"last_batch\":{},\"served\":{},\"flushes\":{{",
+                 \"max_wait_us\":{},\"max_batch\":{},\"last_batch\":{},\"served\":{},\
+                 \"flushes\":{{",
                 l.id,
                 l.queued,
                 l.inflight,
-                l.effective_wait.as_micros(),
                 l.max_wait.as_micros(),
                 l.max_batch,
                 l.last_batch,
@@ -439,13 +430,12 @@ impl PlaneStatus {
         );
         let _ = write!(
             out,
-            "{:<10} {:>4} {:>6} {:>8} {:>12} {:>10} {:>9} {:>10}",
+            "{:<10} {:>4} {:>6} {:>8} {:>11} {:>9} {:>10}",
             "lane",
             "id",
             "queued",
             "inflight",
-            "eff_wait_us",
-            "max_wait",
+            "max_wait_us",
             "max_batch",
             "last_batch"
         );
@@ -459,12 +449,11 @@ impl PlaneStatus {
         for (name, l) in &self.lanes {
             let _ = write!(
                 out,
-                "{:<10} {:>4} {:>6} {:>8} {:>12} {:>10} {:>9} {:>10}",
+                "{:<10} {:>4} {:>6} {:>8} {:>11} {:>9} {:>10}",
                 name,
                 l.id,
                 l.queued,
                 l.inflight,
-                l.effective_wait.as_micros(),
                 l.max_wait.as_micros(),
                 l.max_batch,
                 l.last_batch

@@ -34,18 +34,12 @@
 //!   request still queued drains the batch and runs the kernel (reason
 //!   `deadline`); the others find their requests gone and wait for the
 //!   reply the drainer owes them.
-//! - **`max_wait` adapts to the lane's measured arrival rate.** A
-//!   deadline is set only when someone in flight has not arrived yet:
-//!   a co-submitter still in a sibling lane or inside a running flush,
-//!   or a lane whose population just shrank (one deadline wait per
-//!   decrease; the drained batch then resets the expectation). With
-//!   [`CoalescePolicy::adaptive`] set the deadline is
-//!   `min(max_wait, max(p90 interarrival × (max_batch − 1), p50 flush))`
-//!   from this lane's own `net.coalesce.interarrival_us[lane<id>]`
-//!   series and the `net.coalesce.flush_us` histogram: there is no
-//!   point waiting longer than the batch needs to fill, and a wait
-//!   shorter than one flush buys nothing. The policy's `max_wait` is a
-//!   hard ceiling.
+//! - **A deadline is set only when someone in flight has not arrived
+//!   yet:** a co-submitter still in a sibling lane or inside a running
+//!   flush, or a lane whose population just shrank (one deadline wait
+//!   per decrease; the drained batch then resets the expectation). The
+//!   deadline is the forming batch's first arrival plus the policy's
+//!   `max_wait`, a fixed, configured window.
 //!
 //! Two invariants make every path safe to race: a request leaves the
 //! queue exactly once, under the queue lock (drained into a batch, or
@@ -91,28 +85,21 @@ pub const MAX_LANE_RETRIES: u32 = 3;
 pub struct CoalescePolicy {
     /// Requests flushed together at most (the batched kernel's `B`).
     pub max_batch: usize,
-    /// Ceiling on how long a forming batch may wait for co-batched
-    /// requests before one of its members flushes what is pending.
-    /// With [`CoalescePolicy::adaptive`] set this is an upper bound;
-    /// the deadline is usually shorter.
+    /// How long a forming batch waits for co-batched requests before
+    /// one of its members flushes what is pending.
     pub max_wait: Duration,
-    /// Derive the effective wait from the measured arrival rate and
-    /// flush latency (never exceeding `max_wait`); off = always use
-    /// `max_wait`.
-    pub adaptive: bool,
 }
 
 impl Default for CoalescePolicy {
     /// Defaults chosen for the serving benches' shard scans (hundreds
-    /// of microseconds): a 1 ms ceiling is long enough to fill an
+    /// of microseconds): a 1 ms window is long enough to fill an
     /// 8-batch at any arrival rate worth batching, while the
     /// completion rule keeps a lane whose submitters have all arrived
-    /// (a lone client included) at kernel cost and the adaptive
-    /// deadline undercuts the ceiling once histograms warm up. (The
-    /// previous cooperative scheduler defaulted to 2 ms and made lone
-    /// queries wait all of it.)
+    /// (a lone client included) at kernel cost. (The previous
+    /// cooperative scheduler defaulted to 2 ms and made lone queries
+    /// wait all of it.)
     fn default() -> Self {
-        Self { max_batch: 8, max_wait: Duration::from_millis(1), adaptive: true }
+        Self { max_batch: 8, max_wait: Duration::from_millis(1) }
     }
 }
 
@@ -215,8 +202,6 @@ struct LaneInner<Req, Resp> {
     /// the request that starts it, meaningless while the queue is
     /// empty.
     deadline: Instant,
-    /// Previous arrival, for the interarrival histogram.
-    last_arrival: Option<Instant>,
     /// Size of the batch drained last: what a complete batch is
     /// expected to reach again (0 before the first drain).
     last_batch: usize,
@@ -241,10 +226,8 @@ pub struct LaneStatus {
     pub queued: usize,
     /// Submitters inside `submit_*` on this lane right now.
     pub inflight: usize,
-    /// The wait a batch forming now would get before its deadline
-    /// (equals `max_wait` unless adaptation has warmed up).
-    pub effective_wait: Duration,
-    /// The policy's wait ceiling.
+    /// The policy's wait: how long a batch forming now waits before
+    /// its deadline.
     pub max_wait: Duration,
     /// The policy's batch size.
     pub max_batch: usize,
@@ -277,11 +260,6 @@ pub struct Coalescer<'a, Req, Resp> {
     /// Optional plane-wide in-flight gauge shared by sibling lanes
     /// (see [`Coalescer::with_cohort`]).
     cohort: Option<Arc<AtomicUsize>>,
-    /// This lane's arrival gaps, the adaptive wait's input: its own
-    /// labelled series, so a ranking lane's wait is not computed from
-    /// the token lane's gaps. (Lane ids are never reused, so the
-    /// series stays in the registry after the lane is dropped.)
-    interarrival: tiptoe_obs::metrics::Histogram,
     /// Flushes this lane ran, by [`FlushReason::code`], and the
     /// requests they served (introspection only).
     flushes: [AtomicU64; tiptoe_obs::recorder::flush_reason::COUNT],
@@ -302,21 +280,17 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
         flush: impl Fn(Vec<Req>) -> Vec<Resp> + Send + Sync + 'a,
     ) -> Self {
         policy.validate().expect("invalid coalescer policy");
-        let id = NEXT_LANE_ID.fetch_add(1, Ordering::Relaxed);
         Self {
-            id,
+            id: NEXT_LANE_ID.fetch_add(1, Ordering::Relaxed),
             policy,
             inner: Mutex::new(LaneInner {
                 queue: VecDeque::new(),
                 deadline: Instant::now(),
-                last_arrival: None,
                 last_batch: 0,
             }),
             next_ticket: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             cohort: None,
-            interarrival: tiptoe_obs::metrics()
-                .histogram_with("net.coalesce.interarrival_us", Some(format!("lane{id}"))),
             flushes: std::array::from_fn(|_| AtomicU64::new(0)),
             served: AtomicU64::new(0),
             flush: Box::new(flush),
@@ -355,7 +329,6 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
             id: self.id,
             queued,
             inflight: self.inflight.load(Ordering::SeqCst),
-            effective_wait: self.effective_wait_estimate(),
             max_wait: self.policy.max_wait,
             max_batch: self.policy.max_batch,
             last_batch,
@@ -366,49 +339,6 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
 
     fn lock(&self) -> MutexGuard<'_, LaneInner<Req, Resp>> {
         self.inner.lock().expect("coalescer queue lock")
-    }
-
-    /// The wait before a forming batch's deadline: the policy ceiling,
-    /// shortened adaptively once the lane's observability histograms
-    /// have warmed up. Records the chosen wait in
-    /// `net.coalesce.adaptive_wait_us`; introspection reads use
-    /// [`Coalescer::effective_wait_estimate`] to avoid skewing that
-    /// histogram.
-    fn effective_max_wait(&self) -> Duration {
-        let wait = self.effective_wait_estimate();
-        if self.policy.adaptive && wait != self.policy.max_wait {
-            tiptoe_obs::metrics()
-                .histogram("net.coalesce.adaptive_wait_us")
-                .record(wait.as_micros() as u64);
-        }
-        wait
-    }
-
-    /// Side-effect-free computation behind
-    /// [`Coalescer::effective_max_wait`].
-    fn effective_wait_estimate(&self) -> Duration {
-        if !self.policy.adaptive {
-            return self.policy.max_wait;
-        }
-        let inter = &self.interarrival;
-        if inter.count() < 32 {
-            // Cold start: no arrival-rate signal yet.
-            return self.policy.max_wait;
-        }
-        // Waiting longer than it takes the batch to fill buys nothing.
-        // The high quantile matters: batch releases make arrivals
-        // bimodal (microsecond gaps inside a burst, the real
-        // between-burst gap otherwise), and the between-burst gap is
-        // the one that governs how long assembly takes.
-        let fill_us =
-            inter.quantile(0.9).saturating_mul(self.policy.max_batch.saturating_sub(1) as u64);
-        // While a flush runs, the lane accumulates arrivals for free —
-        // a wait shorter than one flush cannot improve latency, so the
-        // measured flush time is a floor, not a cap.
-        let flush = tiptoe_obs::metrics().histogram("net.coalesce.flush_us");
-        let floor_us = if flush.count() >= 8 { flush.quantile(0.5) } else { 0 };
-        let derived = Duration::from_micros(fill_us.max(floor_us).max(1));
-        derived.min(self.policy.max_wait)
     }
 
     /// Submits one request and blocks until its response arrives —
@@ -490,10 +420,6 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
         let (len, present, last_batch, batch_deadline, inline) = {
             let mut inner = self.lock();
             let now = Instant::now();
-            if let Some(prev) = inner.last_arrival {
-                self.interarrival.record(now.duration_since(prev).as_micros() as u64);
-            }
-            inner.last_arrival = Some(now);
             inner.queue.push_back(Pending {
                 ticket,
                 req,
@@ -521,7 +447,7 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
                 if len == 1 {
                     // Someone is still missing and a batch starts
                     // forming: its members will wait until this.
-                    inner.deadline = now + self.effective_max_wait();
+                    inner.deadline = now + self.policy.max_wait;
                 }
                 None
             };
@@ -738,7 +664,7 @@ mod tests {
     fn concurrent_submits_share_flushes_and_keep_order() {
         let flushes = AtomicUsize::new(0);
         let policy =
-            CoalescePolicy { max_batch: 8, max_wait: Duration::from_millis(50), adaptive: false };
+            CoalescePolicy { max_batch: 8, max_wait: Duration::from_millis(50) };
         let c = Coalescer::new(policy, |reqs: Vec<u64>| {
             flushes.fetch_add(1, Ordering::Relaxed);
             reqs.into_iter().map(|r| r + 1000).collect()
@@ -761,7 +687,7 @@ mod tests {
     #[test]
     fn deadline_flushes_partial_batches() {
         let policy =
-            CoalescePolicy { max_batch: 8, max_wait: Duration::from_millis(5), adaptive: false };
+            CoalescePolicy { max_batch: 8, max_wait: Duration::from_millis(5) };
         let c = Coalescer::new(policy, |reqs: Vec<u64>| reqs);
         // Simulate a second in-flight submitter so the solo fast path
         // stays closed and the request must wait out its batch's
@@ -781,7 +707,7 @@ mod tests {
     /// A policy under which only a quarter-second stall fires a
     /// deadline, so the flush counts below are decided by arrivals alone.
     fn patient(max_batch: usize) -> CoalescePolicy {
-        CoalescePolicy { max_batch, max_wait: Duration::from_millis(250), adaptive: false }
+        CoalescePolicy { max_batch, max_wait: Duration::from_millis(250) }
     }
 
     /// Puts a lane in the state a population of `n` leaves it in. (From
@@ -916,7 +842,7 @@ mod tests {
         // submitter's deadline fires while the request is still
         // queued, so it withdraws with a typed error.
         let policy =
-            CoalescePolicy { max_batch: 8, max_wait: Duration::from_millis(100), adaptive: false };
+            CoalescePolicy { max_batch: 8, max_wait: Duration::from_millis(100) };
         let c = Coalescer::new(policy, |reqs: Vec<u64>| reqs);
         let _other = InflightGuard::enter(&c.inflight);
         let before = tiptoe_obs::metrics().counter("net.coalesce.abandoned").get();
@@ -956,30 +882,6 @@ mod tests {
             matches!(err, ServeError::LaneFailed { crashes } if crashes == MAX_LANE_RETRIES + 1),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn adaptive_wait_never_exceeds_the_policy_ceiling() {
-        let policy = CoalescePolicy { max_wait: Duration::from_millis(20), ..Default::default() };
-        let c = Coalescer::new(policy, |reqs: Vec<u64>| reqs);
-        // Warm the lane's arrival series and the (process-global)
-        // flush histogram past the cold-start thresholds with a fast
-        // arrival rate and a cheap flush.
-        for _ in 0..64 {
-            c.interarrival.record(50);
-            tiptoe_obs::metrics().histogram("net.coalesce.flush_us").record(400);
-        }
-        let derived = c.effective_max_wait();
-        assert!(derived <= policy.max_wait, "{derived:?} exceeds ceiling");
-        assert!(derived >= Duration::from_micros(1));
-        // The estimate is the lane's own: a sibling that has seen no
-        // arrivals is still at cold start, whatever this lane measured.
-        let sibling = Coalescer::new(policy, |reqs: Vec<u64>| reqs);
-        assert_eq!(sibling.effective_wait_estimate(), policy.max_wait);
-        // With adaptation off the ceiling is used verbatim.
-        let fixed = CoalescePolicy { adaptive: false, ..policy };
-        let c2 = Coalescer::new(fixed, |reqs: Vec<u64>| reqs);
-        assert_eq!(c2.effective_max_wait(), fixed.max_wait);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!   lanes and the per-shard fan-out. A query that cannot finish in
 //!   budget fails early with a typed [`ServeError::DeadlineExceeded`]
 //!   instead of queueing forever.
-//! - [`AdmissionController`] — a bounded admission queue over a
-//!   capacity model derived from the observed batched-scan latency
-//!   histogram (`net.coalesce.flush_us`). Queries past
-//!   `capacity + queue_depth` inflight are shed deterministically (by
-//!   arrival order) with [`ServeError::Overloaded`].
+//! - [`AdmissionController`] — a bounded admission queue over the
+//!   operator's configured capacity ([`AdmissionPolicy::max_inflight`]).
+//!   Queries past `capacity + queue_depth` inflight are shed
+//!   deterministically (by arrival order) with
+//!   [`ServeError::Overloaded`].
 //!
 //! A shard that stays down is not routed around: every ranking query
 //! fans out to every shard, so one that still has no verified answer
@@ -62,7 +62,7 @@ pub enum ServeError {
     Overloaded {
         /// Inflight queries observed at the shed decision.
         inflight: usize,
-        /// The plane's derived concurrent-query capacity.
+        /// The plane's configured concurrent-query capacity.
         capacity: usize,
     },
     /// The query's deadline budget ran out before it completed.
@@ -225,9 +225,8 @@ impl DeadlineBudget {
 pub struct AdmissionPolicy {
     /// Master switch; disabled planes admit everything.
     pub enabled: bool,
-    /// Concurrent queries served at once. `0` derives capacity from
-    /// the observed batched-scan latency histogram (see
-    /// [`AdmissionPolicy::capacity_from_flush_histogram`]).
+    /// Concurrent queries served at once: the plane's capacity. Must
+    /// be positive when admission is enabled.
     pub max_inflight: usize,
     /// Queries allowed to queue beyond capacity before shedding.
     pub queue_depth: usize,
@@ -251,7 +250,8 @@ impl AdmissionPolicy {
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] on a zero deadline.
+    /// [`ConfigError`] on a zero deadline, or on a zero capacity when
+    /// admission is enabled.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.deadline == Duration::ZERO {
             return Err(ConfigError {
@@ -259,34 +259,13 @@ impl AdmissionPolicy {
                 reason: "deadline budget must be positive",
             });
         }
+        if self.enabled && self.max_inflight == 0 {
+            return Err(ConfigError {
+                field: "admission.max_inflight",
+                reason: "capacity must be positive when admission is enabled",
+            });
+        }
         Ok(())
-    }
-
-    /// The capacity model: how many queries this plane can run
-    /// concurrently and still finish each within `deadline`.
-    ///
-    /// With `max_inflight > 0` the operator's number wins. Otherwise
-    /// capacity is derived from the observed batched-scan latency
-    /// (the `net.coalesce.flush_us` histogram): a deadline admits
-    /// `deadline / p95(scan)` sequential scans, each serving up to
-    /// `max_batch` coalesced queries. An empty histogram (cold plane)
-    /// falls back to two batches.
-    pub fn capacity_from_flush_histogram(
-        &self,
-        flush_us: &tiptoe_obs::Histogram,
-        max_batch: usize,
-    ) -> usize {
-        if self.max_inflight > 0 {
-            return self.max_inflight;
-        }
-        let batch = max_batch.max(1);
-        if flush_us.count() == 0 {
-            return 2 * batch;
-        }
-        let p95 = flush_us.quantile(0.95).max(1);
-        let deadline_us = u64::try_from(self.deadline.as_micros()).unwrap_or(u64::MAX).max(1);
-        let scans = (deadline_us / p95).clamp(1, 64) as usize;
-        (scans * batch).min(4096)
     }
 }
 
@@ -297,7 +276,6 @@ impl AdmissionPolicy {
 #[derive(Debug)]
 pub struct AdmissionController {
     policy: AdmissionPolicy,
-    capacity: usize,
     inflight: AtomicUsize,
     arrivals: AtomicU64,
     admitted: AtomicU64,
@@ -306,12 +284,17 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    /// A controller admitting up to `capacity + policy.queue_depth`
-    /// concurrent queries.
-    pub fn new(policy: AdmissionPolicy, capacity: usize) -> Self {
+    /// A controller admitting up to `policy.max_inflight +
+    /// policy.queue_depth` concurrent queries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy is invalid (validate the policy through
+    /// config loading to get a typed error instead).
+    pub fn new(policy: AdmissionPolicy) -> Self {
+        policy.validate().expect("invalid admission policy");
         Self {
             policy,
-            capacity: capacity.max(1),
             inflight: AtomicUsize::new(0),
             arrivals: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
@@ -325,9 +308,9 @@ impl AdmissionController {
         self.policy
     }
 
-    /// The derived concurrent-query capacity.
+    /// The configured concurrent-query capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.policy.max_inflight
     }
 
     /// Queries currently admitted and unfinished.
@@ -344,7 +327,8 @@ impl AdmissionController {
     /// shed log and the `net.shed` counter.
     pub fn try_admit(&self) -> Result<AdmissionPermit<'_>, ServeError> {
         let seq = self.arrivals.fetch_add(1, Ordering::SeqCst);
-        let bound = self.capacity + self.policy.queue_depth;
+        let capacity = self.capacity();
+        let bound = capacity + self.policy.queue_depth;
         loop {
             let cur = self.inflight.load(Ordering::SeqCst);
             if cur >= bound {
@@ -354,12 +338,12 @@ impl AdmissionController {
                 tiptoe_obs::recorder::record(
                     tiptoe_obs::recorder::EventKind::Shed,
                     cur as u64,
-                    self.capacity as u64,
+                    capacity as u64,
                     0,
                     0,
                 );
                 tiptoe_obs::slo::slo().shed.record();
-                return Err(ServeError::Overloaded { inflight: cur, capacity: self.capacity });
+                return Err(ServeError::Overloaded { inflight: cur, capacity });
             }
             if self
                 .inflight
@@ -371,7 +355,7 @@ impl AdmissionController {
                 tiptoe_obs::recorder::record(
                     tiptoe_obs::recorder::EventKind::Admitted,
                     (cur + 1) as u64,
-                    self.capacity as u64,
+                    capacity as u64,
                     0,
                     0,
                 );
@@ -435,7 +419,7 @@ mod tests {
             queue_depth: 1,
             deadline: Duration::from_secs(1),
         };
-        let ctrl = AdmissionController::new(policy, 2);
+        let ctrl = AdmissionController::new(policy);
         let p1 = ctrl.try_admit().expect("slot 1");
         let p2 = ctrl.try_admit().expect("slot 2");
         let p3 = ctrl.try_admit().expect("queue slot");
@@ -448,27 +432,6 @@ mod tests {
         drop((p2, p3, p4));
         assert_eq!(ctrl.inflight(), 0, "permits release their slots");
         assert_eq!(ctrl.admitted(), 4);
-    }
-
-    #[test]
-    fn capacity_model_scales_with_observed_scan_latency() {
-        let policy = AdmissionPolicy {
-            enabled: true,
-            max_inflight: 0,
-            queue_depth: 0,
-            deadline: Duration::from_millis(100),
-        };
-        let h = tiptoe_obs::metrics().histogram("test.overload.flush_us");
-        assert_eq!(policy.capacity_from_flush_histogram(&h, 8), 16, "cold plane: two batches");
-        for _ in 0..100 {
-            h.record(10_000); // 10 ms scans -> ~10 scans per 100 ms deadline
-        }
-        let cap = policy.capacity_from_flush_histogram(&h, 8);
-        // The histogram's conservative quantile rounds the p95 up, so
-        // the derived scan count may land just under 10.
-        assert!((4 * 8..=10 * 8).contains(&cap), "{cap}");
-        let pinned = AdmissionPolicy { max_inflight: 3, ..policy };
-        assert_eq!(pinned.capacity_from_flush_histogram(&h, 8), 3, "operator override wins");
     }
 
     #[test]

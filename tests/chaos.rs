@@ -84,11 +84,7 @@ fn lane_crash_mid_flush_loses_no_request() {
     // their own submitters, so with MAX_LANE_RETRIES > 2 every request
     // must still come back — exactly once, with its own answer.
     let crashes_left = AtomicU64::new(2);
-    let policy = CoalescePolicy {
-        max_batch: 4,
-        max_wait: Duration::from_millis(5),
-        adaptive: false,
-    };
+    let policy = CoalescePolicy { max_batch: 4, max_wait: Duration::from_millis(5) };
     let c = Coalescer::new(policy, |reqs: Vec<u64>| {
         let crash = crashes_left
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| Some(v.saturating_sub(1)))
@@ -133,11 +129,7 @@ fn fuzzed_lane_crashes_answer_correctly_or_fail_typed() {
     // typed LaneFailed. Nothing panics, nothing is miscounted.
     let seed = chaos_seed();
     let flush_idx = AtomicU64::new(0);
-    let policy = CoalescePolicy {
-        max_batch: 4,
-        max_wait: Duration::from_millis(2),
-        adaptive: false,
-    };
+    let policy = CoalescePolicy { max_batch: 4, max_wait: Duration::from_millis(2) };
     let c = Coalescer::new(policy, |reqs: Vec<u64>| {
         let i = flush_idx.fetch_add(1, Ordering::SeqCst);
         if splitmix(seed ^ i).is_multiple_of(4) {
@@ -181,7 +173,7 @@ fn partial_batches_flush_on_their_deadline_exactly_once() {
     // its own answer.
     let max_wait = Duration::from_millis(10);
     let served = AtomicUsize::new(0);
-    let policy = CoalescePolicy { max_batch: 5, max_wait, adaptive: false };
+    let policy = CoalescePolicy { max_batch: 5, max_wait };
     let c = Coalescer::new(policy, |reqs: Vec<u64>| {
         served.fetch_add(reqs.len(), Ordering::SeqCst);
         reqs.into_iter().map(|r| r.wrapping_mul(7).wrapping_add(3)).collect()
@@ -235,7 +227,7 @@ fn withdrawal_against_a_deadline_flush_resolves_exactly_once() {
     let seed = chaos_seed();
     let max_wait = Duration::from_millis(2);
     let served = AtomicUsize::new(0);
-    let policy = CoalescePolicy { max_batch: 8, max_wait, adaptive: false };
+    let policy = CoalescePolicy { max_batch: 8, max_wait };
     let c = Coalescer::new(policy, |reqs: Vec<u64>| {
         served.fetch_add(reqs.len(), Ordering::SeqCst);
         std::thread::sleep(max_wait);
@@ -317,7 +309,7 @@ fn overload_sheds_with_typed_errors_and_conserves_every_query() {
     let mut config = TiptoeConfig::test_small(DOCS, SEED);
     config.num_shards = 3;
     config.admission.enabled = true;
-    config.admission.max_inflight = 2; // operator override: skip derivation
+    config.admission.max_inflight = 2;
     config.admission.queue_depth = 0;
     config.admission.deadline = Duration::from_secs(60); // debug-build headroom
     // Attempts long enough that no healthy shard times out on a

@@ -159,7 +159,7 @@ fn shed_decisions_are_deterministic_for_a_given_arrival_schedule() {
         deadline: Duration::from_secs(1),
     };
     let run = |seed: u64| {
-        let ctrl = AdmissionController::new(policy, 2);
+        let ctrl = AdmissionController::new(policy);
         let mut rng = seeded_rng(seed);
         let mut held = Vec::new();
         let mut outcomes = Vec::new();

@@ -155,7 +155,6 @@ fn four_submitters_share_scans_and_stay_bit_identical() {
     // Only a quarter-second stall may flush a batch short of a member,
     // so the counts below are decided by arrivals, not by the scheduler.
     config.coalesce.max_wait = std::time::Duration::from_millis(250);
-    config.coalesce.adaptive = false;
     config.validate();
     let embedder = TextEmbedder::new(config.d_embed, SEED, 0);
     let instance = TiptoeInstance::build(&config, embedder, &corpus);
