@@ -48,6 +48,9 @@
 //! artifact shows each tier beating the one below it. `lwe_encrypt`
 //! runs at both and at 5534x64, the wide deployment's URL query (`u32`
 //! words), whose thread sweep shows the row-cost grain fanning it out.
+//! `lwe_seal`, beside it at each shape, times what is left of that
+//! work once the query is known: `QueryPad::seal` of a pad computed
+//! ahead of time with the token (one body, one pass adding `Δ·v`).
 //!
 //! `matvec` runs over the ranking layout, `i8` entries in `[−8, 8]`
 //! against `u64` queries, at three shapes because they answer
@@ -91,7 +94,7 @@ use std::fmt::Write as _;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tiptoe_lwe::matrix_a::MatrixARange;
-use tiptoe_lwe::{scheme, LweParams, LweSecretKey, MatrixA};
+use tiptoe_lwe::{scheme, LweParams, LweSecretKey, MatrixA, QueryPad};
 use tiptoe_math::matrix::{scan, Mat};
 use tiptoe_math::ntt::{mul_acc_wide, reduce_wide, Wide};
 use tiptoe_math::par::max_threads;
@@ -323,6 +326,24 @@ fn lwe_encrypt_rows<W: Word>(
     rows
 }
 
+/// The `lwe_seal` row of one upload shape: [`QueryPad::seal`] alone,
+/// each rep sealing a pad made before the clock started, after checking
+/// that a sealed pad is the `scheme::encrypt` ciphertext.
+fn lwe_seal_seconds<W: Word>(params: &LweParams, m: usize, reps: usize) -> f64 {
+    let mut rng = seeded_rng(37);
+    let a = MatrixA::new(31, m, params.n);
+    let sk = LweSecretKey::<W>::generate(params, &mut rng);
+    let q: Vec<u64> = (0..m).map(|_| rng.gen_range(0..params.p)).collect();
+    let pad = || scheme::encrypt_offline(params, &sk, &a, &mut seeded_rng(33));
+    assert_eq!(
+        pad().seal(&q),
+        scheme::encrypt(params, &sk, &a, &q, &mut seeded_rng(33)),
+        "a sealed pad must be the ciphertext"
+    );
+    let mut pads: Vec<QueryPad<W>> = (0..=reps).map(|_| pad()).collect();
+    time(reps, || pads.pop().expect("one pad a rep, warm-up included").seal(&q))
+}
+
 fn main() {
     tiptoe_obs::init_from_env();
     let run_start = tiptoe_obs::metrics().snapshot();
@@ -446,9 +467,10 @@ fn main() {
         }
     }
 
-    // --- Client kernel: one online `Enc(q̃)` (row expansion + row·s +
-    // noise per upload coordinate) at the deployed ranking shape and
-    // at the wide deployment's ranking (u64) and URL (u32) shapes. ---
+    // --- Client kernel: one `Enc(q̃)` (row expansion + row·s + noise
+    // per upload coordinate) and the seal that is all of it left
+    // online, at the deployed ranking shape and at the wide
+    // deployment's ranking (u64) and URL (u32) shapes. ---
     let params = LweParams::ranking_text();
     let (m, n) = EXPAND_SHAPES[0];
     assert_eq!(params.n, n, "deployed ranking parameters changed shape");
@@ -457,14 +479,27 @@ fn main() {
     let (wide_m, url_m) = (EXPAND_SHAPES[1].0, WIDE_URL_ROWS);
     let sweep = (reps, cores, threads);
     let shapes = [
-        (format!("{m}x{n}"), lwe_encrypt_rows::<u64>(&params, m, &mut rng, sweep)),
-        (format!("{wide_m}x{}", wide_rank.n), lwe_encrypt_rows::<u64>(&wide_rank, wide_m, &mut rng, sweep)),
-        (format!("{url_m}x{}", wide_url.n), lwe_encrypt_rows::<u32>(&wide_url, url_m, &mut rng, sweep)),
+        (
+            format!("{m}x{n}"),
+            lwe_encrypt_rows::<u64>(&params, m, &mut rng, sweep),
+            lwe_seal_seconds::<u64>(&params, m, reps),
+        ),
+        (
+            format!("{wide_m}x{}", wide_rank.n),
+            lwe_encrypt_rows::<u64>(&wide_rank, wide_m, &mut rng, sweep),
+            lwe_seal_seconds::<u64>(&wide_rank, wide_m, reps),
+        ),
+        (
+            format!("{url_m}x{}", wide_url.n),
+            lwe_encrypt_rows::<u32>(&wide_url, url_m, &mut rng, sweep),
+            lwe_seal_seconds::<u32>(&wide_url, url_m, reps),
+        ),
     ];
-    for (shape, rows) in shapes {
+    for (shape, rows, seal) in shapes {
         for (variant, seconds, scalar, note) in rows {
             push("lwe_encrypt", variant, &shape, seconds, scalar, note);
         }
+        push("lwe_seal", "scalar".into(), &shape, Some(seal), seal, None);
     }
 
     // --- Token path at the production outer ring: what the client

@@ -2,14 +2,15 @@
 //!
 //! A client downloads the embedding model, the PCA projection, and the
 //! cluster centroids once; fetches single-use query tokens ahead of
-//! time (§6.3); and then, per query:
+//! time, computing with each the `A·s + e` pads of both query
+//! ciphertexts under the token's key (§6.3); and then, per query:
 //!
 //! 1. embeds its query string locally, projects (PCA), normalizes, and
 //!    quantizes it;
 //! 2. selects the nearest cluster `i*` from its local centroid cache;
-//! 3. uploads `Enc(q̃)` with the query in block `i*` to the ranking
-//!    service and decrypts the returned per-member scores with a
-//!    ranking token;
+//! 3. seals `q̃` in block `i*` into the ranking pad, uploads that
+//!    `Enc(q̃)` to the ranking service and decrypts the returned
+//!    per-member scores with the ranking token;
 //! 4. computes which URL batch holds the best-scoring member and
 //!    retrieves it from the URL service via PIR with a URL token;
 //! 5. outputs the top-`k` URLs of that batch, ordered by score.
@@ -33,6 +34,7 @@ use tiptoe_embed::pca::Pca;
 use tiptoe_embed::quantize::Quantizer;
 use tiptoe_embed::vector::normalize;
 use tiptoe_embed::Embedder;
+use tiptoe_lwe::QueryPad;
 use tiptoe_math::rng::{derive_seed, seeded_rng};
 use tiptoe_net::{
     timed, DeadlineBudget, FaultPlan, FaultReport, Ledger, LinkModel, ParallelTiming, Phase,
@@ -80,10 +82,10 @@ pub struct QueryCost {
     /// Server time for the PIR answer.
     pub url_server: ParallelTiming,
     /// Client-local compute on the critical path (embed, select,
-    /// encrypt, decrypt, decompress).
+    /// seal the query pads, decrypt, decompress).
     pub client_time: Duration,
     /// Client-local compute off the critical path (key generation,
-    /// token decode).
+    /// token decode, the query pads).
     pub client_preproc: Duration,
     /// Retry, timeout, hedge and corruption accounting of the ranking
     /// fan-out (one attempt per shard and nothing else under a
@@ -131,14 +133,20 @@ impl QueryCost {
 }
 
 /// A prefetched, single-use token pair (ranking + URL) together with
-/// the **fresh** client key it was generated for. §6.3: a token — and
-/// therefore its inner secret — is consumed by exactly one query;
-/// reusing the secret for a second query ciphertext would break
-/// semantic security, so every fetch samples a new key.
+/// the **fresh** client key it was generated for and the two query pads
+/// `A·s + e` under that key. §6.3: a token — and therefore its inner
+/// secret — is consumed by exactly one query; reusing the secret for a
+/// second query ciphertext would break semantic security, so every
+/// fetch samples a new key, and a query seals the pads of the token it
+/// consumes. Tokens are "usable until the document corpus changes"
+/// (§6.3); a pad goes stale with its token after an update, since the
+/// upload dimension it was computed for may have changed.
 struct PreparedTokens {
     key: ClientKey,
     rank: DecodedToken<u64>,
     url: DecodedToken<u32>,
+    rank_pad: QueryPad<u64>,
+    url_pad: QueryPad<u32>,
     cost: QueryCost,
 }
 
@@ -224,8 +232,9 @@ impl TiptoeClient {
     }
 
     /// Prefetches one query token pair (§6.3, off the critical path):
-    /// uploads the encrypted secret once and downloads the ranking and
-    /// URL tokens. Returns the cost of the fetch.
+    /// uploads the encrypted secret once, downloads the ranking and URL
+    /// tokens, and computes both query pads under the token's key.
+    /// Returns the cost of the fetch.
     pub fn fetch_token<E: Embedder>(&mut self, instance: &TiptoeInstance<E>) -> QueryCost {
         self.fetch_token_via(instance, None)
     }
@@ -308,12 +317,24 @@ impl TiptoeClient {
             let url = uh_url.decode_token::<u32>(&key, &url_token);
             (rank, url)
         });
-        cost.client_preproc = t_enc + t_decode;
+        // The query-independent half of both query encryptions
+        // (§6.3's client preprocessing): online, a query only seals them.
+        let ((rank_pad, url_pad), t_pad) = timed(|| {
+            let _span = tiptoe_obs::span("client.token_pad");
+            let rank_matrix = instance.ranking.public_matrix();
+            let rank_pad = uh_rank.encrypt_offline::<u64, _>(&key, &rank_matrix, &mut self.rng);
+            let url_matrix = instance.url.public_matrix();
+            let url_pad = PirClient::new(uh_url, &key).query_offline(&url_matrix, &mut self.rng);
+            (rank_pad, url_pad)
+        });
+        cost.client_preproc = t_enc + t_decode + t_pad;
 
         self.tokens.push_back(PreparedTokens {
             key,
             rank: decoded.0,
             url: decoded.1,
+            rank_pad,
+            url_pad,
             cost: cost.clone(),
         });
         cost
@@ -341,13 +362,13 @@ impl TiptoeClient {
     /// [`ServeError::Overloaded`], [`ServeError::DeadlineExceeded`],
     /// [`ServeError::ShardFailed`], [`ServeError::LaneFailed`] or
     /// [`ServeError::InvalidPolicy`]. A shed query consumed nothing.
-    /// Any other failed query consumed its token, since a ciphertext
-    /// under that token's secret was already sent (the paper's tokens
-    /// are single-use), and returns no partial answer; the client may
-    /// retry it. A shard that is down for good fails every query
-    /// until it recovers, because each query needs every shard. A
-    /// query with neither a plane nor an enabled fault policy cannot
-    /// fail.
+    /// Any other failed query consumed its token and pads, since a
+    /// ciphertext under that token's secret was already sent (the
+    /// paper's tokens are single-use), and returns no partial answer;
+    /// the client may retry it. A shard that is down for good fails
+    /// every query until it recovers, because each query needs every
+    /// shard. A query with neither a plane nor an enabled fault policy
+    /// cannot fail.
     ///
     /// # Panics
     ///
@@ -480,7 +501,8 @@ impl TiptoeClient {
     }
 
     /// One protocol round against `cluster` for the embedded query
-    /// `q`: encrypt, ranking phase, decrypt, URL phase, recover.
+    /// `q`: seal the ranking pad, ranking phase, decrypt, seal the URL
+    /// pad, URL phase, recover.
     fn protocol_round<E: Embedder>(
         &mut self,
         instance: &TiptoeInstance<E>,
@@ -507,12 +529,7 @@ impl TiptoeClient {
             for (j, &x) in q_zp.iter().enumerate() {
                 v[cluster * d + j] = x as u64;
             }
-            instance.ranking.underhood().encrypt_query::<u64, _>(
-                &prepared.key,
-                &instance.ranking.public_matrix(),
-                &v,
-                &mut self.rng,
-            )
+            prepared.rank_pad.seal(&v)
         });
         // --- Ranking service (step 2): one typed dispatch for every
         // serving mode (healthy, fault-aware, coalesced). Sizes are
@@ -564,14 +581,7 @@ impl TiptoeClient {
         let batch_idx = self.meta.batch_of(cluster, best_row);
         let uh_url = instance.url.underhood();
         let pir_client = PirClient::new(uh_url, &prepared.key);
-        let (url_ct, t_urlenc) = timed(|| {
-            pir_client.query(
-                &instance.url.public_matrix(),
-                self.meta.num_batches,
-                batch_idx,
-                &mut self.rng,
-            )
-        });
+        let (url_ct, t_urlenc) = timed(|| prepared.url_pad.seal_unit(batch_idx));
         cost.url_up = url_ct.byte_len();
         cost.url_down = sizes.url_down;
         let url_ledger = Ledger {
@@ -889,6 +899,47 @@ mod tests {
         // Costs keep summing per probe.
         assert_eq!(results.cost.rank_up % 3, 0);
         assert_eq!(results.cost.online_bytes() % 3, 0);
+    }
+
+    #[test]
+    fn a_query_consumes_a_token_and_its_pads_together() {
+        let corpus = generate(&CorpusConfig::small(200, 25), 0);
+        let mut config = TiptoeConfig::test_small(200, 25);
+        config.admission.enabled = true;
+        config.admission.max_inflight = 1;
+        config.admission.queue_depth = 0;
+        config.admission.deadline = Duration::from_secs(60);
+        config.validate();
+        let embedder = TextEmbedder::new(config.d_embed, 25, 0);
+        let instance = TiptoeInstance::build(&config, embedder, &corpus);
+        let plane = instance.serving_plane();
+        let (mut served, mut direct) = (instance.new_client(9), instance.new_client(9));
+        for _ in 0..3 {
+            served.fetch_token_via(&instance, Some(&plane));
+            direct.fetch_token(&instance);
+        }
+        let text = "museum history archive";
+
+        // A shed query seals nothing: its token and pads stay cached.
+        let held = plane.admit().expect("capacity free").expect("admission on");
+        let err = served.try_search_served(&instance, text, 10, &plane).expect_err("shed");
+        assert!(matches!(err, ServeError::Overloaded { .. }), "{err:?}");
+        assert_eq!(served.tokens_available(), 3, "a shed query consumes no token");
+        drop(held);
+
+        // Two probes consume two token/pad pairs, served or direct, and
+        // the hits are the same bits either way.
+        let two = QueryOptions { probes: 2, ..Default::default() };
+        let a = served.query(&instance, text, 10, QueryOptions { plane: Some(&plane), ..two });
+        let b = direct.query(&instance, text, 10, two).expect("direct");
+        let a = a.expect("admitted");
+        assert_eq!((served.tokens_available(), direct.tokens_available()), (1, 1));
+        assert_eq!((a.cluster, &a.hits), (b.cluster, &b.hits));
+        let a = served.try_search_served(&instance, text, 10, &plane).expect("admitted");
+        let b = direct.search(&instance, text, 10);
+        assert_eq!((served.tokens_available(), direct.tokens_available()), (0, 0));
+        assert_eq!(a.hits, b.hits);
+        assert!(!a.hits.is_empty());
     }
 
     /// Reference for the routing rule: a stable descending sort, so

@@ -29,4 +29,4 @@ pub mod security;
 
 pub use matrix_a::MatrixA;
 pub use params::LweParams;
-pub use scheme::{LweCiphertext, LweSecretKey};
+pub use scheme::{LweCiphertext, LweSecretKey, QueryPad};

@@ -23,7 +23,7 @@
 pub mod packing;
 
 use rand::Rng;
-use tiptoe_lwe::{scheme, LweCiphertext, LweParams, MatrixA};
+use tiptoe_lwe::{scheme, LweCiphertext, LweParams, MatrixA, QueryPad};
 use tiptoe_math::matrix::Mat;
 use tiptoe_math::wire::WireError;
 use tiptoe_underhood::{
@@ -232,11 +232,20 @@ impl<'a> PirClient<'a> {
         Self { uh, key }
     }
 
-    /// Encrypts a query for record `index`.
+    /// The query-independent part of a query (§6.3), computed ahead of
+    /// time: [`QueryPad::seal_unit`] at the record's index makes it the
+    /// query for that record.
+    pub fn query_offline<R: Rng + ?Sized>(&self, a: &MatrixA, rng: &mut R) -> QueryPad<u32> {
+        self.uh.encrypt_offline::<u32, _>(self.key, a, rng)
+    }
+
+    /// Encrypts a query for record `index`: the
+    /// [`PirClient::query_offline`] pad sealed at `index`.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
+    /// Panics if `index` is out of range or `num_records` is not the
+    /// number of rows of `a`.
     pub fn query<R: Rng + ?Sized>(
         &self,
         a: &MatrixA,
@@ -245,9 +254,8 @@ impl<'a> PirClient<'a> {
         rng: &mut R,
     ) -> LweCiphertext<u32> {
         assert!(index < num_records, "record index out of range");
-        let mut v = vec![0u64; num_records];
-        v[index] = 1;
-        self.uh.encrypt_query::<u32, _>(self.key, a, &v, rng)
+        assert_eq!(num_records, a.rows(), "plaintext length must equal upload dimension");
+        self.query_offline(a, rng).seal_unit(index)
     }
 
     /// Decodes a token received from the server.

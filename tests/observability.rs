@@ -102,6 +102,7 @@ fn span_tree_is_deterministic_across_thread_counts() {
         "client.url_phase",
         "client.token_fetch",
         "client.token_decrypt",
+        "client.token_pad",
         "client.recover",
         "rank.answer",
         "rank.shard[0]",
@@ -110,8 +111,12 @@ fn span_tree_is_deterministic_across_thread_counts() {
     ] {
         assert!(names.contains(&want), "missing span {want:?} in {names:?}");
     }
-    // Phase spans must nest under the query root.
+    // Phase spans must nest under the query root; the query pads are
+    // computed with the token, not online.
     for (name, parent) in &shapes[0] {
+        if name == "client.token_pad" {
+            assert_eq!(parent.as_deref(), Some("client.token_fetch"));
+        }
         if name.starts_with("client.") && name != "client.query" {
             assert!(
                 parent.is_some(),
