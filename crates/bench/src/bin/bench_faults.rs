@@ -183,7 +183,6 @@ fn main() {
     over_config.fault_policy = FaultPolicy::tolerant();
     over_config.admission.enabled = true;
     over_config.admission.max_inflight = CAPACITY; // operator-pinned capacity
-    over_config.admission.queue_depth = 0;
     // A generous budget: the drive measures sheds, not deadlines.
     over_config.admission.deadline = Duration::from_secs(10);
     over_config.validate();
@@ -311,7 +310,6 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"overload\": {{");
     let _ = writeln!(json, "    \"capacity\": {CAPACITY},");
-    let _ = writeln!(json, "    \"queue_depth\": {},", over_config.admission.queue_depth);
     let _ = writeln!(json, "    \"deadline_budget_ms\": {:.0},", deadline_ms);
     let _ = writeln!(json, "    \"offered\": {offered},");
     let _ = writeln!(json, "    \"admitted\": {admitted_ok},");

@@ -4,7 +4,7 @@
 //! queries through the full private pipeline, and calibrates the
 //! analytic extrapolation to web scale.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::Rng;
 
@@ -20,6 +20,7 @@ use tiptoe_embed::Embedder;
 use tiptoe_math::matrix::{scan, Mat};
 use tiptoe_math::rng::seeded_rng;
 use tiptoe_math::stats::percentile;
+use tiptoe_obs::clock;
 
 /// A deployment and the corpus it indexes.
 pub type Deployment<E> = (Corpus, TiptoeInstance<E>);
@@ -66,9 +67,10 @@ pub fn scan_ops_per_core_second(matrix: &Mat<i8>) -> f64 {
     std::hint::black_box(scan(matrix, &[&query], 1));
     let secs: Vec<f64> = (0..9)
         .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(scan(matrix, &[std::hint::black_box(&query)], 1));
-            t0.elapsed().as_secs_f64()
+            let (_, t) = clock::timed(|| {
+                std::hint::black_box(scan(matrix, &[std::hint::black_box(&query)], 1))
+            });
+            t.as_secs_f64()
         })
         .collect();
     2.0 * matrix.len() as f64 / percentile(&secs, 50.0).max(1e-9)

@@ -122,18 +122,13 @@ fn overload_demo(clients: Option<usize>) -> ! {
     let mut config = TiptoeConfig::test_small(docs, 7);
     config.admission.enabled = true;
     config.admission.max_inflight = capacity;
-    config.admission.queue_depth = 0;
     config.admission.deadline = std::time::Duration::from_secs(30);
     config.validate();
     let embedder = TextEmbedder::new(config.d_embed, 7, 0);
     let instance = TiptoeInstance::build(&config, embedder, &corpus);
     let plane = instance.serving_plane();
     let ctrl = plane.admission().expect("admission enabled");
-    println!(
-        "tiptoe: admission capacity {} (queue depth {}), {clients} concurrent clients\n",
-        ctrl.capacity(),
-        ctrl.policy().queue_depth
-    );
+    println!("tiptoe: admission capacity {}, {clients} concurrent clients\n", ctrl.capacity());
 
     let queries = ["museum history archive", "health doctor symptoms", "travel island beach"];
     let barrier = Barrier::new(clients);
@@ -279,11 +274,11 @@ fn main() {
     println!("tiptoe: indexing {label} ...");
     let config = TiptoeConfig::test_small(corpus.docs.len(), 7);
     let embedder = TextEmbedder::new(config.d_embed, 7, 0);
-    let t0 = std::time::Instant::now();
-    let instance = TiptoeInstance::build(&config, embedder, &corpus);
+    let (instance, t_build) =
+        tiptoe_obs::clock::timed(|| TiptoeInstance::build(&config, embedder, &corpus));
     println!(
         "tiptoe: ready in {} ({} clusters, {} server state)\n",
-        fmt_seconds(t0.elapsed().as_secs_f64()),
+        fmt_seconds(t_build.as_secs_f64()),
         instance.artifacts.meta.c,
         fmt_bytes(instance.server_storage_bytes()),
     );

@@ -22,7 +22,7 @@
 //! Cryptographic preprocessing (hints and their NTT-ready limb form)
 //! happens service-side in [`crate::ranking`] and [`crate::url`].
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tiptoe_cluster::{cluster_documents, Clustering, CompressedCentroids};
 use tiptoe_corpus::synth::Corpus;
@@ -30,6 +30,7 @@ use tiptoe_corpus::tzip;
 use tiptoe_embed::pca::Pca;
 use tiptoe_embed::Embedder;
 use tiptoe_math::matrix::Mat;
+use tiptoe_obs::clock;
 
 use crate::config::TiptoeConfig;
 
@@ -218,9 +219,8 @@ pub fn run_batch_jobs<E: Embedder>(
     corpus: &Corpus,
 ) -> IndexArtifacts {
     assert_eq!(embedder.dim(), config.d_embed, "embedder dimension mismatch");
-    let t0 = Instant::now();
-    let raw: Vec<Vec<f32>> = corpus.docs.iter().map(|d| embedder.embed_text(&d.text)).collect();
-    let embed_time = t0.elapsed();
+    let (raw, embed_time) =
+        clock::timed(|| corpus.docs.iter().map(|d| embedder.embed_text(&d.text)).collect());
     run_batch_jobs_from_embeddings(config, raw, embed_time, corpus, embedder.model_bytes())
 }
 
@@ -249,60 +249,67 @@ pub fn run_batch_jobs_from_embeddings(
     let mut report = IndexingReport { embed: embed_time, ..Default::default() };
 
     // 2. PCA (fit on a subsample, project everything, re-normalize).
-    let t0 = Instant::now();
-    let sample: Vec<Vec<f32>> = raw.iter().take(config.pca_sample).cloned().collect();
-    let pca = Pca::fit(&sample, config.d_reduced, config.seed ^ 0x9ca);
-    let mut reduced: Vec<Vec<f32>> = raw.iter().map(|e| pca.project(e)).collect();
-    for e in reduced.iter_mut() {
-        tiptoe_embed::vector::normalize(e);
-    }
-    report.pca = t0.elapsed();
+    let ((pca, reduced), t) = clock::timed(|| {
+        let sample: Vec<Vec<f32>> = raw.iter().take(config.pca_sample).cloned().collect();
+        let pca = Pca::fit(&sample, config.d_reduced, config.seed ^ 0x9ca);
+        let mut reduced: Vec<Vec<f32>> = raw.iter().map(|e| pca.project(e)).collect();
+        for e in reduced.iter_mut() {
+            tiptoe_embed::vector::normalize(e);
+        }
+        (pca, reduced)
+    });
+    report.pca = t;
 
     // 3. Cluster, then order each cluster's members semantically so
     //    that chunked URL batches group related documents (§5).
-    let t0 = Instant::now();
-    let mut clustering = cluster_documents(&reduced, &config.cluster);
-    for (ci, members) in clustering.members.iter_mut().enumerate() {
-        *members =
-            tiptoe_cluster::semantic_order(members, &reduced, &clustering.centroids[ci]);
-    }
-    report.cluster = t0.elapsed();
+    let (clustering, t) = clock::timed(|| {
+        let mut clustering = cluster_documents(&reduced, &config.cluster);
+        for (ci, members) in clustering.members.iter_mut().enumerate() {
+            *members = tiptoe_cluster::semantic_order(members, &reduced, &clustering.centroids[ci]);
+        }
+        clustering
+    });
+    report.cluster = t;
 
     // 4. Quantize + matrix layout (Figure 3).
-    let t0 = Instant::now();
-    let quant = config.quantizer();
     let c = clustering.num_clusters();
     let d = config.d_reduced;
     let rows = clustering.max_cluster_size();
-    let mut order: Vec<u32> = Vec::with_capacity(clustering.total_assignments());
-    let mut cluster_offsets = Vec::with_capacity(c);
-    let mut rank_matrix: Mat<i8> = Mat::zeros(rows, d * c);
-    for (ci, members) in clustering.members.iter().enumerate() {
-        cluster_offsets.push(order.len() as u32);
-        for (row, &doc) in members.iter().enumerate() {
-            order.push(doc);
-            let q = quant.to_i8(&reduced[doc as usize]);
-            rank_matrix.row_mut(row)[ci * d..ci * d + d].copy_from_slice(&q);
+    let ((order, cluster_offsets, rank_matrix), t) = clock::timed(|| {
+        let quant = config.quantizer();
+        let mut order: Vec<u32> = Vec::with_capacity(clustering.total_assignments());
+        let mut cluster_offsets = Vec::with_capacity(c);
+        let mut rank_matrix: Mat<i8> = Mat::zeros(rows, d * c);
+        for (ci, members) in clustering.members.iter().enumerate() {
+            cluster_offsets.push(order.len() as u32);
+            for (row, &doc) in members.iter().enumerate() {
+                order.push(doc);
+                let q = quant.to_i8(&reduced[doc as usize]);
+                rank_matrix.row_mut(row)[ci * d..ci * d + d].copy_from_slice(&q);
+            }
         }
-    }
-    report.layout = t0.elapsed();
+        (order, cluster_offsets, rank_matrix)
+    });
+    report.layout = t;
 
     // 5. URL batching, cluster-major with a fixed batch arity so the
     //    client's row→batch lookup is arithmetic.
-    let t0 = Instant::now();
-    let mut url_batches = Vec::new();
-    let mut batch_start = Vec::with_capacity(c);
-    for members in &clustering.members {
-        batch_start.push(url_batches.len() as u32);
-        for chunk in members.chunks(config.urls_per_batch.max(1)) {
-            let entries: Vec<(u32, &str)> = chunk
-                .iter()
-                .map(|&doc| (doc, corpus.docs[doc as usize].url.as_str()))
-                .collect();
-            url_batches.push(CompressedUrlBatch::build(&entries));
+    let ((url_batches, batch_start), t) = clock::timed(|| {
+        let mut url_batches = Vec::new();
+        let mut batch_start = Vec::with_capacity(c);
+        for members in &clustering.members {
+            batch_start.push(url_batches.len() as u32);
+            for chunk in members.chunks(config.urls_per_batch.max(1)) {
+                let entries: Vec<(u32, &str)> = chunk
+                    .iter()
+                    .map(|&doc| (doc, corpus.docs[doc as usize].url.as_str()))
+                    .collect();
+                url_batches.push(CompressedUrlBatch::build(&entries));
+            }
         }
-    }
-    report.urls = t0.elapsed();
+        (url_batches, batch_start)
+    });
+    report.urls = t;
 
     let compressed = CompressedCentroids::compress(&clustering.centroids);
     let meta = ClientMetadata {
@@ -323,7 +330,7 @@ pub fn run_batch_jobs_from_embeddings(
         pca,
         clustering,
         order,
-        cluster_offsets: cluster_offsets.clone(),
+        cluster_offsets,
         rank_matrix,
         url_batches,
         meta,

@@ -37,10 +37,11 @@ use tiptoe_embed::Embedder;
 use tiptoe_lwe::QueryPad;
 use tiptoe_math::rng::{derive_seed, seeded_rng};
 use tiptoe_net::{
-    timed, DeadlineBudget, FaultPlan, FaultReport, Ledger, LinkModel, ParallelTiming, Phase,
-    ServeError,
+    DeadlineBudget, FaultPlan, FaultReport, Ledger, LinkModel, ParallelTiming, Phase, ServeError,
 };
+use tiptoe_obs::clock::timed;
 use tiptoe_obs::recorder::{self, result_code, EventKind};
+use tiptoe_obs::timed_span;
 use tiptoe_pir::PirClient;
 use tiptoe_underhood::{ClientKey, DecodedToken, EncryptedSecret};
 
@@ -311,16 +312,14 @@ impl TiptoeClient {
         cost.token_down = rank_token.byte_len() + url_token.byte_len();
         instance.transcript.record_down(Phase::Token, cost.token_down);
 
-        let (decoded, t_decode) = timed(|| {
-            let _span = tiptoe_obs::span("client.token_decrypt");
+        let (decoded, t_decode) = timed_span("client.token_decrypt", || {
             let rank = uh_rank.decode_token::<u64>(&key, &rank_token);
             let url = uh_url.decode_token::<u32>(&key, &url_token);
             (rank, url)
         });
         // The query-independent half of both query encryptions
         // (§6.3's client preprocessing): online, a query only seals them.
-        let ((rank_pad, url_pad), t_pad) = timed(|| {
-            let _span = tiptoe_obs::span("client.token_pad");
+        let ((rank_pad, url_pad), t_pad) = timed_span("client.token_pad", || {
             let rank_matrix = instance.ranking.public_matrix();
             let rank_pad = uh_rank.encrypt_offline::<u64, _>(&key, &rank_matrix, &mut self.rng);
             let url_matrix = instance.url.public_matrix();
@@ -521,8 +520,7 @@ impl TiptoeClient {
         let mut prepared = self.tokens.pop_front().expect("token fetched above");
         let mut cost = prepared.cost.clone();
 
-        let (ct, t_encrypt) = timed(|| {
-            let _span = tiptoe_obs::span("client.encrypt");
+        let (ct, t_encrypt) = timed_span("client.encrypt", || {
             let q_zp = self.quant.to_zp(q);
             let d = self.meta.d;
             let mut v = vec![0u64; self.meta.ranking_upload_dim()];
@@ -558,8 +556,7 @@ impl TiptoeClient {
         drop(rank_span);
 
         // --- Client: decrypt scores, pick the best member.
-        let ((scores, best_row), t_rankdec) = timed(|| {
-            let _span = tiptoe_obs::span("client.rank_decrypt");
+        let ((scores, best_row), t_rankdec) = timed_span("client.rank_decrypt", || {
             let raw = instance.ranking.underhood().decrypt(&mut prepared.rank, &applied);
             let n_members = self.meta.cluster_sizes[cluster] as usize;
             let scores: Vec<i64> = raw
@@ -611,8 +608,7 @@ impl TiptoeClient {
         // --- Client: recover the record and assemble ranked URLs. A
         // malformed record (outside input) yields an empty hit list
         // instead of crashing the client.
-        let (hits, t_recover) = timed(|| {
-            let _span = tiptoe_obs::span("client.recover");
+        let (hits, t_recover) = timed_span("client.recover", || {
             let Ok(record) =
                 pir_client.recover(instance.url.database(), &mut prepared.url, &answer)
             else {
@@ -907,7 +903,6 @@ mod tests {
         let mut config = TiptoeConfig::test_small(200, 25);
         config.admission.enabled = true;
         config.admission.max_inflight = 1;
-        config.admission.queue_depth = 0;
         config.admission.deadline = Duration::from_secs(60);
         config.validate();
         let embedder = TextEmbedder::new(config.d_embed, 25, 0);

@@ -70,9 +70,8 @@ pub struct TiptoeConfig {
     /// inflight-query window and the per-admitted-query deadline
     /// budget. Disabled by default — every query is admitted and
     /// unbudgeted, exactly the pre-overload behavior. When enabled,
-    /// queries past `admission.max_inflight` (plus the queue
-    /// depth) are shed with a typed error before consuming a token or
-    /// moving any bytes.
+    /// queries past `admission.max_inflight` are shed with a typed
+    /// error before consuming a token or moving any bytes.
     pub admission: AdmissionPolicy,
     /// Master seed (all internal randomness derives from it).
     pub seed: u64,

@@ -19,7 +19,7 @@
 //! [`RankingService::dispatch_answer`]; [`RankingService::answer`] and
 //! [`RankingService::answer_via`] are its healthy shorthands.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tiptoe_lwe::{scheme, LweCiphertext, MatrixA};
 use tiptoe_math::matrix::Mat;
@@ -27,9 +27,10 @@ use tiptoe_math::rng::derive_seed;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::{Entry, Word};
 use tiptoe_net::{
-    dispatch, timed, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
+    dispatch, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
     ParallelTiming, ServeError, Service,
 };
+use tiptoe_obs::clock::{self, timed};
 use tiptoe_underhood::{EncryptedSecret, ExpandedSecret, QueryToken, ServerHint, Underhood};
 
 use crate::batch::IndexArtifacts;
@@ -165,7 +166,7 @@ impl RankingService {
         );
         record_noise_budget_gauge("ranking", &uh, m);
 
-        let t0 = Instant::now();
+        let t0 = clock::now();
         // Vertical partition on cluster boundaries: shard w covers a
         // contiguous range of clusters (multiples of d columns).
         let c = m / d;
@@ -198,7 +199,7 @@ impl RankingService {
         }
         let raw = raw.expect("at least one shard");
         let token_hint = TokenHint { server: uh.preprocess_hint(&raw), raw };
-        let preproc_time = t0.elapsed();
+        let preproc_time = clock::since(t0);
 
         Self {
             shards,

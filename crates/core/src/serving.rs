@@ -69,8 +69,8 @@ impl<'a> ServingPlane<'a> {
     /// coalescing and admission policies.
     ///
     /// When `admission.enabled`, the plane's concurrent-query capacity
-    /// is `admission.max_inflight`, and queries past
-    /// `capacity + queue_depth` inflight are shed with a typed
+    /// is `admission.max_inflight`, and a query arriving with
+    /// `capacity` inflight is shed with a typed
     /// [`ServeError::Overloaded`].
     ///
     /// # Panics
@@ -138,8 +138,8 @@ impl<'a> ServingPlane<'a> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when the plane is at
-    /// `capacity + queue_depth` inflight queries. Shedding happens
+    /// [`ServeError::Overloaded`] when the plane is at `capacity`
+    /// inflight queries. Shedding happens
     /// *before* any bytes move or tokens are consumed, so a shed query
     /// is a clean, costless retry for the client.
     pub fn admit(&self) -> Result<Option<AdmissionPermit<'_>>, ServeError> {
@@ -223,7 +223,6 @@ impl<'a> ServingPlane<'a> {
         lanes.push(("token".to_string(), self.token_lane.lane_status()));
         let admission = self.admission.as_ref().map(|c| AdmissionStatus {
             capacity: c.capacity(),
-            queue_depth: c.policy().queue_depth,
             inflight: c.inflight(),
             admitted: c.admitted(),
             sheds: c.sheds(),
@@ -267,8 +266,6 @@ impl<'a> ServingPlane<'a> {
 pub struct AdmissionStatus {
     /// Configured concurrent-query capacity.
     pub capacity: usize,
-    /// Extra arrivals tolerated past capacity before shedding.
-    pub queue_depth: usize,
     /// Queries currently admitted and unfinished.
     pub inflight: usize,
     /// All-time admitted total.
@@ -373,9 +370,9 @@ impl PlaneStatus {
             Some(a) => {
                 let _ = write!(
                     out,
-                    ",\"admission\":{{\"capacity\":{},\"queue_depth\":{},\"inflight\":{},\
-                     \"admitted\":{},\"sheds\":{}}}",
-                    a.capacity, a.queue_depth, a.inflight, a.admitted, a.sheds
+                    ",\"admission\":{{\"capacity\":{},\"inflight\":{},\"admitted\":{},\
+                     \"sheds\":{}}}",
+                    a.capacity, a.inflight, a.admitted, a.sheds
                 );
             }
             None => out.push_str(",\"admission\":null"),
@@ -410,8 +407,8 @@ impl PlaneStatus {
             Some(a) => {
                 let _ = writeln!(
                     out,
-                    "admission   {}/{} inflight (queue {})  admitted {}  shed {}",
-                    a.inflight, a.capacity, a.queue_depth, a.admitted, a.sheds
+                    "admission   {}/{} inflight  admitted {}  shed {}",
+                    a.inflight, a.capacity, a.admitted, a.sheds
                 );
             }
             None => {

@@ -7,9 +7,10 @@ use tiptoe_lwe::{LweCiphertext, MatrixA};
 use tiptoe_math::rng::derive_seed;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_net::{
-    dispatch, timed, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
+    dispatch, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
     ParallelTiming, ServeError, Service,
 };
+use tiptoe_obs::clock::timed;
 use tiptoe_pir::{PirDatabase, PirServer};
 use tiptoe_underhood::{EncryptedSecret, ExpandedSecret, QueryToken, Underhood};
 

@@ -74,6 +74,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use tiptoe_obs::clock;
+use tiptoe_obs::recorder::flush_reason as fr;
+
 use crate::overload::{ConfigError, ServeError};
 
 /// Re-enqueue attempts a submitter makes after its flush crashed
@@ -123,44 +126,6 @@ impl CoalescePolicy {
             });
         }
         Ok(())
-    }
-}
-
-/// Why a batch left the queue (span attribute + counter label).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushReason {
-    /// The batch reached `max_batch`.
-    Full,
-    /// The forming batch's deadline passed and a member flushed it.
-    Deadline,
-    /// The last submitter in flight arrived and flushed the whole
-    /// batch inline, without a timer.
-    Complete,
-    /// [`FlushReason::Complete`] with a batch of one: a lone request
-    /// with no co-submitters flushed itself inline.
-    Solo,
-}
-
-impl FlushReason {
-    fn as_str(self) -> &'static str {
-        match self {
-            FlushReason::Full => "full",
-            FlushReason::Deadline => "deadline",
-            FlushReason::Complete => "complete",
-            FlushReason::Solo => "solo",
-        }
-    }
-
-    /// Flight-recorder code (the `flush_reason` vocabulary in
-    /// `tiptoe_obs::recorder`).
-    fn code(self) -> u64 {
-        use tiptoe_obs::recorder::flush_reason as fr;
-        match self {
-            FlushReason::Full => fr::FULL,
-            FlushReason::Deadline => fr::DEADLINE,
-            FlushReason::Complete => fr::COMPLETE,
-            FlushReason::Solo => fr::SOLO,
-        }
     }
 }
 
@@ -260,7 +225,7 @@ pub struct Coalescer<'a, Req, Resp> {
     /// Optional plane-wide in-flight gauge shared by sibling lanes
     /// (see [`Coalescer::with_cohort`]).
     cohort: Option<Arc<AtomicUsize>>,
-    /// Flushes this lane ran, by [`FlushReason::code`], and the
+    /// Flushes this lane ran, by `flush_reason` code, and the
     /// requests they served (introspection only).
     flushes: [AtomicU64; tiptoe_obs::recorder::flush_reason::COUNT],
     served: AtomicU64,
@@ -285,7 +250,7 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
             policy,
             inner: Mutex::new(LaneInner {
                 queue: VecDeque::new(),
-                deadline: Instant::now(),
+                deadline: clock::now(),
                 last_batch: 0,
             }),
             next_ticket: AtomicU64::new(0),
@@ -382,7 +347,7 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
     where
         Req: Clone,
     {
-        let start = Instant::now();
+        let start = clock::now();
         // RAII inflight count: the completion rule must see every
         // submitter that could still contribute to a batch, including
         // ones sleeping between crash retries.
@@ -419,7 +384,7 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
         // for a full or complete batch, its drain.
         let (len, present, last_batch, batch_deadline, inline) = {
             let mut inner = self.lock();
-            let now = Instant::now();
+            let now = clock::now();
             inner.queue.push_back(Pending {
                 ticket,
                 req,
@@ -436,13 +401,13 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
                 .max(self.cohort.as_ref().map_or(0, |c| c.load(Ordering::SeqCst)));
             let last_batch = inner.last_batch;
             let reason = if len >= self.policy.max_batch {
-                Some(FlushReason::Full)
+                Some(fr::FULL)
             } else if len >= present.max(last_batch) {
                 // Everyone in flight is queued here, and the batch is
                 // no smaller than the last one (whose members may be
                 // between lanes, outside the gauge): waiting cannot
                 // batch anything more, so serve it now.
-                Some(if len == 1 { FlushReason::Solo } else { FlushReason::Complete })
+                Some(if len == 1 { fr::SOLO } else { fr::COMPLETE })
             } else {
                 if len == 1 {
                     // Someone is still missing and a batch starts
@@ -469,7 +434,7 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
         let budget = deadline.and_then(|d| start.checked_add(d));
         loop {
             let until = budget.map_or(batch_deadline, |b| b.min(batch_deadline));
-            match rx.recv_timeout(until.saturating_duration_since(Instant::now())) {
+            match rx.recv_timeout(until.saturating_duration_since(clock::now())) {
                 Ok(reply) => return Ok(reply),
                 // The sender can only vanish if the flush died without
                 // delivering; treat it as a crash.
@@ -485,12 +450,12 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
                 drop(inner);
                 return Ok(rx.recv().unwrap_or(Err(LaneCrashed)));
             }
-            if let Some(d) = deadline.filter(|&d| start.elapsed() >= d) {
+            if let Some(d) = deadline.filter(|&d| clock::since(start) >= d) {
                 // Withdraw: the kernel never saw the request, so
                 // failing it loses nothing.
                 inner.queue.retain(|p| p.ticket != ticket);
                 drop(inner);
-                let spent = start.elapsed();
+                let spent = clock::since(start);
                 tiptoe_obs::metrics().counter("net.coalesce.abandoned").inc();
                 tiptoe_obs::recorder::record(
                     tiptoe_obs::recorder::EventKind::LaneWithdrawn,
@@ -501,12 +466,12 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
                 );
                 return Err(ServeError::DeadlineExceeded { budget: d, spent });
             }
-            if Instant::now() >= inner.deadline {
+            if clock::now() >= inner.deadline {
                 let batch = inner.drain();
                 drop(inner);
                 // Our request is in the batch, so its reply is waiting
                 // when the loop parks again.
-                self.run_batch(batch, FlushReason::Deadline);
+                self.run_batch(batch, fr::DEADLINE);
             }
         }
     }
@@ -514,7 +479,7 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
     /// Runs the batched kernel over a drained batch (outside the
     /// queue lock, so co-submitters keep enqueueing — and other
     /// batches keep flushing — concurrently), then answers every
-    /// member through its channel.
+    /// member through its channel. `reason` is a `flush_reason` code.
     ///
     /// A kernel panic is contained: every member of the crashed batch
     /// is failed with [`LaneCrashed`] so its submitter can retry or
@@ -522,7 +487,7 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
     /// request is silently duplicated (a request leaves the queue
     /// exactly once, and the crashed batch's requests only re-enter
     /// it through their own submitters).
-    fn run_batch(&self, batch: Vec<Pending<Req, Resp>>, reason: FlushReason) {
+    fn run_batch(&self, batch: Vec<Pending<Req, Resp>>, reason: u64) {
         use tiptoe_obs::recorder::{self, EventKind};
         // The flush serves *the batch's* queries, not whatever the
         // flushing thread happens to be doing: parent the span
@@ -535,9 +500,9 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
         let mut span = tiptoe_obs::span_under("net.coalesce.flush", batch[0].ctx.span_id);
         let m = tiptoe_obs::metrics();
         let queue_wait_us =
-            batch.iter().map(|p| p.enqueued.elapsed().as_micros() as u64).max().unwrap_or(0);
+            batch.iter().map(|p| clock::since(p.enqueued).as_micros() as u64).max().unwrap_or(0);
         if tiptoe_obs::enabled() {
-            span.set_label(reason.as_str());
+            span.set_label(fr::name(reason));
         }
         span.attr_u64("batch", batch.len() as u64);
         span.attr_u64("queue_wait_us", queue_wait_us);
@@ -550,20 +515,20 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
                 EventKind::LaneFlushed,
                 self.id,
                 batch.len() as u64,
-                reason.code(),
-                p.enqueued.elapsed().as_micros() as u64,
+                reason,
+                clock::since(p.enqueued).as_micros() as u64,
             );
         }
         m.histogram("net.coalesce.batch_size").record(batch.len() as u64);
         m.histogram("net.coalesce.queue_wait_us").record(queue_wait_us);
-        m.counter_with("net.coalesce.flushes", Some(reason.as_str().into())).inc();
-        self.flushes[reason.code() as usize].fetch_add(1, Ordering::Relaxed);
+        m.counter_with("net.coalesce.flushes", Some(fr::name(reason).into())).inc();
+        self.flushes[reason as usize].fetch_add(1, Ordering::Relaxed);
         self.served.fetch_add(batch.len() as u64, Ordering::Relaxed);
 
         let (reqs, members): (Vec<Req>, Vec<Member<Resp>>) =
             batch.into_iter().map(|p| (p.req, (p.reply, p.ctx.trace_id))).unzip();
         let n = reqs.len();
-        let kernel_start = Instant::now();
+        let kernel_start = clock::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let resps = (self.flush)(reqs);
             assert_eq!(resps.len(), n, "batched kernel must answer every request");
@@ -572,7 +537,7 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
         match outcome {
             Ok(resps) => {
                 m.histogram("net.coalesce.flush_us")
-                    .record(kernel_start.elapsed().as_micros() as u64);
+                    .record(clock::since(kernel_start).as_micros() as u64);
                 for ((reply, _), resp) in members.iter().zip(resps) {
                     // A receiver can only be gone if its submitter
                     // panicked; the rest of the batch must still be
@@ -701,7 +666,7 @@ mod tests {
             "partial batch must wait for its deadline (took {elapsed:?})"
         );
         assert!(elapsed < Duration::from_millis(250), "deadline overslept (took {elapsed:?})");
-        assert_eq!(flushes(&c, FlushReason::Deadline), 1);
+        assert_eq!(flushes(&c, fr::DEADLINE), 1);
     }
 
     /// A policy under which only a quarter-second stall fires a
@@ -736,8 +701,8 @@ mod tests {
         });
     }
 
-    fn flushes(c: &Coalescer<'_, u64, u64>, reason: FlushReason) -> u64 {
-        c.lane_status().flushes[reason.code() as usize]
+    fn flushes(c: &Coalescer<'_, u64, u64>, reason: u64) -> u64 {
+        c.lane_status().flushes[reason as usize]
     }
 
     #[test]
@@ -768,9 +733,9 @@ mod tests {
             assert_eq!(status.served, N * ROUNDS, "requests in = responses out");
             let whole = whole.load(Ordering::Relaxed) as u64;
             assert!(whole * 10 >= total * 8, "{whole} of {total} flushes held all {N}");
-            let complete = flushes(lane, FlushReason::Complete);
+            let complete = flushes(lane, fr::COMPLETE);
             assert!(complete * 10 >= total * 8, "{complete} of {total} flushes complete");
-            let deadline = flushes(lane, FlushReason::Deadline);
+            let deadline = flushes(lane, fr::DEADLINE);
             assert!(deadline * 10 <= total, "{deadline} of {total} flushes waited out a deadline");
         }
     }
@@ -791,9 +756,9 @@ mod tests {
             d
         };
         let (deadline, complete, solo) = (
-            FlushReason::Deadline.code() as usize,
-            FlushReason::Complete.code() as usize,
-            FlushReason::Solo.code() as usize,
+            fr::DEADLINE as usize,
+            fr::COMPLETE as usize,
+            fr::SOLO as usize,
         );
         closed_loop(&lane, 4, ROUNDS);
         let d = delta();
@@ -820,9 +785,9 @@ mod tests {
         })];
         let _absent = InflightGuard::enter(&lane[0].inflight);
         closed_loop(&lane, 4, 10);
-        assert!(flushes(&lane[0], FlushReason::Full) >= 1);
-        assert_eq!(flushes(&lane[0], FlushReason::Complete), 0);
-        assert_eq!(flushes(&lane[0], FlushReason::Solo), 0);
+        assert!(flushes(&lane[0], fr::FULL) >= 1);
+        assert_eq!(flushes(&lane[0], fr::COMPLETE), 0);
+        assert_eq!(flushes(&lane[0], fr::SOLO), 0);
         assert!(sizes.lock().expect("sizes").iter().all(|&n| n <= 2), "max_batch respected");
     }
 

@@ -37,9 +37,10 @@
 use std::time::Duration;
 
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
+use tiptoe_obs::clock::timed;
 
 use crate::overload::{ConfigError, ServeError};
-use crate::{timed, ParallelTiming};
+use crate::ParallelTiming;
 
 /// Hard cap on an envelope payload (bounds allocation from hostile
 /// length fields).
@@ -674,10 +675,6 @@ fn mirror_report_metrics(report: &FaultReport) {
     m.counter("net.failed_shards").add(report.shards.iter().filter(|s| !s.ok).count() as u64);
 }
 
-/// Dynamic view of the caller's payload parser, passed down to the
-/// delivery closure.
-type ParseFn<'a, R> = &'a mut dyn FnMut(usize, &[u8]) -> Result<R, WireError>;
-
 /// Executes one attempt (identified by its plan address) in virtual
 /// time; returns the delivery outcome and the real CPU spent, or
 /// propagates a typed serve failure (which aborts the dispatch).
@@ -691,64 +688,40 @@ fn run_attempt<R>(
     parse: &mut impl FnMut(usize, &[u8]) -> Result<R, WireError>,
 ) -> Result<(Delivery<R>, Duration), ServeError> {
     let plan_shard = shard_base + idx;
+    let fault = plan.fault_for(plan_shard, attempt_no);
+    if let Some(FaultKind::Crash) = fault {
+        return Ok((Delivery::TimedOut, Duration::ZERO));
+    }
+    let (payload, t) = timed(|| serve(idx));
     // `run_attempt` executes on the query's own dispatching thread,
     // so the thread-local query id *is* the originating query: the
     // TPT2 envelope carries it to (and back from) the shard, which is
     // how per-shard work stays attributable after the response hops
     // threads.
-    let trace_id = tiptoe_obs::current_query();
-    let deliver = |payload: Vec<u8>, at: Duration, parse: ParseFn<'_, R>| {
-        let sealed = seal_traced(&payload, trace_id);
-        let bytes = sealed.len() as u64;
-        match open_traced(&sealed).and_then(|(_, p)| parse(idx, p)) {
-            Ok(value) => Delivery::Ok { value, at },
-            Err(_) => Delivery::Bad { at, bytes },
-        }
-    };
-    match plan.fault_for(plan_shard, attempt_no) {
-        Some(FaultKind::Crash) => Ok((Delivery::TimedOut, Duration::ZERO)),
-        Some(FaultKind::Straggle { factor, extra }) => {
-            let (payload, t) = timed(|| serve(idx));
-            let payload = payload?;
-            let virtual_t = t.mul_f64(factor.max(0.0)) + extra;
-            if virtual_t > policy.attempt_timeout {
-                Ok((Delivery::TimedOut, t))
-            } else {
-                Ok((deliver(payload, virtual_t, parse), t))
-            }
-        }
+    let mut sealed = seal_traced(&payload?, tiptoe_obs::current_query());
+    // A straggler arrives at its virtual time and can time out; a
+    // damaged response arrives on time and fails verification.
+    let (at, can_time_out) = match fault {
+        Some(FaultKind::Straggle { factor, extra }) => (t.mul_f64(factor.max(0.0)) + extra, true),
         Some(FaultKind::Corrupt) => {
-            let (payload, t) = timed(|| serve(idx));
-            let mut sealed = seal_traced(&payload?, trace_id);
             corrupt_in_place(&mut sealed, plan.seed(), plan_shard, attempt_no);
-            let bytes = sealed.len() as u64;
-            let outcome = match open_traced(&sealed).and_then(|(_, p)| parse(idx, p)) {
-                Ok(value) => Delivery::Ok { value, at: t },
-                Err(_) => Delivery::Bad { at: t, bytes },
-            };
-            Ok((outcome, t))
+            (t, false)
         }
         Some(FaultKind::Truncate) => {
-            let (payload, t) = timed(|| serve(idx));
-            let sealed = seal_traced(&payload?, trace_id);
-            let cut = &sealed[..sealed.len() / 2];
-            let bytes = cut.len() as u64;
-            let outcome = match open_traced(cut).and_then(|(_, p)| parse(idx, p)) {
-                Ok(value) => Delivery::Ok { value, at: t },
-                Err(_) => Delivery::Bad { at: t, bytes },
-            };
-            Ok((outcome, t))
+            sealed.truncate(sealed.len() / 2);
+            (t, false)
         }
-        None => {
-            let (payload, t) = timed(|| serve(idx));
-            let payload = payload?;
-            if t > policy.attempt_timeout {
-                Ok((Delivery::TimedOut, t))
-            } else {
-                Ok((deliver(payload, t, parse), t))
-            }
-        }
+        _ => (t, true),
+    };
+    if can_time_out && at > policy.attempt_timeout {
+        return Ok((Delivery::TimedOut, t));
     }
+    let bytes = sealed.len() as u64;
+    let outcome = match open_traced(&sealed).and_then(|(_, p)| parse(idx, p)) {
+        Ok(value) => Delivery::Ok { value, at },
+        Err(_) => Delivery::Bad { at, bytes },
+    };
+    Ok((outcome, t))
 }
 
 /// Deterministically flips one payload byte of a sealed response (the

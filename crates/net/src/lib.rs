@@ -42,7 +42,7 @@ pub use service::{dispatch, DispatchContext, Dispatched, Ledger, Service};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Canonical protocol phases of the transcript ledger.
 ///
@@ -244,13 +244,6 @@ impl ParallelTiming {
     }
 }
 
-/// A stopwatch for single-machine (client or coordinator) steps.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let start = Instant::now();
-    let r = f();
-    (r, start.elapsed())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,12 +314,5 @@ mod tests {
         let c = a.then(b);
         assert_eq!(c.wall, Duration::from_millis(8));
         assert_eq!(c.cpu, Duration::from_millis(26));
-    }
-
-    #[test]
-    fn timed_measures_closure() {
-        let (v, d) = timed(|| 42);
-        assert_eq!(v, 42);
-        assert!(d < Duration::from_secs(1));
     }
 }

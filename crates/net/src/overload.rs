@@ -12,9 +12,9 @@
 //!   lanes and the per-shard fan-out. A query that cannot finish in
 //!   budget fails early with a typed [`ServeError::DeadlineExceeded`]
 //!   instead of queueing forever.
-//! - [`AdmissionController`] — a bounded admission queue over the
+//! - [`AdmissionController`] — a bound on concurrent queries, the
 //!   operator's configured capacity ([`AdmissionPolicy::max_inflight`]).
-//!   Queries past `capacity + queue_depth` inflight are shed
+//!   A query arriving with `capacity` already inflight is shed
 //!   deterministically (by arrival order) with
 //!   [`ServeError::Overloaded`].
 //!
@@ -228,20 +228,13 @@ pub struct AdmissionPolicy {
     /// Concurrent queries served at once: the plane's capacity. Must
     /// be positive when admission is enabled.
     pub max_inflight: usize,
-    /// Queries allowed to queue beyond capacity before shedding.
-    pub queue_depth: usize,
     /// Per-admitted-query deadline budget.
     pub deadline: Duration,
 }
 
 impl Default for AdmissionPolicy {
     fn default() -> Self {
-        Self {
-            enabled: false,
-            max_inflight: 0,
-            queue_depth: 16,
-            deadline: Duration::from_secs(2),
-        }
+        Self { enabled: false, max_inflight: 0, deadline: Duration::from_secs(2) }
     }
 }
 
@@ -270,8 +263,8 @@ impl AdmissionPolicy {
 }
 
 /// Bounded admission over a fixed capacity: deterministic shed
-/// decisions (a query is shed iff `capacity + queue_depth` queries
-/// were already admitted and unfinished when it arrived), an RAII
+/// decisions (a query is shed iff `capacity` queries were already
+/// admitted and unfinished when it arrived), an RAII
 /// permit per admitted query, and an arrival-ordered shed log.
 #[derive(Debug)]
 pub struct AdmissionController {
@@ -284,8 +277,8 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    /// A controller admitting up to `policy.max_inflight +
-    /// policy.queue_depth` concurrent queries.
+    /// A controller admitting up to `policy.max_inflight` concurrent
+    /// queries.
     ///
     /// # Panics
     ///
@@ -322,16 +315,15 @@ impl AdmissionController {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when `capacity + queue_depth`
-    /// queries are already inflight; the arrival is appended to the
+    /// [`ServeError::Overloaded`] when `capacity` queries are already
+    /// inflight; the arrival is appended to the
     /// shed log and the `net.shed` counter.
     pub fn try_admit(&self) -> Result<AdmissionPermit<'_>, ServeError> {
         let seq = self.arrivals.fetch_add(1, Ordering::SeqCst);
         let capacity = self.capacity();
-        let bound = capacity + self.policy.queue_depth;
         loop {
             let cur = self.inflight.load(Ordering::SeqCst);
-            if cur >= bound {
+            if cur >= capacity {
                 self.shed.fetch_add(1, Ordering::SeqCst);
                 self.shed_log.lock().expect("shed log lock").push(seq);
                 tiptoe_obs::metrics().counter("net.shed").inc();
@@ -412,19 +404,15 @@ mod tests {
     }
 
     #[test]
-    fn admission_sheds_past_capacity_plus_queue() {
-        let policy = AdmissionPolicy {
-            enabled: true,
-            max_inflight: 2,
-            queue_depth: 1,
-            deadline: Duration::from_secs(1),
-        };
+    fn admission_sheds_past_capacity() {
+        let policy =
+            AdmissionPolicy { enabled: true, max_inflight: 3, deadline: Duration::from_secs(1) };
         let ctrl = AdmissionController::new(policy);
         let p1 = ctrl.try_admit().expect("slot 1");
         let p2 = ctrl.try_admit().expect("slot 2");
-        let p3 = ctrl.try_admit().expect("queue slot");
+        let p3 = ctrl.try_admit().expect("slot 3");
         let shed = ctrl.try_admit();
-        assert!(matches!(shed, Err(ServeError::Overloaded { inflight: 3, capacity: 2 })));
+        assert!(matches!(shed, Err(ServeError::Overloaded { inflight: 3, capacity: 3 })));
         assert_eq!(ctrl.sheds(), 1);
         assert_eq!(ctrl.shed_log(), vec![3], "fourth arrival (seq 3) was shed");
         drop(p1);

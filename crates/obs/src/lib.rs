@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod export;
 pub mod metrics;
 pub mod recorder;
@@ -40,23 +41,20 @@ pub use metrics::{
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Global tracing switch. Metrics are always live (they are a handful
 /// of atomic ops per query); only span recording is gated.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Span-tree sampling rate: trace 1-in-N queries (`1` = every query).
-/// [`query_scope`] rolls the sample; between queries the outcome is
-/// latched in [`SAMPLED`] so [`enabled`] stays one atomic load.
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
 
-/// Queries seen by [`query_scope`] since the sampling rate was set.
-static QUERY_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Whether the current query was sampled (true outside any query so
-/// ad-hoc spans still record when tracing is on).
-static SAMPLED: AtomicBool = AtomicBool::new(true);
+/// The first query id minted after the sampling rate was set: query
+/// `id` is sampled iff `(id - SAMPLE_BASE) % SAMPLE_EVERY == 0`, a
+/// function of the query alone, so one client's query never turns
+/// another's spans on or off.
+static SAMPLE_BASE: AtomicU64 = AtomicU64::new(1);
 
 /// Monotonic query-id mint ([`query_scope`]); 0 means "no query".
 static NEXT_QUERY: AtomicU64 = AtomicU64::new(1);
@@ -77,7 +75,7 @@ pub struct SpanRecord {
     pub name: &'static str,
     /// Optional dynamic label (e.g. a shard index).
     pub label: Option<String>,
-    /// Start offset from the tracer epoch, microseconds.
+    /// Start offset from the process epoch ([`clock`]), microseconds.
     pub start_us: u64,
     /// Measured wall-clock duration, microseconds.
     pub dur_us: u64,
@@ -106,7 +104,6 @@ impl SpanRecord {
 }
 
 struct TraceState {
-    epoch: Instant,
     spans: Mutex<Vec<SpanRecord>>,
     next_span: AtomicU64,
     next_tid: AtomicU64,
@@ -116,7 +113,6 @@ struct TraceState {
 fn state() -> &'static TraceState {
     static S: OnceLock<TraceState> = OnceLock::new();
     S.get_or_init(|| TraceState {
-        epoch: Instant::now(),
         spans: Mutex::new(Vec::new()),
         next_span: AtomicU64::new(1),
         next_tid: AtomicU64::new(1),
@@ -140,21 +136,27 @@ fn thread_tid() -> u64 {
     })
 }
 
-/// Whether span recording is on *for the current query* (the master
-/// switch gated by the per-query sampling decision).
+/// Whether span recording is on *for the calling thread's query*:
+/// the master switch gated by that query's sampling decision. Outside
+/// any query it is the master switch alone, so ad-hoc spans record.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) && SAMPLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) && sampled(current_query())
+}
+
+fn sampled(query: u64) -> bool {
+    query == 0
+        || query
+            .wrapping_sub(SAMPLE_BASE.load(Ordering::Relaxed))
+            .is_multiple_of(SAMPLE_EVERY.load(Ordering::Relaxed).max(1))
 }
 
 /// Sets the span-sampling rate: trace 1-in-`every` queries. `every`
-/// below 1 is clamped to 1 (every query). Resets the query counter so
-/// the next [`query_scope`] is sampled — deterministic for tests and
-/// benchmarks.
+/// below 1 is clamped to 1 (every query). The next query minted is
+/// sampled — deterministic for tests and benchmarks.
 pub fn set_span_sample(every: u64) {
+    SAMPLE_BASE.store(NEXT_QUERY.load(Ordering::Relaxed), Ordering::Relaxed);
     SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
-    QUERY_COUNTER.store(0, Ordering::Relaxed);
-    SAMPLED.store(true, Ordering::Relaxed);
 }
 
 /// The current span-sampling rate (1 = every query).
@@ -243,28 +245,24 @@ impl Drop for QueryScope {
 }
 
 /// Enters a query boundary on this thread: mints a process-unique
-/// query id (the flight-recorder key and [`TraceCtx::trace_id`]) and,
-/// when tracing is enabled, rolls the 1-in-N span-sampling decision.
+/// query id (the flight-recorder key and [`TraceCtx::trace_id`]),
+/// which also decides whether the query is in the 1-in-N span sample.
 /// A sampled query clears the span buffer, so the exported trace holds
 /// that query, but only when no other query is active: concurrent
 /// clients' in-flight spans survive each other's boundaries and a
 /// post-cohort snapshot holds every query's tree. An unsampled query
-/// records no spans ([`enabled`] reports false until the next sampled
-/// one). Nested calls on the same thread
-/// adopt the existing scope (the guard is then inert).
+/// records no spans ([`enabled`] reports false on its thread). Nested
+/// calls on the same thread adopt the existing scope (the guard is
+/// then inert).
 pub fn query_scope() -> QueryScope {
     if current_query() != 0 {
         return QueryScope { fresh: false };
     }
-    CURRENT_QUERY.with(|q| q.set(NEXT_QUERY.fetch_add(1, Ordering::Relaxed)));
+    let id = NEXT_QUERY.fetch_add(1, Ordering::Relaxed);
+    CURRENT_QUERY.with(|q| q.set(id));
     let active = ACTIVE_QUERIES.fetch_add(1, Ordering::Relaxed) + 1;
-    if ENABLED.load(Ordering::Relaxed) {
-        let every = SAMPLE_EVERY.load(Ordering::Relaxed).max(1);
-        let sampled = QUERY_COUNTER.fetch_add(1, Ordering::Relaxed).is_multiple_of(every);
-        SAMPLED.store(sampled, Ordering::Relaxed);
-        if sampled && active == 1 {
-            clear_spans();
-        }
+    if active == 1 && enabled() {
+        clear_spans();
     }
     QueryScope { fresh: true }
 }
@@ -330,7 +328,6 @@ struct Pending {
     parent: Option<u64>,
     name: &'static str,
     label: Option<String>,
-    start: Instant,
     start_us: u64,
     virtual_us: Option<u64>,
     attrs: Vec<(&'static str, u64)>,
@@ -368,8 +365,7 @@ pub fn span_under(name: &'static str, parent: Option<SpanId>) -> Span {
 fn open_span(name: &'static str, parent: Option<u64>) -> Span {
     let st = state();
     let id = st.next_span.fetch_add(1, Ordering::Relaxed);
-    let start = Instant::now();
-    let start_us = start.duration_since(st.epoch).as_micros() as u64;
+    let start_us = clock::now_us();
     STACK.with(|s| s.borrow_mut().push(id));
     Span {
         pending: Some(Pending {
@@ -377,7 +373,6 @@ fn open_span(name: &'static str, parent: Option<u64>) -> Span {
             parent,
             name,
             label: None,
-            start,
             start_us,
             virtual_us: None,
             attrs: Vec::new(),
@@ -447,7 +442,7 @@ impl Drop for Span {
             name: p.name,
             label: p.label,
             start_us: p.start_us,
-            dur_us: p.start.elapsed().as_micros() as u64,
+            dur_us: clock::now_us().saturating_sub(p.start_us),
             virtual_us: p.virtual_us,
             tid: thread_tid(),
             attrs: p.attrs,
@@ -458,15 +453,12 @@ impl Drop for Span {
 }
 
 /// Runs `f` inside a span and returns its result plus the measured
-/// wall-clock duration — the drop-in replacement for raw
-/// `Instant::now` pairs, so benchmarks and the tracer cannot disagree
-/// about phase boundaries. The duration is measured whether or not
-/// tracing is enabled.
+/// wall-clock duration ([`clock::timed`]), so benchmarks and the
+/// tracer cannot disagree about phase boundaries. The duration is
+/// measured whether or not tracing is enabled.
 pub fn timed_span<R>(name: &'static str, f: impl FnOnce() -> R) -> (R, Duration) {
     let _span = span(name);
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed())
+    clock::timed(f)
 }
 
 #[cfg(test)]
@@ -583,6 +575,32 @@ mod tests {
         set_span_sample(1);
         disable();
         assert_eq!(span_sample(), 1);
+    }
+
+    #[test]
+    fn a_sampled_query_keeps_its_spans_when_another_query_opens() {
+        let _g = guard();
+        enable();
+        set_span_sample(2);
+        let a = query_scope();
+        let (opened, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                let _b = query_scope();
+                let sampled = enabled();
+                opened.wait();
+                done.wait();
+                assert!(!sampled, "the second query at 1-in-2 is sampled out");
+            });
+            opened.wait();
+            drop(span("a.after_b"));
+            done.wait();
+        });
+        drop(a);
+        set_span_sample(1);
+        disable();
+        let names: Vec<_> = spans_snapshot().iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["a.after_b"]);
     }
 
     #[test]

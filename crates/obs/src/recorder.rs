@@ -28,7 +28,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Ring capacity in events (power of two; the slot index is
 /// `seq & (CAPACITY - 1)`).
@@ -181,7 +180,8 @@ pub struct Event {
     pub seq: u64,
     /// Owning query id (0 = outside any query scope).
     pub query: u64,
-    /// Microseconds since the recorder epoch.
+    /// Microseconds since the process epoch ([`crate::clock`]), the
+    /// time axis span `start_us` shares.
     pub at_us: u64,
     /// What happened.
     pub kind: EventKind,
@@ -288,7 +288,6 @@ impl Slot {
 }
 
 struct Ring {
-    epoch: Instant,
     head: AtomicU64,
     auto_dumps: AtomicU64,
     slots: Vec<Slot>,
@@ -297,7 +296,6 @@ struct Ring {
 fn ring() -> &'static Ring {
     static R: OnceLock<Ring> = OnceLock::new();
     R.get_or_init(|| Ring {
-        epoch: Instant::now(),
         head: AtomicU64::new(0),
         auto_dumps: AtomicU64::new(0),
         slots: (0..CAPACITY).map(|_| Slot::empty()).collect(),
@@ -312,7 +310,7 @@ pub fn record_for(query: u64, kind: EventKind, a: u64, b: u64, c: u64, d: u64) {
     let r = ring();
     let seq = r.head.fetch_add(1, Ordering::Relaxed);
     let slot = &r.slots[(seq as usize) & (CAPACITY - 1)];
-    let at_us = r.epoch.elapsed().as_micros() as u64;
+    let at_us = crate::clock::now_us();
     slot.version.store(seq * 2 + 1, Ordering::Release);
     let words = [query, at_us, kind as u64, a, b, c, d];
     for (w, v) in slot.words.iter().zip(words) {

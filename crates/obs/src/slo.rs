@@ -14,7 +14,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use crate::clock;
 
 /// Fast-burn window: a spike visible here means active overload.
 pub const SHORT_WINDOW: Duration = Duration::from_secs(10);
@@ -24,11 +26,6 @@ pub const LONG_WINDOW: Duration = Duration::from_secs(60);
 /// Per-second slots retained; must exceed `LONG_WINDOW` seconds so a
 /// long-window read never wraps onto live data.
 const SLOTS: usize = 128;
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
 
 /// A lock-free sliding-window event counter with one-second buckets.
 pub struct BurnWindow {
@@ -58,7 +55,7 @@ impl BurnWindow {
 
     /// Counts one event at "now".
     pub fn record(&self) {
-        self.record_at(epoch().elapsed());
+        self.record_at(Duration::from_micros(clock::now_us()));
     }
 
     /// Counts one event at an explicit offset from the process epoch
@@ -82,11 +79,6 @@ impl BurnWindow {
         self.total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Events recorded within the trailing `window` from "now".
-    pub fn count_over(&self, window: Duration) -> u64 {
-        self.count_over_at(window, epoch().elapsed())
-    }
-
     /// Events within the trailing `window` ending at `now` (an offset
     /// from the process epoch).
     pub fn count_over_at(&self, window: Duration, now: Duration) -> u64 {
@@ -105,7 +97,8 @@ impl BurnWindow {
 
     /// Events per second over the trailing `window`.
     pub fn rate_over(&self, window: Duration) -> f64 {
-        self.count_over(window) as f64 / window.as_secs_f64().max(1e-9)
+        let now = Duration::from_micros(clock::now_us());
+        self.count_over_at(window, now) as f64 / window.as_secs_f64().max(1e-9)
     }
 
     /// All-time event total.

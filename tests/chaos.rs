@@ -310,7 +310,6 @@ fn overload_sheds_with_typed_errors_and_conserves_every_query() {
     config.num_shards = 3;
     config.admission.enabled = true;
     config.admission.max_inflight = 2;
-    config.admission.queue_depth = 0;
     config.admission.deadline = Duration::from_secs(60); // debug-build headroom
     // Attempts long enough that no healthy shard times out on a
     // loaded debug build; a crashed one costs two of them.

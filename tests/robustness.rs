@@ -152,12 +152,8 @@ fn shed_decisions_are_deterministic_for_a_given_arrival_schedule() {
     // replaying the same admit/depart schedule against a fresh
     // controller reproduces the same admit/shed outcome for every
     // arrival and the same shed log, arrival for arrival.
-    let policy = AdmissionPolicy {
-        enabled: true,
-        max_inflight: 2,
-        queue_depth: 1,
-        deadline: Duration::from_secs(1),
-    };
+    let policy =
+        AdmissionPolicy { enabled: true, max_inflight: 3, deadline: Duration::from_secs(1) };
     let run = |seed: u64| {
         let ctrl = AdmissionController::new(policy);
         let mut rng = seeded_rng(seed);
