@@ -699,8 +699,9 @@ fn run_attempt<R>(
     // how per-shard work stays attributable after the response hops
     // threads.
     let mut sealed = seal_traced(&payload?, tiptoe_obs::current_query());
-    // A straggler arrives at its virtual time and can time out; a
-    // damaged response arrives on time and fails verification.
+    // A healthy or straggling response can time out (a straggler at
+    // its virtual time); a damaged one arrives on time and fails
+    // verification.
     let (at, can_time_out) = match fault {
         Some(FaultKind::Straggle { factor, extra }) => (t.mul_f64(factor.max(0.0)) + extra, true),
         Some(FaultKind::Corrupt) => {
