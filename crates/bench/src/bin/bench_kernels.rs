@@ -65,7 +65,9 @@
 //! not reproduce. `matvec_shard` is a ranking shard of the end-to-end
 //! benchmark's wide deployment (122×20,832): one query and a flush of
 //! four, on one thread and two, the scan that `serve_solo` and
-//! `serve_fleet` time.
+//! `serve_fleet` time; its `auto_*` rows ask for `0`, as every service
+//! does, and run at the count `tiptoe_math::par::scan_threads` picks
+//! for the shape (inline at B = 1, two threads at B = 4).
 //!
 //! ```text
 //! cargo run --release -p tiptoe-bench --bin bench_kernels
@@ -426,6 +428,11 @@ fn main() {
     push("matvec_shard", "parallel_t2".into(), &shape, seconds, scalar, None);
     let seconds = time_threads(2, cores, reps, || scan(&shard, &qs, 2)).map(|s| s / BATCH as f64);
     push("matvec_shard", format!("batched_b{BATCH}_t2_per_query"), &shape, seconds, scalar, None);
+    // What the services run: the count the scan's grain picks.
+    let auto = time(reps, || scan(&shard, &qs[..1], 0));
+    push("matvec_shard", "auto_b1".into(), &shape, Some(auto), scalar, None);
+    let auto = time(reps, || scan(&shard, &qs, 0)) / BATCH as f64;
+    push("matvec_shard", format!("auto_b{BATCH}_per_query"), &shape, Some(auto), scalar, None);
 
     // --- Offline kernel: preproc (hint = M·A with seeded A). ---
     let db = Mat::from_fn(PREPROC_ROWS, PREPROC_COLS, |_, _| rng.gen_range(0..16u32));

@@ -6,23 +6,6 @@ use tiptoe_lwe::LweParams;
 use tiptoe_net::{AdmissionPolicy, CoalescePolicy, ConfigError, FaultPolicy};
 use tiptoe_rlwe::RlweParams;
 
-/// Server-side parallelism knob.
-///
-/// `num_threads == 0` means "one thread per available core" (the
-/// `TIPTOE_THREADS` environment variable overrides the auto-detected
-/// count); any other value pins the thread count exactly. Every
-/// kernel (`scan`, `preproc`, token generation) is bit-identical at
-/// any thread count, so this knob trades wall-clock time only — never
-/// results. How many ciphertexts share one database pass is not set
-/// here: a lane flush answers whatever batch
-/// `CoalescePolicy::max_batch` let it collect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Parallelism {
-    /// Threads per kernel call on the build and lane-flush paths
-    /// (`0` = one per core).
-    pub num_threads: usize,
-}
-
 /// All parameters of a Tiptoe deployment.
 #[derive(Debug, Clone)]
 pub struct TiptoeConfig {
@@ -49,8 +32,6 @@ pub struct TiptoeConfig {
     pub num_shards: usize,
     /// Documents sampled for the PCA fit.
     pub pca_sample: usize,
-    /// Server-side thread count.
-    pub parallelism: Parallelism,
     /// Coordinator fault-recovery knobs (timeouts, retries, hedging,
     /// a per-shard deadline). Disabled by default: every shard then
     /// gets one untimed attempt and the answers are the
@@ -96,7 +77,6 @@ impl TiptoeConfig {
             urls_per_batch: 880,
             num_shards: 4,
             pca_sample: 2048.min(num_docs),
-            parallelism: Parallelism::default(),
             fault_policy: FaultPolicy::default(),
             coalesce: CoalescePolicy::default(),
             admission: AdmissionPolicy::default(),
@@ -119,7 +99,6 @@ impl TiptoeConfig {
             urls_per_batch: 880,
             num_shards: 8,
             pca_sample: 2048.min(num_docs),
-            parallelism: Parallelism::default(),
             fault_policy: FaultPolicy::default(),
             coalesce: CoalescePolicy::default(),
             admission: AdmissionPolicy::default(),
@@ -150,7 +129,6 @@ impl TiptoeConfig {
             urls_per_batch: 16,
             num_shards: 2,
             pca_sample: 512.min(num_docs),
-            parallelism: Parallelism::default(),
             fault_policy: FaultPolicy::default(),
             coalesce: CoalescePolicy::default(),
             admission: AdmissionPolicy::default(),

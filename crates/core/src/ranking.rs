@@ -34,7 +34,7 @@ use tiptoe_obs::clock::{self, timed};
 use tiptoe_underhood::{EncryptedSecret, ExpandedSecret, QueryToken, ServerHint, Underhood};
 
 use crate::batch::IndexArtifacts;
-use crate::config::{Parallelism, TiptoeConfig};
+use crate::config::TiptoeConfig;
 use crate::serving::ServingPlane;
 
 /// One ranking worker: its vertical matrix shard.
@@ -64,7 +64,6 @@ pub struct RankingService {
     /// Embedding dimension: each cluster owns a contiguous `d`-column
     /// block, so shard/cluster bookkeeping divides by `d`.
     d: usize,
-    parallelism: Parallelism,
     /// Wall-clock spent in cryptographic preprocessing at build time.
     pub preproc_time: Duration,
 }
@@ -183,7 +182,7 @@ impl RankingService {
             let range = a.row_range(col_start, col_end - col_start);
             // The hint is bit-identical at any thread count, so the
             // build is deterministic.
-            let hint = scheme::preproc::<u64>(&db, &range, config.parallelism.num_threads);
+            let hint = scheme::preproc::<u64>(&db, &range, 0);
             // Every H_w is corpus-only, so H = Σ_w H_w is taken here,
             // once, and not per token.
             match raw.as_mut() {
@@ -201,22 +200,7 @@ impl RankingService {
         let token_hint = TokenHint { server: uh.preprocess_hint(&raw), raw };
         let preproc_time = clock::since(t0);
 
-        Self {
-            shards,
-            token_hint,
-            uh,
-            a,
-            rows: matrix.rows(),
-            cols: m,
-            d,
-            parallelism: config.parallelism,
-            preproc_time,
-        }
-    }
-
-    /// The parallelism knobs this service was built with.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
+        Self { shards, token_hint, uh, a, rows: matrix.rows(), cols: m, d, preproc_time }
     }
 
     /// The composed-scheme parameters (shared with clients).
@@ -336,13 +320,11 @@ impl RankingService {
     ) -> (Vec<QueryToken>, ParallelTiming) {
         let mut span = tiptoe_obs::span("rank.token");
         span.attr_u64("batch", secrets.len() as u64);
-        // The threads split the NTT coefficients of every (chunk, limb)
-        // sum; the tokens are bit-identical to the sequential
-        // evaluation.
-        let threads = self.parallelism.num_threads;
+        // One thread per core splits the NTT coefficients of every
+        // (chunk, limb) sum; the tokens are bit-identical to the
+        // sequential evaluation.
         let hint = &self.token_hint.server;
-        let (tokens, elapsed) =
-            timed(|| self.uh.generate_token_expanded_many(hint, secrets, threads));
+        let (tokens, elapsed) = timed(|| self.uh.generate_token_expanded_many(hint, secrets, 0));
         (tokens, ParallelTiming { wall: elapsed, cpu: elapsed })
     }
 
@@ -377,7 +359,7 @@ impl RankingService {
     pub fn shard_answer(&self, idx: usize, chunk: &[u64]) -> Vec<u64> {
         let shard = &self.shards[idx];
         assert_eq!(chunk.len(), shard.db.cols(), "chunk width mismatch");
-        scheme::apply(&shard.db, &[chunk], 1).pop().expect("one answer per chunk")
+        scheme::apply(&shard.db, &[chunk], 0).pop().expect("one answer per chunk")
     }
 
     /// Batched form of [`RankingService::shard_answer`]: answers `B`
@@ -398,7 +380,7 @@ impl RankingService {
                 chunk.as_slice()
             })
             .collect();
-        scheme::apply(&shard.db, &chunks, self.parallelism.num_threads)
+        scheme::apply(&shard.db, &chunks, 0)
     }
 
     /// Answers an online ranking query: workers compute their partial

@@ -100,11 +100,9 @@ impl<'a> ServingPlane<'a> {
                 .with_cohort(cohort.clone())
             })
             .collect();
-        let url_threads = url.parallelism().num_threads;
-        let url_lane = Coalescer::new(policy, move |cts: Vec<LweCiphertext<u32>>| {
-            url.answer_many(&cts, url_threads)
-        })
-        .with_cohort(cohort.clone());
+        let url_lane =
+            Coalescer::new(policy, move |cts: Vec<LweCiphertext<u32>>| url.answer_many(&cts))
+                .with_cohort(cohort.clone());
         // Token generation coalesces too: it is the same
         // memory-bound shape as the scans (a pass over the hint
         // polynomials instead of the matrix), so `B` concurrent token
@@ -113,7 +111,7 @@ impl<'a> ServingPlane<'a> {
         let token_lane = Coalescer::new(policy, move |secrets: Vec<Arc<ExpandedSecret>>| {
             let refs: Vec<&ExpandedSecret> = secrets.iter().map(|a| a.as_ref()).collect();
             let (rank, _) = ranking.generate_token_expanded_many(&refs);
-            let url_tokens = url.generate_token_expanded_many(&refs, url_threads);
+            let url_tokens = url.generate_token_expanded_many(&refs);
             rank.into_iter().zip(url_tokens).map(|(rank, url)| TokenBundle { rank, url }).collect()
         })
         .with_cohort(cohort.clone());
@@ -478,9 +476,13 @@ impl PlaneStatus {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use rand::Rng;
     use tiptoe_corpus::synth::{generate, CorpusConfig};
     use tiptoe_embed::text::TextEmbedder;
+    use tiptoe_lwe::LweCiphertext;
+    use tiptoe_math::par::observe_spans;
     use tiptoe_math::rng::seeded_rng;
     use tiptoe_underhood::{ClientKey, EncryptedSecret};
 
@@ -546,6 +548,36 @@ mod tests {
         assert!(text.contains("last_batch") && text.contains("complete"), "flush columns:\n{text}");
         assert!(json.contains("\"flushes\":{\"full\":0"), "per-lane flush counts in {json}");
         assert!(text.contains("net.coalesce.flush_us"), "render lists histograms:\n{text}");
+    }
+
+    #[test]
+    fn direct_and_lane_answers_split_the_scan_alike() {
+        // A direct answer and a solo lane flush of the same request
+        // run one kernel call with one thread count, so they hand out
+        // the same spans (a solo flush runs on the submitting thread).
+        let corpus = generate(&CorpusConfig::small(150, 74), 0);
+        let config = TiptoeConfig::test_small(150, 74);
+        let embedder = TextEmbedder::new(config.d_embed, 74, 0);
+        let instance = TiptoeInstance::build(&config, embedder, &corpus);
+        let plane = instance.serving_plane();
+        let mut rng = seeded_rng(13);
+
+        let ranking = &instance.ranking;
+        for idx in 0..ranking.num_shards() {
+            let (lo, hi) = ranking.shard_columns(idx);
+            let chunk: Vec<u64> = (lo..hi).map(|_| rng.gen()).collect();
+            let direct = observe_spans(|| ranking.shard_answer(idx, &chunk));
+            let lane = observe_spans(|| plane.rank_chunk_within(idx, chunk.clone(), Duration::MAX));
+            assert_eq!(lane.0.expect("no deadline"), direct.0, "shard {idx}");
+            assert_eq!(lane.1, direct.1, "shard {idx} spans");
+        }
+
+        let records = instance.url.database().num_records();
+        let ct = LweCiphertext { c: (0..records).map(|_| rng.gen()).collect() };
+        let direct = observe_spans(|| instance.url.answer(&ct).0);
+        let lane = observe_spans(|| plane.url_answer(ct.clone()));
+        assert_eq!(lane.0, direct.0);
+        assert_eq!(lane.1, direct.1, "URL spans");
     }
 
     #[test]

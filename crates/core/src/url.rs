@@ -15,7 +15,7 @@ use tiptoe_pir::{PirDatabase, PirServer};
 use tiptoe_underhood::{EncryptedSecret, ExpandedSecret, QueryToken, Underhood};
 
 use crate::batch::IndexArtifacts;
-use crate::config::{Parallelism, TiptoeConfig};
+use crate::config::TiptoeConfig;
 use crate::ranking::record_noise_budget_gauge;
 use crate::serving::ServingPlane;
 
@@ -78,7 +78,6 @@ impl Service for UrlAnswer<'_> {
 /// The URL service: a PIR server over the compressed URL batches.
 pub struct UrlService {
     server: PirServer,
-    parallelism: Parallelism,
     /// Wall-clock spent in cryptographic preprocessing at build time.
     pub preproc_time: Duration,
 }
@@ -97,12 +96,7 @@ impl UrlService {
         record_noise_budget_gauge("url", &uh, db.num_records());
         let (server, preproc_time) =
             timed(|| PirServer::new(db, derive_seed(config.seed, 0xB161), uh));
-        Self { server, parallelism: config.parallelism, preproc_time }
-    }
-
-    /// The parallelism knobs this service was built with.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
+        Self { server, preproc_time }
     }
 
     /// The composed-scheme parameters (shared with clients).
@@ -126,11 +120,9 @@ impl UrlService {
     }
 
     /// Token generation over a pre-expanded secret: the `B = 1` case
-    /// of [`UrlService::generate_token_expanded_many`], at the thread
-    /// count the serving plane's token lane runs it with.
+    /// of [`UrlService::generate_token_expanded_many`].
     pub fn generate_token_expanded(&self, es: &ExpandedSecret) -> (QueryToken, ParallelTiming) {
-        let (mut tokens, wall) =
-            timed(|| self.generate_token_expanded_many(&[es], self.parallelism.num_threads));
+        let (mut tokens, wall) = timed(|| self.generate_token_expanded_many(&[es]));
         (tokens.pop().expect("one token per secret"), ParallelTiming { wall, cpu: wall })
     }
 
@@ -138,12 +130,8 @@ impl UrlService {
     /// hint polynomials (each bit-identical to
     /// [`UrlService::generate_token_expanded`] for that client); the
     /// serving plane's token lane flushes through this kernel.
-    pub fn generate_token_expanded_many(
-        &self,
-        secrets: &[&ExpandedSecret],
-        num_threads: usize,
-    ) -> Vec<QueryToken> {
-        self.server.generate_token_expanded_many(secrets, num_threads)
+    pub fn generate_token_expanded_many(&self, secrets: &[&ExpandedSecret]) -> Vec<QueryToken> {
+        self.server.generate_token_expanded_many(secrets)
     }
 
     /// Answers an online PIR query.
@@ -162,8 +150,8 @@ impl UrlService {
     /// Answers a batch of PIR queries in one pass over the database
     /// (bit-identical to per-query [`UrlService::answer`]); the
     /// serving plane's coalescing lane flushes through this kernel.
-    pub fn answer_many(&self, cts: &[LweCiphertext<u32>], num_threads: usize) -> Vec<Vec<u32>> {
-        self.server.answer_many(cts, num_threads)
+    pub fn answer_many(&self, cts: &[LweCiphertext<u32>]) -> Vec<Vec<u32>> {
+        self.server.answer_many(cts)
     }
 
     /// Dispatches an online PIR query through the typed service plane

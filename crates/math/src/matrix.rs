@@ -206,10 +206,12 @@ const _: () = assert!(TILE_COLS.is_multiple_of(64), "a tile is whole chunks of b
 /// tile at a time, and a tile's rows [`ROW_GROUP`] at a time, so each
 /// query tile stays cache-resident and is loaded once per group of
 /// rows instead of once per row; contiguous row spans fan out over
-/// `threads` threads (`0` = one per core, `1` = inline on the caller's
-/// stack). Wrapping mod-`2^k` sums are associative and commutative, so
-/// no tiling, row grouping, batch size, thread count, or SIMD lane
-/// grouping inside the row-group kernel can change any output word.
+/// `threads` threads (`1` = inline on the caller's stack, `0` = one
+/// per core capped by the grain, [`crate::par::scan_threads`]: what
+/// every service asks for). Wrapping mod-`2^k` sums are associative
+/// and commutative, so no tiling, row grouping, batch size, thread
+/// count, or SIMD lane grouping inside the row-group kernel can change
+/// any output word.
 /// Each query is laid out for the kernel once ([`Entry::split`]: the
 /// `i8` VNNI body's byte planes) before the rows fan out.
 ///
@@ -225,6 +227,10 @@ pub fn scan<W: Word>(db: &Mat<impl Entry>, queries: &[&[W]], threads: usize) -> 
         return Vec::new();
     }
     let batch = queries.len();
+    let threads = match threads {
+        0 => crate::par::scan_threads(std::mem::size_of_val(db.data()), batch),
+        t => t,
+    };
     let planes: Vec<Vec<u8>> = queries.iter().map(|q| split_query(db, q)).collect();
     // Row-major (row, batch) accumulator so one row's products for all
     // queries are computed while the row is hot in cache.
@@ -396,6 +402,25 @@ mod tests {
         for threads in [0usize, 1, 2, 3, 5, 16] {
             assert_eq!(scan(&db, &[&v], threads), std::slice::from_ref(&want), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn the_auto_thread_count_follows_the_shape_and_explicit_counts_stand() {
+        let spans = |db: &Mat<i8>, v: &[u64], threads| {
+            crate::par::observe_spans(|| scan(db, &[v], threads)).1
+        };
+        // The wide shard runs inline at B = 1, whatever it and the
+        // query hold; an explicit count is used as given.
+        let (rows, cols) = (122, 20_832);
+        let zeros = Mat::from_fn(rows, cols, |_, _| 0i8);
+        let mixed = Mat::from_fn(rows, cols, |i, j| (i * 2654435761 + j * 40503) as i8);
+        let v: Vec<u64> = (0..cols as u64).map(|j| j.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        assert_eq!(spans(&zeros, &vec![0; cols], 0), [(0, rows)]);
+        assert_eq!(spans(&mixed, &v, 0), [(0, rows)]);
+        assert_eq!(spans(&mixed, &v, 3).len(), 3);
+        // A 32 MiB matrix keeps one thread per core, up to its grains.
+        let big = Mat::from_fn(32_768, 1_024, |_, _| 0i8);
+        assert_eq!(spans(&big, &[0; 1_024], 0).len(), crate::par::max_threads().min(8));
     }
 
     #[test]

@@ -18,16 +18,24 @@
 //! Thread-count policy: `0` means "one thread per available core"
 //! (capped by the `TIPTOE_THREADS` environment variable when set), any
 //! other value is used as given; both are clamped so no thread ends up
-//! without a full span of work. Server kernels get the count from
-//! their caller's configuration; client kernels have none to get and
-//! ask for `0` through [`prg_threads`].
+//! without a full span of work. Every caller above the kernels asks
+//! for `0`, and each kernel caps that by its own grain, a function of
+//! the shape alone: [`scan_threads`] for the scan, [`prg_threads`] for
+//! the client kernels. `TIPTOE_THREADS` is the one deployment setting;
+//! explicit counts are for tests and benchmarks.
 
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Number of worker threads meant by a `num_threads` knob value of 0:
-/// one per available core, overridable with `TIPTOE_THREADS`.
+/// one per available core, overridable with `TIPTOE_THREADS`. The
+/// cores are detected once: `available_parallelism` reads the cgroup's
+/// CPU quota from files, ≈13 µs a call on a 2-vCPU VM, against a
+/// 0.15 ms shard scan.
 pub fn max_threads() -> usize {
-    let detected = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    let detected = *DETECTED
+        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
     match std::env::var("TIPTOE_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
         Some(n) if n >= 1 => n, // explicit override wins
         _ => detected,
@@ -88,6 +96,30 @@ pub fn prg_threads(
     let call_cost = 11 * batched + 21 * (call - batched);
     let work = rows * call_cost / tile + rows * PRG_ROW_DRAW * draws;
     effective_threads(num_threads, rows.min(work / (11 * MIN_PRG_WORDS_PER_THREAD)))
+}
+
+/// The grain of [`crate::matrix::scan`], in bytes of matrix streamed
+/// for one query: 4 MiB, ≈0.2 ms of one thread at the `i8` rate. Over
+/// four `bench_kernels` runs on a 2-vCPU host the `matvec_shard` rows
+/// (122×20,832 `i8`, 2.5 MB, the wide deployment's shard) read
+/// 149–168 µs on one thread against 169–313 µs on two at B = 1, and
+/// 142–161 against 109–144 µs a query at B = 4; `matvec_stream`
+/// (32,768×1,024, 32 MiB) 2.0–6.3 ms against 1.1–3.0 ms. The second
+/// vCPU of that host is worth 1.0–1.9× over minutes: in sweeps
+/// alternating one and two threads, two lost at every shape under
+/// ≈1 MB (a 170×4,608 shard 32 against 40–54 µs) and won at 33 MB by
+/// up to 1.9× or not at all. A `u32` entry (the URL matrix) costs about three
+/// `i8` ones, so work is counted in bytes, not entries: the wide URL
+/// scan (495×5,534 `u32`, 11 MB, 360–430 µs on one thread, 0.61× or
+/// 1.1× on two) keeps two threads, the shard inline at B = 1 and 2.
+pub const MIN_SCAN_BYTES_PER_THREAD: usize = 1 << 22;
+
+/// The thread count [`crate::matrix::scan`] takes when asked for `0`:
+/// one per core, capped so each thread streams at least
+/// [`MIN_SCAN_BYTES_PER_THREAD`] a query of a `matrix_bytes` matrix
+/// scanned for `batch` queries. A function of the shape alone.
+pub fn scan_threads(matrix_bytes: usize, batch: usize) -> usize {
+    effective_threads(0, matrix_bytes * batch / MIN_SCAN_BYTES_PER_THREAD)
 }
 
 thread_local! {
@@ -201,6 +233,21 @@ mod tests {
         // The ranking queries.
         assert_eq!(prg_threads(256, 17_088, 2048, 1, 1), 138);
         assert_eq!(prg_threads(64, 41_664, 64, 16, 1), 21);
+    }
+
+    #[test]
+    fn scan_grain_follows_the_shape() {
+        // The wide shard runs inline at B = 1 and 2, and fans out at
+        // B = 4; the wide URL scan and a 32 MiB matrix fan out.
+        let shard = 122 * 20_832;
+        assert_eq!(scan_threads(shard, 1), 1);
+        assert_eq!(scan_threads(shard, 2), 1);
+        assert_eq!(scan_threads(shard, 4), max_threads().min(2));
+        assert_eq!(scan_threads(495 * 5_534 * 4, 1), max_threads().min(2));
+        assert_eq!(scan_threads(32_768 * 1_024, 1), max_threads().min(8));
+        // Small scans stay inline whatever the batch.
+        assert_eq!(scan_threads(170 * 4_608, 4), 1);
+        assert_eq!(scan_threads(0, 4), 1);
     }
 
     #[test]

@@ -491,17 +491,18 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
         use tiptoe_obs::recorder::{self, EventKind};
         // The flush serves *the batch's* queries, not whatever the
         // flushing thread happens to be doing: parent the span
-        // explicitly under the first member's submission span (under
-        // a co-submitter's drain the implicit thread-local parent
-        // would be a different query, leaving this batch's queries
-        // without the span). Every other member is attached with a
-        // follow-from link, so each batched query's trace reaches
-        // this span.
-        let mut span = tiptoe_obs::span_under("net.coalesce.flush", batch[0].ctx.span_id);
+        // explicitly under the first sampled member's submission span
+        // (under a co-submitter's drain the implicit thread-local
+        // parent would be a different query, and under 1-in-N
+        // sampling the flushing member may be one the sampler left
+        // out). Every sampled member is attached with a follow-from
+        // link, so each batched query's trace reaches this span.
+        let parent = batch.iter().find_map(|p| p.ctx.span_id);
+        let mut span = tiptoe_obs::span_under("net.coalesce.flush", parent);
         let m = tiptoe_obs::metrics();
         let queue_wait_us =
             batch.iter().map(|p| clock::since(p.enqueued).as_micros() as u64).max().unwrap_or(0);
-        if tiptoe_obs::enabled() {
+        if span.id().is_some() {
             span.set_label(fr::name(reason));
         }
         span.attr_u64("batch", batch.len() as u64);

@@ -353,10 +353,17 @@ pub fn span(name: &'static str) -> Span {
 
 /// Opens a span with an explicit parent — the fan-out form: capture
 /// [`current_span`] before handing work to another thread, then
-/// parent the worker's spans to it.
+/// parent the worker's spans to it. A span with a parent belongs to
+/// the parent's query, so it records whenever tracing is on, even on
+/// a thread whose own query the sampler left out; without one it
+/// records as [`span`] does.
 #[inline]
 pub fn span_under(name: &'static str, parent: Option<SpanId>) -> Span {
-    if !enabled() {
+    let recording = match parent {
+        Some(_) => ENABLED.load(Ordering::Relaxed),
+        None => enabled(),
+    };
+    if !recording {
         return Span { pending: None };
     }
     open_span(name, parent.map(|p| p.0))

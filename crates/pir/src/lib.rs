@@ -124,16 +124,8 @@ impl PirServer {
     /// NTT-ready limb decomposition (both are one-time, per-corpus
     /// batch work) using one preprocessing thread per core.
     pub fn new(db: PirDatabase, a_seed: u64, uh: Underhood) -> Self {
-        Self::with_threads(db, a_seed, uh, 0)
-    }
-
-    /// [`PirServer::new`] with an explicit preprocessing thread count
-    /// (`0` = one per core). The hint is bit-identical regardless of
-    /// the thread count.
-    pub fn with_threads(db: PirDatabase, a_seed: u64, uh: Underhood, num_threads: usize) -> Self {
         let a = MatrixA::new(a_seed, db.num_records(), db.params().n);
-        let hint =
-            scheme::preproc::<u32>(db.matrix(), &a.row_range(0, db.num_records()), num_threads);
+        let hint = scheme::preproc::<u32>(db.matrix(), &a.row_range(0, db.num_records()), 0);
         let server_hint = uh.preprocess_hint(&hint);
         Self { db, a, uh, hint, server_hint }
     }
@@ -162,18 +154,14 @@ impl PirServer {
 
     /// Token generation over pre-expanded secrets (shared with other
     /// services holding the same outer parameters) for `B` clients in
-    /// one pass over the hint polynomials, on `num_threads` threads;
+    /// one pass over the hint polynomials, on one thread per core;
     /// each token is bit-identical to [`PirServer::generate_token`]
     /// for that client. The serving plane's token lane flushes through
     /// this kernel, and a direct fetch is its `B = 1` case.
-    pub fn generate_token_expanded_many(
-        &self,
-        secrets: &[&ExpandedSecret],
-        num_threads: usize,
-    ) -> Vec<QueryToken> {
+    pub fn generate_token_expanded_many(&self, secrets: &[&ExpandedSecret]) -> Vec<QueryToken> {
         let mut span = tiptoe_obs::span("pir.token_gen");
         span.attr_u64("batch", secrets.len() as u64);
-        self.uh.generate_token_expanded_many(&self.server_hint, secrets, num_threads)
+        self.uh.generate_token_expanded_many(&self.server_hint, secrets, 0)
     }
 
     /// Answers an online query: `answer = DB · ct`
@@ -185,7 +173,7 @@ impl PirServer {
     /// Panics if the ciphertext dimension differs from the number of
     /// records.
     pub fn answer(&self, ct: &LweCiphertext<u32>) -> Vec<u32> {
-        self.answer_many(std::slice::from_ref(ct), 1).pop().expect("one answer per ciphertext")
+        self.answer_many(std::slice::from_ref(ct)).pop().expect("one answer per ciphertext")
     }
 
     /// Answers a batch of online queries in one pass over the
@@ -197,13 +185,13 @@ impl PirServer {
     ///
     /// Panics if any ciphertext dimension differs from the number of
     /// records.
-    pub fn answer_many(&self, cts: &[LweCiphertext<u32>], num_threads: usize) -> Vec<Vec<u32>> {
+    pub fn answer_many(&self, cts: &[LweCiphertext<u32>]) -> Vec<Vec<u32>> {
         let mut span = tiptoe_obs::span("pir.answer");
         span.attr_u64("rows", self.db.rows() as u64);
         span.attr_u64("cols", self.db.num_records() as u64);
         span.attr_u64("batch", cts.len() as u64);
         let cts: Vec<&[u32]> = cts.iter().map(|ct| ct.c.as_slice()).collect();
-        scheme::apply(self.db.matrix(), &cts, num_threads)
+        scheme::apply(self.db.matrix(), &cts, 0)
     }
 
     /// Server-side bytes held: the database plus the NTT-ready hint
@@ -333,24 +321,26 @@ mod tests {
         let mut rng = seeded_rng(7);
         let recs = records(24, 60, 8);
         let db = PirDatabase::build_with_params(&recs, *uh.lwe());
-        let server = PirServer::with_threads(db, 44, uh.clone(), 3);
-        // The parallel-preprocessed hint matches the scalar one.
-        let db2 = PirDatabase::build_with_params(&recs, *uh.lwe());
-        let scalar = PirServer::new(db2, 44, uh.clone());
-        assert_eq!(server.raw_hint().data(), scalar.raw_hint().data());
+        let server = PirServer::new(db, 44, uh.clone());
+        let matrix = server.database().matrix();
+        let n_records = server.database().num_records();
+        // The hint matches the one computed inline.
+        let range = server.public_matrix().row_range(0, n_records);
+        assert_eq!(server.raw_hint().data(), scheme::preproc::<u32>(matrix, &range, 1).data());
 
         let key = ClientKey::generate(&uh, uh.lwe().n, &mut rng);
         let client = PirClient::new(&uh, &key);
-        let n_records = server.database().num_records();
         let cts: Vec<_> = [3usize, 11, 19]
             .iter()
             .map(|&t| client.query(&server.public_matrix(), n_records, t, &mut rng))
             .collect();
+        let batched = server.answer_many(&cts);
+        for (ct, got) in cts.iter().zip(batched.iter()) {
+            assert_eq!(got, &server.answer(ct));
+        }
+        let refs: Vec<&[u32]> = cts.iter().map(|ct| ct.c.as_slice()).collect();
         for threads in [1, 2, 4] {
-            let batched = server.answer_many(&cts, threads);
-            for (ct, got) in cts.iter().zip(batched.iter()) {
-                assert_eq!(got, &server.answer(ct), "threads={threads}");
-            }
+            assert_eq!(scheme::apply(matrix, &refs, threads), batched, "threads={threads}");
         }
     }
 

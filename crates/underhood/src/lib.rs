@@ -507,15 +507,16 @@ impl Underhood {
         self.generate_token_expanded(sh, &es.expand(self))
     }
 
-    /// Token generation over a pre-expanded secret on the caller's
-    /// thread: [`Underhood::generate_token_expanded_many`] at `B = 1`.
+    /// Token generation over a pre-expanded secret:
+    /// [`Underhood::generate_token_expanded_many`] at `B = 1`, one
+    /// thread per core.
     ///
     /// # Panics
     ///
     /// Panics if the expansion covers fewer coordinates than the
     /// hint's secret dimension.
     pub fn generate_token_expanded(&self, sh: &ServerHint, es: &ExpandedSecret) -> QueryToken {
-        self.generate_token_expanded_many(sh, &[es], 1).pop().expect("one token per secret")
+        self.generate_token_expanded_many(sh, &[es], 0).pop().expect("one token per secret")
     }
 
     /// Token generation, the one body: evaluates one hint against `B`
@@ -961,7 +962,9 @@ mod tests {
         for rows in [10, 150] {
             let (sh, expansions) = hint_and_expansions(&uh, rows, 1, 9);
             assert_eq!(sh.chunks(), rows.div_ceil(64));
-            let sequential = uh.generate_token_expanded(&sh, &expansions[0]).encode();
+            let one = &[&expansions[0]];
+            let sequential = uh.generate_token_expanded_many(&sh, one, 1)[0].encode();
+            assert_eq!(uh.generate_token_expanded(&sh, &expansions[0]).encode(), sequential);
             for threads in THREAD_COUNTS {
                 let par = uh.generate_token_expanded_many(&sh, &[&expansions[0]], threads);
                 assert_eq!(par.len(), 1);

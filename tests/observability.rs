@@ -41,10 +41,9 @@ const DOCS: usize = 120;
 const SEED: u64 = 17;
 const QUERY: &str = "museum history archive";
 
-fn build(num_threads: usize) -> TiptoeInstance<TextEmbedder> {
+fn build() -> TiptoeInstance<TextEmbedder> {
     let corpus = generate(&CorpusConfig::small(DOCS, SEED), 4);
-    let mut config = TiptoeConfig::test_small(DOCS, SEED);
-    config.parallelism.num_threads = num_threads;
+    let config = TiptoeConfig::test_small(DOCS, SEED);
     let embedder = TextEmbedder::new(config.d_embed, SEED, 0);
     TiptoeInstance::build(&config, embedder, &corpus)
 }
@@ -69,20 +68,40 @@ fn tree_shape(spans: &[tiptoe_obs::SpanRecord]) -> Vec<(String, Option<String>)>
         .collect()
 }
 
+/// Runs `f` with `TIPTOE_THREADS` set to `threads` (`None`: unset, one
+/// thread per core), then restores it. Every kernel reads its thread
+/// count from there; the obs lock keeps the other tests of this binary
+/// out while it is changed.
+fn pinned_threads<T>(threads: Option<&str>, f: impl FnOnce() -> T) -> T {
+    let before = std::env::var("TIPTOE_THREADS").ok();
+    match threads {
+        Some(n) => std::env::set_var("TIPTOE_THREADS", n),
+        None => std::env::remove_var("TIPTOE_THREADS"),
+    }
+    let out = f();
+    match before {
+        Some(v) => std::env::set_var("TIPTOE_THREADS", v),
+        None => std::env::remove_var("TIPTOE_THREADS"),
+    }
+    out
+}
+
 #[test]
 fn span_tree_is_deterministic_across_thread_counts() {
     let _guard = obs_lock();
-    let shapes: Vec<Vec<(String, Option<String>)>> = [1usize, 0]
-        .iter()
-        .map(|&threads| {
-            let instance = build(threads);
-            tiptoe_obs::enable();
-            let _ = run_query(&instance);
-            let spans = tiptoe_obs::spans_snapshot();
-            tiptoe_obs::disable();
-            tiptoe_obs::clear_spans();
-            assert!(!spans.is_empty(), "tracing enabled but no spans recorded");
-            tree_shape(&spans)
+    let shapes: Vec<Vec<(String, Option<String>)>> = [Some("1"), None]
+        .into_iter()
+        .map(|threads| {
+            pinned_threads(threads, || {
+                let instance = build();
+                tiptoe_obs::enable();
+                let _ = run_query(&instance);
+                let spans = tiptoe_obs::spans_snapshot();
+                tiptoe_obs::disable();
+                tiptoe_obs::clear_spans();
+                assert!(!spans.is_empty(), "tracing enabled but no spans recorded");
+                tree_shape(&spans)
+            })
         })
         .collect();
     assert_eq!(
@@ -131,7 +150,7 @@ fn metrics_byte_counters_match_the_transcript_exactly() {
     let _guard = obs_lock();
     // The registry was reset by the lock; every byte the transcript
     // sees from here on is mirrored into the global counters.
-    let instance = build(1);
+    let instance = build();
     let _ = run_query(&instance);
 
     let m = tiptoe_obs::metrics();
@@ -164,11 +183,11 @@ fn metrics_byte_counters_match_the_transcript_exactly() {
 fn tracing_on_off_is_bit_identical() {
     let _guard = obs_lock();
     let baseline = {
-        let instance = build(1);
+        let instance = build();
         run_query(&instance)
     };
     let traced = {
-        let instance = build(1);
+        let instance = build();
         tiptoe_obs::enable();
         let r = run_query(&instance);
         tiptoe_obs::disable();

@@ -15,9 +15,8 @@
 //! the dispatched tier and under `TIPTOE_FORCE_SCALAR=1`), and the
 //! row groups, whole and short (1–23 rows). The scan runs over both
 //! entry types: `u32` residues and the ranking matrix's `i8`s.
-//! These properties are what lets the deployment knobs (`Parallelism`,
-//! `TIPTOE_THREADS`) change wall-clock time without ever changing
-//! results.
+//! These properties are what lets `TIPTOE_THREADS` and the kernels'
+//! own grains change wall-clock time without ever changing results.
 
 use proptest::prelude::*;
 use rand::Rng;

@@ -273,3 +273,48 @@ fn sampled_out_queries_still_get_recorder_timelines() {
         assert_eq!(last.a, tiptoe_obs::recorder::result_code::OK);
     }
 }
+
+/// Under 1-in-N sampling a coalesced batch keeps its flush span when
+/// the member that flushes it was sampled out: the span opens under
+/// the first member whose submission span was recorded.
+#[test]
+fn a_flush_run_by_a_sampled_out_member_is_traced_for_the_sampled_one() {
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
+    use std::time::Duration;
+    use tiptoe_net::{CoalescePolicy, Coalescer};
+
+    let _guard = obs_lock();
+    tiptoe_obs::enable();
+    // The next query minted is sampled, the one after it is not.
+    tiptoe_obs::set_span_sample(2);
+    let policy = CoalescePolicy { max_batch: 2, max_wait: Duration::from_secs(10) };
+    // Two submitters in flight: the first parks, the second fills the
+    // batch and flushes it on its own thread.
+    let lane =
+        Coalescer::new(policy, |reqs: Vec<u64>| reqs).with_cohort(Arc::new(AtomicUsize::new(2)));
+    std::thread::scope(|scope| {
+        let lane = &lane;
+        scope.spawn(move || {
+            let _query = tiptoe_obs::query_scope();
+            let _member = tiptoe_obs::span("member.sampled");
+            assert_eq!(lane.submit(1), 1);
+        });
+        while lane.lane_status().queued == 0 {
+            std::thread::yield_now();
+        }
+        let _query = tiptoe_obs::query_scope();
+        assert!(!tiptoe_obs::enabled(), "the flushing member is sampled out");
+        assert_eq!(lane.submit(2), 2);
+    });
+    let spans = tiptoe_obs::spans_snapshot();
+    tiptoe_obs::disable();
+    let member = spans.iter().find(|s| s.name == "member.sampled").expect("sampled member span");
+    let flush = spans
+        .iter()
+        .find(|s| s.name == "net.coalesce.flush")
+        .expect("the batch's flush span is recorded for its sampled member");
+    assert_eq!(flush.parent, Some(member.id));
+    assert_eq!(flush.follows, [member.id]);
+    assert_eq!(flush.display_name(), "net.coalesce.flush[full]");
+}
