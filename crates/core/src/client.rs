@@ -35,6 +35,7 @@ use tiptoe_embed::quantize::Quantizer;
 use tiptoe_embed::vector::normalize;
 use tiptoe_embed::Embedder;
 use tiptoe_lwe::QueryPad;
+use tiptoe_math::par::timed_cores;
 use tiptoe_math::rng::{derive_seed, seeded_rng};
 use tiptoe_net::{
     DeadlineBudget, FaultPlan, FaultReport, Ledger, LinkModel, ParallelTiming, Phase, ServeError,
@@ -290,12 +291,12 @@ impl TiptoeClient {
 
         // The server expands the upload once and reuses it for both
         // services (§A.3's shared-secret-key optimization).
-        let (expanded, t_expand) = timed(|| es.expand(uh_rank));
+        let (expanded, expand_wall, expand_cpu) = timed_cores(|| es.expand(uh_rank));
         // One kernel yields the ranking token either way: through the
         // plane this client's expanded secret is batched with
         // concurrently arriving clients' on the token lane, directly
         // it is a batch of one.
-        let (rank_token, url_token, mut t_tokens) = match serving {
+        let (rank_token, url_token, t_tokens) = match serving {
             Some(plane) => {
                 let (bundle, wall) = timed(|| plane.generate_tokens(Arc::new(expanded)));
                 (bundle.rank, bundle.url, ParallelTiming { wall, cpu: wall })
@@ -306,9 +307,8 @@ impl TiptoeClient {
                 (rank_token, url_token, t_rank.then(t_url))
             }
         };
-        t_tokens.cpu += t_expand;
-        t_tokens.wall += t_expand;
-        cost.token_server = t_tokens;
+        let t_expand = ParallelTiming { wall: expand_wall, cpu: expand_cpu };
+        cost.token_server = t_expand.then(t_tokens);
         cost.token_down = rank_token.byte_len() + url_token.byte_len();
         instance.transcript.record_down(Phase::Token, cost.token_down);
 

@@ -23,6 +23,7 @@ use std::time::Duration;
 
 use tiptoe_lwe::{scheme, LweCiphertext, MatrixA};
 use tiptoe_math::matrix::Mat;
+use tiptoe_math::par::timed_cores;
 use tiptoe_math::rng::derive_seed;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_math::zq::{Entry, Word};
@@ -30,7 +31,7 @@ use tiptoe_net::{
     dispatch, DeadlineBudget, DispatchContext, Dispatched, FaultPlan, FaultPolicy, Ledger,
     ParallelTiming, ServeError, Service,
 };
-use tiptoe_obs::clock::{self, timed};
+use tiptoe_obs::clock;
 use tiptoe_underhood::{EncryptedSecret, ExpandedSecret, QueryToken, ServerHint, Underhood};
 
 use crate::batch::IndexArtifacts;
@@ -324,8 +325,9 @@ impl RankingService {
         // (chunk, limb) sum; the tokens are bit-identical to the
         // sequential evaluation.
         let hint = &self.token_hint.server;
-        let (tokens, elapsed) = timed(|| self.uh.generate_token_expanded_many(hint, secrets, 0));
-        (tokens, ParallelTiming { wall: elapsed, cpu: elapsed })
+        let (tokens, wall, cpu) =
+            timed_cores(|| self.uh.generate_token_expanded_many(hint, secrets, 0));
+        (tokens, ParallelTiming { wall, cpu })
     }
 
     /// The column range `[start, end)` served by shard `idx`.

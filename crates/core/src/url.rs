@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use tiptoe_lwe::{LweCiphertext, MatrixA};
+use tiptoe_math::par::timed_cores;
 use tiptoe_math::rng::derive_seed;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
 use tiptoe_net::{
@@ -122,8 +123,8 @@ impl UrlService {
     /// Token generation over a pre-expanded secret: the `B = 1` case
     /// of [`UrlService::generate_token_expanded_many`].
     pub fn generate_token_expanded(&self, es: &ExpandedSecret) -> (QueryToken, ParallelTiming) {
-        let (mut tokens, wall) = timed(|| self.generate_token_expanded_many(&[es]));
-        (tokens.pop().expect("one token per secret"), ParallelTiming { wall, cpu: wall })
+        let (mut tokens, wall, cpu) = timed_cores(|| self.generate_token_expanded_many(&[es]));
+        (tokens.pop().expect("one token per secret"), ParallelTiming { wall, cpu })
     }
 
     /// Batched token generation for `B` clients in one pass over the

@@ -24,8 +24,12 @@
 //! the client kernels. `TIPTOE_THREADS` is the one deployment setting;
 //! explicit counts are for tests and benchmarks.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::panic::resume_unwind;
 use std::sync::OnceLock;
+use std::time::Duration;
+
+use tiptoe_obs::clock;
 
 /// Number of worker threads meant by a `num_threads` knob value of 0:
 /// one per available core, overridable with `TIPTOE_THREADS`. The
@@ -99,19 +103,21 @@ pub fn prg_threads(
 }
 
 /// The grain of [`crate::matrix::scan`], in bytes of matrix streamed
-/// for one query: 4 MiB, ≈0.2 ms of one thread at the `i8` rate. Over
-/// four `bench_kernels` runs on a 2-vCPU host the `matvec_shard` rows
-/// (122×20,832 `i8`, 2.5 MB, the wide deployment's shard) read
-/// 149–168 µs on one thread against 169–313 µs on two at B = 1, and
-/// 142–161 against 109–144 µs a query at B = 4; `matvec_stream`
-/// (32,768×1,024, 32 MiB) 2.0–6.3 ms against 1.1–3.0 ms. The second
-/// vCPU of that host is worth 1.0–1.9× over minutes: in sweeps
-/// alternating one and two threads, two lost at every shape under
-/// ≈1 MB (a 170×4,608 shard 32 against 40–54 µs) and won at 33 MB by
-/// up to 1.9× or not at all. A `u32` entry (the URL matrix) costs about three
-/// `i8` ones, so work is counted in bytes, not entries: the wide URL
-/// scan (495×5,534 `u32`, 11 MB, 360–430 µs on one thread, 0.61× or
-/// 1.1× on two) keeps two threads, the shard inline at B = 1 and 2.
+/// times queries: 4 MiB a thread, so a scan fans out from 8 MiB. On a
+/// 2-vCPU host, the wide shard (122×20,832 `i8`, 2.5 MB) runs inline
+/// at B = 1 and 2: two threads lost in a sweep alternating one and two
+/// (µs a query, median of 15 rounds: 158 against 197, 131 against 145)
+/// and in five `bench_kernels` runs at B = 1 (149–228 against 201–346).
+/// At B = 4 (10 MB) it gets two: the sweep read a tie (189 against
+/// 186), `bench_kernels` three losses, a tie and a win, but the benchmark's
+/// `serve_fleet` `op_p50_ms` was 1.71 ms with it inline against 1.49
+/// on two (medians of ten alternating pairs). The wide URL scan
+/// (495×5,534 `u32`, 11 MB) gets two at B = 1: 334 against 418 µs in
+/// the sweep; with the shard inline, `serve_solo` `op_p50_ms` read 12 %
+/// above every scan on two threads with the URL scan inline too, and
+/// 15 % below with it on two (ten alternating pairs each).
+/// 32,768×1,024 `i8` (32 MiB): 2.8 against 5.4 ms. Two more sweeps,
+/// with the second vCPU busy elsewhere, saw at most 1.1× anywhere.
 pub const MIN_SCAN_BYTES_PER_THREAD: usize = 1 << 22;
 
 /// The thread count [`crate::matrix::scan`] takes when asked for `0`:
@@ -125,6 +131,20 @@ pub fn scan_threads(matrix_bytes: usize, batch: usize) -> usize {
 thread_local! {
     /// Spans handed out on this thread while [`observe_spans`] runs.
     static OBSERVED: RefCell<Option<Vec<(usize, usize)>>> = const { RefCell::new(None) };
+    /// The time the workers of the fan-outs started on this thread
+    /// were busy beyond this thread's wait for them, summed.
+    static FAN_OUT: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+}
+
+/// Runs `f`; returns its result, its wall time and its core time: the
+/// wall time plus what the workers of the [`par_spans_mut`] fan-outs
+/// inside `f` were busy beyond this thread's wait for them. The core
+/// time is what a deployment pays for `f`; when every kernel in it
+/// runs inline, it is the wall time.
+pub fn timed_cores<R>(f: impl FnOnce() -> R) -> (R, Duration, Duration) {
+    let before = FAN_OUT.with(Cell::get);
+    let (r, wall) = clock::timed(f);
+    (r, wall, wall + (FAN_OUT.with(Cell::get) - before))
 }
 
 /// Runs `f`; returns with its result the `(start, len)` of every span
@@ -169,19 +189,24 @@ pub fn par_spans_mut<T: Send>(
     // Ceil-divide items over threads; the tail thread takes the short
     // span.
     let items_per = items.div_ceil(threads);
-    std::thread::scope(|scope| {
+    let (busy, waited) = std::thread::scope(|scope| {
         let mut rest = data;
         let mut start = 0usize;
+        let mut workers = Vec::with_capacity(threads);
         while !rest.is_empty() {
             let take = (items_per * align).min(rest.len());
             let (span, tail) = rest.split_at_mut(take);
             let f = &f;
             note_span(start, take);
-            scope.spawn(move || f(start, span));
+            workers.push(scope.spawn(move || clock::timed(|| f(start, span)).1));
             start += take;
             rest = tail;
         }
+        let waiting = clock::now();
+        let joined = workers.into_iter().map(|w| w.join().unwrap_or_else(|p| resume_unwind(p)));
+        (joined.sum::<Duration>(), clock::since(waiting))
     });
+    FAN_OUT.with(|c| c.set(c.get() + busy.saturating_sub(waited)));
 }
 
 #[cfg(test)]
@@ -248,6 +273,24 @@ mod tests {
         // Small scans stay inline whatever the batch.
         assert_eq!(scan_threads(170 * 4_608, 4), 1);
         assert_eq!(scan_threads(0, 4), 1);
+    }
+
+    #[test]
+    fn core_time_counts_every_worker_and_not_the_wait() {
+        let work = Duration::from_millis(4);
+        let spin = |_: usize, _: &mut [u8]| {
+            let start = clock::now();
+            while clock::since(start) < work {
+                std::hint::spin_loop();
+            }
+        };
+        let mut data = [0u8; 3];
+        let ((), wall, core) = timed_cores(|| par_spans_mut(&mut data, 1, 3, spin));
+        assert!(core >= work * 3, "core {core:?} for three workers of {work:?}");
+        assert!(core >= wall, "core {core:?} against wall {wall:?}");
+        // Inline, the core time is the wall time.
+        let ((), wall, core) = timed_cores(|| par_spans_mut(&mut data, 1, 1, spin));
+        assert_eq!(core, wall);
     }
 
     #[test]

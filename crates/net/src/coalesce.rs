@@ -489,20 +489,20 @@ impl<'a, Req, Resp> Coalescer<'a, Req, Resp> {
     /// it through their own submitters).
     fn run_batch(&self, batch: Vec<Pending<Req, Resp>>, reason: u64) {
         use tiptoe_obs::recorder::{self, EventKind};
-        // The flush serves *the batch's* queries, not whatever the
-        // flushing thread happens to be doing: parent the span
-        // explicitly under the first sampled member's submission span
-        // (under a co-submitter's drain the implicit thread-local
-        // parent would be a different query, and under 1-in-N
-        // sampling the flushing member may be one the sampler left
-        // out). Every sampled member is attached with a follow-from
-        // link, so each batched query's trace reaches this span.
-        let parent = batch.iter().find_map(|p| p.ctx.span_id);
-        let mut span = tiptoe_obs::span_under("net.coalesce.flush", parent);
+        // The flush serves *the batch's* queries, not the flushing
+        // thread's, which the sampler may have left out: it runs as
+        // the first sampled member's query, its span parented under
+        // that member's submission span, and every sampled member is
+        // attached with a follow-from link, so each batched query's
+        // trace reaches this span and the kernel spans under it.
+        let sampled = batch.iter().find(|p| p.ctx.span_id.is_some()).map(|p| p.ctx);
+        let _adopted = sampled.map(|ctx| tiptoe_obs::adopt_query(ctx.trace_id));
+        let mut span =
+            tiptoe_obs::span_under("net.coalesce.flush", sampled.and_then(|ctx| ctx.span_id));
         let m = tiptoe_obs::metrics();
         let queue_wait_us =
             batch.iter().map(|p| clock::since(p.enqueued).as_micros() as u64).max().unwrap_or(0);
-        if span.id().is_some() {
+        if tiptoe_obs::enabled() {
             span.set_label(fr::name(reason));
         }
         span.attr_u64("batch", batch.len() as u64);

@@ -36,8 +36,8 @@
 
 use std::time::Duration;
 
+use tiptoe_math::par::timed_cores;
 use tiptoe_math::wire::{WireError, WireReader, WireWriter};
-use tiptoe_obs::clock::timed;
 
 use crate::overload::{ConfigError, ServeError};
 use crate::ParallelTiming;
@@ -676,7 +676,7 @@ fn mirror_report_metrics(report: &FaultReport) {
 }
 
 /// Executes one attempt (identified by its plan address) in virtual
-/// time; returns the delivery outcome and the real CPU spent, or
+/// time; returns the delivery outcome and the real core time spent, or
 /// propagates a typed serve failure (which aborts the dispatch).
 fn run_attempt<R>(
     idx: usize,
@@ -692,7 +692,7 @@ fn run_attempt<R>(
     if let Some(FaultKind::Crash) = fault {
         return Ok((Delivery::TimedOut, Duration::ZERO));
     }
-    let (payload, t) = timed(|| serve(idx));
+    let (payload, t, core) = timed_cores(|| serve(idx));
     // `run_attempt` executes on the query's own dispatching thread,
     // so the thread-local query id *is* the originating query: the
     // TPT2 envelope carries it to (and back from) the shard, which is
@@ -715,14 +715,14 @@ fn run_attempt<R>(
         _ => (t, true),
     };
     if can_time_out && at > policy.attempt_timeout {
-        return Ok((Delivery::TimedOut, t));
+        return Ok((Delivery::TimedOut, core));
     }
     let bytes = sealed.len() as u64;
     let outcome = match open_traced(&sealed).and_then(|(_, p)| parse(idx, p)) {
         Ok(value) => Delivery::Ok { value, at },
         Err(_) => Delivery::Bad { at, bytes },
     };
-    Ok((outcome, t))
+    Ok((outcome, core))
 }
 
 /// Deterministically flips one payload byte of a sealed response (the

@@ -233,7 +233,8 @@ pub struct ParallelTiming {
     /// Maximum per-shard time: the wall-clock latency of a perfectly
     /// parallel cluster.
     pub wall: Duration,
-    /// Summed per-shard time: the total core-seconds paid for.
+    /// Summed per-shard core time, every kernel worker's included:
+    /// the total core-seconds paid for.
     pub cpu: Duration,
 }
 

@@ -298,11 +298,12 @@ mod tests {
         }
     }
 
-    /// A service whose shard `w` stalls `(w + 1) · stall` and then
-    /// answers `w`, or fails typed when `fail` is set; counts `serve`
-    /// calls.
+    /// A service whose shard `w` stalls `(w + 1) · stall` on each of
+    /// `workers` kernel threads and then answers `w`, or fails typed
+    /// when `fail` is set; counts `serve` calls.
     struct StallService {
         stall: std::time::Duration,
+        workers: usize,
         fail: bool,
         calls: std::sync::atomic::AtomicUsize,
     }
@@ -326,7 +327,11 @@ mod tests {
 
         fn serve(&self, idx: usize, _req: &()) -> Result<Vec<u8>, ServeError> {
             self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            std::thread::sleep(self.stall * (idx as u32 + 1));
+            let stall = self.stall * (idx as u32 + 1);
+            let mut spans = vec![0u8; self.workers];
+            tiptoe_math::par::par_spans_mut(&mut spans, 1, self.workers, |_, _| {
+                std::thread::sleep(stall)
+            });
             if self.fail {
                 return Err(ServeError::DeadlineExceeded { budget: self.stall, spent: self.stall });
             }
@@ -354,7 +359,7 @@ mod tests {
         let stall = Duration::from_millis(1);
         let plan = FaultPlan::none();
         for policy in [FaultPolicy::default(), FaultPolicy::tolerant()] {
-            let svc = StallService { stall, fail: true, calls: AtomicUsize::new(0) };
+            let svc = StallService { stall, workers: 1, fail: true, calls: AtomicUsize::new(0) };
             let err = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &policy), None)
                 .expect_err("the first shard's failure is the dispatch's");
             assert!(matches!(err, ServeError::DeadlineExceeded { .. }), "{err:?}");
@@ -372,7 +377,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         use std::time::Duration;
         let stall = Duration::from_millis(3);
-        let svc = StallService { stall, fail: false, calls: AtomicUsize::new(0) };
+        let svc = StallService { stall, workers: 1, fail: false, calls: AtomicUsize::new(0) };
         let plan = FaultPlan::none();
         let policy = FaultPolicy::default();
         let d = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &policy), None)
@@ -383,6 +388,22 @@ mod tests {
         assert!(d.timing.wall >= stall * 4, "wall {:?}", d.timing.wall);
         assert!(d.timing.cpu >= stall * 10, "cpu {:?}", d.timing.cpu);
         assert!(d.timing.cpu >= d.timing.wall + stall * 6, "{:?}", d.timing);
+    }
+
+    #[test]
+    fn a_shard_kernel_on_several_threads_is_paid_for_on_each() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::Duration;
+        let stall = Duration::from_millis(3);
+        let svc = StallService { stall, workers: 3, fail: false, calls: AtomicUsize::new(0) };
+        let plan = FaultPlan::none();
+        let policy = FaultPolicy::default();
+        let d = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &policy), None)
+            .expect("healthy dispatch");
+        // Three threads stall 3, 6, 9 and 12 ms a shard: wall is the
+        // last shard's span, cpu every thread's.
+        assert!(d.timing.wall >= stall * 4, "wall {:?}", d.timing.wall);
+        assert!(d.timing.cpu >= stall * 30, "cpu {:?}", d.timing.cpu);
     }
 
     #[test]
@@ -399,7 +420,7 @@ mod tests {
             deadline: Duration::from_millis(1),
             ..FaultPolicy::default()
         };
-        let svc = StallService { stall, fail: false, calls: AtomicUsize::new(0) };
+        let svc = StallService { stall, workers: 1, fail: false, calls: AtomicUsize::new(0) };
         let d = dispatch(&svc, &(), 0, DispatchContext::new(&plan, &knobs), None)
             .expect("disabled dispatch");
         assert_eq!(d.response, 1 + 2 + 3);

@@ -223,8 +223,10 @@ pub fn current_query() -> u64 {
     CURRENT_QUERY.with(Cell::get)
 }
 
-/// RAII guard for one query boundary; see [`query_scope`].
+/// RAII guard for one query boundary ([`query_scope`]) or adopted
+/// query ([`adopt_query`]): gives the thread its own query back on drop.
 pub struct QueryScope {
+    own: u64,
     fresh: bool,
 }
 
@@ -237,8 +239,8 @@ impl QueryScope {
 
 impl Drop for QueryScope {
     fn drop(&mut self) {
+        CURRENT_QUERY.with(|q| q.set(self.own));
         if self.fresh {
-            CURRENT_QUERY.with(|q| q.set(0));
             ACTIVE_QUERIES.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -256,7 +258,7 @@ impl Drop for QueryScope {
 /// then inert).
 pub fn query_scope() -> QueryScope {
     if current_query() != 0 {
-        return QueryScope { fresh: false };
+        return QueryScope { own: current_query(), fresh: false };
     }
     let id = NEXT_QUERY.fetch_add(1, Ordering::Relaxed);
     CURRENT_QUERY.with(|q| q.set(id));
@@ -264,7 +266,15 @@ pub fn query_scope() -> QueryScope {
     if active == 1 && enabled() {
         clear_spans();
     }
-    QueryScope { fresh: true }
+    QueryScope { own: 0, fresh: true }
+}
+
+/// Runs the calling thread as query `id` (a [`TraceCtx::trace_id`])
+/// until the guard drops: work done for another thread's query, a
+/// coalesced batch's flush, records under that query's sampling
+/// decision and flight-recorder key, not the thread's own.
+pub fn adopt_query(id: u64) -> QueryScope {
+    QueryScope { own: CURRENT_QUERY.with(|q| q.replace(id)), fresh: false }
 }
 
 /// A copy of every span recorded since the last [`clear_spans`].
@@ -353,17 +363,10 @@ pub fn span(name: &'static str) -> Span {
 
 /// Opens a span with an explicit parent — the fan-out form: capture
 /// [`current_span`] before handing work to another thread, then
-/// parent the worker's spans to it. A span with a parent belongs to
-/// the parent's query, so it records whenever tracing is on, even on
-/// a thread whose own query the sampler left out; without one it
-/// records as [`span`] does.
+/// parent the worker's spans to it.
 #[inline]
 pub fn span_under(name: &'static str, parent: Option<SpanId>) -> Span {
-    let recording = match parent {
-        Some(_) => ENABLED.load(Ordering::Relaxed),
-        None => enabled(),
-    };
-    if !recording {
+    if !enabled() {
         return Span { pending: None };
     }
     open_span(name, parent.map(|p| p.0))

@@ -274,9 +274,10 @@ fn sampled_out_queries_still_get_recorder_timelines() {
     }
 }
 
-/// Under 1-in-N sampling a coalesced batch keeps its flush span when
-/// the member that flushes it was sampled out: the span opens under
-/// the first member whose submission span was recorded.
+/// Under 1-in-N sampling a coalesced batch keeps its flush span, and
+/// the kernel spans under it, when the member that flushes it was
+/// sampled out: the flush runs as the first member whose submission
+/// span was recorded.
 #[test]
 fn a_flush_run_by_a_sampled_out_member_is_traced_for_the_sampled_one() {
     use std::sync::atomic::AtomicUsize;
@@ -291,8 +292,11 @@ fn a_flush_run_by_a_sampled_out_member_is_traced_for_the_sampled_one() {
     let policy = CoalescePolicy { max_batch: 2, max_wait: Duration::from_secs(10) };
     // Two submitters in flight: the first parks, the second fills the
     // batch and flushes it on its own thread.
-    let lane =
-        Coalescer::new(policy, |reqs: Vec<u64>| reqs).with_cohort(Arc::new(AtomicUsize::new(2)));
+    let kernel = |reqs: Vec<u64>| {
+        let _kernel = tiptoe_obs::span("kernel");
+        reqs
+    };
+    let lane = Coalescer::new(policy, kernel).with_cohort(Arc::new(AtomicUsize::new(2)));
     std::thread::scope(|scope| {
         let lane = &lane;
         scope.spawn(move || {
@@ -317,4 +321,6 @@ fn a_flush_run_by_a_sampled_out_member_is_traced_for_the_sampled_one() {
     assert_eq!(flush.parent, Some(member.id));
     assert_eq!(flush.follows, [member.id]);
     assert_eq!(flush.display_name(), "net.coalesce.flush[full]");
+    let kernel = spans.iter().find(|s| s.name == "kernel").expect("the flush's kernel span");
+    assert_eq!(kernel.parent, Some(flush.id));
 }
